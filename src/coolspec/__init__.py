@@ -33,7 +33,7 @@ from .generators import (
 )
 from .sweep import SpectrumRecord, run_sweep, write_output
 from .system import EigenSystem, SystemSpec, build_hamiltonian, coupling_operator, eigensystem, lower_ground_state
-from .tcl import MemoryKernelConfig, TclPropagator, bath_correlation, tcl_generator, tcl_propagate
+from .tcl import MemoryKernelConfig, TclPropagator, bath_correlation
 
 __version__ = "0.1.0"
 
@@ -79,8 +79,6 @@ __all__ = [
     "shift_b",
     "spectral_density",
     "steady_state",
-    "tcl_generator",
-    "tcl_propagate",
     "total_liouvillian",
     "write_output",
 ]

@@ -79,10 +79,14 @@ def bose_occupation(nu: float, spec: BathSpec) -> float:
     """
     if nu <= 0:
         raise ValueError(f"bose_occupation requires nu > 0, got {nu}")
-    x = spec.beta * nu
+    return _occupation(spec.beta * nu)
+
+
+def _occupation(x: float) -> float:
+    """1 / expm1(x) for x > 0, in a form that cannot overflow at large x."""
     if x < _SERIES_CUTOFF:
         return 1.0 / x - 0.5 + x / 12.0
-    return 1.0 / math.expm1(x)
+    return -math.exp(-x) / math.expm1(-x)
 
 
 def rate_a(nu: float, spec: BathSpec) -> float:
@@ -106,11 +110,7 @@ def _thermal_numerator(w: float, nu: float, omega_c: float, beta: float) -> floa
     """j(w)/alpha * (w + (2 n(w) + 1) nu) with the w <= 0 tail cut off."""
     if w <= 0.0:
         return 0.0
-    x = beta * w
-    if x < _SERIES_CUTOFF:
-        n = 1.0 / x - 0.5 + x / 12.0
-    else:
-        n = 1.0 / math.expm1(x)
+    n = _occupation(beta * w)
     jw = 2.0 * w**3 / omega_c**2 * math.exp(-w / omega_c)
     return jw * (w + (2.0 * n + 1.0) * nu)
 

@@ -64,7 +64,6 @@ class SweepConfig:
     routes: tuple[HeatRoute, ...] = (HeatRoute(kind="trace_formula"),)
     sign: str = "absorption_positive"
     include_shifts_bloch_redfield: bool = True
-    include_shifts_secular: bool = False
     pairing_tol: float | None = None
     tcl_t_mem: float = 30.0
     tcl_dt: float = 0.02
@@ -192,6 +191,9 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> SweepConfig:
     shifts_sec = shifts.get("secular", False)
     if not isinstance(shifts_br, bool) or not isinstance(shifts_sec, bool):
         raise ConfigError("include_shifts values must be booleans")
+    if shifts_sec:
+        raise ConfigError("include_shifts.secular is not supported; the secular "
+                          "generator has no principal-value terms")
 
     pairing_tol = data.get("pairing_tol")
     if pairing_tol is not None:
@@ -216,7 +218,7 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> SweepConfig:
         delta_steps=delta_steps, omega_list=tuple(float(w) for w in omega_list),
         methods=tuple(methods), mode=mode, t_end=t_end, dt=dt, routes=routes,
         sign=sign,
-        include_shifts_bloch_redfield=shifts_br, include_shifts_secular=shifts_sec,
+        include_shifts_bloch_redfield=shifts_br,
         pairing_tol=pairing_tol, tcl_t_mem=tcl_t_mem, tcl_dt=tcl_dt,
         tcl_quad_points=tcl_quad_points, tcl_t_end=tcl_t_end)
     validate_config(cfg)
@@ -248,9 +250,6 @@ def validate_config(cfg: SweepConfig):
             raise ConfigError(f"mode.dt must be positive, got {cfg.dt}")
     if cfg.sign not in SIGNS:
         raise ConfigError(f"sign must be one of {SIGNS}, got {cfg.sign!r}")
-    if cfg.include_shifts_secular:
-        raise ConfigError("include_shifts.secular is not supported; the secular "
-                          "generator has no principal-value terms")
     if cfg.pairing_tol is not None and cfg.pairing_tol <= 0:
         raise ConfigError(f"pairing_tol must be positive, got {cfg.pairing_tol}")
     if cfg.tcl_t_mem <= 0 or cfg.tcl_dt <= 0 or cfg.tcl_t_end <= 0:
@@ -298,8 +297,7 @@ def serialize_config(cfg: SweepConfig) -> dict:
             for r in cfg.routes
         ],
         "sign": cfg.sign,
-        "include_shifts": {"bloch_redfield": cfg.include_shifts_bloch_redfield,
-                           "secular": cfg.include_shifts_secular},
+        "include_shifts": {"bloch_redfield": cfg.include_shifts_bloch_redfield},
         "pairing_tol": cfg.pairing_tol,
         "tcl": {"t_mem": cfg.tcl_t_mem, "dt": cfg.tcl_dt,
                 "quad_points": cfg.tcl_quad_points, "t_end": cfg.tcl_t_end},

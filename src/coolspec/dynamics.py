@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,34 +31,47 @@ class SteadyStateError(RuntimeError):
     """Raised when no unique, well-conditioned steady state exists."""
 
 
-def propagate(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float, dt: float,
+def propagate(liouvillian: Liouvillian | Callable[[float], np.ndarray], rho0: np.ndarray,
+              t_end: float, dt: float,
               check_trace: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
-    Returns (times, states) where states[k] is the 3x3 state at times[k];
-    t_end is rounded to a whole number of steps of size dt.  By default the
-    trace is monitored whenever the generator is unannotated (u = 0): the
-    generators preserve it exactly, so drift beyond 1e-6 means the step
-    size is unstable for this generator and a PropagationError is raised.
+    liouvillian is either a constant generator or a function t -> generator
+    matrix for a time-dependent one.  Returns (times, states) where
+    states[k] is the 3x3 state at times[k]; t_end is rounded to a whole
+    number of steps of size dt.  By default the trace is monitored for
+    time-dependent generators and for unannotated (u = 0) constant ones:
+    these preserve it exactly, so drift beyond 1e-6 means the step size is
+    unstable for this generator and a PropagationError is raised.
     Annotated generators do not preserve the trace and skip the check.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
-    m = liouvillian.matrix
-    check = (liouvillian.u == 0.0) if check_trace is None else check_trace
+    if isinstance(liouvillian, Liouvillian):
+        constant = liouvillian.matrix
+        matrix_at = lambda t: constant
+        check = liouvillian.u == 0.0
+    else:
+        matrix_at = liouvillian
+        check = True
+    if check_trace is not None:
+        check = check_trace
     steps = int(round(t_end / dt))
     y = vectorize(rho0)
     trace0 = TRACE_VECTOR @ y
     times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, 3, 3), dtype=complex)
     states[0] = unvectorize(y)
+    m_end = matrix_at(times[0])
     for k in range(steps):
-        k1 = m @ y
-        k2 = m @ (y + 0.5 * dt * k1)
-        k3 = m @ (y + 0.5 * dt * k2)
-        k4 = m @ (y + dt * k3)
+        t = times[k]
+        m_start, m_half, m_end = m_end, matrix_at(t + 0.5 * dt), matrix_at(t + dt)
+        k1 = m_start @ y
+        k2 = m_half @ (y + 0.5 * dt * k1)
+        k3 = m_half @ (y + 0.5 * dt * k2)
+        k4 = m_end @ (y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if check:
             drift = abs(TRACE_VECTOR @ y - trace0)

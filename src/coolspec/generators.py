@@ -5,6 +5,9 @@ so the map rho -> A rho B has matrix kron(B.T, A).  All generators can be
 annotated with a counting field u that tags phonon exchange with the bath;
 the u-derivative at zero is kept alongside as a heat kernel, so a single
 construction serves propagation, steady states, and both heat routes.
+Bloch-Redfield, secular and the finite-memory (tcl) generator share one
+Redfield assembly: a table of superoperator blocks built once per
+eigensystem, contracted with the bath coefficients in a single matmul.
 """
 
 from __future__ import annotations
@@ -85,77 +88,99 @@ class Liouvillian:
     heat_kernel: np.ndarray | None = None
 
 
+def redfield_table(eig: EigenSystem) -> np.ndarray:
+    """Superoperator blocks of the Redfield dissipator, shape (36, 81).
+
+    Row 9 k + 3 i + j holds, for the eigenbasis block B = blocks[i, j] and
+    the coupling operator O, the flattened 9x9 matrix of
+    k = 0: rho -> B rho O,   k = 1: rho -> O rho B,
+    k = 2: rho -> O B rho,   k = 3: rho -> rho B O.
+    """
+    o_full = coupling_operator()
+    blocks = eig.blocks
+    eye = np.broadcast_to(np.eye(DIM), blocks.shape)
+    o_all = np.broadcast_to(o_full, blocks.shape)
+    # rho -> A rho C has matrix element [(a, b), (c, d)] = A[a, c] C[d, b],
+    # with vec index a + 3 b
+    left = np.stack([blocks, o_all, o_full @ blocks, eye])
+    right = np.stack([o_all, blocks, eye, blocks @ o_full])
+    table = np.einsum("kijac,kijdb->kijbadc", left, right)
+    return table.reshape(4 * DIM * DIM, DIM**4)
+
+
+def redfield(table: np.ndarray, nu: np.ndarray, gamma: np.ndarray,
+             u: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Redfield dissipator and heat kernel for half-Fourier coefficients gamma.
+
+    With Lambda_u = sum_ij gamma[i, j] exp(i u nu[j, i]) blocks[i, j], the
+    dissipator is
+    rho -> Lambda_u rho O + O rho Lambda_{-u}^dag - O Lambda_0 rho - rho Lambda_0^dag O,
+    the sandwich terms carrying the counting phase of the bath quantum they
+    exchange.  The heat kernel is its u-derivative at u = 0.  Returns
+    (matrix, heat_kernel), both 9x9.
+    """
+    # gamma weights the table rows k = 0, 2 and gamma^dag the rows k = 1, 3;
+    # the sandwich rows exchange the quanta nu.T and nu respectively
+    pair = np.array([gamma, gamma.conj().T])
+    nu_pair = np.array([nu.T, nu])
+    coef = np.zeros((2, 4, DIM, DIM), dtype=complex)
+    coef[0, :2] = pair * np.exp(1j * u * nu_pair)
+    coef[0, 2:] = -pair
+    coef[1, :2] = 1j * nu_pair * pair
+    matrix, kernel = (coef.reshape(2, -1) @ table).reshape(2, DIM * DIM, DIM * DIM)
+    return matrix, kernel
+
+
+def lindblad(rate: float, jump: np.ndarray, phase: complex = 1.0) -> np.ndarray:
+    """Matrix of rho -> rate (phase J rho J^dag - {J^dag J, rho} / 2)."""
+    proj = jump.conj().T @ jump
+    return rate * (phase * sandwich_superoperator(jump, jump.conj().T)
+                   - 0.5 * (left_superoperator(proj) + right_superoperator(proj)))
+
+
 def bloch_redfield_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
                              u: float = 0.0, include_shifts: bool = True) -> Liouvillian:
     """Full weak-coupling generator, no rotating-wave approximation.
 
-    For every ordered eigenstate pair (i, j) the dissipator contributes a
-    rate bracket weighted by a[i, j] and, when include_shifts is set, a
-    principal-value bracket weighted by b[i, j].  In each bracket only the
-    sandwich terms (state between coupling operators) describe an exchange
-    of a bath quantum nu[i, j] and carry the counting phase
-    exp(i u nu[i, j]); the one-sided products do not.  At u = 0 the result
-    preserves trace and hermiticity term by term.
+    The Redfield dissipator with coefficients gamma[i, j] = a[j, i] - i b[j, i]
+    (rate and principal-value shift of the transition nu[j, i]); without
+    shifts only the rates a enter.  Only the sandwich terms (state between
+    coupling operators) exchange a bath quantum and carry the counting
+    phase; the one-sided products do not.  At u = 0 the result preserves
+    trace and hermiticity.
     """
-    o_full = coupling_operator()
-    lmat = coherent_superoperator(build_hamiltonian(spec)).astype(complex)
-    kernel = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    for i in range(DIM):
-        for j in range(DIM):
-            a = rates.a[i, j]
-            b = rates.b[i, j] if include_shifts else 0.0
-            if a == 0.0 and b == 0.0:
-                continue
-            nu = rates.nu[i, j]
-            phase = np.exp(1j * u * nu)
-            jump_left = sandwich_superoperator(eig.blocks[j, i], o_full)
-            jump_right = sandwich_superoperator(o_full, eig.blocks[i, j])
-            one_sided_r = right_superoperator(eig.blocks[i, j] @ o_full)
-            one_sided_l = left_superoperator(o_full @ eig.blocks[j, i])
-            if a != 0.0:
-                lmat += a * (phase * (jump_left + jump_right) - one_sided_r - one_sided_l)
-                kernel += 1j * nu * a * (jump_left + jump_right)
-            if b != 0.0:
-                lmat += -1j * b * (phase * (jump_left - jump_right) + one_sided_r - one_sided_l)
-                kernel += nu * b * (jump_left - jump_right)
-    return Liouvillian(matrix=lmat, u=u, method="bloch_redfield",
-                       include_shifts=include_shifts, heat_kernel=kernel)
+    gamma = (rates.a - 1j * rates.b).T if include_shifts else rates.a.T
+    matrix, kernel = redfield(redfield_table(eig), rates.nu, gamma, u)
+    return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
+                       u=u, method="bloch_redfield", include_shifts=include_shifts,
+                       heat_kernel=kernel)
 
 
 def secular_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
                       pairing_tol: float | None = None, u: float = 0.0) -> Liouvillian:
-    """Rotating-wave generator: only frequency-matched transition pairs.
+    """Rotating-wave generator: the shift-free Redfield dissipator, masked.
 
-    A pair of transitions is retained when its frequencies agree within
-    pairing_tol (default 1e-10 * e_man, so only exact coincidences
-    survive).  For a nondegenerate spectrum this reduces to a sum of
-    Lindblad dissipators with jump operators blocks[j, i] and rates
-    2 a[i, j].  No principal-value terms are included, matching the common
-    presentation of this approximation.
+    In the eigenbasis, the dissipator element that feeds rho[c, d] into
+    rho[a, b] oscillates at nu[a, b] - nu[c, d] in the interaction picture;
+    it is kept when that frequency is within pairing_tol (default
+    1e-10 * e_man, so only exact coincidences survive) and dropped
+    otherwise, in the matrix and the heat kernel alike.  For a
+    nondegenerate spectrum this reduces to a sum of Lindblad dissipators
+    with jump operators blocks[j, i] and rates 2 a[i, j].  No
+    principal-value terms are included, matching the common presentation
+    of this approximation.
     """
     if pairing_tol is None:
         pairing_tol = SECULAR_PAIRING_FRACTION * spec.e_man
-    lmat = coherent_superoperator(build_hamiltonian(spec)).astype(complex)
-    kernel = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    for i in range(DIM):
-        for j in range(DIM):
-            a = rates.a[i, j]
-            if a == 0.0:
-                continue
-            nu = rates.nu[i, j]
-            phase = np.exp(1j * u * nu)
-            for k in range(DIM):
-                for l in range(DIM):
-                    if abs(rates.nu[k, l] - nu) <= pairing_tol:
-                        s = sandwich_superoperator(eig.blocks[j, i], eig.blocks[k, l])
-                        lmat += a * (phase * s - left_superoperator(eig.blocks[k, l] @ eig.blocks[j, i]))
-                        kernel += 1j * nu * a * s
-                    if abs(rates.nu[k, l] + nu) <= pairing_tol:
-                        s = sandwich_superoperator(eig.blocks[k, l], eig.blocks[i, j])
-                        lmat += a * (phase * s - right_superoperator(eig.blocks[i, j] @ eig.blocks[k, l]))
-                        kernel += 1j * nu * a * s
-    return Liouvillian(matrix=lmat, u=u, method="secular",
-                       include_shifts=False, heat_kernel=kernel)
+    matrix, kernel = redfield(redfield_table(eig), rates.nu, rates.a.T, u)
+    # columns of to_work are the vectorized eigenbasis operators |a><b|
+    to_work = np.kron(eig.basis.conj(), eig.basis)
+    to_eig = to_work.conj().T
+    nu_vec = vectorize(eig.nu).real
+    keep = np.abs(nu_vec[:, None] - nu_vec[None, :]) <= pairing_tol
+    matrix, kernel = (to_work @ (keep * (to_eig @ m @ to_work)) @ to_eig for m in (matrix, kernel))
+    return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
+                       u=u, method="secular", include_shifts=False, heat_kernel=kernel)
 
 
 def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, float]:
@@ -180,16 +205,11 @@ def phenomenological_generator(spec: SystemSpec, bath: BathSpec, u: float = 0.0)
     gamma_up, gamma_down = phenomenological_rates(spec, bath)
     up = np.zeros((DIM, DIM), dtype=complex)
     up[IDX_GU, IDX_GL] = 1.0
-    down = np.zeros((DIM, DIM), dtype=complex)
-    down[IDX_GL, IDX_GU] = 1.0
-    lmat = coherent_superoperator(build_hamiltonian(spec)).astype(complex)
+    lmat = coherent_superoperator(build_hamiltonian(spec))
     kernel = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    for rate, jump, bath_gain in ((gamma_up, up, -spec.e_man), (gamma_down, down, spec.e_man)):
-        proj = jump.conj().T @ jump
-        s = sandwich_superoperator(jump, jump.conj().T)
-        lmat += rate * (np.exp(1j * u * bath_gain) * s
-                        - 0.5 * (left_superoperator(proj) + right_superoperator(proj)))
-        kernel += 1j * bath_gain * rate * s
+    for rate, jump, bath_gain in ((gamma_up, up, -spec.e_man), (gamma_down, up.T, spec.e_man)):
+        lmat += lindblad(rate, jump, np.exp(1j * u * bath_gain))
+        kernel += 1j * bath_gain * rate * sandwich_superoperator(jump, jump.conj().T)
     return Liouvillian(matrix=lmat, u=u, method="phenomenological", heat_kernel=kernel)
 
 
@@ -202,11 +222,7 @@ def radiative_dissipator(spec: SystemSpec) -> np.ndarray:
     """
     jump = np.zeros((DIM, DIM), dtype=complex)
     jump[IDX_GL, IDX_E] = 1.0
-    proj = jump.conj().T @ jump
-    return spec.gamma_rad * (
-        sandwich_superoperator(jump, jump.conj().T)
-        - 0.5 * (left_superoperator(proj) + right_superoperator(proj))
-    )
+    return lindblad(spec.gamma_rad, jump)
 
 
 @lru_cache(maxsize=2048)

@@ -95,16 +95,13 @@ def _evaluate_markovian(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
 
 
 def _evaluate_tcl(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec) -> tuple[float, float, float]:
-    kernel_cfg = MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt,
-                                    quad_points=cfg.tcl_quad_points)
     if cfg.mode == "transient":
-        kernel_cfg = MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.dt,
-                                        quad_points=cfg.tcl_quad_points)
-        horizon = cfg.t_end
+        dt, horizon = cfg.dt, cfg.t_end
     else:
         # no closed-form steady state for the time-dependent generator;
         # propagate to the configured plateau time instead
-        horizon = cfg.tcl_t_end
+        dt, horizon = cfg.tcl_dt, cfg.tcl_t_end
+    kernel_cfg = MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=dt, quad_points=cfg.tcl_quad_points)
     prop = TclPropagator(spec, bath, kernel_cfg)
     _, states, record = prop.propagate(lower_ground_state(), horizon)
     residual = steady_residual(prop.generator(horizon), states[-1])

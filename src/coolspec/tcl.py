@@ -17,17 +17,13 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 
 from .bath import BathSpec, QuadratureError, bose_occupation, spectral_density
-from .dynamics import HeatRecord, PropagationError, TRACE_DRIFT_TOL
+from .dynamics import HeatRecord, heat_current_trace, propagate
 from .generators import (
-    TRACE_VECTOR,
     Liouvillian,
     coherent_superoperator,
-    left_superoperator,
     radiative_dissipator,
-    right_superoperator,
-    sandwich_superoperator,
-    unvectorize,
-    vectorize,
+    redfield,
+    redfield_table,
 )
 from .system import SystemSpec, build_hamiltonian, coupling_operator, eigensystem
 
@@ -135,8 +131,10 @@ class TclPropagator:
     The running coefficients Gamma[i, j](t) are cumulative integrals of
     C(tau) exp(-i nu[i, j] tau) up to min(t, t_mem), tabulated once on a
     tau grid of spacing dt / quad_points and interpolated linearly in
-    between.  The generator and its heat kernel at any time are then
-    linear recombinations of constant superoperator blocks.
+    between.  The generator at any time is the shared Redfield assembly
+    (generators.redfield) with coefficients Gamma(t), contracted with a
+    block table built once per propagator, plus the coherent and radiative
+    parts.
     """
 
     def __init__(self, spec: SystemSpec, bath: BathSpec, cfg: MemoryKernelConfig):
@@ -157,24 +155,7 @@ class TclPropagator:
         self._tau_step = step
         self._gamma_table = gamma
         self._n_tau = n_tau
-
-        o_full = coupling_operator()
-        blocks = self.eig.blocks
-        # constant superoperator blocks; the time dependence enters only
-        # through the scalar coefficients Gamma
-        self._m_jump = np.empty((3, 3, 9, 9), dtype=complex)
-        self._m_jump_conj = np.empty((3, 3, 9, 9), dtype=complex)
-        self._s_jump = np.empty((3, 3, 9, 9), dtype=complex)
-        self._s_jump_conj = np.empty((3, 3, 9, 9), dtype=complex)
-        for i in range(3):
-            for j in range(3):
-                blk = blocks[i, j]
-                self._s_jump[i, j] = sandwich_superoperator(blk, o_full)
-                self._s_jump_conj[i, j] = sandwich_superoperator(o_full, blk)
-                self._m_jump[i, j] = (left_superoperator(o_full @ blk)
-                                      - sandwich_superoperator(blk, o_full))
-                self._m_jump_conj[i, j] = (right_superoperator(blk @ o_full)
-                                           - sandwich_superoperator(o_full, blk))
+        self._table = redfield_table(self.eig)
         self._static = (coherent_superoperator(build_hamiltonian(spec))
                         + radiative_dissipator(spec))
 
@@ -192,69 +173,22 @@ class TclPropagator:
 
     def generator(self, t: float) -> Liouvillian:
         """Instantaneous generator and heat kernel at time t."""
-        gam = self.coefficients(t)
-        gam_conj = np.conj(gam.T)
-        lmat = (self._static
-                - np.einsum("ij,ijab->ab", gam, self._m_jump)
-                - np.einsum("ij,ijab->ab", gam_conj, self._m_jump_conj))
-        nu = self.eig.nu
-        kernel = (np.einsum("ij,ijab->ab", 1j * nu.T * gam, self._s_jump)
-                  + np.einsum("ij,ijab->ab", 1j * nu * gam_conj, self._s_jump_conj))
-        return Liouvillian(matrix=lmat, u=0.0, method="tcl_oracle",
+        matrix, kernel = redfield(self._table, self.eig.nu, self.coefficients(t))
+        return Liouvillian(matrix=self._static + matrix, u=0.0, method="tcl_oracle",
                            include_shifts=True, heat_kernel=kernel)
 
     def propagate(self, rho0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray, HeatRecord]:
-        """Fixed-step RK4 with the time-dependent generator.
+        """Fixed-step RK4 (dynamics.propagate) with the time-dependent generator.
 
         Returns (times, states, record); the record integrates the
         kernel-trace heat current over the trajectory with the trapezoid
         rule.
         """
-        dt = self.cfg.dt
-        steps = int(round(t_end / dt))
-        y = vectorize(rho0)
-        trace0 = TRACE_VECTOR @ y
-        times = np.arange(steps + 1) * dt
-        states = np.empty((steps + 1, 3, 3), dtype=complex)
-        currents = np.empty(steps + 1)
-        states[0] = unvectorize(y)
-        currents[0] = self._current(self.generator(0.0), y)
-        for k in range(steps):
-            t = times[k]
-            l0 = self.generator(t).matrix
-            l_half = self.generator(t + 0.5 * dt).matrix
-            gen_full = self.generator(t + dt)
-            k1 = l0 @ y
-            k2 = l_half @ (y + 0.5 * dt * k1)
-            k3 = l_half @ (y + 0.5 * dt * k2)
-            k4 = gen_full.matrix @ (y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-            drift = abs(TRACE_VECTOR @ y - trace0)
-            if drift > TRACE_DRIFT_TOL:
-                raise PropagationError(
-                    f"trace drifted by {drift:.3e} at t = {times[k + 1]:.6g}; "
-                    f"reduce dt (currently {dt})")
-            states[k + 1] = unvectorize(y)
-            currents[k + 1] = self._current(gen_full, y)
-        heat = float(trapezoid(currents, times)) if steps else 0.0
+        times, states = propagate(lambda t: self.generator(t).matrix, rho0, t_end, self.cfg.dt)
+        currents = np.array([heat_current_trace(self.generator(t), rho)
+                             for t, rho in zip(times, states)])
+        heat = float(trapezoid(currents, times)) if len(times) > 1 else 0.0
         record = HeatRecord(time=float(times[-1]), mean_heat=heat,
                             current=float(currents[-1]), method="tcl_oracle",
                             route="kernel_trace")
         return times, states, record
-
-    @staticmethod
-    def _current(gen: Liouvillian, y: np.ndarray) -> float:
-        val = -1j * (TRACE_VECTOR @ (gen.heat_kernel @ y))
-        return float(val.real)
-
-
-def tcl_generator(t: float, spec: SystemSpec, bath: BathSpec,
-                  cfg: MemoryKernelConfig) -> Liouvillian:
-    """Instantaneous generator at time t (convenience wrapper)."""
-    return TclPropagator(spec, bath, cfg).generator(t)
-
-
-def tcl_propagate(spec: SystemSpec, bath: BathSpec, cfg: MemoryKernelConfig,
-                  rho0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray, HeatRecord]:
-    """Propagate rho0 to t_end under the finite-memory generator."""
-    return TclPropagator(spec, bath, cfg).propagate(rho0, t_end)

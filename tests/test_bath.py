@@ -56,6 +56,15 @@ def test_bose_occupation_value_and_domain():
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
             bose_occupation(bad, BATH)
+    # beta*nu far past the exp overflow threshold (~709) of a cold bath:
+    # the occupation decays to exp(-beta nu) and then underflows to zero
+    cold = BathSpec(alpha=0.01, omega_c=1.0, temperature=0.01)
+    assert_allclose(bose_occupation(0.4, cold), math.exp(-40.0), rtol=1e-14)
+    assert_allclose(bose_occupation(7.0, cold), math.exp(-700.0), rtol=1e-14)
+    assert 0.0 <= bose_occupation(7.2, cold) < 1e-312
+    assert bose_occupation(40.0, cold) == 0.0
+    assert rate_a(-40.0, cold) == 0.0
+    assert_allclose(rate_a(40.0, cold), math.pi * spectral_density(40.0, cold), rtol=1e-14)
 
 
 def test_bose_occupation_series_branch_continuous():

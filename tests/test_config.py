@@ -30,7 +30,6 @@ def test_empty_config_gives_shipped_defaults(tmp_path):
     assert cfg.mode == "steady"
     assert cfg.routes == (HeatRoute(kind="trace_formula"),)
     assert cfg.include_shifts_bloch_redfield is True
-    assert cfg.include_shifts_secular is False
 
 
 def test_empty_object_equals_empty_file(tmp_path):

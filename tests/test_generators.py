@@ -85,6 +85,26 @@ def test_trace_and_hermiticity_preserved_at_zero_counting(delta, omega):
             assert_allclose(out_dag, out.conj().T, atol=1e-12)
 
 
+@pytest.mark.parametrize("delta,omega", [(0.0, 1.0), (0.7, 0.5), (-1.2, 0.01), (0.0, 0.0)])
+@pytest.mark.parametrize("u", [0.0, 0.05])
+def test_bloch_redfield_matches_matrix_form(delta, omega, u, redfield_oracle):
+    # the vectorized assembly against the textbook Redfield form acting on
+    # random states, with gamma[i, j] = a[j, i] - i b[j, i]
+    spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.5)
+    hamiltonian = build_hamiltonian(spec)
+    eig = eigensystem(hamiltonian, coupling_operator())
+    table = rate_table(eig, BATH)
+    gen = bloch_redfield_generator(eig, table, spec, u=u)
+    gamma = (table.a - 1j * table.b).T
+    rng = np.random.default_rng(29)
+    for _ in range(5):
+        rho = _random_matrix(rng)
+        expected, expected_kernel = redfield_oracle(hamiltonian, eig, gamma, u, rho)
+        assert_allclose(unvectorize(gen.matrix @ vectorize(rho)), expected, atol=1e-13)
+        assert_allclose(unvectorize(gen.heat_kernel @ vectorize(rho)), expected_kernel,
+                        atol=1e-13)
+
+
 def test_heat_kernel_is_u_derivative():
     # the stored kernel must equal the numerical derivative of the
     # annotated generator at u = 0

@@ -159,6 +159,22 @@ def test_per_point_failures_recorded_in_row():
     assert math.isfinite(ok.heat_absorption_rate)
 
 
+def test_cold_bath_gives_finite_rates():
+    # at temperature 0.01 the rate and shift integrals reach beta*w = 4000,
+    # far past where exp overflows; every point must still come out finite
+    cfg = config_from_dict({
+        "bath": {"temperature": 0.01},
+        "sweep": {"delta_min": -0.5, "delta_max": 0.5, "delta_steps": 2,
+                  "omega_list": [0.5]},
+        "methods": ["bloch_redfield", "secular"],
+    })
+    records = run_sweep(cfg)
+    assert [r.method for r in records] == ["bloch_redfield", "secular"] * 2
+    for rec in records:
+        assert rec.status == "ok"
+        assert math.isfinite(rec.heat_absorption_rate)
+
+
 def test_strong_drive_absorption_changes_sign_in_wide_scan():
     # scanned far enough to the blue, the full method's absorption turns
     # into heating while the drive-blind model keeps cooling

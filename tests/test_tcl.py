@@ -4,15 +4,13 @@ from numpy.testing import assert_allclose
 
 from coolspec.bath import BathSpec, rate_a, shift_b
 from coolspec.dynamics import heat_current_trace, propagate
-from coolspec.generators import total_liouvillian, vectorize
-from coolspec.system import SystemSpec, lower_ground_state
+from coolspec.generators import total_liouvillian, unvectorize, vectorize
+from coolspec.system import SystemSpec, build_hamiltonian, lower_ground_state
 from coolspec.tcl import (
     MemoryKernelConfig,
     TclPropagator,
     bath_correlation,
     correlation_grid,
-    tcl_generator,
-    tcl_propagate,
 )
 
 BATH = BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0)
@@ -69,10 +67,31 @@ def test_running_coefficients_saturate_to_markovian_rates():
 
 def test_generator_converges_to_bloch_redfield():
     cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02, quad_points=2)
-    late = tcl_generator(60.0, SPEC, BATH, cfg)
+    late = TclPropagator(SPEC, BATH, cfg).generator(60.0)
     markov = total_liouvillian("bloch_redfield", SPEC, BATH, include_shifts=True)
     assert np.abs(late.matrix - markov.matrix).max() < 1e-4
     assert np.abs(late.heat_kernel - markov.heat_kernel).max() < 1e-4
+
+
+def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
+    # mid-memory the running coefficients are far from their Markovian
+    # limits; the generator must still be the Redfield form with Gamma(t)
+    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02, quad_points=2)
+    prop = TclPropagator(SPEC, BATH, cfg)
+    t = 1.37
+    gen = prop.generator(t)
+    jump = np.zeros((3, 3))
+    jump[2, 0] = 1.0
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        rho = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        expected, expected_kernel = redfield_oracle(
+            build_hamiltonian(SPEC), prop.eig, prop.coefficients(t), 0.0, rho)
+        expected += SPEC.gamma_rad * (jump @ rho @ jump.T
+                                      - 0.5 * (jump.T @ jump @ rho + rho @ jump.T @ jump))
+        assert_allclose(unvectorize(gen.matrix @ vectorize(rho)), expected, atol=1e-13)
+        assert_allclose(unvectorize(gen.heat_kernel @ vectorize(rho)), expected_kernel,
+                        atol=1e-13)
 
 
 def test_early_generator_has_no_dissipation():
@@ -88,13 +107,13 @@ def test_early_generator_has_no_dissipation():
 
 def test_trajectory_slips_then_tracks_markovian_observables():
     cfg = MemoryKernelConfig(t_mem=20.0, dt=0.05, quad_points=2)
-    times, states, record = tcl_propagate(SPEC, BATH, cfg, lower_ground_state(), 30.0)
+    prop = TclPropagator(SPEC, BATH, cfg)
+    times, states, record = prop.propagate(lower_ground_state(), 30.0)
     markov = total_liouvillian("bloch_redfield", SPEC, BATH)
     _, markov_states = propagate(markov, lower_ground_state(), 30.0, 0.05)
     currents = np.array([heat_current_trace(markov, s) for s in markov_states])
-    prop = TclPropagator(SPEC, BATH, cfg)
     tcl_currents = np.array([
-        prop._current(prop.generator(t), vectorize(s)) for t, s in zip(times, states)
+        heat_current_trace(prop.generator(t), s) for t, s in zip(times, states)
     ])
     late = times >= 10.0
     rel = np.abs(tcl_currents[late] - currents[late]) / np.abs(currents[late])
@@ -114,7 +133,7 @@ def test_memory_horizon_insensitive():
     currents = []
     for t_mem in (20.0, 40.0):
         cfg = MemoryKernelConfig(t_mem=t_mem, dt=0.05, quad_points=2)
-        _, _, record = tcl_propagate(SPEC, BATH, cfg, lower_ground_state(), 60.0)
+        _, _, record = TclPropagator(SPEC, BATH, cfg).propagate(lower_ground_state(), 60.0)
         currents.append(record.current)
     assert abs(currents[1] - currents[0]) / abs(currents[1]) < 0.005
 
@@ -122,7 +141,7 @@ def test_memory_horizon_insensitive():
 def test_zero_coupling_reduces_to_coherent_evolution():
     dead_bath = BathSpec(alpha=0.0, omega_c=1.0, temperature=3.0)
     cfg = MemoryKernelConfig(t_mem=5.0, dt=0.05, quad_points=2)
-    times, states, record = tcl_propagate(SPEC, dead_bath, cfg, lower_ground_state(), 10.0)
+    times, states, record = TclPropagator(SPEC, dead_bath, cfg).propagate(lower_ground_state(), 10.0)
     reference = total_liouvillian("bloch_redfield", SPEC, dead_bath)
     _, ref_states = propagate(reference, lower_ground_state(), 10.0, 0.05)
     assert_allclose(states, ref_states, atol=1e-12)
