@@ -167,10 +167,12 @@ def shift_b(nu: float, spec: BathSpec, omega_max: float | None = None, tol: floa
     subtracted analytically, the smooth remainder integrated adaptively,
     and the exact principal value of the subtracted term added back.  The
     coupling alpha enters exactly linearly and is factored out, which also
-    lets results be cached across sweeps that share omega_c and beta.
+    lets results be cached across sweeps that share omega_c and beta.  The
+    default window is 40 omega_c, widened to 2 |nu| for transitions beyond
+    it; an explicit omega_max that does not contain |nu| raises ValueError.
     """
     if omega_max is None:
-        omega_max = OMEGA_MAX_FACTOR * spec.omega_c
+        omega_max = max(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * abs(nu))
     return spec.alpha * _unit_shift(float(nu), spec.omega_c, spec.beta, float(omega_max), tol)
 
 

@@ -32,18 +32,17 @@ class SteadyStateError(RuntimeError):
 
 
 def propagate(liouvillian: Liouvillian | Callable[[float], np.ndarray], rho0: np.ndarray,
-              t_end: float, dt: float,
-              check_trace: bool | None = None) -> tuple[np.ndarray, np.ndarray]:
+              t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
     liouvillian is either a constant generator or a function t -> generator
     matrix for a time-dependent one.  Returns (times, states) where
     states[k] is the 3x3 state at times[k]; t_end is rounded to a whole
-    number of steps of size dt.  By default the trace is monitored for
-    time-dependent generators and for unannotated (u = 0) constant ones:
-    these preserve it exactly, so drift beyond 1e-6 means the step size is
-    unstable for this generator and a PropagationError is raised.
-    Annotated generators do not preserve the trace and skip the check.
+    number of steps of size dt.  The trace is monitored for time-dependent
+    generators and for unannotated (u = 0) constant ones: these preserve
+    it exactly, so drift beyond 1e-6 means the step size is unstable for
+    this generator and a PropagationError is raised.  Annotated generators
+    do not preserve the trace and skip the check.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -56,8 +55,6 @@ def propagate(liouvillian: Liouvillian | Callable[[float], np.ndarray], rho0: np
     else:
         matrix_at = liouvillian
         check = True
-    if check_trace is not None:
-        check = check_trace
     steps = int(round(t_end / dt))
     y = vectorize(rho0)
     trace0 = TRACE_VECTOR @ y

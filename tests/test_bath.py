@@ -166,8 +166,12 @@ def test_shift_refinement_stability():
 
 
 def test_shift_rejects_frequency_outside_window():
+    # an explicit window must contain the transition frequency
     with pytest.raises(ValueError, match="window"):
-        shift_b(50.0, BATH)
+        shift_b(50.0, BATH, omega_max=40.0)
+    # the default one widens to 2 |nu|, which loses nothing of the bath
+    for nu in (50.0, -50.0):
+        assert_allclose(shift_b(nu, BATH), shift_b(nu, BATH, omega_max=400.0), rtol=1e-9)
 
 
 def test_quadrature_error_type():

@@ -159,17 +159,21 @@ def test_per_point_failures_recorded_in_row():
     assert math.isfinite(ok.heat_absorption_rate)
 
 
-def test_cold_bath_gives_finite_rates():
+@pytest.mark.parametrize("bath", [{"temperature": 0.01}, {"omega_c": 0.02}],
+                         ids=["temperature_0.01", "omega_c_0.02"])
+def test_cold_bath_gives_finite_rates(bath):
     # at temperature 0.01 the rate and shift integrals reach beta*w = 4000,
-    # far past where exp overflows; every point must still come out finite
+    # far past where exp overflows; at omega_c 0.02 the driven transitions
+    # lie beyond 40 omega_c; every point must still come out finite
+    methods = ["bloch_redfield", "secular", "tcl_oracle"]
     cfg = config_from_dict({
-        "bath": {"temperature": 0.01},
+        "bath": bath,
         "sweep": {"delta_min": -0.5, "delta_max": 0.5, "delta_steps": 2,
                   "omega_list": [0.5]},
-        "methods": ["bloch_redfield", "secular"],
+        "methods": methods,
     })
     records = run_sweep(cfg)
-    assert [r.method for r in records] == ["bloch_redfield", "secular"] * 2
+    assert [r.method for r in records] == methods * 2
     for rec in records:
         assert rec.status == "ok"
         assert math.isfinite(rec.heat_absorption_rate)

@@ -38,11 +38,16 @@ def test_correlation_symmetry_and_decay():
     assert abs(bath_correlation(30.0, BATH)) < 1e-5 * abs(c0)
 
 
-def test_correlation_grid_matches_adaptive_quadrature():
-    taus = np.array([0.0, 0.3, 2.7, 9.1, 14.0])
-    grid = correlation_grid(taus, BATH)
+@pytest.mark.parametrize("omega_c", [0.2, 1.0, 5.0])
+@pytest.mark.parametrize("temperature", [0.01, 0.3, 3.0, 30.0])
+def test_correlation_grid_matches_adaptive_quadrature(temperature, omega_c):
+    # the closed form has no frequency window, so it must hold from the
+    # coldest to the hottest bath and at memory times far past the decay
+    bath = BathSpec(alpha=0.01, omega_c=omega_c, temperature=temperature)
+    taus = np.array([0.0, 0.3, 2.7, 9.1, 14.0, 600.0, 1000.0])
+    grid = correlation_grid(taus, bath)
     for k, tau in enumerate(taus):
-        assert_allclose(grid[k], bath_correlation(tau, BATH), atol=1e-9)
+        assert_allclose(grid[k], bath_correlation(tau, bath), atol=1e-9)
 
 
 def test_running_coefficients_saturate_to_markovian_rates():
