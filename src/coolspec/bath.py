@@ -181,7 +181,8 @@ class RateTable:
     """Golden-rule rates a[i, j] and shifts b[i, j] on the transition grid.
 
     nu[i, j] is the transition frequency between eigenstates i and j;
-    a[i, j] = rate_a(nu[i, j]) and b[i, j] = shift_b(nu[i, j]).
+    a[i, j] = rate_a(nu[i, j]) and b[i, j] = shift_b(nu[i, j]) where the
+    bath couples i and j (eig.elements[i, j] != 0), and zero elsewhere.
     """
 
     nu: np.ndarray
@@ -191,12 +192,14 @@ class RateTable:
 
 def rate_table(eig: EigenSystem, spec: BathSpec, omega_max: float | None = None,
                tol: float = SHIFT_TOL) -> RateTable:
-    """Evaluate rates and shifts for every ordered eigenstate pair."""
+    """Evaluate rates and shifts for every coupled ordered eigenstate pair.
+
+    Uncoupled pairs stay zero unevaluated, so they cannot fail the table.
+    """
     n = eig.nu.shape[0]
     a = np.zeros((n, n))
     b = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            a[i, j] = rate_a(eig.nu[i, j], spec)
-            b[i, j] = shift_b(eig.nu[i, j], spec, omega_max=omega_max, tol=tol)
+    for i, j in zip(*np.nonzero(eig.elements)):
+        a[i, j] = rate_a(eig.nu[i, j], spec)
+        b[i, j] = shift_b(eig.nu[i, j], spec, omega_max=omega_max, tol=tol)
     return RateTable(nu=eig.nu.copy(), a=a, b=b)

@@ -264,6 +264,8 @@ def validate_config(cfg: SweepConfig):
             if "tcl_oracle" in cfg.methods:
                 raise ConfigError("counting_fd is not available for the tcl_oracle "
                                   "method; use trace_formula")
+            if round(cfg.t_end / cfg.dt) < 1:
+                raise ConfigError("counting_fd needs mode.t_end to span one step of mode.dt")
 
 
 def parse_config(path: str) -> SweepConfig:

@@ -18,13 +18,15 @@ from .generators import (
 from .system import SystemSpec, dressed_states, lower_ground_state
 
 TRACE_DRIFT_TOL = 1e-6
+# roundoff headroom for the RK4 gain of eigenvalues with real part <= 0
+RK4_GAIN_TOL = 1e-9
 STEADY_RESIDUAL_TOL = 1e-10
 # gap below which the two smallest singular values are considered tied
 STEADY_GAP_TOL = 1e-8
 
 
 class PropagationError(RuntimeError):
-    """Raised when fixed-step integration loses the trace normalization."""
+    """Raised when a fixed step is unstable or loses the trace normalization."""
 
 
 class SteadyStateError(RuntimeError):
@@ -38,11 +40,12 @@ def propagate(liouvillian: Liouvillian | Callable[[float], np.ndarray], rho0: np
     liouvillian is either a constant generator or a function t -> generator
     matrix for a time-dependent one.  Returns (times, states) where
     states[k] is the 3x3 state at times[k]; t_end is rounded to a whole
-    number of steps of size dt.  The trace is monitored for time-dependent
-    generators and for unannotated (u = 0) constant ones: these preserve
-    it exactly, so drift beyond 1e-6 means the step size is unstable for
-    this generator and a PropagationError is raised.  Annotated generators
-    do not preserve the trace and skip the check.
+    number of steps of size dt.  An unstable step raises PropagationError:
+    for a constant generator, before any step, when the RK4 gain
+    max |R(dt lambda)| over its eigenvalues, R(z) = 1 + z + z^2/2 + z^3/6
+    + z^4/24, exceeds 1 + 1e-9; and during the steps when the trace drifts
+    by more than 1e-6, checked for time-dependent and unannotated (u = 0)
+    constant generators, which preserve it exactly.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -50,6 +53,11 @@ def propagate(liouvillian: Liouvillian | Callable[[float], np.ndarray], rho0: np
         raise ValueError(f"t_end must be non-negative, got {t_end}")
     if isinstance(liouvillian, Liouvillian):
         constant = liouvillian.matrix
+        z = dt * np.linalg.eigvals(constant)
+        gain = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).max()
+        if gain > 1.0 + RK4_GAIN_TOL:
+            raise PropagationError(f"RK4 gain {gain:.6g} exceeds 1, the step is unstable; "
+                                   f"reduce dt (currently {dt})")
         matrix_at = lambda t: constant
         check = liouvillian.u == 0.0
     else:
@@ -168,33 +176,31 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     error terms and cuts the leading finite-u bias by a factor of four for
     the same step.  Both carry an O(u_step^2) bias proportional to the
     heat variance times elapsed time; see fd_imag for a consistency check.
+    One annotated generator is propagated, since chi(0, t) = Tr rho0 and
+    chi(-u, t) = conj(chi(u, t)); the central fd_imag is therefore zero.
     The instantaneous current is the change of the estimate over the final
-    integration step.
+    integration step, of which t_end must span at least one.
     """
     if u_step <= 0:
         raise ValueError(f"u_step must be positive, got {u_step}")
-    if scheme == "forward":
-        u_values = (u_step, 0.0)
-    elif scheme == "central":
-        u_values = (0.5 * u_step, -0.5 * u_step)
-    else:
+    if scheme not in ("forward", "central"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
     if rho0 is None:
         rho0 = lower_ground_state()
 
-    finals = []
-    time = 0.0
-    for u in u_values:
-        gen = total_liouvillian(method, spec, bath, u=u,
-                                include_shifts=include_shifts, pairing_tol=pairing_tol)
-        times, states = propagate(gen, rho0, t_end, dt)
-        time = float(times[-1])
-        finals.append((np.trace(states[-2]), np.trace(states[-1])))
-    q_prev = -1j * (finals[0][0] - finals[1][0]) / u_step
-    q_last = -1j * (finals[0][1] - finals[1][1]) / u_step
+    u = u_step if scheme == "forward" else 0.5 * u_step
+    gen = total_liouvillian(method, spec, bath, u=u,
+                            include_shifts=include_shifts, pairing_tol=pairing_tol)
+    times, states = propagate(gen, rho0, t_end, dt)
+    if len(times) < 2:
+        raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
+    chi = np.trace(states[-2:], axis1=1, axis2=2)
+    chi_other = np.trace(rho0) if scheme == "forward" else chi.conj()
+    q_prev, q_last = -1j * (chi - chi_other) / u_step
     current = (q_last - q_prev) / dt
-    return HeatRecord(time=time, mean_heat=float(q_last.real), current=float(current.real),
-                      method=method, route="counting_fd", fd_imag=float(q_last.imag))
+    return HeatRecord(time=float(times[-1]), mean_heat=float(q_last.real),
+                      current=float(current.real), method=method, route="counting_fd",
+                      fd_imag=float(q_last.imag))
 
 
 def min_eigenvalue(rho: np.ndarray) -> float:

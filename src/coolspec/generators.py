@@ -1,19 +1,22 @@
 """Master-equation generators as superoperators on vectorized states.
 
-Vectorization is column-stacking: vec(rho) stacks columns (Fortran order),
-so the map rho -> A rho B has matrix kron(B.T, A).  All generators can be
-annotated with a counting field u that tags phonon exchange with the bath;
-the u-derivative at zero is kept alongside as a heat kernel, so a single
-construction serves propagation, steady states, and both heat routes.
-Bloch-Redfield, secular and the finite-memory (tcl) generator share one
-Redfield assembly: a table of superoperator blocks built once per
-eigensystem, contracted with the bath coefficients in a single matmul.
+Vectorization is column-stacking (vec(rho) stacks columns), so the map
+rho -> A rho B has matrix kron(B.T, A); only sandwich_superoperator forms
+such matrices.  All generators can be annotated with a counting field u
+that tags phonon exchange with the bath; the u-derivative at zero is kept
+alongside as a heat kernel, so a single construction serves propagation,
+steady states, and both heat routes.  Every phonon generator is one
+Redfield assembly: a block table per eigensystem contracted with the bath
+coefficients in one matmul.  The Markovian methods differ only in the
+eigenbasis (dressed, or bare for phenomenological), the coefficients
+(a - i b for Bloch-Redfield, a otherwise) and the secular mask (secular
+and phenomenological); the tcl generator uses running coefficients.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -22,7 +25,6 @@ from .bath import BathSpec, RateTable, bose_occupation, rate_table, spectral_den
 from .system import (
     IDX_E,
     IDX_GL,
-    IDX_GU,
     EigenSystem,
     SystemSpec,
     build_hamiltonian,
@@ -48,18 +50,23 @@ def unvectorize(v: np.ndarray) -> np.ndarray:
 
 
 def sandwich_superoperator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> a rho b."""
-    return np.kron(b.T, a)
+    """Matrix of rho -> a rho b, broadcast over leading axes of a and b.
+
+    With vec index a + 3 b, element [(a, b), (c, d)] is a[a, c] b[d, b]:
+    the entries of kron(b.T, a), each formed by a single product.
+    """
+    out = np.einsum("...ac,...db->...badc", a, b)
+    return out.reshape(out.shape[:-4] + (DIM * DIM, DIM * DIM))
 
 
 def left_superoperator(a: np.ndarray) -> np.ndarray:
     """Matrix of rho -> a rho."""
-    return np.kron(np.eye(DIM), a)
+    return sandwich_superoperator(a, np.eye(DIM))
 
 
 def right_superoperator(b: np.ndarray) -> np.ndarray:
     """Matrix of rho -> rho b."""
-    return np.kron(b.T, np.eye(DIM))
+    return sandwich_superoperator(np.eye(DIM), b)
 
 
 TRACE_VECTOR = vectorize(np.eye(DIM))
@@ -83,8 +90,6 @@ class Liouvillian:
 
     matrix: np.ndarray
     u: float = 0.0
-    method: str = ""
-    include_shifts: bool = False
     heat_kernel: np.ndarray | None = None
 
 
@@ -100,12 +105,9 @@ def redfield_table(eig: EigenSystem) -> np.ndarray:
     blocks = eig.blocks
     eye = np.broadcast_to(np.eye(DIM), blocks.shape)
     o_all = np.broadcast_to(o_full, blocks.shape)
-    # rho -> A rho C has matrix element [(a, b), (c, d)] = A[a, c] C[d, b],
-    # with vec index a + 3 b
     left = np.stack([blocks, o_all, o_full @ blocks, eye])
     right = np.stack([o_all, blocks, eye, blocks @ o_full])
-    table = np.einsum("kijac,kijdb->kijbadc", left, right)
-    return table.reshape(4 * DIM * DIM, DIM**4)
+    return sandwich_superoperator(left, right).reshape(4 * DIM * DIM, DIM**4)
 
 
 def redfield(table: np.ndarray, nu: np.ndarray, gamma: np.ndarray,
@@ -131,13 +133,6 @@ def redfield(table: np.ndarray, nu: np.ndarray, gamma: np.ndarray,
     return matrix, kernel
 
 
-def lindblad(rate: float, jump: np.ndarray, phase: complex = 1.0) -> np.ndarray:
-    """Matrix of rho -> rate (phase J rho J^dag - {J^dag J, rho} / 2)."""
-    proj = jump.conj().T @ jump
-    return rate * (phase * sandwich_superoperator(jump, jump.conj().T)
-                   - 0.5 * (left_superoperator(proj) + right_superoperator(proj)))
-
-
 def bloch_redfield_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
                              u: float = 0.0, include_shifts: bool = True) -> Liouvillian:
     """Full weak-coupling generator, no rotating-wave approximation.
@@ -152,8 +147,7 @@ def bloch_redfield_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpe
     gamma = (rates.a - 1j * rates.b).T if include_shifts else rates.a.T
     matrix, kernel = redfield(redfield_table(eig), rates.nu, gamma, u)
     return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
-                       u=u, method="bloch_redfield", include_shifts=include_shifts,
-                       heat_kernel=kernel)
+                       u=u, heat_kernel=kernel)
 
 
 def secular_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
@@ -174,13 +168,13 @@ def secular_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
         pairing_tol = SECULAR_PAIRING_FRACTION * spec.e_man
     matrix, kernel = redfield(redfield_table(eig), rates.nu, rates.a.T, u)
     # columns of to_work are the vectorized eigenbasis operators |a><b|
-    to_work = np.kron(eig.basis.conj(), eig.basis)
+    to_work = sandwich_superoperator(eig.basis, eig.basis.conj().T)
     to_eig = to_work.conj().T
     nu_vec = vectorize(eig.nu).real
     keep = np.abs(nu_vec[:, None] - nu_vec[None, :]) <= pairing_tol
     matrix, kernel = (to_work @ (keep * (to_eig @ m @ to_work)) @ to_eig for m in (matrix, kernel))
     return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
-                       u=u, method="secular", include_shifts=False, heat_kernel=kernel)
+                       u=u, heat_kernel=kernel)
 
 
 def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, float]:
@@ -196,21 +190,16 @@ def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, flo
 
 
 def phenomenological_generator(spec: SystemSpec, bath: BathSpec, u: float = 0.0) -> Liouvillian:
-    """Fixed-basis Lindblad model that ignores the drive in the dissipator.
+    """Golden-rule jumps between the bare levels, blind to the drive.
 
-    Two jumps act in the working basis: phonon absorption |g_l> -> |g_u>
-    tags a bath loss of e_man (phase exp(-i u e_man)), emission tags a
-    gain.
+    The secular generator (default pairing) of the undriven impurity, whose
+    eigenbasis is the working basis, with the driven coherent part: phonon
+    absorption |g_l> -> |g_u> at gamma_up (phenomenological_rates) tags a
+    bath loss of e_man (phase exp(-i u e_man)), emission at gamma_down a gain.
     """
-    gamma_up, gamma_down = phenomenological_rates(spec, bath)
-    up = np.zeros((DIM, DIM), dtype=complex)
-    up[IDX_GU, IDX_GL] = 1.0
-    lmat = coherent_superoperator(build_hamiltonian(spec))
-    kernel = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
-    for rate, jump, bath_gain in ((gamma_up, up, -spec.e_man), (gamma_down, up.T, spec.e_man)):
-        lmat += lindblad(rate, jump, np.exp(1j * u * bath_gain))
-        kernel += 1j * bath_gain * rate * sandwich_superoperator(jump, jump.conj().T)
-    return Liouvillian(matrix=lmat, u=u, method="phenomenological", heat_kernel=kernel)
+    bare = replace(spec, omega_rabi=0.0)
+    return secular_generator(_eigensystem_cached(bare), _rate_table_cached(bare, bath),
+                             spec, u=u)
 
 
 def radiative_dissipator(spec: SystemSpec) -> np.ndarray:
@@ -222,7 +211,9 @@ def radiative_dissipator(spec: SystemSpec) -> np.ndarray:
     """
     jump = np.zeros((DIM, DIM), dtype=complex)
     jump[IDX_GL, IDX_E] = 1.0
-    return lindblad(spec.gamma_rad, jump)
+    proj = jump.conj().T @ jump
+    return spec.gamma_rad * (sandwich_superoperator(jump, jump.conj().T)
+                             - 0.5 * (left_superoperator(proj) + right_superoperator(proj)))
 
 
 @lru_cache(maxsize=2048)
@@ -262,10 +253,5 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
         part = phenomenological_generator(spec, bath, u=u)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return Liouvillian(
-        matrix=part.matrix + radiative_dissipator(spec),
-        u=u,
-        method=method,
-        include_shifts=part.include_shifts,
-        heat_kernel=part.heat_kernel,
-    )
+    return Liouvillian(matrix=part.matrix + radiative_dissipator(spec), u=u,
+                       heat_kernel=part.heat_kernel)

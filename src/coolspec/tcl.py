@@ -172,8 +172,7 @@ class TclPropagator:
     def generator(self, t: float) -> Liouvillian:
         """Instantaneous generator and heat kernel at time t."""
         matrix, kernel = redfield(self._table, self.eig.nu, self.coefficients(t))
-        return Liouvillian(matrix=self._static + matrix, u=0.0, method="tcl_oracle",
-                           include_shifts=True, heat_kernel=kernel)
+        return Liouvillian(matrix=self._static + matrix, u=0.0, heat_kernel=kernel)
 
     def propagate(self, rho0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray, HeatRecord]:
         """Fixed-step RK4 (dynamics.propagate) with the time-dependent generator.

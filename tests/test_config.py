@@ -120,6 +120,8 @@ def test_shorthand_forms_normalize():
     ({"pairing_tol": -1e-9}, "pairing_tol"),
     ({"tcl": {"quad_points": 1}}, "quad_points"),
     ({"tcl": {"t_mem": 0.0}}, "positive"),
+    ({"mode": {"kind": "transient", "t_end": 0.02, "dt": 0.05},
+      "heat_route": {"kind": "counting_fd"}}, "mode.t_end"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -66,13 +66,14 @@ def test_rk4_fourth_order_convergence():
     assert 12.0 < ratio < 20.0
 
 
-def test_propagation_detects_unstable_step():
-    # a step size far beyond the stability region blows up; the blowup
-    # surfaces as amplified roundoff in the otherwise conserved trace
+@pytest.mark.parametrize("t_end,dt", [(400.0, 5.0), (30.0, 7.0)])
+def test_propagation_detects_unstable_step(t_end, dt):
+    # a step size beyond the stability region must be refused; over only
+    # four steps (30, 7) the blowup is too short to show in the trace
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     gen = total_liouvillian("bloch_redfield", spec, BATH)
     with pytest.raises(PropagationError, match="reduce dt"):
-        propagate(gen, lower_ground_state(), 400.0, 5.0)
+        propagate(gen, lower_ground_state(), t_end, dt)
 
 
 def test_steady_state_unique_and_stationary():
@@ -156,6 +157,8 @@ def test_mean_heat_fd_schemes_and_validation():
         mean_heat_fd("bloch_redfield", spec, BATH, u_step=0.0)
     with pytest.raises(ValueError, match="scheme"):
         mean_heat_fd("bloch_redfield", spec, BATH, scheme="midpoint")
+    with pytest.raises(ValueError, match="no full step"):
+        mean_heat_fd("bloch_redfield", spec, BATH, t_end=0.02, dt=0.05)
 
     gen = total_liouvillian("bloch_redfield", spec, BATH)
     _, states = propagate(gen, lower_ground_state(), 30.0, 0.05)

@@ -191,6 +191,32 @@ def test_secular_generator_matches_naive_lindblad_sum():
         assert_allclose(gen.matrix, naive, atol=1e-14)
 
 
+def test_phenomenological_matches_two_jump_lindblad():
+    # the drive-blind model written out: one Lindblad dissipator per bare
+    # jump, |g_l> -> |g_u> at gamma_up tagging a bath loss of e_man and the
+    # reverse at gamma_down tagging a gain, on top of the driven coherent part
+    e_man = 2.0
+    up = np.zeros((3, 3), dtype=complex)
+    up[IDX_GU, IDX_GL] = 1.0
+    for delta in (0.0, 0.3, e_man, -e_man):
+        for omega in (0.0, 0.3, 1.0):
+            spec = SystemSpec(e_man=e_man, delta=delta, omega_rabi=omega, gamma_rad=0.5)
+            gamma_up, gamma_down = phenomenological_rates(spec, BATH)
+            for u in (0.0, 0.05, -0.3):
+                matrix = coherent_superoperator(build_hamiltonian(spec))
+                kernel = np.zeros((9, 9), dtype=complex)
+                for rate, jump, bath_gain in ((gamma_up, up, -e_man), (gamma_down, up.T, e_man)):
+                    sandwich = sandwich_superoperator(jump, jump.conj().T)
+                    proj = jump.conj().T @ jump
+                    matrix = matrix + rate * (np.exp(1j * u * bath_gain) * sandwich
+                                              - 0.5 * (left_superoperator(proj)
+                                                       + right_superoperator(proj)))
+                    kernel = kernel + 1j * bath_gain * rate * sandwich
+                gen = phenomenological_generator(spec, BATH, u=u)
+                assert_allclose(gen.matrix, matrix, rtol=0, atol=1e-14)
+                assert_allclose(gen.heat_kernel, kernel, rtol=0, atol=1e-14)
+
+
 def test_secular_pairing_tolerance_widens_retention():
     # a pairing tolerance larger than all frequency differences must bring
     # the secular generator back to the shiftless nonsecular one
@@ -208,7 +234,6 @@ def test_principal_value_terms_change_generator():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     with_b = total_liouvillian("bloch_redfield", spec, BATH, include_shifts=True)
     without_b = total_liouvillian("bloch_redfield", spec, BATH, include_shifts=False)
-    assert with_b.include_shifts and not without_b.include_shifts
     assert np.abs(with_b.matrix - without_b.matrix).max() > 1e-4
     # shifts are coherent-like: they must not affect trace preservation
     assert_allclose(TRACE_VECTOR @ with_b.matrix, 0.0, atol=1e-13)

@@ -165,7 +165,7 @@ def test_cold_bath_gives_finite_rates(bath):
     # at temperature 0.01 the rate and shift integrals reach beta*w = 4000,
     # far past where exp overflows; at omega_c 0.02 the driven transitions
     # lie beyond 40 omega_c; every point must still come out finite
-    methods = ["bloch_redfield", "secular", "tcl_oracle"]
+    methods = ["bloch_redfield", "secular", "phenomenological", "tcl_oracle"]
     cfg = config_from_dict({
         "bath": bath,
         "sweep": {"delta_min": -0.5, "delta_max": 0.5, "delta_steps": 2,
