@@ -14,8 +14,6 @@ from .dynamics import (
     HeatRecord,
     PropagationError,
     SteadyStateError,
-    characteristic_function,
-    dressed_coherence,
     heat_current_trace,
     mean_heat_fd,
     min_eigenvalue,
@@ -33,7 +31,7 @@ from .generators import (
 )
 from .sweep import SpectrumRecord, run_sweep, write_output
 from .system import EigenSystem, SystemSpec, build_hamiltonian, coupling_operator, eigensystem, lower_ground_state
-from .tcl import MemoryKernelConfig, TclPropagator, bath_correlation
+from .tcl import MemoryKernelConfig, TclPropagator
 
 __version__ = "0.1.0"
 
@@ -53,13 +51,10 @@ __all__ = [
     "SweepConfig",
     "SystemSpec",
     "TclPropagator",
-    "bath_correlation",
     "bloch_redfield_generator",
     "bose_occupation",
     "build_hamiltonian",
-    "characteristic_function",
     "coupling_operator",
-    "dressed_coherence",
     "eigensystem",
     "heat_current_trace",
     "lower_ground_state",

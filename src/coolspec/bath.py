@@ -190,16 +190,16 @@ class RateTable:
     b: np.ndarray
 
 
-def rate_table(eig: EigenSystem, spec: BathSpec, omega_max: float | None = None,
-               tol: float = SHIFT_TOL) -> RateTable:
+def rate_table(eig: EigenSystem, spec: BathSpec) -> RateTable:
     """Evaluate rates and shifts for every coupled ordered eigenstate pair.
 
     Uncoupled pairs stay zero unevaluated, so they cannot fail the table.
+    Shifts use shift_b's default window and tolerance.
     """
     n = eig.nu.shape[0]
     a = np.zeros((n, n))
     b = np.zeros((n, n))
     for i, j in zip(*np.nonzero(eig.elements)):
         a[i, j] = rate_a(eig.nu[i, j], spec)
-        b[i, j] = shift_b(eig.nu[i, j], spec, omega_max=omega_max, tol=tol)
+        b[i, j] = shift_b(eig.nu[i, j], spec)
     return RateTable(nu=eig.nu.copy(), a=a, b=b)

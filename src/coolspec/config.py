@@ -13,16 +13,13 @@ the four drive strengths 0.01, 0.1, 0.5, 1.0).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 MODES = ("steady", "transient")
 ROUTE_KINDS = ("trace_formula", "counting_fd")
 FD_SCHEMES = ("forward", "central")
 SIGNS = ("absorption_positive", "bath_gain_positive")
 CONFIG_METHODS = ("bloch_redfield", "secular", "phenomenological", "tcl_oracle")
-
-DEFAULT_OMEGA_LIST = (0.01, 0.1, 0.5, 1.0)
-DEFAULT_METHODS = ("bloch_redfield", "secular", "phenomenological")
 
 
 class ConfigError(ValueError):
@@ -56,8 +53,8 @@ class SweepConfig:
     delta_min: float = -1.5
     delta_max: float = 1.5
     delta_steps: int = 81
-    omega_list: tuple[float, ...] = DEFAULT_OMEGA_LIST
-    methods: tuple[str, ...] = DEFAULT_METHODS
+    omega_list: tuple[float, ...] = (0.01, 0.1, 0.5, 1.0)
+    methods: tuple[str, ...] = ("bloch_redfield", "secular", "phenomenological")
     mode: str = "steady"
     t_end: float = 30.0
     dt: float = 0.05
@@ -69,6 +66,61 @@ class SweepConfig:
     tcl_dt: float = 0.02
     tcl_quad_points: int = 2
     tcl_t_end: float = 60.0
+
+
+# JSON location (section, key) of every SweepConfig field, in the order
+# serialize_config writes them; section None is the top level.  Parsing,
+# type checks, message paths and serialization all follow this table.
+CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
+    "e_man": ("system", "e_man"),
+    "gamma_rad": ("system", "gamma_rad"),
+    "alpha": ("bath", "alpha"),
+    "omega_c": ("bath", "omega_c"),
+    "temperature": ("bath", "temperature"),
+    "delta_min": ("sweep", "delta_min"),
+    "delta_max": ("sweep", "delta_max"),
+    "delta_steps": ("sweep", "delta_steps"),
+    "omega_list": ("sweep", "omega_list"),
+    "methods": (None, "methods"),
+    "mode": ("mode", "kind"),
+    "t_end": ("mode", "t_end"),
+    "dt": ("mode", "dt"),
+    "routes": (None, "heat_route"),
+    "sign": (None, "sign"),
+    "include_shifts_bloch_redfield": ("include_shifts", "bloch_redfield"),
+    "pairing_tol": (None, "pairing_tol"),
+    "tcl_t_mem": ("tcl", "t_mem"),
+    "tcl_dt": ("tcl", "dt"),
+    "tcl_quad_points": ("tcl", "quad_points"),
+    "tcl_t_end": ("tcl", "t_end"),
+}
+
+# fields validate_config requires to be positive (when set) or non-negative;
+# mode.t_end and mode.dt join the positive ones in transient mode
+_POSITIVE = ("e_man", "omega_c", "temperature", "pairing_tol",
+             "tcl_t_mem", "tcl_dt", "tcl_t_end")
+_NON_NEGATIVE = ("gamma_rad", "alpha")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# JSON values accepted for a field, by the type of its default:
+# (description for messages, test)
+_TYPES = {
+    float: ("a number", _is_number),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    type(None): ("a number or null", lambda v: v is None or _is_number(v)),
+    tuple: ("a non-empty list (at least one entry)",
+            lambda v: isinstance(v, list) and len(v) > 0),
+}
+
+
+# dotted JSON path of every field, as used in messages
+_PATHS = {name: key if section is None else f"{section}.{key}"
+          for name, (section, key) in CONFIG_KEYS.items()}
 
 
 def _key_line(raw_text: str | None, key: str) -> str:
@@ -88,184 +140,113 @@ def _reject_unknown(section: dict, allowed: set[str], where: str, raw_text: str 
         raise ConfigError(f"unknown key(s) in {where}: {notes}")
 
 
-def _number(section: dict, key: str, default, where: str):
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+def _value(where: str, value, default, raw_text: str | None):
+    """Type-check a JSON value against the field's default and convert it.
+
+    Lists become tuples of entries read against the default's first entry;
+    strings pass through to validate_config's membership checks.
+    """
+    if isinstance(default, HeatRoute):
+        return _route_from(where, value, raw_text)
+    description, accepts = _TYPES.get(type(default), (None, None))
+    if accepts is not None and not accepts(value):
+        raise ConfigError(f"{where} must be {description}, got {value!r}")
+    if isinstance(default, tuple):
+        return tuple(_value(f"{where}[{i}]", v, default[0], raw_text)
+                     for i, v in enumerate(value))
+    if isinstance(default, float) or (default is None and value is not None):
+        return float(value)
+    return value
 
 
-def _route_from(value, raw_text: str | None) -> HeatRoute:
+def _read(where: str, obj, keys: dict[str, str], defaults: dict, raw_text: str | None) -> dict:
+    """Values of one JSON object by field name; keys maps field names to JSON keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    _reject_unknown(obj, set(keys.values()), where, raw_text)
+    return {name: _value(f"{where}.{key}", obj[key], defaults[name], raw_text)
+            for name, key in keys.items() if key in obj}
+
+
+def _route_from(where: str, value, raw_text: str | None) -> HeatRoute:
     if isinstance(value, str):
         value = {"kind": value}
-    if not isinstance(value, dict):
-        raise ConfigError(f"heat_route entries must be strings or objects, got {value!r}")
-    _reject_unknown(value, {"kind", "u_step", "scheme"}, "heat_route", raw_text)
-    kind = value.get("kind")
-    if kind not in ROUTE_KINDS:
-        raise ConfigError(f"heat_route.kind must be one of {ROUTE_KINDS}, got {kind!r}")
-    u_step = _number(value, "u_step", 0.05, "heat_route")
-    scheme = value.get("scheme", "central")
-    if scheme not in FD_SCHEMES:
-        raise ConfigError(f"heat_route.scheme must be one of {FD_SCHEMES}, got {scheme!r}")
-    if kind == "counting_fd" and u_step <= 0:
-        raise ConfigError(f"heat_route.u_step must be positive, got {u_step}")
-    return HeatRoute(kind=kind, u_step=u_step, scheme=scheme)
+    names = {f.name: f.name for f in fields(HeatRoute)}
+    given = _read(where, value, names, {f.name: f.default for f in fields(HeatRoute)}, raw_text)
+    # kind has no default; a missing one is reported by validate_config
+    return HeatRoute(**{"kind": None, **given})
 
 
 def config_from_dict(data: dict, raw_text: str | None = None) -> SweepConfig:
     """Validate a decoded JSON object and normalize it to a SweepConfig."""
     if not isinstance(data, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(data).__name__}")
-    _reject_unknown(
-        data,
-        {"system", "bath", "sweep", "methods", "mode", "heat_route", "sign",
-         "include_shifts", "pairing_tol", "tcl"},
-        "config", raw_text)
+    _reject_unknown(data, {section or key for section, key in CONFIG_KEYS.values()},
+                    "config", raw_text)
+    # shorthand forms: "mode": "transient", and a single heat route
+    mode, kind = CONFIG_KEYS["mode"]
+    if isinstance(data.get(mode), str):
+        data = {**data, mode: {kind: data[mode]}}
+    _, routes = CONFIG_KEYS["routes"]
+    if not isinstance(data.get(routes, []), list):
+        data = {**data, routes: [data[routes]]}
 
-    system = data.get("system", {})
-    if not isinstance(system, dict):
-        raise ConfigError("'system' must be an object")
-    _reject_unknown(system, {"e_man", "gamma_rad"}, "system", raw_text)
-    e_man = _number(system, "e_man", 2.0, "system")
-    gamma_rad = _number(system, "gamma_rad", 0.5, "system")
-
-    bath = data.get("bath", {})
-    if not isinstance(bath, dict):
-        raise ConfigError("'bath' must be an object")
-    _reject_unknown(bath, {"alpha", "omega_c", "temperature"}, "bath", raw_text)
-    alpha = _number(bath, "alpha", 0.01, "bath")
-    omega_c = _number(bath, "omega_c", 1.0, "bath")
-    temperature = _number(bath, "temperature", 3.0, "bath")
-
-    sweep = data.get("sweep", {})
-    if not isinstance(sweep, dict):
-        raise ConfigError("'sweep' must be an object")
-    _reject_unknown(sweep, {"delta_min", "delta_max", "delta_steps", "omega_list"},
-                    "sweep", raw_text)
-    delta_min = _number(sweep, "delta_min", -1.5, "sweep")
-    delta_max = _number(sweep, "delta_max", 1.5, "sweep")
-    delta_steps = sweep.get("delta_steps", 81)
-    if isinstance(delta_steps, bool) or not isinstance(delta_steps, int):
-        raise ConfigError(f"sweep.delta_steps must be an integer, got {delta_steps!r}")
-    omega_list = sweep.get("omega_list", list(DEFAULT_OMEGA_LIST))
-    if not isinstance(omega_list, list) or not omega_list:
-        raise ConfigError("sweep.omega_list must be a non-empty list")
-    for w in omega_list:
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise ConfigError(f"sweep.omega_list entries must be numbers, got {w!r}")
-
-    methods = data.get("methods", list(DEFAULT_METHODS))
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError("'methods' must be a non-empty list")
-    for m in methods:
-        if m not in CONFIG_METHODS:
-            raise ConfigError(f"unknown method {m!r}; expected one of {CONFIG_METHODS}")
-
-    mode_value = data.get("mode", {"kind": "steady"})
-    if isinstance(mode_value, str):
-        mode_value = {"kind": mode_value}
-    if not isinstance(mode_value, dict):
-        raise ConfigError("'mode' must be a string or object")
-    _reject_unknown(mode_value, {"kind", "t_end", "dt"}, "mode", raw_text)
-    mode = mode_value.get("kind", "steady")
-    if mode not in MODES:
-        raise ConfigError(f"mode.kind must be one of {MODES}, got {mode!r}")
-    t_end = _number(mode_value, "t_end", 30.0, "mode")
-    dt = _number(mode_value, "dt", 0.05, "mode")
-
-    route_value = data.get("heat_route", {"kind": "trace_formula"})
-    if not isinstance(route_value, list):
-        route_value = [route_value]
-    if not route_value:
-        raise ConfigError("heat_route must name at least one route")
-    routes = tuple(_route_from(v, raw_text) for v in route_value)
-
-    sign = data.get("sign", "absorption_positive")
-
-    shifts = data.get("include_shifts", {})
-    if not isinstance(shifts, dict):
-        raise ConfigError("'include_shifts' must be an object keyed by method")
-    _reject_unknown(shifts, {"bloch_redfield", "secular"}, "include_shifts", raw_text)
-    shifts_br = shifts.get("bloch_redfield", True)
-    shifts_sec = shifts.get("secular", False)
-    if not isinstance(shifts_br, bool) or not isinstance(shifts_sec, bool):
-        raise ConfigError("include_shifts values must be booleans")
-    if shifts_sec:
-        raise ConfigError("include_shifts.secular is not supported; the secular "
-                          "generator has no principal-value terms")
-
-    pairing_tol = data.get("pairing_tol")
-    if pairing_tol is not None:
-        if isinstance(pairing_tol, bool) or not isinstance(pairing_tol, (int, float)):
-            raise ConfigError(f"pairing_tol must be a number or null, got {pairing_tol!r}")
-        pairing_tol = float(pairing_tol)
-
-    tcl = data.get("tcl", {})
-    if not isinstance(tcl, dict):
-        raise ConfigError("'tcl' must be an object")
-    _reject_unknown(tcl, {"t_mem", "dt", "quad_points", "t_end"}, "tcl", raw_text)
-    tcl_t_mem = _number(tcl, "t_mem", 30.0, "tcl")
-    tcl_dt = _number(tcl, "dt", 0.02, "tcl")
-    tcl_quad_points = tcl.get("quad_points", 2)
-    if isinstance(tcl_quad_points, bool) or not isinstance(tcl_quad_points, int):
-        raise ConfigError(f"tcl.quad_points must be an integer, got {tcl_quad_points!r}")
-    tcl_t_end = _number(tcl, "t_end", 60.0, "tcl")
-
-    cfg = SweepConfig(
-        e_man=e_man, gamma_rad=gamma_rad, alpha=alpha, omega_c=omega_c,
-        temperature=temperature, delta_min=delta_min, delta_max=delta_max,
-        delta_steps=delta_steps, omega_list=tuple(float(w) for w in omega_list),
-        methods=tuple(methods), mode=mode, t_end=t_end, dt=dt, routes=routes,
-        sign=sign,
-        include_shifts_bloch_redfield=shifts_br,
-        pairing_tol=pairing_tol, tcl_t_mem=tcl_t_mem, tcl_dt=tcl_dt,
-        tcl_quad_points=tcl_quad_points, tcl_t_end=tcl_t_end)
+    defaults = vars(SweepConfig())
+    values = {}
+    for section in dict.fromkeys(s for s, _ in CONFIG_KEYS.values()):
+        keys = {name: key for name, (s, key) in CONFIG_KEYS.items() if s == section}
+        if section is None:
+            values.update({name: _value(key, data[key], defaults[name], raw_text)
+                           for name, key in keys.items() if key in data})
+        else:
+            values.update(_read(section, data.get(section, {}), keys, defaults, raw_text))
+    cfg = SweepConfig(**values)
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: SweepConfig):
-    """Cross-field checks shared by file parsing and programmatic configs."""
-    if cfg.e_man <= 0:
-        raise ConfigError(f"system.e_man must be positive, got {cfg.e_man}")
-    if cfg.gamma_rad < 0:
-        raise ConfigError(f"system.gamma_rad must be non-negative, got {cfg.gamma_rad}")
-    if cfg.alpha < 0:
-        raise ConfigError(f"bath.alpha must be non-negative, got {cfg.alpha}")
-    if cfg.omega_c <= 0:
-        raise ConfigError(f"bath.omega_c must be positive, got {cfg.omega_c}")
-    if cfg.temperature <= 0:
-        raise ConfigError(f"bath.temperature must be positive, got {cfg.temperature}")
+    """Value and cross-field checks shared by file parsing and programmatic configs."""
+    routes = [(f"{_PATHS['routes']}[{i}]", route) for i, route in enumerate(cfg.routes)]
+    choices = [(_PATHS["mode"], cfg.mode, MODES), (_PATHS["sign"], cfg.sign, SIGNS)]
+    choices += [(f"{_PATHS['methods']}[{i}]", method, CONFIG_METHODS)
+                for i, method in enumerate(cfg.methods)]
+    choices += [(f"{where}.{field}", getattr(route, field), allowed) for where, route in routes
+                for field, allowed in (("kind", ROUTE_KINDS), ("scheme", FD_SCHEMES))]
+    for where, value, allowed in choices:
+        if value not in allowed:
+            raise ConfigError(f"unknown {where} {value!r}; expected one of {allowed}")
+    transient = ("t_end", "dt") if cfg.mode == "transient" else ()
+    for name in _POSITIVE + transient:
+        value = getattr(cfg, name)
+        if value is not None and value <= 0:
+            raise ConfigError(f"{_PATHS[name]} must be positive, got {value}")
+    for name in _NON_NEGATIVE:
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"{_PATHS[name]} must be non-negative, got {getattr(cfg, name)}")
     if cfg.delta_steps < 1:
-        raise ConfigError(f"sweep.delta_steps must be at least 1, got {cfg.delta_steps}")
+        raise ConfigError(f"{_PATHS['delta_steps']} must be at least 1, got {cfg.delta_steps}")
     if cfg.delta_steps > 1 and cfg.delta_max < cfg.delta_min:
-        raise ConfigError("sweep.delta_max must not be below sweep.delta_min")
+        raise ConfigError(f"{_PATHS['delta_max']} must not be below {_PATHS['delta_min']}")
     if any(w < 0 for w in cfg.omega_list):
-        raise ConfigError("sweep.omega_list entries must be non-negative")
-    if cfg.mode == "transient":
-        if cfg.t_end <= 0:
-            raise ConfigError(f"mode.t_end must be positive, got {cfg.t_end}")
-        if cfg.dt <= 0:
-            raise ConfigError(f"mode.dt must be positive, got {cfg.dt}")
-    if cfg.sign not in SIGNS:
-        raise ConfigError(f"sign must be one of {SIGNS}, got {cfg.sign!r}")
-    if cfg.pairing_tol is not None and cfg.pairing_tol <= 0:
-        raise ConfigError(f"pairing_tol must be positive, got {cfg.pairing_tol}")
-    if cfg.tcl_t_mem <= 0 or cfg.tcl_dt <= 0 or cfg.tcl_t_end <= 0:
-        raise ConfigError("tcl.t_mem, tcl.dt and tcl.t_end must be positive")
+        raise ConfigError(f"{_PATHS['omega_list']} entries must be non-negative")
     if cfg.tcl_quad_points < 2:
-        raise ConfigError(f"tcl.quad_points must be at least 2, got {cfg.tcl_quad_points}")
-    for route in cfg.routes:
-        if route.kind == "counting_fd":
-            if cfg.mode != "transient":
-                raise ConfigError("counting_fd heat route requires transient mode; "
-                                  "the annotated propagation has no steady state")
-            if "tcl_oracle" in cfg.methods:
-                raise ConfigError("counting_fd is not available for the tcl_oracle "
-                                  "method; use trace_formula")
-            if round(cfg.t_end / cfg.dt) < 1:
-                raise ConfigError("counting_fd needs mode.t_end to span one step of mode.dt")
+        raise ConfigError(f"{_PATHS['tcl_quad_points']} must be at least 2, "
+                          f"got {cfg.tcl_quad_points}")
+    for where, route in routes:
+        if route.kind != "counting_fd":
+            continue
+        if route.u_step <= 0:
+            raise ConfigError(f"{where}.u_step must be positive, got {route.u_step}")
+        if cfg.mode != "transient":
+            raise ConfigError("counting_fd heat route requires transient mode; "
+                              "the annotated propagation has no steady state")
+        if "tcl_oracle" in cfg.methods:
+            raise ConfigError("counting_fd is not available for the tcl_oracle "
+                              "method; use trace_formula")
+        if round(cfg.t_end / cfg.dt) < 1:
+            raise ConfigError(f"counting_fd needs {_PATHS['t_end']} to span one step "
+                              f"of {_PATHS['dt']}")
 
 
 def parse_config(path: str) -> SweepConfig:
@@ -285,25 +266,13 @@ def parse_config(path: str) -> SweepConfig:
 
 def serialize_config(cfg: SweepConfig) -> dict:
     """Canonical dict form; config_from_dict(serialize_config(c)) == c."""
-    return {
-        "system": {"e_man": cfg.e_man, "gamma_rad": cfg.gamma_rad},
-        "bath": {"alpha": cfg.alpha, "omega_c": cfg.omega_c,
-                 "temperature": cfg.temperature},
-        "sweep": {"delta_min": cfg.delta_min, "delta_max": cfg.delta_max,
-                  "delta_steps": cfg.delta_steps,
-                  "omega_list": list(cfg.omega_list)},
-        "methods": list(cfg.methods),
-        "mode": {"kind": cfg.mode, "t_end": cfg.t_end, "dt": cfg.dt},
-        "heat_route": [
-            {"kind": r.kind, "u_step": r.u_step, "scheme": r.scheme}
-            for r in cfg.routes
-        ],
-        "sign": cfg.sign,
-        "include_shifts": {"bloch_redfield": cfg.include_shifts_bloch_redfield},
-        "pairing_tol": cfg.pairing_tol,
-        "tcl": {"t_mem": cfg.tcl_t_mem, "dt": cfg.tcl_dt,
-                "quad_points": cfg.tcl_quad_points, "t_end": cfg.tcl_t_end},
-    }
+    out: dict = {}
+    for name, (section, key) in CONFIG_KEYS.items():
+        value = getattr(cfg, name)
+        if isinstance(value, tuple):
+            value = [asdict(v) if isinstance(v, HeatRoute) else v for v in value]
+        (out if section is None else out.setdefault(section, {}))[key] = value
+    return out
 
 
 # reproduction profiles: the shipped default grid with the drive strength,

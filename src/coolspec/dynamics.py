@@ -15,7 +15,7 @@ from .generators import (
     unvectorize,
     vectorize,
 )
-from .system import SystemSpec, dressed_states, lower_ground_state
+from .system import SystemSpec, lower_ground_state
 
 TRACE_DRIFT_TOL = 1e-6
 # roundoff headroom for the RK4 gain of eigenvalues with real part <= 0
@@ -135,17 +135,6 @@ def heat_current_trace(liouvillian: Liouvillian, rho: np.ndarray) -> float:
     return float(val.real)
 
 
-def characteristic_function(liouvillian: Liouvillian, rho0: np.ndarray,
-                            t_end: float, dt: float) -> complex:
-    """Trace of the annotated propagation at t_end, chi(u, t) = Tr rho_u(t).
-
-    At u = 0 this is identically 1; the u dependence near zero encodes the
-    moments of the exchanged phonon heat.
-    """
-    _, states = propagate(liouvillian, rho0, t_end, dt)
-    return complex(np.trace(states[-1]))
-
-
 @dataclass(frozen=True)
 class HeatRecord:
     """Mean exchanged heat and instantaneous current from one route.
@@ -212,9 +201,3 @@ def min_eigenvalue(rho: np.ndarray) -> float:
     a = np.asarray(rho)
     h = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
     return float(np.linalg.eigvalsh(h)[..., 0].min())
-
-
-def dressed_coherence(rho: np.ndarray) -> complex:
-    """Coherence <+|rho|-> between the drive-dressed states."""
-    plus, minus = dressed_states()
-    return complex(plus.conj() @ np.asarray(rho) @ minus)

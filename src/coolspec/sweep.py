@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .bath import BathSpec
-from .config import HeatRoute, SweepConfig
+from .config import HeatRoute, SweepConfig, validate_config
 from .dynamics import (
     heat_current_trace,
     mean_heat_fd,
@@ -30,10 +31,6 @@ from .dynamics import (
 from .generators import total_liouvillian
 from .system import SystemSpec, lower_ground_state
 from .tcl import MemoryKernelConfig, TclPropagator
-
-CSV_COLUMNS = ("delta", "omega", "method", "route", "heat_absorption_rate",
-               "min_eigenvalue_seen", "steady_residual", "status")
-
 
 @dataclass(frozen=True)
 class SpectrumRecord:
@@ -54,6 +51,10 @@ class SpectrumRecord:
     min_eigenvalue_seen: float
     steady_residual: float
     status: str = "ok"
+
+
+# output columns of both formats, in order: the record's fields
+CSV_COLUMNS = tuple(f.name for f in fields(SpectrumRecord))
 
 
 def delta_grid(cfg: SweepConfig) -> np.ndarray:
@@ -139,9 +140,11 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     """Evaluate the full grid, optionally across worker processes.
 
     Results are ordered (delta, omega, method, route) regardless of jobs.
+    A config built in code is validated here first (ConfigError).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    validate_config(cfg)
     tasks = [
         (cfg, float(delta), float(omega), method, route)
         for delta in delta_grid(cfg)
@@ -167,41 +170,23 @@ def render_csv(records: list[SpectrumRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow([
-            format_number(r.delta), format_number(r.omega), r.method, r.route,
-            format_number(r.heat_absorption_rate),
-            format_number(r.min_eigenvalue_seen),
-            format_number(r.steady_residual), r.status,
-        ])
+        values = (getattr(r, c) for c in CSV_COLUMNS)
+        writer.writerow([v if isinstance(v, str) else format_number(v) for v in values])
     return buf.getvalue()
 
 
-def _json_number(x: float) -> str:
-    if x is None or not math.isfinite(x):
-        return "null"
-    return format_number(x)
+def _json_value(value) -> str:
+    if isinstance(value, str):
+        return json.dumps(value)
+    token = format_number(value)
+    return "null" if token == "nan" else token
 
 
 def render_json(records: list[SpectrumRecord]) -> str:
     """JSON array with numbers rendered exactly as in the csv output."""
-    import json as _json
-
-    rows = []
-    for r in records:
-        rows.append(
-            "  {"
-            + ", ".join([
-                f'"delta": {_json_number(r.delta)}',
-                f'"omega": {_json_number(r.omega)}',
-                f'"method": {_json.dumps(r.method)}',
-                f'"route": {_json.dumps(r.route)}',
-                f'"heat_absorption_rate": {_json_number(r.heat_absorption_rate)}',
-                f'"min_eigenvalue_seen": {_json_number(r.min_eigenvalue_seen)}',
-                f'"steady_residual": {_json_number(r.steady_residual)}',
-                f'"status": {_json.dumps(r.status)}',
-            ])
-            + "}"
-        )
+    rows = ["  {" + ", ".join(f"{json.dumps(c)}: {_json_value(getattr(r, c))}"
+                              for c in CSV_COLUMNS) + "}"
+            for r in records]
     return "[\n" + ",\n".join(rows) + "\n]\n"
 
 

@@ -79,16 +79,6 @@ def lower_ground_state() -> np.ndarray:
     return rho
 
 
-def dressed_states() -> tuple[np.ndarray, np.ndarray]:
-    """Drive-dressed combinations (|g_u> + |e>)/sqrt(2) and (|g_u> - |e>)/sqrt(2)."""
-    plus = np.zeros(3, dtype=complex)
-    minus = np.zeros(3, dtype=complex)
-    plus[IDX_GU] = plus[IDX_E] = 1.0 / np.sqrt(2.0)
-    minus[IDX_GU] = 1.0 / np.sqrt(2.0)
-    minus[IDX_E] = -1.0 / np.sqrt(2.0)
-    return plus, minus
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Spectral data of the Hamiltonian plus eigenbasis coupling blocks.

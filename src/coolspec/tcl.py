@@ -8,8 +8,9 @@ to the full (nonsecular) Markovian one with its principal-value shifts,
 so long-time observables from the two treatments must agree.
 
 The correlation table is evaluated in closed form (a Matsubara series of
-the super-Ohmic spectral density, correlation_grid); the adaptive
-quadrature bath_correlation is kept as its independent check.
+the super-Ohmic spectral density, correlation_grid) and integrated with
+the trapezoid rule, so the module needs numpy only; an adaptive quadrature
+of the correlation integral in the tests is its independent check.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad, trapezoid
 
-from .bath import BathSpec, QuadratureError, bose_occupation, spectral_density
+from .bath import BathSpec
 from .dynamics import HeatRecord, heat_current_trace, propagate
 from .generators import (
     Liouvillian,
@@ -30,7 +30,6 @@ from .generators import (
 )
 from .system import SystemSpec, build_hamiltonian, coupling_operator, eigensystem
 
-CORRELATION_TOL = 1e-10
 # Matsubara terms of correlation_grid summed exactly before the
 # Euler-Maclaurin remainder takes over
 _SERIES_TERMS = 32
@@ -63,45 +62,6 @@ class MemoryKernelConfig:
             raise ValueError(f"quad_points must be at least 2, got {self.quad_points}")
 
 
-def bath_correlation(tau: float, spec: BathSpec, omega_max: float | None = None,
-                     tol: float = CORRELATION_TOL) -> complex:
-    """Finite-temperature bath correlation function C(tau).
-
-    C(tau) = integral over omega > 0 of
-    j(omega) (coth(beta omega / 2) cos(omega tau) - i sin(omega tau)).
-    Evaluated adaptively with oscillatory-weight quadrature; satisfies
-    C(-tau) = conj(C(tau)).
-    """
-    if omega_max is None:
-        omega_max = 40.0 * spec.omega_c
-    if tau < 0:
-        return np.conj(bath_correlation(-tau, spec, omega_max=omega_max, tol=tol))
-
-    def j_coth(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        return spectral_density(w, spec) * (2.0 * bose_occupation(w, spec) + 1.0)
-
-    def j_plain(w: float) -> float:
-        if w <= 0.0:
-            return 0.0
-        return spectral_density(w, spec)
-
-    if tau == 0.0:
-        re, re_err = quad(j_coth, 0.0, omega_max, epsabs=tol, epsrel=1e-12, limit=400)
-        im, im_err = 0.0, 0.0
-    else:
-        re, re_err = quad(j_coth, 0.0, omega_max, weight="cos", wvar=tau,
-                          epsabs=tol, epsrel=1e-12, limit=400)
-        im, im_err = quad(j_plain, 0.0, omega_max, weight="sin", wvar=tau,
-                          epsabs=tol, epsrel=1e-12, limit=400)
-    err = re_err + im_err
-    if err > 10.0 * tol:
-        raise QuadratureError(
-            f"correlation integral error estimate {err:.3e} exceeds budget", err)
-    return complex(re, -im)
-
-
 def correlation_grid(taus: np.ndarray, spec: BathSpec) -> np.ndarray:
     """C(tau) on a grid, in closed form.
 
@@ -115,8 +75,8 @@ def correlation_grid(taus: np.ndarray, spec: BathSpec) -> np.ndarray:
     Euler-Maclaurin remainder 1/(3 beta z^3) + 1/(2 z^4) + beta/(3 z^5)
     - beta^3/(6 z^7) with z = x + 32 beta; its first omitted term is a
     fraction (2/3)(beta/|z|)^6 < 1e-9 of the leading one.  The loop over k
-    keeps memory at O(len(taus)).  Agrees with bath_correlation to about
-    1e-10 absolute at any tau.
+    keeps memory at O(len(taus)).  Agrees with an adaptive quadrature of the
+    correlation integral to about 1e-10 absolute at any tau.
     """
     beta = spec.beta
     x = 1.0 / spec.omega_c + 1j * np.asarray(taus, dtype=float)
@@ -151,7 +111,10 @@ class TclPropagator:
         taus = np.arange(n_tau + 1) * step
         integrand = correlation_grid(taus, bath) * np.exp(-1j * self.eig.nu[..., None] * taus)
         self._tau_step = step
-        self._gamma_table = cumulative_trapezoid(integrand, taus, initial=0.0)
+        # cumulative trapezoid rule along tau, starting from 0
+        self._gamma_table = np.zeros_like(integrand)
+        self._gamma_table[..., 1:] = np.cumsum(
+            np.diff(taus) * (integrand[..., 1:] + integrand[..., :-1]) / 2.0, axis=-1)
         self._n_tau = n_tau
         self._table = redfield_table(self.eig)
         self._static = (coherent_superoperator(build_hamiltonian(spec))
@@ -184,7 +147,7 @@ class TclPropagator:
         times, states = propagate(lambda t: self.generator(t).matrix, rho0, t_end, self.cfg.dt)
         currents = np.array([heat_current_trace(self.generator(t), rho)
                              for t, rho in zip(times, states)])
-        heat = float(trapezoid(currents, times)) if len(times) > 1 else 0.0
+        heat = float((np.diff(times) * (currents[1:] + currents[:-1]) / 2.0).sum())
         record = HeatRecord(time=float(times[-1]), mean_heat=heat,
                             current=float(currents[-1]), method="tcl_oracle",
                             route="kernel_trace")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from coolspec import BathSpec, SystemSpec, coupling_operator
+from coolspec import BathSpec, QuadratureError, SystemSpec, coupling_operator, propagate
+from coolspec.bath import bose_occupation, spectral_density
+from coolspec.system import IDX_E, IDX_GU
 
 
 @pytest.fixture
@@ -44,5 +47,80 @@ def redfield_oracle():
                - o @ lam_0 @ rho - rho @ dag(lam_0) @ o)
         kernel = lam_prime @ rho @ o - o @ rho @ dag(lam_prime)
         return out, kernel
+
+    return apply
+
+
+@pytest.fixture
+def bath_correlation():
+    """Bath correlation function by adaptive quadrature; correlation_grid's oracle.
+
+    Returns c(tau, spec) = integral over 0 < w < 40 omega_c of
+    j(w) (coth(beta w / 2) cos(w tau) - i sin(w tau)), evaluated with
+    oscillatory-weight quadrature; c(-tau) = conj(c(tau)).
+    """
+    tol = 1e-10
+
+    def c(tau, spec):
+        if tau < 0:
+            return np.conj(c(-tau, spec))
+        omega_max = 40.0 * spec.omega_c
+
+        def j_coth(w):
+            if w <= 0.0:
+                return 0.0
+            return spectral_density(w, spec) * (2.0 * bose_occupation(w, spec) + 1.0)
+
+        def j_plain(w):
+            if w <= 0.0:
+                return 0.0
+            return spectral_density(w, spec)
+
+        if tau == 0.0:
+            re, re_err = quad(j_coth, 0.0, omega_max, epsabs=tol, epsrel=1e-12, limit=400)
+            im, im_err = 0.0, 0.0
+        else:
+            re, re_err = quad(j_coth, 0.0, omega_max, weight="cos", wvar=tau,
+                              epsabs=tol, epsrel=1e-12, limit=400)
+            im, im_err = quad(j_plain, 0.0, omega_max, weight="sin", wvar=tau,
+                              epsabs=tol, epsrel=1e-12, limit=400)
+        err = re_err + im_err
+        if err > 10.0 * tol:
+            raise QuadratureError(
+                f"correlation integral error estimate {err:.3e} exceeds budget", err)
+        return complex(re, -im)
+
+    return c
+
+
+@pytest.fixture
+def dressed_states():
+    """Drive-dressed combinations (|g_u> + |e>)/sqrt(2) and (|g_u> - |e>)/sqrt(2)."""
+    plus = np.zeros(3, dtype=complex)
+    minus = np.zeros(3, dtype=complex)
+    plus[IDX_GU] = plus[IDX_E] = 1.0 / np.sqrt(2.0)
+    minus[IDX_GU] = 1.0 / np.sqrt(2.0)
+    minus[IDX_E] = -1.0 / np.sqrt(2.0)
+    return plus, minus
+
+
+@pytest.fixture
+def dressed_coherence(dressed_states):
+    """Coherence <+|rho|-> between the drive-dressed states, as a function of rho."""
+    plus, minus = dressed_states
+    return lambda rho: complex(plus.conj() @ np.asarray(rho) @ minus)
+
+
+@pytest.fixture
+def characteristic_function():
+    """chi(u, t_end) = Tr rho_u(t_end) of an annotated propagation.
+
+    Returns apply(liouvillian, rho0, t_end, dt).  At u = 0 this is
+    identically 1; the u dependence near zero encodes the moments of the
+    exchanged phonon heat.
+    """
+    def apply(liouvillian, rho0, t_end, dt):
+        _, states = propagate(liouvillian, rho0, t_end, dt)
+        return complex(np.trace(states[-1]))
 
     return apply

@@ -1,8 +1,12 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from coolspec.config import (
+    CONFIG_KEYS,
     PROFILES,
     ConfigError,
     HeatRoute,
@@ -86,6 +90,20 @@ def test_round_trip_is_identity():
     json.dumps(serialize_config(cfg))
 
 
+def test_readme_schema_block_gives_defaults():
+    # the README's schema block is the one other copy of the defaults
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"### Config schema.*?```json\n(.*?)```", readme, re.S).group(1)
+    data = json.loads(block)
+    assert config_from_dict(data) == SweepConfig()
+    assert list(data) == list(serialize_config(SweepConfig()))
+
+
+def test_key_table_covers_every_field():
+    assert list(CONFIG_KEYS) == [f.name for f in fields(SweepConfig)]
+    assert len(set(CONFIG_KEYS.values())) == len(CONFIG_KEYS)
+
+
 def test_shorthand_forms_normalize():
     cfg = config_from_dict({"mode": "steady", "heat_route": "trace_formula"})
     assert cfg.mode == "steady"
@@ -122,6 +140,7 @@ def test_shorthand_forms_normalize():
     ({"tcl": {"t_mem": 0.0}}, "positive"),
     ({"mode": {"kind": "transient", "t_end": 0.02, "dt": 0.05},
       "heat_route": {"kind": "counting_fd"}}, "mode.t_end"),
+    ({"include_shifts": {"secular": False}}, "unknown key"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -9,8 +9,6 @@ from coolspec.bath import BathSpec
 from coolspec.dynamics import (
     PropagationError,
     SteadyStateError,
-    characteristic_function,
-    dressed_coherence,
     heat_current_trace,
     mean_heat_fd,
     min_eigenvalue,
@@ -24,7 +22,6 @@ from coolspec.system import (
     IDX_GL,
     IDX_GU,
     SystemSpec,
-    dressed_states,
     lower_ground_state,
 )
 
@@ -136,7 +133,7 @@ def test_heat_current_requires_kernel():
         heat_current_trace(bare, lower_ground_state())
 
 
-def test_characteristic_function_properties():
+def test_characteristic_function_properties(characteristic_function):
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     rho0 = lower_ground_state()
     at_zero = characteristic_function(
@@ -209,8 +206,8 @@ def test_transferred_heat_grows_linearly_at_the_plateau():
     assert_allclose(records[2].current, second / 5.0, rtol=1e-3)
 
 
-def test_dressed_coherence_projection():
-    plus, minus = dressed_states()
+def test_dressed_coherence_projection(dressed_states, dressed_coherence):
+    plus, minus = dressed_states
     assert dressed_coherence(np.outer(plus, plus.conj())) == pytest.approx(0.0, abs=1e-14)
     assert dressed_coherence(np.outer(plus, minus.conj())) == pytest.approx(1.0, abs=1e-14)
     # resonant strong driving leaves a bath-induced dressed coherence in

@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coolspec.cli import main
-from coolspec.config import HeatRoute, SweepConfig, config_from_dict
+from coolspec.config import ConfigError, HeatRoute, SweepConfig, config_from_dict
 from coolspec.sweep import (
     CSV_COLUMNS,
     SpectrumRecord,
@@ -52,6 +53,21 @@ def test_worker_count_does_not_change_output():
 def test_run_sweep_validates_jobs():
     with pytest.raises(ValueError):
         run_sweep(SMALL, jobs=0)
+
+
+@pytest.mark.parametrize("changes", [
+    {"sign": "cooling_positive"},
+    {"methods": ("tcl_oracle",), "mode": "transient",
+     "routes": (HeatRoute(kind="counting_fd"),)},
+], ids=["unknown_sign", "tcl_counting_fd"])
+def test_run_sweep_validates_programmatic_config(changes):
+    # a config built in code never went through config_from_dict; before
+    # validation, both ran with status ok (the sign silently meant
+    # bath_gain_positive, and tcl_oracle reported its kernel-trace current
+    # under the counting_fd label)
+    cfg = replace(SMALL, delta_steps=1, omega_list=(0.5,), **changes)
+    with pytest.raises(ConfigError):
+        run_sweep(cfg)
 
 
 def test_bath_gain_sign_convention_negates_rate_column():
@@ -318,3 +334,8 @@ def test_render_csv_quotes_are_stable():
     data = json.loads(render_json([record]))
     assert data[0]["status"] == 'error: ValueError: bad, "quoted"'
     assert data[0]["heat_absorption_rate"] == 0.25
+    # non-finite numbers are nan in csv and null in json
+    failed = replace(record, heat_absorption_rate=math.nan, min_eigenvalue_seen=math.inf)
+    assert render_csv([failed]).splitlines()[1].split(",")[4:6] == ["nan", "nan"]
+    row = json.loads(render_json([failed]))[0]
+    assert row["heat_absorption_rate"] is None and row["min_eigenvalue_seen"] is None

@@ -9,7 +9,6 @@ from coolspec.system import (
     SystemSpec,
     build_hamiltonian,
     coupling_operator,
-    dressed_states,
     eigensystem,
     lower_ground_state,
 )
@@ -108,10 +107,10 @@ def test_eigensystem_deterministic():
         assert lead.real > 0.0
 
 
-def test_dressed_states_diagonalize_resonant_drive():
+def test_dressed_states_diagonalize_resonant_drive(dressed_states):
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0)
     eig = eigensystem(build_hamiltonian(spec), coupling_operator())
-    plus, minus = dressed_states()
+    plus, minus = dressed_states
     h = build_hamiltonian(spec)
     assert_allclose(h @ plus, 0.5 * spec.omega_rabi * plus, atol=1e-14)
     assert_allclose(h @ minus, -0.5 * spec.omega_rabi * minus, atol=1e-14)

@@ -9,7 +9,6 @@ from coolspec.system import SystemSpec, build_hamiltonian, lower_ground_state
 from coolspec.tcl import (
     MemoryKernelConfig,
     TclPropagator,
-    bath_correlation,
     correlation_grid,
 )
 
@@ -26,7 +25,7 @@ def test_memory_config_validation():
         MemoryKernelConfig(quad_points=1)
 
 
-def test_correlation_symmetry_and_decay():
+def test_correlation_symmetry_and_decay(bath_correlation):
     c0 = bath_correlation(0.0, BATH)
     assert c0.imag == pytest.approx(0.0, abs=1e-12)
     assert c0.real > 0.0
@@ -40,7 +39,7 @@ def test_correlation_symmetry_and_decay():
 
 @pytest.mark.parametrize("omega_c", [0.2, 1.0, 5.0])
 @pytest.mark.parametrize("temperature", [0.01, 0.3, 3.0, 30.0])
-def test_correlation_grid_matches_adaptive_quadrature(temperature, omega_c):
+def test_correlation_grid_matches_adaptive_quadrature(temperature, omega_c, bath_correlation):
     # the closed form has no frequency window, so it must hold from the
     # coldest to the hottest bath and at memory times far past the decay
     bath = BathSpec(alpha=0.01, omega_c=omega_c, temperature=temperature)
