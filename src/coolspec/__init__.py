@@ -14,6 +14,7 @@ from .dynamics import (
     HeatRecord,
     PropagationError,
     SteadyStateError,
+    evolve,
     heat_current_trace,
     mean_heat_fd,
     min_eigenvalue,
@@ -56,6 +57,7 @@ __all__ = [
     "build_hamiltonian",
     "coupling_operator",
     "eigensystem",
+    "evolve",
     "heat_current_trace",
     "lower_ground_state",
     "mean_heat_fd",

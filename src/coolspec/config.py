@@ -114,8 +114,29 @@ _TYPES = {
     bool: ("a boolean", lambda v: isinstance(v, bool)),
     type(None): ("a number or null", lambda v: v is None or _is_number(v)),
     tuple: ("a non-empty list (at least one entry)",
-            lambda v: isinstance(v, list) and len(v) > 0),
+            lambda v: isinstance(v, (list, tuple)) and len(v) > 0),
 }
+
+
+def _check_type(where: str, value, default):
+    """Raise ConfigError unless _TYPES accepts value for a field with this default."""
+    description, accepts = _TYPES.get(type(default), (None, None))
+    if accepts is not None and not accepts(value):
+        raise ConfigError(f"{where} must be {description}, got {value!r}")
+
+
+def _check_field_type(where: str, value, default):
+    """Type-check a normalized field value, entry by entry, against its default."""
+    if isinstance(default, HeatRoute):
+        if not isinstance(value, HeatRoute):
+            raise ConfigError(f"{where} must be a HeatRoute, got {value!r}")
+        for f in fields(HeatRoute):
+            _check_field_type(f"{where}.{f.name}", getattr(value, f.name), f.default)
+        return
+    _check_type(where, value, default)
+    if isinstance(default, tuple):
+        for i, v in enumerate(value):
+            _check_field_type(f"{where}[{i}]", v, default[0])
 
 
 # dotted JSON path of every field, as used in messages
@@ -123,11 +144,12 @@ _PATHS = {name: key if section is None else f"{section}.{key}"
           for name, (section, key) in CONFIG_KEYS.items()}
 
 
-def _key_line(raw_text: str | None, key: str) -> str:
+def _key_line(raw_text: str | None, key: str, section: str | None) -> str:
+    """Line of key's first token after its section's own key token, or ''."""
     if raw_text is None:
         return ""
-    token = f'"{key}"'
-    pos = raw_text.find(token)
+    start = 0 if section is None else max(raw_text.find(f'"{section}"'), 0)
+    pos = raw_text.find(f'"{key}"', start)
     if pos < 0:
         return ""
     return f" (line {raw_text.count(chr(10), 0, pos) + 1})"
@@ -136,7 +158,10 @@ def _key_line(raw_text: str | None, key: str) -> str:
 def _reject_unknown(section: dict, allowed: set[str], where: str, raw_text: str | None):
     unknown = [k for k in section if k not in allowed]
     if unknown:
-        notes = ", ".join(f"{k!r}{_key_line(raw_text, k)}" for k in sorted(unknown))
+        # where is "config" for the root, else a path whose first part is
+        # the section's top-level key ("sweep", "heat_route[1]")
+        anchor = None if where == "config" else where.partition("[")[0]
+        notes = ", ".join(f"{k!r}{_key_line(raw_text, k, anchor)}" for k in sorted(unknown))
         raise ConfigError(f"unknown key(s) in {where}: {notes}")
 
 
@@ -148,9 +173,7 @@ def _value(where: str, value, default, raw_text: str | None):
     """
     if isinstance(default, HeatRoute):
         return _route_from(where, value, raw_text)
-    description, accepts = _TYPES.get(type(default), (None, None))
-    if accepts is not None and not accepts(value):
-        raise ConfigError(f"{where} must be {description}, got {value!r}")
+    _check_type(where, value, default)
     if isinstance(default, tuple):
         return tuple(_value(f"{where}[{i}]", v, default[0], raw_text)
                      for i, v in enumerate(value))
@@ -206,7 +229,9 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> SweepConfig:
 
 
 def validate_config(cfg: SweepConfig):
-    """Value and cross-field checks shared by file parsing and programmatic configs."""
+    """Type, value and cross-field checks shared by file parsing and programmatic configs."""
+    for name, default in vars(SweepConfig()).items():
+        _check_field_type(_PATHS[name], getattr(cfg, name), default)
     routes = [(f"{_PATHS['routes']}[{i}]", route) for i, route in enumerate(cfg.routes)]
     choices = [(_PATHS["mode"], cfg.mode, MODES), (_PATHS["sign"], cfg.sign, SIGNS)]
     choices += [(f"{_PATHS['methods']}[{i}]", method, CONFIG_METHODS)

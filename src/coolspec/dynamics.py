@@ -9,6 +9,7 @@ import numpy as np
 
 from .bath import BathSpec
 from .generators import (
+    DIM,
     TRACE_VECTOR,
     Liouvillian,
     total_liouvillian,
@@ -89,6 +90,81 @@ def propagate(liouvillian: Liouvillian | Callable[[float], np.ndarray], rho0: np
     return times, states
 
 
+# Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the
+# approximant is accurate to double precision without scaling (Higham,
+# SIAM J. Matrix Anal. Appl. 26, 1179 (2005))
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring.
+
+    a is scaled by 2^-s so that its 1-norm is at most theta_13, the [13/13]
+    Pade approximant is solved for, and the result squared s times (Moler
+    & Van Loan, SIAM Rev. 45, 3 (2003)).  Unlike an eigendecomposition it
+    stays accurate for defective or nearly defective a.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
+           dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exact evolution under a constant generator on propagate's time grid.
+
+    Returns (times, states) with times[k] = k dt and states[k] =
+    exp(times[k] L) rho0, for the same whole number of steps as propagate.
+    The one-step propagator P = exp(dt L) is computed once; the states are
+    then filled by doubling: states n .. 2n-1 are P^n applied to states
+    0 .. n-1, and P^n is squared for the next block.  There is no step
+    size limit.  For an unannotated (u = 0) generator a trace drift above
+    1e-6 (or a non-finite trace) anywhere along the trajectory raises
+    PropagationError.
+    """
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t_end < 0:
+        raise ValueError(f"t_end must be non-negative, got {t_end}")
+    steps = int(round(t_end / dt))
+    times = np.arange(steps + 1) * dt
+    ys = np.empty((steps + 1, DIM * DIM), dtype=complex)
+    ys[0] = vectorize(rho0)
+    power = _expm(dt * liouvillian.matrix)
+    filled = 1
+    while filled <= steps:
+        block = min(filled, steps + 1 - filled)
+        ys[filled:filled + block] = ys[:block] @ power.T
+        filled += block
+        if filled <= steps:
+            power = power @ power
+    if liouvillian.u == 0.0:
+        drift = np.abs(ys @ TRACE_VECTOR - TRACE_VECTOR @ ys[0])
+        k = int(drift.argmax())
+        if not drift[k] <= TRACE_DRIFT_TOL:
+            raise PropagationError(f"trace drifted by {drift[k]:.3e} at t = {times[k]:.6g}; "
+                                   "the generator does not preserve it")
+    # column-major vectorization: ys[k, i + DIM j] = states[k, i, j]
+    return times, ys.reshape(-1, DIM, DIM).swapaxes(1, 2)
+
+
 def steady_state(liouvillian: Liouvillian) -> np.ndarray:
     """Unique null state of an unannotated generator.
 
@@ -165,10 +241,11 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     error terms and cuts the leading finite-u bias by a factor of four for
     the same step.  Both carry an O(u_step^2) bias proportional to the
     heat variance times elapsed time; see fd_imag for a consistency check.
-    One annotated generator is propagated, since chi(0, t) = Tr rho0 and
-    chi(-u, t) = conj(chi(u, t)); the central fd_imag is therefore zero.
-    The instantaneous current is the change of the estimate over the final
-    integration step, of which t_end must span at least one.
+    One annotated generator is evolved exactly (evolve), since chi(0, t) =
+    Tr rho0 and chi(-u, t) = conj(chi(u, t)); the central fd_imag is
+    therefore zero.  The instantaneous current is the change of the
+    estimate over the final step dt of the time grid, of which t_end must
+    span at least one.
     """
     if u_step <= 0:
         raise ValueError(f"u_step must be positive, got {u_step}")
@@ -180,7 +257,7 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     u = u_step if scheme == "forward" else 0.5 * u_step
     gen = total_liouvillian(method, spec, bath, u=u,
                             include_shifts=include_shifts, pairing_tol=pairing_tol)
-    times, states = propagate(gen, rho0, t_end, dt)
+    times, states = evolve(gen, rho0, t_end, dt)
     if len(times) < 2:
         raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
     chi = np.trace(states[-2:], axis1=1, axis2=2)

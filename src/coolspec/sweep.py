@@ -21,10 +21,10 @@ import numpy as np
 from .bath import BathSpec
 from .config import HeatRoute, SweepConfig, validate_config
 from .dynamics import (
+    evolve,
     heat_current_trace,
     mean_heat_fd,
     min_eigenvalue,
-    propagate,
     steady_residual,
     steady_state,
 )
@@ -72,6 +72,15 @@ def _include_shifts(cfg: SweepConfig, method: str) -> bool | None:
 
 def _evaluate_markovian(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
                         method: str, route: HeatRoute) -> tuple[float, float, float]:
+    """Current, smallest eigenvalue seen and residual of one Markovian point.
+
+    Steady mode solves for the stationary state.  Transient mode evolves
+    the lower ground state exactly (evolve) on the time grid of step dt up
+    to t_end, so dt sets only which times are sampled: the minimum
+    eigenvalue is taken over them, and the counting_fd current is the
+    heat increment over the last step.  The trace-route current does not
+    depend on dt.
+    """
     gen = total_liouvillian(method, spec, bath,
                             include_shifts=_include_shifts(cfg, method),
                             pairing_tol=cfg.pairing_tol)
@@ -81,7 +90,7 @@ def _evaluate_markovian(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
         rho = steady_state(gen)
         return heat_current_trace(gen, rho), min_eigenvalue(rho), steady_residual(gen, rho)
 
-    _, states = propagate(gen, lower_ground_state(), cfg.t_end, cfg.dt)
+    _, states = evolve(gen, lower_ground_state(), cfg.t_end, cfg.dt)
     seen = min_eigenvalue(states)
     residual = steady_residual(gen, states[-1])
     if route.kind == "trace_formula":

@@ -69,6 +69,15 @@ def test_unknown_nested_key_reports_line_number(tmp_path):
     assert "line 4" in str(err.value)
 
 
+def test_unknown_key_line_is_searched_within_its_section(tmp_path):
+    # "dt" is a known key of mode on line 1; the unknown one is sweep's
+    path = tmp_path / "cfg.json"
+    path.write_text('{"mode": {"kind": "steady", "dt": 0.05},\n"sweep": {\n"dt": 1}}\n')
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(path))
+    assert "'dt' (line 3)" in str(err.value)
+
+
 def test_round_trip_is_identity():
     data = {
         "system": {"e_man": 1.7, "gamma_rad": 0.2},

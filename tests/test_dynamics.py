@@ -7,8 +7,11 @@ from scipy.linalg import expm
 
 from coolspec.bath import BathSpec
 from coolspec.dynamics import (
+    _THETA13,
     PropagationError,
     SteadyStateError,
+    _expm,
+    evolve,
     heat_current_trace,
     mean_heat_fd,
     min_eigenvalue,
@@ -16,7 +19,7 @@ from coolspec.dynamics import (
     steady_residual,
     steady_state,
 )
-from coolspec.generators import total_liouvillian, vectorize
+from coolspec.generators import Liouvillian, total_liouvillian, vectorize
 from coolspec.system import (
     IDX_E,
     IDX_GL,
@@ -71,6 +74,64 @@ def test_propagation_detects_unstable_step(t_end, dt):
     gen = total_liouvillian("bloch_redfield", spec, BATH)
     with pytest.raises(PropagationError, match="reduce dt"):
         propagate(gen, lower_ground_state(), t_end, dt)
+
+
+@pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
+@pytest.mark.parametrize("delta,omega,u", [(0.0, 0.0, 0.0), (0.3, 0.5, 0.0), (0.0, 1.0, 0.05)])
+@pytest.mark.parametrize("dt", [0.05, 30.0])
+def test_pade_exponential_matches_scipy(method, delta, omega, u, dt):
+    # dt 30 puts the 1-norm of dt L above theta_13, so the squaring runs;
+    # delta = omega = 0 is the degenerate point where eigenvectors are unsafe
+    spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.5)
+    a = dt * total_liouvillian(method, spec, BATH, u=u).matrix
+    assert (np.abs(a).sum(axis=0).max() > _THETA13) == (dt > 1.0)
+    exact = expm(a)
+    assert np.abs(_expm(a) - exact).max() < 1e-14 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
+@pytest.mark.parametrize("u", [0.0, 0.05])
+def test_evolve_matches_fine_rk4(method, u):
+    # RK4 at dt/16 is converged to ~1e-13; evolve must agree on every grid state
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=0.5, gamma_rad=0.5)
+    gen = total_liouvillian(method, spec, BATH, u=u)
+    times, states = evolve(gen, lower_ground_state(), 10.0, 0.05)
+    fine_times, fine = propagate(gen, lower_ground_state(), 10.0, 0.05 / 16)
+    assert states.shape == (201, 3, 3)
+    assert_allclose(times, fine_times[::16], rtol=1e-14)
+    assert np.abs(states - fine[::16]).max() < 1e-11
+
+
+def test_evolve_grid_and_validation():
+    spec = SystemSpec(e_man=2.0, omega_rabi=1.0, gamma_rad=0.5)
+    gen = total_liouvillian("bloch_redfield", spec, BATH)
+    rho0 = lower_ground_state()
+    times, states = evolve(gen, rho0, 0.02, 0.05)
+    assert_allclose(times, [0.0])
+    assert_allclose(states, [rho0])
+    # the step RK4 refuses at (30, 7) is exact here
+    times, states = evolve(gen, rho0, 30.0, 7.0)
+    assert_allclose(times, [0.0, 7.0, 14.0, 21.0, 28.0])
+    assert_allclose(vectorize(states[-1]), expm(28.0 * gen.matrix) @ vectorize(rho0), atol=1e-13)
+    with pytest.raises(ValueError, match="dt"):
+        evolve(gen, rho0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="dt"):
+        evolve(gen, rho0, 1.0, -0.1)
+    with pytest.raises(ValueError, match="t_end"):
+        evolve(gen, rho0, -1.0, 0.1)
+
+
+def test_evolve_detects_trace_loss():
+    # uniform decay loses the trace; an unannotated generator must keep it
+    leaky = Liouvillian(matrix=-0.01 * np.eye(9, dtype=complex))
+    with pytest.raises(PropagationError, match="trace drifted"):
+        evolve(leaky, lower_ground_state(), 1.0, 0.05)
+    broken = Liouvillian(matrix=np.full((9, 9), np.nan, dtype=complex))
+    with pytest.raises(PropagationError, match="trace drifted by nan"):
+        evolve(broken, lower_ground_state(), 1.0, 0.05)
+    annotated = Liouvillian(matrix=leaky.matrix, u=0.1)
+    _, states = evolve(annotated, lower_ground_state(), 1.0, 0.05)
+    assert_allclose(np.trace(states[-1]), np.exp(-0.01), rtol=1e-14)
 
 
 def test_steady_state_unique_and_stationary():

@@ -55,18 +55,19 @@ def test_run_sweep_validates_jobs():
         run_sweep(SMALL, jobs=0)
 
 
-@pytest.mark.parametrize("changes", [
-    {"sign": "cooling_positive"},
-    {"methods": ("tcl_oracle",), "mode": "transient",
-     "routes": (HeatRoute(kind="counting_fd"),)},
-], ids=["unknown_sign", "tcl_counting_fd"])
-def test_run_sweep_validates_programmatic_config(changes):
+@pytest.mark.parametrize("changes,fragment", [
+    ({"sign": "cooling_positive"}, "sign"),
+    ({"methods": ("tcl_oracle",), "mode": "transient",
+      "routes": (HeatRoute(kind="counting_fd"),)}, "tcl_oracle"),
+    ({"e_man": "2"}, "system.e_man"),
+], ids=["unknown_sign", "tcl_counting_fd", "string_e_man"])
+def test_run_sweep_validates_programmatic_config(changes, fragment):
     # a config built in code never went through config_from_dict; before
-    # validation, both ran with status ok (the sign silently meant
+    # validation, the first two ran with status ok (the sign silently meant
     # bath_gain_positive, and tcl_oracle reported its kernel-trace current
-    # under the counting_fd label)
+    # under the counting_fd label) and a string e_man escaped as TypeError
     cfg = replace(SMALL, delta_steps=1, omega_list=(0.5,), **changes)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=fragment):
         run_sweep(cfg)
 
 
@@ -142,6 +143,24 @@ def test_transient_counting_sweep_consistent_with_steady():
     assert trace_rec.heat_absorption_rate > 0.0
     assert fd_rec.heat_absorption_rate == pytest.approx(
         trace_rec.heat_absorption_rate, rel=0.01)
+
+
+def test_transient_rates_do_not_depend_on_dt():
+    # Markovian transients are evolved exactly, so a coarse grid gives the
+    # state at t_end of a fine one; RK4 refused dt = 1 at delta = -1.5
+    # (gain 3.9) and missed the others by its truncation error
+    def rates(dt):
+        cfg = config_from_dict({
+            "sweep": {"delta_min": -1.5, "delta_max": 1.5, "delta_steps": 5,
+                      "omega_list": [0.5]},
+            "methods": ["bloch_redfield"],
+            "mode": {"kind": "transient", "t_end": 30.0, "dt": dt},
+        })
+        records = run_sweep(cfg)
+        assert [r.status for r in records] == ["ok"] * 5
+        return np.array([r.heat_absorption_rate for r in records])
+
+    np.testing.assert_allclose(rates(1.0), rates(0.05), rtol=1e-12)
 
 
 def test_tcl_oracle_method_in_sweep():
