@@ -119,20 +119,10 @@ def _thermal_numerator(w: float, nu: float, omega_c: float, beta: float) -> floa
 def _unit_shift(nu: float, omega_c: float, beta: float, omega_max: float, tol: float) -> float:
     """Principal-value shift integral at unit coupling (alpha = 1)."""
     if nu == 0.0:
-        # integrand reduces to j(w)/w, no pole
-        val, err = quad(
-            lambda w: _thermal_numerator(w, 0.0, omega_c, beta) / (w * w) if w > 0.0 else 0.0,
-            0.0,
-            omega_max,
-            epsabs=tol,
-            epsrel=1e-12,
-            limit=400,
-        )
-        if err > tol:
-            raise QuadratureError(
-                f"shift integral error estimate {err:.3e} exceeds budget {tol:.3e}", err
-            )
-        return val
+        # integrand reduces to j(w)/w = 2 w^2 / omega_c^2 exp(-w / omega_c),
+        # no pole and no temperature: the window integral is exact
+        x = omega_max / omega_c
+        return 4.0 * omega_c * (1.0 - math.exp(-x) * (1.0 + x + 0.5 * x * x))
 
     s = abs(nu)
     if s >= omega_max:
@@ -165,7 +155,8 @@ def shift_b(nu: float, spec: BathSpec, omega_max: float | None = None, tol: floa
     Evaluates PV of the integral over w in (0, omega_max) of
     j(w) (w + (2 n(w) + 1) nu) / (w^2 - nu^2).  The pole at w = |nu| is
     subtracted analytically, the smooth remainder integrated adaptively,
-    and the exact principal value of the subtracted term added back.  The
+    and the exact principal value of the subtracted term added back; at
+    nu = 0 there is no pole and the integral is taken in closed form.  The
     coupling alpha enters exactly linearly and is factored out, which also
     lets results be cached across sweeps that share omega_c and beta.  The
     default window is 40 omega_c, widened to 2 |nu| for transitions beyond

@@ -118,22 +118,17 @@ _TYPES = {
 }
 
 
-def _check_type(where: str, value, default):
-    """Raise ConfigError unless _TYPES accepts value for a field with this default."""
-    description, accepts = _TYPES.get(type(default), (None, None))
-    if accepts is not None and not accepts(value):
-        raise ConfigError(f"{where} must be {description}, got {value!r}")
-
-
 def _check_field_type(where: str, value, default):
-    """Type-check a normalized field value, entry by entry, against its default."""
+    """Raise ConfigError unless _TYPES accepts value, entry by entry, for this default."""
     if isinstance(default, HeatRoute):
         if not isinstance(value, HeatRoute):
             raise ConfigError(f"{where} must be a HeatRoute, got {value!r}")
         for f in fields(HeatRoute):
             _check_field_type(f"{where}.{f.name}", getattr(value, f.name), f.default)
         return
-    _check_type(where, value, default)
+    description, accepts = _TYPES.get(type(default), (None, None))
+    if accepts is not None and not accepts(value):
+        raise ConfigError(f"{where} must be {description}, got {value!r}")
     if isinstance(default, tuple):
         for i, v in enumerate(value):
             _check_field_type(f"{where}[{i}]", v, default[0])
@@ -166,18 +161,18 @@ def _reject_unknown(section: dict, allowed: set[str], where: str, raw_text: str 
 
 
 def _value(where: str, value, default, raw_text: str | None):
-    """Type-check a JSON value against the field's default and convert it.
+    """Convert a JSON value to the form of the field's default.
 
-    Lists become tuples of entries read against the default's first entry;
-    strings pass through to validate_config's membership checks.
+    Lists become tuples of entries read against the default's first entry,
+    and numbers become floats where the default is a float or None.
+    Anything else passes through unchanged: validate_config type-checks.
     """
     if isinstance(default, HeatRoute):
         return _route_from(where, value, raw_text)
-    _check_type(where, value, default)
-    if isinstance(default, tuple):
+    if isinstance(default, tuple) and isinstance(value, (list, tuple)):
         return tuple(_value(f"{where}[{i}]", v, default[0], raw_text)
                      for i, v in enumerate(value))
-    if isinstance(default, float) or (default is None and value is not None):
+    if (isinstance(default, float) or default is None) and _is_number(value):
         return float(value)
     return value
 

@@ -6,11 +6,12 @@ such matrices.  All generators can be annotated with a counting field u
 that tags phonon exchange with the bath; the u-derivative at zero is kept
 alongside as a heat kernel, so a single construction serves propagation,
 steady states, and both heat routes.  Every phonon generator is one
-Redfield assembly: a block table per eigensystem contracted with the bath
-coefficients in one matmul.  The Markovian methods differ only in the
-eigenbasis (dressed, or bare for phenomenological), the coefficients
-(a - i b for Bloch-Redfield, a otherwise) and the secular mask (secular
-and phenomenological); the tcl generator uses running coefficients.
+Redfield dissipator (redfield), written with two 3x3 operators: the
+coupling operator O and its bath-weighted counterpart Lambda, built from
+the coefficients.  The Markovian methods differ only in the coefficients
+(a - i b for Bloch-Redfield, a otherwise) and in the secular mask, which
+secular and phenomenological apply in the eigenbasis (dressed, or bare for
+phenomenological); the tcl generator uses running coefficients.
 """
 
 from __future__ import annotations
@@ -93,44 +94,40 @@ class Liouvillian:
     heat_kernel: np.ndarray | None = None
 
 
-def redfield_table(eig: EigenSystem) -> np.ndarray:
-    """Superoperator blocks of the Redfield dissipator, shape (36, 81).
-
-    Row 9 k + 3 i + j holds, for the eigenbasis block B = blocks[i, j] and
-    the coupling operator O, the flattened 9x9 matrix of
-    k = 0: rho -> B rho O,   k = 1: rho -> O rho B,
-    k = 2: rho -> O B rho,   k = 3: rho -> rho B O.
-    """
-    o_full = coupling_operator()
-    blocks = eig.blocks
-    eye = np.broadcast_to(np.eye(DIM), blocks.shape)
-    o_all = np.broadcast_to(o_full, blocks.shape)
-    left = np.stack([blocks, o_all, o_full @ blocks, eye])
-    right = np.stack([o_all, blocks, eye, blocks @ o_full])
-    return sandwich_superoperator(left, right).reshape(4 * DIM * DIM, DIM**4)
+def _dag(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
 
 
-def redfield(table: np.ndarray, nu: np.ndarray, gamma: np.ndarray,
+def redfield(eig: EigenSystem, basis: np.ndarray, gamma: np.ndarray,
              u: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Redfield dissipator and heat kernel for half-Fourier coefficients gamma.
 
-    With Lambda_u = sum_ij gamma[i, j] exp(i u nu[j, i]) blocks[i, j], the
+    basis holds the eigenvectors as columns in the frame the result is
+    written in: eig.basis gives the working basis, the identity the
+    eigenbasis.  With V = basis and E = eig.elements, the coupling operator
+    is O = V E V^dag and Lambda_u = V (gamma * E * exp(i u nu.T)) V^dag,
+    i.e. sum_ij gamma[i, j] exp(i u nu[j, i]) <i|O|j> |i><j|.  The
     dissipator is
     rho -> Lambda_u rho O + O rho Lambda_{-u}^dag - O Lambda_0 rho - rho Lambda_0^dag O,
     the sandwich terms carrying the counting phase of the bath quantum they
-    exchange.  The heat kernel is its u-derivative at u = 0.  Returns
-    (matrix, heat_kernel), both 9x9.
+    exchange.  The heat kernel is its u-derivative at u = 0,
+    rho -> Lambda' rho O - O rho Lambda'^dag with Lambda' = d Lambda_u / du
+    at 0.  Returns (matrix, heat_kernel), both 9x9, broadcast over leading
+    axes of gamma.
     """
-    # gamma weights the table rows k = 0, 2 and gamma^dag the rows k = 1, 3;
-    # the sandwich rows exchange the quanta nu.T and nu respectively
-    pair = np.array([gamma, gamma.conj().T])
-    nu_pair = np.array([nu.T, nu])
-    coef = np.zeros((2, 4, DIM, DIM), dtype=complex)
-    coef[0, :2] = pair * np.exp(1j * u * nu_pair)
-    coef[0, 2:] = -pair
-    coef[1, :2] = 1j * nu_pair * pair
-    matrix, kernel = (coef.reshape(2, -1) @ table).reshape(2, DIM * DIM, DIM * DIM)
-    return matrix, kernel
+    weights = gamma * eig.elements
+    phases = np.array([np.exp(1j * u * eig.nu.T), np.exp(-1j * u * eig.nu.T),
+                       np.ones((DIM, DIM)), 1j * eig.nu.T])
+    # Lambda_u, Lambda_{-u}, Lambda_0 and Lambda', stacked on axis -3
+    lam = basis @ (weights[..., None, :, :] * phases) @ basis.conj().T
+    lam_u, lam_minus_u, lam_0, lam_prime = np.moveaxis(lam, -3, 0)
+    o = basis @ eig.elements @ basis.conj().T
+    eye = np.eye(DIM)
+    left = (lam_u, o, -o @ lam_0, eye, lam_prime, -o)
+    right = (o, _dag(lam_minus_u), eye, -_dag(lam_0) @ o, o, _dag(lam_prime))
+    terms = sandwich_superoperator(np.stack(np.broadcast_arrays(*left), axis=-3),
+                                   np.stack(np.broadcast_arrays(*right), axis=-3))
+    return terms[..., :4, :, :].sum(axis=-3), terms[..., 4:, :, :].sum(axis=-3)
 
 
 def bloch_redfield_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
@@ -145,7 +142,7 @@ def bloch_redfield_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpe
     trace and hermiticity.
     """
     gamma = (rates.a - 1j * rates.b).T if include_shifts else rates.a.T
-    matrix, kernel = redfield(redfield_table(eig), rates.nu, gamma, u)
+    matrix, kernel = redfield(eig, eig.basis, gamma, u)
     return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
                        u=u, heat_kernel=kernel)
 
@@ -154,11 +151,13 @@ def secular_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
                       pairing_tol: float | None = None, u: float = 0.0) -> Liouvillian:
     """Rotating-wave generator: the shift-free Redfield dissipator, masked.
 
-    In the eigenbasis, the dissipator element that feeds rho[c, d] into
-    rho[a, b] oscillates at nu[a, b] - nu[c, d] in the interaction picture;
-    it is kept when that frequency is within pairing_tol (default
-    1e-10 * e_man, so only exact coincidences survive) and dropped
-    otherwise, in the matrix and the heat kernel alike.  For a
+    The dissipator is built in the eigenbasis, masked there and brought to
+    the working basis by one change of basis.  In the eigenbasis, the
+    element that feeds rho[c, d] into rho[a, b] oscillates at
+    nu[a, b] - nu[c, d] in the interaction picture; it is kept when that
+    frequency is within pairing_tol (default 1e-10 * e_man, so only exact
+    coincidences survive) and dropped otherwise, in the matrix and the
+    heat kernel alike.  For a
     nondegenerate spectrum this reduces to a sum of Lindblad dissipators
     with jump operators blocks[j, i] and rates 2 a[i, j].  No
     principal-value terms are included, matching the common presentation
@@ -166,13 +165,12 @@ def secular_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
     """
     if pairing_tol is None:
         pairing_tol = SECULAR_PAIRING_FRACTION * spec.e_man
-    matrix, kernel = redfield(redfield_table(eig), rates.nu, rates.a.T, u)
-    # columns of to_work are the vectorized eigenbasis operators |a><b|
-    to_work = sandwich_superoperator(eig.basis, eig.basis.conj().T)
-    to_eig = to_work.conj().T
     nu_vec = vectorize(eig.nu).real
     keep = np.abs(nu_vec[:, None] - nu_vec[None, :]) <= pairing_tol
-    matrix, kernel = (to_work @ (keep * (to_eig @ m @ to_work)) @ to_eig for m in (matrix, kernel))
+    in_eig = keep * np.array(redfield(eig, np.eye(DIM), rates.a.T, u))
+    # columns of to_work are the vectorized eigenbasis operators |a><b|
+    to_work = sandwich_superoperator(eig.basis, eig.basis.conj().T)
+    matrix, kernel = to_work @ in_eig @ to_work.conj().T
     return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
                        u=u, heat_kernel=kernel)
 

@@ -105,13 +105,16 @@ def _evaluate_markovian(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
 
 
 def _evaluate_tcl(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec) -> tuple[float, float, float]:
-    if cfg.mode == "transient":
-        dt, horizon = cfg.dt, cfg.t_end
-    else:
-        # no closed-form steady state for the time-dependent generator;
-        # propagate to the configured plateau time instead
-        dt, horizon = cfg.tcl_dt, cfg.tcl_t_end
-    kernel_cfg = MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=dt, quad_points=cfg.tcl_quad_points)
+    """Current, smallest eigenvalue seen and residual of one TCL point.
+
+    The time-dependent generator is integrated by RK4 at tcl_dt in both
+    modes.  Transient mode stops at t_end; steady mode, which has no
+    closed-form steady state for this generator, stops at the plateau time
+    tcl_t_end.
+    """
+    horizon = cfg.t_end if cfg.mode == "transient" else cfg.tcl_t_end
+    kernel_cfg = MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt,
+                                    quad_points=cfg.tcl_quad_points)
     prop = TclPropagator(spec, bath, kernel_cfg)
     _, states, record = prop.propagate(lower_ground_state(), horizon)
     residual = steady_residual(prop.generator(horizon), states[-1])

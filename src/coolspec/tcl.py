@@ -22,11 +22,11 @@ import numpy as np
 from .bath import BathSpec
 from .dynamics import HeatRecord, heat_current_trace, propagate
 from .generators import (
+    DIM,
     Liouvillian,
     coherent_superoperator,
     radiative_dissipator,
     redfield,
-    redfield_table,
 )
 from .system import SystemSpec, build_hamiltonian, coupling_operator, eigensystem
 
@@ -94,10 +94,11 @@ class TclPropagator:
     The running coefficients Gamma[i, j](t) are cumulative integrals of
     C(tau) exp(-i nu[i, j] tau) up to min(t, t_mem), tabulated once on a
     tau grid of spacing dt / quad_points and interpolated linearly in
-    between.  The generator at any time is the shared Redfield assembly
-    (generators.redfield) with coefficients Gamma(t), contracted with a
-    block table built once per propagator, plus the coherent and radiative
-    parts.
+    between.  The Redfield dissipator (generators.redfield) is real-linear
+    in Gamma, so its (matrix, heat kernel) response to each of the 18 real
+    and imaginary unit coefficients is tabulated once per propagator; the
+    generator at any time contracts that response with Gamma(t) in one
+    matmul and adds the coherent and radiative parts.
     """
 
     def __init__(self, spec: SystemSpec, bath: BathSpec, cfg: MemoryKernelConfig):
@@ -116,7 +117,10 @@ class TclPropagator:
         self._gamma_table[..., 1:] = np.cumsum(
             np.diff(taus) * (integrand[..., 1:] + integrand[..., :-1]) / 2.0, axis=-1)
         self._n_tau = n_tau
-        self._table = redfield_table(self.eig)
+        units = np.eye(DIM * DIM).reshape(-1, DIM, DIM)
+        matrix, kernel = redfield(self.eig, self.eig.basis, np.concatenate([units, 1j * units]))
+        # row k: response to Re Gamma.flat[k], row 9 + k: to Im Gamma.flat[k]
+        self._response = np.stack([matrix, kernel], axis=1).reshape(2 * DIM * DIM, -1)
         self._static = (coherent_superoperator(build_hamiltonian(spec))
                         + radiative_dissipator(spec))
 
@@ -134,7 +138,9 @@ class TclPropagator:
 
     def generator(self, t: float) -> Liouvillian:
         """Instantaneous generator and heat kernel at time t."""
-        matrix, kernel = redfield(self._table, self.eig.nu, self.coefficients(t))
+        gamma = self.coefficients(t).ravel()
+        matrix, kernel = (np.concatenate([gamma.real, gamma.imag]) @ self._response
+                          ).reshape(2, DIM * DIM, DIM * DIM)
         return Liouvillian(matrix=self._static + matrix, u=0.0, heat_kernel=kernel)
 
     def propagate(self, rho0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray, HeatRecord]:

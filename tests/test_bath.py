@@ -133,6 +133,9 @@ def test_shift_zero_frequency_closed_form():
     assert_allclose(shift_b(0.0, BATH), 0.04, atol=1e-9)
     other = BathSpec(alpha=0.02, omega_c=0.7, temperature=3.0)
     assert_allclose(shift_b(0.0, other), 4.0 * 0.02 * 0.7, atol=1e-9)
+    # an explicit window keeps 1 - exp(-x)(1 + x + x^2 / 2) of it, x = omega_max / omega_c
+    narrow = BathSpec(alpha=0.02, omega_c=1.0, temperature=3.0)
+    assert_allclose(shift_b(0.0, narrow, omega_max=5.0), 0.0700278384413535, rtol=1e-14)
 
 
 def test_shift_frozen_values():

@@ -219,13 +219,17 @@ def test_phenomenological_matches_two_jump_lindblad():
 
 def test_secular_pairing_tolerance_widens_retention():
     # a pairing tolerance larger than all frequency differences must bring
-    # the secular generator back to the shiftless nonsecular one
+    # the secular generator, built in the eigenbasis, back to the shiftless
+    # nonsecular one, built in the working basis: matrix and heat kernel
     spec = SystemSpec(e_man=2.0, delta=0.1, omega_rabi=0.4, gamma_rad=0.0)
     eig = eigensystem(build_hamiltonian(spec), coupling_operator())
     table = rate_table(eig, BATH)
-    wide = secular_generator(eig, table, spec, pairing_tol=1e3)
+    for u in (0.0, 0.05):
+        wide = secular_generator(eig, table, spec, pairing_tol=1e3, u=u)
+        nonsecular = bloch_redfield_generator(eig, table, spec, u=u, include_shifts=False)
+        assert_allclose(wide.matrix, nonsecular.matrix, atol=1e-13)
+        assert_allclose(wide.heat_kernel, nonsecular.heat_kernel, atol=1e-13)
     nonsecular = bloch_redfield_generator(eig, table, spec, include_shifts=False)
-    assert_allclose(wide.matrix, nonsecular.matrix, atol=1e-13)
     tight = secular_generator(eig, table, spec)
     assert not np.allclose(tight.matrix, nonsecular.matrix, atol=1e-6)
 

@@ -148,16 +148,17 @@ def test_transient_counting_sweep_consistent_with_steady():
 def test_transient_rates_do_not_depend_on_dt():
     # Markovian transients are evolved exactly, so a coarse grid gives the
     # state at t_end of a fine one; RK4 refused dt = 1 at delta = -1.5
-    # (gain 3.9) and missed the others by its truncation error
+    # (gain 3.9) and missed the others by its truncation error.  TCL steps
+    # at tcl.dt whatever the sampling grid mode.dt is.
     def rates(dt):
         cfg = config_from_dict({
             "sweep": {"delta_min": -1.5, "delta_max": 1.5, "delta_steps": 5,
                       "omega_list": [0.5]},
-            "methods": ["bloch_redfield"],
+            "methods": ["bloch_redfield", "tcl_oracle"],
             "mode": {"kind": "transient", "t_end": 30.0, "dt": dt},
         })
         records = run_sweep(cfg)
-        assert [r.status for r in records] == ["ok"] * 5
+        assert [r.status for r in records] == ["ok"] * 10
         return np.array([r.heat_absorption_rate for r in records])
 
     np.testing.assert_allclose(rates(1.0), rates(0.05), rtol=1e-12)
