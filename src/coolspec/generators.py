@@ -17,7 +17,7 @@ phenomenological); the tcl generator uses running coefficients.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -165,14 +165,20 @@ def secular_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
     """
     if pairing_tol is None:
         pairing_tol = SECULAR_PAIRING_FRACTION * spec.e_man
+    matrix, kernel = _secular_dissipator(eig, rates, pairing_tol, u)
+    return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
+                       u=u, heat_kernel=kernel)
+
+
+def _secular_dissipator(eig: EigenSystem, rates: RateTable, pairing_tol: float,
+                        u: float) -> np.ndarray:
+    """Masked dissipator and heat kernel of secular_generator, stacked."""
     nu_vec = vectorize(eig.nu).real
     keep = np.abs(nu_vec[:, None] - nu_vec[None, :]) <= pairing_tol
     in_eig = keep * np.array(redfield(eig, np.eye(DIM), rates.a.T, u))
     # columns of to_work are the vectorized eigenbasis operators |a><b|
     to_work = sandwich_superoperator(eig.basis, eig.basis.conj().T)
-    matrix, kernel = to_work @ in_eig @ to_work.conj().T
-    return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
-                       u=u, heat_kernel=kernel)
+    return to_work @ in_eig @ to_work.conj().T
 
 
 def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, float]:
@@ -190,14 +196,25 @@ def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, flo
 def phenomenological_generator(spec: SystemSpec, bath: BathSpec, u: float = 0.0) -> Liouvillian:
     """Golden-rule jumps between the bare levels, blind to the drive.
 
-    The secular generator (default pairing) of the undriven impurity, whose
+    The secular dissipator (default pairing) of the undriven impurity, whose
     eigenbasis is the working basis, with the driven coherent part: phonon
     absorption |g_l> -> |g_u> at gamma_up (phenomenological_rates) tags a
     bath loss of e_man (phase exp(-i u e_man)), emission at gamma_down a gain.
+    The dissipator depends on e_man, the bath and u only, so it is built once
+    per such triple.
     """
-    bare = replace(spec, omega_rabi=0.0)
-    return secular_generator(_eigensystem_cached(bare), _rate_table_cached(bare, bath),
-                             spec, u=u)
+    matrix, kernel = _phenomenological_dissipator(spec.e_man, bath, u)
+    return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
+                       u=u, heat_kernel=kernel)
+
+
+@lru_cache(maxsize=256)
+def _phenomenological_dissipator(e_man: float, bath: BathSpec, u: float) -> np.ndarray:
+    bare = SystemSpec(e_man=e_man)
+    eig = eigensystem(build_hamiltonian(bare), coupling_operator())
+    out = _secular_dissipator(eig, rate_table(eig, bath), SECULAR_PAIRING_FRACTION * e_man, u)
+    out.setflags(write=False)  # shared by every point of the triple
+    return out
 
 
 def radiative_dissipator(spec: SystemSpec) -> np.ndarray:

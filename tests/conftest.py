@@ -94,6 +94,51 @@ def bath_correlation():
 
 
 @pytest.fixture
+def quad_shift():
+    """Principal-value shift by adaptive quadrature; shift_b's oracle.
+
+    Returns b(nu, spec, omega_max=None).  The window defaults to shift_b's,
+    max(40 omega_c, 2 |nu|).  The simple pole of
+    j(w) (w + (2 n(w) + 1) nu) / (w^2 - nu^2) at w = s = |nu| is subtracted as
+    c / (w - s), the remainder integrated by quad split at s and at 2 s 4^k
+    (the pole at -s sets that scale), and c log((omega_max - s) / s) added
+    back.  Requires nu != 0.
+    """
+    def b(nu, spec, omega_max=None):
+        s = abs(nu)
+        if omega_max is None:
+            omega_max = max(40.0 * spec.omega_c, 2.0 * s)
+
+        def numerator(w):
+            if w <= 0.0:
+                return 0.0
+            return spectral_density(w, spec) * (w + (2.0 * bose_occupation(w, spec) + 1.0) * nu)
+
+        c = numerator(s) / (2.0 * s)
+
+        def regular(w):
+            d = w - s
+            if abs(d) < 1e-9 * s:
+                # removable limit: derivative of numerator(w) / (w + s) at w = s
+                h = 1e-5 * s
+                return (numerator(s + h) / (2.0 * s + h) - numerator(s - h) / (2.0 * s - h)) / (2.0 * h)
+            return numerator(w) / (w * w - s * s) - c / d
+
+        points = [s]
+        split = 2.0 * s
+        while split < omega_max:
+            points.append(split)
+            split *= 4.0
+        tol = 1e-12 * 4.0 * spec.alpha * spec.omega_c
+        val, err = quad(regular, 0.0, omega_max, points=points, epsabs=tol, epsrel=1e-12, limit=400)
+        if err > 100.0 * tol:
+            raise QuadratureError(f"shift integral error estimate {err:.3e} exceeds budget", err)
+        return val + c * np.log((omega_max - s) / s)
+
+    return b
+
+
+@pytest.fixture
 def dressed_states():
     """Drive-dressed combinations (|g_u> + |e>)/sqrt(2) and (|g_u> - |e>)/sqrt(2)."""
     plus = np.zeros(3, dtype=complex)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,11 +103,21 @@ def _pv_integrand(w: float, nu: float, bath: BathSpec) -> float:
     return spectral_density(w, bath) * (w + (2.0 * n + 1.0) * nu)
 
 
-def _pv_shift_cauchy(nu: float, bath: BathSpec, omega_max: float = 40.0) -> float:
-    """Independent principal-value oracle via Cauchy-weight quadrature."""
+def _pv_shift_cauchy(nu: float, bath: BathSpec, omega_max: float = 40.0,
+                     epsabs: float = 1e-12) -> float:
+    """Independent principal-value oracle via Cauchy-weight quadrature.
+
+    The Cauchy weight covers shift_b's default window max(40 omega_c, 2 |nu|),
+    which holds the pole and the bulk of the bath; the rest of a wider window
+    is integrated plainly.
+    """
     s = abs(nu)
-    val, _ = quad(lambda w: _pv_integrand(w, nu, bath) / (w + s), 0.0, omega_max,
-                  weight="cauchy", wvar=s, limit=400, epsabs=1e-12, epsrel=1e-12)
+    split = min(max(40.0 * bath.omega_c, 2.0 * s), omega_max)
+    f = lambda w: _pv_integrand(w, nu, bath) / (w + s)
+    val, _ = quad(f, 0.0, split, weight="cauchy", wvar=s, limit=400, epsabs=epsabs, epsrel=1e-12)
+    if split < omega_max:
+        val += quad(lambda w: f(w) / (w - s), split, omega_max, limit=400,
+                    epsabs=epsabs, epsrel=1e-12)[0]
     return val
 
 
@@ -154,6 +168,24 @@ def test_shift_matches_symmetric_simpson_oracle(nu):
     assert_allclose(shift_b(nu, BATH), _pv_shift_simpson(nu, BATH), atol=1e-6)
 
 
+@pytest.mark.parametrize("temperature", [0.01, 0.3, 3.0, 30.0])
+@pytest.mark.parametrize("omega_c", [0.02, 0.2, 1.0, 5.0])
+def test_shift_matches_adaptive_oracles(temperature, omega_c, quad_shift):
+    # the graded Gauss-Legendre rule against two adaptive quadratures, from
+    # far below every scale of the bath to windows widened past 40 omega_c
+    bath = BathSpec(alpha=1.0, omega_c=omega_c, temperature=temperature)
+    for magnitude in (1e-7, 1e-4, 0.01, 0.3, 1.0, 2.5, 7.0, 30.0, 100.0):
+        for nu in (magnitude, -magnitude):
+            default = max(40.0 * omega_c, 2.0 * magnitude)
+            for omega_max in (None, 1.5 * default):
+                got = shift_b(nu, bath, omega_max=omega_max)
+                bound = 1e-11 * max(abs(got), 4.0 * omega_c)
+                assert abs(got - quad_shift(nu, bath, omega_max)) < bound
+                cauchy = _pv_shift_cauchy(nu, bath, omega_max or default,
+                                          epsabs=1e-13 * 4.0 * omega_c)
+                assert abs(got - cauchy) < bound
+
+
 def test_shift_alpha_linearity_exact():
     doubled = BathSpec(alpha=0.02, omega_c=1.0, temperature=3.0)
     for nu in (0.0, 2.0, -2.0, 0.9):
@@ -181,6 +213,20 @@ def test_quadrature_error_type():
     assert issubclass(QuadratureError, RuntimeError)
     err = QuadratureError("budget", 1e-3)
     assert err.estimate == 1e-3
+    # a budget below the 20- vs 10-point panel difference raises, estimate set
+    with pytest.raises(QuadratureError, match="exceeds budget") as info:
+        shift_b(0.7, BATH, tol=1e-30)
+    assert 1e-30 < info.value.estimate < 1e-12
+
+
+def test_import_loads_no_scipy():
+    # the package and its CLI need numpy only
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, coolspec; from coolspec import cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_rate_table_consistent_with_scalars():
