@@ -2,10 +2,10 @@
 
 Open-system dynamics of a laser-driven impurity whose ground-state doublet
 couples to a super-Ohmic phonon bath.  Provides the full Bloch-Redfield,
-secular, and phenomenological Lindblad generators with counting-field heat
-statistics, a finite-memory (time-convolutionless) validation integrator,
-and a sweep engine plus CLI for cooling spectra over detuning and drive
-strength.
+secular, and phenomenological Lindblad generators through one entry point,
+total_liouvillian, with counting-field heat statistics; a finite-memory
+(time-convolutionless) validation integrator; and a sweep engine plus CLI
+for cooling spectra over detuning and drive strength.
 """
 
 from .bath import BathSpec, QuadratureError, RateTable, bose_occupation, rate_a, rate_table, shift_b, spectral_density
@@ -23,11 +23,8 @@ from .dynamics import (
 )
 from .generators import (
     Liouvillian,
-    bloch_redfield_generator,
-    phenomenological_generator,
     phenomenological_rates,
     radiative_dissipator,
-    secular_generator,
     total_liouvillian,
 )
 from .sweep import SpectrumRecord, run_sweep, write_output
@@ -52,7 +49,6 @@ __all__ = [
     "SweepConfig",
     "SystemSpec",
     "TclPropagator",
-    "bloch_redfield_generator",
     "bose_occupation",
     "build_hamiltonian",
     "coupling_operator",
@@ -63,7 +59,6 @@ __all__ = [
     "mean_heat_fd",
     "min_eigenvalue",
     "parse_config",
-    "phenomenological_generator",
     "phenomenological_rates",
     "profile_config",
     "propagate",
@@ -71,7 +66,6 @@ __all__ = [
     "rate_a",
     "rate_table",
     "run_sweep",
-    "secular_generator",
     "serialize_config",
     "shift_b",
     "spectral_density",

@@ -13,6 +13,7 @@ the four drive strengths 0.01, 0.1, 0.5, 1.0).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 MODES = ("steady", "transient")
@@ -102,17 +103,18 @@ _POSITIVE = ("e_man", "omega_c", "temperature", "pairing_tol",
 _NON_NEGATIVE = ("gamma_rad", "alpha")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    # Python's json reads NaN and Infinity; no field accepts them
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 # JSON values accepted for a field, by the type of its default:
 # (description for messages, test)
 _TYPES = {
-    float: ("a number", _is_number),
+    float: ("a finite number", _is_finite),
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
     bool: ("a boolean", lambda v: isinstance(v, bool)),
-    type(None): ("a number or null", lambda v: v is None or _is_number(v)),
+    type(None): ("a finite number or null", lambda v: v is None or _is_finite(v)),
     tuple: ("a non-empty list (at least one entry)",
             lambda v: isinstance(v, (list, tuple)) and len(v) > 0),
 }
@@ -172,7 +174,7 @@ def _value(where: str, value, default, raw_text: str | None):
     if isinstance(default, tuple) and isinstance(value, (list, tuple)):
         return tuple(_value(f"{where}[{i}]", v, default[0], raw_text)
                      for i, v in enumerate(value))
-    if (isinstance(default, float) or default is None) and _is_number(value):
+    if (isinstance(default, float) or default is None) and _is_finite(value):
         return float(value)
     return value
 

@@ -42,32 +42,30 @@ def propagate(liouvillian: Liouvillian | Callable[[float], np.ndarray], rho0: np
     matrix for a time-dependent one.  Returns (times, states) where
     states[k] is the 3x3 state at times[k]; t_end is rounded to a whole
     number of steps of size dt.  An unstable step raises PropagationError:
-    for a constant generator, before any step, when the RK4 gain
-    max |R(dt lambda)| over its eigenvalues, R(z) = 1 + z + z^2/2 + z^3/6
-    + z^4/24, exceeds 1 + 1e-9; and during the steps when the trace drifts
-    by more than 1e-6, checked for time-dependent and unannotated (u = 0)
-    constant generators, which preserve it exactly.
+    before any step, when the RK4 gain max |R(dt lambda)| over the
+    eigenvalues of the generator at the first and last grid times (once
+    for a constant generator), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    exceeds 1 + 1e-9; and during the steps when the trace drifts by more
+    than 1e-6, checked for time-dependent and unannotated (u = 0) constant
+    generators, which preserve it exactly.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
-    if isinstance(liouvillian, Liouvillian):
-        constant = liouvillian.matrix
-        z = dt * np.linalg.eigvals(constant)
+    steps = int(round(t_end / dt))
+    times = np.arange(steps + 1) * dt
+    constant = isinstance(liouvillian, Liouvillian)
+    matrix_at = (lambda t: liouvillian.matrix) if constant else liouvillian
+    check = not constant or liouvillian.u == 0.0
+    for t in times[:1] if constant else times[[0, -1]]:
+        z = dt * np.linalg.eigvals(matrix_at(t))
         gain = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).max()
         if gain > 1.0 + RK4_GAIN_TOL:
-            raise PropagationError(f"RK4 gain {gain:.6g} exceeds 1, the step is unstable; "
-                                   f"reduce dt (currently {dt})")
-        matrix_at = lambda t: constant
-        check = liouvillian.u == 0.0
-    else:
-        matrix_at = liouvillian
-        check = True
-    steps = int(round(t_end / dt))
+            raise PropagationError(f"RK4 gain {gain:.6g} at t = {t:.6g} exceeds 1, the step "
+                                   f"is unstable; reduce dt (currently {dt})")
     y = vectorize(rho0)
     trace0 = TRACE_VECTOR @ y
-    times = np.arange(steps + 1) * dt
     states = np.empty((steps + 1, 3, 3), dtype=complex)
     states[0] = unvectorize(y)
     m_end = matrix_at(times[0])
@@ -231,7 +229,7 @@ class HeatRecord:
 
 def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 30.0,
                  dt: float = 0.05, u_step: float = 0.05, scheme: str = "central",
-                 rho0: np.ndarray | None = None, include_shifts: bool | None = None,
+                 rho0: np.ndarray | None = None, include_shifts: bool = True,
                  pairing_tol: float | None = None) -> HeatRecord:
     """Counting-field finite-difference estimate of the mean heat.
 

@@ -11,7 +11,9 @@ coupling operator O and its bath-weighted counterpart Lambda, built from
 the coefficients.  The Markovian methods differ only in the coefficients
 (a - i b for Bloch-Redfield, a otherwise) and in the secular mask, which
 secular and phenomenological apply in the eigenbasis (dressed, or bare for
-phenomenological); the tcl generator uses running coefficients.
+phenomenological); total_liouvillian assembles all three, each on top of
+the same static_part (coherent evolution plus radiative decay).  The tcl
+generator uses running coefficients and the same static_part.
 """
 
 from __future__ import annotations
@@ -36,10 +38,6 @@ from .system import (
 DIM = 3
 
 METHODS = ("bloch_redfield", "secular", "phenomenological")
-
-# tolerance for treating two transition frequencies as equal in the
-# rotating-wave pairing, as a fraction of the manifold splitting
-SECULAR_PAIRING_FRACTION = 1e-10
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -130,49 +128,24 @@ def redfield(eig: EigenSystem, basis: np.ndarray, gamma: np.ndarray,
     return terms[..., :4, :, :].sum(axis=-3), terms[..., 4:, :, :].sum(axis=-3)
 
 
-def bloch_redfield_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
-                             u: float = 0.0, include_shifts: bool = True) -> Liouvillian:
-    """Full weak-coupling generator, no rotating-wave approximation.
+def _secular_dissipator(eig: EigenSystem, rates: RateTable, e_man: float,
+                        pairing_tol: float | None, u: float) -> np.ndarray:
+    """Rotating-wave dissipator and heat kernel, stacked: the masked Redfield one.
 
-    The Redfield dissipator with coefficients gamma[i, j] = a[j, i] - i b[j, i]
-    (rate and principal-value shift of the transition nu[j, i]); without
-    shifts only the rates a enter.  Only the sandwich terms (state between
-    coupling operators) exchange a bath quantum and carry the counting
-    phase; the one-sided products do not.  At u = 0 the result preserves
-    trace and hermiticity.
-    """
-    gamma = (rates.a - 1j * rates.b).T if include_shifts else rates.a.T
-    matrix, kernel = redfield(eig, eig.basis, gamma, u)
-    return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
-                       u=u, heat_kernel=kernel)
-
-
-def secular_generator(eig: EigenSystem, rates: RateTable, spec: SystemSpec,
-                      pairing_tol: float | None = None, u: float = 0.0) -> Liouvillian:
-    """Rotating-wave generator: the shift-free Redfield dissipator, masked.
-
-    The dissipator is built in the eigenbasis, masked there and brought to
-    the working basis by one change of basis.  In the eigenbasis, the
-    element that feeds rho[c, d] into rho[a, b] oscillates at
-    nu[a, b] - nu[c, d] in the interaction picture; it is kept when that
-    frequency is within pairing_tol (default 1e-10 * e_man, so only exact
-    coincidences survive) and dropped otherwise, in the matrix and the
-    heat kernel alike.  For a
+    The shift-free Redfield dissipator (coefficients a) is built in the
+    eigenbasis, masked there and brought to the working basis by one change
+    of basis.  In the eigenbasis, the element that feeds rho[c, d] into
+    rho[a, b] oscillates at nu[a, b] - nu[c, d] in the interaction picture;
+    it is kept when that frequency is within pairing_tol (None means
+    1e-10 * e_man, so only exact coincidences survive) and dropped
+    otherwise, in the matrix and the heat kernel alike.  For a
     nondegenerate spectrum this reduces to a sum of Lindblad dissipators
     with jump operators blocks[j, i] and rates 2 a[i, j].  No
     principal-value terms are included, matching the common presentation
     of this approximation.
     """
     if pairing_tol is None:
-        pairing_tol = SECULAR_PAIRING_FRACTION * spec.e_man
-    matrix, kernel = _secular_dissipator(eig, rates, pairing_tol, u)
-    return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
-                       u=u, heat_kernel=kernel)
-
-
-def _secular_dissipator(eig: EigenSystem, rates: RateTable, pairing_tol: float,
-                        u: float) -> np.ndarray:
-    """Masked dissipator and heat kernel of secular_generator, stacked."""
+        pairing_tol = 1e-10 * e_man
     nu_vec = vectorize(eig.nu).real
     keep = np.abs(nu_vec[:, None] - nu_vec[None, :]) <= pairing_tol
     in_eig = keep * np.array(redfield(eig, np.eye(DIM), rates.a.T, u))
@@ -193,26 +166,11 @@ def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, flo
     return 2.0 * math.pi * n_man * j_man, 2.0 * math.pi * (n_man + 1.0) * j_man
 
 
-def phenomenological_generator(spec: SystemSpec, bath: BathSpec, u: float = 0.0) -> Liouvillian:
-    """Golden-rule jumps between the bare levels, blind to the drive.
-
-    The secular dissipator (default pairing) of the undriven impurity, whose
-    eigenbasis is the working basis, with the driven coherent part: phonon
-    absorption |g_l> -> |g_u> at gamma_up (phenomenological_rates) tags a
-    bath loss of e_man (phase exp(-i u e_man)), emission at gamma_down a gain.
-    The dissipator depends on e_man, the bath and u only, so it is built once
-    per such triple.
-    """
-    matrix, kernel = _phenomenological_dissipator(spec.e_man, bath, u)
-    return Liouvillian(matrix=coherent_superoperator(build_hamiltonian(spec)) + matrix,
-                       u=u, heat_kernel=kernel)
-
-
 @lru_cache(maxsize=256)
 def _phenomenological_dissipator(e_man: float, bath: BathSpec, u: float) -> np.ndarray:
     bare = SystemSpec(e_man=e_man)
     eig = eigensystem(build_hamiltonian(bare), coupling_operator())
-    out = _secular_dissipator(eig, rate_table(eig, bath), SECULAR_PAIRING_FRACTION * e_man, u)
+    out = _secular_dissipator(eig, rate_table(eig, bath), e_man, None, u)
     out.setflags(write=False)  # shared by every point of the triple
     return out
 
@@ -220,15 +178,20 @@ def _phenomenological_dissipator(e_man: float, bath: BathSpec, u: float) -> np.n
 def radiative_dissipator(spec: SystemSpec) -> np.ndarray:
     """Lindblad dissipator matrix for |e> -> |g_l> decay at gamma_rad.
 
-    Dissipative part only (the coherent part lives with each method's
-    generator).  Photon emission is not counted as phonon heat, so this
-    term carries no counting annotation.
+    Dissipative part only (static_part adds the coherent part).  Photon
+    emission is not counted as phonon heat, so this term carries no
+    counting annotation.
     """
     jump = np.zeros((DIM, DIM), dtype=complex)
     jump[IDX_GL, IDX_E] = 1.0
     proj = jump.conj().T @ jump
     return spec.gamma_rad * (sandwich_superoperator(jump, jump.conj().T)
                              - 0.5 * (left_superoperator(proj) + right_superoperator(proj)))
+
+
+def static_part(spec: SystemSpec) -> np.ndarray:
+    """Non-phonon part of every generator: rho -> -i [H, rho] plus radiative decay."""
+    return coherent_superoperator(build_hamiltonian(spec)) + radiative_dissipator(spec)
 
 
 @lru_cache(maxsize=2048)
@@ -242,31 +205,36 @@ def _rate_table_cached(spec: SystemSpec, bath: BathSpec) -> RateTable:
 
 
 def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 0.0,
-                      include_shifts: bool | None = None,
+                      include_shifts: bool = True,
                       pairing_tol: float | None = None) -> Liouvillian:
-    """Full generator (phonon part plus radiative decay) for one method.
+    """Markovian generator of one method: static_part plus a phonon dissipator.
 
-    include_shifts defaults to True for bloch_redfield and is rejected for
-    the other methods, which do not implement principal-value terms.
-    Eigensystems and rate tables are cached per (spec, bath).
+    bloch_redfield: the full weak-coupling generator, no rotating-wave
+    approximation.  Its Redfield dissipator has gamma[i, j] = a[j, i] -
+    i b[j, i] (rate and principal-value shift of the transition nu[j, i]),
+    or a alone when include_shifts is false; at u = 0 it preserves trace
+    and hermiticity.  secular: the shift-free dissipator masked to the
+    rotating-wave pairs (_secular_dissipator, pairing_tol).
+    phenomenological: golden-rule jumps between the bare levels, blind to
+    the drive, i.e. the default secular dissipator of the undriven
+    impurity, built once per (e_man, bath, u); absorption |g_l> -> |g_u>
+    at gamma_up (phenomenological_rates) tags a bath loss of e_man (phase
+    exp(-i u e_man)), emission at gamma_down a gain.  include_shifts is
+    read by bloch_redfield only, pairing_tol by secular only.  Only the
+    sandwich terms (state between coupling operators) exchange a bath
+    quantum and carry the counting phase; the one-sided products and the
+    radiative decay do not.  Eigensystems and rate tables are cached per
+    (spec, bath).
     """
     if method == "bloch_redfield":
-        if include_shifts is None:
-            include_shifts = True
-        part = bloch_redfield_generator(
-            _eigensystem_cached(spec), _rate_table_cached(spec, bath), spec,
-            u=u, include_shifts=include_shifts)
+        eig, rates = _eigensystem_cached(spec), _rate_table_cached(spec, bath)
+        gamma = (rates.a - 1j * rates.b).T if include_shifts else rates.a.T
+        matrix, kernel = redfield(eig, eig.basis, gamma, u)
     elif method == "secular":
-        if include_shifts:
-            raise ValueError("secular method does not implement principal-value shifts")
-        part = secular_generator(
-            _eigensystem_cached(spec), _rate_table_cached(spec, bath), spec,
-            pairing_tol=pairing_tol, u=u)
+        eig, rates = _eigensystem_cached(spec), _rate_table_cached(spec, bath)
+        matrix, kernel = _secular_dissipator(eig, rates, spec.e_man, pairing_tol, u)
     elif method == "phenomenological":
-        if include_shifts:
-            raise ValueError("phenomenological method does not implement principal-value shifts")
-        part = phenomenological_generator(spec, bath, u=u)
+        matrix, kernel = _phenomenological_dissipator(spec.e_man, bath, u)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return Liouvillian(matrix=part.matrix + radiative_dissipator(spec), u=u,
-                       heat_kernel=part.heat_kernel)
+    return Liouvillian(matrix=static_part(spec) + matrix, u=u, heat_kernel=kernel)

@@ -64,12 +64,6 @@ def delta_grid(cfg: SweepConfig) -> np.ndarray:
     return np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps)
 
 
-def _include_shifts(cfg: SweepConfig, method: str) -> bool | None:
-    if method == "bloch_redfield":
-        return cfg.include_shifts_bloch_redfield
-    return None
-
-
 def _evaluate_markovian(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
                         method: str, route: HeatRoute) -> tuple[float, float, float]:
     """Current, smallest eigenvalue seen and residual of one Markovian point.
@@ -82,7 +76,7 @@ def _evaluate_markovian(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
     depend on dt.
     """
     gen = total_liouvillian(method, spec, bath,
-                            include_shifts=_include_shifts(cfg, method),
+                            include_shifts=cfg.include_shifts_bloch_redfield,
                             pairing_tol=cfg.pairing_tol)
     if cfg.mode == "steady":
         if route.kind != "trace_formula":
@@ -98,7 +92,7 @@ def _evaluate_markovian(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
     else:
         record = mean_heat_fd(method, spec, bath, t_end=cfg.t_end, dt=cfg.dt,
                               u_step=route.u_step, scheme=route.scheme,
-                              include_shifts=_include_shifts(cfg, method),
+                              include_shifts=cfg.include_shifts_bloch_redfield,
                               pairing_tol=cfg.pairing_tol)
         current = record.current
     return current, seen, residual

@@ -21,13 +21,7 @@ import numpy as np
 
 from .bath import BathSpec
 from .dynamics import HeatRecord, heat_current_trace, propagate
-from .generators import (
-    DIM,
-    Liouvillian,
-    coherent_superoperator,
-    radiative_dissipator,
-    redfield,
-)
+from .generators import DIM, Liouvillian, redfield, static_part
 from .system import SystemSpec, build_hamiltonian, coupling_operator, eigensystem
 
 # Matsubara terms of correlation_grid summed exactly before the
@@ -98,7 +92,7 @@ class TclPropagator:
     in Gamma, so its (matrix, heat kernel) response to each of the 18 real
     and imaginary unit coefficients is tabulated once per propagator; the
     generator at any time contracts that response with Gamma(t) in one
-    matmul and adds the coherent and radiative parts.
+    matmul and adds generators.static_part (coherent and radiative parts).
     """
 
     def __init__(self, spec: SystemSpec, bath: BathSpec, cfg: MemoryKernelConfig):
@@ -121,8 +115,7 @@ class TclPropagator:
         matrix, kernel = redfield(self.eig, self.eig.basis, np.concatenate([units, 1j * units]))
         # row k: response to Re Gamma.flat[k], row 9 + k: to Im Gamma.flat[k]
         self._response = np.stack([matrix, kernel], axis=1).reshape(2 * DIM * DIM, -1)
-        self._static = (coherent_superoperator(build_hamiltonian(spec))
-                        + radiative_dissipator(spec))
+        self._static = static_part(spec)
 
     def coefficients(self, t: float) -> np.ndarray:
         """Running coefficients Gamma[i, j] at time t (frozen past t_mem)."""

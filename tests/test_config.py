@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -150,6 +151,14 @@ def test_shorthand_forms_normalize():
     ({"mode": {"kind": "transient", "t_end": 0.02, "dt": 0.05},
       "heat_route": {"kind": "counting_fd"}}, "mode.t_end"),
     ({"include_shifts": {"secular": False}}, "unknown key"),
+    # json reads NaN and Infinity; they must not reach a computation
+    (json.loads('{"pairing_tol": NaN}'), "pairing_tol must be a finite number or null"),
+    (json.loads('{"bath": {"omega_c": Infinity}}'), "bath.omega_c must be a finite number"),
+    ({"bath": {"alpha": math.nan}}, "bath.alpha must be a finite number"),
+    ({"bath": {"temperature": math.inf}}, "bath.temperature must be a finite number"),
+    ({"sweep": {"omega_list": [0.5, math.nan]}}, r"omega_list\[1\] must be a finite number"),
+    ({"mode": {"kind": "transient"},
+      "heat_route": {"kind": "counting_fd", "u_step": math.nan}}, "u_step must be a finite"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

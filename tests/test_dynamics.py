@@ -68,12 +68,14 @@ def test_rk4_fourth_order_convergence():
 
 @pytest.mark.parametrize("t_end,dt", [(400.0, 5.0), (30.0, 7.0)])
 def test_propagation_detects_unstable_step(t_end, dt):
-    # a step size beyond the stability region must be refused; over only
-    # four steps (30, 7) the blowup is too short to show in the trace
+    # a step size beyond the stability region must be refused, for a
+    # constant generator and a time-dependent one alike; over only four
+    # steps (30, 7) the blowup is too short to show in the trace
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     gen = total_liouvillian("bloch_redfield", spec, BATH)
-    with pytest.raises(PropagationError, match="reduce dt"):
-        propagate(gen, lower_ground_state(), t_end, dt)
+    for liouvillian in (gen, lambda t: gen.matrix):
+        with pytest.raises(PropagationError, match="reduce dt"):
+            propagate(liouvillian, lower_ground_state(), t_end, dt)
 
 
 @pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])

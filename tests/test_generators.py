@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,20 +8,17 @@ from numpy.testing import assert_allclose
 from coolspec.bath import BathSpec, bose_occupation, rate_a, rate_table, spectral_density
 from coolspec.generators import (
     TRACE_VECTOR,
-    bloch_redfield_generator,
     coherent_superoperator,
     left_superoperator,
-    phenomenological_generator,
     phenomenological_rates,
-    radiative_dissipator,
     right_superoperator,
     sandwich_superoperator,
-    secular_generator,
     total_liouvillian,
     unvectorize,
     vectorize,
 )
 from coolspec.system import (
+    IDX_E,
     IDX_GL,
     IDX_GU,
     SystemSpec,
@@ -59,14 +57,9 @@ def test_coherent_superoperator_is_commutator():
     assert_allclose(lhs, -1j * (h @ rho - rho @ h), atol=1e-13)
 
 
-def _generators_at(spec, u=0.0, include_shifts=True, pairing_tol=None):
-    eig = eigensystem(build_hamiltonian(spec), coupling_operator())
-    table = rate_table(eig, BATH)
-    return (
-        bloch_redfield_generator(eig, table, spec, u=u, include_shifts=include_shifts),
-        secular_generator(eig, table, spec, u=u, pairing_tol=pairing_tol),
-        phenomenological_generator(spec, BATH, u=u),
-    )
+def _generators_at(spec):
+    return tuple(total_liouvillian(method, spec, BATH)
+                 for method in ("bloch_redfield", "secular", "phenomenological"))
 
 
 @pytest.mark.parametrize("delta,omega", [(0.0, 1.0), (0.7, 0.5), (-1.2, 0.01)])
@@ -74,14 +67,13 @@ def test_trace_and_hermiticity_preserved_at_zero_counting(delta, omega):
     spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.5)
     rng = np.random.default_rng(17)
     for gen in _generators_at(spec):
-        full = gen.matrix + radiative_dissipator(spec)
         # left null vector: d(Tr rho)/dt = 0 for every rho
-        assert_allclose(TRACE_VECTOR @ full, 0.0, atol=1e-13)
+        assert_allclose(TRACE_VECTOR @ gen.matrix, 0.0, atol=1e-13)
         # hermiticity: L(rho^dagger) = L(rho)^dagger for arbitrary rho
         for _ in range(5):
             rho = _random_matrix(rng)
-            out = unvectorize(full @ vectorize(rho))
-            out_dag = unvectorize(full @ vectorize(rho.conj().T))
+            out = unvectorize(gen.matrix @ vectorize(rho))
+            out_dag = unvectorize(gen.matrix @ vectorize(rho.conj().T))
             assert_allclose(out_dag, out.conj().T, atol=1e-12)
 
 
@@ -94,12 +86,17 @@ def test_bloch_redfield_matches_matrix_form(delta, omega, u, redfield_oracle):
     hamiltonian = build_hamiltonian(spec)
     eig = eigensystem(hamiltonian, coupling_operator())
     table = rate_table(eig, BATH)
-    gen = bloch_redfield_generator(eig, table, spec, u=u)
+    gen = total_liouvillian("bloch_redfield", spec, BATH, u=u)
     gamma = (table.a - 1j * table.b).T
+    # |e> -> |g_l> decay, uncounted
+    jump = np.zeros((3, 3))
+    jump[IDX_GL, IDX_E] = 1.0
     rng = np.random.default_rng(29)
     for _ in range(5):
         rho = _random_matrix(rng)
         expected, expected_kernel = redfield_oracle(hamiltonian, eig, gamma, u, rho)
+        expected += spec.gamma_rad * (jump @ rho @ jump.T
+                                      - 0.5 * (jump.T @ jump @ rho + rho @ jump.T @ jump))
         assert_allclose(unvectorize(gen.matrix @ vectorize(rho)), expected, atol=1e-13)
         assert_allclose(unvectorize(gen.heat_kernel @ vectorize(rho)), expected_kernel,
                         atol=1e-13)
@@ -187,7 +184,7 @@ def test_secular_generator_matches_naive_lindblad_sum():
                 naive += rate * (sandwich_superoperator(jump, jump.conj().T)
                                  - 0.5 * (left_superoperator(proj)
                                           + right_superoperator(proj)))
-        gen = secular_generator(eig, table, spec)
+        gen = total_liouvillian("secular", spec, BATH)
         assert_allclose(gen.matrix, naive, atol=1e-14)
 
 
@@ -195,9 +192,12 @@ def test_phenomenological_matches_two_jump_lindblad():
     # the drive-blind model written out: one Lindblad dissipator per bare
     # jump, |g_l> -> |g_u> at gamma_up tagging a bath loss of e_man and the
     # reverse at gamma_down tagging a gain, on top of the driven coherent part
+    # and the uncounted radiative decay |e> -> |g_l>
     e_man = 2.0
     up = np.zeros((3, 3), dtype=complex)
     up[IDX_GU, IDX_GL] = 1.0
+    decay = np.zeros((3, 3), dtype=complex)
+    decay[IDX_GL, IDX_E] = 1.0
     for delta in (0.0, 0.3, e_man, -e_man):
         for omega in (0.0, 0.3, 1.0):
             spec = SystemSpec(e_man=e_man, delta=delta, omega_rabi=omega, gamma_rad=0.5)
@@ -205,14 +205,15 @@ def test_phenomenological_matches_two_jump_lindblad():
             for u in (0.0, 0.05, -0.3):
                 matrix = coherent_superoperator(build_hamiltonian(spec))
                 kernel = np.zeros((9, 9), dtype=complex)
-                for rate, jump, bath_gain in ((gamma_up, up, -e_man), (gamma_down, up.T, e_man)):
+                for rate, jump, bath_gain in ((gamma_up, up, -e_man), (gamma_down, up.T, e_man),
+                                              (spec.gamma_rad, decay, 0.0)):
                     sandwich = sandwich_superoperator(jump, jump.conj().T)
                     proj = jump.conj().T @ jump
                     matrix = matrix + rate * (np.exp(1j * u * bath_gain) * sandwich
                                               - 0.5 * (left_superoperator(proj)
                                                        + right_superoperator(proj)))
                     kernel = kernel + 1j * bath_gain * rate * sandwich
-                gen = phenomenological_generator(spec, BATH, u=u)
+                gen = total_liouvillian("phenomenological", spec, BATH, u=u)
                 assert_allclose(gen.matrix, matrix, rtol=0, atol=1e-14)
                 assert_allclose(gen.heat_kernel, kernel, rtol=0, atol=1e-14)
 
@@ -222,15 +223,13 @@ def test_secular_pairing_tolerance_widens_retention():
     # the secular generator, built in the eigenbasis, back to the shiftless
     # nonsecular one, built in the working basis: matrix and heat kernel
     spec = SystemSpec(e_man=2.0, delta=0.1, omega_rabi=0.4, gamma_rad=0.0)
-    eig = eigensystem(build_hamiltonian(spec), coupling_operator())
-    table = rate_table(eig, BATH)
     for u in (0.0, 0.05):
-        wide = secular_generator(eig, table, spec, pairing_tol=1e3, u=u)
-        nonsecular = bloch_redfield_generator(eig, table, spec, u=u, include_shifts=False)
+        wide = total_liouvillian("secular", spec, BATH, u=u, pairing_tol=1e3)
+        nonsecular = total_liouvillian("bloch_redfield", spec, BATH, u=u, include_shifts=False)
         assert_allclose(wide.matrix, nonsecular.matrix, atol=1e-13)
         assert_allclose(wide.heat_kernel, nonsecular.heat_kernel, atol=1e-13)
-    nonsecular = bloch_redfield_generator(eig, table, spec, include_shifts=False)
-    tight = secular_generator(eig, table, spec)
+    nonsecular = total_liouvillian("bloch_redfield", spec, BATH, include_shifts=False)
+    tight = total_liouvillian("secular", spec, BATH)
     assert not np.allclose(tight.matrix, nonsecular.matrix, atol=1e-6)
 
 
@@ -267,7 +266,18 @@ def test_total_liouvillian_validation():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     with pytest.raises(ValueError, match="unknown method"):
         total_liouvillian("redfield", spec, BATH)
-    with pytest.raises(ValueError, match="principal-value"):
-        total_liouvillian("secular", spec, BATH, include_shifts=True)
-    with pytest.raises(ValueError, match="principal-value"):
-        total_liouvillian("phenomenological", spec, BATH, include_shifts=True)
+    # include_shifts is read by bloch_redfield only
+    for method in ("secular", "phenomenological"):
+        for u in (0.0, 0.05):
+            with_b = total_liouvillian(method, spec, BATH, u=u, include_shifts=True)
+            without_b = total_liouvillian(method, spec, BATH, u=u, include_shifts=False)
+            assert np.array_equal(with_b.matrix, without_b.matrix)
+            assert np.array_equal(with_b.heat_kernel, without_b.heat_kernel)
+
+
+def test_readme_library_example(capsys):
+    # the README's "Library use" block is the documented way in; run it as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("0.11480902")

@@ -60,7 +60,8 @@ def test_run_sweep_validates_jobs():
     ({"methods": ("tcl_oracle",), "mode": "transient",
       "routes": (HeatRoute(kind="counting_fd"),)}, "tcl_oracle"),
     ({"e_man": "2"}, "system.e_man"),
-], ids=["unknown_sign", "tcl_counting_fd", "string_e_man"])
+    ({"pairing_tol": math.nan, "alpha": math.inf}, "finite number"),
+], ids=["unknown_sign", "tcl_counting_fd", "string_e_man", "non_finite"])
 def test_run_sweep_validates_programmatic_config(changes, fragment):
     # a config built in code never went through config_from_dict; before
     # validation, the first two ran with status ok (the sign silently meant
