@@ -21,12 +21,7 @@ from .dynamics import (
     propagate,
     steady_state,
 )
-from .generators import (
-    Liouvillian,
-    phenomenological_rates,
-    radiative_dissipator,
-    total_liouvillian,
-)
+from .generators import Liouvillian, phenomenological_rates, total_liouvillian
 from .sweep import SpectrumRecord, run_sweep, write_output
 from .system import EigenSystem, SystemSpec, build_hamiltonian, coupling_operator, eigensystem, lower_ground_state
 from .tcl import MemoryKernelConfig, TclPropagator
@@ -62,7 +57,6 @@ __all__ = [
     "phenomenological_rates",
     "profile_config",
     "propagate",
-    "radiative_dissipator",
     "rate_a",
     "rate_table",
     "run_sweep",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -145,7 +144,6 @@ _PANEL_WEIGHTS[0, :20] = _W20
 _PANEL_WEIGHTS[1, 20:] = _W10
 
 
-@lru_cache(maxsize=16384)
 def _unit_shift(nu: float, omega_c: float, beta: float, omega_max: float, tol: float) -> float:
     """Principal-value shift integral at unit coupling (alpha = 1)."""
     if nu == 0.0:
@@ -192,8 +190,7 @@ def shift_b(nu: float, spec: BathSpec, omega_max: float | None = None, tol: floa
     differences; above tol (on the integral at alpha = 1) QuadratureError
     carries it.  At nu = 0 there is no pole and the integral is taken in
     closed form.  The coupling alpha enters exactly linearly and is factored
-    out, which also lets results be cached across sweeps that share omega_c
-    and beta.  The default window is 40 omega_c, widened to 2 |nu| for
+    out.  The default window is 40 omega_c, widened to 2 |nu| for
     transitions beyond it; an explicit omega_max that does not contain |nu|
     raises ValueError.
     """
@@ -206,14 +203,12 @@ def shift_b(nu: float, spec: BathSpec, omega_max: float | None = None, tol: floa
 class RateTable:
     """Golden-rule rates a[i, j] and shifts b[i, j] on the transition grid.
 
-    nu[i, j] is the transition frequency between eigenstates i and j;
-    a[i, j] = rate_a(nu[i, j]) and b[i, j] = shift_b(nu[i, j]) where the
-    bath couples i and j (eig.elements[i, j] != 0), and zero elsewhere.
-    Each b entry is exactly shift_b's value: the same cached evaluation of
-    the graded Gauss-Legendre rule, at the default window and tolerance.
+    With nu[i, j] the transition frequency between eigenstates i and j,
+    a[i, j] = rate_a(nu[i, j]) and b[i, j] = shift_b(nu[i, j]) at shift_b's
+    default window and tolerance where the bath couples i and j
+    (eig.elements[i, j] != 0), and zero elsewhere.
     """
 
-    nu: np.ndarray
     a: np.ndarray
     b: np.ndarray
 
@@ -230,4 +225,4 @@ def rate_table(eig: EigenSystem, spec: BathSpec) -> RateTable:
     for i, j in zip(*np.nonzero(eig.elements)):
         a[i, j] = rate_a(eig.nu[i, j], spec)
         b[i, j] = shift_b(eig.nu[i, j], spec)
-    return RateTable(nu=eig.nu.copy(), a=a, b=b)
+    return RateTable(a=a, b=b)

@@ -104,8 +104,14 @@ _NON_NEGATIVE = ("gamma_rad", "alpha")
 
 
 def _is_finite(value) -> bool:
-    # Python's json reads NaN and Infinity; no field accepts them
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # Python's json reads NaN, Infinity and integers beyond the float range;
+    # no field accepts them
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # JSON values accepted for a field, by the type of its default:
@@ -281,7 +287,7 @@ def parse_config(path: str) -> SweepConfig:
         raw = fh.read()
     try:
         data = json.loads(raw) if raw.strip() else {}
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
     return config_from_dict(data, raw_text=raw)
 

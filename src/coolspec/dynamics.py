@@ -159,8 +159,7 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
         if not drift[k] <= TRACE_DRIFT_TOL:
             raise PropagationError(f"trace drifted by {drift[k]:.3e} at t = {times[k]:.6g}; "
                                    "the generator does not preserve it")
-    # column-major vectorization: ys[k, i + DIM j] = states[k, i, j]
-    return times, ys.reshape(-1, DIM, DIM).swapaxes(1, 2)
+    return times, unvectorize(ys)
 
 
 def steady_state(liouvillian: Liouvillian) -> np.ndarray:

@@ -12,8 +12,9 @@ the coefficients.  The Markovian methods differ only in the coefficients
 (a - i b for Bloch-Redfield, a otherwise) and in the secular mask, which
 secular and phenomenological apply in the eigenbasis (dressed, or bare for
 phenomenological); total_liouvillian assembles all three, each on top of
-the same static_part (coherent evolution plus radiative decay).  The tcl
-generator uses running coefficients and the same static_part.
+the same static_part (coherent evolution plus radiative decay, one
+effective non-Hermitian Hamiltonian and one jump).  The tcl generator uses
+running coefficients and the same static_part.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 
 
 def unvectorize(v: np.ndarray) -> np.ndarray:
-    return np.asarray(v).reshape(DIM, DIM, order="F")
+    """Inverse of vectorize, broadcast over leading axes of v."""
+    v = np.asarray(v)
+    return v.reshape(v.shape[:-1] + (DIM, DIM)).swapaxes(-1, -2)
 
 
 def sandwich_superoperator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,22 +61,7 @@ def sandwich_superoperator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (DIM * DIM, DIM * DIM))
 
 
-def left_superoperator(a: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> a rho."""
-    return sandwich_superoperator(a, np.eye(DIM))
-
-
-def right_superoperator(b: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> rho b."""
-    return sandwich_superoperator(np.eye(DIM), b)
-
-
 TRACE_VECTOR = vectorize(np.eye(DIM))
-
-
-def coherent_superoperator(hamiltonian: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i [H, rho]."""
-    return -1j * (left_superoperator(hamiltonian) - right_superoperator(hamiltonian))
 
 
 @dataclass(frozen=True)
@@ -140,7 +128,7 @@ def _secular_dissipator(eig: EigenSystem, rates: RateTable, e_man: float,
     1e-10 * e_man, so only exact coincidences survive) and dropped
     otherwise, in the matrix and the heat kernel alike.  For a
     nondegenerate spectrum this reduces to a sum of Lindblad dissipators
-    with jump operators blocks[j, i] and rates 2 a[i, j].  No
+    with jump operators <j|O|i> |j><i| and rates 2 a[i, j].  No
     principal-value terms are included, matching the common presentation
     of this approximation.
     """
@@ -166,42 +154,37 @@ def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, flo
     return 2.0 * math.pi * n_man * j_man, 2.0 * math.pi * (n_man + 1.0) * j_man
 
 
+@lru_cache(maxsize=2048)
+def _spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, RateTable]:
+    """Eigensystem and rate table of one point, shared by its methods and counting fields."""
+    eig = eigensystem(build_hamiltonian(spec), coupling_operator())
+    return eig, rate_table(eig, bath)
+
+
 @lru_cache(maxsize=256)
 def _phenomenological_dissipator(e_man: float, bath: BathSpec, u: float) -> np.ndarray:
-    bare = SystemSpec(e_man=e_man)
-    eig = eigensystem(build_hamiltonian(bare), coupling_operator())
-    out = _secular_dissipator(eig, rate_table(eig, bath), e_man, None, u)
+    eig, rates = _spectrum(SystemSpec(e_man=e_man), bath)
+    out = _secular_dissipator(eig, rates, e_man, None, u)
     out.setflags(write=False)  # shared by every point of the triple
     return out
 
 
-def radiative_dissipator(spec: SystemSpec) -> np.ndarray:
-    """Lindblad dissipator matrix for |e> -> |g_l> decay at gamma_rad.
+def static_part(spec: SystemSpec) -> np.ndarray:
+    """Non-phonon part of every generator: coherent evolution and radiative decay.
 
-    Dissipative part only (static_part adds the coherent part).  Photon
-    emission is not counted as phonon heat, so this term carries no
-    counting annotation.
+    With the jump J = |g_l><e| and the effective non-Hermitian Hamiltonian
+    term A = -i H - (gamma_rad / 2) J^dag J, the map is
+    rho -> A rho + rho A^dag + gamma_rad J rho J^dag, i.e. -i [H, rho] plus
+    a Lindblad dissipator at gamma_rad (Dalibard, Castin & Molmer, PRL 68,
+    580 (1992)).  Photon emission is not counted as phonon heat, so this
+    part carries no counting annotation.
     """
     jump = np.zeros((DIM, DIM), dtype=complex)
     jump[IDX_GL, IDX_E] = 1.0
-    proj = jump.conj().T @ jump
-    return spec.gamma_rad * (sandwich_superoperator(jump, jump.conj().T)
-                             - 0.5 * (left_superoperator(proj) + right_superoperator(proj)))
-
-
-def static_part(spec: SystemSpec) -> np.ndarray:
-    """Non-phonon part of every generator: rho -> -i [H, rho] plus radiative decay."""
-    return coherent_superoperator(build_hamiltonian(spec)) + radiative_dissipator(spec)
-
-
-@lru_cache(maxsize=2048)
-def _eigensystem_cached(spec: SystemSpec) -> EigenSystem:
-    return eigensystem(build_hamiltonian(spec), coupling_operator())
-
-
-@lru_cache(maxsize=2048)
-def _rate_table_cached(spec: SystemSpec, bath: BathSpec) -> RateTable:
-    return rate_table(_eigensystem_cached(spec), bath)
+    a = -1j * build_hamiltonian(spec) - 0.5 * spec.gamma_rad * (_dag(jump) @ jump)
+    eye = np.eye(DIM)
+    return sandwich_superoperator(np.stack([a, eye, spec.gamma_rad * jump]),
+                                  np.stack([eye, _dag(a), _dag(jump)])).sum(axis=0)
 
 
 def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 0.0,
@@ -223,15 +206,14 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     read by bloch_redfield only, pairing_tol by secular only.  Only the
     sandwich terms (state between coupling operators) exchange a bath
     quantum and carry the counting phase; the one-sided products and the
-    radiative decay do not.  Eigensystems and rate tables are cached per
-    (spec, bath).
+    radiative decay do not.
     """
     if method == "bloch_redfield":
-        eig, rates = _eigensystem_cached(spec), _rate_table_cached(spec, bath)
+        eig, rates = _spectrum(spec, bath)
         gamma = (rates.a - 1j * rates.b).T if include_shifts else rates.a.T
         matrix, kernel = redfield(eig, eig.basis, gamma, u)
     elif method == "secular":
-        eig, rates = _eigensystem_cached(spec), _rate_table_cached(spec, bath)
+        eig, rates = _spectrum(spec, bath)
         matrix, kernel = _secular_dissipator(eig, rates, spec.e_man, pairing_tol, u)
     elif method == "phenomenological":
         matrix, kernel = _phenomenological_dissipator(spec.e_man, bath, u)

@@ -64,55 +64,46 @@ def delta_grid(cfg: SweepConfig) -> np.ndarray:
     return np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps)
 
 
-def _evaluate_markovian(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
-                        method: str, route: HeatRoute) -> tuple[float, float, float]:
-    """Current, smallest eigenvalue seen and residual of one Markovian point.
+def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
+              method: str, route: HeatRoute) -> tuple[float, float, float]:
+    """Current, smallest eigenvalue seen and residual of one point.
 
-    Steady mode solves for the stationary state.  Transient mode evolves
-    the lower ground state exactly (evolve) on the time grid of step dt up
-    to t_end, so dt sets only which times are sampled: the minimum
-    eigenvalue is taken over them, and the counting_fd current is the
-    heat increment over the last step.  The trace-route current does not
-    depend on dt.
+    The method gives the final generator and the states seen.  Markovian
+    methods in steady mode solve for the stationary state; in transient
+    mode they evolve the lower ground state exactly (evolve) on the time
+    grid of step dt up to t_end, so dt sets only which times are sampled,
+    and the counting_fd current is the heat increment over the last step.
+    tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt, in
+    transient mode up to t_end and in steady mode, which has no closed-form
+    steady state for this generator, up to the plateau time tcl_t_end; its
+    current is the kernel-trace one of the last step.  Otherwise the
+    current is the trace-formula one of the final state.
     """
-    gen = total_liouvillian(method, spec, bath,
-                            include_shifts=cfg.include_shifts_bloch_redfield,
-                            pairing_tol=cfg.pairing_tol)
-    if cfg.mode == "steady":
-        if route.kind != "trace_formula":
-            raise ValueError("the counting_fd route needs a transient propagation")
-        rho = steady_state(gen)
-        return heat_current_trace(gen, rho), min_eigenvalue(rho), steady_residual(gen, rho)
-
-    _, states = evolve(gen, lower_ground_state(), cfg.t_end, cfg.dt)
-    seen = min_eigenvalue(states)
-    residual = steady_residual(gen, states[-1])
-    if route.kind == "trace_formula":
-        current = heat_current_trace(gen, states[-1])
+    record = None
+    if method == "tcl_oracle":
+        horizon = cfg.t_end if cfg.mode == "transient" else cfg.tcl_t_end
+        kernel_cfg = MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt,
+                                        quad_points=cfg.tcl_quad_points)
+        prop = TclPropagator(spec, bath, kernel_cfg)
+        _, states, record = prop.propagate(lower_ground_state(), horizon)
+        gen = prop.generator(horizon)
     else:
-        record = mean_heat_fd(method, spec, bath, t_end=cfg.t_end, dt=cfg.dt,
-                              u_step=route.u_step, scheme=route.scheme,
-                              include_shifts=cfg.include_shifts_bloch_redfield,
-                              pairing_tol=cfg.pairing_tol)
-        current = record.current
-    return current, seen, residual
-
-
-def _evaluate_tcl(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec) -> tuple[float, float, float]:
-    """Current, smallest eigenvalue seen and residual of one TCL point.
-
-    The time-dependent generator is integrated by RK4 at tcl_dt in both
-    modes.  Transient mode stops at t_end; steady mode, which has no
-    closed-form steady state for this generator, stops at the plateau time
-    tcl_t_end.
-    """
-    horizon = cfg.t_end if cfg.mode == "transient" else cfg.tcl_t_end
-    kernel_cfg = MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt,
-                                    quad_points=cfg.tcl_quad_points)
-    prop = TclPropagator(spec, bath, kernel_cfg)
-    _, states, record = prop.propagate(lower_ground_state(), horizon)
-    residual = steady_residual(prop.generator(horizon), states[-1])
-    return record.current, min_eigenvalue(states), residual
+        gen = total_liouvillian(method, spec, bath,
+                                include_shifts=cfg.include_shifts_bloch_redfield,
+                                pairing_tol=cfg.pairing_tol)
+        if cfg.mode == "steady":
+            if route.kind != "trace_formula":
+                raise ValueError("the counting_fd route needs a transient propagation")
+            states = steady_state(gen)[None]
+        else:
+            _, states = evolve(gen, lower_ground_state(), cfg.t_end, cfg.dt)
+            if route.kind == "counting_fd":
+                record = mean_heat_fd(method, spec, bath, t_end=cfg.t_end, dt=cfg.dt,
+                                      u_step=route.u_step, scheme=route.scheme,
+                                      include_shifts=cfg.include_shifts_bloch_redfield,
+                                      pairing_tol=cfg.pairing_tol)
+    current = heat_current_trace(gen, states[-1]) if record is None else record.current
+    return current, min_eigenvalue(states), steady_residual(gen, states[-1])
 
 
 def evaluate_point(cfg: SweepConfig, delta: float, omega: float, method: str,
@@ -123,10 +114,7 @@ def evaluate_point(cfg: SweepConfig, delta: float, omega: float, method: str,
                           gamma_rad=cfg.gamma_rad)
         bath = BathSpec(alpha=cfg.alpha, omega_c=cfg.omega_c,
                         temperature=cfg.temperature)
-        if method == "tcl_oracle":
-            current, seen, residual = _evaluate_tcl(cfg, spec, bath)
-        else:
-            current, seen, residual = _evaluate_markovian(cfg, spec, bath, method, route)
+        current, seen, residual = _evaluate(cfg, spec, bath, method, route)
         rate = -current if cfg.sign == "absorption_positive" else current
         return SpectrumRecord(delta=delta, omega=omega, method=method,
                               route=route.kind, heat_absorption_rate=rate,

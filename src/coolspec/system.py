@@ -81,26 +81,25 @@ def lower_ground_state() -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Spectral data of the Hamiltonian plus eigenbasis coupling blocks.
+    """Spectral data of the Hamiltonian and the eigenbasis coupling elements.
 
-    energies are ascending.  nu[i, j] = energies[i] - energies[j] is the
-    transition frequency attached to the block operator blocks[i, j], which
-    is the working-basis matrix of <i|O|j> |i><j|.  Summing blocks over
-    both indices reconstructs the coupling operator exactly.
+    energies are ascending and basis holds the eigenvectors as columns.
+    nu[i, j] = energies[i] - energies[j] is the transition frequency of the
+    transition operator <i|O|j> |i><j|, with elements[i, j] = <i|O|j> the
+    coupling operator O in the eigenbasis.
     """
 
     energies: np.ndarray
     basis: np.ndarray
     nu: np.ndarray
     elements: np.ndarray
-    blocks: np.ndarray
 
 
 def eigensystem(hamiltonian: np.ndarray, coupling: np.ndarray) -> EigenSystem:
-    """Diagonalize and decompose the coupling operator into transition blocks.
+    """Diagonalize and write the coupling operator in the eigenbasis.
 
     Raises ValueError when the Hamiltonian is not hermitian to 1e-12.  The
-    decomposition is made deterministic by fixing each eigenvector's phase
+    eigenbasis is made deterministic by fixing each eigenvector's phase
     (largest-magnitude component made real positive) and, within exactly
     degenerate eigenvalues, ordering by the index of that component.
     """
@@ -120,5 +119,4 @@ def eigensystem(hamiltonian: np.ndarray, coupling: np.ndarray) -> EigenSystem:
     o = np.asarray(coupling, dtype=complex)
     elements = basis.conj().T @ o @ basis
     nu = energies[:, None] - energies[None, :]
-    blocks = np.einsum("ij,ai,bj->ijab", elements, basis, basis.conj())
-    return EigenSystem(energies=energies, basis=basis, nu=nu, elements=elements, blocks=blocks)
+    return EigenSystem(energies=energies, basis=basis, nu=nu, elements=elements)

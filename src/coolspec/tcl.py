@@ -28,6 +28,14 @@ from .system import SystemSpec, build_hamiltonian, coupling_operator, eigensyste
 # Euler-Maclaurin remainder takes over
 _SERIES_TERMS = 32
 
+# largest |C(t_mem)| / |C(0)| accepted.  The running integrals are frozen at
+# t_mem, so a correlation function still alive there truncates them.  Plateau
+# current against Bloch-Redfield at delta -0.5, omega 0.5, as (ratio:
+# relative error): default bath at t_mem 30 (3.3e-6: 6e-6) and 10
+# (2.6e-4: 1.4e-4); omega_c 0.2 at t_mem 60 (1.4e-4: 1.8e-3), 45
+# (4.4e-4: 7e-3) and 30 (2.1e-3: 2.1e-2); omega_c 0.1 at 30 (2.6e-2: 441x)
+MEMORY_TAIL_TOL = 1e-3
+
 
 @dataclass(frozen=True)
 class MemoryKernelConfig:
@@ -93,6 +101,8 @@ class TclPropagator:
     and imaginary unit coefficients is tabulated once per propagator; the
     generator at any time contracts that response with Gamma(t) in one
     matmul and adds generators.static_part (coherent and radiative parts).
+    Raises ValueError when |C(t_mem)| exceeds 1e-3 |C(0)|: the memory
+    window is too short for the bath.
     """
 
     def __init__(self, spec: SystemSpec, bath: BathSpec, cfg: MemoryKernelConfig):
@@ -104,7 +114,12 @@ class TclPropagator:
         step = cfg.dt / cfg.quad_points
         n_tau = max(1, int(round(cfg.t_mem / step)))
         taus = np.arange(n_tau + 1) * step
-        integrand = correlation_grid(taus, bath) * np.exp(-1j * self.eig.nu[..., None] * taus)
+        corr = correlation_grid(taus, bath)
+        if abs(corr[-1]) > MEMORY_TAIL_TOL * abs(corr[0]):
+            raise ValueError(f"memory window t_mem = {cfg.t_mem:g} is too short for the bath: "
+                             f"|C(t_mem)| / |C(0)| = {abs(corr[-1] / corr[0]):.2e} exceeds "
+                             f"{MEMORY_TAIL_TOL:g}; raise t_mem")
+        integrand = corr * np.exp(-1j * self.eig.nu[..., None] * taus)
         self._tau_step = step
         # cumulative trapezoid rule along tau, starting from 0
         self._gamma_table = np.zeros_like(integrand)

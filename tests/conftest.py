@@ -6,6 +6,34 @@ from coolspec import BathSpec, QuadratureError, SystemSpec, coupling_operator, p
 from coolspec.bath import bose_occupation, spectral_density
 from coolspec.system import IDX_E, IDX_GU
 
+# Superoperator oracles written with np.kron under column stacking
+# (vec(a rho b) = kron(b.T, a) vec(rho)), independent of
+# generators.sandwich_superoperator.  Import them with `from conftest import ...`.
+
+
+def blocks(eig):
+    """Transition operators <i|O|j> |i><j| in the working basis, indexed [i, j]."""
+    return np.einsum("ij,ai,bj->ijab", eig.elements, eig.basis, eig.basis.conj())
+
+
+def kron_sandwich(a, b):
+    """Matrix of rho -> a rho b."""
+    return np.kron(np.transpose(b), a)
+
+
+def kron_commutator(h):
+    """Matrix of rho -> -i [h, rho]."""
+    eye = np.eye(3)
+    return -1j * (kron_sandwich(h, eye) - kron_sandwich(eye, h))
+
+
+def kron_lindblad(jump, phase=1.0):
+    """Matrix of rho -> phase J rho J^dag - {J^dag J, rho} / 2 for the jump J."""
+    eye = np.eye(3)
+    proj = jump.conj().T @ jump
+    return (phase * kron_sandwich(jump, jump.conj().T)
+            - 0.5 * (kron_sandwich(proj, eye) + kron_sandwich(eye, proj)))
+
 
 @pytest.fixture
 def bath():
@@ -25,15 +53,16 @@ def redfield_oracle():
     Returns apply(hamiltonian, eig, gamma, u, rho) -> (L_u(rho), K(rho)) with
     L_u(rho) = -i [H, rho] + Lam_u rho O + O rho Lam_{-u}^dag
                - O Lam_0 rho - rho Lam_0^dag O,
-    Lam_u = sum_ij gamma[i, j] exp(i u nu[j, i]) blocks[i, j], and the heat
+    Lam_u = sum_ij gamma[i, j] exp(i u nu[j, i]) blocks(eig)[i, j], and the heat
     kernel K = dL_u/du at u = 0, i.e. K(rho) = Lam' rho O - O rho Lam'^dag
-    with Lam' = sum_ij i nu[j, i] gamma[i, j] blocks[i, j].
+    with Lam' = sum_ij i nu[j, i] gamma[i, j] blocks(eig)[i, j].
     """
     def apply(hamiltonian, eig, gamma, u, rho):
         o = coupling_operator()
+        transitions = blocks(eig)
 
         def lam(weights):
-            return sum(weights[i, j] * eig.blocks[i, j] for i in range(3) for j in range(3))
+            return sum(weights[i, j] * transitions[i, j] for i in range(3) for j in range(3))
 
         def dag(m):
             return m.conj().T

@@ -50,6 +50,10 @@ def test_missing_file_distinct_from_malformed(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="malformed JSON"):
         parse_config(str(bad))
+    # json's int parser refuses literals over 4300 digits with a ValueError
+    bad.write_text('{"bath": {"alpha": 1' + "0" * 5000 + "}}")
+    with pytest.raises(ConfigError, match="malformed JSON"):
+        parse_config(str(bad))
 
 
 def test_unknown_key_reports_line_number(tmp_path):
@@ -159,6 +163,10 @@ def test_shorthand_forms_normalize():
     ({"sweep": {"omega_list": [0.5, math.nan]}}, r"omega_list\[1\] must be a finite number"),
     ({"mode": {"kind": "transient"},
       "heat_route": {"kind": "counting_fd", "u_step": math.nan}}, "u_step must be a finite"),
+    # integers beyond the float range, as json reads them
+    ({"bath": {"alpha": 10**400}}, "bath.alpha must be a finite number"),
+    ({"sweep": {"omega_list": [0.5, 10**400]}}, r"omega_list\[1\] must be a finite number"),
+    ({"pairing_tol": 10**400}, "pairing_tol must be a finite number or null"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

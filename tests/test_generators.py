@@ -8,11 +8,9 @@ from numpy.testing import assert_allclose
 from coolspec.bath import BathSpec, bose_occupation, rate_a, rate_table, spectral_density
 from coolspec.generators import (
     TRACE_VECTOR,
-    coherent_superoperator,
-    left_superoperator,
     phenomenological_rates,
-    right_superoperator,
     sandwich_superoperator,
+    static_part,
     total_liouvillian,
     unvectorize,
     vectorize,
@@ -27,6 +25,8 @@ from coolspec.system import (
     eigensystem,
 )
 
+from conftest import blocks, kron_commutator, kron_lindblad, kron_sandwich
+
 BATH = BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0)
 
 
@@ -39,13 +39,15 @@ def test_vectorization_convention():
     rng = np.random.default_rng(3)
     for _ in range(10):
         a, b, rho = (_random_matrix(rng) for _ in range(3))
-        assert_allclose(unvectorize(sandwich_superoperator(a, b) @ vectorize(rho)),
+        assert_allclose(unvectorize(kron_sandwich(a, b) @ vectorize(rho)),
                         a @ rho @ b, atol=1e-13)
-        assert_allclose(unvectorize(left_superoperator(a) @ vectorize(rho)),
-                        a @ rho, atol=1e-13)
-        assert_allclose(unvectorize(right_superoperator(b) @ vectorize(rho)),
-                        rho @ b, atol=1e-13)
+        assert_allclose(sandwich_superoperator(a, b), kron_sandwich(a, b), atol=1e-15)
         assert_allclose(TRACE_VECTOR @ vectorize(rho), np.trace(rho), atol=1e-13)
+    # unvectorize broadcasts over leading axes
+    states = np.stack([_random_matrix(rng) for _ in range(4)])
+    vectors = np.stack([vectorize(rho) for rho in states])
+    assert np.array_equal(unvectorize(vectors), states)
+    assert np.array_equal(unvectorize(vectors[None, 1:]), states[None, 1:])
 
 
 def test_coherent_superoperator_is_commutator():
@@ -53,8 +55,26 @@ def test_coherent_superoperator_is_commutator():
     h = _random_matrix(rng)
     h = h + h.conj().T
     rho = _random_matrix(rng)
-    lhs = unvectorize(coherent_superoperator(h) @ vectorize(rho))
+    lhs = unvectorize(kron_commutator(h) @ vectorize(rho))
     assert_allclose(lhs, -1j * (h @ rho - rho @ h), atol=1e-13)
+
+
+@pytest.mark.parametrize("delta,omega,gamma_rad", [(0.0, 1.0, 0.5), (0.7, 0.5, 1.3),
+                                                   (-1.2, 0.0, 0.5), (0.4, 0.9, 0.0)])
+def test_static_part_matches_matrix_form(delta, omega, gamma_rad):
+    # -i [H, rho] + gamma_rad (J rho J^dag - {J^dag J, rho} / 2), J = |g_l><e|
+    spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=gamma_rad)
+    h = build_hamiltonian(spec)
+    jump = np.zeros((3, 3))
+    jump[IDX_GL, IDX_E] = 1.0
+    proj = jump.T @ jump
+    static = static_part(spec)
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        rho = _random_matrix(rng)
+        expected = (-1j * (h @ rho - rho @ h)
+                    + gamma_rad * (jump @ rho @ jump.T - 0.5 * (proj @ rho + rho @ proj)))
+        assert_allclose(unvectorize(static @ vectorize(rho)), expected, atol=1e-13)
 
 
 def _generators_at(spec):
@@ -173,17 +193,14 @@ def test_secular_generator_matches_naive_lindblad_sum():
         spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.0)
         eig = eigensystem(build_hamiltonian(spec), coupling_operator())
         table = rate_table(eig, BATH)
-        naive = coherent_superoperator(build_hamiltonian(spec)).astype(complex)
+        transitions = blocks(eig)
+        naive = kron_commutator(build_hamiltonian(spec))
         for i in range(3):
             for j in range(3):
                 rate = 2.0 * table.a[i, j]
                 if rate == 0.0:
                     continue
-                jump = eig.blocks[j, i]
-                proj = eig.blocks[i, j] @ eig.blocks[j, i]
-                naive += rate * (sandwich_superoperator(jump, jump.conj().T)
-                                 - 0.5 * (left_superoperator(proj)
-                                          + right_superoperator(proj)))
+                naive += rate * kron_lindblad(transitions[j, i])
         gen = total_liouvillian("secular", spec, BATH)
         assert_allclose(gen.matrix, naive, atol=1e-14)
 
@@ -203,16 +220,12 @@ def test_phenomenological_matches_two_jump_lindblad():
             spec = SystemSpec(e_man=e_man, delta=delta, omega_rabi=omega, gamma_rad=0.5)
             gamma_up, gamma_down = phenomenological_rates(spec, BATH)
             for u in (0.0, 0.05, -0.3):
-                matrix = coherent_superoperator(build_hamiltonian(spec))
+                matrix = kron_commutator(build_hamiltonian(spec))
                 kernel = np.zeros((9, 9), dtype=complex)
                 for rate, jump, bath_gain in ((gamma_up, up, -e_man), (gamma_down, up.T, e_man),
                                               (spec.gamma_rad, decay, 0.0)):
-                    sandwich = sandwich_superoperator(jump, jump.conj().T)
-                    proj = jump.conj().T @ jump
-                    matrix = matrix + rate * (np.exp(1j * u * bath_gain) * sandwich
-                                              - 0.5 * (left_superoperator(proj)
-                                                       + right_superoperator(proj)))
-                    kernel = kernel + 1j * bath_gain * rate * sandwich
+                    matrix = matrix + rate * kron_lindblad(jump, np.exp(1j * u * bath_gain))
+                    kernel = kernel + 1j * bath_gain * rate * kron_sandwich(jump, jump.conj().T)
                 gen = total_liouvillian("phenomenological", spec, BATH, u=u)
                 assert_allclose(gen.matrix, matrix, rtol=0, atol=1e-14)
                 assert_allclose(gen.heat_kernel, kernel, rtol=0, atol=1e-14)
@@ -254,11 +267,11 @@ def test_spectral_abscissa_nonpositive():
 
 def test_dissipator_alpha_linearity():
     spec = SystemSpec(e_man=2.0, delta=0.2, omega_rabi=0.7, gamma_rad=0.0)
-    coherent = coherent_superoperator(build_hamiltonian(spec))
+    static = static_part(spec)
     doubled = BathSpec(alpha=0.02, omega_c=1.0, temperature=3.0)
     for method in ("bloch_redfield", "secular", "phenomenological"):
-        one = total_liouvillian(method, spec, BATH).matrix - coherent
-        two = total_liouvillian(method, spec, doubled).matrix - coherent
+        one = total_liouvillian(method, spec, BATH).matrix - static
+        two = total_liouvillian(method, spec, doubled).matrix - static
         assert_allclose(two, 2.0 * one, rtol=1e-13, atol=1e-16)
 
 

@@ -196,24 +196,43 @@ def test_per_point_failures_recorded_in_row():
     assert math.isfinite(ok.heat_absorption_rate)
 
 
-@pytest.mark.parametrize("bath", [{"temperature": 0.01}, {"omega_c": 0.02}],
+@pytest.mark.parametrize("bath,tcl", [({"temperature": 0.01}, {}),
+                                      ({"omega_c": 0.02}, {"t_mem": 400.0})],
                          ids=["temperature_0.01", "omega_c_0.02"])
-def test_cold_bath_gives_finite_rates(bath):
+def test_cold_bath_gives_finite_rates(bath, tcl):
     # at temperature 0.01 the rate and shift integrals reach beta*w = 4000,
     # far past where exp overflows; at omega_c 0.02 the driven transitions
-    # lie beyond 40 omega_c; every point must still come out finite
+    # lie beyond 40 omega_c, and the bath correlation function needs a
+    # memory window of ~400 to decay; every point must still come out finite
     methods = ["bloch_redfield", "secular", "phenomenological", "tcl_oracle"]
     cfg = config_from_dict({
         "bath": bath,
         "sweep": {"delta_min": -0.5, "delta_max": 0.5, "delta_steps": 2,
                   "omega_list": [0.5]},
         "methods": methods,
+        "tcl": tcl,
     })
     records = run_sweep(cfg)
     assert [r.method for r in records] == methods * 2
     for rec in records:
         assert rec.status == "ok"
         assert math.isfinite(rec.heat_absorption_rate)
+
+
+def test_short_memory_window_is_a_point_error():
+    # at omega_c 0.02 the correlation function is still at 3% of C(0) after
+    # the default t_mem of 30, and TCL would report -1.8e-4 where
+    # Bloch-Redfield gives ~1e-24; the point fails and names the setting
+    cfg = config_from_dict({
+        "bath": {"omega_c": 0.02},
+        "sweep": {"delta_min": -0.5, "delta_max": -0.5, "delta_steps": 1,
+                  "omega_list": [0.5]},
+        "methods": ["tcl_oracle", "bloch_redfield"],
+    })
+    tcl_rec, br_rec = run_sweep(cfg)
+    assert tcl_rec.status.startswith("error: ValueError: memory window t_mem = 30 is too short")
+    assert math.isnan(tcl_rec.heat_absorption_rate)
+    assert br_rec.status == "ok"
 
 
 def test_strong_drive_absorption_changes_sign_in_wide_scan():

@@ -13,6 +13,8 @@ from coolspec.system import (
     lower_ground_state,
 )
 
+from conftest import blocks
+
 
 def test_spec_rejects_bad_parameters():
     with pytest.raises(ValueError):
@@ -69,7 +71,7 @@ def test_blocks_reconstruct_coupling():
         spec = SystemSpec(e_man=rng.uniform(0.5, 3.0), delta=rng.uniform(-2.0, 2.0),
                           omega_rabi=rng.uniform(0.0, 2.0))
         eig = eigensystem(build_hamiltonian(spec), coupling_operator())
-        assert_allclose(eig.blocks.sum(axis=(0, 1)), coupling_operator(), atol=1e-13)
+        assert_allclose(blocks(eig).sum(axis=(0, 1)), coupling_operator(), atol=1e-13)
         # nu grid is antisymmetric and consistent with the energies
         assert_allclose(eig.nu, -eig.nu.T, atol=0)
         assert_allclose(eig.nu, eig.energies[:, None] - eig.energies[None, :], atol=0)
@@ -78,10 +80,11 @@ def test_blocks_reconstruct_coupling():
 def test_blocks_are_rank_one_transition_operators():
     spec = SystemSpec(e_man=2.0, delta=0.4, omega_rabi=0.9)
     eig = eigensystem(build_hamiltonian(spec), coupling_operator())
+    transitions = blocks(eig)
     for i in range(3):
         for j in range(3):
             expected = eig.elements[i, j] * np.outer(eig.basis[:, i], eig.basis[:, j].conj())
-            assert_allclose(eig.blocks[i, j], expected, atol=1e-14)
+            assert_allclose(transitions[i, j], expected, atol=1e-14)
     # the coupling has no diagonal eigenbasis elements in this model: one
     # eigenvector is |g_l> itself and the others live in the driven plane
     assert_allclose(np.diagonal(eig.elements), 0.0, atol=1e-14)
@@ -99,7 +102,7 @@ def test_eigensystem_deterministic():
     a = eigensystem(build_hamiltonian(spec), coupling_operator())
     b = eigensystem(build_hamiltonian(spec), coupling_operator())
     assert np.array_equal(a.basis, b.basis)
-    assert np.array_equal(a.blocks, b.blocks)
+    assert np.array_equal(a.elements, b.elements)
     # phase convention: dominant component of each eigenvector real positive
     for k in range(3):
         lead = a.basis[np.abs(a.basis[:, k]).argmax(), k]

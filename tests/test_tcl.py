@@ -12,6 +12,8 @@ from coolspec.tcl import (
     correlation_grid,
 )
 
+from conftest import kron_commutator, kron_lindblad
+
 BATH = BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0)
 SPEC = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
 
@@ -101,10 +103,9 @@ def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
 def test_early_generator_has_no_dissipation():
     cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02, quad_points=2)
     prop = TclPropagator(SPEC, BATH, cfg)
-    from coolspec.generators import coherent_superoperator, radiative_dissipator
-    from coolspec.system import build_hamiltonian
-
-    static = coherent_superoperator(build_hamiltonian(SPEC)) + radiative_dissipator(SPEC)
+    decay = np.zeros((3, 3))
+    decay[2, 0] = 1.0
+    static = kron_commutator(build_hamiltonian(SPEC)) + SPEC.gamma_rad * kron_lindblad(decay)
     assert_allclose(prop.generator(0.0).matrix, static, atol=1e-14)
     assert np.abs(prop.generator(0.0).heat_kernel).max() == 0.0
 
