@@ -34,58 +34,58 @@ class SteadyStateError(RuntimeError):
     """Raised when no unique, well-conditioned steady state exists."""
 
 
-def propagate(liouvillian: Liouvillian | Callable[[float], np.ndarray], rho0: np.ndarray,
-              t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step fourth-order Runge-Kutta integration.
-
-    liouvillian is either a constant generator or a function t -> generator
-    matrix for a time-dependent one.  Returns (times, states) where
-    states[k] is the 3x3 state at times[k]; t_end is rounded to a whole
-    number of steps of size dt.  An unstable step raises PropagationError:
-    before any step, when the RK4 gain max |R(dt lambda)| over the
-    eigenvalues of the generator at the first and last grid times (once
-    for a constant generator), R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
-    exceeds 1 + 1e-9; and during the steps when the trace drifts by more
-    than 1e-6, checked for time-dependent and unannotated (u = 0) constant
-    generators, which preserve it exactly.
-    """
+def _time_grid(t_end: float, dt: float) -> np.ndarray:
+    """Grid k dt, k = 0 .. round(t_end / dt), shared by propagate and evolve."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < 0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
-    steps = int(round(t_end / dt))
-    times = np.arange(steps + 1) * dt
-    constant = isinstance(liouvillian, Liouvillian)
-    matrix_at = (lambda t: liouvillian.matrix) if constant else liouvillian
-    check = not constant or liouvillian.u == 0.0
-    for t in times[:1] if constant else times[[0, -1]]:
-        z = dt * np.linalg.eigvals(matrix_at(t))
+    return np.arange(int(round(t_end / dt)) + 1) * dt
+
+
+def propagate(generator_at: Callable[[float], Liouvillian], rho0: np.ndarray,
+              t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fixed-step fourth-order Runge-Kutta integration.
+
+    generator_at maps a time t to the generator at t; pass lambda t: gen
+    for a constant one.  Returns (times, states) where states[k] is the
+    3x3 state at times[k]; t_end is rounded to a whole number of steps of
+    size dt.  An unstable step raises PropagationError: before any step,
+    when the RK4 gain max |R(dt lambda)| over the eigenvalues of the
+    generator at the first and last grid times, R(z) = 1 + z + z^2/2 +
+    z^3/6 + z^4/24, exceeds 1 + 1e-9; and during the steps when the trace
+    drifts by more than 1e-6, checked when the generator at the first time
+    is unannotated (u = 0) and so preserves it exactly.
+    """
+    times = _time_grid(t_end, dt)
+    for t in times[[0, -1]]:
+        z = dt * np.linalg.eigvals(generator_at(t).matrix)
         gain = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).max()
         if gain > 1.0 + RK4_GAIN_TOL:
             raise PropagationError(f"RK4 gain {gain:.6g} at t = {t:.6g} exceeds 1, the step "
                                    f"is unstable; reduce dt (currently {dt})")
-    y = vectorize(rho0)
+    first = generator_at(times[0])
+    ys = np.empty((len(times), DIM * DIM), dtype=complex)
+    y = ys[0] = vectorize(rho0)
     trace0 = TRACE_VECTOR @ y
-    states = np.empty((steps + 1, 3, 3), dtype=complex)
-    states[0] = unvectorize(y)
-    m_end = matrix_at(times[0])
-    for k in range(steps):
-        t = times[k]
-        m_start, m_half, m_end = m_end, matrix_at(t + 0.5 * dt), matrix_at(t + dt)
+    m_end = first.matrix
+    for k, t in enumerate(times[:-1]):
+        m_start, m_half, m_end = (m_end, generator_at(t + 0.5 * dt).matrix,
+                                  generator_at(t + dt).matrix)
         k1 = m_start @ y
         k2 = m_half @ (y + 0.5 * dt * k1)
         k3 = m_half @ (y + 0.5 * dt * k2)
         k4 = m_end @ (y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if check:
+        if first.u == 0.0:
             drift = abs(TRACE_VECTOR @ y - trace0)
             if drift > TRACE_DRIFT_TOL:
                 raise PropagationError(
                     f"trace drifted by {drift:.3e} at t = {times[k + 1]:.6g}; "
                     f"reduce dt (currently {dt})"
                 )
-        states[k + 1] = unvectorize(y)
-    return times, states
+        ys[k + 1] = y
+    return times, unvectorize(ys)
 
 
 # Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the
@@ -137,21 +137,17 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
     1e-6 (or a non-finite trace) anywhere along the trajectory raises
     PropagationError.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
-    steps = int(round(t_end / dt))
-    times = np.arange(steps + 1) * dt
-    ys = np.empty((steps + 1, DIM * DIM), dtype=complex)
+    times = _time_grid(t_end, dt)
+    n = len(times)
+    ys = np.empty((n, DIM * DIM), dtype=complex)
     ys[0] = vectorize(rho0)
     power = _expm(dt * liouvillian.matrix)
     filled = 1
-    while filled <= steps:
-        block = min(filled, steps + 1 - filled)
+    while filled < n:
+        block = min(filled, n - filled)
         ys[filled:filled + block] = ys[:block] @ power.T
         filled += block
-        if filled <= steps:
+        if filled < n:
             power = power @ power
     if liouvillian.u == 0.0:
         drift = np.abs(ys @ TRACE_VECTOR - TRACE_VECTOR @ ys[0])

@@ -42,7 +42,9 @@ METHODS = ("bloch_redfield", "secular", "phenomenological")
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
-    return np.asarray(rho, dtype=complex).reshape(-1, order="F")
+    """Column-stacked vec(rho), index a + 3 b, broadcast over leading axes."""
+    rho = np.asarray(rho, dtype=complex)
+    return rho.swapaxes(-1, -2).reshape(rho.shape[:-2] + (DIM * DIM,))
 
 
 def unvectorize(v: np.ndarray) -> np.ndarray:

@@ -59,8 +59,6 @@ CSV_COLUMNS = tuple(f.name for f in fields(SpectrumRecord))
 
 def delta_grid(cfg: SweepConfig) -> np.ndarray:
     """Detuning grid; a single step collapses to delta_min."""
-    if cfg.delta_steps == 1:
-        return np.asarray([cfg.delta_min])
     return np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps)
 
 
@@ -126,10 +124,6 @@ def evaluate_point(cfg: SweepConfig, delta: float, omega: float, method: str,
                               status=f"error: {type(exc).__name__}: {exc}")
 
 
-def _evaluate_task(task) -> SpectrumRecord:
-    return evaluate_point(*task)
-
-
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     """Evaluate the full grid, optionally across worker processes.
 
@@ -147,9 +141,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
         for route in cfg.routes
     ]
     if jobs == 1:
-        return [_evaluate_task(t) for t in tasks]
+        return [evaluate_point(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_evaluate_task, tasks, chunksize=8))
+        return list(pool.map(evaluate_point, *zip(*tasks), chunksize=8))
 
 
 def format_number(x: float) -> str:

@@ -194,7 +194,7 @@ def characteristic_function():
     exchanged phonon heat.
     """
     def apply(liouvillian, rho0, t_end, dt):
-        _, states = propagate(liouvillian, rho0, t_end, dt)
+        _, states = propagate(lambda t: liouvillian, rho0, t_end, dt)
         return complex(np.trace(states[-1]))
 
     return apply

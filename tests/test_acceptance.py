@@ -167,7 +167,7 @@ def test_criterion_6_route_cross_validation():
     for omega in (0.5, 1.0):
         spec = _spec(0.0, omega)
         gen = total_liouvillian("bloch_redfield", spec, BATH)
-        _, states = propagate(gen, lower_ground_state(), 30.0, 0.05)
+        _, states = propagate(lambda t: gen, lower_ground_state(), 30.0, 0.05)
         trace_current = heat_current_trace(gen, states[-1])
         fd = mean_heat_fd("bloch_redfield", spec, BATH, t_end=30.0, dt=0.05,
                           u_step=0.05, scheme="forward")
@@ -212,7 +212,7 @@ def test_criterion_8_structural_invariants():
     for omega in (0.01, 0.1, 0.5, 1.0):
         for method in ("bloch_redfield", "secular", "phenomenological"):
             gen = total_liouvillian(method, _spec(0.0, omega), BATH)
-            _, states = propagate(gen, lower_ground_state(), 30.0, 0.05)
+            _, states = propagate(lambda t: gen, lower_ground_state(), 30.0, 0.05)
             traces = np.trace(states, axis1=1, axis2=2)
             worst_trace = max(worst_trace, np.abs(traces - 1.0).max())
             herm = np.abs(states - np.conj(np.swapaxes(states, 1, 2))).max()
@@ -238,14 +238,14 @@ def test_criterion_8_structural_invariants():
     # steady state vs long-time propagation
     gen = total_liouvillian("bloch_redfield", _spec(0.0, 1.0), BATH)
     rho_ss = steady_state(gen)
-    _, states = propagate(gen, lower_ground_state(), 200.0, 0.01)
+    _, states = propagate(lambda t: gen, lower_ground_state(), 200.0, 0.01)
     prop_gap = float(np.abs(states[-1] - rho_ss).max())
 
     # integrator order under step halving
     exact = expm(gen.matrix * 2.0) @ vectorize(lower_ground_state())
 
     def rk4_error(dt):
-        _, traj = propagate(gen, lower_ground_state(), 2.0, dt)
+        _, traj = propagate(lambda t: gen, lower_ground_state(), 2.0, dt)
         return np.linalg.norm(vectorize(traj[-1]) - exact)
 
     order_ratio = rk4_error(0.1) / rk4_error(0.05)

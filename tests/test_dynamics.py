@@ -35,9 +35,9 @@ def test_propagate_validates_steps():
     spec = SystemSpec(e_man=2.0, omega_rabi=1.0, gamma_rad=0.5)
     gen = total_liouvillian("phenomenological", spec, BATH)
     with pytest.raises(ValueError):
-        propagate(gen, lower_ground_state(), 1.0, 0.0)
+        propagate(lambda t: gen, lower_ground_state(), 1.0, 0.0)
     with pytest.raises(ValueError):
-        propagate(gen, lower_ground_state(), -1.0, 0.1)
+        propagate(lambda t: gen, lower_ground_state(), -1.0, 0.1)
 
 
 def test_radiative_decay_exponential():
@@ -47,7 +47,7 @@ def test_radiative_decay_exponential():
     rho0[IDX_E, IDX_E] = 1.0
     for method in ("bloch_redfield", "secular", "phenomenological"):
         gen = total_liouvillian(method, spec, BATH)
-        times, states = propagate(gen, rho0, 5.0, 0.01)
+        times, states = propagate(lambda t: gen, rho0, 5.0, 0.01)
         populations = states[:, IDX_E, IDX_E].real
         assert_allclose(populations, np.exp(-0.5 * times), atol=1e-8)
 
@@ -59,7 +59,7 @@ def test_rk4_fourth_order_convergence():
     exact = expm(gen.matrix * 2.0) @ vectorize(rho0)
 
     def error(dt):
-        _, states = propagate(gen, rho0, 2.0, dt)
+        _, states = propagate(lambda t: gen, rho0, 2.0, dt)
         return np.linalg.norm(vectorize(states[-1]) - exact)
 
     ratio = error(0.1) / error(0.05)
@@ -68,14 +68,13 @@ def test_rk4_fourth_order_convergence():
 
 @pytest.mark.parametrize("t_end,dt", [(400.0, 5.0), (30.0, 7.0)])
 def test_propagation_detects_unstable_step(t_end, dt):
-    # a step size beyond the stability region must be refused, for a
-    # constant generator and a time-dependent one alike; over only four
-    # steps (30, 7) the blowup is too short to show in the trace
+    # a step size beyond the stability region must be refused before any
+    # step; over only four steps (30, 7) the blowup is too short to show
+    # in the trace
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     gen = total_liouvillian("bloch_redfield", spec, BATH)
-    for liouvillian in (gen, lambda t: gen.matrix):
-        with pytest.raises(PropagationError, match="reduce dt"):
-            propagate(liouvillian, lower_ground_state(), t_end, dt)
+    with pytest.raises(PropagationError, match="reduce dt"):
+        propagate(lambda t: gen, lower_ground_state(), t_end, dt)
 
 
 @pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
@@ -98,7 +97,7 @@ def test_evolve_matches_fine_rk4(method, u):
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=0.5, gamma_rad=0.5)
     gen = total_liouvillian(method, spec, BATH, u=u)
     times, states = evolve(gen, lower_ground_state(), 10.0, 0.05)
-    fine_times, fine = propagate(gen, lower_ground_state(), 10.0, 0.05 / 16)
+    fine_times, fine = propagate(lambda t: gen, lower_ground_state(), 10.0, 0.05 / 16)
     assert states.shape == (201, 3, 3)
     assert_allclose(times, fine_times[::16], rtol=1e-14)
     assert np.abs(states - fine[::16]).max() < 1e-11
@@ -151,7 +150,7 @@ def test_steady_state_matches_long_time_propagation():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     gen = total_liouvillian("bloch_redfield", spec, BATH)
     rho_ss = steady_state(gen)
-    _, states = propagate(gen, lower_ground_state(), 200.0, 0.01)
+    _, states = propagate(lambda t: gen, lower_ground_state(), 200.0, 0.01)
     assert np.abs(states[-1] - rho_ss).max() < 1e-6
 
 
@@ -221,7 +220,7 @@ def test_mean_heat_fd_schemes_and_validation():
         mean_heat_fd("bloch_redfield", spec, BATH, t_end=0.02, dt=0.05)
 
     gen = total_liouvillian("bloch_redfield", spec, BATH)
-    _, states = propagate(gen, lower_ground_state(), 30.0, 0.05)
+    _, states = propagate(lambda t: gen, lower_ground_state(), 30.0, 0.05)
     reference = heat_current_trace(gen, states[-1])
 
     central = mean_heat_fd("bloch_redfield", spec, BATH, t_end=30.0, dt=0.05,
@@ -243,7 +242,7 @@ def test_mean_heat_fd_bias_scales_quadratically():
     # halving u_step must cut the central-difference bias about fourfold
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     gen = total_liouvillian("bloch_redfield", spec, BATH)
-    _, states = propagate(gen, lower_ground_state(), 30.0, 0.05)
+    _, states = propagate(lambda t: gen, lower_ground_state(), 30.0, 0.05)
     reference = heat_current_trace(gen, states[-1])
     bias = []
     for u_step in (0.08, 0.04):

@@ -90,6 +90,10 @@ def test_delta_grid_shapes():
     single = config_from_dict({"sweep": {"delta_min": 0.3, "delta_max": 0.3,
                                          "delta_steps": 1}})
     assert np.array_equal(delta_grid(single), [0.3])
+    # one step ignores delta_max, even below delta_min
+    reversed_single = config_from_dict({"sweep": {"delta_min": 0.3, "delta_max": -0.2,
+                                                  "delta_steps": 1}})
+    assert np.array_equal(delta_grid(reversed_single), [0.3])
 
 
 def test_format_number_round_trips():
