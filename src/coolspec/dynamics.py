@@ -24,6 +24,8 @@ RK4_GAIN_TOL = 1e-9
 STEADY_RESIDUAL_TOL = 1e-10
 # gap below which the two smallest singular values are considered tied
 STEADY_GAP_TOL = 1e-8
+# most RK4 steps whose one-step matrices propagate builds at once
+_CHUNK = 128
 
 
 class PropagationError(RuntimeError):
@@ -43,48 +45,66 @@ def _time_grid(t_end: float, dt: float) -> np.ndarray:
     return np.arange(int(round(t_end / dt)) + 1) * dt
 
 
-def propagate(generator_at: Callable[[float], Liouvillian], rho0: np.ndarray,
+def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarray,
               t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
-    generator_at maps a time t to the generator at t; pass lambda t: gen
-    for a constant one.  Returns (times, states) where states[k] is the
-    3x3 state at times[k]; t_end is rounded to a whole number of steps of
-    size dt.  An unstable step raises PropagationError: before any step,
-    when the RK4 gain max |R(dt lambda)| over the eigenvalues of the
-    generator at the first and last grid times, R(z) = 1 + z + z^2/2 +
-    z^3/6 + z^4/24, exceeds 1 + 1e-9; and during the steps when the trace
-    drifts by more than 1e-6, checked when the generator at the first time
-    is unannotated (u = 0) and so preserves it exactly.
+    generator_at maps an array of times to the generators there: a
+    Liouvillian whose matrix has shape t.shape + (9, 9), or a single (9, 9)
+    matrix that holds at every time (lambda t: gen for a constant
+    generator).  Returns (times, states) where states[k] is the 3x3 state
+    at times[k]; t_end is rounded to a whole number of steps of size dt.
+
+    The grid is walked in chunks of at most _CHUNK steps.  For each chunk
+    generator_at is called once, on the grid times and the midpoints
+    t + dt/2, and the one-step matrices S = I + D with
+    D = dt/6 (K1 + 2 K2 + 2 K3 + K4) are built as stacks, where K1 = M(t),
+    K2 = M(t + dt/2)(I + dt/2 K1), K3 = M(t + dt/2)(I + dt/2 K2) and
+    K4 = M(t + dt)(I + dt K3): classical RK4 written as a matrix.  The state
+    then advances by one matvec per step, y_{k+1} = y_k + D_k y_k; leaving
+    I out of the stored D keeps the rounding of each step as small as the
+    increment, as in the stage form.  The chunk cap bounds the memory the
+    stacks take.
+
+    An unstable step raises PropagationError: before any step, when the
+    RK4 gain max |R(dt lambda)| over the eigenvalues of the generator at
+    the first and last grid times, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
+    exceeds 1 + 1e-9; and after each step when the trace drifts by more
+    than 1e-6, checked when the generator is unannotated (u = 0) and so
+    preserves it exactly.  The per-step check stops a growing state before
+    it overflows.
     """
     times = _time_grid(t_end, dt)
-    for t in times[[0, -1]]:
-        z = dt * np.linalg.eigvals(generator_at(t).matrix)
-        gain = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).max()
+    ends = generator_at(times[[0, -1]])
+    z = dt * np.linalg.eigvals(np.broadcast_to(ends.matrix, (2, DIM * DIM, DIM * DIM)))
+    gains = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).max(axis=-1)
+    for t, gain in zip(times[[0, -1]], gains):
         if gain > 1.0 + RK4_GAIN_TOL:
             raise PropagationError(f"RK4 gain {gain:.6g} at t = {t:.6g} exceeds 1, the step "
                                    f"is unstable; reduce dt (currently {dt})")
-    first = generator_at(times[0])
+    ident = np.eye(DIM * DIM)
     ys = np.empty((len(times), DIM * DIM), dtype=complex)
     y = ys[0] = vectorize(rho0)
     trace0 = TRACE_VECTOR @ y
-    m_end = first.matrix
-    for k, t in enumerate(times[:-1]):
-        m_start, m_half, m_end = (m_end, generator_at(t + 0.5 * dt).matrix,
-                                  generator_at(t + dt).matrix)
-        k1 = m_start @ y
-        k2 = m_half @ (y + 0.5 * dt * k1)
-        k3 = m_half @ (y + 0.5 * dt * k2)
-        k4 = m_end @ (y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if first.u == 0.0:
-            drift = abs(TRACE_VECTOR @ y - trace0)
-            if drift > TRACE_DRIFT_TOL:
-                raise PropagationError(
-                    f"trace drifted by {drift:.3e} at t = {times[k + 1]:.6g}; "
-                    f"reduce dt (currently {dt})"
-                )
-        ys[k + 1] = y
+    for start in range(0, len(times) - 1, _CHUNK):
+        grid = times[start:start + _CHUNK + 1]
+        n = len(grid) - 1
+        nodes = np.concatenate([grid, grid[:-1] + 0.5 * dt])
+        mats = np.broadcast_to(generator_at(nodes).matrix, nodes.shape + ident.shape)
+        k1, half, end = mats[:n], mats[n + 1:], mats[1:n + 1]
+        k2 = half @ (ident + 0.5 * dt * k1)
+        k3 = half @ (ident + 0.5 * dt * k2)
+        k4 = end @ (ident + dt * k3)
+        increments = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        for k in range(n):
+            y = ys[start + k + 1] = y + increments[k] @ y
+            if ends.u == 0.0:
+                drift = abs(TRACE_VECTOR @ y - trace0)
+                if drift > TRACE_DRIFT_TOL:
+                    raise PropagationError(
+                        f"trace drifted by {drift:.3e} at t = {grid[k + 1]:.6g}; "
+                        f"reduce dt (currently {dt})"
+                    )
     return times, unvectorize(ys)
 
 

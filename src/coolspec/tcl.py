@@ -101,10 +101,10 @@ class TclPropagator:
     between.  The Redfield dissipator (generators.redfield) is real-linear
     in Gamma, so its (matrix, heat kernel) response to each of the 18 real
     and imaginary unit coefficients is tabulated once per propagator; the
-    generator at any time contracts that response with Gamma(t) in one
-    matmul and adds generators.static_part (coherent and radiative parts).
-    The heat current is linear in Gamma too, so propagate reads it for a
-    whole trajectory from the traced kernel response.  Raises ValueError
+    generators at any array of times contract that response with Gamma(t)
+    in one matmul and add generators.static_part (coherent and radiative
+    parts).  The heat current is linear in Gamma too, so propagate reads it
+    for a whole trajectory from the traced kernel response.  Raises ValueError
     when |C(t_mem)| exceeds 1e-3 |C(0)|: the memory window is too short
     for the bath.
     """
@@ -153,18 +153,25 @@ class TclPropagator:
         gamma = self.coefficients(t).reshape(np.shape(t) + (DIM * DIM,))
         return np.concatenate([gamma.real, gamma.imag], axis=-1)
 
-    def generator(self, t: float) -> Liouvillian:
-        """Instantaneous generator and heat kernel at time t."""
-        matrix, kernel = (self._rows(t) @ self._response).reshape(2, DIM * DIM, DIM * DIM)
-        return Liouvillian(matrix=self._static + matrix, u=0.0, heat_kernel=kernel)
+    def generator(self, t: float | np.ndarray) -> Liouvillian:
+        """Instantaneous generator and heat kernel at time(s) t.
+
+        Broadcasts over an array of times with one matmul: matrix and
+        heat_kernel have shape t.shape + (9, 9).
+        """
+        shape = np.shape(t) + (2, DIM * DIM, DIM * DIM)
+        response = (self._rows(t) @ self._response).reshape(shape)
+        return Liouvillian(matrix=self._static + response[..., 0, :, :], u=0.0,
+                           heat_kernel=response[..., 1, :, :])
 
     def propagate(self, rho0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray, HeatRecord]:
         """Fixed-step RK4 (dynamics.propagate) with the time-dependent generator.
 
-        Returns (times, states, record).  The kernel-trace currents
-        (heat_current_trace of generator(t) and the state at every grid
-        time) come from one contraction with the traced kernel response;
-        the record integrates them with the trapezoid rule.
+        Returns (times, states, record).  dynamics.propagate calls generator
+        once per chunk of steps, on all of the chunk's RK4 node times.  The
+        kernel-trace currents (heat_current_trace of generator(t) and the
+        state at every grid time) come from one contraction with the traced
+        kernel response; the record integrates them with the trapezoid rule.
         """
         times, states = propagate(self.generator, rho0, t_end, self.cfg.dt)
         currents = (-1j * (self._rows(times) @ self._trace_kernel * vectorize(states)).sum(-1)).real

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 from coolspec import BathSpec, QuadratureError, SystemSpec, coupling_operator, propagate
 from coolspec.bath import bose_occupation, spectral_density
+from coolspec.generators import unvectorize, vectorize
 from coolspec.system import IDX_E, IDX_GU
 
 # Superoperator oracles written with np.kron under column stacking
@@ -33,6 +34,28 @@ def kron_lindblad(jump, phase=1.0):
     proj = jump.conj().T @ jump
     return (phase * kron_sandwich(jump, jump.conj().T)
             - 0.5 * (kron_sandwich(proj, eye) + kron_sandwich(eye, proj)))
+
+
+def rk4_stages(generator_at, rho0, t_end, dt):
+    """Classical RK4 in stage form on propagate's grid; propagate's oracle.
+
+    Each step calls generator_at on the single times t + dt/2 and t + dt
+    and forms the stage vectors k1 .. k4 one matvec at a time.
+    """
+    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    y = vectorize(rho0)
+    ys = [y]
+    m_end = generator_at(times[0]).matrix
+    for t in times[:-1]:
+        m_start, m_half, m_end = (m_end, generator_at(t + 0.5 * dt).matrix,
+                                  generator_at(t + dt).matrix)
+        k1 = m_start @ y
+        k2 = m_half @ (y + 0.5 * dt * k1)
+        k3 = m_half @ (y + 0.5 * dt * k2)
+        k4 = m_end @ (y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        ys.append(y)
+    return times, unvectorize(np.array(ys))
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 
 from coolspec.bath import BathSpec
 from coolspec.dynamics import (
+    _CHUNK,
     _THETA13,
     PropagationError,
     SteadyStateError,
@@ -27,6 +29,9 @@ from coolspec.system import (
     SystemSpec,
     lower_ground_state,
 )
+from coolspec.tcl import MemoryKernelConfig, TclPropagator
+
+from conftest import rk4_stages
 
 BATH = BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0)
 
@@ -75,6 +80,52 @@ def test_propagation_detects_unstable_step(t_end, dt):
     gen = total_liouvillian("bloch_redfield", spec, BATH)
     with pytest.raises(PropagationError, match="reduce dt"):
         propagate(lambda t: gen, lower_ground_state(), t_end, dt)
+
+
+@pytest.mark.parametrize("steps", [0, 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
+@pytest.mark.parametrize("kind", ["tcl", "constant"])
+def test_propagate_matches_stage_form_across_chunks(kind, steps):
+    # the one-step matrices are built per chunk; across every chunk boundary
+    # the states must be those of RK4's stage form, and generator_at is
+    # called once for the end times and once per chunk, not per step
+    spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
+    if kind == "tcl":
+        dt = 0.02
+        generator_at = TclPropagator(spec, BATH, MemoryKernelConfig(t_mem=30.0, dt=dt)).generator
+    else:
+        dt = 0.05
+        gen = total_liouvillian("bloch_redfield", spec, BATH)
+        generator_at = lambda t: gen  # noqa: E731
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return generator_at(t)
+
+    times, states = propagate(counted, lower_ground_state(), steps * dt, dt)
+    ref_times, ref = rk4_stages(generator_at, lower_ground_state(), steps * dt, dt)
+    assert len(calls) == 1 + math.ceil(steps / _CHUNK)
+    assert times.tobytes() == ref_times.tobytes()
+    assert np.abs(states - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_unstable_step_between_the_end_times_is_stopped():
+    # a generator stable at the first and last grid times passes the gain
+    # check; the per-step trace check must stop the blowup in between
+    # before it overflows (an overflow RuntimeWarning is an error here)
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
+    gen = total_liouvillian("bloch_redfield", spec, BATH)
+    dt, steps = 0.05, 100
+    ends = (np.arange(steps + 1) * dt)[[0, -1]]
+
+    def generator_at(t):
+        scale = np.where(np.isin(t, ends), 1.0, 1000.0)
+        return Liouvillian(matrix=scale[..., None, None] * gen.matrix)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PropagationError, match="trace drifted"):
+            propagate(generator_at, lower_ground_state(), steps * dt, dt)
 
 
 @pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])

@@ -85,6 +85,22 @@ def test_coefficients_broadcast_over_times(quad_points):
     assert stacked.tobytes() == single.tobytes()
 
 
+@pytest.mark.parametrize("quad_points", [2, 3])
+def test_generator_broadcasts_over_times(quad_points):
+    # one matmul gives the generators and heat kernels of a whole time
+    # array; they match the stacked single-time calls to rounding
+    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02, quad_points=quad_points)
+    prop = TclPropagator(SPEC, BATH, cfg)
+    step = cfg.dt / quad_points
+    times = np.array([-1.0, 0.0, 7.5 * step, 7 * step, cfg.t_mem, 2.0 * cfg.t_mem])
+    stacked = prop.generator(times)
+    assert stacked.matrix.shape == stacked.heat_kernel.shape == (len(times), 9, 9)
+    single = [prop.generator(t) for t in times]
+    assert_allclose(stacked.matrix, np.stack([g.matrix for g in single]), rtol=0, atol=1e-15)
+    assert_allclose(stacked.heat_kernel, np.stack([g.heat_kernel for g in single]),
+                    rtol=0, atol=1e-15)
+
+
 def test_quad_points_sets_coefficient_accuracy():
     # at a coarse RK4 step the error comes from the coefficient grid of
     # spacing dt / quad_points, not from the integrator: refining the
