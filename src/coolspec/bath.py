@@ -23,9 +23,6 @@ from .system import EigenSystem
 OMEGA_MAX_FACTOR = 40.0
 SHIFT_TOL = 1e-9
 
-# below this value of beta*nu the occupation switches to its Laurent series
-_SERIES_CUTOFF = 1e-8
-
 
 class QuadratureError(RuntimeError):
     """The shift quadrature's error estimate exceeds the requested budget."""
@@ -74,18 +71,12 @@ def spectral_density(omega, spec: BathSpec):
 def bose_occupation(nu: float, spec: BathSpec) -> float:
     """Thermal occupation 1 / (exp(beta nu) - 1), requires nu > 0.
 
-    For beta*nu below 1e-8 the Laurent series 1/x - 1/2 + x/12 is used so
-    that products with the spectral density stay smooth as nu -> 0.
+    Evaluated as -exp(-x) / expm1(-x) with x = beta nu, which cannot
+    overflow at large x and keeps full relative accuracy as nu -> 0.
     """
     if nu <= 0:
         raise ValueError(f"bose_occupation requires nu > 0, got {nu}")
-    return _occupation(spec.beta * nu)
-
-
-def _occupation(x: float) -> float:
-    """1 / expm1(x) for x > 0, in a form that cannot overflow at large x."""
-    if x < _SERIES_CUTOFF:
-        return 1.0 / x - 0.5 + x / 12.0
+    x = spec.beta * nu
     return -math.exp(-x) / math.expm1(-x)
 
 

@@ -65,7 +65,6 @@ class SweepConfig:
     pairing_tol: float | None = None
     tcl_t_mem: float = 30.0
     tcl_dt: float = 0.02
-    tcl_quad_points: int = 2
     tcl_t_end: float = 60.0
 
 
@@ -92,7 +91,6 @@ CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
     "pairing_tol": (None, "pairing_tol"),
     "tcl_t_mem": ("tcl", "t_mem"),
     "tcl_dt": ("tcl", "dt"),
-    "tcl_quad_points": ("tcl", "quad_points"),
     "tcl_t_end": ("tcl", "t_end"),
 }
 
@@ -258,9 +256,6 @@ def validate_config(cfg: SweepConfig):
         raise ConfigError(f"{_PATHS['delta_max']} must not be below {_PATHS['delta_min']}")
     if any(w < 0 for w in cfg.omega_list):
         raise ConfigError(f"{_PATHS['omega_list']} entries must be non-negative")
-    if cfg.tcl_quad_points < 2:
-        raise ConfigError(f"{_PATHS['tcl_quad_points']} must be at least 2, "
-                          f"got {cfg.tcl_quad_points}")
     for where, route in routes:
         if route.kind != "counting_fd":
             continue

@@ -74,17 +74,16 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
     tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt, in
     transient mode up to t_end and in steady mode, which has no closed-form
     steady state for this generator, up to the plateau time tcl_t_end; its
-    current is the kernel-trace one of the last step.  Otherwise the
-    current is the trace-formula one of the final state.
+    final generator is the one at the last grid time.  Except on the
+    counting_fd route, the current is the trace-formula one of the final
+    generator and state.
     """
     record = None
     if method == "tcl_oracle":
         horizon = cfg.t_end if cfg.mode == "transient" else cfg.tcl_t_end
-        kernel_cfg = MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt,
-                                        quad_points=cfg.tcl_quad_points)
-        prop = TclPropagator(spec, bath, kernel_cfg)
-        _, states, record = prop.propagate(lower_ground_state(), horizon)
-        gen = prop.generator(horizon)
+        prop = TclPropagator(spec, bath, MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt))
+        times, states, _ = prop.propagate(lower_ground_state(), horizon)
+        gen = prop.generator(times[-1])
     else:
         gen = total_liouvillian(method, spec, bath,
                                 include_shifts=cfg.include_shifts_bloch_redfield,

@@ -15,6 +15,7 @@ of the correlation integral in the tests is its independent check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,10 @@ from .system import SystemSpec, build_hamiltonian, coupling_operator, eigensyste
 # Matsubara terms of correlation_grid summed exactly before the
 # Euler-Maclaurin remainder takes over
 _SERIES_TERMS = 32
+
+# widest tau-grid spacing of the running coefficients; the grid divides
+# the RK4 half step dt/2 into the fewest equal parts no wider than this
+_TAU_STEP = 0.01
 
 # largest |C(t_mem)| / |C(0)| accepted.  The running integrals are frozen at
 # t_mem, so a correlation function still alive there truncates them.  Plateau
@@ -45,25 +50,17 @@ class MemoryKernelConfig:
         Horizon beyond which the correlation function is treated as dead
         and the running integrals are frozen.
     dt:
-        RK4 step of the propagator.
-    quad_points:
-        Subdivisions of dt used for the tau grid of the running
-        integrals; at least 2.  It sets the accuracy of the coefficients:
-        at dt 1.0 the plateau current is ~1% off with 2 and within 2e-5
-        of the dt 0.02 result with 50 (delta -0.5, omega 0.5).
+        RK4 step and sample spacing of the propagator.
     """
 
     t_mem: float = 30.0
     dt: float = 0.02
-    quad_points: int = 2
 
     def __post_init__(self):
         if self.t_mem <= 0:
             raise ValueError(f"t_mem must be positive, got {self.t_mem}")
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.quad_points < 2:
-            raise ValueError(f"quad_points must be at least 2, got {self.quad_points}")
 
 
 def correlation_grid(taus: np.ndarray, spec: BathSpec) -> np.ndarray:
@@ -97,23 +94,26 @@ class TclPropagator:
 
     The running coefficients Gamma[i, j](t) are cumulative integrals of
     C(tau) exp(-i nu[i, j] tau) up to min(t, t_mem), tabulated once on a
-    tau grid of spacing dt / quad_points and interpolated linearly in
-    between.  The Redfield dissipator (generators.redfield) is real-linear
-    in Gamma, so its (matrix, heat kernel) response to each of the 18 real
-    and imaginary unit coefficients is tabulated once per propagator; the
-    generators at any array of times contract that response with Gamma(t)
-    in one matmul and add generators.static_part (coherent and radiative
-    parts).  The heat current is linear in Gamma too, so propagate reads it
-    for a whole trajectory from the traced kernel response.  Raises ValueError
-    when |C(t_mem)| exceeds 1e-3 |C(0)|: the memory window is too short
-    for the bath.
+    tau grid (taus) and interpolated linearly in between.  Its spacing is
+    dt / (2 m), m the smallest whole number that brings it to 0.01 or
+    below (m = 1 at the default dt 0.02): every RK4 node k dt/2 is a table
+    row, and a coarse step does not coarsen the coefficients.  The Redfield
+    dissipator (generators.redfield) is real-linear in Gamma, so its
+    (matrix, heat kernel) response to each of the 18 real and imaginary
+    unit coefficients is tabulated once per propagator; the generators at
+    any array of times contract that response with Gamma(t) in one matmul
+    and add generators.static_part (coherent and radiative parts).  The
+    heat current is linear in Gamma too, so propagate reads it for a whole
+    trajectory from the traced kernel response.  Raises ValueError when
+    |C(t_mem)| exceeds 1e-3 |C(0)|: the memory window is too short for the
+    bath.
     """
 
     def __init__(self, spec: SystemSpec, bath: BathSpec, cfg: MemoryKernelConfig):
         self.cfg = cfg
         self.eig = eigensystem(build_hamiltonian(spec), coupling_operator())
 
-        step = cfg.dt / cfg.quad_points
+        step = cfg.dt / (2 * math.ceil(cfg.dt / (2 * _TAU_STEP)))
         n_tau = max(1, int(round(cfg.t_mem / step)))
         taus = np.arange(n_tau + 1) * step
         corr = correlation_grid(taus, bath)
@@ -122,9 +122,9 @@ class TclPropagator:
                              f"|C(t_mem)| / |C(0)| = {abs(corr[-1] / corr[0]):.2e} exceeds "
                              f"{MEMORY_TAIL_TOL:g}; raise t_mem")
         integrand = corr[:, None, None] * np.exp(-1j * self.eig.nu * taus[:, None, None])
-        self._tau_step = step
+        self.taus = taus
         # cumulative trapezoid rule along tau, starting from 0: row k holds
-        # Gamma at tau = k step, shape (n_tau + 1, 3, 3)
+        # Gamma at tau = taus[k], shape (n_tau + 1, 3, 3)
         self._gamma_table = np.zeros_like(integrand)
         self._gamma_table[1:] = np.cumsum(
             np.diff(taus)[:, None, None] * (integrand[1:] + integrand[:-1]) / 2.0, axis=0)
@@ -143,7 +143,7 @@ class TclPropagator:
         t <= 0 (Gamma zero) and 1 at the last node (frozen past t_mem).
         """
         last = len(self._gamma_table) - 1
-        pos = np.minimum(np.maximum(t / self._tau_step, 0.0), last)
+        pos = np.minimum(np.maximum(t / self.taus[1], 0.0), last)
         k = np.minimum(pos, last - 1).astype(int)
         frac = (pos - k)[..., None, None]
         return (1.0 - frac) * self._gamma_table[k] + frac * self._gamma_table[k + 1]

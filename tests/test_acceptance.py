@@ -181,7 +181,7 @@ def test_criterion_6_route_cross_validation():
 
 
 def test_criterion_7_oracle_consistency():
-    cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02, quad_points=2)
+    cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02)
     rels = {}
     for omega in (0.5, 1.0):
         for delta in (-0.5, 0.0, 0.5):

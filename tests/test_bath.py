@@ -72,7 +72,8 @@ def test_bose_occupation_value_and_domain():
 
 
 def test_bose_occupation_series_branch_continuous():
-    # series branch must join the expm1 branch smoothly near the cutoff
+    # no series branch is needed at small beta*nu: the expm1 form keeps
+    # full relative accuracy there
     for nu in (1e-10, 1e-9, 2.9e-8):
         assert_allclose(bose_occupation(nu, BATH), 1.0 / math.expm1(nu / 3.0), rtol=1e-12)
 

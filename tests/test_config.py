@@ -83,6 +83,15 @@ def test_unknown_key_line_is_searched_within_its_section(tmp_path):
     assert "'dt' (line 3)" in str(err.value)
 
 
+def test_tcl_quad_points_is_unknown(tmp_path):
+    # the coefficient grid follows tcl.dt; there is no key to set it
+    path = tmp_path / "cfg.json"
+    path.write_text('{\n  "tcl": {\n    "dt": 0.05,\n    "quad_points": 2\n  }\n}\n')
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(path))
+    assert "unknown key(s) in tcl: 'quad_points' (line 4)" in str(err.value)
+
+
 def test_round_trip_is_identity():
     data = {
         "system": {"e_man": 1.7, "gamma_rad": 0.2},
@@ -96,7 +105,7 @@ def test_round_trip_is_identity():
         "sign": "bath_gain_positive",
         "include_shifts": {"bloch_redfield": False},
         "pairing_tol": 1e-9,
-        "tcl": {"t_mem": 25.0, "dt": 0.03, "quad_points": 3, "t_end": 50.0},
+        "tcl": {"t_mem": 25.0, "dt": 0.03, "t_end": 50.0},
     }
     cfg = config_from_dict(data)
     assert config_from_dict(serialize_config(cfg)) == cfg
@@ -150,7 +159,7 @@ def test_shorthand_forms_normalize():
     ({"system": {"e_man": "two"}}, "number"),
     ({"bath": {"temperature": 0.0}}, "temperature"),
     ({"pairing_tol": -1e-9}, "pairing_tol"),
-    ({"tcl": {"quad_points": 1}}, "quad_points"),
+    ({"tcl": {"quad_points": 2}}, "quad_points"),
     ({"tcl": {"t_mem": 0.0}}, "positive"),
     ({"mode": {"kind": "transient", "t_end": 0.02, "dt": 0.05},
       "heat_route": {"kind": "counting_fd"}}, "mode.t_end"),

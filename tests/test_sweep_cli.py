@@ -174,7 +174,7 @@ def test_tcl_oracle_method_in_sweep():
         "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1,
                   "omega_list": [1.0]},
         "methods": ["bloch_redfield", "tcl_oracle"],
-        "tcl": {"t_mem": 20.0, "dt": 0.05, "quad_points": 2, "t_end": 50.0},
+        "tcl": {"t_mem": 20.0, "dt": 0.05, "t_end": 50.0},
     })
     br_rec, tcl_rec = run_sweep(cfg)
     assert tcl_rec.method == "tcl_oracle"

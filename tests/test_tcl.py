@@ -23,8 +23,6 @@ def test_memory_config_validation():
         MemoryKernelConfig(t_mem=0.0)
     with pytest.raises(ValueError):
         MemoryKernelConfig(dt=-0.1)
-    with pytest.raises(ValueError):
-        MemoryKernelConfig(quad_points=1)
 
 
 def test_correlation_symmetry_and_decay(bath_correlation):
@@ -56,7 +54,7 @@ def test_running_coefficients_saturate_to_markovian_rates():
     # golden-rule rate (real part) and the principal-value shift (minus
     # the imaginary part); the coefficient stored at block (i, j) belongs
     # to the reversed transition frequency nu[j, i]
-    cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02, quad_points=2)
+    cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02)
     prop = TclPropagator(SPEC, BATH, cfg)
     gam = prop.coefficients(cfg.t_mem)
     for i in range(3):
@@ -71,13 +69,13 @@ def test_running_coefficients_saturate_to_markovian_rates():
     assert np.abs(prop.coefficients(0.0)).max() == 0.0
 
 
-@pytest.mark.parametrize("quad_points", [2, 3])
-def test_coefficients_broadcast_over_times(quad_points):
+@pytest.mark.parametrize("dt", [0.02, 0.05])
+def test_coefficients_broadcast_over_times(dt):
     # one clipped interpolation serves a single time and a whole grid: the
     # start (and before it), between nodes, on a node, t_mem and past it
-    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02, quad_points=quad_points)
+    cfg = MemoryKernelConfig(t_mem=10.0, dt=dt)
     prop = TclPropagator(SPEC, BATH, cfg)
-    step = cfg.dt / quad_points
+    step = prop.taus[1]
     times = np.array([-1.0, 0.0, 7.5 * step, 7 * step, cfg.t_mem, 2.0 * cfg.t_mem])
     stacked = prop.coefficients(times)
     assert stacked.shape == (len(times), 3, 3)
@@ -85,13 +83,13 @@ def test_coefficients_broadcast_over_times(quad_points):
     assert stacked.tobytes() == single.tobytes()
 
 
-@pytest.mark.parametrize("quad_points", [2, 3])
-def test_generator_broadcasts_over_times(quad_points):
+@pytest.mark.parametrize("dt", [0.02, 0.05])
+def test_generator_broadcasts_over_times(dt):
     # one matmul gives the generators and heat kernels of a whole time
     # array; they match the stacked single-time calls to rounding
-    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02, quad_points=quad_points)
+    cfg = MemoryKernelConfig(t_mem=10.0, dt=dt)
     prop = TclPropagator(SPEC, BATH, cfg)
-    step = cfg.dt / quad_points
+    step = prop.taus[1]
     times = np.array([-1.0, 0.0, 7.5 * step, 7 * step, cfg.t_mem, 2.0 * cfg.t_mem])
     stacked = prop.generator(times)
     assert stacked.matrix.shape == stacked.heat_kernel.shape == (len(times), 9, 9)
@@ -101,24 +99,47 @@ def test_generator_broadcasts_over_times(quad_points):
                     rtol=0, atol=1e-15)
 
 
-def test_quad_points_sets_coefficient_accuracy():
-    # at a coarse RK4 step the error comes from the coefficient grid of
-    # spacing dt / quad_points, not from the integrator: refining the
-    # grid alone recovers the fine-step plateau current
+def test_tau_grid_follows_dt():
+    # the spacing is dt/2 split into the fewest parts no wider than 0.01:
+    # the default dt keeps the plain 0.01 grid, a coarser one is refined
+    default = TclPropagator(SPEC, BATH, MemoryKernelConfig(t_mem=30.0, dt=0.02))
+    assert default.taus.tobytes() == (np.arange(3001) * 0.01).tobytes()
+    assert TclPropagator(SPEC, BATH, MemoryKernelConfig(dt=0.05)).taus[1] == 0.05 / 6
+    for dt in (0.01, 0.02, 0.05, 0.07, 0.3, 1.0):
+        prop = TclPropagator(SPEC, BATH, MemoryKernelConfig(t_mem=30.0, dt=dt))
+        assert prop.taus[1] <= 0.01
+        # every RK4 node of a chunk (grid times and midpoints) is a table row
+        grid = np.arange(int(round(60.0 / dt)) + 1) * dt
+        pos = np.concatenate([grid, grid[:-1] + 0.5 * dt]) / prop.taus[1]
+        assert np.abs(pos - np.round(pos)).max() < 1e-9
+
+
+def _plateau(bath, dt):
     spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
+    cfg = MemoryKernelConfig(t_mem=30.0, dt=dt)
+    _, _, record = TclPropagator(spec, bath, cfg).propagate(lower_ground_state(), 60.0)
+    return record.current
 
-    def plateau(dt, quad_points):
-        cfg = MemoryKernelConfig(t_mem=30.0, dt=dt, quad_points=quad_points)
-        _, _, record = TclPropagator(spec, BATH, cfg).propagate(lower_ground_state(), 60.0)
-        return record.current
 
-    fine = plateau(0.02, 2)
-    assert abs(plateau(1.0, 50) - fine) < 1e-4 * abs(fine)
-    assert abs(plateau(1.0, 2) - fine) > 5e-3 * abs(fine)
+@pytest.mark.parametrize("dt", [0.1, 0.5, 1.0])
+def test_coarse_step_keeps_plateau_current(dt):
+    # the coefficient grid does not coarsen with the RK4 step, so a coarse
+    # step reproduces the fine-step plateau current
+    fine = _plateau(BATH, 0.02)
+    assert abs(_plateau(BATH, dt) - fine) < 1e-5 * abs(fine)
+
+
+def test_coarse_step_keeps_sign_of_cold_bath_current():
+    # at temperature 0.3 the plateau current is small: a coefficient grid
+    # of spacing dt/2 flips its sign at dt 1.0
+    cold = BathSpec(alpha=0.01, omega_c=1.0, temperature=0.3)
+    fine, coarse = _plateau(cold, 0.02), _plateau(cold, 1.0)
+    assert np.sign(coarse) == np.sign(fine)
+    assert abs(coarse - fine) < 1e-4 * abs(fine)
 
 
 def test_generator_converges_to_bloch_redfield():
-    cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02, quad_points=2)
+    cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02)
     late = TclPropagator(SPEC, BATH, cfg).generator(60.0)
     markov = total_liouvillian("bloch_redfield", SPEC, BATH, include_shifts=True)
     assert np.abs(late.matrix - markov.matrix).max() < 1e-4
@@ -128,7 +149,7 @@ def test_generator_converges_to_bloch_redfield():
 def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
     # mid-memory the running coefficients are far from their Markovian
     # limits; the generator must still be the Redfield form with Gamma(t)
-    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02, quad_points=2)
+    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02)
     prop = TclPropagator(SPEC, BATH, cfg)
     t = 1.37
     gen = prop.generator(t)
@@ -147,7 +168,7 @@ def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
 
 
 def test_early_generator_has_no_dissipation():
-    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02, quad_points=2)
+    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02)
     prop = TclPropagator(SPEC, BATH, cfg)
     decay = np.zeros((3, 3))
     decay[2, 0] = 1.0
@@ -157,7 +178,7 @@ def test_early_generator_has_no_dissipation():
 
 
 def test_trajectory_slips_then_tracks_markovian_observables():
-    cfg = MemoryKernelConfig(t_mem=20.0, dt=0.05, quad_points=2)
+    cfg = MemoryKernelConfig(t_mem=20.0, dt=0.05)
     prop = TclPropagator(SPEC, BATH, cfg)
     times, states, record = prop.propagate(lower_ground_state(), 30.0)
     markov = total_liouvillian("bloch_redfield", SPEC, BATH)
@@ -183,7 +204,7 @@ def test_memory_horizon_insensitive():
     # doubling t_mem changes the plateau current by well under half a percent
     currents = []
     for t_mem in (20.0, 40.0):
-        cfg = MemoryKernelConfig(t_mem=t_mem, dt=0.05, quad_points=2)
+        cfg = MemoryKernelConfig(t_mem=t_mem, dt=0.05)
         _, _, record = TclPropagator(SPEC, BATH, cfg).propagate(lower_ground_state(), 60.0)
         currents.append(record.current)
     assert abs(currents[1] - currents[0]) / abs(currents[1]) < 0.005
@@ -191,7 +212,7 @@ def test_memory_horizon_insensitive():
 
 def test_zero_coupling_reduces_to_coherent_evolution():
     dead_bath = BathSpec(alpha=0.0, omega_c=1.0, temperature=3.0)
-    cfg = MemoryKernelConfig(t_mem=5.0, dt=0.05, quad_points=2)
+    cfg = MemoryKernelConfig(t_mem=5.0, dt=0.05)
     times, states, record = TclPropagator(SPEC, dead_bath, cfg).propagate(lower_ground_state(), 10.0)
     reference = total_liouvillian("bloch_redfield", SPEC, dead_bath)
     _, ref_states = propagate(lambda t: reference, lower_ground_state(), 10.0, 0.05)
