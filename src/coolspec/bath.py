@@ -68,60 +68,70 @@ def spectral_density(omega, spec: BathSpec):
     return out.item() if out.ndim == 0 else out
 
 
-def bose_occupation(nu: float, spec: BathSpec) -> float:
+def bose_occupation(nu, spec: BathSpec):
     """Thermal occupation 1 / (exp(beta nu) - 1), requires nu > 0.
 
-    Evaluated as -exp(-x) / expm1(-x) with x = beta nu, which cannot
-    overflow at large x and keeps full relative accuracy as nu -> 0.
+    Accepts scalars or arrays.  Evaluated as -exp(-x) / expm1(-x) with
+    x = beta nu, which cannot overflow at large x and keeps full relative
+    accuracy as nu -> 0.
     """
-    if nu <= 0:
+    nu = np.asarray(nu, dtype=float)
+    if not np.all(nu > 0):
         raise ValueError(f"bose_occupation requires nu > 0, got {nu}")
     x = spec.beta * nu
-    return -math.exp(-x) / math.expm1(-x)
+    out = -np.exp(-x) / np.expm1(-x)
+    return out.item() if out.ndim == 0 else out
 
 
-def rate_a(nu: float, spec: BathSpec) -> float:
+def rate_a(nu, spec: BathSpec):
     """Half-Fourier golden-rule rate at transition frequency nu.
 
     nu > 0 (system loses energy to the bath): pi (n(nu) + 1) j(nu).
     nu < 0 (system absorbs energy):           pi n(|nu|) j(|nu|).
     nu = 0: zero, since j(w)/w -> 0 for the cubic density.
 
-    Rates at opposite frequencies obey detailed balance,
-    rate_a(nu) / rate_a(-nu) = exp(beta nu).
+    Accepts scalars or arrays.  Rates at opposite frequencies obey detailed
+    balance, rate_a(nu) / rate_a(-nu) = exp(beta nu).
     """
-    if nu > 0:
-        return math.pi * (bose_occupation(nu, spec) + 1.0) * spectral_density(nu, spec)
-    if nu < 0:
-        return math.pi * bose_occupation(-nu, spec) * spectral_density(-nu, spec)
-    return 0.0
+    nu = np.asarray(nu, dtype=float)
+    s = np.abs(nu)
+    safe = np.where(s > 0.0, s, 1.0)
+    emitted = bose_occupation(safe, spec) + (nu > 0.0)
+    out = np.where(s > 0.0, math.pi * emitted * spectral_density(safe, spec), 0.0)
+    return out.item() if out.ndim == 0 else out
 
 
-def _thermal_numerator(w: np.ndarray, nu: float, omega_c: float, beta: float) -> np.ndarray:
+def _thermal_numerator(w: np.ndarray, nu, omega_c: float, beta: float) -> np.ndarray:
     """j(w)/alpha * (w + (2 n(w) + 1) nu) at w > 0, elementwise."""
     em1 = np.expm1(-beta * w)
     coth = (2.0 + em1) / -em1  # 2 n(w) + 1 = coth(beta w / 2), no overflow
     return 2.0 * w**3 / omega_c**2 * np.exp(-w / omega_c) * (w + coth * nu)
 
 
-def _breakpoints(s: float, omega_c: float, temperature: float, omega_max: float) -> np.ndarray:
+def _breakpoints(s: np.ndarray, omega_c: float, temperature: float,
+                 omega_max: np.ndarray) -> np.ndarray:
     """Panel edges on (0, omega_max), graded to the singularities of the integrand.
 
+    Row k holds the edges of s[k] and omega_max[k] in ascending order.
     Edges double from h = min(s, 2 pi T, omega_c) / 2 up to 4 omega_c, so a
     panel [a, 2a] keeps a distance of about a from the pole at -s and the Bose
     poles at +-2 pi i T m; they step by 4 omega_c up to 40 omega_c across the
     exponential cutoff and double again beyond it.  s and omega_max are edges
-    themselves; other edges within 1e-3 s of s are dropped.
+    themselves; other edges within 1e-3 s of s are dropped.  Rows shorter
+    than the longest end in repeats of omega_max, i.e. in panels of zero
+    width.
     """
-    h = 0.5 * min(s, 2.0 * math.pi * temperature, omega_c)
+    h = 0.5 * np.minimum(s, min(2.0 * math.pi * temperature, omega_c))
     near = 4.0 * omega_c
-    grid = [near * k for k in range(1, 11)]
-    for edge, stop in ((h, near), (20.0 * near, omega_max)):
-        while edge < stop:
-            grid.append(edge)
-            edge *= 2.0
-    kept = [edge for edge in grid if edge < omega_max and abs(edge - s) > 1e-3 * s]
-    return np.array(sorted(kept + [0.0, s, omega_max]))
+    far = 20.0 * near
+    fine = h[:, None] * 2.0 ** np.arange(math.ceil(math.log2(near / h.min())) + 1)
+    coarse = far * 2.0 ** np.arange(math.ceil(math.log2(max(omega_max.max(), far) / far)) + 1)
+    grid = np.concatenate([np.broadcast_to(near * np.arange(1, 11), (len(s), 10)),
+                           np.where(fine < near, fine, np.inf),
+                           np.broadcast_to(coarse, (len(s), len(coarse)))], axis=1)
+    kept = (grid < omega_max[:, None]) & (np.abs(grid - s[:, None]) > 1e-3 * s[:, None])
+    edges = np.column_stack([np.zeros_like(s), s, omega_max, np.where(kept, grid, np.inf)])
+    return np.minimum(np.sort(edges, axis=1), omega_max[:, None])
 
 
 # Gauss-Legendre rules of 20 and 10 points on [-1, 1], evaluated on one
@@ -135,36 +145,43 @@ _PANEL_WEIGHTS[0, :20] = _W20
 _PANEL_WEIGHTS[1, 20:] = _W10
 
 
-def _unit_shift(nu: float, omega_c: float, beta: float, omega_max: float, tol: float) -> float:
-    """Principal-value shift integral at unit coupling (alpha = 1)."""
-    if nu == 0.0:
-        # integrand reduces to j(w)/w = 2 w^2 / omega_c^2 exp(-w / omega_c),
-        # no pole and no temperature: the window integral is exact
-        x = omega_max / omega_c
-        return 4.0 * omega_c * (1.0 - math.exp(-x) * (1.0 + x + 0.5 * x * x))
+def _principal_value(nu: np.ndarray, omega_c: float, beta: float, omega_max: np.ndarray,
+                     tol: float) -> np.ndarray:
+    """Principal-value shift integrals at unit coupling for nonzero nu, elementwise.
 
-    s = abs(nu)
-    if s >= omega_max:
-        raise ValueError(f"transition frequency {nu} outside integration window {omega_max}")
+    Each result depends on its own nu and omega_max only: the panels of all
+    transitions are evaluated together, and each transition's panels are
+    summed in panel order, so the zero-width padding adds exact zeros.
+    """
+    s = np.abs(nu)
     # subtract the simple pole at w = s: near the pole the integrand behaves
     # as c / (w - s) with c = numerator(s) / (2 s); the remainder g is
     # analytic on the whole window
-    c = float(_thermal_numerator(np.array(s), nu, omega_c, beta)) / (2.0 * s)
+    c = _thermal_numerator(s, nu, omega_c, beta) / (2.0 * s)
     edges = _breakpoints(s, omega_c, 1.0 / beta, omega_max)
-    half = 0.5 * np.diff(edges)
-    w = (edges[:-1] + half)[:, None] + half[:, None] * _PANEL_NODES
-    g = _thermal_numerator(w, nu, omega_c, beta) / ((w - s) * (w + s)) - c / (w - s)
-    panels = half[:, None] * (g @ _PANEL_WEIGHTS.T)
-    estimate = float(np.abs(panels[:, 0] - panels[:, 1]).sum())
-    if estimate > tol:
+    half = 0.5 * np.diff(edges, axis=1)
+    panel = half > 0.0
+    row = np.nonzero(panel)[0]
+    width = half[panel][:, None]
+    w = (edges[:, :-1] + half)[panel][:, None] + width * _PANEL_NODES
+    # (numerator / (w + s) - c) / (w - s): the product (w - s)(w + s) would
+    # underflow for |nu| below ~1e-161
+    g = (_thermal_numerator(w, nu[row, None], omega_c, beta) / (w + s[row, None])
+         - c[row, None]) / (w - s[row, None])
+    panels = np.zeros(half.shape + (2,))
+    panels[panel] = width * (g[:, None, :] * _PANEL_WEIGHTS).sum(axis=-1)
+    estimate = np.abs(panels[..., 0] - panels[..., 1]).cumsum(axis=1)[:, -1]
+    # a NaN estimate fails too
+    failed = np.flatnonzero(~(estimate <= tol))
+    if failed.size:
+        worst = float(estimate[failed[0]])
         raise QuadratureError(
-            f"shift integral error estimate {estimate:.3e} exceeds budget {tol:.3e}", estimate
-        )
+            f"shift integral error estimate {worst:.3e} exceeds budget {tol:.3e}", worst)
     # analytic principal value of the subtracted pole over (0, omega_max)
-    return float(panels[:, 0].sum()) + c * math.log((omega_max - s) / s)
+    return panels[..., 0].cumsum(axis=1)[:, -1] + c * np.log((omega_max - s) / s)
 
 
-def shift_b(nu: float, spec: BathSpec, omega_max: float | None = None, tol: float = SHIFT_TOL) -> float:
+def shift_b(nu, spec: BathSpec, omega_max=None, tol: float = SHIFT_TOL):
     """Principal-value frequency shift at transition frequency nu.
 
     Evaluates PV of the integral over w in (0, omega_max) of
@@ -178,16 +195,33 @@ def shift_b(nu: float, spec: BathSpec, omega_max: float | None = None, tol: floa
     40 omega_c, doubling again to omega_max, plus s and omega_max, which
     converges geometrically (Trefethen, SIAM Rev. 50, 67 (2008)).  A 10-point
     rule on the same panels gives the error estimate, the sum of the panel
-    differences; above tol (on the integral at alpha = 1) QuadratureError
-    carries it.  At nu = 0 there is no pole and the integral is taken in
-    closed form.  The coupling alpha enters exactly linearly and is factored
-    out.  The default window is 40 omega_c, widened to 2 |nu| for
-    transitions beyond it; an explicit omega_max that does not contain |nu|
-    raises ValueError.
+    differences; above tol (on the integral at alpha = 1), or NaN,
+    QuadratureError carries it.  At nu = 0 there is no pole and the integral
+    is taken in closed form.  The coupling alpha enters exactly linearly and
+    is factored out.  The default window is 40 omega_c, widened to 2 |nu|
+    for transitions beyond it; an explicit omega_max that does not contain
+    |nu| raises ValueError.  Accepts scalars or arrays of nu (and
+    omega_max), evaluated together; each result equals its scalar call.
     """
+    nu = np.asarray(nu, dtype=float)
     if omega_max is None:
-        omega_max = max(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * abs(nu))
-    return spec.alpha * _unit_shift(float(nu), spec.omega_c, spec.beta, float(omega_max), tol)
+        omega_max = np.maximum(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * np.abs(nu))
+    omega_max = np.broadcast_to(np.asarray(omega_max, dtype=float), nu.shape).ravel()
+    flat = nu.ravel()
+    outside = np.flatnonzero(np.abs(flat) >= omega_max)
+    if outside.size:
+        k = outside[0]
+        raise ValueError(f"transition frequency {flat[k]} outside integration window {omega_max[k]}")
+    out = np.empty_like(flat)
+    pole = flat != 0.0
+    # nu = 0: the integrand reduces to j(w)/w = 2 w^2 / omega_c^2 exp(-w / omega_c),
+    # no pole and no temperature: the window integral is exact
+    x = omega_max[~pole] / spec.omega_c
+    out[~pole] = 4.0 * spec.omega_c * (1.0 - np.exp(-x) * (1.0 + x + 0.5 * x * x))
+    if pole.any():
+        out[pole] = _principal_value(flat[pole], spec.omega_c, spec.beta, omega_max[pole], tol)
+    out = spec.alpha * out.reshape(nu.shape)
+    return out.item() if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -207,13 +241,15 @@ class RateTable:
 def rate_table(eig: EigenSystem, spec: BathSpec) -> RateTable:
     """Evaluate rates and shifts for every coupled ordered eigenstate pair.
 
-    Uncoupled pairs stay zero unevaluated, so they cannot fail the table.
-    Shifts use shift_b's default window and tolerance.
+    Broadcasts over leading axes of eig: the coupled transitions of every
+    point are evaluated together.  Uncoupled pairs stay zero unevaluated,
+    so they cannot fail the table.  Shifts use shift_b's default window and
+    tolerance.
     """
-    n = eig.nu.shape[0]
-    a = np.zeros((n, n))
-    b = np.zeros((n, n))
-    for i, j in zip(*np.nonzero(eig.elements)):
-        a[i, j] = rate_a(eig.nu[i, j], spec)
-        b[i, j] = shift_b(eig.nu[i, j], spec)
+    coupled = eig.elements != 0
+    nu = eig.nu[coupled]
+    a = np.zeros(eig.nu.shape)
+    b = np.zeros(eig.nu.shape)
+    a[coupled] = rate_a(nu, spec)
+    b[coupled] = shift_b(nu, spec)
     return RateTable(a=a, b=b)

@@ -185,43 +185,58 @@ def steady_state(liouvillian: Liouvillian) -> np.ndarray:
     then hermitized and trace normalized.  Raises SteadyStateError when
     the second-smallest singular value is within 1e-8 of the smallest
     (null space effectively degenerate, no unique steady state) or when
-    the residual norm of the returned state exceeds 1e-10.
+    the residual norm of the returned state exceeds 1e-10 times the
+    largest singular value (the generator's 2-norm), or 1e-10 when that
+    is below 1.  Broadcasts over a stack of generators with one SVD call;
+    the checks hold for every point, and the first point that fails one
+    names it.
     """
     if liouvillian.u != 0.0:
         raise ValueError("steady_state requires an unannotated (u = 0) generator")
     _, sigmas, vh = np.linalg.svd(liouvillian.matrix)
-    if sigmas[-2] < sigmas[-1] + STEADY_GAP_TOL:
+    flat = sigmas.reshape(-1, DIM * DIM)
+    tied = np.flatnonzero(flat[:, -2] < flat[:, -1] + STEADY_GAP_TOL)
+    if tied.size:
+        lowest, second = flat[tied[0], -1], flat[tied[0], -2]
         raise SteadyStateError(
             f"steady state is not unique: smallest singular values "
-            f"{sigmas[-1]:.3e} and {sigmas[-2]:.3e}"
+            f"{lowest:.3e} and {second:.3e}"
         )
-    rho = unvectorize(vh[-1].conj())
-    rho = 0.5 * (rho + rho.conj().T)
-    trace = np.trace(rho).real
-    if abs(trace) < 1e-12:
+    rho = unvectorize(vh[..., -1, :].conj())
+    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    trace = np.trace(rho, axis1=-2, axis2=-1).real
+    if np.any(np.abs(trace) < 1e-12):
         raise SteadyStateError("null vector is traceless, cannot normalize")
-    rho = rho / trace
-    residual = float(np.linalg.norm(liouvillian.matrix @ vectorize(rho)))
-    if residual > STEADY_RESIDUAL_TOL:
-        raise SteadyStateError(f"steady-state residual {residual:.3e} exceeds 1e-10")
+    rho = rho / trace[..., None, None]
+    residual = np.ravel(steady_residual(liouvillian, rho))
+    bound = STEADY_RESIDUAL_TOL * np.maximum(1.0, flat[:, 0])
+    failed = np.flatnonzero(~(residual <= bound))
+    if failed.size:
+        k = failed[0]
+        raise SteadyStateError(f"steady-state residual {residual[k]:.3e} exceeds {bound[k]:.3g}")
     return rho
 
 
-def steady_residual(liouvillian: Liouvillian, rho: np.ndarray) -> float:
-    """Norm of the generator applied to a state; zero for a steady state."""
-    return float(np.linalg.norm(liouvillian.matrix @ vectorize(rho)))
+def steady_residual(liouvillian: Liouvillian, rho: np.ndarray):
+    """Norm of the generator applied to a state; zero for a steady state.
+
+    Broadcasts over stacked generators and states.
+    """
+    flow = liouvillian.matrix @ vectorize(rho)[..., None]
+    return np.linalg.norm(flow[..., 0], axis=-1)[()]
 
 
-def heat_current_trace(liouvillian: Liouvillian, rho: np.ndarray) -> float:
+def heat_current_trace(liouvillian: Liouvillian, rho: np.ndarray):
     """Instantaneous phonon heat current from the generator's heat kernel.
 
     Positive values mean energy flowing from the system into the bath.
     Cooling spectra plot bath absorption, which is the negative of this.
+    Broadcasts over stacked generators and states.
     """
     if liouvillian.heat_kernel is None:
         raise ValueError("generator carries no heat kernel")
-    val = -1j * (TRACE_VECTOR @ (liouvillian.heat_kernel @ vectorize(rho)))
-    return float(val.real)
+    flow = liouvillian.heat_kernel @ vectorize(rho)[..., None]
+    return (-1j * (TRACE_VECTOR @ flow)[..., 0]).real[()]
 
 
 @dataclass(frozen=True)
@@ -242,6 +257,40 @@ class HeatRecord:
     fd_imag: float = 0.0
 
 
+def counting_field(u_step: float, scheme: str) -> float:
+    """Counting field u at which counting_fd's generator is built for a scheme and step.
+
+    u_step for scheme="forward", u_step / 2 for scheme="central".
+    """
+    if u_step <= 0:
+        raise ValueError(f"u_step must be positive, got {u_step}")
+    if scheme not in ("forward", "central"):
+        raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
+    return u_step if scheme == "forward" else 0.5 * u_step
+
+
+def counting_fd(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float, dt: float,
+                scheme: str, method: str) -> HeatRecord:
+    """Finite-difference heat record from one counting-field annotated generator.
+
+    The generator is built at u = counting_field(u_step, scheme); see
+    mean_heat_fd for the estimate.  It is evolved exactly (evolve) from
+    rho0, and chi(u, t) = Tr rho_u(t) at the last two grid times gives the
+    mean heat and the current.
+    """
+    u_step = liouvillian.u if scheme == "forward" else 2.0 * liouvillian.u
+    times, states = evolve(liouvillian, rho0, t_end, dt)
+    if len(times) < 2:
+        raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
+    chi = np.trace(states[-2:], axis1=1, axis2=2)
+    chi_other = np.trace(rho0) if scheme == "forward" else chi.conj()
+    q_prev, q_last = -1j * (chi - chi_other) / u_step
+    current = (q_last - q_prev) / dt
+    return HeatRecord(time=float(times[-1]), mean_heat=float(q_last.real),
+                      current=float(current.real), method=method, route="counting_fd",
+                      fd_imag=float(q_last.imag))
+
+
 def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 30.0,
                  dt: float = 0.05, u_step: float = 0.05, scheme: str = "central",
                  rho0: np.ndarray | None = None, include_shifts: bool = True,
@@ -254,40 +303,28 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     error terms and cuts the leading finite-u bias by a factor of four for
     the same step.  Both carry an O(u_step^2) bias proportional to the
     heat variance times elapsed time; see fd_imag for a consistency check.
-    One annotated generator is evolved exactly (evolve), since chi(0, t) =
-    Tr rho0 and chi(-u, t) = conj(chi(u, t)); the central fd_imag is
-    therefore zero.  The instantaneous current is the change of the
-    estimate over the final step dt of the time grid, of which t_end must
-    span at least one.
+    One annotated generator is evolved exactly (counting_fd), since
+    chi(0, t) = Tr rho0 and chi(-u, t) = conj(chi(u, t)); the central
+    fd_imag is therefore zero.  The instantaneous current is the change of
+    the estimate over the final step dt of the time grid, of which t_end
+    must span at least one.
     """
-    if u_step <= 0:
-        raise ValueError(f"u_step must be positive, got {u_step}")
-    if scheme not in ("forward", "central"):
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
+    u = counting_field(u_step, scheme)
     if rho0 is None:
         rho0 = lower_ground_state()
-
-    u = u_step if scheme == "forward" else 0.5 * u_step
     gen = total_liouvillian(method, spec, bath, u=u,
                             include_shifts=include_shifts, pairing_tol=pairing_tol)
-    times, states = evolve(gen, rho0, t_end, dt)
-    if len(times) < 2:
-        raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
-    chi = np.trace(states[-2:], axis1=1, axis2=2)
-    chi_other = np.trace(rho0) if scheme == "forward" else chi.conj()
-    q_prev, q_last = -1j * (chi - chi_other) / u_step
-    current = (q_last - q_prev) / dt
-    return HeatRecord(time=float(times[-1]), mean_heat=float(q_last.real),
-                      current=float(current.real), method=method, route="counting_fd",
-                      fd_imag=float(q_last.imag))
+    return counting_fd(gen, rho0, t_end, dt, scheme, method)
 
 
-def min_eigenvalue(rho: np.ndarray) -> float:
+def min_eigenvalue(rho: np.ndarray):
     """Smallest eigenvalue of the hermitized state; a positivity monitor.
 
-    Accepts a single state or a stack of states (trajectory); for a stack
-    the minimum over the whole stack is returned.
+    Accepts a single state or a trajectory of states, shape (T, 3, 3), for
+    which the minimum over the trajectory is returned, and broadcasts over
+    leading axes of stacked trajectories, shape (..., T, 3, 3).
     """
     a = np.asarray(rho)
     h = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-    return float(np.linalg.eigvalsh(h)[..., 0].min())
+    lowest = np.linalg.eigvalsh(h)[..., 0]
+    return lowest.min(axis=-1)[()] if a.ndim > 2 else float(lowest)

@@ -14,7 +14,9 @@ secular and phenomenological apply in the eigenbasis (dressed, or bare for
 phenomenological); total_liouvillian assembles all three, each on top of
 the same static_part (coherent evolution plus radiative decay, one
 effective non-Hermitian Hamiltonian and one jump).  The tcl generator uses
-running coefficients and the same static_part.
+running coefficients and the same static_part.  Every piece broadcasts over
+the leading axes of a stacked SystemSpec, so a chunk of sweep points is
+assembled in one pass of array operations.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -74,12 +77,17 @@ class Liouvillian:
     d(matrix)/du at u = 0 and is independent of the u the matrix itself was
     built at; tracing it against a state gives the instantaneous phonon
     heat current.  Radiative decay is never annotated, so photon emission
-    does not enter the counted heat.
+    does not enter the counted heat.  For a stack of points both arrays
+    carry its leading axes, and indexing selects points.
     """
 
     matrix: np.ndarray
     u: float = 0.0
     heat_kernel: np.ndarray | None = None
+
+    def __getitem__(self, index) -> Liouvillian:
+        kernel = None if self.heat_kernel is None else self.heat_kernel[index]
+        return Liouvillian(matrix=self.matrix[index], u=self.u, heat_kernel=kernel)
 
 
 def _dag(m: np.ndarray) -> np.ndarray:
@@ -101,15 +109,17 @@ def redfield(eig: EigenSystem, basis: np.ndarray, gamma: np.ndarray,
     exchange.  The heat kernel is its u-derivative at u = 0,
     rho -> Lambda' rho O - O rho Lambda'^dag with Lambda' = d Lambda_u / du
     at 0.  Returns (matrix, heat_kernel), both 9x9, broadcast over leading
-    axes of gamma.
+    axes of gamma, eig and basis.
     """
     weights = gamma * eig.elements
-    phases = np.array([np.exp(1j * u * eig.nu.T), np.exp(-1j * u * eig.nu.T),
-                       np.ones((DIM, DIM)), 1j * eig.nu.T])
+    nu_t = eig.nu.swapaxes(-1, -2)
+    phases = np.stack(np.broadcast_arrays(np.exp(1j * u * nu_t), np.exp(-1j * u * nu_t),
+                                          np.ones((DIM, DIM)), 1j * nu_t), axis=-3)
     # Lambda_u, Lambda_{-u}, Lambda_0 and Lambda', stacked on axis -3
-    lam = basis @ (weights[..., None, :, :] * phases) @ basis.conj().T
+    frame = basis[..., None, :, :]
+    lam = frame @ (weights[..., None, :, :] * phases) @ _dag(frame)
     lam_u, lam_minus_u, lam_0, lam_prime = np.moveaxis(lam, -3, 0)
-    o = basis @ eig.elements @ basis.conj().T
+    o = basis @ eig.elements @ _dag(basis)
     eye = np.eye(DIM)
     left = (lam_u, o, -o @ lam_0, eye, lam_prime, -o)
     right = (o, _dag(lam_minus_u), eye, -_dag(lam_0) @ o, o, _dag(lam_prime))
@@ -119,8 +129,8 @@ def redfield(eig: EigenSystem, basis: np.ndarray, gamma: np.ndarray,
 
 
 def _secular_dissipator(eig: EigenSystem, rates: RateTable, e_man: float,
-                        pairing_tol: float | None, u: float) -> np.ndarray:
-    """Rotating-wave dissipator and heat kernel, stacked: the masked Redfield one.
+                        pairing_tol: float | None, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rotating-wave dissipator and heat kernel: the masked Redfield one.
 
     The shift-free Redfield dissipator (coefficients a) is built in the
     eigenbasis, masked there and brought to the working basis by one change
@@ -137,11 +147,13 @@ def _secular_dissipator(eig: EigenSystem, rates: RateTable, e_man: float,
     if pairing_tol is None:
         pairing_tol = 1e-10 * e_man
     nu_vec = vectorize(eig.nu).real
-    keep = np.abs(nu_vec[:, None] - nu_vec[None, :]) <= pairing_tol
-    in_eig = keep * np.array(redfield(eig, np.eye(DIM), rates.a.T, u))
+    keep = np.abs(nu_vec[..., :, None] - nu_vec[..., None, :]) <= pairing_tol
+    in_eig = keep[..., None, :, :] * np.stack(
+        redfield(eig, np.eye(DIM), rates.a.swapaxes(-1, -2), u), axis=-3)
     # columns of to_work are the vectorized eigenbasis operators |a><b|
-    to_work = sandwich_superoperator(eig.basis, eig.basis.conj().T)
-    return to_work @ in_eig @ to_work.conj().T
+    to_work = sandwich_superoperator(eig.basis, _dag(eig.basis))[..., None, :, :]
+    out = to_work @ in_eig @ _dag(to_work)
+    return out[..., 0, :, :], out[..., 1, :, :]
 
 
 def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, float]:
@@ -156,18 +168,18 @@ def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, flo
     return 2.0 * math.pi * n_man * j_man, 2.0 * math.pi * (n_man + 1.0) * j_man
 
 
-@lru_cache(maxsize=2048)
-def _spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, RateTable]:
-    """Eigensystem and rate table of one point, shared by its methods and counting fields."""
+def spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, RateTable]:
+    """Eigensystem and rate table of spec, broadcast over stacked points."""
     eig = eigensystem(build_hamiltonian(spec), coupling_operator())
     return eig, rate_table(eig, bath)
 
 
 @lru_cache(maxsize=256)
-def _phenomenological_dissipator(e_man: float, bath: BathSpec, u: float) -> np.ndarray:
-    eig, rates = _spectrum(SystemSpec(e_man=e_man), bath)
-    out = _secular_dissipator(eig, rates, e_man, None, u)
-    out.setflags(write=False)  # shared by every point of the triple
+def _phenomenological_dissipator(e_man: float, bath: BathSpec,
+                                 u: float) -> tuple[np.ndarray, np.ndarray]:
+    out = _secular_dissipator(*spectrum(SystemSpec(e_man=e_man), bath), e_man, None, u)
+    for part in out:
+        part.setflags(write=False)  # shared by every point of the triple
     return out
 
 
@@ -179,19 +191,21 @@ def static_part(spec: SystemSpec) -> np.ndarray:
     rho -> A rho + rho A^dag + gamma_rad J rho J^dag, i.e. -i [H, rho] plus
     a Lindblad dissipator at gamma_rad (Dalibard, Castin & Molmer, PRL 68,
     580 (1992)).  Photon emission is not counted as phonon heat, so this
-    part carries no counting annotation.
+    part carries no counting annotation.  Broadcasts over a stacked spec.
     """
     jump = np.zeros((DIM, DIM), dtype=complex)
     jump[IDX_GL, IDX_E] = 1.0
     a = -1j * build_hamiltonian(spec) - 0.5 * spec.gamma_rad * (_dag(jump) @ jump)
     eye = np.eye(DIM)
-    return sandwich_superoperator(np.stack([a, eye, spec.gamma_rad * jump]),
-                                  np.stack([eye, _dag(a), _dag(jump)])).sum(axis=0)
+    left = np.stack(np.broadcast_arrays(a, eye, spec.gamma_rad * jump), axis=-3)
+    right = np.stack(np.broadcast_arrays(eye, _dag(a), _dag(jump)), axis=-3)
+    return sandwich_superoperator(left, right).sum(axis=-3)
 
 
 def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 0.0,
-                      include_shifts: bool = True,
-                      pairing_tol: float | None = None) -> Liouvillian:
+                      include_shifts: bool = True, pairing_tol: float | None = None,
+                      shared: Callable[[], tuple[EigenSystem, RateTable]] | None = None
+                      ) -> Liouvillian:
     """Markovian generator of one method: static_part plus a phonon dissipator.
 
     bloch_redfield: the full weak-coupling generator, no rotating-wave
@@ -209,13 +223,18 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     sandwich terms (state between coupling operators) exchange a bath
     quantum and carry the counting phase; the one-sided products and the
     radiative decay do not.
+
+    Broadcasts over a stacked spec.  bloch_redfield and secular read the
+    eigensystem and rate table of spec (spectrum); shared, when given,
+    returns them instead, so that the generators of several methods and
+    counting fields of one spec compute them once.
     """
+    if method in ("bloch_redfield", "secular"):
+        eig, rates = spectrum(spec, bath) if shared is None else shared()
     if method == "bloch_redfield":
-        eig, rates = _spectrum(spec, bath)
-        gamma = (rates.a - 1j * rates.b).T if include_shifts else rates.a.T
-        matrix, kernel = redfield(eig, eig.basis, gamma, u)
+        gamma = rates.a - 1j * rates.b if include_shifts else rates.a
+        matrix, kernel = redfield(eig, eig.basis, gamma.swapaxes(-1, -2), u)
     elif method == "secular":
-        eig, rates = _spectrum(spec, bath)
         matrix, kernel = _secular_dissipator(eig, rates, spec.e_man, pairing_tol, u)
     elif method == "phenomenological":
         matrix, kernel = _phenomenological_dissipator(spec.e_man, bath, u)

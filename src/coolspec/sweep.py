@@ -2,9 +2,10 @@
 
 One record is produced per (delta, omega, method, route) tuple, in a fixed
 nested order (delta outermost, route innermost), so output is byte
-identical regardless of how many worker processes computed it.  Per-point
-failures are caught and recorded in the row's status field instead of
-aborting the sweep.
+identical regardless of how many worker processes computed it.  The grid
+is evaluated in chunks of consecutive points, each passed through the
+Markovian layers as one stack.  Per-point failures are caught and recorded
+in the row's status field instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -15,22 +16,29 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import cache
 
 import numpy as np
 
 from .bath import BathSpec
 from .config import HeatRoute, SweepConfig, validate_config
 from .dynamics import (
+    counting_fd,
+    counting_field,
     evolve,
     heat_current_trace,
-    mean_heat_fd,
     min_eigenvalue,
     steady_residual,
     steady_state,
 )
-from .generators import total_liouvillian
+from .generators import spectrum, total_liouvillian
 from .system import SystemSpec, lower_ground_state
 from .tcl import MemoryKernelConfig, TclPropagator
+
+# most grid points evaluated as one stack: the shift rule's temporaries
+# grow with it, and peak memory with them
+_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class SpectrumRecord:
@@ -62,87 +70,140 @@ def delta_grid(cfg: SweepConfig) -> np.ndarray:
     return np.linspace(cfg.delta_min, cfg.delta_max, cfg.delta_steps)
 
 
-def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec,
-              method: str, route: HeatRoute) -> tuple[float, float, float]:
-    """Current, smallest eigenvalue seen and residual of one point.
+def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
+              route: HeatRoute, shared=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Current, smallest eigenvalue seen and residual of every point of spec.
 
     The method gives the final generator and the states seen.  Markovian
-    methods in steady mode solve for the stationary state; in transient
-    mode they evolve the lower ground state exactly (evolve) on the time
-    grid of step dt up to t_end, so dt sets only which times are sampled,
-    and the counting_fd current is the heat increment over the last step.
-    tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt, in
-    transient mode up to t_end and in steady mode, which has no closed-form
-    steady state for this generator, up to the plateau time tcl_t_end; its
-    final generator is the one at the last grid time.  Except on the
-    counting_fd route, the current is the trace-formula one of the final
-    generator and state.
+    methods build the generators of all points of a stacked spec at once
+    (total_liouvillian, reading the eigensystem and rate table from shared
+    when given).  In steady mode they solve for the stationary states with
+    one stacked SVD; in transient mode they evolve the lower ground state
+    of each point exactly (evolve) on the time grid of step dt up to t_end,
+    so dt sets only which times are sampled, and the counting_fd current is
+    the heat increment over the last step (counting_fd).  tcl_oracle takes
+    a single point and integrates its time-dependent generator by RK4 at
+    tcl_dt, in transient mode up to t_end and in steady mode, which has no
+    closed-form steady state for this generator, up to the plateau time
+    tcl_t_end; its final generator is the one at the last grid time.
+    Except on the counting_fd route, the current is the trace-formula one
+    of the final generator and state.  Results have the shape of spec's
+    points.
     """
-    record = None
     if method == "tcl_oracle":
         horizon = cfg.t_end if cfg.mode == "transient" else cfg.tcl_t_end
         prop = TclPropagator(spec, bath, MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt))
         times, states, _ = prop.propagate(lower_ground_state(), horizon)
         gen = prop.generator(times[-1])
-    else:
-        gen = total_liouvillian(method, spec, bath,
-                                include_shifts=cfg.include_shifts_bloch_redfield,
-                                pairing_tol=cfg.pairing_tol)
-        if cfg.mode == "steady":
-            if route.kind != "trace_formula":
-                raise ValueError("the counting_fd route needs a transient propagation")
-            states = steady_state(gen)[None]
+        return (heat_current_trace(gen, states[-1]), min_eigenvalue(states),
+                steady_residual(gen, states[-1]))
+    options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
+                   pairing_tol=cfg.pairing_tol, shared=shared)
+    gen = total_liouvillian(method, spec, bath, **options)
+    if cfg.mode == "steady":
+        if route.kind != "trace_formula":
+            raise ValueError("the counting_fd route needs a transient propagation")
+        rho = steady_state(gen)
+        return (heat_current_trace(gen, rho), min_eigenvalue(rho[..., None, :, :]),
+                steady_residual(gen, rho))
+    if route.kind == "counting_fd":
+        fd_gen = total_liouvillian(method, spec, bath,
+                                   u=counting_field(route.u_step, route.scheme), **options)
+    values = []
+    for k in np.ndindex(gen.matrix.shape[:-2]):
+        _, states = evolve(gen[k], lower_ground_state(), cfg.t_end, cfg.dt)
+        if route.kind == "counting_fd":
+            current = counting_fd(fd_gen[k], lower_ground_state(), cfg.t_end, cfg.dt,
+                                  route.scheme, method).current
         else:
-            _, states = evolve(gen, lower_ground_state(), cfg.t_end, cfg.dt)
-            if route.kind == "counting_fd":
-                record = mean_heat_fd(method, spec, bath, t_end=cfg.t_end, dt=cfg.dt,
-                                      u_step=route.u_step, scheme=route.scheme,
-                                      include_shifts=cfg.include_shifts_bloch_redfield,
-                                      pairing_tol=cfg.pairing_tol)
-    current = heat_current_trace(gen, states[-1]) if record is None else record.current
-    return current, min_eigenvalue(states), steady_residual(gen, states[-1])
+            current = heat_current_trace(gen[k], states[-1])
+        values.append((current, min_eigenvalue(states), steady_residual(gen[k], states[-1])))
+    return np.transpose(values)
+
+
+def _problem(cfg: SweepConfig, deltas: list[float],
+             omegas: list[float]) -> tuple[SystemSpec, BathSpec]:
+    """System of the points (deltas[k], omegas[k]), stacked unless there is one, and the bath."""
+    one = len(deltas) == 1
+    spec = SystemSpec(e_man=cfg.e_man, gamma_rad=cfg.gamma_rad,
+                      delta=deltas[0] if one else np.array(deltas),
+                      omega_rabi=omegas[0] if one else np.array(omegas))
+    return spec, BathSpec(alpha=cfg.alpha, omega_c=cfg.omega_c, temperature=cfg.temperature)
+
+
+def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method: str,
+             route: HeatRoute, shared=None) -> list[SpectrumRecord]:
+    """Records of the points (deltas[k], omegas[k]) for one method and route.
+
+    Markovian points are evaluated as one stack (shared holds their
+    eigensystem and rate table); tcl_oracle points one at a time.  When the
+    stacked evaluation raises, each point is evaluated on its own, so a
+    failure, a LinAlgError included, marks only the points that cause it.
+    A single point's exception becomes its error status.
+    """
+    if len(deltas) == 1 or method != "tcl_oracle":
+        try:
+            values = _evaluate(cfg, *_problem(cfg, deltas, omegas), method, route, shared)
+            values = np.reshape(values, (3, -1))
+        except Exception as exc:
+            if len(deltas) == 1:
+                return [SpectrumRecord(delta=deltas[0], omega=omegas[0], method=method,
+                                       route=route.kind, heat_absorption_rate=math.nan,
+                                       min_eigenvalue_seen=math.nan, steady_residual=math.nan,
+                                       status=f"error: {type(exc).__name__}: {exc}")]
+        else:
+            sign = -1.0 if cfg.sign == "absorption_positive" else 1.0
+            return [SpectrumRecord(delta=d, omega=w, method=method, route=route.kind,
+                                   heat_absorption_rate=sign * float(current),
+                                   min_eigenvalue_seen=float(seen), steady_residual=float(residual))
+                    for d, w, current, seen, residual in zip(deltas, omegas, *values)]
+    return [rec for d, w in zip(deltas, omegas)
+            for rec in _records(cfg, [d], [w], method, route)]
 
 
 def evaluate_point(cfg: SweepConfig, delta: float, omega: float, method: str,
                    route: HeatRoute) -> SpectrumRecord:
-    """Compute one sweep record; exceptions become an error status."""
-    try:
-        spec = SystemSpec(e_man=cfg.e_man, delta=delta, omega_rabi=omega,
-                          gamma_rad=cfg.gamma_rad)
-        bath = BathSpec(alpha=cfg.alpha, omega_c=cfg.omega_c,
-                        temperature=cfg.temperature)
-        current, seen, residual = _evaluate(cfg, spec, bath, method, route)
-        rate = -current if cfg.sign == "absorption_positive" else current
-        return SpectrumRecord(delta=delta, omega=omega, method=method,
-                              route=route.kind, heat_absorption_rate=rate,
-                              min_eigenvalue_seen=seen, steady_residual=residual)
-    except Exception as exc:
-        return SpectrumRecord(delta=delta, omega=omega, method=method,
-                              route=route.kind, heat_absorption_rate=math.nan,
-                              min_eigenvalue_seen=math.nan, steady_residual=math.nan,
-                              status=f"error: {type(exc).__name__}: {exc}")
+    """Compute one sweep record; exceptions become an error status.
+
+    The one-point case of the chunked evaluation run_sweep makes.
+    """
+    return _records(cfg, [delta], [omega], method, route)[0]
+
+
+def _evaluate_chunk(cfg: SweepConfig, points: list[tuple[float, float]]) -> list[SpectrumRecord]:
+    """Records of consecutive grid points, in (point, method, route) order.
+
+    The points share one eigensystem and rate table, computed on first use,
+    across all methods and routes.
+    """
+    deltas, omegas = (list(axis) for axis in zip(*points))
+    shared = cache(lambda: spectrum(*_problem(cfg, deltas, omegas)))
+    columns = [_records(cfg, deltas, omegas, method, route, shared)
+               for method in cfg.methods for route in cfg.routes]
+    return [rec for row in zip(*columns) for rec in row]
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     """Evaluate the full grid, optionally across worker processes.
 
-    Results are ordered (delta, omega, method, route) regardless of jobs.
+    The (delta, omega) points are taken in output order in chunks of at
+    most _CHUNK, each evaluated as one stack (_evaluate_chunk); workers
+    receive whole chunks.  Chunk boundaries do not depend on jobs, and
+    results are ordered (delta, omega, method, route) regardless of jobs.
     A config built in code is validated here first (ConfigError).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     validate_config(cfg)
-    tasks = [
-        (cfg, float(delta), float(omega), method, route)
-        for delta in delta_grid(cfg)
-        for omega in cfg.omega_list
-        for method in cfg.methods
-        for route in cfg.routes
-    ]
+    points = [(float(delta), float(omega))
+              for delta in delta_grid(cfg) for omega in cfg.omega_list]
+    chunks = [points[start:start + _CHUNK] for start in range(0, len(points), _CHUNK)]
     if jobs == 1:
-        return [evaluate_point(*t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(evaluate_point, *zip(*tasks), chunksize=8))
+        parts = [_evaluate_chunk(cfg, chunk) for chunk in chunks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            parts = list(pool.map(_evaluate_chunk, [cfg] * len(chunks), chunks))
+    return [rec for part in parts for rec in part]
 
 
 def format_number(x: float) -> str:

@@ -34,6 +34,10 @@ class SystemSpec:
         drive phase can always be absorbed into the definition of |e>.
     gamma_rad:
         Radiative decay rate for |e> -> |g_l>, must be >= 0.
+
+    delta and omega_rabi may also be arrays of one shape: the spec then
+    stands for that stack of points, and build_hamiltonian and the
+    generators broadcast over it.
     """
 
     e_man: float
@@ -44,7 +48,7 @@ class SystemSpec:
     def __post_init__(self):
         if not self.e_man > 0:
             raise ValueError(f"e_man must be positive, got {self.e_man}")
-        if self.omega_rabi < 0:
+        if np.any(np.asarray(self.omega_rabi) < 0):
             raise ValueError(f"omega_rabi must be non-negative, got {self.omega_rabi}")
         if self.gamma_rad < 0:
             raise ValueError(f"gamma_rad must be non-negative, got {self.gamma_rad}")
@@ -54,13 +58,15 @@ def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
     """Rotating-frame Hamiltonian in the working basis.
 
     The driven state |e> sits at -delta, the drive couples it to |g_u>
-    with matrix element omega_rabi / 2, and |g_l> sits at -e_man.
+    with matrix element omega_rabi / 2, and |g_l> sits at -e_man.  Shape
+    (..., 3, 3) for a stacked spec.
     """
-    h = np.zeros((3, 3), dtype=complex)
-    h[IDX_E, IDX_E] = -spec.delta
-    h[IDX_E, IDX_GU] = spec.omega_rabi / 2.0
-    h[IDX_GU, IDX_E] = spec.omega_rabi / 2.0
-    h[IDX_GL, IDX_GL] = -spec.e_man
+    shape = np.broadcast_shapes(np.shape(spec.delta), np.shape(spec.omega_rabi))
+    h = np.zeros(shape + (3, 3), dtype=complex)
+    h[..., IDX_E, IDX_E] = -spec.delta
+    h[..., IDX_E, IDX_GU] = spec.omega_rabi / 2.0
+    h[..., IDX_GU, IDX_E] = spec.omega_rabi / 2.0
+    h[..., IDX_GL, IDX_GL] = -spec.e_man
     return h
 
 
@@ -86,7 +92,8 @@ class EigenSystem:
     energies are ascending and basis holds the eigenvectors as columns.
     nu[i, j] = energies[i] - energies[j] is the transition frequency of the
     transition operator <i|O|j> |i><j|, with elements[i, j] = <i|O|j> the
-    coupling operator O in the eigenbasis.
+    coupling operator O in the eigenbasis.  Every field carries the leading
+    axes of a stack of Hamiltonians.
     """
 
     energies: np.ndarray
@@ -98,25 +105,24 @@ class EigenSystem:
 def eigensystem(hamiltonian: np.ndarray, coupling: np.ndarray) -> EigenSystem:
     """Diagonalize and write the coupling operator in the eigenbasis.
 
-    Raises ValueError when the Hamiltonian is not hermitian to 1e-12.  The
-    eigenbasis is made deterministic by fixing each eigenvector's phase
-    (largest-magnitude component made real positive) and, within exactly
-    degenerate eigenvalues, ordering by the index of that component.
+    Broadcasts over leading axes of hamiltonian.  Raises ValueError when a
+    Hamiltonian is not hermitian to 1e-12.  The eigenbasis is made
+    deterministic by fixing each eigenvector's phase (largest-magnitude
+    component made real positive) and, within exactly degenerate
+    eigenvalues, ordering by the index of that component.
     """
     h = np.asarray(hamiltonian, dtype=complex)
-    anti = 0.5 * np.abs(h - h.conj().T).max()
+    anti = 0.5 * np.abs(h - h.conj().swapaxes(-1, -2)).max()
     if anti > HERMITICITY_TOL:
         raise ValueError(f"Hamiltonian is not hermitian: anti-hermitian norm {anti:.3e}")
     energies, basis = np.linalg.eigh(h)
-    dominant = np.abs(basis).argmax(axis=0)
-    order = np.lexsort((dominant, energies))
-    energies = energies[order]
-    basis = np.ascontiguousarray(basis[:, order])
-    for k in range(basis.shape[1]):
-        lead = basis[np.abs(basis[:, k]).argmax(), k]
-        if lead != 0:
-            basis[:, k] *= np.conj(lead) / abs(lead)
-    o = np.asarray(coupling, dtype=complex)
-    elements = basis.conj().T @ o @ basis
-    nu = energies[:, None] - energies[None, :]
+    dominant = np.abs(basis).argmax(axis=-2)
+    order = np.lexsort((dominant, energies), axis=-1)
+    energies = np.take_along_axis(energies, order, axis=-1)
+    basis = np.take_along_axis(basis, order[..., None, :], axis=-1)
+    # the dominant component of a unit vector is never 0
+    lead = np.take_along_axis(basis, np.abs(basis).argmax(axis=-2)[..., None, :], axis=-2)
+    basis = basis * (lead.conj() / np.abs(lead))
+    elements = basis.conj().swapaxes(-1, -2) @ np.asarray(coupling, dtype=complex) @ basis
+    nu = energies[..., :, None] - energies[..., None, :]
     return EigenSystem(energies=energies, basis=basis, nu=nu, elements=elements)

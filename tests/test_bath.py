@@ -246,3 +246,56 @@ def test_rate_table_consistent_with_scalars():
                 assert_allclose(table.a[i, j] / table.a[j, i],
                                 math.exp(eig.nu[i, j] / 3.0), rtol=1e-10)
     assert np.all(np.diag(table.a) == 0.0)
+
+
+@pytest.mark.parametrize("omega_c", [0.02, 100.0])
+@pytest.mark.parametrize("temperature", [0.01, 1.0, 3.0])
+def test_vectorized_rates_and_shifts_match_scalar_calls(temperature, omega_c):
+    # one array call evaluates all transitions together, with panels padded
+    # to the longest edge list (tiny |nu| doubles ~1000 times, |nu| beyond
+    # 40 omega_c widens the window); each entry must equal its scalar call
+    # exactly, or sweep output would depend on how points are chunked
+    spec = BathSpec(alpha=0.01, omega_c=omega_c, temperature=temperature)
+    nus = np.array([-3.0, -0.7, -1e-3, 0.0, 1e-3, 0.05, 0.7, 3.0, 1e-200, -1e-300])
+    shifts, rates = shift_b(nus, spec), rate_a(nus, spec)
+    assert shifts.shape == rates.shape == nus.shape
+    assert np.all(np.isfinite(shifts)) and np.all(np.isfinite(rates))
+    for nu, b, a in zip(nus, shifts, rates):
+        assert b == shift_b(float(nu), spec)
+        assert a == rate_a(float(nu), spec)
+
+
+def test_stacked_rate_table_matches_single_points():
+    # omega 0 leaves |e> uncoupled; delta 0 and 2 tie it with |g_u>, |g_l>
+    deltas, omegas = np.array([0.0, 2.0, 0.3, -0.5, 0.0]), np.array([0.0, 0.0, 1.1, 0.7, 1.0])
+    eig = eigensystem(build_hamiltonian(SystemSpec(e_man=2.0, delta=deltas, omega_rabi=omegas)),
+                      coupling_operator())
+    table = rate_table(eig, BATH)
+    assert table.a.shape == table.b.shape == (5, 3, 3)
+    uncoupled = eig.elements == 0
+    assert np.any(uncoupled)
+    assert np.all(table.a[uncoupled] == 0.0) and np.all(table.b[uncoupled] == 0.0)
+    for k, (delta, omega) in enumerate(zip(deltas, omegas)):
+        spec = SystemSpec(e_man=2.0, delta=float(delta), omega_rabi=float(omega))
+        single = rate_table(eigensystem(build_hamiltonian(spec), coupling_operator()), BATH)
+        assert np.array_equal(table.a[k], single.a)
+        assert np.array_equal(table.b[k], single.b)
+
+
+@pytest.mark.parametrize("nu", [1e-300, -1e-300, 1e-200, 1e-160])
+def test_shift_at_tiny_frequency_approaches_zero_frequency_limit(nu):
+    # (w - s)(w + s) underflowed to 0 below |nu| ~ 1e-161, so the integrand
+    # was 0/0 and the shift a silent NaN
+    spec = BathSpec(alpha=1.0, omega_c=1.0, temperature=1.0)
+    assert_allclose(shift_b(nu, spec), shift_b(0.0, spec), rtol=1e-15)
+
+
+def test_nan_error_estimate_raises(monkeypatch):
+    # a NaN estimate compares False against the budget; it must still fail
+    import coolspec.bath as bath_module
+
+    monkeypatch.setattr(bath_module, "_thermal_numerator",
+                        lambda w, nu, omega_c, beta: np.full(np.shape(w), np.nan))
+    with pytest.raises(QuadratureError, match="nan exceeds budget") as info:
+        shift_b(0.7, BATH)
+    assert math.isnan(info.value.estimate)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from coolspec import sweep
 from coolspec.cli import main
 from coolspec.config import ConfigError, HeatRoute, SweepConfig, config_from_dict
 from coolspec.sweep import (
@@ -198,6 +199,90 @@ def test_per_point_failures_recorded_in_row():
     assert math.isnan(failed.min_eigenvalue_seen)
     assert ok.status == "ok"
     assert math.isfinite(ok.heat_absorption_rate)
+
+
+# ok points around one without a unique steady state (omega 0 at
+# gamma_rad 0), plus the per-point tcl_oracle method
+MIXED = config_from_dict({
+    "system": {"gamma_rad": 0.0},
+    "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1,
+              "omega_list": [0.2, 0.4, 0.6, 0.0, 0.8, 1.0, 1.2, 1.4, 1.6]},
+    "methods": ["bloch_redfield", "secular", "phenomenological", "tcl_oracle"],
+    "tcl": {"t_mem": 10.0, "dt": 0.1, "t_end": 10.0},
+})
+
+
+def _values(record):
+    return record.heat_absorption_rate, record.min_eigenvalue_seen, record.steady_residual
+
+
+TRANSIENT = config_from_dict({
+    "sweep": {"delta_min": -1.0, "delta_max": 1.0, "delta_steps": 3, "omega_list": [0.5, 1.0]},
+    "methods": ["bloch_redfield", "secular"],
+    "mode": {"kind": "transient", "t_end": 5.0, "dt": 0.05},
+    "heat_route": [{"kind": "trace_formula"},
+                   {"kind": "counting_fd", "u_step": 0.05, "scheme": "central"}],
+})
+
+
+@pytest.mark.parametrize("cfg,failures", [(MIXED, 3), (TRANSIENT, 0)], ids=["steady", "transient"])
+def test_output_does_not_depend_on_chunks_or_jobs(cfg, failures, monkeypatch):
+    reference = render_csv(run_sweep(cfg))
+    assert reference.count(",error: SteadyStateError") == failures
+    assert reference.count(",ok\n") == len(reference.splitlines()) - 1 - failures
+    for size in (sweep._CHUNK, 1, 7):
+        monkeypatch.setattr(sweep, "_CHUNK", size)
+        for jobs in (1, 2):
+            assert render_csv(run_sweep(cfg, jobs=jobs)) == reference
+
+
+def test_chunk_failure_marks_only_its_point():
+    # the chunk's stacked SVD fails on the omega 0 point; the chunk falls
+    # back to single points, which keep their own status and values
+    records = run_sweep(MIXED)
+    for rec in records:
+        single = evaluate_point(MIXED, rec.delta, rec.omega, rec.method, MIXED.routes[0])
+        assert rec.status == single.status
+        if rec.omega == 0.0 and rec.method != "tcl_oracle":
+            assert rec.status.startswith("error: SteadyStateError: steady state is not unique: "
+                                         "smallest singular values ")
+        else:
+            assert rec.status == "ok"
+            assert _values(rec) == _values(single)
+
+
+def test_stacked_linalg_error_falls_back_to_points(monkeypatch):
+    reference = run_sweep(SMALL)
+    svd = np.linalg.svd
+    stacked_calls = []
+
+    def failing(a, *args, **kwargs):
+        if np.ndim(a) > 2:
+            stacked_calls.append(np.shape(a))
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    records = run_sweep(SMALL)
+    assert stacked_calls
+    assert [r.status for r in records] == ["ok"] * len(reference)
+    assert [_values(r) for r in records] == [_values(r) for r in reference]
+
+
+@pytest.mark.parametrize("changes", [{"sweep": {"delta_min": 1e8, "delta_max": 1e8}},
+                                     {"system": {"gamma_rad": 1e8}},
+                                     {"bath": {"alpha": 1e6}}],
+                         ids=["delta_1e8", "gamma_rad_1e8", "alpha_1e6"])
+def test_steady_residual_bound_scales_with_generator(changes):
+    # ||L||_2 ~ 1e8 here: a machine-precision steady state leaves a residual
+    # of ~1e-8, which an absolute 1e-10 bound rejected
+    base = {"sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1,
+                      "omega_list": [0.5]}}
+    cfg = config_from_dict({key: {**base.get(key, {}), **value}
+                            for key, value in {**base, **changes}.items()})
+    for rec in run_sweep(cfg):
+        assert rec.status == "ok"
+        assert all(math.isfinite(x) for x in _values(rec))
 
 
 @pytest.mark.parametrize("bath,tcl", [({"temperature": 0.01}, {}),

@@ -121,3 +121,28 @@ def test_dressed_states_diagonalize_resonant_drive(dressed_states):
     # fixed phase and |g_l>
     overlaps = np.abs(eig.basis.conj().T @ np.column_stack([plus, minus]))
     assert_allclose(np.sort(overlaps.max(axis=0)), [1.0, 1.0], atol=1e-12)
+
+
+def test_stacked_eigensystem_equals_single_calls():
+    # omega 0 at delta 0 (|e> with |g_u>) and at delta 2 (|e> with |g_l>)
+    # are exact ties, ordered by the dominant component
+    deltas = np.array([0.0, 2.0, 0.0, -0.7, 0.3, 1.5])
+    omegas = np.array([0.0, 0.0, 1.0, 1.3, 0.0, 0.2])
+    stacked = eigensystem(build_hamiltonian(SystemSpec(e_man=2.0, delta=deltas,
+                                                       omega_rabi=omegas)),
+                          coupling_operator())
+    assert stacked.basis.shape == (6, 3, 3)
+    for k, (delta, omega) in enumerate(zip(deltas, omegas)):
+        spec = SystemSpec(e_man=2.0, delta=float(delta), omega_rabi=float(omega))
+        single = eigensystem(build_hamiltonian(spec), coupling_operator())
+        for field in ("energies", "basis", "nu", "elements"):
+            assert np.array_equal(getattr(stacked, field)[k], getattr(single, field))
+    assert stacked.energies[0, 1] == stacked.energies[0, 2]
+    assert stacked.energies[1, 0] == stacked.energies[1, 1]
+
+
+def test_stacked_eigensystem_rejects_nonhermitian_member():
+    h = build_hamiltonian(SystemSpec(e_man=2.0, delta=np.zeros(3), omega_rabi=np.ones(3)))
+    h[1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="hermitian"):
+        eigensystem(h, coupling_operator())
