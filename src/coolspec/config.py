@@ -42,8 +42,8 @@ class SweepConfig:
 
     delta and omega_rabi vary over the grid; everything else is shared by
     all points.  tcl_* fields configure the finite-memory validation
-    method when it is among the requested methods (in steady mode it
-    propagates to tcl_t_end and reports the plateau there).
+    method when it is among the requested methods (in steady mode its
+    plateau is the null state of its generator, frozen past tcl_t_mem).
     """
 
     e_man: float = 2.0
@@ -65,7 +65,6 @@ class SweepConfig:
     pairing_tol: float | None = None
     tcl_t_mem: float = 30.0
     tcl_dt: float = 0.02
-    tcl_t_end: float = 60.0
 
 
 # JSON location (section, key) of every SweepConfig field, in the order
@@ -91,13 +90,11 @@ CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
     "pairing_tol": (None, "pairing_tol"),
     "tcl_t_mem": ("tcl", "t_mem"),
     "tcl_dt": ("tcl", "dt"),
-    "tcl_t_end": ("tcl", "t_end"),
 }
 
 # fields validate_config requires to be positive (when set) or non-negative;
 # mode.t_end and mode.dt join the positive ones in transient mode
-_POSITIVE = ("e_man", "omega_c", "temperature", "pairing_tol",
-             "tcl_t_mem", "tcl_dt", "tcl_t_end")
+_POSITIVE = ("e_man", "omega_c", "temperature", "pairing_tol", "tcl_t_mem", "tcl_dt")
 _NON_NEGATIVE = ("gamma_rad", "alpha")
 
 

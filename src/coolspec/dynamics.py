@@ -301,8 +301,11 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     one-sided quotient.  scheme="central" (default) evaluates chi at
     +u_step/2 and -u_step/2 with the same division, which cancels the odd
     error terms and cuts the leading finite-u bias by a factor of four for
-    the same step.  Both carry an O(u_step^2) bias proportional to the
-    heat variance times elapsed time; see fd_imag for a consistency check.
+    the same step.  With chi(u) = sum_n (iu)^n m_n / n!, m_n = <Q^n> the
+    raw moments of the heat, the forward quotient is
+    m_1 - u_step^2 m_3 / 6 + O(u_step^4) in its real part and
+    u_step m_2 / 2 in its imaginary part (fd_imag), and the central one is
+    m_1 - u_step^2 m_3 / 24: both biases come from the third raw moment.
     One annotated generator is evolved exactly (counting_fd), since
     chi(0, t) = Tr rho0 and chi(-u, t) = conj(chi(u, t)); the central
     fd_imag is therefore zero.  The instantaneous current is the change of

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import cache
 
@@ -77,35 +76,41 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     The method gives the final generator and the states seen.  Markovian
     methods build the generators of all points of a stacked spec at once
     (total_liouvillian, reading the eigensystem and rate table from shared
-    when given).  In steady mode they solve for the stationary states with
-    one stacked SVD; in transient mode they evolve the lower ground state
-    of each point exactly (evolve) on the time grid of step dt up to t_end,
-    so dt sets only which times are sampled, and the counting_fd current is
-    the heat increment over the last step (counting_fd).  tcl_oracle takes
-    a single point and integrates its time-dependent generator by RK4 at
-    tcl_dt, in transient mode up to t_end and in steady mode, which has no
-    closed-form steady state for this generator, up to the plateau time
-    tcl_t_end; its final generator is the one at the last grid time.
-    Except on the counting_fd route, the current is the trace-formula one
-    of the final generator and state.  Results have the shape of spec's
-    points.
+    when given).  tcl_oracle takes a single point and integrates its
+    time-dependent generator by RK4 at tcl_dt from the lower ground state;
+    in transient mode up to t_end, its final generator being the one at
+    the last grid time, and in steady mode up to the last row of its
+    coefficient table, its final generator being the one frozen there.  In
+    steady mode every method solves for the stationary state of its final
+    generator (steady_state, one stacked SVD), and tcl_oracle's smallest
+    eigenvalue seen also covers its trajectory.  In transient mode
+    Markovian methods evolve the lower ground state of each point exactly
+    (evolve) on the time grid of step dt up to t_end, so dt sets only which
+    times are sampled, and the counting_fd current is the heat increment
+    over the last step (counting_fd).  Except on the counting_fd route, the
+    current is the trace-formula one of the final generator and state.
+    Results have the shape of spec's points.
     """
-    if method == "tcl_oracle":
-        horizon = cfg.t_end if cfg.mode == "transient" else cfg.tcl_t_end
-        prop = TclPropagator(spec, bath, MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt))
-        times, states, _ = prop.propagate(lower_ground_state(), horizon)
-        gen = prop.generator(times[-1])
-        return (heat_current_trace(gen, states[-1]), min_eigenvalue(states),
-                steady_residual(gen, states[-1]))
     options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
                    pairing_tol=cfg.pairing_tol, shared=shared)
-    gen = total_liouvillian(method, spec, bath, **options)
+    trajectory_seen = np.inf
+    if method == "tcl_oracle":
+        prop = TclPropagator(spec, bath, MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt))
+        if cfg.mode == "transient":
+            times, states, _ = prop.propagate(lower_ground_state(), cfg.t_end)
+            gen = prop.generator(times[-1])
+            return (heat_current_trace(gen, states[-1]), min_eigenvalue(states),
+                    steady_residual(gen, states[-1]))
+        _, states, _ = prop.propagate(lower_ground_state(), prop.taus[-1])
+        gen, trajectory_seen = prop.generator(prop.taus[-1]), min_eigenvalue(states)
+    else:
+        gen = total_liouvillian(method, spec, bath, **options)
     if cfg.mode == "steady":
         if route.kind != "trace_formula":
             raise ValueError("the counting_fd route needs a transient propagation")
         rho = steady_state(gen)
-        return (heat_current_trace(gen, rho), min_eigenvalue(rho[..., None, :, :]),
-                steady_residual(gen, rho))
+        seen = np.minimum(trajectory_seen, min_eigenvalue(rho[..., None, :, :]))
+        return heat_current_trace(gen, rho), seen, steady_residual(gen, rho)
     if route.kind == "counting_fd":
         fd_gen = total_liouvillian(method, spec, bath,
                                    u=counting_field(route.u_step, route.scheme), **options)
@@ -201,6 +206,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     if jobs == 1:
         parts = [_evaluate_chunk(cfg, chunk) for chunk in chunks]
     else:
+        # imported here so that importing the package does not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_evaluate_chunk, [cfg] * len(chunks), chunks))
     return [rec for part in parts for rec in part]

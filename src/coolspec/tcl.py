@@ -29,8 +29,11 @@ from .system import SystemSpec, build_hamiltonian, coupling_operator, eigensyste
 # Euler-Maclaurin remainder takes over
 _SERIES_TERMS = 32
 
-# widest tau-grid spacing of the running coefficients; the grid divides
-# the RK4 half step dt/2 into the fewest equal parts no wider than this
+# widest tau-grid spacing of the running coefficients up to omega_c 1; a
+# faster bath gets this / omega_c, since C(tau) varies on the scale
+# 1/omega_c (at omega_c 5 spacing 0.01 put the plateau 3.2e-4 away from
+# Bloch-Redfield, 0.002 1.3e-5).  The grid divides the RK4 half step dt/2
+# into the fewest equal parts no wider than that
 _TAU_STEP = 0.01
 
 # largest |C(t_mem)| / |C(0)| accepted.  The running integrals are frozen at
@@ -95,10 +98,13 @@ class TclPropagator:
     The running coefficients Gamma[i, j](t) are cumulative integrals of
     C(tau) exp(-i nu[i, j] tau) up to min(t, t_mem), tabulated once on a
     tau grid (taus) and interpolated linearly in between.  Its spacing is
-    dt / (2 m), m the smallest whole number that brings it to 0.01 or
-    below (m = 1 at the default dt 0.02): every RK4 node k dt/2 is a table
-    row, and a coarse step does not coarsen the coefficients.  The Redfield
-    dissipator (generators.redfield) is real-linear in Gamma, so its
+    dt / (2 m), m the smallest whole number that brings it to
+    0.01 min(1, 1/omega_c) or below (m = 1 at the default dt 0.02 and
+    omega_c 1): every RK4 node k dt/2 is a table row, a coarse step does
+    not coarsen the coefficients, and a fast bath gets a grid that follows
+    its correlation time.  Past the last row, taus[-1] (t_mem rounded to
+    the grid), the coefficients and so the generator are frozen.  The
+    Redfield dissipator (generators.redfield) is real-linear in Gamma, so its
     (matrix, heat kernel) response to each of the 18 real and imaginary
     unit coefficients is tabulated once per propagator; the generators at
     any array of times contract that response with Gamma(t) in one matmul
@@ -113,7 +119,8 @@ class TclPropagator:
         self.cfg = cfg
         self.eig = eigensystem(build_hamiltonian(spec), coupling_operator())
 
-        step = cfg.dt / (2 * math.ceil(cfg.dt / (2 * _TAU_STEP)))
+        widest = _TAU_STEP * min(1.0, 1.0 / bath.omega_c)
+        step = cfg.dt / (2 * math.ceil(cfg.dt / (2 * widest)))
         n_tau = max(1, int(round(cfg.t_mem / step)))
         taus = np.arange(n_tau + 1) * step
         corr = correlation_grid(taus, bath)

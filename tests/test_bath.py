@@ -230,6 +230,16 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_loads_no_process_pool():
+    # worker processes are started only by run_sweep with jobs > 1
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys; from coolspec import cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
 def test_rate_table_consistent_with_scalars():
     spec = SystemSpec(e_man=2.0, delta=0.3, omega_rabi=1.1, gamma_rad=0.5)
     eig = eigensystem(build_hamiltonian(spec), coupling_operator())

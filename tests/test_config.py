@@ -105,7 +105,7 @@ def test_round_trip_is_identity():
         "sign": "bath_gain_positive",
         "include_shifts": {"bloch_redfield": False},
         "pairing_tol": 1e-9,
-        "tcl": {"t_mem": 25.0, "dt": 0.03, "t_end": 50.0},
+        "tcl": {"t_mem": 25.0, "dt": 0.03},
     }
     cfg = config_from_dict(data)
     assert config_from_dict(serialize_config(cfg)) == cfg
@@ -176,6 +176,8 @@ def test_shorthand_forms_normalize():
     ({"bath": {"alpha": 10**400}}, "bath.alpha must be a finite number"),
     ({"sweep": {"omega_list": [0.5, 10**400]}}, r"omega_list\[1\] must be a finite number"),
     ({"pairing_tol": 10**400}, "pairing_tol must be a finite number or null"),
+    # steady mode's plateau is the frozen generator's null state: no horizon to set
+    ({"tcl": {"t_end": 60.0}}, "unknown key"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from coolspec import sweep
+from coolspec.bath import BathSpec
 from coolspec.cli import main
 from coolspec.config import ConfigError, HeatRoute, SweepConfig, config_from_dict
+from coolspec.dynamics import heat_current_trace, min_eigenvalue, steady_state
 from coolspec.sweep import (
     CSV_COLUMNS,
     SpectrumRecord,
@@ -20,6 +22,8 @@ from coolspec.sweep import (
     run_sweep,
     write_output,
 )
+from coolspec.system import SystemSpec, lower_ground_state
+from coolspec.tcl import MemoryKernelConfig, TclPropagator
 
 SMALL = config_from_dict({
     "sweep": {"delta_min": -0.5, "delta_max": 0.5, "delta_steps": 3,
@@ -175,13 +179,57 @@ def test_tcl_oracle_method_in_sweep():
         "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1,
                   "omega_list": [1.0]},
         "methods": ["bloch_redfield", "tcl_oracle"],
-        "tcl": {"t_mem": 20.0, "dt": 0.05, "t_end": 50.0},
+        "tcl": {"t_mem": 20.0, "dt": 0.05},
     })
     br_rec, tcl_rec = run_sweep(cfg)
     assert tcl_rec.method == "tcl_oracle"
     assert tcl_rec.status == "ok"
     assert tcl_rec.heat_absorption_rate == pytest.approx(
         br_rec.heat_absorption_rate, rel=0.01)
+
+
+def test_tcl_plateau_is_null_state_of_frozen_generator():
+    # past the coefficient table's last row the TCL generator is frozen, so
+    # the steady record is that generator's null state, from the same SVD
+    # as the Markovian methods.  t_mem 30.008 rounds to the row 30.01, which
+    # lies past the last RK4 grid time 30.00
+    cfg = config_from_dict({
+        "sweep": {"delta_min": -0.5, "delta_max": -0.5, "delta_steps": 1,
+                  "omega_list": [0.5]},
+        "methods": ["tcl_oracle"],
+        "tcl": {"t_mem": 30.008},
+    })
+    (rec,) = run_sweep(cfg)
+    spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
+    prop = TclPropagator(spec, BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0),
+                         MemoryKernelConfig(t_mem=30.008))
+    frozen = prop.generator(60.0)
+    rho = steady_state(frozen)
+    assert rec.status == "ok"
+    assert rec.heat_absorption_rate == -heat_current_trace(frozen, rho)
+    assert rec.steady_residual <= 1e-14
+    # the smallest eigenvalue seen covers the trajectory up to the last
+    # row (TCL's initial slip) and the plateau state
+    _, states, _ = prop.propagate(lower_ground_state(), prop.taus[-1])
+    assert rec.min_eigenvalue_seen == min(min_eigenvalue(states), min_eigenvalue(rho))
+
+
+def test_tcl_plateau_matches_bloch_redfield_for_fast_bath():
+    # at omega_c 5 the correlation function varies on the scale 0.2; a
+    # coefficient grid of spacing 0.01 put the plateau 3.2e-4 (delta -0.5)
+    # and 6.5e-4 (+0.5) away from Bloch-Redfield, 0.01 / omega_c 1.3e-5
+    # and 2.6e-5
+    cfg = config_from_dict({
+        "bath": {"omega_c": 5.0, "temperature": 3.0},
+        "sweep": {"delta_min": -0.5, "delta_max": 0.5, "delta_steps": 2,
+                  "omega_list": [0.5]},
+        "methods": ["tcl_oracle", "bloch_redfield"],
+    })
+    records = run_sweep(cfg)
+    assert [r.status for r in records] == ["ok"] * 4
+    for tcl_rec, br_rec in zip(records[::2], records[1::2]):
+        assert tcl_rec.heat_absorption_rate == pytest.approx(br_rec.heat_absorption_rate,
+                                                             rel=5e-5)
 
 
 def test_per_point_failures_recorded_in_row():
@@ -202,13 +250,14 @@ def test_per_point_failures_recorded_in_row():
 
 
 # ok points around one without a unique steady state (omega 0 at
-# gamma_rad 0), plus the per-point tcl_oracle method
+# gamma_rad 0), plus the per-point tcl_oracle method, whose frozen
+# generator has no unique steady state there either
 MIXED = config_from_dict({
     "system": {"gamma_rad": 0.0},
     "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1,
               "omega_list": [0.2, 0.4, 0.6, 0.0, 0.8, 1.0, 1.2, 1.4, 1.6]},
     "methods": ["bloch_redfield", "secular", "phenomenological", "tcl_oracle"],
-    "tcl": {"t_mem": 10.0, "dt": 0.1, "t_end": 10.0},
+    "tcl": {"t_mem": 10.0, "dt": 0.1},
 })
 
 
@@ -225,7 +274,7 @@ TRANSIENT = config_from_dict({
 })
 
 
-@pytest.mark.parametrize("cfg,failures", [(MIXED, 3), (TRANSIENT, 0)], ids=["steady", "transient"])
+@pytest.mark.parametrize("cfg,failures", [(MIXED, 4), (TRANSIENT, 0)], ids=["steady", "transient"])
 def test_output_does_not_depend_on_chunks_or_jobs(cfg, failures, monkeypatch):
     reference = render_csv(run_sweep(cfg))
     assert reference.count(",error: SteadyStateError") == failures
@@ -243,7 +292,7 @@ def test_chunk_failure_marks_only_its_point():
     for rec in records:
         single = evaluate_point(MIXED, rec.delta, rec.omega, rec.method, MIXED.routes[0])
         assert rec.status == single.status
-        if rec.omega == 0.0 and rec.method != "tcl_oracle":
+        if rec.omega == 0.0:
             assert rec.status.startswith("error: SteadyStateError: steady state is not unique: "
                                          "smallest singular values ")
         else:

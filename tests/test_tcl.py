@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -100,14 +102,17 @@ def test_generator_broadcasts_over_times(dt):
 
 
 def test_tau_grid_follows_dt():
-    # the spacing is dt/2 split into the fewest parts no wider than 0.01:
-    # the default dt keeps the plain 0.01 grid, a coarser one is refined
+    # the spacing is dt/2 split into the fewest parts no wider than
+    # 0.01 min(1, 1/omega_c): the default dt and bath keep the plain 0.01
+    # grid, a coarser step or a faster bath is refined
     default = TclPropagator(SPEC, BATH, MemoryKernelConfig(t_mem=30.0, dt=0.02))
     assert default.taus.tobytes() == (np.arange(3001) * 0.01).tobytes()
     assert TclPropagator(SPEC, BATH, MemoryKernelConfig(dt=0.05)).taus[1] == 0.05 / 6
-    for dt in (0.01, 0.02, 0.05, 0.07, 0.3, 1.0):
-        prop = TclPropagator(SPEC, BATH, MemoryKernelConfig(t_mem=30.0, dt=dt))
-        assert prop.taus[1] <= 0.01
+    fast = BathSpec(alpha=0.01, omega_c=5.0, temperature=3.0)
+    for (bath, widest), dt in itertools.product([(BATH, 0.01), (fast, 0.002)],
+                                                (0.01, 0.02, 0.05, 0.07, 0.3, 1.0)):
+        prop = TclPropagator(SPEC, bath, MemoryKernelConfig(t_mem=30.0, dt=dt))
+        assert prop.taus[1] <= widest
         # every RK4 node of a chunk (grid times and midpoints) is a table row
         grid = np.arange(int(round(60.0 / dt)) + 1) * dt
         pos = np.concatenate([grid, grid[:-1] + 0.5 * dt]) / prop.taus[1]
