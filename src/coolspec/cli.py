@@ -9,27 +9,10 @@ error status, 1 for configuration or usage problems.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import PROFILES, ConfigError, SweepConfig, parse_config, profile_config
 from .sweep import run_sweep, write_output
-
-JOBS_ENV_VAR = "COOLSPEC_JOBS"
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError:
-        raise ConfigError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if jobs < 1:
-        raise ConfigError(f"{JOBS_ENV_VAR} must be at least 1, got {jobs}")
-    return jobs
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -55,9 +38,8 @@ def _add_output_args(sub: argparse.ArgumentParser):
     sub.add_argument("--output", required=True, help="output file path")
     sub.add_argument("--format", choices=("csv", "json"), default="csv",
                      help="output format (default: csv)")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help=f"worker processes (default: ${JOBS_ENV_VAR} or 1); "
-                          "results do not depend on this")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="worker processes (default: 1); results do not depend on this")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -74,10 +56,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = parse_config(args.config) if args.config else SweepConfig()
         else:
             cfg = profile_config(args.profile)
-        jobs = args.jobs if args.jobs is not None else _default_jobs()
-        if jobs < 1:
-            raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-        records = run_sweep(cfg, jobs=jobs)
+        records = run_sweep(cfg, jobs=args.jobs)
         write_output(records, args.output, args.format)
     except (ConfigError, FileNotFoundError, OSError) as exc:
         print(f"coolspec: error: {exc}", file=sys.stderr)

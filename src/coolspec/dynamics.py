@@ -178,11 +178,13 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
     return times, unvectorize(ys)
 
 
-def steady_state(liouvillian: Liouvillian) -> np.ndarray:
-    """Unique null state of an unannotated generator.
+def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
+    """Unique null state of an unannotated generator, and its residual.
 
     Found as the right singular vector of the smallest singular value,
-    then hermitized and trace normalized.  Raises SteadyStateError when
+    then hermitized and trace normalized.  Returns (rho, residual), the
+    residual being steady_residual(liouvillian, rho), which the check
+    below reads, in the shape of the stack.  Raises SteadyStateError when
     the second-smallest singular value is within 1e-8 of the smallest
     (null space effectively degenerate, no unique steady state) or when
     the residual norm of the returned state exceeds 1e-10 times the
@@ -208,13 +210,15 @@ def steady_state(liouvillian: Liouvillian) -> np.ndarray:
     if np.any(np.abs(trace) < 1e-12):
         raise SteadyStateError("null vector is traceless, cannot normalize")
     rho = rho / trace[..., None, None]
-    residual = np.ravel(steady_residual(liouvillian, rho))
+    residual = steady_residual(liouvillian, rho)
+    flat_residual = np.ravel(residual)
     bound = STEADY_RESIDUAL_TOL * np.maximum(1.0, flat[:, 0])
-    failed = np.flatnonzero(~(residual <= bound))
+    failed = np.flatnonzero(~(flat_residual <= bound))
     if failed.size:
         k = failed[0]
-        raise SteadyStateError(f"steady-state residual {residual[k]:.3e} exceeds {bound[k]:.3g}")
-    return rho
+        raise SteadyStateError(
+            f"steady-state residual {flat_residual[k]:.3e} exceeds {bound[k]:.3g}")
+    return rho, residual
 
 
 def steady_residual(liouvillian: Liouvillian, rho: np.ndarray):

@@ -20,7 +20,7 @@ from functools import cache
 import numpy as np
 
 from .bath import BathSpec
-from .config import HeatRoute, SweepConfig, validate_config
+from .config import ConfigError, HeatRoute, SweepConfig, validate_config
 from .dynamics import (
     counting_fd,
     counting_field,
@@ -30,7 +30,7 @@ from .dynamics import (
     steady_residual,
     steady_state,
 )
-from .generators import spectrum, total_liouvillian
+from .generators import DIM, spectrum, total_liouvillian
 from .system import SystemSpec, lower_ground_state
 from .tcl import MemoryKernelConfig, TclPropagator
 
@@ -73,57 +73,55 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
               route: HeatRoute, shared=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Current, smallest eigenvalue seen and residual of every point of spec.
 
-    The method gives the final generator and the states seen.  Markovian
-    methods build the generators of all points of a stacked spec at once
-    (total_liouvillian, reading the eigensystem and rate table from shared
-    when given).  tcl_oracle takes a single point and integrates its
-    time-dependent generator by RK4 at tcl_dt from the lower ground state;
-    in transient mode up to t_end, its final generator being the one at
-    the last grid time, and in steady mode up to the last row of its
-    coefficient table, its final generator being the one frozen there.  In
-    steady mode every method solves for the stationary state of its final
-    generator (steady_state, one stacked SVD), and tcl_oracle's smallest
-    eigenvalue seen also covers its trajectory.  In transient mode
-    Markovian methods evolve the lower ground state of each point exactly
-    (evolve) on the time grid of step dt up to t_end, so dt sets only which
-    times are sampled, and the counting_fd current is the heat increment
-    over the last step (counting_fd).  Except on the counting_fd route, the
-    current is the trace-formula one of the final generator and state.
+    Each method first gives the final generator, the final state and the
+    smallest eigenvalue seen.  tcl_oracle takes a single point and
+    integrates its time-dependent generator by RK4 at tcl_dt from the lower
+    ground state: in transient mode up to t_end, its final generator being
+    the one at the last grid time, and in steady mode up to the last row of
+    its coefficient table, its final generator being the one frozen there.
+    Markovian methods build the generators of all points of a stacked spec
+    at once (total_liouvillian, reading the eigensystem and rate table from
+    shared when given); in transient mode each point's lower ground state
+    is evolved exactly (evolve) on the time grid of step dt up to t_end, so
+    dt sets only which times are sampled.  Then, for every method, in
+    steady mode the final state is the stationary state of the final
+    generator (steady_state, one stacked SVD, which also gives the
+    residual) and joins the smallest eigenvalue seen; in transient mode
+    the residual is that of the final generator and state.  The current is
+    the trace-formula one of the final generator and state, or on the
+    counting_fd route the heat increment over the last step (counting_fd).
     Results have the shape of spec's points.
     """
     options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
                    pairing_tol=cfg.pairing_tol, shared=shared)
-    trajectory_seen = np.inf
     if method == "tcl_oracle":
         prop = TclPropagator(spec, bath, MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt))
-        if cfg.mode == "transient":
-            times, states, _ = prop.propagate(lower_ground_state(), cfg.t_end)
-            gen = prop.generator(times[-1])
-            return (heat_current_trace(gen, states[-1]), min_eigenvalue(states),
-                    steady_residual(gen, states[-1]))
-        _, states, _ = prop.propagate(lower_ground_state(), prop.taus[-1])
-        gen, trajectory_seen = prop.generator(prop.taus[-1]), min_eigenvalue(states)
+        horizon = cfg.t_end if cfg.mode == "transient" else prop.taus[-1]
+        times, states, _ = prop.propagate(lower_ground_state(), horizon)
+        gen = prop.generator(times[-1] if cfg.mode == "transient" else horizon)
+        rho, seen = states[-1], min_eigenvalue(states)
     else:
         gen = total_liouvillian(method, spec, bath, **options)
+        points = gen.matrix.shape[:-2]
+        rho, seen = None, np.inf
+        if cfg.mode == "transient":
+            states = np.reshape([evolve(gen[k], lower_ground_state(), cfg.t_end, cfg.dt)[1]
+                                 for k in np.ndindex(points)], points + (-1, DIM, DIM))
+            rho, seen = states[..., -1, :, :], min_eigenvalue(states)
     if cfg.mode == "steady":
-        if route.kind != "trace_formula":
-            raise ValueError("the counting_fd route needs a transient propagation")
-        rho = steady_state(gen)
-        seen = np.minimum(trajectory_seen, min_eigenvalue(rho[..., None, :, :]))
-        return heat_current_trace(gen, rho), seen, steady_residual(gen, rho)
+        rho, residual = steady_state(gen)
+        seen = np.minimum(seen, min_eigenvalue(rho[..., None, :, :]))
+    else:
+        residual = steady_residual(gen, rho)
     if route.kind == "counting_fd":
         fd_gen = total_liouvillian(method, spec, bath,
                                    u=counting_field(route.u_step, route.scheme), **options)
-    values = []
-    for k in np.ndindex(gen.matrix.shape[:-2]):
-        _, states = evolve(gen[k], lower_ground_state(), cfg.t_end, cfg.dt)
-        if route.kind == "counting_fd":
-            current = counting_fd(fd_gen[k], lower_ground_state(), cfg.t_end, cfg.dt,
-                                  route.scheme, method).current
-        else:
-            current = heat_current_trace(gen[k], states[-1])
-        values.append((current, min_eigenvalue(states), steady_residual(gen[k], states[-1])))
-    return np.transpose(values)
+        current = np.reshape([counting_fd(fd_gen[k], lower_ground_state(), cfg.t_end, cfg.dt,
+                                          route.scheme, method).current
+                              for k in np.ndindex(points)], points)
+    else:
+        current = heat_current_trace(gen, rho)
+    return current, seen, residual
 
 
 def _problem(cfg: SweepConfig, deltas: list[float],
@@ -146,33 +144,23 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
     failure, a LinAlgError included, marks only the points that cause it.
     A single point's exception becomes its error status.
     """
-    if len(deltas) == 1 or method != "tcl_oracle":
+    one = len(deltas) == 1
+    if one or method != "tcl_oracle":
         try:
-            values = _evaluate(cfg, *_problem(cfg, deltas, omegas), method, route, shared)
-            values = np.reshape(values, (3, -1))
+            values = np.reshape(_evaluate(cfg, *_problem(cfg, deltas, omegas), method, route,
+                                          shared), (3, -1))
+            status = "ok"
         except Exception as exc:
-            if len(deltas) == 1:
-                return [SpectrumRecord(delta=deltas[0], omega=omegas[0], method=method,
-                                       route=route.kind, heat_absorption_rate=math.nan,
-                                       min_eigenvalue_seen=math.nan, steady_residual=math.nan,
-                                       status=f"error: {type(exc).__name__}: {exc}")]
-        else:
+            values, status = np.full((3, 1), math.nan), f"error: {type(exc).__name__}: {exc}"
+        if one or status == "ok":
             sign = -1.0 if cfg.sign == "absorption_positive" else 1.0
             return [SpectrumRecord(delta=d, omega=w, method=method, route=route.kind,
                                    heat_absorption_rate=sign * float(current),
-                                   min_eigenvalue_seen=float(seen), steady_residual=float(residual))
+                                   min_eigenvalue_seen=float(seen),
+                                   steady_residual=float(residual), status=status)
                     for d, w, current, seen, residual in zip(deltas, omegas, *values)]
     return [rec for d, w in zip(deltas, omegas)
             for rec in _records(cfg, [d], [w], method, route)]
-
-
-def evaluate_point(cfg: SweepConfig, delta: float, omega: float, method: str,
-                   route: HeatRoute) -> SpectrumRecord:
-    """Compute one sweep record; exceptions become an error status.
-
-    The one-point case of the chunked evaluation run_sweep makes.
-    """
-    return _records(cfg, [delta], [omega], method, route)[0]
 
 
 def _evaluate_chunk(cfg: SweepConfig, points: list[tuple[float, float]]) -> list[SpectrumRecord]:
@@ -195,10 +183,11 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     most _CHUNK, each evaluated as one stack (_evaluate_chunk); workers
     receive whole chunks.  Chunk boundaries do not depend on jobs, and
     results are ordered (delta, omega, method, route) regardless of jobs.
-    A config built in code is validated here first (ConfigError).
+    The config, even one built in code, and jobs >= 1 are checked here
+    first (ConfigError).
     """
     if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     validate_config(cfg)
     points = [(float(delta), float(omega))
               for delta in delta_grid(cfg) for omega in cfg.omega_list]

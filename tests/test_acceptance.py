@@ -39,7 +39,7 @@ def _spec(delta: float, omega: float, gamma_rad: float = GAMMA_RAD) -> SystemSpe
 @lru_cache(maxsize=None)
 def _steady(method: str, delta: float, omega: float):
     gen = total_liouvillian(method, _spec(delta, omega), BATH)
-    rho = steady_state(gen)
+    rho, _ = steady_state(gen)
     return rho, heat_current_trace(gen, rho)
 
 
@@ -73,7 +73,7 @@ def test_criterion_2_equilibrium():
     for delta in (0.0, -0.8):
         for method in ("bloch_redfield", "secular", "phenomenological"):
             gen = total_liouvillian(method, _spec(delta, 0.0), BATH)
-            rho = steady_state(gen)
+            rho, _ = steady_state(gen)
             pops = np.diag(rho).real
             ratio = pops[IDX_GU] / pops[IDX_GL]
             worst_pop = max(worst_pop, abs(ratio - boltzmann) / boltzmann,
@@ -237,7 +237,7 @@ def test_criterion_8_structural_invariants():
 
     # steady state vs long-time propagation
     gen = total_liouvillian("bloch_redfield", _spec(0.0, 1.0), BATH)
-    rho_ss = steady_state(gen)
+    rho_ss, _ = steady_state(gen)
     _, states = propagate(lambda t: gen, lower_ground_state(), 200.0, 0.01)
     prop_gap = float(np.abs(states[-1] - rho_ss).max())
 

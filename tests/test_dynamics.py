@@ -190,7 +190,7 @@ def test_steady_state_unique_and_stationary():
     spec = SystemSpec(e_man=2.0, delta=0.2, omega_rabi=1.0, gamma_rad=0.5)
     for method in ("bloch_redfield", "secular", "phenomenological"):
         gen = total_liouvillian(method, spec, BATH)
-        rho = steady_state(gen)
+        rho, _ = steady_state(gen)
         assert_allclose(np.trace(rho).real, 1.0, atol=1e-12)
         assert_allclose(rho, rho.conj().T, atol=1e-12)
         assert steady_residual(gen, rho) < 1e-10
@@ -200,7 +200,7 @@ def test_steady_state_unique_and_stationary():
 def test_steady_state_matches_long_time_propagation():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     gen = total_liouvillian("bloch_redfield", spec, BATH)
-    rho_ss = steady_state(gen)
+    rho_ss, _ = steady_state(gen)
     _, states = propagate(lambda t: gen, lower_ground_state(), 200.0, 0.01)
     assert np.abs(states[-1] - rho_ss).max() < 1e-6
 
@@ -327,7 +327,7 @@ def test_dressed_coherence_projection(dressed_states, dressed_coherence):
     # the steady state; the secular generator also produces one here since
     # the dressed splitting pairs transitions nondegenerately
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
-    rho = steady_state(total_liouvillian("bloch_redfield", spec, BATH))
+    rho, _ = steady_state(total_liouvillian("bloch_redfield", spec, BATH))
     assert abs(dressed_coherence(rho)) > 1e-3
 
 

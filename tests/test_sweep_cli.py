@@ -9,13 +9,12 @@ import pytest
 from coolspec import sweep
 from coolspec.bath import BathSpec
 from coolspec.cli import main
-from coolspec.config import ConfigError, HeatRoute, SweepConfig, config_from_dict
-from coolspec.dynamics import heat_current_trace, min_eigenvalue, steady_state
+from coolspec.config import ConfigError, HeatRoute, config_from_dict
+from coolspec.dynamics import heat_current_trace, min_eigenvalue, steady_residual, steady_state
 from coolspec.sweep import (
     CSV_COLUMNS,
     SpectrumRecord,
     delta_grid,
-    evaluate_point,
     format_number,
     render_csv,
     render_json,
@@ -204,7 +203,7 @@ def test_tcl_plateau_is_null_state_of_frozen_generator():
     prop = TclPropagator(spec, BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0),
                          MemoryKernelConfig(t_mem=30.008))
     frozen = prop.generator(60.0)
-    rho = steady_state(frozen)
+    rho, _ = steady_state(frozen)
     assert rec.status == "ok"
     assert rec.heat_absorption_rate == -heat_current_trace(frozen, rho)
     assert rec.steady_residual <= 1e-14
@@ -212,6 +211,28 @@ def test_tcl_plateau_is_null_state_of_frozen_generator():
     # row (TCL's initial slip) and the plateau state
     _, states, _ = prop.propagate(lower_ground_state(), prop.taus[-1])
     assert rec.min_eigenvalue_seen == min(min_eigenvalue(states), min_eigenvalue(rho))
+
+
+def test_transient_tcl_record_is_final_generator_and_state():
+    # the transient record reads the generator at the last RK4 grid time
+    # (t_end 5.03 rounds to 5.05 at tcl.dt 0.05) and the state there
+    cfg = config_from_dict({
+        "sweep": {"delta_min": -0.5, "delta_max": -0.5, "delta_steps": 1,
+                  "omega_list": [0.5]},
+        "methods": ["tcl_oracle"],
+        "mode": {"kind": "transient", "t_end": 5.03, "dt": 0.05},
+        "tcl": {"t_mem": 10.0, "dt": 0.05},
+    })
+    (rec,) = run_sweep(cfg)
+    spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
+    prop = TclPropagator(spec, BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0),
+                         MemoryKernelConfig(t_mem=10.0, dt=0.05))
+    times, states, _ = prop.propagate(lower_ground_state(), 5.03)
+    gen = prop.generator(times[-1])
+    assert rec.status == "ok"
+    assert rec.heat_absorption_rate == -heat_current_trace(gen, states[-1])
+    assert rec.min_eigenvalue_seen == min_eigenvalue(states)
+    assert rec.steady_residual == steady_residual(gen, states[-1])
 
 
 def test_tcl_plateau_matches_bloch_redfield_for_fast_bath():
@@ -290,7 +311,8 @@ def test_chunk_failure_marks_only_its_point():
     # back to single points, which keep their own status and values
     records = run_sweep(MIXED)
     for rec in records:
-        single = evaluate_point(MIXED, rec.delta, rec.omega, rec.method, MIXED.routes[0])
+        (single,) = run_sweep(replace(MIXED, delta_min=rec.delta, delta_max=rec.delta,
+                                      omega_list=(rec.omega,), methods=(rec.method,)))
         assert rec.status == single.status
         if rec.omega == 0.0:
             assert rec.status.startswith("error: SteadyStateError: steady state is not unique: "
@@ -459,26 +481,6 @@ def test_cli_partial_failure_exit_code(tmp_path, capsys):
     assert len(lines) == 3  # header plus both rows, failure included
 
 
-def test_cli_jobs_env_var(tmp_path, monkeypatch):
-    cfg_path = _write_config(tmp_path, SMALL_DICT)
-    out_env = tmp_path / "env.csv"
-    out_flag = tmp_path / "flag.csv"
-    monkeypatch.setenv("COOLSPEC_JOBS", "2")
-    assert main(["sweep", "--config", cfg_path, "--output", str(out_env)]) == 0
-    monkeypatch.delenv("COOLSPEC_JOBS")
-    assert main(["sweep", "--config", cfg_path, "--output", str(out_flag),
-                 "--jobs", "1"]) == 0
-    assert out_env.read_text() == out_flag.read_text()
-
-
-def test_cli_bad_jobs_env_var(tmp_path, capsys, monkeypatch):
-    cfg_path = _write_config(tmp_path, SMALL_DICT)
-    monkeypatch.setenv("COOLSPEC_JOBS", "many")
-    code = main(["sweep", "--config", cfg_path, "--output", str(tmp_path / "o.csv")])
-    assert code == 1
-    assert "COOLSPEC_JOBS" in capsys.readouterr().err
-
-
 def test_cli_unknown_profile(tmp_path, capsys):
     code = main(["reproduce", "--profile", "fig9", "--output",
                  str(tmp_path / "o.csv")])
@@ -493,12 +495,6 @@ def test_cli_sweep_without_config_uses_defaults_grid(tmp_path):
     assert code == 0
     lines = (tmp_path / "o.csv").read_text().splitlines()
     assert len(lines) == 1 + 81 * 3
-
-
-def test_evaluate_point_rejects_counting_in_steady_mode():
-    record = evaluate_point(SweepConfig(), 0.0, 1.0, "bloch_redfield",
-                            HeatRoute(kind="counting_fd"))
-    assert record.status.startswith("error:")
 
 
 def test_render_csv_quotes_are_stable():
