@@ -41,11 +41,11 @@ class BathSpec:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if self.omega_c <= 0:
+        if not self.omega_c > 0:
             raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ValueError(f"temperature must be positive, got {self.temperature}")
 
     @property

@@ -48,9 +48,9 @@ class SystemSpec:
     def __post_init__(self):
         if not self.e_man > 0:
             raise ValueError(f"e_man must be positive, got {self.e_man}")
-        if np.any(np.asarray(self.omega_rabi) < 0):
+        if not np.all(np.asarray(self.omega_rabi) >= 0):
             raise ValueError(f"omega_rabi must be non-negative, got {self.omega_rabi}")
-        if self.gamma_rad < 0:
+        if not self.gamma_rad >= 0:
             raise ValueError(f"gamma_rad must be non-negative, got {self.gamma_rad}")
 
 

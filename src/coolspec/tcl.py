@@ -60,9 +60,9 @@ class MemoryKernelConfig:
     dt: float = 0.02
 
     def __post_init__(self):
-        if self.t_mem <= 0:
+        if not self.t_mem > 0:
             raise ValueError(f"t_mem must be positive, got {self.t_mem}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 

@@ -4,8 +4,10 @@ import re
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from coolspec.bath import BathSpec
 from coolspec.config import (
     CONFIG_KEYS,
     PROFILES,
@@ -17,6 +19,8 @@ from coolspec.config import (
     profile_config,
     serialize_config,
 )
+from coolspec.system import SystemSpec
+from coolspec.tcl import MemoryKernelConfig
 
 
 def test_empty_config_gives_shipped_defaults(tmp_path):
@@ -216,3 +220,26 @@ def test_profiles_parse_and_pin_expected_settings():
 def test_unknown_profile_lists_available():
     with pytest.raises(ConfigError, match="paper-fig2a"):
         profile_config("fig9")
+
+
+# NaN fails every comparison, so a check written as x < 0 lets it through
+NAN_CASES = [
+    (BathSpec, {"alpha": 0.01}, "alpha", math.nan),
+    (BathSpec, {"alpha": 0.01}, "omega_c", math.nan),
+    (BathSpec, {"alpha": 0.01}, "temperature", math.nan),
+    (SystemSpec, {"e_man": 2.0}, "e_man", math.nan),
+    (SystemSpec, {"e_man": 2.0}, "omega_rabi", math.nan),
+    (SystemSpec, {"e_man": 2.0, "delta": np.zeros(2)}, "omega_rabi", np.array([0.5, math.nan])),
+    (SystemSpec, {"e_man": 2.0}, "gamma_rad", math.nan),
+    (MemoryKernelConfig, {}, "t_mem", math.nan),
+    (MemoryKernelConfig, {}, "dt", math.nan),
+]
+
+
+@pytest.mark.parametrize("cls,valid,field,value", NAN_CASES,
+                         ids=[f"{c.__name__}.{f}{'[]' if np.ndim(v) else ''}"
+                              for c, _, f, v in NAN_CASES])
+def test_spec_constructors_reject_nan(cls, valid, field, value):
+    cls(**valid)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        cls(**{**valid, field: value})
