@@ -22,6 +22,8 @@ from .system import EigenSystem
 # beyond a few tens of omega_c
 OMEGA_MAX_FACTOR = 40.0
 SHIFT_TOL = 1e-9
+# below the smallest normal double, shift_b takes its nu = 0 value
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 class QuadratureError(RuntimeError):
@@ -83,6 +85,17 @@ def bose_occupation(nu, spec: BathSpec):
     return out.item() if out.ndim == 0 else out
 
 
+def _thermal(w, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """expm1(-beta w) and w (n(w) + 1) = w / (1 - exp(-beta w)), elementwise for w >= 0.
+
+    The second tends to the temperature as w -> 0 where n(w) alone
+    overflows, and is that limit where beta w underflows to 0.
+    """
+    em1 = np.expm1(-beta * w)
+    zero = em1 == 0.0
+    return em1, np.where(zero, 1.0 / beta, w / np.where(zero, -1.0, -em1))
+
+
 def rate_a(nu, spec: BathSpec):
     """Half-Fourier golden-rule rate at transition frequency nu.
 
@@ -90,22 +103,28 @@ def rate_a(nu, spec: BathSpec):
     nu < 0 (system absorbs energy):           pi n(|nu|) j(|nu|).
     nu = 0: zero, since j(w)/w -> 0 for the cubic density.
 
-    Accepts scalars or arrays.  Rates at opposite frequencies obey detailed
-    balance, rate_a(nu) / rate_a(-nu) = exp(beta nu).
+    Evaluated as pi j(s)/s * s (n(s) + 1), s = |nu|, times exp(-beta s) for
+    nu < 0, so that nothing overflows as nu -> 0.  Accepts scalars or
+    arrays.  Rates at opposite frequencies obey detailed balance,
+    rate_a(nu) / rate_a(-nu) = exp(beta nu).
     """
     nu = np.asarray(nu, dtype=float)
     s = np.abs(nu)
-    safe = np.where(s > 0.0, s, 1.0)
-    emitted = bose_occupation(safe, spec) + (nu > 0.0)
-    out = np.where(s > 0.0, math.pi * emitted * spectral_density(safe, spec), 0.0)
+    _, emitted = _thermal(s, spec.beta)
+    absorbed = np.where(nu > 0.0, 1.0, np.exp(-spec.beta * s))
+    out = (2.0 * math.pi * spec.alpha / spec.omega_c**2 * s**2 * np.exp(-s / spec.omega_c)
+           * emitted * absorbed)
     return out.item() if out.ndim == 0 else out
 
 
 def _thermal_numerator(w: np.ndarray, nu, omega_c: float, beta: float) -> np.ndarray:
-    """j(w)/alpha * (w + (2 n(w) + 1) nu) at w > 0, elementwise."""
-    em1 = np.expm1(-beta * w)
-    coth = (2.0 + em1) / -em1  # 2 n(w) + 1 = coth(beta w / 2), no overflow
-    return 2.0 * w**3 / omega_c**2 * np.exp(-w / omega_c) * (w + coth * nu)
+    """j(w)/alpha * (w + (2 n(w) + 1) nu) at w > 0, elementwise.
+
+    w (2 n(w) + 1) = w coth(beta w / 2) is formed as (2 + em1) w / -em1,
+    em1 = expm1(-beta w), which stays finite as w -> 0.
+    """
+    em1, emitted = _thermal(w, beta)
+    return 2.0 * w**2 / omega_c**2 * np.exp(-w / omega_c) * (w * w + (2.0 + em1) * emitted * nu)
 
 
 def _breakpoints(s: np.ndarray, omega_c: float, temperature: float,
@@ -124,7 +143,10 @@ def _breakpoints(s: np.ndarray, omega_c: float, temperature: float,
     h = 0.5 * np.minimum(s, min(2.0 * math.pi * temperature, omega_c))
     near = 4.0 * omega_c
     far = 20.0 * near
-    fine = h[:, None] * 2.0 ** np.arange(math.ceil(math.log2(near / h.min())) + 1)
+    # doublings of each row up to near, from logarithms: near / h overflows
+    # for h below near * 5.6e-309
+    doublings = np.ceil(np.log2(near) - np.log2(h)).astype(int)
+    fine = np.ldexp(h[:, None], np.minimum(np.arange(doublings.max() + 1), doublings[:, None]))
     coarse = far * 2.0 ** np.arange(math.ceil(math.log2(max(omega_max.max(), far) / far)) + 1)
     grid = np.concatenate([np.broadcast_to(near * np.arange(1, 11), (len(s), 10)),
                            np.where(fine < near, fine, np.inf),
@@ -178,7 +200,7 @@ def _principal_value(nu: np.ndarray, omega_c: float, beta: float, omega_max: np.
         raise QuadratureError(
             f"shift integral error estimate {worst:.3e} exceeds budget {tol:.3e}", worst)
     # analytic principal value of the subtracted pole over (0, omega_max)
-    return panels[..., 0].cumsum(axis=1)[:, -1] + c * np.log((omega_max - s) / s)
+    return panels[..., 0].cumsum(axis=1)[:, -1] + c * (np.log(omega_max - s) - np.log(s))
 
 
 def shift_b(nu, spec: BathSpec, omega_max=None, tol: float = SHIFT_TOL):
@@ -197,11 +219,14 @@ def shift_b(nu, spec: BathSpec, omega_max=None, tol: float = SHIFT_TOL):
     rule on the same panels gives the error estimate, the sum of the panel
     differences; above tol (on the integral at alpha = 1), or NaN,
     QuadratureError carries it.  At nu = 0 there is no pole and the integral
-    is taken in closed form.  The coupling alpha enters exactly linearly and
-    is factored out.  The default window is 40 omega_c, widened to 2 |nu|
-    for transitions beyond it; an explicit omega_max that does not contain
-    |nu| raises ValueError.  Accepts scalars or arrays of nu (and
-    omega_max), evaluated together; each result equals its scalar call.
+    is taken in closed form.  Subnormal nu (|nu| < 2.2e-308), whose pole
+    the panels cannot resolve, take that value too; the shift differs from
+    it by O(alpha (1 + T / omega_c) |nu|).  The coupling alpha enters
+    exactly linearly and is factored out.  The default window is
+    40 omega_c, widened to 2 |nu| for transitions beyond it; an explicit
+    omega_max that does not contain |nu| raises ValueError.  Accepts
+    scalars or arrays of nu (and omega_max), evaluated together; each
+    result equals its scalar call.
     """
     nu = np.asarray(nu, dtype=float)
     if omega_max is None:
@@ -213,7 +238,7 @@ def shift_b(nu, spec: BathSpec, omega_max=None, tol: float = SHIFT_TOL):
         k = outside[0]
         raise ValueError(f"transition frequency {flat[k]} outside integration window {omega_max[k]}")
     out = np.empty_like(flat)
-    pole = flat != 0.0
+    pole = np.abs(flat) >= _SMALLEST_NORMAL
     # nu = 0: the integrand reduces to j(w)/w = 2 w^2 / omega_c^2 exp(-w / omega_c),
     # no pole and no temperature: the window integral is exact
     x = omega_max[~pole] / spec.omega_c

@@ -21,14 +21,13 @@ assembled in one pass of array operations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .bath import BathSpec, RateTable, bose_occupation, rate_table, spectral_density
+from .bath import BathSpec, RateTable, rate_a, rate_table
 from .system import (
     IDX_E,
     IDX_GL,
@@ -161,11 +160,10 @@ def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, flo
 
     gamma_up drives |g_l> -> |g_u> by phonon absorption, gamma_down the
     reverse by emission; both are evaluated at the bare splitting e_man.
-    Their ratio is the Boltzmann factor exp(-beta e_man).
+    Their ratio is the Boltzmann factor exp(-beta e_man).  They are twice
+    the golden-rule rates at -e_man and e_man.
     """
-    j_man = spectral_density(spec.e_man, bath)
-    n_man = bose_occupation(spec.e_man, bath)
-    return 2.0 * math.pi * n_man * j_man, 2.0 * math.pi * (n_man + 1.0) * j_man
+    return 2.0 * rate_a(-spec.e_man, bath), 2.0 * rate_a(spec.e_man, bath)
 
 
 def spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, RateTable]:

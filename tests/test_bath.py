@@ -300,6 +300,17 @@ def test_shift_at_tiny_frequency_approaches_zero_frequency_limit(nu):
     assert_allclose(shift_b(nu, spec), shift_b(0.0, spec), rtol=1e-15)
 
 
+@pytest.mark.parametrize("temperature", [0.01, 3.0, 1e6])
+@pytest.mark.parametrize("nu", [1e-306, -1e-306, 1e-310, -1e-310, 5e-324, -5e-324])
+def test_rate_and_shift_at_tiny_frequency(nu, temperature):
+    # n(|nu|) ~ T / |nu|, the pole term's log argument and the panel grid's
+    # doubling count overflowed here; the rate vanishes as nu^2, and below
+    # the smallest normal double the shift takes its nu = 0 value
+    spec = BathSpec(alpha=0.01, omega_c=1.0, temperature=temperature)
+    assert rate_a(nu, spec) == 0.0
+    assert_allclose(shift_b(nu, spec), shift_b(0.0, spec), rtol=1e-15)
+
+
 def test_nan_error_estimate_raises(monkeypatch):
     # a NaN estimate compares False against the budget; it must still fail
     import coolspec.bath as bath_module

@@ -356,6 +356,22 @@ def test_steady_residual_bound_scales_with_generator(changes):
         assert all(math.isfinite(x) for x in _values(rec))
 
 
+@pytest.mark.parametrize("e_man", [1e-306, 1e-310, 5e-324])
+def test_tiny_manifold_splitting_gives_finite_rates(e_man):
+    # the phenomenological method's bare levels are split by e_man only: its
+    # rates and shifts overflowed, and the rows read QuadratureError (nan
+    # estimate) or OverflowError
+    cfg = config_from_dict({
+        "system": {"e_man": e_man},
+        "sweep": {"delta_min": -0.5, "delta_max": 0.5, "delta_steps": 2,
+                  "omega_list": [0.5]},
+        "methods": ["bloch_redfield", "secular", "phenomenological"],
+    })
+    for rec in run_sweep(cfg):
+        assert rec.status == "ok"
+        assert all(math.isfinite(x) for x in _values(rec))
+
+
 @pytest.mark.parametrize("bath,tcl", [({"temperature": 0.01}, {}),
                                       ({"omega_c": 0.02}, {"t_mem": 400.0})],
                          ids=["temperature_0.01", "omega_c_0.02"])
