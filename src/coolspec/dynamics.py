@@ -211,13 +211,11 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
         raise SteadyStateError("null vector is traceless, cannot normalize")
     rho = rho / trace[..., None, None]
     residual = steady_residual(liouvillian, rho)
-    flat_residual = np.ravel(residual)
     bound = STEADY_RESIDUAL_TOL * np.maximum(1.0, flat[:, 0])
-    failed = np.flatnonzero(~(flat_residual <= bound))
+    failed = np.flatnonzero(~(np.ravel(residual) <= bound))
     if failed.size:
         k = failed[0]
-        raise SteadyStateError(
-            f"steady-state residual {flat_residual[k]:.3e} exceeds {bound[k]:.3g}")
+        raise SteadyStateError(f"steady-state residual {residual.flat[k]:.3e} exceeds {bound[k]:.3g}")
     return rho, residual
 
 
