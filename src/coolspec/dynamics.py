@@ -215,7 +215,8 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     failed = np.flatnonzero(~(np.ravel(residual) <= bound))
     if failed.size:
         k = failed[0]
-        raise SteadyStateError(f"steady-state residual {residual.flat[k]:.3e} exceeds {bound[k]:.3g}")
+        raise SteadyStateError(
+            f"steady-state residual {residual.flat[k]:.3e} exceeds {bound[k]:.3g}")
     return rho, residual
 
 

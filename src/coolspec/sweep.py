@@ -102,8 +102,7 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
         rho, seen = states[-1], min_eigenvalue(states)
     else:
         gen = total_liouvillian(method, spec, bath, **options)
-        points = gen.matrix.shape[:-2]
-        rho, seen = None, np.inf
+        points, seen = gen.matrix.shape[:-2], np.inf
         if cfg.mode == "transient":
             states = np.reshape([evolve(gen[k], lower_ground_state(), cfg.t_end, cfg.dt)[1]
                                  for k in np.ndindex(points)], points + (-1, DIM, DIM))
