@@ -193,14 +193,16 @@ def _principal_value(nu: np.ndarray, omega_c: float, beta: float, omega_max: np.
     panels = np.zeros(half.shape + (2,))
     panels[panel] = width * (g[:, None, :] * _PANEL_WEIGHTS).sum(axis=-1)
     estimate = np.abs(panels[..., 0] - panels[..., 1]).cumsum(axis=1)[:, -1]
-    # a NaN estimate fails too
-    failed = np.flatnonzero(~(estimate <= tol))
-    if failed.size:
-        worst = float(estimate[failed[0]])
-        raise QuadratureError(
-            f"shift integral error estimate {worst:.3e} exceeds budget {tol:.3e}", worst)
     # analytic principal value of the subtracted pole over (0, omega_max)
-    return panels[..., 0].cumsum(axis=1)[:, -1] + c * (np.log(omega_max - s) - np.log(s))
+    integral = panels[..., 0].cumsum(axis=1)[:, -1] + c * (np.log(omega_max - s) - np.log(s))
+    budget = tol * np.maximum(1.0, np.abs(integral))
+    # a NaN estimate fails too
+    failed = np.flatnonzero(~(estimate <= budget))
+    if failed.size:
+        k = failed[0]
+        raise QuadratureError(f"shift integral error estimate {estimate[k]:.3e} exceeds "
+                              f"budget {budget[k]:.3e}", float(estimate[k]))
+    return integral
 
 
 def shift_b(nu, spec: BathSpec, omega_max=None, tol: float = SHIFT_TOL):
@@ -217,16 +219,16 @@ def shift_b(nu, spec: BathSpec, omega_max=None, tol: float = SHIFT_TOL):
     40 omega_c, doubling again to omega_max, plus s and omega_max, which
     converges geometrically (Trefethen, SIAM Rev. 50, 67 (2008)).  A 10-point
     rule on the same panels gives the error estimate, the sum of the panel
-    differences; above tol (on the integral at alpha = 1), or NaN,
-    QuadratureError carries it.  At nu = 0 there is no pole and the integral
-    is taken in closed form.  Subnormal nu (|nu| < 2.2e-308), whose pole
-    the panels cannot resolve, take that value too; the shift differs from
-    it by O(alpha (1 + T / omega_c) |nu|).  The coupling alpha enters
-    exactly linearly and is factored out.  The default window is
-    40 omega_c, widened to 2 |nu| for transitions beyond it; an explicit
-    omega_max that does not contain |nu| raises ValueError.  Accepts
-    scalars or arrays of nu (and omega_max), evaluated together; each
-    result equals its scalar call.
+    differences; above tol max(1, |integral|) (the integral at alpha = 1,
+    which grows like T), or NaN, QuadratureError carries it.  At nu = 0
+    there is no pole and the integral is taken in closed form.  Subnormal nu
+    (|nu| < 2.2e-308), whose pole the panels cannot resolve, take that value
+    too; the shift differs from it by O(alpha (1 + T / omega_c) |nu|).  The
+    coupling alpha enters exactly linearly and is factored out.  The
+    default window is 40 omega_c, widened to 2 |nu| for transitions beyond
+    it; an explicit omega_max that does not contain |nu| raises ValueError.
+    Accepts scalars or arrays of nu (and omega_max), evaluated together;
+    each result equals its scalar call.
     """
     nu = np.asarray(nu, dtype=float)
     if omega_max is None:

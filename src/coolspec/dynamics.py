@@ -26,6 +26,9 @@ STEADY_RESIDUAL_TOL = 1e-10
 STEADY_GAP_TOL = 1e-8
 # most RK4 steps whose one-step matrices propagate builds at once
 _CHUNK = 128
+# relative margin of min_eigenvalue's Sylvester check, far above the
+# rounding of its minors (~1e-14) and of eigvalsh
+_SYLVESTER_MARGIN = 1e-12
 
 
 class PropagationError(RuntimeError):
@@ -124,13 +127,17 @@ def _expm(a: np.ndarray) -> np.ndarray:
     a is scaled by 2^-s so that its 1-norm is at most theta_13, the [13/13]
     Pade approximant is solved for, and the result squared s times (Moler
     & Van Loan, SIAM Rev. 45, 3 (2003)).  Unlike an eigendecomposition it
-    stays accurate for defective or nearly defective a.
+    stays accurate for defective or nearly defective a.  Broadcasts over
+    leading axes: the 1-norm and s are taken per matrix, and the squaring
+    loop runs max(s) times, keeping a square only where the matrix still
+    needs one, so each result equals its one-matrix call.  A NaN 1-norm
+    gives s = 0; an infinite one is the caller's to reject.
     """
-    norm = np.abs(a).sum(axis=0).max()
-    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
-    a = a / 2.0**s
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.fmax(norm, _THETA13) / _THETA13)).astype(int)
+    a = a / (2.0 ** s)[..., None, None]
     b = _PADE13
-    ident = np.eye(len(a))
+    ident = np.eye(a.shape[-1])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -139,8 +146,8 @@ def _expm(a: np.ndarray) -> np.ndarray:
     v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        r = r @ r
+    for k in range(int(s.max(initial=0))):
+        r = np.where((k < s)[..., None, None], r @ r, r)
     return r
 
 
@@ -148,31 +155,41 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
            dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact evolution under a constant generator on propagate's time grid.
 
-    Returns (times, states) with times[k] = k dt and states[k] =
+    Returns (times, states) with times[k] = k dt and states[..., k, :, :] =
     exp(times[k] L) rho0, for the same whole number of steps as propagate.
     The one-step propagator P = exp(dt L) is computed once; the states are
     then filled by doubling: states n .. 2n-1 are P^n applied to states
     0 .. n-1, and P^n is squared for the next block.  There is no step
-    size limit.  For an unannotated (u = 0) generator a trace drift above
-    1e-6 (or a non-finite trace) anywhere along the trajectory raises
-    PropagationError.
+    size limit.  A generator with an infinite entry raises
+    PropagationError before the exponential.  For an unannotated (u = 0)
+    generator a trace drift above 1e-6 (or a non-finite trace) anywhere
+    along the trajectory raises PropagationError.  Broadcasts over a stack
+    of generators, states having shape points + (len(times), 3, 3); every
+    point equals its one-point call, and the first point that fails a
+    check names it.
     """
     times = _time_grid(t_end, dt)
     n = len(times)
-    ys = np.empty((n, DIM * DIM), dtype=complex)
-    ys[0] = vectorize(rho0)
+    if np.isinf(liouvillian.matrix).any():
+        raise PropagationError("non-finite generator: it has an infinite entry, "
+                               "so exp(dt L) is undefined")
     power = _expm(dt * liouvillian.matrix)
+    ys = np.empty(power.shape[:-2] + (n, DIM * DIM), dtype=complex)
+    ys[..., 0, :] = vectorize(rho0)
     filled = 1
     while filled < n:
         block = min(filled, n - filled)
-        ys[filled:filled + block] = ys[:block] @ power.T
+        ys[..., filled:filled + block, :] = ys[..., :block, :] @ power.swapaxes(-1, -2)
         filled += block
         if filled < n:
             power = power @ power
     if liouvillian.u == 0.0:
-        drift = np.abs(ys @ TRACE_VECTOR - TRACE_VECTOR @ ys[0])
-        k = int(drift.argmax())
-        if not drift[k] <= TRACE_DRIFT_TOL:
+        trace = (ys @ TRACE_VECTOR).reshape(-1, n)
+        drift = np.abs(trace - trace[:, :1])
+        failed = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL).all(axis=1))
+        if failed.size:
+            drift = drift[failed[0]]
+            k = int(drift.argmax())
             raise PropagationError(f"trace drifted by {drift[k]:.3e} at t = {times[k]:.6g}; "
                                    "the generator does not preserve it")
     return times, unvectorize(ys)
@@ -249,7 +266,9 @@ class HeatRecord:
     mean_heat is the heat transferred to the bath up to `time` (positive
     into the bath).  For the finite-difference route fd_imag stores the
     imaginary part of the difference quotient, which would vanish for an
-    exact u-derivative and serves as a step-size diagnostic.
+    exact u-derivative and serves as a step-size diagnostic.  From a
+    stacked counting_fd, mean_heat, current and fd_imag are arrays of the
+    stack's shape.
     """
 
     time: float
@@ -279,19 +298,23 @@ def counting_fd(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float, dt: fl
     The generator is built at u = counting_field(u_step, scheme); see
     mean_heat_fd for the estimate.  It is evolved exactly (evolve) from
     rho0, and chi(u, t) = Tr rho_u(t) at the last two grid times gives the
-    mean heat and the current.
+    mean heat and the current.  Broadcasts over a stack of generators with
+    one evolve call: mean_heat, current and fd_imag then hold arrays of the
+    stack's shape, each point equal to its one-point call, which gives
+    scalars.
     """
     u_step = liouvillian.u if scheme == "forward" else 2.0 * liouvillian.u
     times, states = evolve(liouvillian, rho0, t_end, dt)
     if len(times) < 2:
         raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
-    chi = np.trace(states[-2:], axis1=1, axis2=2)
+    chi = np.trace(states[..., -2:, :, :], axis1=-2, axis2=-1)
     chi_other = np.trace(rho0) if scheme == "forward" else chi.conj()
-    q_prev, q_last = -1j * (chi - chi_other) / u_step
+    heat = -1j * (chi - chi_other) / u_step
+    q_prev, q_last = heat[..., 0], heat[..., 1]
     current = (q_last - q_prev) / dt
-    return HeatRecord(time=float(times[-1]), mean_heat=float(q_last.real),
-                      current=float(current.real), method=method, route="counting_fd",
-                      fd_imag=float(q_last.imag))
+    return HeatRecord(time=float(times[-1]), mean_heat=q_last.real[()],
+                      current=current.real[()], method=method, route="counting_fd",
+                      fd_imag=q_last.imag[()])
 
 
 def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 30.0,
@@ -328,9 +351,40 @@ def min_eigenvalue(rho: np.ndarray):
 
     Accepts a single state or a trajectory of states, shape (T, 3, 3), for
     which the minimum over the trajectory is returned, and broadcasts over
-    leading axes of stacked trajectories, shape (..., T, 3, 3).
+    leading axes of stacked trajectories, shape (..., T, 3, 3).  The result
+    equals the minimum of eigvalsh over every state, but only the states
+    that can hold it are solved.  With m the smallest eigenvalue of state
+    0, a later state h with s = max |h_ij| is skipped when Sylvester's
+    criterion shows h - (m + c s) I positive definite, c = 1e-12: its
+    leading minors, formed from h / s, exceed c, c and c.  Every eigenvalue
+    of a skipped state then lies above m + c s, which is far beyond the
+    rounding of the minors and eigvalsh's own error (about eps |h|), so it
+    cannot hold the minimum.  NaN, zero and infinite states never pass and
+    are solved, as is every state of a trajectory of length 1.
     """
     a = np.asarray(rho)
     h = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-    lowest = np.linalg.eigvalsh(h)[..., 0]
-    return lowest.min(axis=-1)[()] if a.ndim > 2 else float(lowest)
+    if a.ndim == 2:
+        return float(np.linalg.eigvalsh(h)[0])
+    points = h.shape[:-3]
+    h = h.reshape((-1,) + h.shape[-3:])
+    lowest = np.linalg.eigvalsh(h[:, 0])[:, 0]
+    if h.shape[1] > 1:
+        later = h[:, 1:]
+        diag = np.moveaxis(later.diagonal(axis1=-2, axis2=-1).real, -1, 0)
+        upper = later[..., 0, 1], later[..., 0, 2], later[..., 1, 2]
+        scale = np.max([np.abs(w) for w in (*diag, *upper)], axis=0)
+        # zero, infinite and NaN states give NaN minors, which fail; over-
+        # and underflow only arise far from a tie, where either answer is exact
+        with np.errstate(all="ignore"):
+            inv = 1.0 / scale
+            shift = lowest[:, None] * inv + _SYLVESTER_MARGIN
+            d0, d1, d2 = (w * inv - shift for w in diag)
+            x, y, z = (w * inv for w in upper)
+            xx, yy, zz = (w.real**2 + w.imag**2 for w in (x, y, z))
+            minor2 = d0 * d1 - xx
+            minor3 = d0 * (d1 * d2 - zz) - d1 * yy - d2 * xx + 2.0 * (x * z * y.conj()).real
+            solve = np.nonzero(~((d0 > _SYLVESTER_MARGIN) & (minor2 > _SYLVESTER_MARGIN)
+                                 & (minor3 > _SYLVESTER_MARGIN)))
+        np.minimum.at(lowest, solve[0], np.linalg.eigvalsh(later[solve])[:, 0])
+    return lowest.reshape(points)[()]

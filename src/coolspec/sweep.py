@@ -30,7 +30,7 @@ from .dynamics import (
     steady_residual,
     steady_state,
 )
-from .generators import DIM, spectrum, total_liouvillian
+from .generators import spectrum, total_liouvillian
 from .system import SystemSpec, lower_ground_state
 from .tcl import MemoryKernelConfig, TclPropagator
 
@@ -81,16 +81,16 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     its coefficient table, its final generator being the one frozen there.
     Markovian methods build the generators of all points of a stacked spec
     at once (total_liouvillian, reading the eigensystem and rate table from
-    shared when given); in transient mode each point's lower ground state
-    is evolved exactly (evolve) on the time grid of step dt up to t_end, so
-    dt sets only which times are sampled.  Then, for every method, in
-    steady mode the final state is the stationary state of the final
-    generator (steady_state, one stacked SVD, which also gives the
-    residual) and joins the smallest eigenvalue seen; in transient mode
-    the residual is that of the final generator and state.  The current is
+    shared when given); in transient mode the lower ground state is evolved
+    exactly under the whole stack at once (evolve) on the time grid of step
+    dt up to t_end, so dt sets only which times are sampled.  Then, for
+    every method, in steady mode the final state is the stationary state of
+    the final generator (steady_state, one stacked SVD, which also gives the
+    residual) and joins the smallest eigenvalue seen; in transient mode the
+    residual is that of the final generator and state.  The current is
     the trace-formula one of the final generator and state, or on the
-    counting_fd route the heat increment over the last step (counting_fd).
-    Results have the shape of spec's points.
+    counting_fd route the heat increment over the last step (counting_fd,
+    one stacked call).  Results have the shape of spec's points.
     """
     options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
                    pairing_tol=cfg.pairing_tol, shared=shared)
@@ -102,10 +102,9 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
         rho, seen = states[-1], min_eigenvalue(states)
     else:
         gen = total_liouvillian(method, spec, bath, **options)
-        points, seen = gen.matrix.shape[:-2], np.inf
+        seen = np.inf
         if cfg.mode == "transient":
-            states = np.reshape([evolve(gen[k], lower_ground_state(), cfg.t_end, cfg.dt)[1]
-                                 for k in np.ndindex(points)], points + (-1, DIM, DIM))
+            states = evolve(gen, lower_ground_state(), cfg.t_end, cfg.dt)[1]
             rho, seen = states[..., -1, :, :], min_eigenvalue(states)
     if cfg.mode == "steady":
         rho, residual = steady_state(gen)
@@ -115,9 +114,8 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     if route.kind == "counting_fd":
         fd_gen = total_liouvillian(method, spec, bath,
                                    u=counting_field(route.u_step, route.scheme), **options)
-        current = np.reshape([counting_fd(fd_gen[k], lower_ground_state(), cfg.t_end, cfg.dt,
-                                          route.scheme, method).current
-                              for k in np.ndindex(points)], points)
+        current = counting_fd(fd_gen, lower_ground_state(), cfg.t_end, cfg.dt,
+                              route.scheme, method).current
     else:
         current = heat_current_trace(gen, rho)
     return current, seen, residual

@@ -183,7 +183,7 @@ def quad_shift():
             split *= 4.0
         tol = 1e-12 * 4.0 * spec.alpha * spec.omega_c
         val, err = quad(regular, 0.0, omega_max, points=points, epsabs=tol, epsrel=1e-12, limit=400)
-        if err > 100.0 * tol:
+        if err > 100.0 * max(tol, 1e-12 * abs(val)):
             raise QuadratureError(f"shift integral error estimate {err:.3e} exceeds budget", err)
         return val + c * np.log((omega_max - s) / s)
 

@@ -187,6 +187,16 @@ def test_shift_matches_adaptive_oracles(temperature, omega_c, quad_shift):
                 assert abs(got - cauchy) < bound
 
 
+def test_shift_budget_is_relative_at_hot_baths(quad_shift):
+    # the integral grows like T (1.4e6 at nu 0.5, T 1e6); an absolute budget
+    # of 1e-9 failed every coupled transition there.  The rule agrees with
+    # the adaptive oracle to 3e-13 relative; the bound is 1e-11
+    bath = BathSpec(alpha=1.0, omega_c=1.0, temperature=1e6)
+    for nu in (0.5, 2.0, 2.4, -1.7, 1e-4, 0.01, 7.0, 30.0, -100.0):
+        got = shift_b(nu, bath)
+        assert abs(got - quad_shift(nu, bath)) < 1e-11 * max(abs(got), 4.0)
+
+
 def test_shift_alpha_linearity_exact():
     doubled = BathSpec(alpha=0.02, omega_c=1.0, temperature=3.0)
     for nu in (0.0, 2.0, -2.0, 0.9):

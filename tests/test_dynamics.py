@@ -7,12 +7,14 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from coolspec.bath import BathSpec
+from coolspec.config import profile_config
 from coolspec.dynamics import (
     _CHUNK,
     _THETA13,
     PropagationError,
     SteadyStateError,
     _expm,
+    counting_fd,
     evolve,
     heat_current_trace,
     mean_heat_fd,
@@ -22,6 +24,7 @@ from coolspec.dynamics import (
     steady_state,
 )
 from coolspec.generators import Liouvillian, total_liouvillian, vectorize
+from coolspec.sweep import delta_grid
 from coolspec.system import (
     IDX_E,
     IDX_GL,
@@ -336,3 +339,151 @@ def test_min_eigenvalue_batched():
     stack = rng.normal(size=(7, 3, 3)) + 1j * rng.normal(size=(7, 3, 3))
     singles = [min_eigenvalue(m) for m in stack]
     assert min_eigenvalue(stack) == pytest.approx(min(singles), abs=1e-14)
+
+
+def _fig3a_chunk():
+    # the trajectories of the first 16 points of paper-fig3a, as the sweep
+    # evolves them
+    cfg = profile_config("paper-fig3a")
+    deltas = delta_grid(cfg)[:16]
+    spec = SystemSpec(e_man=cfg.e_man, gamma_rad=cfg.gamma_rad, delta=deltas,
+                      omega_rabi=np.full(deltas.shape, cfg.omega_list[0]))
+    bath = BathSpec(alpha=cfg.alpha, omega_c=cfg.omega_c, temperature=cfg.temperature)
+    gen = total_liouvillian("bloch_redfield", spec, bath)
+    return evolve(gen, lower_ground_state(), cfg.t_end, cfg.dt)[1]
+
+
+def _tcl_slip():
+    spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
+    prop = TclPropagator(spec, BATH, MemoryKernelConfig(t_mem=10.0))
+    return prop.propagate(lower_ground_state(), 2.0)[1]
+
+
+def _planted_ties():
+    # random Hermitian trajectories whose later states have state 0's lowest
+    # eigenvalue plus an offset, with random eigenvectors and upper eigenvalues
+    rng = np.random.default_rng(18)
+    trajectories = []
+    for offset in (0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-11, -1e-11):
+        m = rng.normal(size=(40, 3, 3)) + 1j * rng.normal(size=(40, 3, 3))
+        states = 0.5 * (m + m.conj().swapaxes(-1, -2))
+        w, v = np.linalg.eigh(states)
+        w[1:] += w[0, 0] + offset - w[1:, :1]
+        states[1:] = (v[1:] * w[1:, None, :]) @ v[1:].conj().swapaxes(-1, -2)
+        trajectories.append(states)
+    return np.stack(trajectories)
+
+
+def _with_nan():
+    states = _fig3a_chunk()[:3].copy()
+    states[1, 200, 1, 2] = np.nan
+    return states
+
+
+def _with_nan_imaginary_diagonal():
+    # eigvalsh reads only the real part of the diagonal
+    states = _fig3a_chunk()[:3].copy()
+    states[1, 200, 0, 0] = complex(states[1, 200, 0, 0].real, np.nan)
+    return states
+
+
+def _every_state_minimum(rho):
+    h = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
+    return np.linalg.eigvalsh(h)[..., 0].min(axis=-1)
+
+
+def _outcome(f, rho):
+    try:
+        return np.asarray(f(rho)).tobytes()
+    except np.linalg.LinAlgError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("trajectories", [
+    _fig3a_chunk, _tcl_slip, _planted_ties, _with_nan, _with_nan_imaginary_diagonal,
+    lambda: _fig3a_chunk()[..., :1, :, :], lambda: _fig3a_chunk()[..., :2, :, :],
+    lambda: _planted_ties()[:, :2], lambda: _planted_ties()[3],
+    lambda: _planted_ties() * 2.0**-1000, lambda: _planted_ties() * 2.0**1000],
+    ids=["fig3a_chunk", "tcl_slip", "planted_ties", "nan_state", "nan_imaginary_diagonal",
+         "length_1", "length_2", "planted_length_2", "one_trajectory", "planted_tiny",
+         "planted_huge"])
+def test_min_eigenvalue_equals_every_state_eigvalsh(trajectories):
+    # the Sylvester shortcut must not change a single bit of the minimum
+    rho = trajectories()
+    assert _outcome(min_eigenvalue, rho) == _outcome(_every_state_minimum, rho)
+
+
+def test_min_eigenvalue_solves_few_fig3a_states(monkeypatch):
+    # the shortcut is exercised: most states are shown not to hold the minimum
+    states = _fig3a_chunk()
+    eigvalsh, solved = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda h: solved.append(np.size(h) // 9) or eigvalsh(h))
+    min_eigenvalue(states)
+    assert sum(solved) < 0.1 * states.size // 9
+    assert min_eigenvalue(_tcl_slip()) < 0.0
+
+
+def _scaled_stack(u):
+    # points whose dt L 1-norms at dt 0.5 lie below and above theta_13, so
+    # that they take different numbers of squarings
+    spec = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.7, 0.3]),
+                      omega_rabi=np.array([0.5, 1.0, 0.2, 0.0]), gamma_rad=0.5)
+    gen = total_liouvillian("bloch_redfield", spec, BATH, u=u)
+    scale = np.array([1.0, 40.0, 0.3, 400.0])[:, None, None]
+    return Liouvillian(matrix=scale * gen.matrix, u=gen.u, heat_kernel=gen.heat_kernel)
+
+
+def test_stacked_expm_evolve_counting_fd_equal_one_point_calls():
+    dt, rho0 = 0.5, lower_ground_state()
+    a = dt * _scaled_stack(0.0).matrix
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    squarings = np.ceil(np.log2(np.fmax(norms, _THETA13) / _THETA13))
+    assert squarings.min() == 0 and len(set(squarings)) == 3
+    stacked = _expm(a)
+    for k in range(len(a)):
+        assert stacked[k].tobytes() == _expm(a[k]).tobytes()
+    gen = _scaled_stack(0.0)
+    square = Liouvillian(matrix=gen.matrix.reshape(2, 2, 9, 9))
+    times, states = evolve(square, rho0, 5.0, dt)
+    assert states.shape == (2, 2, 11, 3, 3)
+    for k, point in enumerate(states.reshape(4, 11, 3, 3)):
+        assert point.tobytes() == evolve(gen[k], rho0, 5.0, dt)[1].tobytes()
+    for scheme, u in (("forward", 0.05), ("central", 0.025)):
+        fd = _scaled_stack(u)
+        record = counting_fd(fd, rho0, 5.0, dt, scheme, "bloch_redfield")
+        assert record.current.shape == (4,)
+        for k in range(len(a)):
+            one = counting_fd(fd[k], rho0, 5.0, dt, scheme, "bloch_redfield")
+            assert isinstance(one.current, float) and one.time == record.time == 5.0
+            for field in ("mean_heat", "current", "fd_imag"):
+                stacked_value, value = getattr(record, field)[k], getattr(one, field)
+                assert stacked_value.tobytes() == np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("rates", [(0.0, 0.01, 0.1), (0.0, 0.0, 0.1)])
+def test_stacked_evolve_names_first_trace_losing_point(rates):
+    # every point is checked, and the first one that loses the trace gives
+    # the message its own call gives
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
+    good = total_liouvillian("bloch_redfield", spec, BATH).matrix
+    stack = Liouvillian(matrix=np.stack([good - rate * np.eye(9) for rate in rates]))
+    first = next(k for k, rate in enumerate(rates) if rate)
+    with pytest.raises(PropagationError) as one:
+        evolve(stack[first], lower_ground_state(), 1.0, 0.05)
+    with pytest.raises(PropagationError) as stacked:
+        evolve(stack, lower_ground_state(), 1.0, 0.05)
+    assert "trace drifted" in str(one.value)
+    assert str(stacked.value) == str(one.value)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.1])
+def test_evolve_rejects_infinite_generator(u):
+    # an inf entry made _expm warn (invalid value in multiply), an error here
+    spec = SystemSpec(e_man=2.0, delta=np.array([0.0, 0.5]), omega_rabi=1.0, gamma_rad=0.5)
+    gen = total_liouvillian("bloch_redfield", spec, BATH, u=u)
+    matrix = gen.matrix.copy()
+    matrix[1, 4, 0] = np.inf
+    for broken in (Liouvillian(matrix=matrix, u=u), Liouvillian(matrix=matrix[1], u=u)):
+        with pytest.raises(PropagationError, match="non-finite generator"):
+            evolve(broken, lower_ground_state(), 1.0, 0.05)

@@ -372,6 +372,22 @@ def test_tiny_manifold_splitting_gives_finite_rates(e_man):
         assert all(math.isfinite(x) for x in _values(rec))
 
 
+def test_hot_bath_gives_finite_rates():
+    # at temperature 1e6 the shift integrals reach 1e6; their error budget
+    # is relative, so every coupled transition stays within it
+    cfg = config_from_dict({
+        "bath": {"temperature": 1e6},
+        "sweep": {"delta_min": -0.5, "delta_max": -0.5, "delta_steps": 1,
+                  "omega_list": [0.5, 1.0]},
+        "methods": ["bloch_redfield", "secular", "phenomenological"],
+    })
+    records = run_sweep(cfg)
+    assert len(records) == 6
+    for rec in records:
+        assert rec.status == "ok"
+        assert all(math.isfinite(x) for x in _values(rec))
+
+
 @pytest.mark.parametrize("bath,tcl", [({"temperature": 0.01}, {}),
                                       ({"omega_c": 0.02}, {"t_mem": 400.0})],
                          ids=["temperature_0.01", "omega_c_0.02"])
