@@ -244,6 +244,9 @@ def validate_config(cfg: SweepConfig):
         value = getattr(cfg, name)
         if value is not None and value <= 0:
             raise ConfigError(f"{_PATHS[name]} must be positive, got {value}")
+    if transient and not math.isfinite(cfg.t_end / cfg.dt):
+        raise ConfigError(f"{_PATHS['t_end']} / {_PATHS['dt']} = {cfg.t_end} / {cfg.dt} "
+                          "overflows; the number of steps must be finite")
     for name in _NON_NEGATIVE:
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{_PATHS[name]} must be non-negative, got {getattr(cfg, name)}")

@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bath import BathSpec
+from .bath import BathSpec, RateTable
 from .generators import (
     DIM,
     TRACE_VECTOR,
@@ -16,7 +16,7 @@ from .generators import (
     unvectorize,
     vectorize,
 )
-from .system import SystemSpec, lower_ground_state
+from .system import EigenSystem, SystemSpec, lower_ground_state
 
 TRACE_DRIFT_TOL = 1e-6
 # roundoff headroom for the RK4 gain of eigenvalues with real part <= 0
@@ -41,10 +41,10 @@ class SteadyStateError(RuntimeError):
 
 def _time_grid(t_end: float, dt: float) -> np.ndarray:
     """Grid k dt, k = 0 .. round(t_end / dt), shared by propagate and evolve."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not (np.isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be non-negative and finite, got {t_end}")
     return np.arange(int(round(t_end / dt)) + 1) * dt
 
 
@@ -261,66 +261,29 @@ def heat_current_trace(liouvillian: Liouvillian, rho: np.ndarray):
 
 @dataclass(frozen=True)
 class HeatRecord:
-    """Mean exchanged heat and instantaneous current from one route.
+    """Mean exchanged heat and instantaneous current, as measured.
 
-    mean_heat is the heat transferred to the bath up to `time` (positive
-    into the bath).  For the finite-difference route fd_imag stores the
-    imaginary part of the difference quotient, which would vanish for an
-    exact u-derivative and serves as a step-size diagnostic.  From a
-    stacked counting_fd, mean_heat, current and fd_imag are arrays of the
-    stack's shape.
+    mean_heat_fd and TclPropagator.propagate return it, holding only what
+    they measured, not their inputs.  mean_heat is the heat transferred to
+    the bath up to `time` (positive into the bath).  For the
+    finite-difference route fd_imag stores the imaginary part of the
+    difference quotient, which would vanish for an exact u-derivative and
+    serves as a step-size diagnostic.  From a stacked mean_heat_fd,
+    mean_heat, current and fd_imag are arrays of the stack's shape.
     """
 
     time: float
     mean_heat: float
     current: float
-    method: str
-    route: str
     fd_imag: float = 0.0
-
-
-def counting_field(u_step: float, scheme: str) -> float:
-    """Counting field u at which counting_fd's generator is built for a scheme and step.
-
-    u_step for scheme="forward", u_step / 2 for scheme="central".
-    """
-    if u_step <= 0:
-        raise ValueError(f"u_step must be positive, got {u_step}")
-    if scheme not in ("forward", "central"):
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
-    return u_step if scheme == "forward" else 0.5 * u_step
-
-
-def counting_fd(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float, dt: float,
-                scheme: str, method: str) -> HeatRecord:
-    """Finite-difference heat record from one counting-field annotated generator.
-
-    The generator is built at u = counting_field(u_step, scheme); see
-    mean_heat_fd for the estimate.  It is evolved exactly (evolve) from
-    rho0, and chi(u, t) = Tr rho_u(t) at the last two grid times gives the
-    mean heat and the current.  Broadcasts over a stack of generators with
-    one evolve call: mean_heat, current and fd_imag then hold arrays of the
-    stack's shape, each point equal to its one-point call, which gives
-    scalars.
-    """
-    u_step = liouvillian.u if scheme == "forward" else 2.0 * liouvillian.u
-    times, states = evolve(liouvillian, rho0, t_end, dt)
-    if len(times) < 2:
-        raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
-    chi = np.trace(states[..., -2:, :, :], axis1=-2, axis2=-1)
-    chi_other = np.trace(rho0) if scheme == "forward" else chi.conj()
-    heat = -1j * (chi - chi_other) / u_step
-    q_prev, q_last = heat[..., 0], heat[..., 1]
-    current = (q_last - q_prev) / dt
-    return HeatRecord(time=float(times[-1]), mean_heat=q_last.real[()],
-                      current=current.real[()], method=method, route="counting_fd",
-                      fd_imag=q_last.imag[()])
 
 
 def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 30.0,
                  dt: float = 0.05, u_step: float = 0.05, scheme: str = "central",
                  rho0: np.ndarray | None = None, include_shifts: bool = True,
-                 pairing_tol: float | None = None) -> HeatRecord:
+                 pairing_tol: float | None = None,
+                 shared: Callable[[], tuple[EigenSystem, RateTable]] | None = None
+                 ) -> HeatRecord:
     """Counting-field finite-difference estimate of the mean heat.
 
     scheme="forward" uses -i (chi(u_step) - chi(0)) / u_step, the plain
@@ -332,18 +295,36 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     m_1 - u_step^2 m_3 / 6 + O(u_step^4) in its real part and
     u_step m_2 / 2 in its imaginary part (fd_imag), and the central one is
     m_1 - u_step^2 m_3 / 24: both biases come from the third raw moment.
-    One annotated generator is evolved exactly (counting_fd), since
-    chi(0, t) = Tr rho0 and chi(-u, t) = conj(chi(u, t)); the central
-    fd_imag is therefore zero.  The instantaneous current is the change of
-    the estimate over the final step dt of the time grid, of which t_end
-    must span at least one.
+    One generator annotated at u = u_step (forward) or u_step / 2
+    (central) is built (total_liouvillian, which reads include_shifts,
+    pairing_tol and shared) and evolved exactly (evolve) from rho0, the
+    lower ground state by default, since chi(0, t) = Tr rho0 and
+    chi(-u, t) = conj(chi(u, t)); the central fd_imag is therefore zero.
+    chi(u, t) = Tr rho_u(t) at the last two grid times gives the mean heat
+    and the instantaneous current, the change of the estimate over the
+    final step dt, of which t_end must span at least one.  Broadcasts over
+    a stacked spec with one evolve call: mean_heat, current and fd_imag
+    then hold arrays of the stack's shape, each point equal to its
+    one-point call, which gives scalars.
     """
-    u = counting_field(u_step, scheme)
+    if not (np.isfinite(u_step) and u_step > 0):
+        raise ValueError(f"u_step must be positive and finite, got {u_step}")
+    if scheme not in ("forward", "central"):
+        raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
     if rho0 is None:
         rho0 = lower_ground_state()
-    gen = total_liouvillian(method, spec, bath, u=u,
-                            include_shifts=include_shifts, pairing_tol=pairing_tol)
-    return counting_fd(gen, rho0, t_end, dt, scheme, method)
+    gen = total_liouvillian(method, spec, bath, u=u_step if scheme == "forward" else 0.5 * u_step,
+                            include_shifts=include_shifts, pairing_tol=pairing_tol, shared=shared)
+    times, states = evolve(gen, rho0, t_end, dt)
+    if len(times) < 2:
+        raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
+    chi = np.trace(states[..., -2:, :, :], axis1=-2, axis2=-1)
+    chi_other = np.trace(rho0) if scheme == "forward" else chi.conj()
+    heat = -1j * (chi - chi_other) / u_step
+    q_prev, q_last = heat[..., 0], heat[..., 1]
+    current = (q_last - q_prev) / dt
+    return HeatRecord(time=float(times[-1]), mean_heat=q_last.real[()],
+                      current=current.real[()], fd_imag=q_last.imag[()])
 
 
 def min_eigenvalue(rho: np.ndarray):

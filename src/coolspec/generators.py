@@ -77,16 +77,12 @@ class Liouvillian:
     built at; tracing it against a state gives the instantaneous phonon
     heat current.  Radiative decay is never annotated, so photon emission
     does not enter the counted heat.  For a stack of points both arrays
-    carry its leading axes, and indexing selects points.
+    carry its leading axes.
     """
 
     matrix: np.ndarray
     u: float = 0.0
     heat_kernel: np.ndarray | None = None
-
-    def __getitem__(self, index) -> Liouvillian:
-        kernel = None if self.heat_kernel is None else self.heat_kernel[index]
-        return Liouvillian(matrix=self.matrix[index], u=self.u, heat_kernel=kernel)
 
 
 def _dag(m: np.ndarray) -> np.ndarray:

@@ -22,10 +22,9 @@ import numpy as np
 from .bath import BathSpec
 from .config import ConfigError, HeatRoute, SweepConfig, validate_config
 from .dynamics import (
-    counting_fd,
-    counting_field,
     evolve,
     heat_current_trace,
+    mean_heat_fd,
     min_eigenvalue,
     steady_residual,
     steady_state,
@@ -89,8 +88,9 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     residual) and joins the smallest eigenvalue seen; in transient mode the
     residual is that of the final generator and state.  The current is
     the trace-formula one of the final generator and state, or on the
-    counting_fd route the heat increment over the last step (counting_fd,
-    one stacked call).  Results have the shape of spec's points.
+    counting_fd route the heat increment over the last step (mean_heat_fd,
+    one stacked call from the lower ground state, sharing the eigensystem
+    and rate table).  Results have the shape of spec's points.
     """
     options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
                    pairing_tol=cfg.pairing_tol, shared=shared)
@@ -112,10 +112,8 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     else:
         residual = steady_residual(gen, rho)
     if route.kind == "counting_fd":
-        fd_gen = total_liouvillian(method, spec, bath,
-                                   u=counting_field(route.u_step, route.scheme), **options)
-        current = counting_fd(fd_gen, lower_ground_state(), cfg.t_end, cfg.dt,
-                              route.scheme, method).current
+        current = mean_heat_fd(method, spec, bath, cfg.t_end, cfg.dt, route.u_step,
+                               route.scheme, **options).current
     else:
         current = heat_current_trace(gen, rho)
     return current, seen, residual

@@ -183,7 +183,5 @@ class TclPropagator:
         times, states = propagate(self.generator, rho0, t_end, self.cfg.dt)
         currents = (-1j * (self._rows(times) @ self._trace_kernel * vectorize(states)).sum(-1)).real
         heat = float((np.diff(times) * (currents[1:] + currents[:-1]) / 2.0).sum())
-        record = HeatRecord(time=float(times[-1]), mean_heat=heat,
-                            current=float(currents[-1]), method="tcl_oracle",
-                            route="kernel_trace")
+        record = HeatRecord(time=float(times[-1]), mean_heat=heat, current=float(currents[-1]))
         return times, states, record

@@ -182,6 +182,12 @@ def test_shorthand_forms_normalize():
     ({"pairing_tol": 10**400}, "pairing_tol must be a finite number or null"),
     # steady mode's plateau is the frozen generator's null state: no horizon to set
     ({"tcl": {"t_end": 60.0}}, "unknown key"),
+    # t_end / dt overflows to infinity: no step count on either route
+    ({"mode": {"kind": "transient", "t_end": 1e300, "dt": 1e-300}},
+     "mode.t_end / mode.dt = 1e[+]300 / 1e-300 overflows"),
+    ({"mode": {"kind": "transient", "t_end": 1e300, "dt": 1e-300},
+      "heat_route": {"kind": "counting_fd"}},
+     "mode.t_end / mode.dt = 1e[+]300 / 1e-300 overflows"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

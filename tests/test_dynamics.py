@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from coolspec.dynamics import (
     PropagationError,
     SteadyStateError,
     _expm,
-    counting_fd,
     evolve,
     heat_current_trace,
     mean_heat_fd,
@@ -174,6 +174,13 @@ def test_evolve_grid_and_validation():
         evolve(gen, rho0, 1.0, -0.1)
     with pytest.raises(ValueError, match="t_end"):
         evolve(gen, rho0, -1.0, 0.1)
+    # non-finite grids are named, not left to a NaN grid or an OverflowError
+    for dt in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            evolve(gen, rho0, 1.0, dt)
+    for t_end in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_end must be non-negative and finite"):
+            evolve(gen, rho0, t_end, 0.1)
 
 
 def test_evolve_detects_trace_loss():
@@ -266,8 +273,9 @@ def test_characteristic_function_properties(characteristic_function):
 
 def test_mean_heat_fd_schemes_and_validation():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
-    with pytest.raises(ValueError, match="u_step"):
-        mean_heat_fd("bloch_redfield", spec, BATH, u_step=0.0)
+    for u_step in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="u_step must be positive and finite"):
+            mean_heat_fd("bloch_redfield", spec, BATH, u_step=u_step)
     with pytest.raises(ValueError, match="scheme"):
         mean_heat_fd("bloch_redfield", spec, BATH, scheme="midpoint")
     with pytest.raises(ValueError, match="no full step"):
@@ -281,7 +289,6 @@ def test_mean_heat_fd_schemes_and_validation():
                            u_step=0.01, scheme="central")
     forward = mean_heat_fd("bloch_redfield", spec, BATH, t_end=30.0, dt=0.05,
                            u_step=0.01, scheme="forward")
-    assert central.route == "counting_fd"
     assert central.time == pytest.approx(30.0)
     # small-step central difference reproduces the trace-route current
     assert abs(central.current - reference) / abs(reference) < 1e-3
@@ -424,37 +431,40 @@ def test_min_eigenvalue_solves_few_fig3a_states(monkeypatch):
     assert min_eigenvalue(_tcl_slip()) < 0.0
 
 
-def _scaled_stack(u):
+_STACK = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.7, 0.3]),
+                    omega_rabi=np.array([0.5, 1.0, 0.2, 0.0]), gamma_rad=0.5)
+
+
+def _scaled_stack():
     # points whose dt L 1-norms at dt 0.5 lie below and above theta_13, so
     # that they take different numbers of squarings
-    spec = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.7, 0.3]),
-                      omega_rabi=np.array([0.5, 1.0, 0.2, 0.0]), gamma_rad=0.5)
-    gen = total_liouvillian("bloch_redfield", spec, BATH, u=u)
+    gen = total_liouvillian("bloch_redfield", _STACK, BATH)
     scale = np.array([1.0, 40.0, 0.3, 400.0])[:, None, None]
-    return Liouvillian(matrix=scale * gen.matrix, u=gen.u, heat_kernel=gen.heat_kernel)
+    return Liouvillian(matrix=scale * gen.matrix)
 
 
 def test_stacked_expm_evolve_counting_fd_equal_one_point_calls():
     dt, rho0 = 0.5, lower_ground_state()
-    a = dt * _scaled_stack(0.0).matrix
+    a = dt * _scaled_stack().matrix
     norms = np.abs(a).sum(axis=-2).max(axis=-1)
     squarings = np.ceil(np.log2(np.fmax(norms, _THETA13) / _THETA13))
     assert squarings.min() == 0 and len(set(squarings)) == 3
     stacked = _expm(a)
     for k in range(len(a)):
         assert stacked[k].tobytes() == _expm(a[k]).tobytes()
-    gen = _scaled_stack(0.0)
+    gen = _scaled_stack()
     square = Liouvillian(matrix=gen.matrix.reshape(2, 2, 9, 9))
     times, states = evolve(square, rho0, 5.0, dt)
     assert states.shape == (2, 2, 11, 3, 3)
     for k, point in enumerate(states.reshape(4, 11, 3, 3)):
-        assert point.tobytes() == evolve(gen[k], rho0, 5.0, dt)[1].tobytes()
-    for scheme, u in (("forward", 0.05), ("central", 0.025)):
-        fd = _scaled_stack(u)
-        record = counting_fd(fd, rho0, 5.0, dt, scheme, "bloch_redfield")
+        one = evolve(Liouvillian(matrix=gen.matrix[k]), rho0, 5.0, dt)[1]
+        assert point.tobytes() == one.tobytes()
+    for scheme in ("forward", "central"):
+        record = mean_heat_fd("bloch_redfield", _STACK, BATH, 5.0, dt, 0.05, scheme)
         assert record.current.shape == (4,)
         for k in range(len(a)):
-            one = counting_fd(fd[k], rho0, 5.0, dt, scheme, "bloch_redfield")
+            spec = replace(_STACK, delta=_STACK.delta[k], omega_rabi=_STACK.omega_rabi[k])
+            one = mean_heat_fd("bloch_redfield", spec, BATH, 5.0, dt, 0.05, scheme)
             assert isinstance(one.current, float) and one.time == record.time == 5.0
             for field in ("mean_heat", "current", "fd_imag"):
                 stacked_value, value = getattr(record, field)[k], getattr(one, field)
@@ -470,7 +480,7 @@ def test_stacked_evolve_names_first_trace_losing_point(rates):
     stack = Liouvillian(matrix=np.stack([good - rate * np.eye(9) for rate in rates]))
     first = next(k for k, rate in enumerate(rates) if rate)
     with pytest.raises(PropagationError) as one:
-        evolve(stack[first], lower_ground_state(), 1.0, 0.05)
+        evolve(Liouvillian(matrix=stack.matrix[first]), lower_ground_state(), 1.0, 0.05)
     with pytest.raises(PropagationError) as stacked:
         evolve(stack, lower_ground_state(), 1.0, 0.05)
     assert "trace drifted" in str(one.value)

@@ -197,8 +197,6 @@ def test_trajectory_slips_then_tracks_markovian_observables():
     assert rel.max() < 0.05
     # trace preserved along the way
     assert np.abs(np.trace(states, axis1=1, axis2=2) - 1.0).max() < 1e-8
-    assert record.method == "tcl_oracle"
-    assert record.route == "kernel_trace"
     assert record.time == pytest.approx(30.0)
     assert record.current == pytest.approx(tcl_currents[-1], rel=1e-13)
     # transferred heat is the time integral of the current
