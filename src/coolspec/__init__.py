@@ -24,7 +24,7 @@ from .dynamics import (
 from .generators import Liouvillian, phenomenological_rates, total_liouvillian
 from .sweep import SpectrumRecord, run_sweep, write_output
 from .system import EigenSystem, SystemSpec, build_hamiltonian, coupling_operator, eigensystem, lower_ground_state
-from .tcl import MemoryKernelConfig, TclPropagator
+from .tcl import TclPropagator
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "HeatRecord",
     "HeatRoute",
     "Liouvillian",
-    "MemoryKernelConfig",
     "PropagationError",
     "QuadratureError",
     "RateTable",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 MODES = ("steady", "transient")
@@ -244,9 +245,9 @@ def validate_config(cfg: SweepConfig):
         value = getattr(cfg, name)
         if value is not None and value <= 0:
             raise ConfigError(f"{_PATHS[name]} must be positive, got {value}")
-    if transient and not math.isfinite(cfg.t_end / cfg.dt):
+    if transient and not cfg.t_end / cfg.dt < sys.maxsize:
         raise ConfigError(f"{_PATHS['t_end']} / {_PATHS['dt']} = {cfg.t_end} / {cfg.dt} "
-                          "overflows; the number of steps must be finite")
+                          f"overflows; the number of steps must be below {sys.maxsize}")
     for name in _NON_NEGATIVE:
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{_PATHS[name]} must be non-negative, got {getattr(cfg, name)}")

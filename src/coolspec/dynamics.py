@@ -53,10 +53,12 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
     generator_at maps an array of times to the generators there: a
-    Liouvillian whose matrix has shape t.shape + (9, 9), or a single (9, 9)
-    matrix that holds at every time (lambda t: gen for a constant
-    generator).  Returns (times, states) where states[k] is the 3x3 state
-    at times[k]; t_end is rounded to a whole number of steps of size dt.
+    Liouvillian whose matrix has shape points + t.shape + (9, 9) (points:
+    the leading axes of a stack, none for one point), or for one point a
+    single (9, 9) matrix that holds at every time (lambda t: gen for a
+    constant generator).  Returns (times, states), states[..., k, :, :]
+    being the state at times[k] of each point, all started from rho0;
+    t_end is rounded to a whole number of steps of size dt.
 
     The grid is walked in chunks of at most _CHUNK steps.  For each chunk
     generator_at is called once, on the grid times and the midpoints
@@ -72,40 +74,41 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     An unstable step raises PropagationError: before any step, when the
     RK4 gain max |R(dt lambda)| over the eigenvalues of the generator at
     the first and last grid times, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
-    exceeds 1 + 1e-9; and after each step when the trace drifts by more
-    than 1e-6, checked when the generator is unannotated (u = 0) and so
-    preserves it exactly.  The per-step check stops a growing state before
-    it overflows.
+    exceeds 1 + 1e-9 at the worst point; and after each step when the
+    trace of any point drifts by more than 1e-6, checked when the generator
+    is unannotated (u = 0) and so preserves it exactly.  The per-step check
+    stops a growing state before it overflows.
     """
     times = _time_grid(t_end, dt)
     ends = generator_at(times[[0, -1]])
-    z = dt * np.linalg.eigvals(np.broadcast_to(ends.matrix, (2, DIM * DIM, DIM * DIM)))
+    points = ends.matrix.shape[:-3]
+    z = dt * np.linalg.eigvals(np.broadcast_to(ends.matrix, points + (2, DIM * DIM, DIM * DIM)))
     gains = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).max(axis=-1)
-    for t, gain in zip(times[[0, -1]], gains):
+    for t, gain in zip(times[[0, -1]], gains.reshape(-1, 2).max(axis=0)):
         if gain > 1.0 + RK4_GAIN_TOL:
             raise PropagationError(f"RK4 gain {gain:.6g} at t = {t:.6g} exceeds 1, the step "
                                    f"is unstable; reduce dt (currently {dt})")
     ident = np.eye(DIM * DIM)
-    ys = np.empty((len(times), DIM * DIM), dtype=complex)
-    y = ys[0] = vectorize(rho0)
-    trace0 = TRACE_VECTOR @ y
+    ys = np.empty(points + (len(times), DIM * DIM), dtype=complex)
+    y = ys[..., 0, :] = vectorize(rho0)
+    trace0 = y @ TRACE_VECTOR
     for start in range(0, len(times) - 1, _CHUNK):
         grid = times[start:start + _CHUNK + 1]
         n = len(grid) - 1
         nodes = np.concatenate([grid, grid[:-1] + 0.5 * dt])
-        mats = np.broadcast_to(generator_at(nodes).matrix, nodes.shape + ident.shape)
-        k1, half, end = mats[:n], mats[n + 1:], mats[1:n + 1]
+        mats = np.broadcast_to(generator_at(nodes).matrix, points + nodes.shape + ident.shape)
+        k1, half, end = mats[..., :n, :, :], mats[..., n + 1:, :, :], mats[..., 1:n + 1, :, :]
         k2 = half @ (ident + 0.5 * dt * k1)
         k3 = half @ (ident + 0.5 * dt * k2)
         k4 = end @ (ident + dt * k3)
         increments = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         for k in range(n):
-            y = ys[start + k + 1] = y + increments[k] @ y
+            y = ys[..., start + k + 1, :] = y + (increments[..., k, :, :] @ y[..., None])[..., 0]
             if ends.u == 0.0:
-                drift = abs(TRACE_VECTOR @ y - trace0)
-                if drift > TRACE_DRIFT_TOL:
+                drift = np.abs(y @ TRACE_VECTOR - trace0)
+                if (drift > TRACE_DRIFT_TOL).any():
                     raise PropagationError(
-                        f"trace drifted by {drift:.3e} at t = {grid[k + 1]:.6g}; "
+                        f"trace drifted by {drift.max():.3e} at t = {grid[k + 1]:.6g}; "
                         f"reduce dt (currently {dt})"
                     )
     return times, unvectorize(ys)
@@ -268,8 +271,8 @@ class HeatRecord:
     the bath up to `time` (positive into the bath).  For the
     finite-difference route fd_imag stores the imaginary part of the
     difference quotient, which would vanish for an exact u-derivative and
-    serves as a step-size diagnostic.  From a stacked mean_heat_fd,
-    mean_heat, current and fd_imag are arrays of the stack's shape.
+    serves as a step-size diagnostic.  For a stacked spec, mean_heat,
+    current and fd_imag (mean_heat_fd) are arrays of the stack's shape.
     """
 
     time: float
@@ -343,29 +346,30 @@ def min_eigenvalue(rho: np.ndarray):
     cannot hold the minimum.  NaN, zero and infinite states never pass and
     are solved, as is every state of a trajectory of length 1.
     """
+    def lowest_of(a):
+        return np.linalg.eigvalsh(0.5 * (a + np.conj(np.swapaxes(a, -1, -2))))[..., 0]
+
     a = np.asarray(rho)
-    h = 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-    if a.ndim == 2:
-        return float(np.linalg.eigvalsh(h)[0])
-    points = h.shape[:-3]
-    h = h.reshape((-1,) + h.shape[-3:])
-    lowest = np.linalg.eigvalsh(h[:, 0])[:, 0]
-    if h.shape[1] > 1:
-        later = h[:, 1:]
-        diag = np.moveaxis(later.diagonal(axis1=-2, axis2=-1).real, -1, 0)
-        upper = later[..., 0, 1], later[..., 0, 2], later[..., 1, 2]
-        scale = np.max([np.abs(w) for w in (*diag, *upper)], axis=0)
+    points = a.shape[:-3]
+    a = a.reshape((-1, a.shape[-3] if a.ndim > 2 else 1, DIM, DIM))
+    lowest = lowest_of(a[:, 0])
+    if a.shape[1] > 1:
+        later = a[:, 1:]
+        # the hermitized entries that the check reads, formed as in lowest_of
+        h = [0.5 * (later[..., i, j] + np.conj(later[..., j, i]))
+             for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+        scale = np.max(np.abs(h), axis=0)
         # zero, infinite and NaN states give NaN minors, which fail; over-
         # and underflow only arise far from a tie, where either answer is exact
         with np.errstate(all="ignore"):
             inv = 1.0 / scale
             shift = lowest[:, None] * inv + _SYLVESTER_MARGIN
-            d0, d1, d2 = (w * inv - shift for w in diag)
-            x, y, z = (w * inv for w in upper)
+            d0, d1, d2 = (w.real * inv - shift for w in h[:3])
+            x, y, z = (w * inv for w in h[3:])
             xx, yy, zz = (w.real**2 + w.imag**2 for w in (x, y, z))
             minor2 = d0 * d1 - xx
             minor3 = d0 * (d1 * d2 - zz) - d1 * yy - d2 * xx + 2.0 * (x * z * y.conj()).real
             solve = np.nonzero(~((d0 > _SYLVESTER_MARGIN) & (minor2 > _SYLVESTER_MARGIN)
                                  & (minor3 > _SYLVESTER_MARGIN)))
-        np.minimum.at(lowest, solve[0], np.linalg.eigvalsh(later[solve])[:, 0])
+        np.minimum.at(lowest, solve[0], lowest_of(later[solve]))
     return lowest.reshape(points)[()]

@@ -3,9 +3,9 @@
 One record is produced per (delta, omega, method, route) tuple, in a fixed
 nested order (delta outermost, route innermost), so output is byte
 identical regardless of how many worker processes computed it.  The grid
-is evaluated in chunks of consecutive points, each passed through the
-Markovian layers as one stack.  Per-point failures are caught and recorded
-in the row's status field instead of aborting the sweep.
+is evaluated in chunks of consecutive points, each passed through every
+method as one stack, once for all routes.  Per-point failures are caught
+and recorded in the row's status field instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cache
 import numpy as np
 
 from .bath import BathSpec
-from .config import ConfigError, HeatRoute, SweepConfig, validate_config
+from .config import ConfigError, SweepConfig, validate_config
 from .dynamics import (
     evolve,
     heat_current_trace,
@@ -31,10 +31,10 @@ from .dynamics import (
 )
 from .generators import spectrum, total_liouvillian
 from .system import SystemSpec, lower_ground_state
-from .tcl import MemoryKernelConfig, TclPropagator
+from .tcl import TclPropagator
 
-# most grid points evaluated as one stack: the shift rule's temporaries
-# grow with it, and peak memory with them
+# most grid points evaluated as one stack: the shift rule's temporaries and
+# TCL's tau table and RK4 stacks grow with it, and peak memory with them
 _CHUNK = 16
 
 
@@ -69,37 +69,38 @@ def delta_grid(cfg: SweepConfig) -> np.ndarray:
 
 
 def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
-              route: HeatRoute, shared=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Current, smallest eigenvalue seen and residual of every point of spec.
+              shared=None) -> tuple[list, np.ndarray, np.ndarray]:
+    """Currents, smallest eigenvalue seen and residual of every point of spec.
 
-    Each method first gives the final generator, the final state and the
-    smallest eigenvalue seen.  tcl_oracle takes a single point and
-    integrates its time-dependent generator by RK4 at tcl_dt from the lower
-    ground state: in transient mode up to t_end, its final generator being
-    the one at the last grid time, and in steady mode up to the last row of
-    its coefficient table, its final generator being the one frozen there.
-    Markovian methods build the generators of all points of a stacked spec
-    at once (total_liouvillian, reading the eigensystem and rate table from
-    shared when given); in transient mode the lower ground state is evolved
-    exactly under the whole stack at once (evolve) on the time grid of step
-    dt up to t_end, so dt sets only which times are sampled.  Then, for
-    every method, in steady mode the final state is the stationary state of
-    the final generator (steady_state, one stacked SVD, which also gives the
-    residual) and joins the smallest eigenvalue seen; in transient mode the
-    residual is that of the final generator and state.  The current is
-    the trace-formula one of the final generator and state, or on the
-    counting_fd route the heat increment over the last step (mean_heat_fd,
-    one stacked call from the lower ground state, sharing the eigensystem
-    and rate table).  Results have the shape of spec's points.
+    Every method takes all points of a stacked spec at once and first gives
+    the final generator, the final state and the smallest eigenvalue seen.
+    tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt
+    from the lower ground state (TclPropagator): in transient mode up to
+    t_end, its final generator being the one at the last grid time, and in
+    steady mode up to the last row of its coefficient table, its final
+    generator being the one frozen there.  Markovian methods build their
+    generators (total_liouvillian, reading the eigensystem and rate table
+    from shared when given); in transient mode the lower ground state is
+    evolved exactly (evolve) on the time grid of step dt up to t_end, so dt
+    sets only which times are sampled.  Then, for every method, in steady
+    mode the final state is the stationary state of the final generator
+    (steady_state, one stacked SVD, which also gives the residual) and
+    joins the smallest eigenvalue seen; in transient mode the residual is
+    that of the final generator and state.  This one head serves every
+    route of cfg.routes, each giving a current in order: the trace-formula
+    one of the final generator and state, or on counting_fd the heat
+    increment over the last step (mean_heat_fd, one stacked call from the
+    lower ground state, sharing the eigensystem and rate table).  Results
+    have the shape of spec's points.
     """
     options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
                    pairing_tol=cfg.pairing_tol, shared=shared)
     if method == "tcl_oracle":
-        prop = TclPropagator(spec, bath, MemoryKernelConfig(t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt))
+        prop = TclPropagator(spec, bath, t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt)
         horizon = cfg.t_end if cfg.mode == "transient" else prop.taus[-1]
         times, states, _ = prop.propagate(lower_ground_state(), horizon)
         gen = prop.generator(times[-1] if cfg.mode == "transient" else horizon)
-        rho, seen = states[-1], min_eigenvalue(states)
+        rho, seen = states[..., -1, :, :], min_eigenvalue(states)
     else:
         gen = total_liouvillian(method, spec, bath, **options)
         seen = np.inf
@@ -111,12 +112,11 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
         seen = np.minimum(seen, min_eigenvalue(rho[..., None, :, :]))
     else:
         residual = steady_residual(gen, rho)
-    if route.kind == "counting_fd":
-        current = mean_heat_fd(method, spec, bath, cfg.t_end, cfg.dt, route.u_step,
-                               route.scheme, **options).current
-    else:
-        current = heat_current_trace(gen, rho)
-    return current, seen, residual
+    currents = [mean_heat_fd(method, spec, bath, cfg.t_end, cfg.dt, route.u_step,
+                             route.scheme, **options).current
+                if route.kind == "counting_fd" else heat_current_trace(gen, rho)
+                for route in cfg.routes]
+    return currents, seen, residual
 
 
 def _problem(cfg: SweepConfig, deltas: list[float],
@@ -130,45 +130,44 @@ def _problem(cfg: SweepConfig, deltas: list[float],
 
 
 def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method: str,
-             route: HeatRoute, shared=None) -> list[SpectrumRecord]:
-    """Records of the points (deltas[k], omegas[k]) for one method and route.
+             shared=None) -> list[list[SpectrumRecord]]:
+    """Records of the points (deltas[k], omegas[k]) for one method, per point.
 
-    Markovian points are evaluated as one stack (shared holds their
-    eigensystem and rate table); tcl_oracle points one at a time.  When the
-    stacked evaluation raises, each point is evaluated on its own, so a
-    failure, a LinAlgError included, marks only the points that cause it.
-    A single point's exception becomes its error status.
+    Entry k lists point k's record for each of cfg.routes, in order.  The
+    points are evaluated as one stack (shared holds their eigensystem and
+    rate table).  When that raises, each point is evaluated on its own, so
+    a failure, a LinAlgError included, marks only the points that cause
+    it; a single point's exception becomes the status of all its routes.
     """
-    one = len(deltas) == 1
-    if one or method != "tcl_oracle":
-        try:
-            values = np.reshape(_evaluate(cfg, *_problem(cfg, deltas, omegas), method, route,
-                                          shared), (3, -1))
-            status = "ok"
-        except Exception as exc:
-            values, status = np.full((3, 1), math.nan), f"error: {type(exc).__name__}: {exc}"
-        if one or status == "ok":
-            sign = -1.0 if cfg.sign == "absorption_positive" else 1.0
-            return [SpectrumRecord(delta=d, omega=w, method=method, route=route.kind,
-                                   heat_absorption_rate=sign * float(current),
-                                   min_eigenvalue_seen=float(seen),
-                                   steady_residual=float(residual), status=status)
-                    for d, w, current, seen, residual in zip(deltas, omegas, *values)]
-    return [rec for d, w in zip(deltas, omegas)
-            for rec in _records(cfg, [d], [w], method, route)]
+    try:
+        currents, seen, residual = _evaluate(cfg, *_problem(cfg, deltas, omegas), method, shared)
+        values = np.reshape([*currents, seen, residual], (len(cfg.routes) + 2, -1))
+        status = "ok"
+    except Exception as exc:
+        if len(deltas) > 1:
+            return [part for d, w in zip(deltas, omegas)
+                    for part in _records(cfg, [d], [w], method)]
+        values = np.full((len(cfg.routes) + 2, 1), math.nan)
+        status = f"error: {type(exc).__name__}: {exc}"
+    sign = -1.0 if cfg.sign == "absorption_positive" else 1.0
+    return [[SpectrumRecord(delta=d, omega=w, method=method, route=route.kind,
+                            heat_absorption_rate=sign * float(current),
+                            min_eigenvalue_seen=float(seen), steady_residual=float(residual),
+                            status=status)
+             for route, current in zip(cfg.routes, currents)]
+            for d, w, *currents, seen, residual in zip(deltas, omegas, *values)]
 
 
 def _evaluate_chunk(cfg: SweepConfig, points: list[tuple[float, float]]) -> list[SpectrumRecord]:
     """Records of consecutive grid points, in (point, method, route) order.
 
     The points share one eigensystem and rate table, computed on first use,
-    across all methods and routes.
+    across all methods; each method evaluates them once for all routes.
     """
     deltas, omegas = (list(axis) for axis in zip(*points))
     shared = cache(lambda: spectrum(*_problem(cfg, deltas, omegas)))
-    columns = [_records(cfg, deltas, omegas, method, route, shared)
-               for method in cfg.methods for route in cfg.routes]
-    return [rec for row in zip(*columns) for rec in row]
+    columns = [_records(cfg, deltas, omegas, method, shared) for method in cfg.methods]
+    return [rec for row in zip(*columns) for part in row for rec in part]
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:

@@ -16,7 +16,7 @@ of the correlation integral in the tests is its independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
 
@@ -43,27 +43,6 @@ _TAU_STEP = 0.01
 # (2.6e-4: 1.4e-4); omega_c 0.2 at t_mem 60 (1.4e-4: 1.8e-3), 45
 # (4.4e-4: 7e-3) and 30 (2.1e-3: 2.1e-2); omega_c 0.1 at 30 (2.6e-2: 441x)
 MEMORY_TAIL_TOL = 1e-3
-
-
-@dataclass(frozen=True)
-class MemoryKernelConfig:
-    """Discretization of the running memory integrals.
-
-    t_mem:
-        Horizon beyond which the correlation function is treated as dead
-        and the running integrals are frozen.
-    dt:
-        RK4 step and sample spacing of the propagator.
-    """
-
-    t_mem: float = 30.0
-    dt: float = 0.02
-
-    def __post_init__(self):
-        if not self.t_mem > 0:
-            raise ValueError(f"t_mem must be positive, got {self.t_mem}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 def correlation_grid(taus: np.ndarray, spec: BathSpec) -> np.ndarray:
@@ -100,88 +79,104 @@ class TclPropagator:
     tau grid (taus) and interpolated linearly in between.  Its spacing is
     dt / (2 m), m the smallest whole number that brings it to
     0.01 min(1, 1/omega_c) or below (m = 1 at the default dt 0.02 and
-    omega_c 1): every RK4 node k dt/2 is a table row, a coarse step does
-    not coarsen the coefficients, and a fast bath gets a grid that follows
-    its correlation time.  Past the last row, taus[-1] (t_mem rounded to
-    the grid), the coefficients and so the generator are frozen.  The
-    Redfield dissipator (generators.redfield) is real-linear in Gamma, so its
-    (matrix, heat kernel) response to each of the 18 real and imaginary
-    unit coefficients is tabulated once per propagator; the generators at
-    any array of times contract that response with Gamma(t) in one matmul
-    and add generators.static_part (coherent and radiative parts).  The
-    heat current is linear in Gamma too, so propagate reads it for a whole
-    trajectory from the traced kernel response.  Raises ValueError when
-    |C(t_mem)| exceeds 1e-3 |C(0)|: the memory window is too short for the
-    bath.
+    omega_c 1): every node k dt/2 of propagate's RK4 step dt is a table
+    row, a coarse step does not coarsen the coefficients, and a fast bath
+    gets a grid that follows its correlation time.  Past the last row,
+    taus[-1] (t_mem rounded to the grid), the coefficients and so the
+    generator are frozen.  The Redfield dissipator (generators.redfield) is
+    real-linear in Gamma, so its (matrix, heat kernel) response to each of
+    the 18 real and imaginary unit coefficients is tabulated once; the
+    generators at any array of times contract it with Gamma(t) in one
+    matmul and add generators.static_part.  The heat current is linear in
+    Gamma too, so propagate reads it from the traced kernel response.
+    Broadcasts over a stacked spec like dynamics.evolve: tables and results
+    carry its leading axes (points) before any time axis, each point equal
+    to its one-point call.  Raises ValueError when t_mem or dt is not
+    positive, when t_mem spans more grid rows than an array holds, or when
+    |C(t_mem)| exceeds 1e-3 |C(0)|: the memory window is too short.
     """
 
-    def __init__(self, spec: SystemSpec, bath: BathSpec, cfg: MemoryKernelConfig):
-        self.cfg = cfg
+    def __init__(self, spec: SystemSpec, bath: BathSpec, t_mem: float = 30.0, dt: float = 0.02):
+        if not t_mem > 0:
+            raise ValueError(f"t_mem must be positive, got {t_mem}")
+        if not dt > 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        self.dt = dt
         self.eig = eigensystem(build_hamiltonian(spec), coupling_operator())
 
         widest = _TAU_STEP * min(1.0, 1.0 / bath.omega_c)
-        step = cfg.dt / (2 * math.ceil(cfg.dt / (2 * widest)))
-        n_tau = max(1, int(round(cfg.t_mem / step)))
-        taus = np.arange(n_tau + 1) * step
+        step = dt / (2 * math.ceil(dt / (2 * widest)))
+        if not t_mem / step < sys.maxsize:
+            raise ValueError(f"t_mem = {t_mem:g} spans {t_mem / step:.3g} tau-grid rows at "
+                             f"dt = {dt:g}, more than an array can hold; lower t_mem")
+        taus = np.arange(max(1, int(round(t_mem / step))) + 1) * step
         corr = correlation_grid(taus, bath)
         if abs(corr[-1]) > MEMORY_TAIL_TOL * abs(corr[0]):
-            raise ValueError(f"memory window t_mem = {cfg.t_mem:g} is too short for the bath: "
+            raise ValueError(f"memory window t_mem = {t_mem:g} is too short for the bath: "
                              f"|C(t_mem)| / |C(0)| = {abs(corr[-1] / corr[0]):.2e} exceeds "
                              f"{MEMORY_TAIL_TOL:g}; raise t_mem")
-        integrand = corr[:, None, None] * np.exp(-1j * self.eig.nu * taus[:, None, None])
+        nu = self.eig.nu[..., None, :, :]
+        integrand = corr[:, None, None] * np.exp(-1j * nu * taus[:, None, None])
         self.taus = taus
         # cumulative trapezoid rule along tau, starting from 0: row k holds
-        # Gamma at tau = taus[k], shape (n_tau + 1, 3, 3)
-        self._gamma_table = np.zeros_like(integrand)
-        self._gamma_table[1:] = np.cumsum(
-            np.diff(taus)[:, None, None] * (integrand[1:] + integrand[:-1]) / 2.0, axis=0)
-        units = np.eye(DIM * DIM).reshape(-1, DIM, DIM)
-        matrix, kernel = redfield(self.eig, self.eig.basis, np.concatenate([units, 1j * units]))
-        # row k: response to Re Gamma.flat[k], row 9 + k: to Im Gamma.flat[k]
-        self._response = np.stack([matrix, kernel], axis=1).reshape(2 * DIM * DIM, -1)
-        # Tr(kernel response), (18, 9): the heat current is Re(-i rows @ this @ vec(rho))
+        # Gamma at tau = taus[k], shape points + (len(taus), 3, 3)
+        self._table = np.zeros_like(integrand)
+        np.cumsum(np.diff(taus)[:, None, None] * (integrand[..., 1:, :, :]
+                                                  + integrand[..., :-1, :, :]) / 2.0,
+                  axis=-3, out=self._table[..., 1:, :, :])
+        units = np.eye(DIM * DIM).reshape((-1,) + (1,) * (nu.ndim - 3) + (DIM, DIM))
+        matrix, kernel = (np.moveaxis(part, 0, -3) for part in
+                          redfield(self.eig, self.eig.basis, np.concatenate([units, 1j * units])))
+        # points + (18, 162), row k: response to Re Gamma.flat[k], 9 + k: to Im
+        self._response = np.stack([matrix, kernel], axis=-3).reshape(matrix.shape[:-2] + (-1,))
+        # Tr(kernel response), points + (18, 9): the current is Re(-i rows @ this @ vec(rho))
         self._trace_kernel = TRACE_VECTOR @ kernel
-        self._static = static_part(spec)
+        self._static = static_part(spec)[..., None, :, :]
 
     def coefficients(self, t: float | np.ndarray) -> np.ndarray:
-        """Running coefficients Gamma[i, j] at time(s) t, shape t.shape + (3, 3).
+        """Running coefficients Gamma[i, j] at time(s) t, shape points + t.shape + (3, 3).
 
         One clipped linear interpolation in the tau table: frac is 0 at
         t <= 0 (Gamma zero) and 1 at the last node (frozen past t_mem).
         """
-        last = len(self._gamma_table) - 1
+        last = len(self.taus) - 1
         pos = np.minimum(np.maximum(t / self.taus[1], 0.0), last)
         k = np.minimum(pos, last - 1).astype(int)
         frac = (pos - k)[..., None, None]
-        return (1.0 - frac) * self._gamma_table[k] + frac * self._gamma_table[k + 1]
+        return (1.0 - frac) * self._table[..., k, :, :] + frac * self._table[..., k + 1, :, :]
 
     def _rows(self, t: float | np.ndarray) -> np.ndarray:
-        """[Re Gamma.flat, Im Gamma.flat] at time t, shape t.shape + (18,)."""
-        gamma = self.coefficients(t).reshape(np.shape(t) + (DIM * DIM,))
-        return np.concatenate([gamma.real, gamma.imag], axis=-1)
+        """[Re Gamma.flat, Im Gamma.flat] at time(s) t, shape points + t.shape + (18,)."""
+        gamma = self.coefficients(t)
+        return np.stack([gamma.real, gamma.imag], axis=-3).reshape(gamma.shape[:-2] + (-1,))
 
     def generator(self, t: float | np.ndarray) -> Liouvillian:
         """Instantaneous generator and heat kernel at time(s) t.
 
-        Broadcasts over an array of times with one matmul: matrix and
-        heat_kernel have shape t.shape + (9, 9).
+        Broadcasts over an array of times with one matmul per point: matrix
+        and heat_kernel have shape points + t.shape + (9, 9).
         """
-        shape = np.shape(t) + (2, DIM * DIM, DIM * DIM)
-        response = (self._rows(t) @ self._response).reshape(shape)
-        return Liouvillian(matrix=self._static + response[..., 0, :, :], u=0.0,
-                           heat_kernel=response[..., 1, :, :])
+        points = self._static.shape[:-3]
+        rows = self._rows(t).reshape(points + (-1, 2 * DIM * DIM))
+        response = (rows @ self._response).reshape(rows.shape[:-1] + (2, DIM * DIM, DIM * DIM))
+        shape = points + np.shape(t) + (DIM * DIM, DIM * DIM)
+        return Liouvillian(matrix=(self._static + response[..., 0, :, :]).reshape(shape), u=0.0,
+                           heat_kernel=response[..., 1, :, :].reshape(shape))
 
     def propagate(self, rho0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray, HeatRecord]:
         """Fixed-step RK4 (dynamics.propagate) with the time-dependent generator.
 
-        Returns (times, states, record).  dynamics.propagate calls generator
-        once per chunk of steps, on all of the chunk's RK4 node times.  The
-        kernel-trace currents (heat_current_trace of generator(t) and the
-        state at every grid time) come from one contraction with the traced
-        kernel response; the record integrates them with the trapezoid rule.
+        Returns (times, states, record), states of shape points + (len(times), 3, 3).
+        dynamics.propagate calls generator once per chunk of steps, on all of
+        the chunk's RK4 node times and every point.  The kernel-trace currents
+        (heat_current_trace of generator(t) and the state at every grid time)
+        come from one contraction with the traced kernel response; the record
+        integrates them with the trapezoid rule, per point.
         """
-        times, states = propagate(self.generator, rho0, t_end, self.cfg.dt)
-        currents = (-1j * (self._rows(times) @ self._trace_kernel * vectorize(states)).sum(-1)).real
-        heat = float((np.diff(times) * (currents[1:] + currents[:-1]) / 2.0).sum())
-        record = HeatRecord(time=float(times[-1]), mean_heat=heat, current=float(currents[-1]))
+        times, states = propagate(self.generator, rho0, t_end, self.dt)
+        currents = (-1j * (self._rows(times) @ self._trace_kernel
+                           * vectorize(states)).sum(-1)).real
+        heat = (np.diff(times) * (currents[..., 1:] + currents[..., :-1]) / 2.0).sum(-1)
+        record = HeatRecord(time=float(times[-1]), mean_heat=heat[()],
+                            current=currents[..., -1][()])
         return times, states, record

@@ -25,7 +25,7 @@ from coolspec.dynamics import (
 )
 from coolspec.generators import phenomenological_rates, total_liouvillian, vectorize
 from coolspec.system import IDX_E, IDX_GL, IDX_GU, SystemSpec, lower_ground_state
-from coolspec.tcl import MemoryKernelConfig, TclPropagator
+from coolspec.tcl import TclPropagator
 
 BATH = BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0)
 E_MAN = 2.0
@@ -181,17 +181,16 @@ def test_criterion_6_route_cross_validation():
 
 
 def test_criterion_7_oracle_consistency():
-    cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02)
     rels = {}
     for omega in (0.5, 1.0):
         for delta in (-0.5, 0.0, 0.5):
-            prop = TclPropagator(_spec(delta, omega), BATH, cfg)
+            prop = TclPropagator(_spec(delta, omega), BATH, t_mem=30.0, dt=0.02)
             _, _, record = prop.propagate(lower_ground_state(), 60.0)
             br_current = _steady("bloch_redfield", delta, omega)[1]
             rels[(omega, delta)] = abs(record.current - br_current) / abs(br_current)
     worst = max(rels.values())
 
-    late = TclPropagator(_spec(0.0, 1.0), BATH, cfg).generator(60.0)
+    late = TclPropagator(_spec(0.0, 1.0), BATH, t_mem=30.0, dt=0.02).generator(60.0)
     markov = total_liouvillian("bloch_redfield", _spec(0.0, 1.0), BATH)
     gen_gap = float(np.abs(late.matrix - markov.matrix).max())
 

@@ -20,7 +20,7 @@ from coolspec.config import (
     serialize_config,
 )
 from coolspec.system import SystemSpec
-from coolspec.tcl import MemoryKernelConfig
+from coolspec.tcl import TclPropagator
 
 
 def test_empty_config_gives_shipped_defaults(tmp_path):
@@ -188,6 +188,12 @@ def test_shorthand_forms_normalize():
     ({"mode": {"kind": "transient", "t_end": 1e300, "dt": 1e-300},
       "heat_route": {"kind": "counting_fd"}},
      "mode.t_end / mode.dt = 1e[+]300 / 1e-300 overflows"),
+    # finite, but more steps than any array holds
+    ({"mode": {"kind": "transient", "t_end": 1e300, "dt": 1.0}},
+     "mode.t_end / mode.dt = 1e[+]300 / 1.0 overflows"),
+    ({"mode": {"kind": "transient", "t_end": 1e300, "dt": 1.0},
+      "heat_route": {"kind": "counting_fd"}},
+     "mode.t_end / mode.dt = 1e[+]300 / 1.0 overflows"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -229,6 +235,7 @@ def test_unknown_profile_lists_available():
 
 
 # NaN fails every comparison, so a check written as x < 0 lets it through
+_TCL_POINT = {"spec": SystemSpec(e_man=2.0), "bath": BathSpec(alpha=0.01)}
 NAN_CASES = [
     (BathSpec, {"alpha": 0.01}, "alpha", math.nan),
     (BathSpec, {"alpha": 0.01}, "omega_c", math.nan),
@@ -237,8 +244,8 @@ NAN_CASES = [
     (SystemSpec, {"e_man": 2.0}, "omega_rabi", math.nan),
     (SystemSpec, {"e_man": 2.0, "delta": np.zeros(2)}, "omega_rabi", np.array([0.5, math.nan])),
     (SystemSpec, {"e_man": 2.0}, "gamma_rad", math.nan),
-    (MemoryKernelConfig, {}, "t_mem", math.nan),
-    (MemoryKernelConfig, {}, "dt", math.nan),
+    (TclPropagator, _TCL_POINT, "t_mem", math.nan),
+    (TclPropagator, _TCL_POINT, "dt", math.nan),
 ]
 
 

@@ -32,7 +32,7 @@ from coolspec.system import (
     SystemSpec,
     lower_ground_state,
 )
-from coolspec.tcl import MemoryKernelConfig, TclPropagator
+from coolspec.tcl import TclPropagator
 
 from conftest import rk4_stages
 
@@ -94,7 +94,7 @@ def test_propagate_matches_stage_form_across_chunks(kind, steps):
     spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
     if kind == "tcl":
         dt = 0.02
-        generator_at = TclPropagator(spec, BATH, MemoryKernelConfig(t_mem=30.0, dt=dt)).generator
+        generator_at = TclPropagator(spec, BATH, t_mem=30.0, dt=dt).generator
     else:
         dt = 0.05
         gen = total_liouvillian("bloch_redfield", spec, BATH)
@@ -362,7 +362,7 @@ def _fig3a_chunk():
 
 def _tcl_slip():
     spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
-    prop = TclPropagator(spec, BATH, MemoryKernelConfig(t_mem=10.0))
+    prop = TclPropagator(spec, BATH, t_mem=10.0)
     return prop.propagate(lower_ground_state(), 2.0)[1]
 
 
@@ -394,6 +394,12 @@ def _with_nan_imaginary_diagonal():
     return states
 
 
+def _non_hermitian():
+    # the Sylvester check reads the hermitized entries from the raw states
+    rng = np.random.default_rng(20)
+    return rng.normal(size=(4, 60, 3, 3)) + 1j * rng.normal(size=(4, 60, 3, 3))
+
+
 def _every_state_minimum(rho):
     h = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
     return np.linalg.eigvalsh(h)[..., 0].min(axis=-1)
@@ -410,10 +416,10 @@ def _outcome(f, rho):
     _fig3a_chunk, _tcl_slip, _planted_ties, _with_nan, _with_nan_imaginary_diagonal,
     lambda: _fig3a_chunk()[..., :1, :, :], lambda: _fig3a_chunk()[..., :2, :, :],
     lambda: _planted_ties()[:, :2], lambda: _planted_ties()[3],
-    lambda: _planted_ties() * 2.0**-1000, lambda: _planted_ties() * 2.0**1000],
+    lambda: _planted_ties() * 2.0**-1000, lambda: _planted_ties() * 2.0**1000, _non_hermitian],
     ids=["fig3a_chunk", "tcl_slip", "planted_ties", "nan_state", "nan_imaginary_diagonal",
          "length_1", "length_2", "planted_length_2", "one_trajectory", "planted_tiny",
-         "planted_huge"])
+         "planted_huge", "non_hermitian"])
 def test_min_eigenvalue_equals_every_state_eigvalsh(trajectories):
     # the Sylvester shortcut must not change a single bit of the minimum
     rho = trajectories()
@@ -485,6 +491,27 @@ def test_stacked_evolve_names_first_trace_losing_point(rates):
         evolve(stack, lower_ground_state(), 1.0, 0.05)
     assert "trace drifted" in str(one.value)
     assert str(stacked.value) == str(one.value)
+
+
+def _held(matrix):
+    # a stack of constant generators, as generator_at of propagate
+    return lambda t: Liouvillian(matrix=np.broadcast_to(
+        matrix[:, None], matrix.shape[:1] + np.shape(t) + matrix.shape[1:]))
+
+
+def test_stacked_propagate_equals_one_point_calls():
+    # propagate steps every point of a stack at once; each point is bitwise
+    # its own call, and one unstable point fails the stack's gain check
+    gen = total_liouvillian("bloch_redfield", _STACK, BATH)
+    times, states = propagate(_held(gen.matrix), lower_ground_state(), 3.0, 0.05)
+    assert states.shape == (4, len(times), 3, 3)
+    for k in range(4):
+        one = Liouvillian(matrix=gen.matrix[k])
+        assert states[k].tobytes() == propagate(lambda t: one, lower_ground_state(),
+                                                3.0, 0.05)[1].tobytes()
+    unstable = gen.matrix * np.array([1.0, 1.0, 1000.0, 1.0])[:, None, None]
+    with pytest.raises(PropagationError, match="RK4 gain .* reduce dt"):
+        propagate(_held(unstable), lower_ground_state(), 3.0, 0.05)
 
 
 @pytest.mark.parametrize("u", [0.0, 0.1])

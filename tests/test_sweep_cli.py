@@ -10,7 +10,13 @@ from coolspec import sweep
 from coolspec.bath import BathSpec
 from coolspec.cli import main
 from coolspec.config import ConfigError, HeatRoute, config_from_dict
-from coolspec.dynamics import heat_current_trace, min_eigenvalue, steady_residual, steady_state
+from coolspec.dynamics import (
+    evolve,
+    heat_current_trace,
+    min_eigenvalue,
+    steady_residual,
+    steady_state,
+)
 from coolspec.sweep import (
     CSV_COLUMNS,
     SpectrumRecord,
@@ -22,7 +28,7 @@ from coolspec.sweep import (
     write_output,
 )
 from coolspec.system import SystemSpec, lower_ground_state
-from coolspec.tcl import MemoryKernelConfig, TclPropagator
+from coolspec.tcl import TclPropagator
 
 SMALL = config_from_dict({
     "sweep": {"delta_min": -0.5, "delta_max": 0.5, "delta_steps": 3,
@@ -201,7 +207,7 @@ def test_tcl_plateau_is_null_state_of_frozen_generator():
     (rec,) = run_sweep(cfg)
     spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
     prop = TclPropagator(spec, BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0),
-                         MemoryKernelConfig(t_mem=30.008))
+                         t_mem=30.008)
     frozen = prop.generator(60.0)
     rho, _ = steady_state(frozen)
     assert rec.status == "ok"
@@ -226,7 +232,7 @@ def test_transient_tcl_record_is_final_generator_and_state():
     (rec,) = run_sweep(cfg)
     spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
     prop = TclPropagator(spec, BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0),
-                         MemoryKernelConfig(t_mem=10.0, dt=0.05))
+                         t_mem=10.0, dt=0.05)
     times, states, _ = prop.propagate(lower_ground_state(), 5.03)
     gen = prop.generator(times[-1])
     assert rec.status == "ok"
@@ -271,8 +277,8 @@ def test_per_point_failures_recorded_in_row():
 
 
 # ok points around one without a unique steady state (omega 0 at
-# gamma_rad 0), plus the per-point tcl_oracle method, whose frozen
-# generator has no unique steady state there either
+# gamma_rad 0), plus the tcl_oracle method, whose frozen generator has no
+# unique steady state there either
 MIXED = config_from_dict({
     "system": {"gamma_rad": 0.0},
     "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1,
@@ -295,7 +301,17 @@ TRANSIENT = config_from_dict({
 })
 
 
-@pytest.mark.parametrize("cfg,failures", [(MIXED, 4), (TRANSIENT, 0)], ids=["steady", "transient"])
+# two chunks of stacked tcl_oracle points, 16 and 2, all ok
+TRANSIENT_TCL = config_from_dict({
+    "sweep": {"delta_min": -1.0, "delta_max": 1.0, "delta_steps": 9, "omega_list": [0.5, 1.0]},
+    "methods": ["tcl_oracle", "secular"],
+    "mode": {"kind": "transient", "t_end": 7.0, "dt": 0.05},
+    "tcl": {"t_mem": 10.0, "dt": 0.05},
+})
+
+
+@pytest.mark.parametrize("cfg,failures", [(MIXED, 4), (TRANSIENT, 0), (TRANSIENT_TCL, 0)],
+                         ids=["steady", "transient", "transient_tcl"])
 def test_output_does_not_depend_on_chunks_or_jobs(cfg, failures, monkeypatch):
     reference = render_csv(run_sweep(cfg))
     assert reference.count(",error: SteadyStateError") == failures
@@ -304,6 +320,17 @@ def test_output_does_not_depend_on_chunks_or_jobs(cfg, failures, monkeypatch):
         monkeypatch.setattr(sweep, "_CHUNK", size)
         for jobs in (1, 2):
             assert render_csv(run_sweep(cfg, jobs=jobs)) == reference
+
+
+def test_routes_share_one_head(monkeypatch):
+    # each Markovian method evolves a chunk once for all its routes, and the
+    # records are those of one sweep per route, interleaved
+    per_route = [run_sweep(replace(TRANSIENT, routes=(route,))) for route in TRANSIENT.routes]
+    calls = []
+    monkeypatch.setattr(sweep, "evolve", lambda *args: calls.append(1) or evolve(*args))
+    records = run_sweep(TRANSIENT)
+    assert len(calls) == len(TRANSIENT.methods)
+    assert records == [rec for pair in zip(*per_route) for rec in pair]
 
 
 def test_chunk_failure_marks_only_its_point():

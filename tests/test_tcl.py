@@ -8,11 +8,7 @@ from coolspec.bath import BathSpec, rate_a, shift_b
 from coolspec.dynamics import heat_current_trace, propagate
 from coolspec.generators import total_liouvillian, unvectorize, vectorize
 from coolspec.system import SystemSpec, build_hamiltonian, lower_ground_state
-from coolspec.tcl import (
-    MemoryKernelConfig,
-    TclPropagator,
-    correlation_grid,
-)
+from coolspec.tcl import TclPropagator, correlation_grid
 
 from conftest import kron_commutator, kron_lindblad
 
@@ -22,9 +18,9 @@ SPEC = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
 
 def test_memory_config_validation():
     with pytest.raises(ValueError):
-        MemoryKernelConfig(t_mem=0.0)
+        TclPropagator(SPEC, BATH, t_mem=0.0)
     with pytest.raises(ValueError):
-        MemoryKernelConfig(dt=-0.1)
+        TclPropagator(SPEC, BATH, dt=-0.1)
 
 
 def test_correlation_symmetry_and_decay(bath_correlation):
@@ -56,9 +52,9 @@ def test_running_coefficients_saturate_to_markovian_rates():
     # golden-rule rate (real part) and the principal-value shift (minus
     # the imaginary part); the coefficient stored at block (i, j) belongs
     # to the reversed transition frequency nu[j, i]
-    cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02)
-    prop = TclPropagator(SPEC, BATH, cfg)
-    gam = prop.coefficients(cfg.t_mem)
+    t_mem = 30.0
+    prop = TclPropagator(SPEC, BATH, t_mem=t_mem, dt=0.02)
+    gam = prop.coefficients(t_mem)
     for i in range(3):
         for j in range(3):
             # the truncated tail of C leaves an O(1e-5) residue at t_mem=30
@@ -66,7 +62,7 @@ def test_running_coefficients_saturate_to_markovian_rates():
             assert_allclose(gam[i, j].real, rate_a(nu, BATH), atol=1e-5)
             assert_allclose(-gam[i, j].imag, shift_b(nu, BATH), atol=2e-5)
     # frozen past the memory horizon
-    assert np.array_equal(prop.coefficients(cfg.t_mem + 5.0), gam)
+    assert np.array_equal(prop.coefficients(t_mem + 5.0), gam)
     # and zero at the start
     assert np.abs(prop.coefficients(0.0)).max() == 0.0
 
@@ -75,10 +71,10 @@ def test_running_coefficients_saturate_to_markovian_rates():
 def test_coefficients_broadcast_over_times(dt):
     # one clipped interpolation serves a single time and a whole grid: the
     # start (and before it), between nodes, on a node, t_mem and past it
-    cfg = MemoryKernelConfig(t_mem=10.0, dt=dt)
-    prop = TclPropagator(SPEC, BATH, cfg)
+    t_mem = 10.0
+    prop = TclPropagator(SPEC, BATH, t_mem=t_mem, dt=dt)
     step = prop.taus[1]
-    times = np.array([-1.0, 0.0, 7.5 * step, 7 * step, cfg.t_mem, 2.0 * cfg.t_mem])
+    times = np.array([-1.0, 0.0, 7.5 * step, 7 * step, t_mem, 2.0 * t_mem])
     stacked = prop.coefficients(times)
     assert stacked.shape == (len(times), 3, 3)
     single = np.stack([prop.coefficients(t) for t in times])
@@ -89,10 +85,10 @@ def test_coefficients_broadcast_over_times(dt):
 def test_generator_broadcasts_over_times(dt):
     # one matmul gives the generators and heat kernels of a whole time
     # array; they match the stacked single-time calls to rounding
-    cfg = MemoryKernelConfig(t_mem=10.0, dt=dt)
-    prop = TclPropagator(SPEC, BATH, cfg)
+    t_mem = 10.0
+    prop = TclPropagator(SPEC, BATH, t_mem=t_mem, dt=dt)
     step = prop.taus[1]
-    times = np.array([-1.0, 0.0, 7.5 * step, 7 * step, cfg.t_mem, 2.0 * cfg.t_mem])
+    times = np.array([-1.0, 0.0, 7.5 * step, 7 * step, t_mem, 2.0 * t_mem])
     stacked = prop.generator(times)
     assert stacked.matrix.shape == stacked.heat_kernel.shape == (len(times), 9, 9)
     single = [prop.generator(t) for t in times]
@@ -105,13 +101,13 @@ def test_tau_grid_follows_dt():
     # the spacing is dt/2 split into the fewest parts no wider than
     # 0.01 min(1, 1/omega_c): the default dt and bath keep the plain 0.01
     # grid, a coarser step or a faster bath is refined
-    default = TclPropagator(SPEC, BATH, MemoryKernelConfig(t_mem=30.0, dt=0.02))
+    default = TclPropagator(SPEC, BATH, t_mem=30.0, dt=0.02)
     assert default.taus.tobytes() == (np.arange(3001) * 0.01).tobytes()
-    assert TclPropagator(SPEC, BATH, MemoryKernelConfig(dt=0.05)).taus[1] == 0.05 / 6
+    assert TclPropagator(SPEC, BATH, dt=0.05).taus[1] == 0.05 / 6
     fast = BathSpec(alpha=0.01, omega_c=5.0, temperature=3.0)
     for (bath, widest), dt in itertools.product([(BATH, 0.01), (fast, 0.002)],
                                                 (0.01, 0.02, 0.05, 0.07, 0.3, 1.0)):
-        prop = TclPropagator(SPEC, bath, MemoryKernelConfig(t_mem=30.0, dt=dt))
+        prop = TclPropagator(SPEC, bath, t_mem=30.0, dt=dt)
         assert prop.taus[1] <= widest
         # every RK4 node of a chunk (grid times and midpoints) is a table row
         grid = np.arange(int(round(60.0 / dt)) + 1) * dt
@@ -121,8 +117,8 @@ def test_tau_grid_follows_dt():
 
 def _plateau(bath, dt):
     spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
-    cfg = MemoryKernelConfig(t_mem=30.0, dt=dt)
-    _, _, record = TclPropagator(spec, bath, cfg).propagate(lower_ground_state(), 60.0)
+    prop = TclPropagator(spec, bath, t_mem=30.0, dt=dt)
+    _, _, record = prop.propagate(lower_ground_state(), 60.0)
     return record.current
 
 
@@ -144,8 +140,7 @@ def test_coarse_step_keeps_sign_of_cold_bath_current():
 
 
 def test_generator_converges_to_bloch_redfield():
-    cfg = MemoryKernelConfig(t_mem=30.0, dt=0.02)
-    late = TclPropagator(SPEC, BATH, cfg).generator(60.0)
+    late = TclPropagator(SPEC, BATH, t_mem=30.0, dt=0.02).generator(60.0)
     markov = total_liouvillian("bloch_redfield", SPEC, BATH, include_shifts=True)
     assert np.abs(late.matrix - markov.matrix).max() < 1e-4
     assert np.abs(late.heat_kernel - markov.heat_kernel).max() < 1e-4
@@ -154,8 +149,7 @@ def test_generator_converges_to_bloch_redfield():
 def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
     # mid-memory the running coefficients are far from their Markovian
     # limits; the generator must still be the Redfield form with Gamma(t)
-    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02)
-    prop = TclPropagator(SPEC, BATH, cfg)
+    prop = TclPropagator(SPEC, BATH, t_mem=10.0, dt=0.02)
     t = 1.37
     gen = prop.generator(t)
     jump = np.zeros((3, 3))
@@ -173,8 +167,7 @@ def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
 
 
 def test_early_generator_has_no_dissipation():
-    cfg = MemoryKernelConfig(t_mem=10.0, dt=0.02)
-    prop = TclPropagator(SPEC, BATH, cfg)
+    prop = TclPropagator(SPEC, BATH, t_mem=10.0, dt=0.02)
     decay = np.zeros((3, 3))
     decay[2, 0] = 1.0
     static = kron_commutator(build_hamiltonian(SPEC)) + SPEC.gamma_rad * kron_lindblad(decay)
@@ -183,8 +176,7 @@ def test_early_generator_has_no_dissipation():
 
 
 def test_trajectory_slips_then_tracks_markovian_observables():
-    cfg = MemoryKernelConfig(t_mem=20.0, dt=0.05)
-    prop = TclPropagator(SPEC, BATH, cfg)
+    prop = TclPropagator(SPEC, BATH, t_mem=20.0, dt=0.05)
     times, states, record = prop.propagate(lower_ground_state(), 30.0)
     markov = total_liouvillian("bloch_redfield", SPEC, BATH)
     _, markov_states = propagate(lambda t: markov, lower_ground_state(), 30.0, 0.05)
@@ -207,18 +199,50 @@ def test_memory_horizon_insensitive():
     # doubling t_mem changes the plateau current by well under half a percent
     currents = []
     for t_mem in (20.0, 40.0):
-        cfg = MemoryKernelConfig(t_mem=t_mem, dt=0.05)
-        _, _, record = TclPropagator(SPEC, BATH, cfg).propagate(lower_ground_state(), 60.0)
+        prop = TclPropagator(SPEC, BATH, t_mem=t_mem, dt=0.05)
+        _, _, record = prop.propagate(lower_ground_state(), 60.0)
         currents.append(record.current)
     assert abs(currents[1] - currents[0]) / abs(currents[1]) < 0.005
 
 
 def test_zero_coupling_reduces_to_coherent_evolution():
     dead_bath = BathSpec(alpha=0.0, omega_c=1.0, temperature=3.0)
-    cfg = MemoryKernelConfig(t_mem=5.0, dt=0.05)
-    times, states, record = TclPropagator(SPEC, dead_bath, cfg).propagate(lower_ground_state(), 10.0)
+    prop = TclPropagator(SPEC, dead_bath, t_mem=5.0, dt=0.05)
+    times, states, record = prop.propagate(lower_ground_state(), 10.0)
     reference = total_liouvillian("bloch_redfield", SPEC, dead_bath)
     _, ref_states = propagate(lambda t: reference, lower_ground_state(), 10.0, 0.05)
     assert_allclose(states, ref_states, atol=1e-12)
     assert record.mean_heat == 0.0
     assert record.current == 0.0
+
+
+@pytest.mark.parametrize("dt", [0.02, 1e-300])
+def test_memory_window_beyond_any_array_is_named(dt):
+    # t_mem / step reaches 1e302 rows, or overflows to infinity at a tiny
+    # dt; either is a ValueError naming both settings, not numpy's message
+    with pytest.raises(ValueError, match=r"^t_mem = 1e\+300 spans .* rows at dt = "):
+        TclPropagator(SPEC, BATH, t_mem=1e300, dt=dt)
+
+
+def test_stacked_points_equal_their_one_point_calls():
+    # a stacked spec puts its points before every time axis; each point of
+    # the tables, generators, trajectory and record is bitwise its own call
+    deltas, omegas = np.array([-0.5, 0.0, 0.7]), np.array([0.5, 1.0, 0.2])
+    stacked = TclPropagator(SystemSpec(e_man=2.0, delta=deltas, omega_rabi=omegas,
+                                       gamma_rad=0.5), BATH, t_mem=10.0, dt=0.05)
+    times = np.array([-1.0, 0.0, 1.37, 10.0, 12.0])
+    _, states, record = stacked.propagate(lower_ground_state(), 3.0)
+    assert states.shape == (3, 61, 3, 3)
+    assert record.mean_heat.shape == record.current.shape == (3,)
+    for k, (delta, omega) in enumerate(zip(deltas, omegas)):
+        single = TclPropagator(SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega,
+                                          gamma_rad=0.5), BATH, t_mem=10.0, dt=0.05)
+        assert stacked.coefficients(times)[k].tobytes() == single.coefficients(times).tobytes()
+        for t in (1.37, times):
+            many, one = stacked.generator(t), single.generator(t)
+            assert many.matrix[k].tobytes() == one.matrix.tobytes()
+            assert many.heat_kernel[k].tobytes() == one.heat_kernel.tobytes()
+        _, one_states, one_record = single.propagate(lower_ground_state(), 3.0)
+        assert states[k].tobytes() == one_states.tobytes()
+        assert record.mean_heat[k].tobytes() == np.float64(one_record.mean_heat).tobytes()
+        assert record.current[k].tobytes() == np.float64(one_record.current).tobytes()
