@@ -8,8 +8,8 @@ total_liouvillian, with counting-field heat statistics; a finite-memory
 for cooling spectra over detuning and drive strength.
 """
 
-from .bath import BathSpec, QuadratureError, RateTable, bose_occupation, rate_a, rate_table, shift_b, spectral_density
-from .config import ConfigError, HeatRoute, SweepConfig, parse_config, profile_config, serialize_config
+from .bath import BathSpec, QuadratureError, RateTable, rate_a, rate_table, shift_b
+from .config import ConfigError, HeatRoute, SweepConfig, parse_config, profile_config
 from .dynamics import (
     HeatRecord,
     PropagationError,
@@ -21,7 +21,7 @@ from .dynamics import (
     propagate,
     steady_state,
 )
-from .generators import Liouvillian, phenomenological_rates, total_liouvillian
+from .generators import Liouvillian, total_liouvillian
 from .sweep import SpectrumRecord, run_sweep, write_output
 from .system import EigenSystem, SystemSpec, build_hamiltonian, coupling_operator, eigensystem, lower_ground_state
 from .tcl import TclPropagator
@@ -43,7 +43,6 @@ __all__ = [
     "SweepConfig",
     "SystemSpec",
     "TclPropagator",
-    "bose_occupation",
     "build_hamiltonian",
     "coupling_operator",
     "eigensystem",
@@ -53,15 +52,12 @@ __all__ = [
     "mean_heat_fd",
     "min_eigenvalue",
     "parse_config",
-    "phenomenological_rates",
     "profile_config",
     "propagate",
     "rate_a",
     "rate_table",
     "run_sweep",
-    "serialize_config",
     "shift_b",
-    "spectral_density",
     "steady_state",
     "total_liouvillian",
     "write_output",

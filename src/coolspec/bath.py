@@ -1,11 +1,13 @@
-"""Super-Ohmic phonon bath: spectral density, occupation, rates, and shifts.
+"""Super-Ohmic phonon bath: golden-rule rates and principal-value shifts.
 
 The spectral density is j(w) = 2 alpha w^3 / omega_c^2 exp(-w / omega_c)
-for w > 0 and zero otherwise.  Golden-rule rates and principal-value
-shifts are evaluated per transition frequency of the system eigenbasis and
-collected in a RateTable.  Shifts come from a fixed composite
-Gauss-Legendre rule whose panels are graded to the singularities of the
-integrand, so the module needs numpy only.
+for w > 0 and zero otherwise, with thermal occupation
+n(w) = 1 / (exp(beta w) - 1).  Neither is formed on its own: rate_a and
+the shift numerator combine them as j(s)/s and s (n(s) + 1), which stay
+finite as s -> 0.  Rates and shifts are evaluated per transition
+frequency of the system eigenbasis and collected in a RateTable.  Shifts
+come from a fixed composite Gauss-Legendre rule whose panels are graded to
+the singularities of the integrand, so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -53,36 +55,6 @@ class BathSpec:
     @property
     def beta(self) -> float:
         return 1.0 / self.temperature
-
-
-def spectral_density(omega, spec: BathSpec):
-    """Spectral density j(omega); zero for omega <= 0.
-
-    Accepts scalars or arrays.  The single maximum sits at 3 omega_c.
-    """
-    w = np.asarray(omega, dtype=float)
-    safe = np.where(w > 0.0, w, 1.0)
-    out = np.where(
-        w > 0.0,
-        2.0 * spec.alpha * safe**3 / spec.omega_c**2 * np.exp(-safe / spec.omega_c),
-        0.0,
-    )
-    return out.item() if out.ndim == 0 else out
-
-
-def bose_occupation(nu, spec: BathSpec):
-    """Thermal occupation 1 / (exp(beta nu) - 1), requires nu > 0.
-
-    Accepts scalars or arrays.  Evaluated as -exp(-x) / expm1(-x) with
-    x = beta nu, which cannot overflow at large x and keeps full relative
-    accuracy as nu -> 0.
-    """
-    nu = np.asarray(nu, dtype=float)
-    if not np.all(nu > 0):
-        raise ValueError(f"bose_occupation requires nu > 0, got {nu}")
-    x = spec.beta * nu
-    out = -np.exp(-x) / np.expm1(-x)
-    return out.item() if out.ndim == 0 else out
 
 
 def _thermal(w, beta: float) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Sweep configuration: JSON schema, validation, canonical serialization.
+"""Sweep configuration: JSON schema, validation, reproduction profiles.
 
 A config describes a grid of (detuning, drive strength) points, the
 methods to run at each point, how to reach the state of interest (steady
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 MODES = ("steady", "transient")
 ROUTE_KINDS = ("trace_formula", "counting_fd")
@@ -68,9 +68,9 @@ class SweepConfig:
     tcl_dt: float = 0.02
 
 
-# JSON location (section, key) of every SweepConfig field, in the order
-# serialize_config writes them; section None is the top level.  Parsing,
-# type checks, message paths and serialization all follow this table.
+# JSON location (section, key) of every SweepConfig field, in field order;
+# section None is the top level.  Parsing, type checks and message paths
+# all follow this table.
 CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
     "e_man": ("system", "e_man"),
     "gamma_rad": ("system", "gamma_rad"),
@@ -286,17 +286,6 @@ def parse_config(path: str) -> SweepConfig:
     except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
     return config_from_dict(data, raw_text=raw)
-
-
-def serialize_config(cfg: SweepConfig) -> dict:
-    """Canonical dict form; config_from_dict(serialize_config(c)) == c."""
-    out: dict = {}
-    for name, (section, key) in CONFIG_KEYS.items():
-        value = getattr(cfg, name)
-        if isinstance(value, tuple):
-            value = [asdict(v) if isinstance(v, HeatRoute) else v for v in value]
-        (out if section is None else out.setdefault(section, {}))[key] = value
-    return out
 
 
 # reproduction profiles: the shipped default grid with the drive strength,

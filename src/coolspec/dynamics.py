@@ -283,8 +283,7 @@ class HeatRecord:
 
 def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 30.0,
                  dt: float = 0.05, u_step: float = 0.05, scheme: str = "central",
-                 rho0: np.ndarray | None = None, include_shifts: bool = True,
-                 pairing_tol: float | None = None,
+                 include_shifts: bool = True, pairing_tol: float | None = None,
                  shared: Callable[[], tuple[EigenSystem, RateTable]] | None = None
                  ) -> HeatRecord:
     """Counting-field finite-difference estimate of the mean heat.
@@ -300,9 +299,9 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     m_1 - u_step^2 m_3 / 24: both biases come from the third raw moment.
     One generator annotated at u = u_step (forward) or u_step / 2
     (central) is built (total_liouvillian, which reads include_shifts,
-    pairing_tol and shared) and evolved exactly (evolve) from rho0, the
-    lower ground state by default, since chi(0, t) = Tr rho0 and
-    chi(-u, t) = conj(chi(u, t)); the central fd_imag is therefore zero.
+    pairing_tol and shared) and evolved exactly (evolve) from the lower
+    ground state, always, so chi(0, t) = 1; as
+    chi(-u, t) = conj(chi(u, t)), the central fd_imag is zero.
     chi(u, t) = Tr rho_u(t) at the last two grid times gives the mean heat
     and the instantaneous current, the change of the estimate over the
     final step dt, of which t_end must span at least one.  Broadcasts over
@@ -314,15 +313,13 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
         raise ValueError(f"u_step must be positive and finite, got {u_step}")
     if scheme not in ("forward", "central"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
-    if rho0 is None:
-        rho0 = lower_ground_state()
     gen = total_liouvillian(method, spec, bath, u=u_step if scheme == "forward" else 0.5 * u_step,
                             include_shifts=include_shifts, pairing_tol=pairing_tol, shared=shared)
-    times, states = evolve(gen, rho0, t_end, dt)
+    times, states = evolve(gen, lower_ground_state(), t_end, dt)
     if len(times) < 2:
         raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
     chi = np.trace(states[..., -2:, :, :], axis1=-2, axis2=-1)
-    chi_other = np.trace(rho0) if scheme == "forward" else chi.conj()
+    chi_other = 1.0 if scheme == "forward" else chi.conj()
     heat = -1j * (chi - chi_other) / u_step
     q_prev, q_last = heat[..., 0], heat[..., 1]
     current = (q_last - q_prev) / dt

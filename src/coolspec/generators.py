@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bath import BathSpec, RateTable, rate_a, rate_table
+from .bath import BathSpec, RateTable, rate_table
 from .system import (
     IDX_E,
     IDX_GL,
@@ -151,17 +151,6 @@ def _secular_dissipator(eig: EigenSystem, rates: RateTable, e_man: float,
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
-def phenomenological_rates(spec: SystemSpec, bath: BathSpec) -> tuple[float, float]:
-    """Drive-independent manifold rates (gamma_up, gamma_down).
-
-    gamma_up drives |g_l> -> |g_u> by phonon absorption, gamma_down the
-    reverse by emission; both are evaluated at the bare splitting e_man.
-    Their ratio is the Boltzmann factor exp(-beta e_man).  They are twice
-    the golden-rule rates at -e_man and e_man.
-    """
-    return 2.0 * rate_a(-spec.e_man, bath), 2.0 * rate_a(spec.e_man, bath)
-
-
 def spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, RateTable]:
     """Eigensystem and rate table of spec, broadcast over stacked points."""
     eig = eigensystem(build_hamiltonian(spec), coupling_operator())
@@ -211,12 +200,12 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     phenomenological: golden-rule jumps between the bare levels, blind to
     the drive, i.e. the default secular dissipator of the undriven
     impurity, built once per (e_man, bath, u); absorption |g_l> -> |g_u>
-    at gamma_up (phenomenological_rates) tags a bath loss of e_man (phase
-    exp(-i u e_man)), emission at gamma_down a gain.  include_shifts is
-    read by bloch_redfield only, pairing_tol by secular only.  Only the
-    sandwich terms (state between coupling operators) exchange a bath
-    quantum and carry the counting phase; the one-sided products and the
-    radiative decay do not.
+    at gamma_up = 2 rate_a(-e_man) tags a bath loss of e_man (phase
+    exp(-i u e_man)), emission at gamma_down = 2 rate_a(e_man) a gain.
+    include_shifts is read by bloch_redfield only, pairing_tol by secular
+    only.  Only the sandwich terms (state between coupling operators)
+    exchange a bath quantum and carry the counting phase; the one-sided
+    products and the radiative decay do not.
 
     Broadcasts over a stacked spec.  bloch_redfield and secular read the
     eigensystem and rate table of spec (spectrum); shared, when given,

@@ -26,6 +26,7 @@ from .dynamics import (
     heat_current_trace,
     mean_heat_fd,
     min_eigenvalue,
+    propagate,
     steady_residual,
     steady_state,
 )
@@ -75,30 +76,31 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     Every method takes all points of a stacked spec at once and first gives
     the final generator, the final state and the smallest eigenvalue seen.
     tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt
-    from the lower ground state (TclPropagator): in transient mode up to
-    t_end, its final generator being the one at the last grid time, and in
-    steady mode up to the last row of its coefficient table, its final
-    generator being the one frozen there.  Markovian methods build their
-    generators (total_liouvillian, reading the eigensystem and rate table
-    from shared when given); in transient mode the lower ground state is
-    evolved exactly (evolve) on the time grid of step dt up to t_end, so dt
-    sets only which times are sampled.  Then, for every method, in steady
-    mode the final state is the stationary state of the final generator
-    (steady_state, one stacked SVD, which also gives the residual) and
-    joins the smallest eigenvalue seen; in transient mode the residual is
-    that of the final generator and state.  This one head serves every
-    route of cfg.routes, each giving a current in order: the trace-formula
-    one of the final generator and state, or on counting_fd the heat
-    increment over the last step (mean_heat_fd, one stacked call from the
-    lower ground state, sharing the eigensystem and rate table).  Results
-    have the shape of spec's points.
+    from the lower ground state (propagate with TclPropagator.generator,
+    skipping the heat record of TclPropagator.propagate): in transient
+    mode up to t_end, its final generator being the one at the last grid
+    time, and in steady mode up to the last row of its coefficient table,
+    its final generator being the one frozen there.  Markovian methods
+    build their generators (total_liouvillian, reading the eigensystem and
+    rate table from shared when given); in transient mode the lower ground
+    state is evolved exactly (evolve) on the time grid of step dt up to
+    t_end, so dt sets only which times are sampled.  Then, for every
+    method, in steady mode the final state is the stationary state of the
+    final generator (steady_state, one stacked SVD, which also gives the
+    residual) and joins the smallest eigenvalue seen; in transient mode the
+    residual is that of the final generator and state.  This one head
+    serves every route of cfg.routes, each giving a current in order: the
+    trace-formula one of the final generator and state, or on counting_fd
+    the heat increment over the last step (mean_heat_fd, one stacked call
+    from the lower ground state, sharing the eigensystem and rate table).
+    Results have the shape of spec's points.
     """
     options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
                    pairing_tol=cfg.pairing_tol, shared=shared)
     if method == "tcl_oracle":
         prop = TclPropagator(spec, bath, t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt)
         horizon = cfg.t_end if cfg.mode == "transient" else prop.taus[-1]
-        times, states, _ = prop.propagate(lower_ground_state(), horizon)
+        times, states = propagate(prop.generator, lower_ground_state(), horizon, prop.dt)
         gen = prop.generator(times[-1] if cfg.mode == "transient" else horizon)
         rho, seen = states[..., -1, :, :], min_eigenvalue(states)
     else:
@@ -175,8 +177,10 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
 
     The (delta, omega) points are taken in output order in chunks of at
     most _CHUNK, each evaluated as one stack (_evaluate_chunk); workers
-    receive whole chunks.  Chunk boundaries do not depend on jobs, and
-    results are ordered (delta, omega, method, route) regardless of jobs.
+    receive whole chunks, and at most one worker per chunk is started, none
+    when there is only one chunk.  Chunk boundaries do not depend on jobs,
+    and results are ordered (delta, omega, method, route) regardless of
+    jobs.
     The config, even one built in code, and jobs >= 1 are checked here
     first (ConfigError).
     """
@@ -186,6 +190,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     points = [(float(delta), float(omega))
               for delta in delta_grid(cfg) for omega in cfg.omega_list]
     chunks = [points[start:start + _CHUNK] for start in range(0, len(points), _CHUNK)]
+    # a pool starts all of its workers at once, so start none that would idle
+    jobs = min(jobs, len(chunks))
     if jobs == 1:
         parts = [_evaluate_chunk(cfg, chunk) for chunk in chunks]
     else:

@@ -116,14 +116,23 @@ class TclPropagator:
                              f"|C(t_mem)| / |C(0)| = {abs(corr[-1] / corr[0]):.2e} exceeds "
                              f"{MEMORY_TAIL_TOL:g}; raise t_mem")
         nu = self.eig.nu[..., None, :, :]
-        integrand = corr[:, None, None] * np.exp(-1j * nu * taus[:, None, None])
+        # the integrand C(tau) exp(-i nu tau), built in place: with the table
+        # it is the only array of the table's size alive at once
+        integrand = np.multiply(nu, taus[:, None, None], dtype=complex)
+        np.multiply(-1j, integrand, out=integrand)
+        np.exp(integrand, out=integrand)
+        np.multiply(corr[:, None, None], integrand, out=integrand)
         self.taus = taus
         # cumulative trapezoid rule along tau, starting from 0: row k holds
-        # Gamma at tau = taus[k], shape points + (len(taus), 3, 3)
+        # Gamma at tau = taus[k], shape points + (len(taus), 3, 3); each
+        # panel's sum goes into its own row, which then accumulates in place
         self._table = np.zeros_like(integrand)
-        np.cumsum(np.diff(taus)[:, None, None] * (integrand[..., 1:, :, :]
-                                                  + integrand[..., :-1, :, :]) / 2.0,
-                  axis=-3, out=self._table[..., 1:, :, :])
+        sums = self._table[..., 1:, :, :]
+        np.add(integrand[..., 1:, :, :], integrand[..., :-1, :, :], out=sums)
+        del integrand
+        np.divide(sums, 2.0, out=sums)
+        np.multiply(np.diff(taus)[:, None, None], sums, out=sums)
+        np.cumsum(sums, axis=-3, out=sums)
         units = np.eye(DIM * DIM).reshape((-1,) + (1,) * (nu.ndim - 3) + (DIM, DIM))
         matrix, kernel = (np.moveaxis(part, 0, -3) for part in
                           redfield(self.eig, self.eig.basis, np.concatenate([units, 1j * units])))

@@ -3,9 +3,41 @@ import pytest
 from scipy.integrate import quad
 
 from coolspec import BathSpec, QuadratureError, SystemSpec, coupling_operator, propagate
-from coolspec.bath import bose_occupation, spectral_density
 from coolspec.generators import unvectorize, vectorize
 from coolspec.system import IDX_E, IDX_GU
+
+# Bath formulas written out on their own, independent of coolspec.bath, which
+# forms j(s)/s and s (n(s) + 1) inside rate_a and the shift numerator instead.
+# Import them with `from conftest import ...`.
+
+
+def spectral_density(omega, spec):
+    """Spectral density j(omega) = 2 alpha omega^3 / omega_c^2 exp(-omega / omega_c).
+
+    Zero for omega <= 0.  Accepts scalars or arrays.  The single maximum
+    sits at 3 omega_c.
+    """
+    w = np.asarray(omega, dtype=float)
+    safe = np.where(w > 0.0, w, 1.0)
+    out = np.where(w > 0.0, 2.0 * spec.alpha * safe**3 / spec.omega_c**2
+                   * np.exp(-safe / spec.omega_c), 0.0)
+    return out.item() if out.ndim == 0 else out
+
+
+def bose_occupation(nu, spec):
+    """Thermal occupation 1 / (exp(beta nu) - 1), requires nu > 0.
+
+    Accepts scalars or arrays.  Evaluated as -exp(-x) / expm1(-x) with
+    x = beta nu, which cannot overflow at large x and keeps full relative
+    accuracy as nu -> 0.
+    """
+    nu = np.asarray(nu, dtype=float)
+    if not np.all(nu > 0):
+        raise ValueError(f"bose_occupation requires nu > 0, got {nu}")
+    x = spec.beta * nu
+    out = -np.exp(-x) / np.expm1(-x)
+    return out.item() if out.ndim == 0 else out
+
 
 # Superoperator oracles written with np.kron under column stacking
 # (vec(a rho b) = kron(b.T, a) vec(rho)), independent of

@@ -9,16 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from coolspec.bath import (
-    BathSpec,
-    QuadratureError,
-    bose_occupation,
-    rate_a,
-    rate_table,
-    shift_b,
-    spectral_density,
-)
+from coolspec.bath import BathSpec, QuadratureError, rate_a, rate_table, shift_b
 from coolspec.system import SystemSpec, build_hamiltonian, coupling_operator, eigensystem
+
+from conftest import bose_occupation, spectral_density
 
 BATH = BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0)
 
@@ -95,6 +89,13 @@ def test_rate_values_and_zero_limit():
     # cubic density kills the rate near zero frequency
     assert abs(rate_a(1e-9, BATH)) < 1e-15
     assert abs(rate_a(-1e-9, BATH)) < 1e-15
+    # the golden rule written out with the test's own formulas, on both
+    # sides, for a warm and a cold bath
+    nu = np.linspace(0.05, 6.0, 120)
+    for bath in (BATH, BathSpec(alpha=0.01, omega_c=1.0, temperature=0.01)):
+        n, j = bose_occupation(nu, bath), spectral_density(nu, bath)
+        assert_allclose(rate_a(nu, bath), math.pi * (n + 1.0) * j, rtol=1e-13)
+        assert_allclose(rate_a(-nu, bath), math.pi * n * j, rtol=1e-13)
 
 
 def _pv_integrand(w: float, nu: float, bath: BathSpec) -> float:

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coolspec.bath import BathSpec, bose_occupation, rate_a, rate_table, spectral_density
+from coolspec.bath import BathSpec, rate_a, rate_table
 from coolspec.generators import (
     TRACE_VECTOR,
-    phenomenological_rates,
     sandwich_superoperator,
     static_part,
     total_liouvillian,
@@ -25,7 +24,14 @@ from coolspec.system import (
     eigensystem,
 )
 
-from conftest import blocks, kron_commutator, kron_lindblad, kron_sandwich
+from conftest import (
+    blocks,
+    bose_occupation,
+    kron_commutator,
+    kron_lindblad,
+    kron_sandwich,
+    spectral_density,
+)
 
 BATH = BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0)
 
@@ -164,16 +170,6 @@ def test_undriven_populations_follow_rate_equations():
         assert_allclose(rhs[IDX_GL, IDX_GL].real, -expected_gu, rtol=1e-12)
 
 
-def test_phenomenological_rates_match_golden_rule():
-    spec = SystemSpec(e_man=2.0)
-    gamma_up, gamma_down = phenomenological_rates(spec, BATH)
-    assert_allclose(gamma_up, 2.0 * math.pi * bose_occupation(2.0, BATH)
-                    * spectral_density(2.0, BATH), rtol=1e-14)
-    assert_allclose(gamma_up / gamma_down, math.exp(-2.0 / 3.0), rtol=1e-12)
-    assert_allclose(gamma_up, 2.0 * rate_a(-2.0, BATH), rtol=1e-14)
-    assert_allclose(gamma_down, 2.0 * rate_a(2.0, BATH), rtol=1e-14)
-
-
 def test_gibbs_manifold_state_is_stationary_without_drive():
     # undriven and undamped: the thermal manifold state with empty |e> must
     # be a fixed point of all three generators, shifts included
@@ -209,8 +205,11 @@ def test_phenomenological_matches_two_jump_lindblad():
     # the drive-blind model written out: one Lindblad dissipator per bare
     # jump, |g_l> -> |g_u> at gamma_up tagging a bath loss of e_man and the
     # reverse at gamma_down tagging a gain, on top of the driven coherent part
-    # and the uncounted radiative decay |e> -> |g_l>
+    # and the uncounted radiative decay |e> -> |g_l>; the rates are the
+    # golden rule 2 pi n j and 2 pi (n + 1) j at e_man
     e_man = 2.0
+    n, j = bose_occupation(e_man, BATH), spectral_density(e_man, BATH)
+    gamma_up, gamma_down = 2.0 * math.pi * n * j, 2.0 * math.pi * (n + 1.0) * j
     up = np.zeros((3, 3), dtype=complex)
     up[IDX_GU, IDX_GL] = 1.0
     decay = np.zeros((3, 3), dtype=complex)
@@ -218,7 +217,6 @@ def test_phenomenological_matches_two_jump_lindblad():
     for delta in (0.0, 0.3, e_man, -e_man):
         for omega in (0.0, 0.3, 1.0):
             spec = SystemSpec(e_man=e_man, delta=delta, omega_rabi=omega, gamma_rad=0.5)
-            gamma_up, gamma_down = phenomenological_rates(spec, BATH)
             for u in (0.0, 0.05, -0.3):
                 matrix = kron_commutator(build_hamiltonian(spec))
                 kernel = np.zeros((9, 9), dtype=complex)

@@ -53,11 +53,43 @@ def test_record_count_and_ordering():
     assert all(r.steady_residual < 1e-10 for r in records)
 
 
-def test_worker_count_does_not_change_output():
+def test_worker_count_does_not_change_output(monkeypatch):
+    # one point per chunk, so that three workers share SMALL's six
+    monkeypatch.setattr(sweep, "_CHUNK", 1)
     serial = run_sweep(SMALL, jobs=1)
     parallel = run_sweep(SMALL, jobs=3)
     assert render_csv(serial) == render_csv(parallel)
     assert render_json(serial) == render_json(parallel)
+
+
+def test_jobs_start_at_most_one_worker_per_chunk(monkeypatch):
+    # a pool starts all its workers at once; a recording stand-in that maps
+    # in-process shows how many run_sweep asks for, and starts none
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    serial = render_csv(run_sweep(SMALL))
+    # SMALL's six points are one chunk: no pool at all
+    assert render_csv(run_sweep(SMALL, jobs=1000)) == serial
+    assert pools == []
+    monkeypatch.setattr(sweep, "_CHUNK", 3)
+    assert render_csv(run_sweep(SMALL, jobs=1000)) == serial
+    assert pools == [2]
 
 
 def test_run_sweep_validates_jobs():
