@@ -4,8 +4,12 @@ One record is produced per (delta, omega, method, route) tuple, in a fixed
 nested order (delta outermost, route innermost), so output is byte
 identical regardless of how many worker processes computed it.  The grid
 is evaluated in chunks of consecutive points, each passed through every
-method as one stack, once for all routes.  Per-point failures are caught
-and recorded in the row's status field instead of aborting the sweep.
+method as one stack, once for all routes; the chunk size follows what a
+point holds (_stack_size): up to 512 points of a steady grid of Markovian
+methods, 16 points that carry a time axis, fewer tcl_oracle points when
+their tau tables exceed a byte budget.  Per-point and per-route failures
+are caught and recorded in the row's status field instead of aborting the
+sweep.
 """
 
 from __future__ import annotations
@@ -32,11 +36,22 @@ from .dynamics import (
 )
 from .generators import spectrum, total_liouvillian
 from .system import SystemSpec, lower_ground_state
-from .tcl import TclPropagator
+from .tcl import TclPropagator, tau_spacing
 
-# most grid points evaluated as one stack: the shift rule's temporaries and
-# TCL's tau table and RK4 stacks grow with it, and peak memory with them
+# most grid points evaluated as one stack (_stack_size).  A point with a
+# time axis (transient mode or tcl_oracle) holds trajectories and RK4
+# stacks, and larger stacks ran no faster (fig3a: 48-point stacks 1.11x,
+# 81-point 1.02x the time of 16-point ones); a steady Markovian point holds
+# a few 9x9 matrices, and a stack pays each layer's per-call cost once
+# (fig2's 324 points as one stack: 0.69x the time of 16-point stacks)
 _CHUNK = 16
+_STEADY_CHUNK = 512
+# bytes of tcl_oracle tau tables one stack may hold, len(taus) x 9 x 16 B
+# per point: 16 points at the default tcl.t_mem 30 (3,001 rows), 4 at
+# t_mem 400 and omega_c 0.02 (40,001 rows), where a 16-point steady sweep
+# then peaked at 99.5-99.9 MB RSS in 4.2-4.7 s, against 291.5 MB in
+# 3.9-4.6 s as one stack and 66.6 MB in 5.2 s in stacks of 2
+_TCL_TABLE_BYTES = 24 * 2**20
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,8 @@ def delta_grid(cfg: SweepConfig) -> np.ndarray:
 
 
 def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
-              shared=None) -> tuple[list, np.ndarray, np.ndarray]:
-    """Currents, smallest eigenvalue seen and residual of every point of spec.
+              options: dict) -> tuple:
+    """Final generator, final state, smallest eigenvalue seen and residual of spec's points.
 
     Every method takes all points of a stacked spec at once and first gives
     the final generator, the final state and the smallest eigenvalue seen.
@@ -81,22 +96,17 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     mode up to t_end, its final generator being the one at the last grid
     time, and in steady mode up to the last row of its coefficient table,
     its final generator being the one frozen there.  Markovian methods
-    build their generators (total_liouvillian, reading the eigensystem and
-    rate table from shared when given); in transient mode the lower ground
-    state is evolved exactly (evolve) on the time grid of step dt up to
-    t_end, so dt sets only which times are sampled.  Then, for every
+    build their generators (total_liouvillian with options, which may hold
+    a shared eigensystem and rate table); in transient mode the lower
+    ground state is evolved exactly (evolve) on the time grid of step dt
+    up to t_end, so dt sets only which times are sampled.  Then, for every
     method, in steady mode the final state is the stationary state of the
     final generator (steady_state, one stacked SVD, which also gives the
     residual) and joins the smallest eigenvalue seen; in transient mode the
     residual is that of the final generator and state.  This one head
-    serves every route of cfg.routes, each giving a current in order: the
-    trace-formula one of the final generator and state, or on counting_fd
-    the heat increment over the last step (mean_heat_fd, one stacked call
-    from the lower ground state, sharing the eigensystem and rate table).
-    Results have the shape of spec's points.
+    serves every route of cfg.routes.  Results have the shape of spec's
+    points.
     """
-    options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
-                   pairing_tol=cfg.pairing_tol, shared=shared)
     if method == "tcl_oracle":
         prop = TclPropagator(spec, bath, t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt)
         horizon = cfg.t_end if cfg.mode == "transient" else prop.taus[-1]
@@ -114,11 +124,7 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
         seen = np.minimum(seen, min_eigenvalue(rho[..., None, :, :]))
     else:
         residual = steady_residual(gen, rho)
-    currents = [mean_heat_fd(method, spec, bath, cfg.t_end, cfg.dt, route.u_step,
-                             route.scheme, **options).current
-                if route.kind == "counting_fd" else heat_current_trace(gen, rho)
-                for route in cfg.routes]
-    return currents, seen, residual
+    return gen, rho, seen, residual
 
 
 def _problem(cfg: SweepConfig, deltas: list[float],
@@ -137,27 +143,63 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
 
     Entry k lists point k's record for each of cfg.routes, in order.  The
     points are evaluated as one stack (shared holds their eigensystem and
-    rate table).  When that raises, each point is evaluated on its own, so
-    a failure, a LinAlgError included, marks only the points that cause
-    it; a single point's exception becomes the status of all its routes.
+    rate table): one head (_evaluate), then each route's current, in
+    order: the trace-formula one of the final generator and state, or on
+    counting_fd the heat increment over the last step (mean_heat_fd, one
+    stacked call from the lower ground state, sharing the eigensystem and
+    rate table).  When any of that raises, the stack is split into
+    halves, each evaluated as a stack the same way, down to single points;
+    a failure, a LinAlgError included, thus marks only the points that
+    cause it, in about 2 log2(len(deltas)) stacks per failing point.  A
+    single point's head exception becomes the status of all its routes, a
+    route's own exception that route's only.
     """
+    options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
+                   pairing_tol=cfg.pairing_tol, shared=shared)
+    outcomes = []
     try:
-        currents, seen, residual = _evaluate(cfg, *_problem(cfg, deltas, omegas), method, shared)
-        values = np.reshape([*currents, seen, residual], (len(cfg.routes) + 2, -1))
-        status = "ok"
+        spec, bath = _problem(cfg, deltas, omegas)
+        gen, rho, seen, residual = _evaluate(cfg, spec, bath, method, options)
     except Exception as exc:
-        if len(deltas) > 1:
-            return [part for d, w in zip(deltas, omegas)
-                    for part in _records(cfg, [d], [w], method)]
-        values = np.full((len(cfg.routes) + 2, 1), math.nan)
-        status = f"error: {type(exc).__name__}: {exc}"
+        outcomes = [exc] * len(cfg.routes)
+    for route in cfg.routes[len(outcomes):]:
+        try:
+            outcomes.append(mean_heat_fd(method, spec, bath, cfg.t_end, cfg.dt, route.u_step,
+                                         route.scheme, **options).current
+                            if route.kind == "counting_fd" else heat_current_trace(gen, rho))
+        except Exception as exc:
+            outcomes.append(exc)
+    failed = [isinstance(outcome, Exception) for outcome in outcomes]
+    if len(deltas) > 1 and any(failed):
+        half = len(deltas) // 2
+        return (_records(cfg, deltas[:half], omegas[:half], method)
+                + _records(cfg, deltas[half:], omegas[half:], method))
     sign = -1.0 if cfg.sign == "absorption_positive" else 1.0
+    # (route, current / seen / residual, point)
+    values = np.full((len(cfg.routes), 3, len(deltas)), math.nan)
+    for row, outcome, bad in zip(values, outcomes, failed):
+        if not bad:
+            row[:] = np.reshape([sign * outcome, seen, residual], (3, -1))
+    statuses = [f"error: {type(outcome).__name__}: {outcome}" if bad else "ok"
+                for outcome, bad in zip(outcomes, failed)]
     return [[SpectrumRecord(delta=d, omega=w, method=method, route=route.kind,
-                            heat_absorption_rate=sign * float(current),
-                            min_eigenvalue_seen=float(seen), steady_residual=float(residual),
-                            status=status)
-             for route, current in zip(cfg.routes, currents)]
-            for d, w, *currents, seen, residual in zip(deltas, omegas, *values)]
+                            heat_absorption_rate=current, min_eigenvalue_seen=low,
+                            steady_residual=res, status=status)
+             for route, status, (current, low, res) in zip(cfg.routes, statuses, point)]
+            for d, w, point in zip(deltas, omegas, np.moveaxis(values, -1, 0).tolist())]
+
+
+def _stack_size(cfg: SweepConfig) -> int:
+    """Most consecutive grid points that cfg evaluates as one stack.
+
+    _STEADY_CHUNK for a steady config of Markovian methods only, _CHUNK
+    when points carry a time axis, and with tcl_oracle no more than the
+    points whose tau tables fit in _TCL_TABLE_BYTES (at least one).
+    """
+    if "tcl_oracle" in cfg.methods:
+        rows = 1.0 + max(1.0, np.rint(cfg.tcl_t_mem / tau_spacing(cfg.tcl_dt, cfg.omega_c)))
+        return int(max(1.0, min(_CHUNK, _TCL_TABLE_BYTES // (rows * 9 * 16))))
+    return _CHUNK if cfg.mode == "transient" else _STEADY_CHUNK
 
 
 def _evaluate_chunk(cfg: SweepConfig, points: list[tuple[float, float]]) -> list[SpectrumRecord]:
@@ -176,11 +218,11 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     """Evaluate the full grid, optionally across worker processes.
 
     The (delta, omega) points are taken in output order in chunks of at
-    most _CHUNK, each evaluated as one stack (_evaluate_chunk); workers
-    receive whole chunks, and at most one worker per chunk is started, none
-    when there is only one chunk.  Chunk boundaries do not depend on jobs,
-    and results are ordered (delta, omega, method, route) regardless of
-    jobs.
+    most _stack_size(cfg), each evaluated as one stack (_evaluate_chunk);
+    workers receive whole chunks, and at most one worker per chunk is
+    started, none when there is only one chunk.  Chunk boundaries do not
+    depend on jobs, and results are ordered (delta, omega, method, route)
+    regardless of jobs.
     The config, even one built in code, and jobs >= 1 are checked here
     first (ConfigError).
     """
@@ -189,7 +231,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     validate_config(cfg)
     points = [(float(delta), float(omega))
               for delta in delta_grid(cfg) for omega in cfg.omega_list]
-    chunks = [points[start:start + _CHUNK] for start in range(0, len(points), _CHUNK)]
+    size = _stack_size(cfg)
+    chunks = [points[start:start + size] for start in range(0, len(points), size)]
     # a pool starts all of its workers at once, so start none that would idle
     jobs = min(jobs, len(chunks))
     if jobs == 1:

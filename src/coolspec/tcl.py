@@ -45,6 +45,12 @@ _TAU_STEP = 0.01
 MEMORY_TAIL_TOL = 1e-3
 
 
+def tau_spacing(dt: float, omega_c: float) -> float:
+    """Spacing of TclPropagator's tau table at RK4 step dt and bath cutoff omega_c."""
+    widest = _TAU_STEP * min(1.0, 1.0 / omega_c)
+    return dt / (2 * math.ceil(dt / (2 * widest)))
+
+
 def correlation_grid(taus: np.ndarray, spec: BathSpec) -> np.ndarray:
     """C(tau) on a grid, in closed form.
 
@@ -104,8 +110,7 @@ class TclPropagator:
         self.dt = dt
         self.eig = eigensystem(build_hamiltonian(spec), coupling_operator())
 
-        widest = _TAU_STEP * min(1.0, 1.0 / bath.omega_c)
-        step = dt / (2 * math.ceil(dt / (2 * widest)))
+        step = tau_spacing(dt, bath.omega_c)
         if not t_mem / step < sys.maxsize:
             raise ValueError(f"t_mem = {t_mem:g} spans {t_mem / step:.3g} tau-grid rows at "
                              f"dt = {dt:g}, more than an array can hold; lower t_mem")

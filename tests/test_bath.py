@@ -303,6 +303,42 @@ def test_stacked_rate_table_matches_single_points():
         assert np.array_equal(table.b[k], single.b)
 
 
+def test_shift_blocks_equal_scalar_calls():
+    # shift_b evaluates at most _SHIFT_BLOCK transitions together; more
+    # than two blocks of mixed signs, tiny and zero frequencies must each
+    # equal their scalar call exactly
+    import coolspec.bath as bath_module
+
+    block = bath_module._SHIFT_BLOCK
+    magnitudes = np.geomspace(1e-300, 30.0, block + 3)
+    nus = np.concatenate([magnitudes, -magnitudes[::-1], [0.0, 5e-324]]).reshape(2, -1)
+    shifts = shift_b(nus, BATH)
+    assert shifts.shape == nus.shape
+    for nu, b in zip(nus.ravel(), shifts.ravel()):
+        assert b == shift_b(float(nu), BATH)
+
+
+def test_shift_failure_in_later_block_names_first_failing_transition():
+    # at tol 1e-15 nu 30 passes while nu 3 and -0.7 fail, with different
+    # estimates; the first failure sits in the second block, another one in
+    # the third, and the error is the first one's scalar error
+    import coolspec.bath as bath_module
+
+    block = bath_module._SHIFT_BLOCK
+    nus = np.full(3 * block, 30.0)
+    nus[block + 5] = 3.0
+    nus[2 * block + 5] = -0.7
+    with pytest.raises(QuadratureError) as first:
+        shift_b(3.0, BATH, tol=1e-15)
+    with pytest.raises(QuadratureError) as other:
+        shift_b(-0.7, BATH, tol=1e-15)
+    assert first.value.estimate != other.value.estimate
+    with pytest.raises(QuadratureError) as info:
+        shift_b(nus, BATH, tol=1e-15)
+    assert str(info.value) == str(first.value)
+    assert info.value.estimate == first.value.estimate
+
+
 @pytest.mark.parametrize("nu", [1e-300, -1e-300, 1e-200, 1e-160])
 def test_shift_at_tiny_frequency_approaches_zero_frequency_limit(nu):
     # (w - s)(w + s) underflowed to 0 below |nu| ~ 1e-161, so the integrand

@@ -9,7 +9,7 @@ import pytest
 from coolspec import sweep
 from coolspec.bath import BathSpec
 from coolspec.cli import main
-from coolspec.config import ConfigError, HeatRoute, config_from_dict
+from coolspec.config import ConfigError, HeatRoute, config_from_dict, profile_config
 from coolspec.dynamics import (
     evolve,
     heat_current_trace,
@@ -55,7 +55,7 @@ def test_record_count_and_ordering():
 
 def test_worker_count_does_not_change_output(monkeypatch):
     # one point per chunk, so that three workers share SMALL's six
-    monkeypatch.setattr(sweep, "_CHUNK", 1)
+    monkeypatch.setattr(sweep, "_STEADY_CHUNK", 1)
     serial = run_sweep(SMALL, jobs=1)
     parallel = run_sweep(SMALL, jobs=3)
     assert render_csv(serial) == render_csv(parallel)
@@ -87,7 +87,7 @@ def test_jobs_start_at_most_one_worker_per_chunk(monkeypatch):
     # SMALL's six points are one chunk: no pool at all
     assert render_csv(run_sweep(SMALL, jobs=1000)) == serial
     assert pools == []
-    monkeypatch.setattr(sweep, "_CHUNK", 3)
+    monkeypatch.setattr(sweep, "_STEADY_CHUNK", 3)
     assert render_csv(run_sweep(SMALL, jobs=1000)) == serial
     assert pools == [2]
 
@@ -342,16 +342,96 @@ TRANSIENT_TCL = config_from_dict({
 })
 
 
-@pytest.mark.parametrize("cfg,failures", [(MIXED, 4), (TRANSIENT, 0), (TRANSIENT_TCL, 0)],
-                         ids=["steady", "transient", "transient_tcl"])
+# MIXED's Markovian methods only: the whole grid is one stack
+MARKOVIAN = replace(MIXED, methods=MIXED.methods[:3])
+
+
+@pytest.mark.parametrize("cfg,failures", [(MIXED, 4), (MARKOVIAN, 3), (TRANSIENT, 0),
+                                          (TRANSIENT_TCL, 0)],
+                         ids=["steady", "steady_markovian", "transient", "transient_tcl"])
 def test_output_does_not_depend_on_chunks_or_jobs(cfg, failures, monkeypatch):
     reference = render_csv(run_sweep(cfg))
     assert reference.count(",error: SteadyStateError") == failures
     assert reference.count(",ok\n") == len(reference.splitlines()) - 1 - failures
-    for size in (sweep._CHUNK, 1, 7):
-        monkeypatch.setattr(sweep, "_CHUNK", size)
+    for size in (sweep._stack_size(cfg), 1, 7):
+        monkeypatch.setattr(sweep, "_stack_size", lambda cfg: size)
         for jobs in (1, 2):
             assert render_csv(run_sweep(cfg, jobs=jobs)) == reference
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    original = getattr(sweep, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, name, counted)
+    return calls
+
+
+def test_stack_size_follows_what_a_point_holds(monkeypatch):
+    # a steady Markovian grid is one stack: paper-fig2's 324 points share
+    # one eigensystem and rate table; paper-fig3a's 81 transient points are
+    # six stacks of at most 16
+    calls = _counting(monkeypatch, "spectrum")
+    for profile, stacks in (("paper-fig2", 1), ("paper-fig3a", 6)):
+        calls.clear()
+        run_sweep(profile_config(profile))
+        assert len(calls) == stacks
+    # tcl_oracle stacks hold at most a fixed budget of tau tables: all 16
+    # points at the default t_mem, 4 at t_mem 400 and omega_c 0.02 (40,001
+    # rows, 5.8 MB each)
+    tcl = config_from_dict({"bath": {"omega_c": 0.02}, "methods": ["tcl_oracle"]})
+    assert sweep._stack_size(replace(tcl, omega_c=1.0)) == sweep._CHUNK
+    assert sweep._stack_size(replace(tcl, tcl_t_mem=400.0)) == 4
+    assert sweep._stack_size(replace(tcl, tcl_t_mem=1e300, tcl_dt=1e-300)) == 1
+    # the tcl_oracle benchmark config is one stack of 5 points
+    props = _counting(monkeypatch, "TclPropagator")
+    run_sweep(config_from_dict({
+        "sweep": {"delta_min": -1.0, "delta_max": 1.0, "delta_steps": 5, "omega_list": [0.5]},
+        "methods": ["tcl_oracle", "bloch_redfield"],
+    }))
+    assert [np.shape(args[0].delta) for args in props] == [(5,)]
+
+
+def test_failing_point_is_found_by_halving(monkeypatch):
+    # one point of 16 has no unique steady state; the failing stack is
+    # halved down to that point, 1 + 2 * 4 head evaluations, not 1 + 16
+    cfg = replace(MARKOVIAN, methods=("bloch_redfield",),
+                  omega_list=tuple(0.1 * k for k in range(1, 6)) + (0.0,)
+                  + tuple(0.1 * k for k in range(6, 16)))
+    reference = render_csv(run_sweep(cfg))
+    calls = _counting(monkeypatch, "_evaluate")
+    records = run_sweep(cfg)
+    assert len(calls) == 9
+    assert render_csv(records) == reference
+    assert [r.omega for r in records if r.status != "ok"] == [0.0]
+
+
+def test_route_failure_marks_only_its_row(monkeypatch):
+    # the counting_fd current of one point raises: only that row fails, and
+    # the point's trace_formula row is that of a trace-only sweep
+    trace_only = run_sweep(replace(TRANSIENT, routes=TRANSIENT.routes[:1]))
+    full = run_sweep(TRANSIENT)
+    original = sweep.mean_heat_fd
+
+    def failing(method, spec, *args, **kwargs):
+        if np.any((np.asarray(spec.delta) == 0.0) & (np.asarray(spec.omega_rabi) == 1.0)):
+            raise RuntimeError("counting field failed")
+        return original(method, spec, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "mean_heat_fd", failing)
+    records = run_sweep(TRANSIENT)
+    assert len(records) == len(full)
+    for rec, ok in zip(records, full):
+        if (rec.delta, rec.omega, rec.route) == (0.0, 1.0, "counting_fd"):
+            assert rec.status == "error: RuntimeError: counting field failed"
+            assert all(math.isnan(x) for x in _values(rec))
+        else:
+            assert rec == ok
+    assert [rec for rec in records if rec.route == "trace_formula"] == trace_only
 
 
 def test_routes_share_one_head(monkeypatch):
