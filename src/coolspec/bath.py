@@ -43,19 +43,19 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Phonon bath parameters: dimensionless coupling, cutoff, temperature."""
+    """Phonon bath parameters: dimensionless coupling, cutoff, temperature, all finite."""
 
     alpha: float
     omega_c: float = 1.0
     temperature: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ValueError(f"alpha must be non-negative, got {self.alpha}")
-        if not self.omega_c > 0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if not self.temperature > 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
+        if not 0 < self.omega_c < math.inf:
+            raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
 
     @property
     def beta(self) -> float:
@@ -182,7 +182,7 @@ def _principal_value(nu: np.ndarray, omega_c: float, beta: float, omega_max: np.
     return integral
 
 
-def shift_b(nu, spec: BathSpec, omega_max=None, tol: float = SHIFT_TOL):
+def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
     """Principal-value frequency shift at transition frequency nu.
 
     Evaluates PV of the integral over w in (0, omega_max) of
@@ -202,22 +202,15 @@ def shift_b(nu, spec: BathSpec, omega_max=None, tol: float = SHIFT_TOL):
     (|nu| < 2.2e-308), whose pole the panels cannot resolve, take that value
     too; the shift differs from it by O(alpha (1 + T / omega_c) |nu|).  The
     coupling alpha enters exactly linearly and is factored out.  The
-    default window is 40 omega_c, widened to 2 |nu| for transitions beyond
-    it; an explicit omega_max that does not contain |nu| raises ValueError.
-    Accepts scalars or arrays of nu (and omega_max), evaluated together in
-    blocks of _SHIFT_BLOCK transitions, so that memory does not grow with
-    the array; each result equals its scalar call, and a failure names the
-    first failing transition.
+    window omega_max is 40 omega_c, widened to 2 |nu| for transitions
+    beyond it, so it always holds the pole.  Accepts scalars or arrays of
+    nu, evaluated together in blocks of _SHIFT_BLOCK transitions, so that
+    memory does not grow with the array; each result equals its scalar
+    call, and a failure names the first failing transition.
     """
     nu = np.asarray(nu, dtype=float)
-    if omega_max is None:
-        omega_max = np.maximum(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * np.abs(nu))
-    omega_max = np.broadcast_to(np.asarray(omega_max, dtype=float), nu.shape).ravel()
     flat = nu.ravel()
-    outside = np.flatnonzero(np.abs(flat) >= omega_max)
-    if outside.size:
-        k = outside[0]
-        raise ValueError(f"transition frequency {flat[k]} outside integration window {omega_max[k]}")
+    omega_max = np.maximum(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * np.abs(flat))
     out = np.empty_like(flat)
     pole = np.abs(flat) >= _SMALLEST_NORMAL
     # nu = 0: the integrand reduces to j(w)/w = 2 w^2 / omega_c^2 exp(-w / omega_c),
@@ -238,7 +231,7 @@ class RateTable:
 
     With nu[i, j] the transition frequency between eigenstates i and j,
     a[i, j] = rate_a(nu[i, j]) and b[i, j] = shift_b(nu[i, j]) at shift_b's
-    default window and tolerance where the bath couples i and j
+    default tolerance where the bath couples i and j
     (eig.elements[i, j] != 0), and zero elsewhere.
     """
 
@@ -251,8 +244,7 @@ def rate_table(eig: EigenSystem, spec: BathSpec) -> RateTable:
 
     Broadcasts over leading axes of eig: the coupled transitions of every
     point are evaluated together.  Uncoupled pairs stay zero unevaluated,
-    so they cannot fail the table.  Shifts use shift_b's default window and
-    tolerance.
+    so they cannot fail the table.  Shifts use shift_b's default tolerance.
     """
     coupled = eig.elements != 0
     nu = eig.nu[coupled]

@@ -22,21 +22,12 @@ assembled in one pass of array operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .bath import BathSpec, RateTable, rate_table
-from .system import (
-    IDX_E,
-    IDX_GL,
-    EigenSystem,
-    SystemSpec,
-    build_hamiltonian,
-    coupling_operator,
-    eigensystem,
-)
+from .system import IDX_E, IDX_GL, EigenSystem, SystemSpec, build_hamiltonian, eigensystem
 
 DIM = 3
 
@@ -153,17 +144,8 @@ def _secular_dissipator(eig: EigenSystem, rates: RateTable, e_man: float,
 
 def spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, RateTable]:
     """Eigensystem and rate table of spec, broadcast over stacked points."""
-    eig = eigensystem(build_hamiltonian(spec), coupling_operator())
+    eig = eigensystem(spec)
     return eig, rate_table(eig, bath)
-
-
-@lru_cache(maxsize=256)
-def _phenomenological_dissipator(e_man: float, bath: BathSpec,
-                                 u: float) -> tuple[np.ndarray, np.ndarray]:
-    out = _secular_dissipator(*spectrum(SystemSpec(e_man=e_man), bath), e_man, None, u)
-    for part in out:
-        part.setflags(write=False)  # shared by every point of the triple
-    return out
 
 
 def static_part(spec: SystemSpec) -> np.ndarray:
@@ -199,7 +181,7 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     rotating-wave pairs (_secular_dissipator, pairing_tol).
     phenomenological: golden-rule jumps between the bare levels, blind to
     the drive, i.e. the default secular dissipator of the undriven
-    impurity, built once per (e_man, bath, u); absorption |g_l> -> |g_u>
+    impurity, one 9x9 pair for every point; absorption |g_l> -> |g_u>
     at gamma_up = 2 rate_a(-e_man) tags a bath loss of e_man (phase
     exp(-i u e_man)), emission at gamma_down = 2 rate_a(e_man) a gain.
     include_shifts is read by bloch_redfield only, pairing_tol by secular
@@ -220,7 +202,8 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     elif method == "secular":
         matrix, kernel = _secular_dissipator(eig, rates, spec.e_man, pairing_tol, u)
     elif method == "phenomenological":
-        matrix, kernel = _phenomenological_dissipator(spec.e_man, bath, u)
+        matrix, kernel = _secular_dissipator(*spectrum(SystemSpec(e_man=spec.e_man), bath),
+                                             spec.e_man, None, u)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return Liouvillian(matrix=static_part(spec) + matrix, u=u, heat_kernel=kernel)

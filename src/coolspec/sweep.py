@@ -6,10 +6,10 @@ identical regardless of how many worker processes computed it.  The grid
 is evaluated in chunks of consecutive points, each passed through every
 method as one stack, once for all routes; the chunk size follows what a
 point holds (_stack_size): up to 512 points of a steady grid of Markovian
-methods, 16 points that carry a time axis, fewer tcl_oracle points when
-their tau tables exceed a byte budget.  Per-point and per-route failures
-are caught and recorded in the row's status field instead of aborting the
-sweep.
+methods, 16 points that carry a time axis, fewer when their longest time
+axis (trajectory or tau table) exceeds a byte budget.  Per-point and
+per-route failures are caught and recorded in the row's status field
+instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .dynamics import (
 )
 from .generators import spectrum, total_liouvillian
 from .system import SystemSpec, lower_ground_state
-from .tcl import TclPropagator, tau_spacing
+from .tcl import TclPropagator, tau_grid
 
 # most grid points evaluated as one stack (_stack_size).  A point with a
 # time axis (transient mode or tcl_oracle) holds trajectories and RK4
@@ -46,12 +46,15 @@ from .tcl import TclPropagator, tau_spacing
 # (fig2's 324 points as one stack: 0.69x the time of 16-point stacks)
 _CHUNK = 16
 _STEADY_CHUNK = 512
-# bytes of tcl_oracle tau tables one stack may hold, len(taus) x 9 x 16 B
-# per point: 16 points at the default tcl.t_mem 30 (3,001 rows), 4 at
-# t_mem 400 and omega_c 0.02 (40,001 rows), where a 16-point steady sweep
-# then peaked at 99.5-99.9 MB RSS in 4.2-4.7 s, against 291.5 MB in
-# 3.9-4.6 s as one stack and 66.6 MB in 5.2 s in stacks of 2
-_TCL_TABLE_BYTES = 24 * 2**20
+# bytes of its points' longest time axis one stack may hold, a 3x3 complex
+# array per row: 16 points at the default tcl.t_mem 30 (3,001 tau rows), 4
+# at t_mem 400 and omega_c 0.02 (40,001 rows), where a 16-point steady
+# tcl_oracle sweep then peaked at 99.5-99.9 MB RSS in 4.2-4.7 s, against
+# 291.5 MB in 3.9-4.6 s as one stack and 66.6 MB in 5.2 s in stacks of 2;
+# 4 for a transient trajectory of t_end 2000 at dt 0.05 (40,001 states),
+# where a 16-point Bloch-Redfield sweep peaked at 97.0 MB in 0.28-0.33 s,
+# against 282.5 MB in 0.38-0.54 s as one stack (2 vCPUs, one BLAS thread)
+_TIME_AXIS_BYTES = 24 * 2**20
 
 
 @dataclass(frozen=True)
@@ -192,14 +195,23 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
 def _stack_size(cfg: SweepConfig) -> int:
     """Most consecutive grid points that cfg evaluates as one stack.
 
-    _STEADY_CHUNK for a steady config of Markovian methods only, _CHUNK
-    when points carry a time axis, and with tcl_oracle no more than the
-    points whose tau tables fit in _TCL_TABLE_BYTES (at least one).
+    _STEADY_CHUNK for a steady config of Markovian methods only, whose
+    points carry no time axis.  Otherwise _CHUNK, and no more than the
+    points whose longest time axis fits in _TIME_AXIS_BYTES (at least one).
+    That axis is the longer of tcl_oracle's tau table (tau_grid) and, in
+    transient mode, the stored trajectory: round(t_end / dt) + 1 states,
+    at tcl_dt for tcl_oracle.
     """
+    rows = []
     if "tcl_oracle" in cfg.methods:
-        rows = 1.0 + max(1.0, np.rint(cfg.tcl_t_mem / tau_spacing(cfg.tcl_dt, cfg.omega_c)))
-        return int(max(1.0, min(_CHUNK, _TCL_TABLE_BYTES // (rows * 9 * 16))))
-    return _CHUNK if cfg.mode == "transient" else _STEADY_CHUNK
+        rows.append(tau_grid(cfg.tcl_t_mem, cfg.tcl_dt, cfg.omega_c)[1])
+    if cfg.mode == "transient":
+        rows += [1.0 + np.rint(cfg.t_end / (cfg.tcl_dt if method == "tcl_oracle" else cfg.dt))
+                 for method in cfg.methods]
+    if not rows:
+        return _STEADY_CHUNK
+    row_bytes = lower_ground_state().nbytes
+    return int(max(1.0, min(_CHUNK, _TIME_AXIS_BYTES // (max(rows) * row_bytes))))
 
 
 def _evaluate_chunk(cfg: SweepConfig, points: list[tuple[float, float]]) -> list[SpectrumRecord]:

@@ -9,13 +9,12 @@ throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 IDX_E, IDX_GU, IDX_GL = 0, 1, 2
-
-HERMITICITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,10 @@ class SystemSpec:
     gamma_rad:
         Radiative decay rate for |e> -> |g_l>, must be >= 0.
 
-    delta and omega_rabi may also be arrays of one shape: the spec then
-    stands for that stack of points, and build_hamiltonian and the
-    generators broadcast over it.
+    Every field must be real and finite (ValueError naming the field), so
+    the Hamiltonian is hermitian.  delta and omega_rabi may also be arrays
+    of one shape: the spec then stands for that stack of points, and
+    build_hamiltonian and the generators broadcast over it.
     """
 
     e_man: float
@@ -46,12 +46,16 @@ class SystemSpec:
     gamma_rad: float = 0.0
 
     def __post_init__(self):
-        if not self.e_man > 0:
-            raise ValueError(f"e_man must be positive, got {self.e_man}")
-        if not np.all(np.asarray(self.omega_rabi) >= 0):
-            raise ValueError(f"omega_rabi must be non-negative, got {self.omega_rabi}")
-        if not self.gamma_rad >= 0:
-            raise ValueError(f"gamma_rad must be non-negative, got {self.gamma_rad}")
+        if not 0 < self.e_man < math.inf:
+            raise ValueError(f"e_man must be positive and finite, got {self.e_man}")
+        if np.iscomplexobj(self.delta) or not np.all(np.isfinite(self.delta)):
+            raise ValueError(f"delta must be real and finite, got {self.delta}")
+        omega = np.asarray(self.omega_rabi)
+        if np.iscomplexobj(omega) or not np.all((omega >= 0) & (omega < math.inf)):
+            raise ValueError(f"omega_rabi must be real, non-negative and finite, "
+                             f"got {self.omega_rabi}")
+        if not 0 <= self.gamma_rad < math.inf:
+            raise ValueError(f"gamma_rad must be non-negative and finite, got {self.gamma_rad}")
 
 
 def build_hamiltonian(spec: SystemSpec) -> np.ndarray:
@@ -93,7 +97,7 @@ class EigenSystem:
     nu[i, j] = energies[i] - energies[j] is the transition frequency of the
     transition operator <i|O|j> |i><j|, with elements[i, j] = <i|O|j> the
     coupling operator O in the eigenbasis.  Every field carries the leading
-    axes of a stack of Hamiltonians.
+    axes of a stacked spec.
     """
 
     energies: np.ndarray
@@ -102,20 +106,15 @@ class EigenSystem:
     elements: np.ndarray
 
 
-def eigensystem(hamiltonian: np.ndarray, coupling: np.ndarray) -> EigenSystem:
-    """Diagonalize and write the coupling operator in the eigenbasis.
+def eigensystem(spec: SystemSpec) -> EigenSystem:
+    """Diagonalize spec's Hamiltonian and write the coupling operator in its eigenbasis.
 
-    Broadcasts over leading axes of hamiltonian.  Raises ValueError when a
-    Hamiltonian is not hermitian to 1e-12.  The eigenbasis is made
-    deterministic by fixing each eigenvector's phase (largest-magnitude
-    component made real positive) and, within exactly degenerate
-    eigenvalues, ordering by the index of that component.
+    Broadcasts over a stacked spec.  The eigenbasis is made deterministic
+    by fixing each eigenvector's phase (largest-magnitude component made
+    real positive) and, within exactly degenerate eigenvalues, ordering by
+    the index of that component.
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    anti = 0.5 * np.abs(h - h.conj().swapaxes(-1, -2)).max()
-    if anti > HERMITICITY_TOL:
-        raise ValueError(f"Hamiltonian is not hermitian: anti-hermitian norm {anti:.3e}")
-    energies, basis = np.linalg.eigh(h)
+    energies, basis = np.linalg.eigh(build_hamiltonian(spec))
     dominant = np.abs(basis).argmax(axis=-2)
     order = np.lexsort((dominant, energies), axis=-1)
     energies = np.take_along_axis(energies, order, axis=-1)
@@ -123,6 +122,6 @@ def eigensystem(hamiltonian: np.ndarray, coupling: np.ndarray) -> EigenSystem:
     # the dominant component of a unit vector is never 0
     lead = np.take_along_axis(basis, np.abs(basis).argmax(axis=-2)[..., None, :], axis=-2)
     basis = basis * (lead.conj() / np.abs(lead))
-    elements = basis.conj().swapaxes(-1, -2) @ np.asarray(coupling, dtype=complex) @ basis
+    elements = basis.conj().swapaxes(-1, -2) @ coupling_operator() @ basis
     nu = energies[..., :, None] - energies[..., None, :]
     return EigenSystem(energies=energies, basis=basis, nu=nu, elements=elements)

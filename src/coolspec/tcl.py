@@ -23,7 +23,7 @@ import numpy as np
 from .bath import BathSpec
 from .dynamics import HeatRecord, propagate
 from .generators import DIM, TRACE_VECTOR, Liouvillian, redfield, static_part, vectorize
-from .system import SystemSpec, build_hamiltonian, coupling_operator, eigensystem
+from .system import SystemSpec, eigensystem
 
 # Matsubara terms of correlation_grid summed exactly before the
 # Euler-Maclaurin remainder takes over
@@ -45,10 +45,15 @@ _TAU_STEP = 0.01
 MEMORY_TAIL_TOL = 1e-3
 
 
-def tau_spacing(dt: float, omega_c: float) -> float:
-    """Spacing of TclPropagator's tau table at RK4 step dt and bath cutoff omega_c."""
+def tau_grid(t_mem: float, dt: float, omega_c: float) -> tuple[float, float]:
+    """Spacing and rows of TclPropagator's tau table at t_mem, RK4 step dt and cutoff omega_c.
+
+    The rows, 1 + max(1, rint(t_mem / spacing)), are a float: for extreme
+    t_mem / dt they may exceed any array length, or be inf.
+    """
     widest = _TAU_STEP * min(1.0, 1.0 / omega_c)
-    return dt / (2 * math.ceil(dt / (2 * widest)))
+    step = dt / (2 * math.ceil(dt / (2 * widest)))
+    return step, 1.0 + max(1.0, np.rint(t_mem / step))
 
 
 def correlation_grid(taus: np.ndarray, spec: BathSpec) -> np.ndarray:
@@ -98,23 +103,24 @@ class TclPropagator:
     Broadcasts over a stacked spec like dynamics.evolve: tables and results
     carry its leading axes (points) before any time axis, each point equal
     to its one-point call.  Raises ValueError when t_mem or dt is not
-    positive, when t_mem spans more grid rows than an array holds, or when
-    |C(t_mem)| exceeds 1e-3 |C(0)|: the memory window is too short.
+    positive and finite, when t_mem spans more grid rows than an array
+    holds, or when |C(t_mem)| exceeds 1e-3 |C(0)|: the memory window is too
+    short.
     """
 
     def __init__(self, spec: SystemSpec, bath: BathSpec, t_mem: float = 30.0, dt: float = 0.02):
-        if not t_mem > 0:
-            raise ValueError(f"t_mem must be positive, got {t_mem}")
-        if not dt > 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not 0 < t_mem < math.inf:
+            raise ValueError(f"t_mem must be positive and finite, got {t_mem}")
+        if not 0 < dt < math.inf:
+            raise ValueError(f"dt must be positive and finite, got {dt}")
         self.dt = dt
-        self.eig = eigensystem(build_hamiltonian(spec), coupling_operator())
+        self.eig = eigensystem(spec)
 
-        step = tau_spacing(dt, bath.omega_c)
-        if not t_mem / step < sys.maxsize:
-            raise ValueError(f"t_mem = {t_mem:g} spans {t_mem / step:.3g} tau-grid rows at "
+        step, rows = tau_grid(t_mem, dt, bath.omega_c)
+        if not rows <= sys.maxsize:
+            raise ValueError(f"t_mem = {t_mem:g} spans {rows:.3g} tau-grid rows at "
                              f"dt = {dt:g}, more than an array can hold; lower t_mem")
-        taus = np.arange(max(1, int(round(t_mem / step))) + 1) * step
+        taus = np.arange(int(rows)) * step
         corr = correlation_grid(taus, bath)
         if abs(corr[-1]) > MEMORY_TAIL_TOL * abs(corr[0]):
             raise ValueError(f"memory window t_mem = {t_mem:g} is too short for the bath: "

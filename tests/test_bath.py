@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 from coolspec.bath import BathSpec, QuadratureError, rate_a, rate_table, shift_b
-from coolspec.system import SystemSpec, build_hamiltonian, coupling_operator, eigensystem
+from coolspec.system import SystemSpec, eigensystem
 
 from conftest import bose_occupation, spectral_density
 
@@ -105,22 +105,16 @@ def _pv_integrand(w: float, nu: float, bath: BathSpec) -> float:
     return spectral_density(w, bath) * (w + (2.0 * n + 1.0) * nu)
 
 
-def _pv_shift_cauchy(nu: float, bath: BathSpec, omega_max: float = 40.0,
-                     epsabs: float = 1e-12) -> float:
+def _pv_shift_cauchy(nu: float, bath: BathSpec, epsabs: float = 1e-12) -> float:
     """Independent principal-value oracle via Cauchy-weight quadrature.
 
-    The Cauchy weight covers shift_b's default window max(40 omega_c, 2 |nu|),
-    which holds the pole and the bulk of the bath; the rest of a wider window
-    is integrated plainly.
+    The Cauchy weight covers shift_b's window max(40 omega_c, 2 |nu|), which
+    holds the pole and the bulk of the bath.
     """
     s = abs(nu)
-    split = min(max(40.0 * bath.omega_c, 2.0 * s), omega_max)
     f = lambda w: _pv_integrand(w, nu, bath) / (w + s)
-    val, _ = quad(f, 0.0, split, weight="cauchy", wvar=s, limit=400, epsabs=epsabs, epsrel=1e-12)
-    if split < omega_max:
-        val += quad(lambda w: f(w) / (w - s), split, omega_max, limit=400,
-                    epsabs=epsabs, epsrel=1e-12)[0]
-    return val
+    return quad(f, 0.0, max(40.0 * bath.omega_c, 2.0 * s), weight="cauchy", wvar=s,
+                limit=400, epsabs=epsabs, epsrel=1e-12)[0]
 
 
 def _pv_shift_simpson(nu: float, bath: BathSpec, omega_max: float = 40.0) -> float:
@@ -128,20 +122,23 @@ def _pv_shift_simpson(nu: float, bath: BathSpec, omega_max: float = 40.0) -> flo
 
     The window (s - h, s + h) is integrated as the integral over x in (0, h)
     of f(s + x) + f(s - x), where the simple pole cancels; the remainder is
-    smooth and integrated on fine composite grids.
+    smooth and integrated on fine composite grids.  Every node is positive
+    (|nu| > h), so f is evaluated on whole node arrays.
     """
     from scipy.integrate import simpson
 
     s = abs(nu)
     h = 0.25
-    f = lambda w: _pv_integrand(w, nu, bath) / (w * w - s * s)
+
+    def f(w):
+        numerator = spectral_density(w, bath) * (w + (2.0 * bose_occupation(w, bath) + 1.0) * nu)
+        return numerator / (w * w - s * s)
+
     left = np.linspace(1e-12, s - h, 60001)
     right = np.linspace(s + h, omega_max, 60001)
     x = np.linspace(1e-9, h, 60001)
-    paired = np.array([f(s + xx) + f(s - xx) for xx in x])
-    return (simpson([f(w) for w in left], x=left)
-            + simpson([f(w) for w in right], x=right)
-            + simpson(paired, x=x))
+    return (simpson(f(left), x=left) + simpson(f(right), x=right)
+            + simpson(f(s + x) + f(s - x), x=x))
 
 
 def test_shift_zero_frequency_closed_form():
@@ -149,9 +146,6 @@ def test_shift_zero_frequency_closed_form():
     assert_allclose(shift_b(0.0, BATH), 0.04, atol=1e-9)
     other = BathSpec(alpha=0.02, omega_c=0.7, temperature=3.0)
     assert_allclose(shift_b(0.0, other), 4.0 * 0.02 * 0.7, atol=1e-9)
-    # an explicit window keeps 1 - exp(-x)(1 + x + x^2 / 2) of it, x = omega_max / omega_c
-    narrow = BathSpec(alpha=0.02, omega_c=1.0, temperature=3.0)
-    assert_allclose(shift_b(0.0, narrow, omega_max=5.0), 0.0700278384413535, rtol=1e-14)
 
 
 def test_shift_frozen_values():
@@ -175,17 +169,14 @@ def test_shift_matches_symmetric_simpson_oracle(nu):
 def test_shift_matches_adaptive_oracles(temperature, omega_c, quad_shift):
     # the graded Gauss-Legendre rule against two adaptive quadratures, from
     # far below every scale of the bath to windows widened past 40 omega_c
+    # (2 |nu| at magnitudes 30 and 100)
     bath = BathSpec(alpha=1.0, omega_c=omega_c, temperature=temperature)
     for magnitude in (1e-7, 1e-4, 0.01, 0.3, 1.0, 2.5, 7.0, 30.0, 100.0):
         for nu in (magnitude, -magnitude):
-            default = max(40.0 * omega_c, 2.0 * magnitude)
-            for omega_max in (None, 1.5 * default):
-                got = shift_b(nu, bath, omega_max=omega_max)
-                bound = 1e-11 * max(abs(got), 4.0 * omega_c)
-                assert abs(got - quad_shift(nu, bath, omega_max)) < bound
-                cauchy = _pv_shift_cauchy(nu, bath, omega_max or default,
-                                          epsabs=1e-13 * 4.0 * omega_c)
-                assert abs(got - cauchy) < bound
+            got = shift_b(nu, bath)
+            bound = 1e-11 * max(abs(got), 4.0 * omega_c)
+            assert abs(got - quad_shift(nu, bath)) < bound
+            assert abs(got - _pv_shift_cauchy(nu, bath, epsabs=1e-13 * 4.0 * omega_c)) < bound
 
 
 def test_shift_budget_is_relative_at_hot_baths(quad_shift):
@@ -212,13 +203,10 @@ def test_shift_refinement_stability():
         assert abs(coarse - fine) < 1e-9
 
 
-def test_shift_rejects_frequency_outside_window():
-    # an explicit window must contain the transition frequency
-    with pytest.raises(ValueError, match="window"):
-        shift_b(50.0, BATH, omega_max=40.0)
-    # the default one widens to 2 |nu|, which loses nothing of the bath
+def test_shift_window_widens_to_hold_frequency(quad_shift):
+    # the window widens to 2 |nu| past 40 omega_c, which loses nothing of the bath
     for nu in (50.0, -50.0):
-        assert_allclose(shift_b(nu, BATH), shift_b(nu, BATH, omega_max=400.0), rtol=1e-9)
+        assert_allclose(shift_b(nu, BATH), quad_shift(nu, BATH, 400.0), rtol=1e-9)
 
 
 def test_quadrature_error_type():
@@ -253,7 +241,7 @@ def test_import_loads_no_process_pool():
 
 def test_rate_table_consistent_with_scalars():
     spec = SystemSpec(e_man=2.0, delta=0.3, omega_rabi=1.1, gamma_rad=0.5)
-    eig = eigensystem(build_hamiltonian(spec), coupling_operator())
+    eig = eigensystem(spec)
     table = rate_table(eig, BATH)
     for i in range(3):
         for j in range(3):
@@ -289,8 +277,7 @@ def test_vectorized_rates_and_shifts_match_scalar_calls(temperature, omega_c):
 def test_stacked_rate_table_matches_single_points():
     # omega 0 leaves |e> uncoupled; delta 0 and 2 tie it with |g_u>, |g_l>
     deltas, omegas = np.array([0.0, 2.0, 0.3, -0.5, 0.0]), np.array([0.0, 0.0, 1.1, 0.7, 1.0])
-    eig = eigensystem(build_hamiltonian(SystemSpec(e_man=2.0, delta=deltas, omega_rabi=omegas)),
-                      coupling_operator())
+    eig = eigensystem(SystemSpec(e_man=2.0, delta=deltas, omega_rabi=omegas))
     table = rate_table(eig, BATH)
     assert table.a.shape == table.b.shape == (5, 3, 3)
     uncoupled = eig.elements == 0
@@ -298,7 +285,7 @@ def test_stacked_rate_table_matches_single_points():
     assert np.all(table.a[uncoupled] == 0.0) and np.all(table.b[uncoupled] == 0.0)
     for k, (delta, omega) in enumerate(zip(deltas, omegas)):
         spec = SystemSpec(e_man=2.0, delta=float(delta), omega_rabi=float(omega))
-        single = rate_table(eigensystem(build_hamiltonian(spec), coupling_operator()), BATH)
+        single = rate_table(eigensystem(spec), BATH)
         assert np.array_equal(table.a[k], single.a)
         assert np.array_equal(table.b[k], single.b)
 

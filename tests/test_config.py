@@ -239,8 +239,11 @@ def test_unknown_profile_lists_available():
         profile_config("fig9")
 
 
-# NaN fails every comparison, so a check written as x < 0 lets it through
+# NaN fails every comparison, so a check written as x < 0 lets it through;
+# an infinity or a complex detuning or drive passes a sign check and fails
+# only later, as a RuntimeWarning or an overflow
 _TCL_POINT = {"spec": SystemSpec(e_man=2.0), "bath": BathSpec(alpha=0.01)}
+_STACK = {"e_man": 2.0, "delta": np.zeros(2), "omega_rabi": np.ones(2)}
 NAN_CASES = [
     (BathSpec, {"alpha": 0.01}, "alpha", math.nan),
     (BathSpec, {"alpha": 0.01}, "omega_c", math.nan),
@@ -251,11 +254,28 @@ NAN_CASES = [
     (SystemSpec, {"e_man": 2.0}, "gamma_rad", math.nan),
     (TclPropagator, _TCL_POINT, "t_mem", math.nan),
     (TclPropagator, _TCL_POINT, "dt", math.nan),
+    (BathSpec, {"alpha": 0.01}, "alpha", math.inf),
+    (BathSpec, {"alpha": 0.01}, "omega_c", math.inf),
+    (BathSpec, {"alpha": 0.01}, "temperature", math.inf),
+    (SystemSpec, {"e_man": 2.0}, "e_man", math.inf),
+    (SystemSpec, {"e_man": 2.0}, "delta", math.nan),
+    (SystemSpec, {"e_man": 2.0}, "delta", -math.inf),
+    (SystemSpec, {"e_man": 2.0}, "omega_rabi", math.inf),
+    (SystemSpec, {"e_man": 2.0}, "gamma_rad", math.inf),
+    (SystemSpec, {"e_man": 2.0}, "delta", 0.5j),
+    (SystemSpec, {"e_man": 2.0}, "omega_rabi", 1.0 + 0.5j),
+    (SystemSpec, _STACK, "delta", np.array([0.0, math.inf])),
+    (SystemSpec, _STACK, "delta", np.array([0.0, 0.5j])),
+    (SystemSpec, _STACK, "omega_rabi", np.array([1.0, math.inf])),
+    (TclPropagator, _TCL_POINT, "t_mem", math.inf),
+    (TclPropagator, _TCL_POINT, "dt", math.inf),
 ]
 
 
 @pytest.mark.parametrize("cls,valid,field,value", NAN_CASES,
                          ids=[f"{c.__name__}.{f}{'[]' if np.ndim(v) else ''}"
+                              + ("-complex" if np.iscomplexobj(v) else
+                                 "-inf" if np.any(np.isinf(v)) else "")
                               for c, _, f, v in NAN_CASES])
 def test_spec_constructors_reject_nan(cls, valid, field, value):
     cls(**valid)

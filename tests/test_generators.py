@@ -20,7 +20,6 @@ from coolspec.system import (
     IDX_GU,
     SystemSpec,
     build_hamiltonian,
-    coupling_operator,
     eigensystem,
 )
 
@@ -110,7 +109,7 @@ def test_bloch_redfield_matches_matrix_form(delta, omega, u, redfield_oracle):
     # random states, with gamma[i, j] = a[j, i] - i b[j, i]
     spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.5)
     hamiltonian = build_hamiltonian(spec)
-    eig = eigensystem(hamiltonian, coupling_operator())
+    eig = eigensystem(spec)
     table = rate_table(eig, BATH)
     gen = total_liouvillian("bloch_redfield", spec, BATH, u=u)
     gamma = (table.a - 1j * table.b).T
@@ -187,7 +186,7 @@ def test_secular_generator_matches_naive_lindblad_sum():
     # reduce to the textbook sum of one dissipator per transition
     for delta, omega in ((0.4, 0.9), (-1.1, 0.3), (15.0 / 8.0, 1.0)):
         spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.0)
-        eig = eigensystem(build_hamiltonian(spec), coupling_operator())
+        eig = eigensystem(spec)
         table = rate_table(eig, BATH)
         transitions = blocks(eig)
         naive = kron_commutator(build_hamiltonian(spec))

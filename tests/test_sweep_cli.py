@@ -380,13 +380,21 @@ def test_stack_size_follows_what_a_point_holds(monkeypatch):
         calls.clear()
         run_sweep(profile_config(profile))
         assert len(calls) == stacks
-    # tcl_oracle stacks hold at most a fixed budget of tau tables: all 16
-    # points at the default t_mem, 4 at t_mem 400 and omega_c 0.02 (40,001
-    # rows, 5.8 MB each)
+    assert sweep._stack_size(profile_config("paper-fig3a")) == sweep._CHUNK
+    # stacks hold at most a fixed budget of their points' longest time axis.
+    # tcl_oracle's tau tables: all 16 points at the default t_mem, 4 at
+    # t_mem 400 and omega_c 0.02 (40,001 rows, 5.8 MB each)
     tcl = config_from_dict({"bath": {"omega_c": 0.02}, "methods": ["tcl_oracle"]})
     assert sweep._stack_size(replace(tcl, omega_c=1.0)) == sweep._CHUNK
     assert sweep._stack_size(replace(tcl, tcl_t_mem=400.0)) == 4
     assert sweep._stack_size(replace(tcl, tcl_t_mem=1e300, tcl_dt=1e-300)) == 1
+    # transient trajectories: 4 points at t_end 2000 and dt 0.05 (40,001
+    # states), for tcl_oracle at its own step
+    long = config_from_dict({"methods": ["bloch_redfield"],
+                             "mode": {"kind": "transient", "t_end": 2000.0, "dt": 0.05}})
+    assert sweep._stack_size(long) == 4
+    assert sweep._stack_size(replace(long, dt=1.0)) == sweep._CHUNK
+    assert sweep._stack_size(replace(long, dt=1.0, methods=("tcl_oracle",), tcl_dt=0.05)) == 4
     # the tcl_oracle benchmark config is one stack of 5 points
     props = _counting(monkeypatch, "TclPropagator")
     run_sweep(config_from_dict({
