@@ -7,7 +7,9 @@ the shift numerator combine them as j(s)/s and s (n(s) + 1), which stay
 finite as s -> 0.  Rates and shifts are evaluated per transition
 frequency of the system eigenbasis and collected in a RateTable.  Shifts
 come from a fixed composite Gauss-Legendre rule whose panels are graded to
-the singularities of the integrand, so the module needs numpy only.
+the singularities of the integrand, so the module needs numpy only; one
+evaluation per distinct |nu| serves both signs (a rate table holds -nu
+with every nu), each sign with its own error estimate and budget.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ OMEGA_MAX_FACTOR = 40.0
 SHIFT_TOL = 1e-9
 # below the smallest normal double, shift_b takes its nu = 0 value
 _SMALLEST_NORMAL = np.finfo(float).tiny
-# transitions whose panels shift_b evaluates together: the rule's
-# temporaries grow with it (the 1,296 coupled transitions of paper-fig2's
-# 324 points peaked at 31.3 MB under tracemalloc in one block, 3.2 MB in
-# blocks of 128)
+# transitions whose panels shift_b evaluates together, as _SHIFT_BLOCK // 2
+# magnitudes of both signs: the rule's temporaries grow with it (the 1,296
+# coupled transitions of paper-fig2's 324 points, 629 magnitudes, peaked
+# at 31.3 MB under tracemalloc in one block of transitions, 3.2 MB in
+# blocks of 128 transitions and 2.3 MB in blocks of 64 magnitudes)
 _SHIFT_BLOCK = 128
 
 
@@ -43,19 +46,21 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Phonon bath parameters: dimensionless coupling, cutoff, temperature, all finite."""
+    """Phonon bath parameters: dimensionless coupling, cutoff, temperature, all real and finite."""
 
     alpha: float
     omega_c: float = 1.0
     temperature: float = 1.0
 
     def __post_init__(self):
-        if not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be non-negative and finite, got {self.alpha}")
-        if not 0 < self.omega_c < math.inf:
-            raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
-        if not 0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        # a complex field fails by name, not by a TypeError from the comparison
+        if np.iscomplexobj(self.alpha) or not 0 <= self.alpha < math.inf:
+            raise ValueError(f"alpha must be real, non-negative and finite, got {self.alpha}")
+        if np.iscomplexobj(self.omega_c) or not 0 < self.omega_c < math.inf:
+            raise ValueError(f"omega_c must be real, positive and finite, got {self.omega_c}")
+        if np.iscomplexobj(self.temperature) or not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be real, positive and finite, "
+                             f"got {self.temperature}")
 
     @property
     def beta(self) -> float:
@@ -94,14 +99,16 @@ def rate_a(nu, spec: BathSpec):
     return out.item() if out.ndim == 0 else out
 
 
-def _thermal_numerator(w: np.ndarray, nu, omega_c: float, beta: float) -> np.ndarray:
-    """j(w)/alpha * (w + (2 n(w) + 1) nu) at w > 0, elementwise.
+def _thermal_parts(w, omega_c: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """j(w) / (alpha w) and w (2 n(w) + 1) at w > 0, elementwise.
 
+    The shift numerator j(w)/alpha * (w + (2 n(w) + 1) nu) is
+    p (w w + q nu) with (p, q) these two, which do not depend on nu.
     w (2 n(w) + 1) = w coth(beta w / 2) is formed as (2 + em1) w / -em1,
     em1 = expm1(-beta w), which stays finite as w -> 0.
     """
     em1, emitted = _thermal(w, beta)
-    return 2.0 * w**2 / omega_c**2 * np.exp(-w / omega_c) * (w * w + (2.0 + em1) * emitted * nu)
+    return 2.0 * w**2 / omega_c**2 * np.exp(-w / omega_c), (2.0 + em1) * emitted
 
 
 def _breakpoints(s: np.ndarray, omega_c: float, temperature: float,
@@ -144,42 +151,47 @@ _PANEL_WEIGHTS[0, :20] = _W20
 _PANEL_WEIGHTS[1, 20:] = _W10
 
 
-def _principal_value(nu: np.ndarray, omega_c: float, beta: float, omega_max: np.ndarray,
-                     tol: float) -> np.ndarray:
-    """Principal-value shift integrals at unit coupling for nonzero nu, elementwise.
+def _principal_value(s: np.ndarray, wanted: np.ndarray, omega_c: float, beta: float,
+                     omega_max: np.ndarray, tol: float) -> np.ndarray:
+    """Principal-value shift integrals at unit coupling at nu = +s and -s, s > 0.
 
-    Each result depends on its own nu and omega_max only: the panels of all
-    transitions are evaluated together, and each transition's panels are
-    summed in panel order, so the zero-width padding adds exact zeros.
+    Returns the integral, its error estimate and its budget, shape
+    (3, len(s), 2), column 0 at +s and column 1 at -s.  One panel set per s
+    serves both signs: the nodes and the transcendental parts of the
+    numerator are evaluated once, and each sign that some row of wanted
+    (len(s), 2) asks for is summed on them; a column that no row asks for
+    stays NaN.  Each result depends on its own nu and omega_max only: each
+    row's panels are summed in panel order, so the zero-width padding adds
+    exact zeros.
     """
-    s = np.abs(nu)
-    # subtract the simple pole at w = s: near the pole the integrand behaves
-    # as c / (w - s) with c = numerator(s) / (2 s); the remainder g is
-    # analytic on the whole window
-    c = _thermal_numerator(s, nu, omega_c, beta) / (2.0 * s)
+    p_s, q_s = _thermal_parts(s, omega_c, beta)
     edges = _breakpoints(s, omega_c, 1.0 / beta, omega_max)
     half = 0.5 * np.diff(edges, axis=1)
     panel = half > 0.0
     row = np.nonzero(panel)[0]
     width = half[panel][:, None]
     w = (edges[:, :-1] + half)[panel][:, None] + width * _PANEL_NODES
+    p, q = _thermal_parts(w, omega_c, beta)
     # (numerator / (w + s) - c) / (w - s): the product (w - s)(w + s) would
     # underflow for |nu| below ~1e-161
-    g = (_thermal_numerator(w, nu[row, None], omega_c, beta) / (w + s[row, None])
-         - c[row, None]) / (w - s[row, None])
-    panels = np.zeros(half.shape + (2,))
-    panels[panel] = width * (g[:, None, :] * _PANEL_WEIGHTS).sum(axis=-1)
-    estimate = np.abs(panels[..., 0] - panels[..., 1]).cumsum(axis=1)[:, -1]
+    ww, above, below = w * w, w + s[row, None], w - s[row, None]
     # analytic principal value of the subtracted pole over (0, omega_max)
-    integral = panels[..., 0].cumsum(axis=1)[:, -1] + c * (np.log(omega_max - s) - np.log(s))
-    budget = tol * np.maximum(1.0, np.abs(integral))
-    # a NaN estimate fails too
-    failed = np.flatnonzero(~(estimate <= budget))
-    if failed.size:
-        k = failed[0]
-        raise QuadratureError(f"shift integral error estimate {estimate[k]:.3e} exceeds "
-                              f"budget {budget[k]:.3e}", float(estimate[k]))
-    return integral
+    log_ratio = np.log(omega_max - s) - np.log(s)
+    out = np.full((3, s.size, 2), np.nan)
+    panels = np.zeros(half.shape + (2,))
+    for k in np.flatnonzero(wanted.any(axis=0)):
+        nu = -s if k else s
+        # subtract the simple pole at w = s: near the pole the integrand
+        # behaves as c / (w - s) with c = numerator(s) / (2 s); the
+        # remainder g is analytic on the whole window
+        c = p_s * (s * s + q_s * nu) / (2.0 * s)
+        g = (p * (ww + q * nu[row, None]) / above - c[row, None]) / below
+        panels[panel] = width * (g[:, None, :] * _PANEL_WEIGHTS).sum(axis=-1)
+        integral = panels[..., 0].cumsum(axis=1)[:, -1] + c * log_ratio
+        out[:, :, k] = (integral,
+                        np.abs(panels[..., 0] - panels[..., 1]).cumsum(axis=1)[:, -1],
+                        tol * np.maximum(1.0, np.abs(integral)))
+    return out
 
 
 def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
@@ -204,23 +216,41 @@ def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
     coupling alpha enters exactly linearly and is factored out.  The
     window omega_max is 40 omega_c, widened to 2 |nu| for transitions
     beyond it, so it always holds the pole.  Accepts scalars or arrays of
-    nu, evaluated together in blocks of _SHIFT_BLOCK transitions, so that
-    memory does not grow with the array; each result equals its scalar
-    call, and a failure names the first failing transition.
+    nu.  The rule is evaluated once per distinct |nu|, its panels, nodes
+    and thermal factors serving both signs, each sign with its own pole
+    constant, panel sums, estimate and budget, in blocks of
+    _SHIFT_BLOCK // 2 magnitudes so that memory does not grow with the
+    array.  Each result equals its scalar call, and a failure raises the
+    error of the first failing transition in input order.
     """
     nu = np.asarray(nu, dtype=float)
     flat = nu.ravel()
-    omega_max = np.maximum(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * np.abs(flat))
     out = np.empty_like(flat)
     pole = np.abs(flat) >= _SMALLEST_NORMAL
     # nu = 0: the integrand reduces to j(w)/w = 2 w^2 / omega_c^2 exp(-w / omega_c),
     # no pole and no temperature: the window integral is exact
-    x = omega_max[~pole] / spec.omega_c
+    x = np.maximum(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * np.abs(flat[~pole])) / spec.omega_c
     out[~pole] = 4.0 * spec.omega_c * (1.0 - np.exp(-x) * (1.0 + x + 0.5 * x * x))
-    poles = np.flatnonzero(pole)
-    for start in range(0, poles.size, _SHIFT_BLOCK):
-        block = poles[start:start + _SHIFT_BLOCK]
-        out[block] = _principal_value(flat[block], spec.omega_c, spec.beta, omega_max[block], tol)
+    # one rule evaluation per distinct |nu| serves both signs; column 1 holds -|nu|
+    s, which = np.unique(np.abs(flat[pole]), return_inverse=True)
+    sign = (flat[pole] < 0.0).astype(int)
+    wanted = np.zeros((s.size, 2), dtype=bool)
+    wanted[which, sign] = True
+    omega_max = np.maximum(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * s)
+    rule = np.empty((3, s.size, 2))
+    step = _SHIFT_BLOCK // 2
+    for start in range(0, s.size, step):
+        block = slice(start, start + step)
+        rule[:, block] = _principal_value(s[block], wanted[block], spec.omega_c, spec.beta,
+                                          omega_max[block], tol)
+    integral, estimate, budget = rule[:, which, sign]
+    # a NaN estimate fails too
+    failed = np.flatnonzero(~(estimate <= budget))
+    if failed.size:
+        k = failed[0]
+        raise QuadratureError(f"shift integral error estimate {estimate[k]:.3e} exceeds "
+                              f"budget {budget[k]:.3e}", float(estimate[k]))
+    out[pole] = integral
     out = spec.alpha * out.reshape(nu.shape)
     return out.item() if out.ndim == 0 else out
 

@@ -46,16 +46,17 @@ class SystemSpec:
     gamma_rad: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.e_man < math.inf:
-            raise ValueError(f"e_man must be positive and finite, got {self.e_man}")
+        if np.iscomplexobj(self.e_man) or not 0 < self.e_man < math.inf:
+            raise ValueError(f"e_man must be real, positive and finite, got {self.e_man}")
         if np.iscomplexobj(self.delta) or not np.all(np.isfinite(self.delta)):
             raise ValueError(f"delta must be real and finite, got {self.delta}")
         omega = np.asarray(self.omega_rabi)
         if np.iscomplexobj(omega) or not np.all((omega >= 0) & (omega < math.inf)):
             raise ValueError(f"omega_rabi must be real, non-negative and finite, "
                              f"got {self.omega_rabi}")
-        if not 0 <= self.gamma_rad < math.inf:
-            raise ValueError(f"gamma_rad must be non-negative and finite, got {self.gamma_rad}")
+        if np.iscomplexobj(self.gamma_rad) or not 0 <= self.gamma_rad < math.inf:
+            raise ValueError(f"gamma_rad must be real, non-negative and finite, "
+                             f"got {self.gamma_rad}")
 
 
 def build_hamiltonian(spec: SystemSpec) -> np.ndarray:

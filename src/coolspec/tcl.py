@@ -49,10 +49,15 @@ def tau_grid(t_mem: float, dt: float, omega_c: float) -> tuple[float, float]:
     """Spacing and rows of TclPropagator's tau table at t_mem, RK4 step dt and cutoff omega_c.
 
     The rows, 1 + max(1, rint(t_mem / spacing)), are a float: for extreme
-    t_mem / dt they may exceed any array length, or be inf.
+    t_mem / dt they may exceed any array length, or be inf.  Where the count
+    of spacings in dt overflows a float (dt near the largest double), the
+    spacing is 0 and the rows inf.
     """
     widest = _TAU_STEP * min(1.0, 1.0 / omega_c)
-    step = dt / (2 * math.ceil(dt / (2 * widest)))
+    split = dt / (2 * widest)
+    if not 2.0 * split < math.inf:
+        return 0.0, math.inf
+    step = dt / (2 * math.ceil(split))
     return step, 1.0 + max(1.0, np.rint(t_mem / step))
 
 
@@ -104,8 +109,8 @@ class TclPropagator:
     carry its leading axes (points) before any time axis, each point equal
     to its one-point call.  Raises ValueError when t_mem or dt is not
     positive and finite, when t_mem spans more grid rows than an array
-    holds, or when |C(t_mem)| exceeds 1e-3 |C(0)|: the memory window is too
-    short.
+    holds or dt is too large to split into its spacings (tau_grid), or when
+    |C(t_mem)| exceeds 1e-3 |C(0)|: the memory window is too short.
     """
 
     def __init__(self, spec: SystemSpec, bath: BathSpec, t_mem: float = 30.0, dt: float = 0.02):
@@ -117,6 +122,9 @@ class TclPropagator:
         self.eig = eigensystem(spec)
 
         step, rows = tau_grid(t_mem, dt, bath.omega_c)
+        if step == 0.0:
+            raise ValueError(f"dt = {dt:g} is too large to split into tau-grid spacings; "
+                             f"lower dt")
         if not rows <= sys.maxsize:
             raise ValueError(f"t_mem = {t_mem:g} spans {rows:.3g} tau-grid rows at "
                              f"dt = {dt:g}, more than an array can hold; lower t_mem")

@@ -307,8 +307,10 @@ def test_shift_blocks_equal_scalar_calls():
 
 def test_shift_failure_in_later_block_names_first_failing_transition():
     # at tol 1e-15 nu 30 passes while nu 3 and -0.7 fail, with different
-    # estimates; the first failure sits in the second block, another one in
-    # the third, and the error is the first one's scalar error
+    # estimates; the first failure in input order is the larger magnitude,
+    # and the error is its scalar error.  Each sign of a magnitude has its
+    # own estimate and budget: 0.7 and -3.0 pass, and sharing a rule
+    # evaluation with -0.7 and 3.0 must not fail them
     import coolspec.bath as bath_module
 
     block = bath_module._SHIFT_BLOCK
@@ -324,6 +326,12 @@ def test_shift_failure_in_later_block_names_first_failing_transition():
         shift_b(nus, BATH, tol=1e-15)
     assert str(info.value) == str(first.value)
     assert info.value.estimate == first.value.estimate
+    with pytest.raises(QuadratureError) as info:
+        shift_b([0.7, -3.0, 30.0, -0.7, 3.0], BATH, tol=1e-15)
+    assert str(info.value) == str(other.value)
+    assert info.value.estimate == other.value.estimate
+    passing = shift_b([0.7, -3.0], BATH, tol=1e-15)
+    assert passing.tolist() == [shift_b(0.7, BATH, tol=1e-15), shift_b(-3.0, BATH, tol=1e-15)]
 
 
 @pytest.mark.parametrize("nu", [1e-300, -1e-300, 1e-200, 1e-160])
@@ -349,8 +357,8 @@ def test_nan_error_estimate_raises(monkeypatch):
     # a NaN estimate compares False against the budget; it must still fail
     import coolspec.bath as bath_module
 
-    monkeypatch.setattr(bath_module, "_thermal_numerator",
-                        lambda w, nu, omega_c, beta: np.full(np.shape(w), np.nan))
+    monkeypatch.setattr(bath_module, "_thermal_parts",
+                        lambda w, omega_c, beta: (np.full(np.shape(w), np.nan),) * 2)
     with pytest.raises(QuadratureError, match="nan exceeds budget") as info:
         shift_b(0.7, BATH)
     assert math.isnan(info.value.estimate)

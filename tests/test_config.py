@@ -269,6 +269,11 @@ NAN_CASES = [
     (SystemSpec, _STACK, "omega_rabi", np.array([1.0, math.inf])),
     (TclPropagator, _TCL_POINT, "t_mem", math.inf),
     (TclPropagator, _TCL_POINT, "dt", math.inf),
+    (SystemSpec, {"e_man": 2.0}, "e_man", 2j),
+    (SystemSpec, {"e_man": 2.0}, "gamma_rad", 0.5j),
+    (BathSpec, {"alpha": 0.01}, "alpha", 0.01j),
+    (BathSpec, {"alpha": 0.01}, "omega_c", 1j),
+    (BathSpec, {"alpha": 0.01}, "temperature", 3j),
 ]
 
 

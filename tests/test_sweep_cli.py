@@ -574,6 +574,24 @@ def test_short_memory_window_is_a_point_error():
     assert br_rec.status == "ok"
 
 
+@pytest.mark.parametrize("mode", ["steady", "transient"])
+def test_huge_tcl_step_is_a_point_error(mode):
+    # tcl.dt 1e308 is positive and finite, so it validates; sizing the
+    # stack by its tau table raised OverflowError from math.ceil and
+    # stopped the whole sweep
+    cfg = config_from_dict({
+        "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1, "omega_list": [0.5]},
+        "methods": ["tcl_oracle", "bloch_redfield"],
+        "mode": {"kind": mode},
+        "tcl": {"dt": 1e308},
+    })
+    tcl_rec, br_rec = run_sweep(cfg)
+    assert tcl_rec.status == ("error: ValueError: dt = 1e+308 is too large to split into "
+                              "tau-grid spacings; lower dt")
+    assert math.isnan(tcl_rec.heat_absorption_rate)
+    assert br_rec.status == "ok"
+
+
 def test_strong_drive_absorption_changes_sign_in_wide_scan():
     # scanned far enough to the blue, the full method's absorption turns
     # into heating while the drive-blind model keeps cooling
