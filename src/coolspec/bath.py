@@ -5,11 +5,12 @@ for w > 0 and zero otherwise, with thermal occupation
 n(w) = 1 / (exp(beta w) - 1).  Neither is formed on its own: rate_a and
 the shift numerator combine them as j(s)/s and s (n(s) + 1), which stay
 finite as s -> 0.  Rates and shifts are evaluated per transition
-frequency of the system eigenbasis and collected in a RateTable.  Shifts
-come from a fixed composite Gauss-Legendre rule whose panels are graded to
-the singularities of the integrand, so the module needs numpy only; one
-evaluation per distinct |nu| serves both signs (a rate table holds -nu
-with every nu), each sign with its own error estimate and budget.
+frequency of the system eigenbasis and combined into the half-Fourier
+coefficients Gamma = a - i b that every generator reads (rate_table).
+Shifts come from a fixed composite Gauss-Legendre rule whose panels are
+graded to the singularities of the integrand, so the module needs numpy
+only; one evaluation per distinct |nu| serves both signs (a rate table
+holds -nu with every nu), each sign with its own error estimate and budget.
 """
 
 from __future__ import annotations
@@ -151,19 +152,22 @@ _PANEL_WEIGHTS[0, :20] = _W20
 _PANEL_WEIGHTS[1, 20:] = _W10
 
 
-def _principal_value(s: np.ndarray, wanted: np.ndarray, omega_c: float, beta: float,
-                     omega_max: np.ndarray, tol: float) -> np.ndarray:
+def _window(s, omega_c: float) -> np.ndarray:
+    """Shift integral's upper end at |nu| = s: 40 omega_c, widened to 2 s to hold the pole."""
+    return np.maximum(OMEGA_MAX_FACTOR * omega_c, 2.0 * s)
+
+
+def _principal_value(s: np.ndarray, omega_c: float, beta: float, tol: float) -> np.ndarray:
     """Principal-value shift integrals at unit coupling at nu = +s and -s, s > 0.
 
     Returns the integral, its error estimate and its budget, shape
     (3, len(s), 2), column 0 at +s and column 1 at -s.  One panel set per s
-    serves both signs: the nodes and the transcendental parts of the
-    numerator are evaluated once, and each sign that some row of wanted
-    (len(s), 2) asks for is summed on them; a column that no row asks for
-    stays NaN.  Each result depends on its own nu and omega_max only: each
-    row's panels are summed in panel order, so the zero-width padding adds
-    exact zeros.
+    on (0, _window(s)) serves both signs: the nodes and the transcendental
+    parts of the numerator are evaluated once, and each sign is summed on
+    them.  Each result depends on its own nu only: each row's panels are
+    summed in panel order, so the zero-width padding adds exact zeros.
     """
+    omega_max = _window(s, omega_c)
     p_s, q_s = _thermal_parts(s, omega_c, beta)
     edges = _breakpoints(s, omega_c, 1.0 / beta, omega_max)
     half = 0.5 * np.diff(edges, axis=1)
@@ -177,10 +181,9 @@ def _principal_value(s: np.ndarray, wanted: np.ndarray, omega_c: float, beta: fl
     ww, above, below = w * w, w + s[row, None], w - s[row, None]
     # analytic principal value of the subtracted pole over (0, omega_max)
     log_ratio = np.log(omega_max - s) - np.log(s)
-    out = np.full((3, s.size, 2), np.nan)
+    out = np.empty((3, s.size, 2))
     panels = np.zeros(half.shape + (2,))
-    for k in np.flatnonzero(wanted.any(axis=0)):
-        nu = -s if k else s
+    for k, nu in enumerate((s, -s)):
         # subtract the simple pole at w = s: near the pole the integrand
         # behaves as c / (w - s) with c = numerator(s) / (2 s); the
         # remainder g is analytic on the whole window
@@ -215,10 +218,10 @@ def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
     too; the shift differs from it by O(alpha (1 + T / omega_c) |nu|).  The
     coupling alpha enters exactly linearly and is factored out.  The
     window omega_max is 40 omega_c, widened to 2 |nu| for transitions
-    beyond it, so it always holds the pole.  Accepts scalars or arrays of
-    nu.  The rule is evaluated once per distinct |nu|, its panels, nodes
-    and thermal factors serving both signs, each sign with its own pole
-    constant, panel sums, estimate and budget, in blocks of
+    beyond it, so it always holds the pole (_window).  Accepts scalars or
+    arrays of nu.  The rule is evaluated once per distinct |nu|, its
+    panels, nodes and thermal factors serving both signs, each sign with
+    its own pole constant, panel sums, estimate and budget, in blocks of
     _SHIFT_BLOCK // 2 magnitudes so that memory does not grow with the
     array.  Each result equals its scalar call, and a failure raises the
     error of the first failing transition in input order.
@@ -229,21 +232,16 @@ def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
     pole = np.abs(flat) >= _SMALLEST_NORMAL
     # nu = 0: the integrand reduces to j(w)/w = 2 w^2 / omega_c^2 exp(-w / omega_c),
     # no pole and no temperature: the window integral is exact
-    x = np.maximum(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * np.abs(flat[~pole])) / spec.omega_c
+    x = _window(np.abs(flat[~pole]), spec.omega_c) / spec.omega_c
     out[~pole] = 4.0 * spec.omega_c * (1.0 - np.exp(-x) * (1.0 + x + 0.5 * x * x))
     # one rule evaluation per distinct |nu| serves both signs; column 1 holds -|nu|
     s, which = np.unique(np.abs(flat[pole]), return_inverse=True)
-    sign = (flat[pole] < 0.0).astype(int)
-    wanted = np.zeros((s.size, 2), dtype=bool)
-    wanted[which, sign] = True
-    omega_max = np.maximum(OMEGA_MAX_FACTOR * spec.omega_c, 2.0 * s)
-    rule = np.empty((3, s.size, 2))
     step = _SHIFT_BLOCK // 2
+    rule = np.empty((3, s.size, 2))
     for start in range(0, s.size, step):
         block = slice(start, start + step)
-        rule[:, block] = _principal_value(s[block], wanted[block], spec.omega_c, spec.beta,
-                                          omega_max[block], tol)
-    integral, estimate, budget = rule[:, which, sign]
+        rule[:, block] = _principal_value(s[block], spec.omega_c, spec.beta, tol)
+    integral, estimate, budget = rule[:, which, (flat[pole] < 0.0).astype(int)]
     # a NaN estimate fails too
     failed = np.flatnonzero(~(estimate <= budget))
     if failed.size:
@@ -255,31 +253,21 @@ def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
     return out.item() if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class RateTable:
-    """Golden-rule rates a[i, j] and shifts b[i, j] on the transition grid.
+def rate_table(eig: EigenSystem, spec: BathSpec) -> np.ndarray:
+    """Half-Fourier coefficients Gamma of every coupled ordered eigenstate pair.
 
     With nu[i, j] the transition frequency between eigenstates i and j,
-    a[i, j] = rate_a(nu[i, j]) and b[i, j] = shift_b(nu[i, j]) at shift_b's
-    default tolerance where the bath couples i and j
-    (eig.elements[i, j] != 0), and zero elsewhere.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-
-
-def rate_table(eig: EigenSystem, spec: BathSpec) -> RateTable:
-    """Evaluate rates and shifts for every coupled ordered eigenstate pair.
-
-    Broadcasts over leading axes of eig: the coupled transitions of every
-    point are evaluated together.  Uncoupled pairs stay zero unevaluated,
-    so they cannot fail the table.  Shifts use shift_b's default tolerance.
+    Gamma[..., i, j] = rate_a(nu[j, i]) - i shift_b(nu[j, i]) where the bath
+    couples the pair (eig.elements[j, i] != 0), and zero elsewhere: the
+    infinite-time limit of TclPropagator.coefficients, in its convention
+    (Breuer & Petruccione, The Theory of Open Quantum Systems (2002),
+    sec. 3.3).  Broadcasts over leading axes of eig: the coupled transitions
+    of every point are evaluated together.  Uncoupled pairs stay zero
+    unevaluated, so they cannot fail the table.  Shifts use shift_b's
+    default tolerance.
     """
     coupled = eig.elements != 0
     nu = eig.nu[coupled]
-    a = np.zeros(eig.nu.shape)
-    b = np.zeros(eig.nu.shape)
-    a[coupled] = rate_a(nu, spec)
-    b[coupled] = shift_b(nu, spec)
-    return RateTable(a=a, b=b)
+    gamma = np.zeros(eig.nu.shape, dtype=complex)
+    gamma[coupled] = rate_a(nu, spec) - 1j * shift_b(nu, spec)
+    return gamma.swapaxes(-1, -2)

@@ -255,6 +255,10 @@ def validate_config(cfg: SweepConfig):
         raise ConfigError(f"{_PATHS['delta_steps']} must be at least 1, got {cfg.delta_steps}")
     if cfg.delta_steps > 1 and cfg.delta_max < cfg.delta_min:
         raise ConfigError(f"{_PATHS['delta_max']} must not be below {_PATHS['delta_min']}")
+    # the span in floats, as np.linspace forms it (integer ends may exceed any float)
+    if not math.isfinite(float(cfg.delta_max) - float(cfg.delta_min)):
+        raise ConfigError(f"{_PATHS['delta_max']} - {_PATHS['delta_min']} = "
+                          f"{cfg.delta_max:g} - {cfg.delta_min:g} overflows")
     if any(w < 0 for w in cfg.omega_list):
         raise ConfigError(f"{_PATHS['omega_list']} entries must be non-negative")
     for where, route in routes:

@@ -8,13 +8,15 @@ alongside as a heat kernel, so a single construction serves propagation,
 steady states, and both heat routes.  Every phonon generator is one
 Redfield dissipator (redfield), written with two 3x3 operators: the
 coupling operator O and its bath-weighted counterpart Lambda, built from
-the coefficients.  The Markovian methods differ only in the coefficients
-(a - i b for Bloch-Redfield, a otherwise) and in the secular mask, which
-secular and phenomenological apply in the eigenbasis (dressed, or bare for
-phenomenological); total_liouvillian assembles all three, each on top of
-the same static_part (coherent evolution plus radiative decay, one
-effective non-Hermitian Hamiltonian and one jump).  The tcl generator uses
-running coefficients and the same static_part.  Every piece broadcasts over
+one complex coefficient Gamma per transition.  The Markovian methods read
+bath.rate_table's Gamma = a - i b and differ only in the part they take
+(all of it for Bloch-Redfield, the rates Re Gamma otherwise) and in the
+secular mask, which secular and phenomenological apply in the eigenbasis
+(dressed, or bare for phenomenological); total_liouvillian assembles all
+three, each on top of the same static_part (coherent evolution plus
+radiative decay, one effective non-Hermitian Hamiltonian and one jump).
+The tcl generator uses running coefficients Gamma(t), in the same
+convention, and the same static_part.  Every piece broadcasts over
 the leading axes of a stacked SystemSpec, so a chunk of sweep points is
 assembled in one pass of array operations.
 """
@@ -26,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bath import BathSpec, RateTable, rate_table
+from .bath import BathSpec, rate_table
 from .system import IDX_E, IDX_GL, EigenSystem, SystemSpec, build_hamiltonian, eigensystem
 
 DIM = 3
@@ -114,19 +116,20 @@ def redfield(eig: EigenSystem, basis: np.ndarray, gamma: np.ndarray,
     return terms[..., :4, :, :].sum(axis=-3), terms[..., 4:, :, :].sum(axis=-3)
 
 
-def _secular_dissipator(eig: EigenSystem, rates: RateTable, e_man: float,
+def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
                         pairing_tol: float | None, u: float) -> tuple[np.ndarray, np.ndarray]:
     """Rotating-wave dissipator and heat kernel: the masked Redfield one.
 
-    The shift-free Redfield dissipator (coefficients a) is built in the
-    eigenbasis, masked there and brought to the working basis by one change
-    of basis.  In the eigenbasis, the element that feeds rho[c, d] into
+    The shift-free Redfield dissipator (coefficients Re gamma, the rates
+    of rate_table's gamma) is built in the eigenbasis, masked there and
+    brought to the working basis by one change of basis.  In the
+    eigenbasis, the element that feeds rho[c, d] into
     rho[a, b] oscillates at nu[a, b] - nu[c, d] in the interaction picture;
     it is kept when that frequency is within pairing_tol (None means
     1e-10 * e_man, so only exact coincidences survive) and dropped
     otherwise, in the matrix and the heat kernel alike.  For a
     nondegenerate spectrum this reduces to a sum of Lindblad dissipators
-    with jump operators <j|O|i> |j><i| and rates 2 a[i, j].  No
+    with jump operators <j|O|i> |j><i| and rates 2 Re gamma[j, i].  No
     principal-value terms are included, matching the common presentation
     of this approximation.
     """
@@ -135,15 +138,15 @@ def _secular_dissipator(eig: EigenSystem, rates: RateTable, e_man: float,
     nu_vec = vectorize(eig.nu).real
     keep = np.abs(nu_vec[..., :, None] - nu_vec[..., None, :]) <= pairing_tol
     in_eig = keep[..., None, :, :] * np.stack(
-        redfield(eig, np.eye(DIM), rates.a.swapaxes(-1, -2), u), axis=-3)
+        redfield(eig, np.eye(DIM), gamma.real, u), axis=-3)
     # columns of to_work are the vectorized eigenbasis operators |a><b|
     to_work = sandwich_superoperator(eig.basis, _dag(eig.basis))[..., None, :, :]
     out = to_work @ in_eig @ _dag(to_work)
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
-def spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, RateTable]:
-    """Eigensystem and rate table of spec, broadcast over stacked points."""
+def spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, np.ndarray]:
+    """Eigensystem and rate table (Gamma) of spec, broadcast over stacked points."""
     eig = eigensystem(spec)
     return eig, rate_table(eig, bath)
 
@@ -169,16 +172,17 @@ def static_part(spec: SystemSpec) -> np.ndarray:
 
 def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 0.0,
                       include_shifts: bool = True, pairing_tol: float | None = None,
-                      shared: Callable[[], tuple[EigenSystem, RateTable]] | None = None
+                      shared: Callable[[], tuple[EigenSystem, np.ndarray]] | None = None
                       ) -> Liouvillian:
     """Markovian generator of one method: static_part plus a phonon dissipator.
 
     bloch_redfield: the full weak-coupling generator, no rotating-wave
-    approximation.  Its Redfield dissipator has gamma[i, j] = a[j, i] -
-    i b[j, i] (rate and principal-value shift of the transition nu[j, i]),
-    or a alone when include_shifts is false; at u = 0 it preserves trace
-    and hermiticity.  secular: the shift-free dissipator masked to the
-    rotating-wave pairs (_secular_dissipator, pairing_tol).
+    approximation.  Its Redfield dissipator reads rate_table's coefficients
+    Gamma[i, j] = a - i b (rate and principal-value shift of the transition
+    nu[j, i]) as they are, or their rates Re Gamma alone when
+    include_shifts is false; at u = 0 it preserves trace and hermiticity.
+    secular: the shift-free dissipator masked to the rotating-wave pairs
+    (_secular_dissipator, pairing_tol).
     phenomenological: golden-rule jumps between the bare levels, blind to
     the drive, i.e. the default secular dissipator of the undriven
     impurity, one 9x9 pair for every point; absorption |g_l> -> |g_u>
@@ -195,12 +199,11 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     counting fields of one spec compute them once.
     """
     if method in ("bloch_redfield", "secular"):
-        eig, rates = spectrum(spec, bath) if shared is None else shared()
+        eig, gamma = spectrum(spec, bath) if shared is None else shared()
     if method == "bloch_redfield":
-        gamma = rates.a - 1j * rates.b if include_shifts else rates.a
-        matrix, kernel = redfield(eig, eig.basis, gamma.swapaxes(-1, -2), u)
+        matrix, kernel = redfield(eig, eig.basis, gamma if include_shifts else gamma.real, u)
     elif method == "secular":
-        matrix, kernel = _secular_dissipator(eig, rates, spec.e_man, pairing_tol, u)
+        matrix, kernel = _secular_dissipator(eig, gamma, spec.e_man, pairing_tol, u)
     elif method == "phenomenological":
         matrix, kernel = _secular_dissipator(*spectrum(SystemSpec(e_man=spec.e_man), bath),
                                              spec.e_man, None, u)

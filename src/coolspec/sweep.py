@@ -132,11 +132,9 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
 
 def _problem(cfg: SweepConfig, deltas: list[float],
              omegas: list[float]) -> tuple[SystemSpec, BathSpec]:
-    """System of the points (deltas[k], omegas[k]), stacked unless there is one, and the bath."""
-    one = len(deltas) == 1
-    spec = SystemSpec(e_man=cfg.e_man, gamma_rad=cfg.gamma_rad,
-                      delta=deltas[0] if one else np.array(deltas),
-                      omega_rabi=omegas[0] if one else np.array(omegas))
+    """System of the points (deltas[k], omegas[k]), stacked whatever their count, and the bath."""
+    spec = SystemSpec(e_man=cfg.e_man, gamma_rad=cfg.gamma_rad, delta=np.array(deltas),
+                      omega_rabi=np.array(omegas))
     return spec, BathSpec(alpha=cfg.alpha, omega_c=cfg.omega_c, temperature=cfg.temperature)
 
 

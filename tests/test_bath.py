@@ -240,21 +240,24 @@ def test_import_loads_no_process_pool():
 
 
 def test_rate_table_consistent_with_scalars():
+    # Gamma[j, i] = rate_a(nu[i, j]) - i shift_b(nu[i, j]), the convention of
+    # TclPropagator.coefficients
     spec = SystemSpec(e_man=2.0, delta=0.3, omega_rabi=1.1, gamma_rad=0.5)
     eig = eigensystem(spec)
-    table = rate_table(eig, BATH)
+    gamma = rate_table(eig, BATH)
+    assert gamma.dtype == complex and gamma.shape == (3, 3)
     for i in range(3):
         for j in range(3):
             if eig.elements[i, j] == 0:
                 # a transition the bath does not couple is never evaluated
-                assert table.a[i, j] == 0.0 and table.b[i, j] == 0.0
+                assert gamma[j, i] == 0.0
                 continue
-            assert table.a[i, j] == rate_a(eig.nu[i, j], BATH)
-            assert table.b[i, j] == shift_b(eig.nu[i, j], BATH)
+            assert gamma[j, i].real == rate_a(eig.nu[i, j], BATH)
+            assert -gamma[j, i].imag == shift_b(eig.nu[i, j], BATH)
             if eig.nu[i, j] > 0:
-                assert_allclose(table.a[i, j] / table.a[j, i],
+                assert_allclose(gamma[j, i].real / gamma[i, j].real,
                                 math.exp(eig.nu[i, j] / 3.0), rtol=1e-10)
-    assert np.all(np.diag(table.a) == 0.0)
+    assert np.all(np.diag(gamma) == 0.0)
 
 
 @pytest.mark.parametrize("omega_c", [0.02, 100.0])
@@ -278,16 +281,16 @@ def test_stacked_rate_table_matches_single_points():
     # omega 0 leaves |e> uncoupled; delta 0 and 2 tie it with |g_u>, |g_l>
     deltas, omegas = np.array([0.0, 2.0, 0.3, -0.5, 0.0]), np.array([0.0, 0.0, 1.1, 0.7, 1.0])
     eig = eigensystem(SystemSpec(e_man=2.0, delta=deltas, omega_rabi=omegas))
-    table = rate_table(eig, BATH)
-    assert table.a.shape == table.b.shape == (5, 3, 3)
-    uncoupled = eig.elements == 0
+    gamma = rate_table(eig, BATH)
+    assert gamma.shape == (5, 3, 3)
+    uncoupled = eig.elements.swapaxes(-1, -2) == 0
     assert np.any(uncoupled)
-    assert np.all(table.a[uncoupled] == 0.0) and np.all(table.b[uncoupled] == 0.0)
+    assert np.all(gamma[uncoupled] == 0.0)
     for k, (delta, omega) in enumerate(zip(deltas, omegas)):
         spec = SystemSpec(e_man=2.0, delta=float(delta), omega_rabi=float(omega))
         single = rate_table(eigensystem(spec), BATH)
-        assert np.array_equal(table.a[k], single.a)
-        assert np.array_equal(table.b[k], single.b)
+        assert np.array_equal(gamma[k].real, single.real)
+        assert np.array_equal(gamma[k].imag, single.imag)
 
 
 def test_shift_blocks_equal_scalar_calls():

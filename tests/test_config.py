@@ -199,6 +199,13 @@ def test_shorthand_forms_normalize():
     ({"mode": {"kind": "transient", "t_end": 1e300, "dt": 1.0},
       "heat_route": {"kind": "counting_fd"}},
      "mode.t_end / mode.dt = 1e[+]300 / 1.0 overflows"),
+    # each end finite, their difference not: the detuning grid overflows
+    ({"sweep": {"delta_min": -1e308, "delta_max": 1e308}},
+     "sweep.delta_max - sweep.delta_min = 1e[+]308 - -1e[+]308 overflows"),
+    ({"sweep": {"delta_min": -1e308, "delta_max": 1e308, "delta_steps": 1}},
+     "sweep.delta_max - sweep.delta_min"),
+    ({"sweep": {"delta_min": -10**308, "delta_max": 10**308}},
+     "sweep.delta_max - sweep.delta_min"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

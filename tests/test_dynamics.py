@@ -131,6 +131,22 @@ def test_unstable_step_between_the_end_times_is_stopped():
             propagate(generator_at, lower_ground_state(), steps * dt, dt)
 
 
+def test_nan_state_between_the_end_times_is_stopped():
+    # a NaN state has a NaN trace drift, which a `drift > tol` check let
+    # through: the run went on and returned NaN states
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
+    gen = total_liouvillian("bloch_redfield", spec, BATH)
+    dt, steps = 0.05, 10
+    ends = (np.arange(steps + 1) * dt)[[0, -1]]
+
+    def generator_at(t):
+        scale = np.where(np.isin(t, ends), 1.0, np.nan)
+        return Liouvillian(matrix=scale[..., None, None] * gen.matrix)
+
+    with pytest.raises(PropagationError, match="trace drifted by nan at t = 0.05"):
+        propagate(generator_at, lower_ground_state(), steps * dt, dt)
+
+
 @pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
 @pytest.mark.parametrize("delta,omega,u", [(0.0, 0.0, 0.0), (0.3, 0.5, 0.0), (0.0, 1.0, 0.05)])
 @pytest.mark.parametrize("dt", [0.05, 30.0])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coolspec.bath import BathSpec, rate_a, rate_table
+from coolspec.bath import BathSpec, rate_a, rate_table, shift_b
 from coolspec.generators import (
     TRACE_VECTOR,
     sandwich_superoperator,
@@ -106,13 +106,17 @@ def test_trace_and_hermiticity_preserved_at_zero_counting(delta, omega):
 @pytest.mark.parametrize("u", [0.0, 0.05])
 def test_bloch_redfield_matches_matrix_form(delta, omega, u, redfield_oracle):
     # the vectorized assembly against the textbook Redfield form acting on
-    # random states, with gamma[i, j] = a[j, i] - i b[j, i]
+    # random states, with gamma[i, j] = a[j, i] - i b[j, i] from the scalar
+    # rate and shift of every coupled transition, which rate_table holds
     spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.5)
     hamiltonian = build_hamiltonian(spec)
     eig = eigensystem(spec)
-    table = rate_table(eig, BATH)
     gen = total_liouvillian("bloch_redfield", spec, BATH, u=u)
-    gamma = (table.a - 1j * table.b).T
+    gamma = np.zeros((3, 3), dtype=complex)
+    for i, j in zip(*np.nonzero(eig.elements.T)):
+        gamma[i, j] = rate_a(eig.nu[j, i], BATH) - 1j * shift_b(eig.nu[j, i], BATH)
+    table = rate_table(eig, BATH)
+    assert np.array_equal(table.real, gamma.real) and np.array_equal(table.imag, gamma.imag)
     # |e> -> |g_l> decay, uncounted
     jump = np.zeros((3, 3))
     jump[IDX_GL, IDX_E] = 1.0
@@ -187,12 +191,12 @@ def test_secular_generator_matches_naive_lindblad_sum():
     for delta, omega in ((0.4, 0.9), (-1.1, 0.3), (15.0 / 8.0, 1.0)):
         spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.0)
         eig = eigensystem(spec)
-        table = rate_table(eig, BATH)
+        gamma = rate_table(eig, BATH)
         transitions = blocks(eig)
         naive = kron_commutator(build_hamiltonian(spec))
         for i in range(3):
             for j in range(3):
-                rate = 2.0 * table.a[i, j]
+                rate = 2.0 * gamma[j, i].real
                 if rate == 0.0:
                     continue
                 naive += rate * kron_lindblad(transitions[j, i])

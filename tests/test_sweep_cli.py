@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -475,7 +476,8 @@ def test_stacked_linalg_error_falls_back_to_points(monkeypatch):
     stacked_calls = []
 
     def failing(a, *args, **kwargs):
-        if np.ndim(a) > 2:
+        # a stack of more than one matrix; a single point is a stack of one
+        if math.prod(np.shape(a)[:-2]) > 1:
             stacked_calls.append(np.shape(a))
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
@@ -574,20 +576,33 @@ def test_short_memory_window_is_a_point_error():
     assert br_rec.status == "ok"
 
 
-@pytest.mark.parametrize("mode", ["steady", "transient"])
-def test_huge_tcl_step_is_a_point_error(mode):
+HUGE_STEP = "error: ValueError: dt = 1e+308 is too large to split into tau-grid spacings; lower dt"
+NAN_GAIN = "error: PropagationError: RK4 gain nan at t = 0 exceeds 1, the step is unstable"
+
+
+@pytest.mark.parametrize("mode,dt,status", [
+    ("steady", 1e308, HUGE_STEP), ("transient", 1e308, HUGE_STEP),
+    ("steady", 1e80, NAN_GAIN), ("transient", 1e80, NAN_GAIN),
+    ("steady", 1e300, NAN_GAIN), ("transient", 1e300, NAN_GAIN),
+], ids=["steady", "transient", "steady-1e80", "transient-1e80", "steady-1e300",
+        "transient-1e300"])
+def test_huge_tcl_step_is_a_point_error(mode, dt, status):
     # tcl.dt 1e308 is positive and finite, so it validates; sizing the
     # stack by its tau table raised OverflowError from math.ceil and
-    # stopped the whole sweep
+    # stopped the whole sweep.  At 1e80 and 1e300 z^4 of the RK4 gain
+    # overflows and the gain is NaN, which passed a `gain > 1 + tol`
+    # check: the point read ok, with overflow warnings
     cfg = config_from_dict({
         "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1, "omega_list": [0.5]},
         "methods": ["tcl_oracle", "bloch_redfield"],
         "mode": {"kind": mode},
-        "tcl": {"dt": 1e308},
+        "tcl": {"dt": dt},
     })
-    tcl_rec, br_rec = run_sweep(cfg)
-    assert tcl_rec.status == ("error: ValueError: dt = 1e+308 is too large to split into "
-                              "tau-grid spacings; lower dt")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        tcl_rec, br_rec = run_sweep(cfg)
+    assert not caught
+    assert tcl_rec.status.startswith(status)
     assert math.isnan(tcl_rec.heat_absorption_rate)
     assert br_rec.status == "ok"
 

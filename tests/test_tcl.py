@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from coolspec.bath import BathSpec, rate_a, shift_b
+from coolspec.bath import BathSpec, rate_a, rate_table, shift_b
 from coolspec.dynamics import heat_current_trace, propagate
 from coolspec.generators import total_liouvillian, unvectorize, vectorize
 from coolspec.system import SystemSpec, build_hamiltonian, lower_ground_state
@@ -55,12 +55,17 @@ def test_running_coefficients_saturate_to_markovian_rates():
     t_mem = 30.0
     prop = TclPropagator(SPEC, BATH, t_mem=t_mem, dt=0.02)
     gam = prop.coefficients(t_mem)
-    for i in range(3):
-        for j in range(3):
-            # the truncated tail of C leaves an O(1e-5) residue at t_mem=30
-            nu = prop.eig.nu[j, i]
-            assert_allclose(gam[i, j].real, rate_a(nu, BATH), atol=1e-5)
-            assert_allclose(-gam[i, j].imag, shift_b(nu, BATH), atol=2e-5)
+    # the truncated tail of C leaves an O(1e-5) residue at t_mem=30; on
+    # coupled pairs the limit is rate_table's Gamma, in the same convention
+    markov = rate_table(prop.eig, BATH)
+    coupled = prop.eig.elements.T != 0
+    assert_allclose(gam.real[coupled], markov.real[coupled], atol=1e-5)
+    assert_allclose(gam.imag[coupled], markov.imag[coupled], atol=2e-5)
+    # rate_table leaves uncoupled pairs at zero; their coefficients still
+    # saturate to the scalar rate and shift
+    nu = prop.eig.nu.T[~coupled]
+    assert_allclose(gam.real[~coupled], rate_a(nu, BATH), atol=1e-5)
+    assert_allclose(-gam.imag[~coupled], shift_b(nu, BATH), atol=2e-5)
     # frozen past the memory horizon
     assert np.array_equal(prop.coefficients(t_mem + 5.0), gam)
     # and zero at the start
