@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,11 +75,14 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     An unstable step raises PropagationError: before any step, when the
     RK4 gain max |R(dt lambda)| over the eigenvalues of the generator at
     the first and last grid times, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
-    exceeds 1 + 1e-9 at the worst point or is not finite; and after each
-    step when the trace of any point drifts by more than 1e-6 (or is not
-    finite), checked when the generator is unannotated (u = 0) and so
-    preserves it exactly.  The per-step check stops a growing state before
-    it overflows.
+    exceeds 1 + 1e-9 at the worst point or is not finite; and when the
+    trace of any point drifts by more than 1e-6 (or is not finite) at any
+    step, checked when the generator is unannotated (u = 0) and so
+    preserves it exactly.  The drift is checked per chunk, for all of its
+    states at once; the first drifting step is named, with the largest
+    drift over the points there, and no warning escapes: a state that
+    overflows after that step is never returned.  An annotated generator
+    gets no drift check, and an overflow there warns.
     """
     times = _time_grid(t_end, dt)
     ends = generator_at(times[[0, -1]])
@@ -95,6 +99,7 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     ys = np.empty(points + (len(times), DIM * DIM), dtype=complex)
     y = ys[..., 0, :] = vectorize(rho0)
     trace0 = y @ TRACE_VECTOR
+    checked = ends.u == 0.0
     for start in range(0, len(times) - 1, _CHUNK):
         grid = times[start:start + _CHUNK + 1]
         n = len(grid) - 1
@@ -105,13 +110,21 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
         k3 = half @ (ident + 0.5 * dt * k2)
         k4 = end @ (ident + dt * k3)
         increments = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        for k in range(n):
-            y = ys[..., start + k + 1, :] = y + (increments[..., k, :, :] @ y[..., None])[..., 0]
-            if ends.u == 0.0:
-                drift = np.abs(y @ TRACE_VECTOR - trace0)
-                if not (drift <= TRACE_DRIFT_TOL).all():
+        # a checked chunk raises at its first drifting step, so the states
+        # past it, which may overflow, are never returned and do not warn
+        with (np.errstate(over="ignore", invalid="ignore") if checked
+              else contextlib.nullcontext()):
+            for k in range(n):
+                y = ys[..., start + k + 1, :] = (
+                    y + (increments[..., k, :, :] @ y[..., None])[..., 0])
+            if checked:
+                drift = np.abs(ys[..., start + 1:start + n + 1, :] @ TRACE_VECTOR
+                               - trace0[..., None])
+                failed = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL).reshape(-1, n).all(axis=0))
+                if failed.size:
+                    k = failed[0]
                     raise PropagationError(
-                        f"trace drifted by {drift.max():.3e} at t = {grid[k + 1]:.6g}; "
+                        f"trace drifted by {drift[..., k].max():.3e} at t = {grid[k + 1]:.6g}; "
                         f"reduce dt (currently {dt})"
                     )
     return times, unvectorize(ys)

@@ -94,8 +94,9 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     Every method takes all points of a stacked spec at once and first gives
     the final generator, the final state and the smallest eigenvalue seen.
     tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt
-    from the lower ground state (propagate with TclPropagator.generator,
-    skipping the heat record of TclPropagator.propagate): in transient
+    from the lower ground state (propagate with
+    TclPropagator.matrix_generator, which leaves out the heat kernels;
+    the heat record of TclPropagator.propagate is skipped too): in transient
     mode up to t_end, its final generator being the one at the last grid
     time, and in steady mode up to the last row of its coefficient table,
     its final generator being the one frozen there.  Markovian methods
@@ -113,7 +114,7 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     if method == "tcl_oracle":
         prop = TclPropagator(spec, bath, t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt)
         horizon = cfg.t_end if cfg.mode == "transient" else prop.taus[-1]
-        times, states = propagate(prop.generator, lower_ground_state(), horizon, prop.dt)
+        times, states = propagate(prop.matrix_generator, lower_ground_state(), horizon, prop.dt)
         gen = prop.generator(times[-1] if cfg.mode == "transient" else horizon)
         rho, seen = states[..., -1, :, :], min_eigenvalue(states)
     else:

@@ -100,11 +100,14 @@ class TclPropagator:
     gets a grid that follows its correlation time.  Past the last row,
     taus[-1] (t_mem rounded to the grid), the coefficients and so the
     generator are frozen.  The Redfield dissipator (generators.redfield) is
-    real-linear in Gamma, so its (matrix, heat kernel) response to each of
-    the 18 real and imaginary unit coefficients is tabulated once; the
-    generators at any array of times contract it with Gamma(t) in one
-    matmul and add generators.static_part.  The heat current is linear in
-    Gamma too, so propagate reads it from the traced kernel response.
+    real-linear in Gamma, so its response to each of the 18 real and
+    imaginary unit coefficients is tabulated once, as two real tables: the
+    matrix half and the heat-kernel half.  generator(t) contracts both with
+    the real rows (Re Gamma(t), Im Gamma(t)), one dgemm per point and half,
+    and adds generators.static_part; matrix_generator(t) contracts only the
+    matrix half, which is all an RK4 step reads, and propagate integrates
+    with it (dynamics.propagate).  The heat current is linear in Gamma too,
+    so propagate reads it from the traced kernel response.
     Broadcasts over a stacked spec like dynamics.evolve: tables and results
     carry its leading axes (points) before any time axis, each point equal
     to its one-point call.  Raises ValueError when t_mem or dt is not
@@ -155,8 +158,12 @@ class TclPropagator:
         units = np.eye(DIM * DIM).reshape((-1,) + (1,) * (nu.ndim - 3) + (DIM, DIM))
         matrix, kernel = (np.moveaxis(part, 0, -3) for part in
                           redfield(self.eig, self.eig.basis, np.concatenate([units, 1j * units])))
-        # points + (18, 162), row k: response to Re Gamma.flat[k], 9 + k: to Im
-        self._response = np.stack([matrix, kernel], axis=-3).reshape(matrix.shape[:-2] + (-1,))
+        # real views of the two halves, points + (18, 162), row k: response to
+        # Re Gamma.flat[k], 9 + k: to Im; each row's 81 complex entries are
+        # 162 floats, so the real coefficient rows contract with them by dgemm
+        self._matrix_response, self._kernel_response = (
+            np.ascontiguousarray(part).reshape(part.shape[:-2] + (-1,)).view(float)
+            for part in (matrix, kernel))
         # Tr(kernel response), points + (18, 9): the current is Re(-i rows @ this @ vec(rho))
         self._trace_kernel = TRACE_VECTOR @ kernel
         self._static = static_part(spec)[..., None, :, :]
@@ -178,30 +185,48 @@ class TclPropagator:
         gamma = self.coefficients(t)
         return np.stack([gamma.real, gamma.imag], axis=-3).reshape(gamma.shape[:-2] + (-1,))
 
-    def generator(self, t: float | np.ndarray) -> Liouvillian:
-        """Instantaneous generator and heat kernel at time(s) t.
+    def _contract(self, response: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+        """One response half contracted with the coefficient rows at time(s) t.
 
-        Broadcasts over an array of times with one matmul per point: matrix
-        and heat_kernel have shape points + t.shape + (9, 9).
+        The rows are real and response is a real view, so this is one dgemm
+        per point, read back as complex: shape points + (t.size, 9, 9).
         """
         points = self._static.shape[:-3]
         rows = self._rows(t).reshape(points + (-1, 2 * DIM * DIM))
-        response = (rows @ self._response).reshape(rows.shape[:-1] + (2, DIM * DIM, DIM * DIM))
-        shape = points + np.shape(t) + (DIM * DIM, DIM * DIM)
-        return Liouvillian(matrix=(self._static + response[..., 0, :, :]).reshape(shape), u=0.0,
-                           heat_kernel=response[..., 1, :, :].reshape(shape))
+        return (rows @ response).view(complex).reshape(rows.shape[:-1] + (DIM * DIM, DIM * DIM))
+
+    def matrix_generator(self, t: float | np.ndarray) -> Liouvillian:
+        """generator(t) without its heat kernel: all that an RK4 step reads.
+
+        Contracts only the matrix half of the response; generator(t) takes
+        its matrix from here, so the two are bitwise equal.
+        """
+        shape = self._static.shape[:-3] + np.shape(t) + (DIM * DIM, DIM * DIM)
+        return Liouvillian(matrix=(self._static + self._contract(self._matrix_response, t))
+                           .reshape(shape), u=0.0)
+
+    def generator(self, t: float | np.ndarray) -> Liouvillian:
+        """Instantaneous generator and heat kernel at time(s) t.
+
+        Broadcasts over an array of times with one matmul per point and
+        response half: matrix and heat_kernel have shape
+        points + t.shape + (9, 9).
+        """
+        matrix = self.matrix_generator(t).matrix
+        return Liouvillian(matrix=matrix, u=0.0, heat_kernel=self._contract(
+            self._kernel_response, t).reshape(matrix.shape))
 
     def propagate(self, rho0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray, HeatRecord]:
         """Fixed-step RK4 (dynamics.propagate) with the time-dependent generator.
 
         Returns (times, states, record), states of shape points + (len(times), 3, 3).
-        dynamics.propagate calls generator once per chunk of steps, on all of
-        the chunk's RK4 node times and every point.  The kernel-trace currents
+        dynamics.propagate calls matrix_generator once per chunk of steps, on
+        all of the chunk's RK4 node times and every point.  The kernel-trace currents
         (heat_current_trace of generator(t) and the state at every grid time)
         come from one contraction with the traced kernel response; the record
         integrates them with the trapezoid rule, per point.
         """
-        times, states = propagate(self.generator, rho0, t_end, self.dt)
+        times, states = propagate(self.matrix_generator, rho0, t_end, self.dt)
         currents = (-1j * (self._rows(times) @ self._trace_kernel
                            * vectorize(states)).sum(-1)).real
         heat = (np.diff(times) * (currents[..., 1:] + currents[..., :-1]) / 2.0).sum(-1)

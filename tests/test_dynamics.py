@@ -114,8 +114,9 @@ def test_propagate_matches_stage_form_across_chunks(kind, steps):
 
 def test_unstable_step_between_the_end_times_is_stopped():
     # a generator stable at the first and last grid times passes the gain
-    # check; the per-step trace check must stop the blowup in between
-    # before it overflows (an overflow RuntimeWarning is an error here)
+    # check; the per-chunk trace check must stop the blowup in between,
+    # and no overflow past the drifting step may warn (an overflow
+    # RuntimeWarning is an error here)
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     gen = total_liouvillian("bloch_redfield", spec, BATH)
     dt, steps = 0.05, 100
@@ -129,6 +130,49 @@ def test_unstable_step_between_the_end_times_is_stopped():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(PropagationError, match="trace drifted"):
             propagate(generator_at, lower_ground_state(), steps * dt, dt)
+
+
+def _leaking_after_first_chunk(matrix, leaks, times, u=0.0):
+    """generator_at scaling matrix 1000-fold past times[_CHUNK] where leaks, but at the ends."""
+    def generator_at(t):
+        scale = np.where(leaks & (t > times[_CHUNK]) & ~np.isin(t, times[[0, -1]]), 1000.0, 1.0)
+        return Liouvillian(matrix=scale[..., None, None] * matrix[..., None, :, :], u=u)
+    return generator_at
+
+
+def test_stacked_drift_names_the_first_drifting_step_past_the_first_chunk():
+    # only point 1 leaks trace, from step 129 on: the per-chunk check names
+    # the same step and drift as a per-step check does, for the stack and
+    # for point 1 alone, and nothing warns as the leak overflows later on
+    spec = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.5]), omega_rabi=1.0,
+                      gamma_rad=0.5)
+    matrix = total_liouvillian("bloch_redfield", spec, BATH).matrix
+    dt, steps = 0.05, 300
+    times = np.arange(steps + 1) * dt
+    messages = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        leaks = np.array([False, True, False])[:, None]
+        for generator_at in (_leaking_after_first_chunk(matrix, leaks, times),
+                             _leaking_after_first_chunk(matrix[1], True, times)):
+            with pytest.raises(PropagationError) as failure:
+                propagate(generator_at, lower_ground_state(), steps * dt, dt)
+            messages.append(str(failure.value))
+    assert messages == ["trace drifted by 4.890e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
+
+
+def test_annotated_blowup_still_warns_on_overflow():
+    # an annotated generator gets no trace check, so its overflow is not
+    # the check's to silence
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
+    matrix = total_liouvillian("bloch_redfield", spec, BATH, u=0.05).matrix
+    dt, steps = 0.05, 300
+    times = np.arange(steps + 1) * dt
+    with pytest.warns(RuntimeWarning) as record:
+        _, states = propagate(_leaking_after_first_chunk(matrix, True, times, u=0.05),
+                              lower_ground_state(), steps * dt, dt)
+    assert any("overflow" in str(warning.message) for warning in record)
+    assert not np.isfinite(states[-1]).all()
 
 
 def test_nan_state_between_the_end_times_is_stopped():

@@ -102,6 +102,27 @@ def test_generator_broadcasts_over_times(dt):
                     rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["one_point", "stack"])
+def test_matrix_generator_equals_generator_matrix(stacked):
+    # propagate reads only the matrix half of the response: at RK4 node
+    # times, between tau rows and past t_mem, for one time and for arrays,
+    # it must be generator(t).matrix bitwise
+    delta, omega = ((np.array([-0.5, 0.0, 0.7]), np.array([0.5, 1.0, 0.2])) if stacked
+                    else (0.0, 1.0))
+    dt, t_mem = 0.05, 10.0
+    prop = TclPropagator(SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.5),
+                         BATH, t_mem=t_mem, dt=dt)
+    step = prop.taus[1]
+    grid = np.arange(129) * dt
+    nodes = np.concatenate([grid, grid[:-1] + 0.5 * dt])
+    times = np.array([0.0, 0.5 * dt, dt, 7.5 * step, 7.3 * step, t_mem, 12.0])
+    for t in (*times, times, nodes, nodes + 200 * dt):
+        callback = prop.matrix_generator(t)
+        assert callback.u == 0.0 and callback.heat_kernel is None
+        assert callback.matrix.shape == np.shape(delta) + np.shape(t) + (9, 9)
+        assert callback.matrix.tobytes() == prop.generator(t).matrix.tobytes()
+
+
 def test_tau_grid_follows_dt():
     # the spacing is dt/2 split into the fewest parts no wider than
     # 0.01 min(1, 1/omega_c): the default dt and bath keep the plain 0.01
