@@ -59,6 +59,11 @@ class BathSpec:
             raise ValueError(f"alpha must be real, non-negative and finite, got {self.alpha}")
         if np.iscomplexobj(self.omega_c) or not 0 < self.omega_c < math.inf:
             raise ValueError(f"omega_c must be real, positive and finite, got {self.omega_c}")
+        # j(w) scales as alpha / omega_c**2, which a subnormal square turns
+        # into a division by zero or an inf
+        if not self.omega_c**2 >= _SMALLEST_NORMAL:
+            raise ValueError(f"omega_c must be at least {math.sqrt(_SMALLEST_NORMAL):.3g}, "
+                             f"so that omega_c**2 is a normal double, got {self.omega_c}")
         if np.iscomplexobj(self.temperature) or not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be real, positive and finite, "
                              f"got {self.temperature}")

@@ -245,6 +245,11 @@ def validate_config(cfg: SweepConfig):
         value = getattr(cfg, name)
         if value is not None and value <= 0:
             raise ConfigError(f"{_PATHS[name]} must be positive, got {value}")
+    # the spectral density divides by omega_c**2, which must not be subnormal
+    if not cfg.omega_c**2 >= sys.float_info.min:
+        raise ConfigError(f"{_PATHS['omega_c']} must be at least "
+                          f"{math.sqrt(sys.float_info.min):.3g}, so that its square is a "
+                          f"normal double, got {cfg.omega_c}")
     if transient and not cfg.t_end / cfg.dt < sys.maxsize:
         raise ConfigError(f"{_PATHS['t_end']} / {_PATHS['dt']} = {cfg.t_end} / {cfg.dt} "
                           f"overflows; the number of steps must be below {sys.maxsize}")

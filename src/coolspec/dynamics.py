@@ -11,6 +11,8 @@ import numpy as np
 from .bath import BathSpec
 from .generators import (
     DIM,
+    FROM_REAL,
+    TO_REAL,
     TRACE_VECTOR,
     Liouvillian,
     total_liouvillian,
@@ -30,6 +32,8 @@ _CHUNK = 128
 # relative margin of min_eigenvalue's Sylvester check, far above the
 # rounding of its minors (~1e-14) and of eigvalsh
 _SYLVESTER_MARGIN = 1e-12
+# the trace of a state from its real Hermitian coordinates (generators.TO_REAL)
+_REAL_TRACE = (TRACE_VECTOR @ FROM_REAL).real
 
 
 class PropagationError(RuntimeError):
@@ -59,7 +63,13 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     single (9, 9) matrix that holds at every time (lambda t: gen for a
     constant generator).  Returns (times, states), states[..., k, :, :]
     being the state at times[k] of each point, all started from rho0;
-    t_end is rounded to a whole number of steps of size dt.
+    t_end is rounded to a whole number of steps of size dt.  A real matrix
+    is read in the real Hermitian coordinates of generators.TO_REAL
+    (TclPropagator.matrix_generator): rho0 is mapped to them once (an
+    anti-Hermitian part of it is dropped), the states are stepped and
+    stored as real 9-vectors with the real trace row, and they are mapped
+    back to complex 3x3 states once at the end.  A complex matrix (an
+    annotated generator, or lambda t: gen) steps complex vec(rho) states.
 
     The grid is walked in chunks of at most _CHUNK steps.  For each chunk
     generator_at is called once, on the grid times and the midpoints
@@ -96,9 +106,11 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
             raise PropagationError(f"RK4 gain {gain:.6g} at t = {t:.6g} exceeds 1, the step "
                                    f"is unstable; reduce dt (currently {dt})")
     ident = np.eye(DIM * DIM)
-    ys = np.empty(points + (len(times), DIM * DIM), dtype=complex)
-    y = ys[..., 0, :] = vectorize(rho0)
-    trace0 = y @ TRACE_VECTOR
+    real = np.isrealobj(ends.matrix)
+    trace_row = _REAL_TRACE if real else TRACE_VECTOR
+    ys = np.empty(points + (len(times), DIM * DIM), dtype=float if real else complex)
+    y = ys[..., 0, :] = (TO_REAL @ vectorize(rho0)).real if real else vectorize(rho0)
+    trace0 = y @ trace_row
     checked = ends.u == 0.0
     for start in range(0, len(times) - 1, _CHUNK):
         grid = times[start:start + _CHUNK + 1]
@@ -118,7 +130,7 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
                 y = ys[..., start + k + 1, :] = (
                     y + (increments[..., k, :, :] @ y[..., None])[..., 0])
             if checked:
-                drift = np.abs(ys[..., start + 1:start + n + 1, :] @ TRACE_VECTOR
+                drift = np.abs(ys[..., start + 1:start + n + 1, :] @ trace_row
                                - trace0[..., None])
                 failed = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL).reshape(-1, n).all(axis=0))
                 if failed.size:
@@ -127,7 +139,7 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
                         f"trace drifted by {drift[..., k].max():.3e} at t = {grid[k + 1]:.6g}; "
                         f"reduce dt (currently {dt})"
                     )
-    return times, unvectorize(ys)
+    return times, unvectorize(ys @ FROM_REAL.T if real else ys)
 
 
 # Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the

@@ -2,7 +2,10 @@
 
 Vectorization is column-stacking (vec(rho) stacks columns), so the map
 rho -> A rho B has matrix kron(B.T, A); only sandwich_superoperator forms
-such matrices.  All generators can be annotated with a counting field u
+such matrices.  A Hermitian state also has nine real coordinates
+(TO_REAL, inverted exactly by FROM_REAL), in which a Hermiticity-preserving
+generator, any of them at u = 0, is a real 9x9 matrix; TCL propagation
+steps in them.  All generators can be annotated with a counting field u
 that tags phonon exchange with the bath; the u-derivative at zero is kept
 alongside as a heat kernel, so a single construction serves propagation,
 steady states, and both heat routes.  Every phonon generator is one
@@ -59,6 +62,23 @@ def sandwich_superoperator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 TRACE_VECTOR = vectorize(np.eye(DIM))
+
+# Real coordinates of a Hermitian state: rho_aa, then Re rho_ab and Im rho_ab
+# for a < b.  TO_REAL @ vec(rho) gives them (entries 1, 1/2 and +-i/2) and
+# FROM_REAL is its exact inverse (entries 1 and +-i), so a Hermitian rho
+# round-trips bitwise; a Hermiticity-preserving generator M is the real
+# matrix TO_REAL @ M @ FROM_REAL in these coordinates
+TO_REAL = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+FROM_REAL = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+for _a in range(DIM):
+    TO_REAL[_a, _a * (DIM + 1)] = FROM_REAL[_a * (DIM + 1), _a] = 1.0
+for _k, (_a, _b) in enumerate([(0, 1), (0, 2), (1, 2)]):
+    _re, _im, _ab, _ba = DIM + 2 * _k, DIM + 2 * _k + 1, _a + DIM * _b, _b + DIM * _a
+    TO_REAL[_re, [_ab, _ba]] = 0.5
+    TO_REAL[_im, [_ab, _ba]] = -0.5j, 0.5j
+    FROM_REAL[[_ab, _ba], _re] = 1.0
+    FROM_REAL[[_ab, _ba], _im] = 1j, -1j
+del _a, _b, _k, _re, _im, _ab, _ba
 
 
 @dataclass(frozen=True)

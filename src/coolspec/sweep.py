@@ -95,8 +95,9 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     the final generator, the final state and the smallest eigenvalue seen.
     tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt
     from the lower ground state (propagate with
-    TclPropagator.matrix_generator, which leaves out the heat kernels;
-    the heat record of TclPropagator.propagate is skipped too): in transient
+    TclPropagator.matrix_generator, real matrices in real Hermitian
+    coordinates without the heat kernels; the heat record of
+    TclPropagator.propagate is skipped too): in transient
     mode up to t_end, its final generator being the one at the last grid
     time, and in steady mode up to the last row of its coefficient table,
     its final generator being the one frozen there.  Markovian methods

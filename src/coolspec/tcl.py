@@ -22,7 +22,16 @@ import numpy as np
 
 from .bath import BathSpec
 from .dynamics import HeatRecord, propagate
-from .generators import DIM, TRACE_VECTOR, Liouvillian, redfield, static_part, vectorize
+from .generators import (
+    DIM,
+    FROM_REAL,
+    TO_REAL,
+    TRACE_VECTOR,
+    Liouvillian,
+    redfield,
+    static_part,
+    vectorize,
+)
 from .system import SystemSpec, eigensystem
 
 # Matsubara terms of correlation_grid summed exactly before the
@@ -101,13 +110,17 @@ class TclPropagator:
     taus[-1] (t_mem rounded to the grid), the coefficients and so the
     generator are frozen.  The Redfield dissipator (generators.redfield) is
     real-linear in Gamma, so its response to each of the 18 real and
-    imaginary unit coefficients is tabulated once, as two real tables: the
-    matrix half and the heat-kernel half.  generator(t) contracts both with
-    the real rows (Re Gamma(t), Im Gamma(t)), one dgemm per point and half,
-    and adds generators.static_part; matrix_generator(t) contracts only the
-    matrix half, which is all an RK4 step reads, and propagate integrates
-    with it (dynamics.propagate).  The heat current is linear in Gamma too,
-    so propagate reads it from the traced kernel response.
+    imaginary unit coefficients is tabulated once, as two real views of
+    complex tables: the matrix half and the heat-kernel half.  generator(t)
+    contracts both with the real rows (Re Gamma(t), Im Gamma(t)), one dgemm
+    per point and half, and adds generators.static_part.  Every unit
+    response preserves Hermiticity, so the matrix half and static_part are
+    also mapped once to real Hermitian coordinates (generators.TO_REAL),
+    where they are real; matrix_generator(t) contracts only that real
+    table, which is all an RK4 step reads, and propagate integrates with it
+    (dynamics.propagate, which then steps real states).  The heat current
+    is linear in Gamma too, so propagate reads it from the traced kernel
+    response.
     Broadcasts over a stacked spec like dynamics.evolve: tables and results
     carry its leading axes (points) before any time axis, each point equal
     to its one-point call.  Raises ValueError when t_mem or dt is not
@@ -167,6 +180,12 @@ class TclPropagator:
         # Tr(kernel response), points + (18, 9): the current is Re(-i rows @ this @ vec(rho))
         self._trace_kernel = TRACE_VECTOR @ kernel
         self._static = static_part(spec)[..., None, :, :]
+        # the matrix half and static_part in real Hermitian coordinates,
+        # points + (18, 81) and points + (1, 9, 9); their imaginary parts are
+        # roundoff, since every unit response preserves Hermiticity
+        self._real_response = (TO_REAL @ matrix @ FROM_REAL).real.reshape(
+            matrix.shape[:-2] + (-1,))
+        self._real_static = (TO_REAL @ self._static @ FROM_REAL).real
 
     def coefficients(self, t: float | np.ndarray) -> np.ndarray:
         """Running coefficients Gamma[i, j] at time(s) t, shape points + t.shape + (3, 3).
@@ -186,23 +205,27 @@ class TclPropagator:
         return np.stack([gamma.real, gamma.imag], axis=-3).reshape(gamma.shape[:-2] + (-1,))
 
     def _contract(self, response: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-        """One response half contracted with the coefficient rows at time(s) t.
+        """A real response table contracted with the coefficient rows at time(s) t.
 
-        The rows are real and response is a real view, so this is one dgemm
-        per point, read back as complex: shape points + (t.size, 9, 9).
+        One dgemm per point, shape points + (t.size, 9, columns / 9): a real
+        9x9 matrix per time for the real table, and 9x18 floats, which
+        .view(complex) reads as a complex 9x9 matrix, for a complex half.
         """
         points = self._static.shape[:-3]
         rows = self._rows(t).reshape(points + (-1, 2 * DIM * DIM))
-        return (rows @ response).view(complex).reshape(rows.shape[:-1] + (DIM * DIM, DIM * DIM))
+        return (rows @ response).reshape(rows.shape[:-1] + (DIM * DIM, -1))
 
     def matrix_generator(self, t: float | np.ndarray) -> Liouvillian:
-        """generator(t) without its heat kernel: all that an RK4 step reads.
+        """generator(t)'s matrix in real Hermitian coordinates, without a heat kernel.
 
-        Contracts only the matrix half of the response; generator(t) takes
-        its matrix from here, so the two are bitwise equal.
+        The matrix is real, TO_REAL @ generator(t).matrix @ FROM_REAL to
+        rounding (generators.TO_REAL), of shape points + t.shape + (9, 9).
+        It is all that an RK4 step reads, and dynamics.propagate steps real
+        states with it.  Only the real matrix response is contracted, with
+        half the columns of the complex one.
         """
         shape = self._static.shape[:-3] + np.shape(t) + (DIM * DIM, DIM * DIM)
-        return Liouvillian(matrix=(self._static + self._contract(self._matrix_response, t))
+        return Liouvillian(matrix=(self._real_static + self._contract(self._real_response, t))
                            .reshape(shape), u=0.0)
 
     def generator(self, t: float | np.ndarray) -> Liouvillian:
@@ -212,16 +235,19 @@ class TclPropagator:
         response half: matrix and heat_kernel have shape
         points + t.shape + (9, 9).
         """
-        matrix = self.matrix_generator(t).matrix
-        return Liouvillian(matrix=matrix, u=0.0, heat_kernel=self._contract(
-            self._kernel_response, t).reshape(matrix.shape))
+        shape = self._static.shape[:-3] + np.shape(t) + (DIM * DIM, DIM * DIM)
+        matrix, kernel = (self._contract(response, t).view(complex)
+                          for response in (self._matrix_response, self._kernel_response))
+        return Liouvillian(matrix=(self._static + matrix).reshape(shape), u=0.0,
+                           heat_kernel=kernel.reshape(shape))
 
     def propagate(self, rho0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray, HeatRecord]:
         """Fixed-step RK4 (dynamics.propagate) with the time-dependent generator.
 
         Returns (times, states, record), states of shape points + (len(times), 3, 3).
         dynamics.propagate calls matrix_generator once per chunk of steps, on
-        all of the chunk's RK4 node times and every point.  The kernel-trace currents
+        all of the chunk's RK4 node times and every point, and steps real
+        Hermitian coordinates.  The kernel-trace currents
         (heat_current_trace of generator(t) and the state at every grid time)
         come from one contraction with the traced kernel response; the record
         integrates them with the trapezoid rule, per point.

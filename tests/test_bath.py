@@ -28,6 +28,16 @@ def test_bath_spec_validation():
         BathSpec(alpha=0.01, temperature=-3.0)
 
 
+@pytest.mark.parametrize("omega_c", [1e-300, 1e-160])
+def test_bath_spec_rejects_a_subnormal_cutoff_square(omega_c):
+    # alpha / omega_c**2 divided by zero at 1e-300 and gave an inf (then
+    # "invalid value") at 1e-160: a square below the smallest normal double
+    # is refused by name
+    with pytest.raises(ValueError, match=r"^omega_c must be at least 1.49e-154, so that "
+                                         r"omega_c\*\*2 is a normal double"):
+        BathSpec(alpha=0.01, omega_c=omega_c)
+
+
 def test_spectral_density_closed_form_values():
     # j(w) = 2 alpha w^3 / omega_c^2 exp(-w / omega_c)
     assert_allclose(spectral_density(2.0, BATH), 0.16 * math.exp(-2.0), rtol=1e-14)

@@ -206,6 +206,10 @@ def test_shorthand_forms_normalize():
      "sweep.delta_max - sweep.delta_min"),
     ({"sweep": {"delta_min": -10**308, "delta_max": 10**308}},
      "sweep.delta_max - sweep.delta_min"),
+    # omega_c**2 below the smallest normal double: the spectral density's
+    # alpha / omega_c**2 divided by zero (1e-300) or overflowed (1e-160)
+    ({"bath": {"omega_c": 1e-300}}, "bath.omega_c must be at least 1.49e-154"),
+    ({"bath": {"omega_c": 1e-160}}, "bath.omega_c must be at least 1.49e-154"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):

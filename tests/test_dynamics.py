@@ -23,7 +23,7 @@ from coolspec.dynamics import (
     steady_residual,
     steady_state,
 )
-from coolspec.generators import Liouvillian, total_liouvillian, vectorize
+from coolspec.generators import FROM_REAL, TO_REAL, Liouvillian, total_liouvillian, vectorize
 from coolspec.sweep import delta_grid
 from coolspec.system import (
     IDX_E,
@@ -86,19 +86,24 @@ def test_propagation_detects_unstable_step(t_end, dt):
 
 
 @pytest.mark.parametrize("steps", [0, 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
-@pytest.mark.parametrize("kind", ["tcl", "constant"])
+@pytest.mark.parametrize("kind", ["tcl", "tcl_real", "constant"])
 def test_propagate_matches_stage_form_across_chunks(kind, steps):
     # the one-step matrices are built per chunk; across every chunk boundary
     # the states must be those of RK4's stage form, and generator_at is
-    # called once for the end times and once per chunk, not per step
+    # called once for the end times and once per chunk, not per step.
+    # tcl_real steps real Hermitian coordinates (matrix_generator) against
+    # the stage form of the complex generator
     spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
-    if kind == "tcl":
+    if kind.startswith("tcl"):
         dt = 0.02
-        generator_at = TclPropagator(spec, BATH, t_mem=30.0, dt=dt).generator
+        prop = TclPropagator(spec, BATH, t_mem=30.0, dt=dt)
+        generator_at = reference_at = prop.generator
+        if kind == "tcl_real":
+            generator_at = prop.matrix_generator
     else:
         dt = 0.05
         gen = total_liouvillian("bloch_redfield", spec, BATH)
-        generator_at = lambda t: gen  # noqa: E731
+        generator_at = reference_at = lambda t: gen  # noqa: E731
     calls = []
 
     def counted(t):
@@ -106,7 +111,8 @@ def test_propagate_matches_stage_form_across_chunks(kind, steps):
         return generator_at(t)
 
     times, states = propagate(counted, lower_ground_state(), steps * dt, dt)
-    ref_times, ref = rk4_stages(generator_at, lower_ground_state(), steps * dt, dt)
+    ref_times, ref = rk4_stages(reference_at, lower_ground_state(), steps * dt, dt)
+    assert states.dtype == complex
     assert len(calls) == 1 + math.ceil(steps / _CHUNK)
     assert times.tobytes() == ref_times.tobytes()
     assert np.abs(states - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -132,6 +138,11 @@ def test_unstable_step_between_the_end_times_is_stopped():
             propagate(generator_at, lower_ground_state(), steps * dt, dt)
 
 
+def _real(matrix):
+    """A Hermiticity-preserving generator's matrix in real Hermitian coordinates."""
+    return (TO_REAL @ matrix @ FROM_REAL).real
+
+
 def _leaking_after_first_chunk(matrix, leaks, times, u=0.0):
     """generator_at scaling matrix 1000-fold past times[_CHUNK] where leaks, but at the ends."""
     def generator_at(t):
@@ -140,13 +151,15 @@ def _leaking_after_first_chunk(matrix, leaks, times, u=0.0):
     return generator_at
 
 
-def test_stacked_drift_names_the_first_drifting_step_past_the_first_chunk():
-    # only point 1 leaks trace, from step 129 on: the per-chunk check names
-    # the same step and drift as a per-step check does, for the stack and
-    # for point 1 alone, and nothing warns as the leak overflows later on
-    spec = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.5]), omega_rabi=1.0,
-                      gamma_rad=0.5)
-    matrix = total_liouvillian("bloch_redfield", spec, BATH).matrix
+_LEAK_SPEC = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.5]), omega_rabi=1.0,
+                       gamma_rad=0.5)
+
+
+def _leak_messages(matrix):
+    """Drift messages of the stack whose point 1 leaks past step 128, and of point 1 alone.
+
+    RuntimeWarnings are errors while they run.
+    """
     dt, steps = 0.05, 300
     times = np.arange(steps + 1) * dt
     messages = []
@@ -158,7 +171,26 @@ def test_stacked_drift_names_the_first_drifting_step_past_the_first_chunk():
             with pytest.raises(PropagationError) as failure:
                 propagate(generator_at, lower_ground_state(), steps * dt, dt)
             messages.append(str(failure.value))
-    assert messages == ["trace drifted by 4.890e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
+    return messages
+
+
+def test_stacked_drift_names_the_first_drifting_step_past_the_first_chunk():
+    # only point 1 leaks trace, from step 129 on: the per-chunk check names
+    # the same step and drift as a per-step check does, for the stack and
+    # for point 1 alone, and nothing warns as the leak overflows later on
+    matrix = total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix
+    assert _leak_messages(matrix) == [
+        "trace drifted by 4.890e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
+
+
+def test_real_states_drift_names_the_same_step():
+    # the leak above stepped in real Hermitian coordinates names the same
+    # first drifting step.  The drift there is rounding of a state of norm
+    # ~7e12 (6.6e-17 of it on the complex path, 2.6e-16 here), so its
+    # figure is this path's own
+    matrix = _real(total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix)
+    assert _leak_messages(matrix) == [
+        "trace drifted by 1.953e-03 at t = 6.55; reduce dt (currently 0.05)"] * 2
 
 
 def test_annotated_blowup_still_warns_on_overflow():
@@ -175,20 +207,34 @@ def test_annotated_blowup_still_warns_on_overflow():
     assert not np.isfinite(states[-1]).all()
 
 
+def _nan_between_the_ends(matrix):
+    """generator_at of 10 steps of 0.05: matrix at the first and last grid times, NaN between."""
+    ends = (np.arange(11) * 0.05)[[0, -1]]
+
+    def generator_at(t):
+        scale = np.where(np.isin(t, ends), 1.0, np.nan)
+        return Liouvillian(matrix=scale[..., None, None] * matrix)
+    return generator_at
+
+
 def test_nan_state_between_the_end_times_is_stopped():
     # a NaN state has a NaN trace drift, which a `drift > tol` check let
     # through: the run went on and returned NaN states
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     gen = total_liouvillian("bloch_redfield", spec, BATH)
-    dt, steps = 0.05, 10
-    ends = (np.arange(steps + 1) * dt)[[0, -1]]
-
-    def generator_at(t):
-        scale = np.where(np.isin(t, ends), 1.0, np.nan)
-        return Liouvillian(matrix=scale[..., None, None] * gen.matrix)
-
     with pytest.raises(PropagationError, match="trace drifted by nan at t = 0.05"):
-        propagate(generator_at, lower_ground_state(), steps * dt, dt)
+        propagate(_nan_between_the_ends(gen.matrix), lower_ground_state(), 0.5, 0.05)
+
+
+def test_real_nan_state_is_stopped():
+    # the NaN generator above in real Hermitian coordinates: real states
+    # are stopped at the same step, and nothing warns
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
+    matrix = _real(total_liouvillian("bloch_redfield", spec, BATH).matrix)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PropagationError, match="trace drifted by nan at t = 0.05"):
+            propagate(_nan_between_the_ends(matrix), lower_ground_state(), 0.5, 0.05)
 
 
 @pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
@@ -572,6 +618,24 @@ def test_stacked_propagate_equals_one_point_calls():
     unstable = gen.matrix * np.array([1.0, 1.0, 1000.0, 1.0])[:, None, None]
     with pytest.raises(PropagationError, match="RK4 gain .* reduce dt"):
         propagate(_held(unstable), lower_ground_state(), 3.0, 0.05)
+
+
+def test_stacked_real_propagate_equals_one_point_calls():
+    # real states of a TCL stack (matrix_generator) are bitwise those of
+    # each point's own propagator, and come back as Hermitian 3x3 states
+    # equal to the complex generator's to rounding
+    dt, t_end = 0.05, 15.0
+    stack = TclPropagator(_STACK, BATH, t_mem=10.0, dt=dt)
+    times, states = propagate(stack.matrix_generator, lower_ground_state(), t_end, dt)
+    assert states.shape == (4, len(times), 3, 3) and states.dtype == complex
+    assert (states == states.conj().swapaxes(-1, -2)).all()
+    for k in range(4):
+        spec = replace(_STACK, delta=_STACK.delta[k], omega_rabi=_STACK.omega_rabi[k])
+        one = TclPropagator(spec, BATH, t_mem=10.0, dt=dt)
+        assert states[k].tobytes() == propagate(one.matrix_generator, lower_ground_state(),
+                                                t_end, dt)[1].tobytes()
+    ref = propagate(stack.generator, lower_ground_state(), t_end, dt)[1]
+    assert np.abs(states - ref).max() <= 1e-13
 
 
 @pytest.mark.parametrize("u", [0.0, 0.1])

@@ -7,7 +7,11 @@ from numpy.testing import assert_allclose
 
 from coolspec.bath import BathSpec, rate_a, rate_table, shift_b
 from coolspec.generators import (
+    FROM_REAL,
+    METHODS,
+    TO_REAL,
     TRACE_VECTOR,
+    redfield,
     sandwich_superoperator,
     static_part,
     total_liouvillian,
@@ -53,6 +57,64 @@ def test_vectorization_convention():
     vectors = np.stack([vectorize(rho) for rho in states])
     assert np.array_equal(unvectorize(vectors), states)
     assert np.array_equal(unvectorize(vectors[None, 1:]), states[None, 1:])
+
+
+def _hermitian(rng):
+    # exactly Hermitian: the lower triangle mirrors the upper, the diagonal is real
+    upper = np.triu(_random_matrix(rng), 1)
+    return upper + upper.conj().T + np.diag(rng.normal(size=3))
+
+
+def test_real_coordinates_invert_exactly():
+    # TO_REAL and FROM_REAL are exact inverses, and a Hermitian state goes
+    # to its real coordinates (rho_aa, then Re and Im rho_ab for a < b)
+    # and back bitwise
+    eye = np.eye(9, dtype=complex)
+    assert (TO_REAL @ FROM_REAL).tobytes() == eye.tobytes()
+    assert (FROM_REAL @ TO_REAL).tobytes() == eye.tobytes()
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        rho = _hermitian(rng)
+        coords = TO_REAL @ vectorize(rho)
+        assert not coords.imag.any()
+        pairs = [rho[a, b] for a, b in ((0, 1), (0, 2), (1, 2))]
+        expected = [*np.diag(rho).real, *(part for z in pairs for part in (z.real, z.imag))]
+        assert coords.real.tobytes() == np.array(expected).tobytes()
+        assert unvectorize(FROM_REAL @ coords.real).tobytes() == rho.tobytes()
+
+
+_STACK = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.7, 0.3]),
+                    omega_rabi=np.array([0.5, 1.0, 0.2, 0.0]), gamma_rad=0.5)
+
+
+def _imaginary_share(matrix):
+    """Largest |Im| of matrix in real Hermitian coordinates over its largest entry, per point."""
+    real = TO_REAL @ matrix @ FROM_REAL
+    return np.abs(real.imag).max(axis=(-2, -1)) / np.abs(real).max(axis=(-2, -1))
+
+
+def test_generators_are_real_in_hermitian_coordinates():
+    # every unannotated generator preserves Hermiticity, so in real
+    # Hermitian coordinates it is real up to roundoff: static_part, the
+    # three Markovian methods at u = 0 and the TCL response to each of the
+    # 18 real unit coefficients (all of which TclPropagator's real table drops)
+    assert _imaginary_share(static_part(_STACK)).max() <= 1e-15
+    for method in METHODS:
+        assert _imaginary_share(total_liouvillian(method, _STACK, BATH).matrix).max() <= 1e-15
+    eig = eigensystem(_STACK)
+    units = np.eye(9).reshape(9, 1, 3, 3)
+    matrix, _ = redfield(eig, eig.basis, np.concatenate([units, 1j * units]))
+    responses = TO_REAL @ matrix @ FROM_REAL
+    assert np.abs(responses.imag).max() <= 1e-15 * np.abs(responses).max()
+
+
+def test_annotated_generator_is_not_real_in_hermitian_coordinates():
+    # a counting field breaks Hermiticity: its imaginary part in these
+    # coordinates is about 1% of the largest entry at u = 0.05, so an
+    # annotated generator stays complex and propagate steps it as such
+    for method in METHODS:
+        share = _imaginary_share(total_liouvillian(method, _STACK, BATH, u=0.05).matrix)
+        assert share.min() > 1e-3
 
 
 def test_coherent_superoperator_is_commutator():
