@@ -34,6 +34,9 @@ _CHUNK = 128
 _SYLVESTER_MARGIN = 1e-12
 # the trace of a state from its real Hermitian coordinates (generators.TO_REAL)
 _REAL_TRACE = (TRACE_VECTOR @ FROM_REAL).real
+# FROM_REAL with unit columns (the Re/Im ones scaled by 1/sqrt(2)): a unitary
+# map, in whose coordinates steady_state takes its SVD
+_UNIT_FROM_REAL = FROM_REAL * np.where(np.arange(DIM * DIM) < DIM, 1.0, 0.5 ** 0.5)
 
 
 class PropagationError(RuntimeError):
@@ -229,21 +232,27 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
 def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     """Unique null state of an unannotated generator, and its residual.
 
-    Found as the right singular vector of the smallest singular value,
-    then hermitized and trace normalized.  Returns (rho, residual), the
-    residual being steady_residual(liouvillian, rho), which the check
-    below reads, in the shape of the stack.  Raises SteadyStateError when
-    the second-smallest singular value is within 1e-8 of the smallest
-    (null space effectively degenerate, no unique steady state) or when
-    the residual norm of the returned state exceeds 1e-10 times the
-    largest singular value (the generator's 2-norm), or 1e-10 when that
-    is below 1.  Broadcasts over a stack of generators with one SVD call;
-    the checks hold for every point, and the first point that fails one
-    names it.
+    Found in orthonormal real Hermitian coordinates: with Q the unitary
+    _UNIT_FROM_REAL, Q^H L Q is real for a Hermiticity-preserving L (its
+    imaginary part, roundoff, is dropped) and has L's singular values.  The
+    right singular vector of its smallest singular value, mapped back by Q,
+    is an exactly Hermitian state, which is trace normalized.  Returns
+    (rho, residual), the residual being steady_residual(liouvillian, rho)
+    of the complex L, which the check below reads, in the shape of the
+    stack.  Raises SteadyStateError when the second-smallest singular value
+    is within 1e-8 of the smallest (null space effectively degenerate, no
+    unique steady state), when the null vector is traceless, or when the
+    residual norm exceeds 1e-10 times the largest singular value (the
+    generator's 2-norm), or 1e-10 when that is below 1; a u = 0 matrix that
+    breaks Hermiticity fails this check, as does, without a warning, a
+    residual that overflows.  Broadcasts over a stack of generators with
+    one SVD call; the checks hold for every point, and the first point
+    that fails one names it.
     """
     if liouvillian.u != 0.0:
         raise ValueError("steady_state requires an unannotated (u = 0) generator")
-    _, sigmas, vh = np.linalg.svd(liouvillian.matrix)
+    real = (_UNIT_FROM_REAL.conj().T @ liouvillian.matrix @ _UNIT_FROM_REAL).real
+    _, sigmas, vh = np.linalg.svd(real)
     flat = sigmas.reshape(-1, DIM * DIM)
     tied = np.flatnonzero(flat[:, -2] < flat[:, -1] + STEADY_GAP_TOL)
     if tied.size:
@@ -252,13 +261,15 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
             f"steady state is not unique: smallest singular values "
             f"{lowest:.3e} and {second:.3e}"
         )
-    rho = unvectorize(vh[..., -1, :].conj())
-    rho = 0.5 * (rho + rho.conj().swapaxes(-1, -2))
+    rho = unvectorize(vh[..., -1, :] @ _UNIT_FROM_REAL.T)
     trace = np.trace(rho, axis1=-2, axis2=-1).real
-    if np.any(np.abs(trace) < 1e-12):
-        raise SteadyStateError("null vector is traceless, cannot normalize")
+    traceless = np.flatnonzero(np.abs(trace) < 1e-12)
+    if traceless.size:
+        raise SteadyStateError(f"null vector is traceless (trace {trace.flat[traceless[0]]:.3e}), "
+                               "cannot normalize")
     rho = rho / trace[..., None, None]
-    residual = steady_residual(liouvillian, rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = steady_residual(liouvillian, rho)
     bound = STEADY_RESIDUAL_TOL * np.maximum(1.0, flat[:, 0])
     failed = np.flatnonzero(~(np.ravel(residual) <= bound))
     if failed.size:

@@ -5,13 +5,15 @@ rho -> A rho B has matrix kron(B.T, A); only sandwich_superoperator forms
 such matrices.  A Hermitian state also has nine real coordinates
 (TO_REAL, inverted exactly by FROM_REAL), in which a Hermiticity-preserving
 generator, any of them at u = 0, is a real 9x9 matrix; TCL propagation
-steps in them.  All generators can be annotated with a counting field u
-that tags phonon exchange with the bath; the u-derivative at zero is kept
-alongside as a heat kernel, so a single construction serves propagation,
-steady states, and both heat routes.  Every phonon generator is one
-Redfield dissipator (redfield), written with two 3x3 operators: the
-coupling operator O and its bath-weighted counterpart Lambda, built from
-one complex coefficient Gamma per transition.  The Markovian methods read
+steps in them, and steady states are found in their orthonormal form
+(FROM_REAL's columns scaled to unit norm, a unitary map).  All generators
+can be annotated with a counting field u that tags phonon exchange with
+the bath; the u-derivative at zero is kept alongside as a heat kernel, so
+a single construction serves propagation, steady states, and both heat
+routes.  Every phonon generator is one Redfield dissipator (redfield),
+written with two 3x3 operators: the coupling operator O and its
+bath-weighted counterpart Lambda, built from one complex coefficient
+Gamma per transition.  The Markovian methods read
 bath.rate_table's Gamma = a - i b and differ only in the part they take
 (all of it for Bloch-Redfield, the rates Re Gamma otherwise) and in the
 secular mask, which secular and phenomenological apply in the eigenbasis

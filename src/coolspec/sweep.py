@@ -106,9 +106,9 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     ground state is evolved exactly (evolve) on the time grid of step dt
     up to t_end, so dt sets only which times are sampled.  Then, for every
     method, in steady mode the final state is the stationary state of the
-    final generator (steady_state, one stacked SVD, which also gives the
-    residual) and joins the smallest eigenvalue seen; in transient mode the
-    residual is that of the final generator and state.  This one head
+    final generator (steady_state, one stacked real SVD, which also gives
+    the residual) and joins the smallest eigenvalue seen; in transient mode
+    the residual is that of the final generator and state.  This one head
     serves every route of cfg.routes.  Results have the shape of spec's
     points.
     """

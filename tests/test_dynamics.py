@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -23,7 +24,14 @@ from coolspec.dynamics import (
     steady_residual,
     steady_state,
 )
-from coolspec.generators import FROM_REAL, TO_REAL, Liouvillian, total_liouvillian, vectorize
+from coolspec.generators import (
+    FROM_REAL,
+    TO_REAL,
+    Liouvillian,
+    static_part,
+    total_liouvillian,
+    vectorize,
+)
 from coolspec.sweep import delta_grid
 from coolspec.system import (
     IDX_E,
@@ -334,6 +342,98 @@ def test_steady_state_rejects_annotated_generator():
     gen = total_liouvillian("bloch_redfield", spec, BATH, u=0.1)
     with pytest.raises(ValueError, match="u = 0"):
         steady_state(gen)
+
+
+GENERATORS = ("bloch_redfield", "secular", "phenomenological", "tcl_frozen")
+
+
+def _u0_generator(name, spec):
+    """An unannotated generator of spec: Markovian, or TCL frozen at t_mem."""
+    if name == "tcl_frozen":
+        prop = TclPropagator(spec, BATH, t_mem=10.0)
+        return prop.generator(prop.taus[-1])
+    return total_liouvillian(name, spec, BATH)
+
+
+STACK = SystemSpec(e_man=2.0, delta=np.array([-1.0, -0.3, 0.0, 0.4, 1.2]),
+                   omega_rabi=np.array([0.5, 1.0, 0.1, 0.5, 1.0]), gamma_rad=0.5)
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+def test_steady_state_svd_is_real_with_the_generators_singular_values(name, monkeypatch):
+    # steady_state takes its SVD in orthonormal real Hermitian coordinates:
+    # a real matrix, unitarily similar to the generator, so with its
+    # singular values
+    gen = _u0_generator(name, STACK)
+    svd, seen = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        seen.append((a, out[1]))
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    rho, _ = steady_state(gen)
+    monkeypatch.undo()
+    ((real, sigmas),) = seen
+    assert np.isrealobj(real) and real.shape == gen.matrix.shape
+    expected = np.linalg.svd(gen.matrix, compute_uv=False)
+    assert np.abs(sigmas - expected).max(axis=-1).max() <= 1e-14 * expected[:, 0].min()
+    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+    assert_allclose(np.trace(rho, axis1=-2, axis2=-1), 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+def test_stacked_steady_state_equals_one_point_calls(name):
+    rho, residual = steady_state(_u0_generator(name, STACK))
+    for k, (delta, omega) in enumerate(zip(STACK.delta, STACK.omega_rabi)):
+        spec = replace(STACK, delta=float(delta), omega_rabi=float(omega))
+        rho_k, residual_k = steady_state(_u0_generator(name, spec))
+        assert np.array_equal(rho[k], rho_k)
+        assert residual[k] == residual_k
+
+
+@pytest.mark.parametrize("name", GENERATORS[1:])
+def test_undriven_undamped_steady_state_is_not_unique(name):
+    # as test_steady_state_requires_unique_null_space, for the other generators
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=0.0, gamma_rad=0.0)
+    with pytest.raises(SteadyStateError, match="not unique"):
+        steady_state(_u0_generator(name, spec))
+
+
+def test_steady_state_rejects_a_generator_that_breaks_hermiticity():
+    # i times a Hermiticity-preserving map sends Hermitian states to
+    # anti-Hermitian ones; the real coordinates drop that part, and the
+    # residual against the full matrix must catch it
+    spec = SystemSpec(e_man=2.0, delta=0.2, omega_rabi=1.0, gamma_rad=0.5)
+    gen = total_liouvillian("bloch_redfield", spec, BATH)
+    broken = Liouvillian(matrix=gen.matrix + 0.1j * static_part(spec))
+    with pytest.raises(SteadyStateError, match="steady-state residual .* exceeds"):
+        steady_state(broken)
+
+
+def test_traceless_null_vector_names_the_first_failing_trace():
+    # a unique null vector diag(1, -1, 0) / sqrt(2), behind a healthy point
+    null = vectorize(np.diag([1.0, -1.0, 0.0])) / math.sqrt(2.0)
+    traceless = np.eye(9) - np.outer(null, null.conj())
+    healthy = total_liouvillian("secular", SystemSpec(e_man=2.0, omega_rabi=1.0, gamma_rad=0.5),
+                                BATH).matrix
+    with pytest.raises(SteadyStateError, match="null vector is traceless") as failure:
+        steady_state(Liouvillian(matrix=np.stack([healthy, traceless])))
+    trace = float(re.search(r"\(trace (\S+)\)", str(failure.value)).group(1))
+    assert abs(trace) < 1e-12
+
+
+@pytest.mark.parametrize("method,alpha,gamma_rad", [("secular", 1e300, 0.5),
+                                                     ("phenomenological", 0.01, 1e300)])
+def test_overflowing_steady_residual_fails_by_name_without_warning(method, alpha, gamma_rad):
+    # rates of 1e300 make the residual norm overflow
+    spec = SystemSpec(e_man=2.0, omega_rabi=0.5, gamma_rad=gamma_rad)
+    gen = total_liouvillian(method, spec, replace(BATH, alpha=alpha))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SteadyStateError, match="steady-state residual inf exceeds"):
+            steady_state(gen)
 
 
 def test_heat_current_closed_form_without_drive():

@@ -505,6 +505,29 @@ def test_steady_residual_bound_scales_with_generator(changes):
         assert all(math.isfinite(x) for x in _values(rec))
 
 
+@pytest.mark.parametrize("changes", [{"bath": {"alpha": 1e300}},
+                                     {"system": {"gamma_rad": 1e300}}],
+                         ids=["alpha_1e300", "gamma_rad_1e300"])
+def test_huge_rates_fail_the_steady_state_by_name(changes):
+    # rates of 1e300 overflow the residual norm: every row must be ok with
+    # finite values (phenomenological at alpha 1e300, a roundoff-scale
+    # rate) or a named SteadyStateError, and nothing may warn
+    cfg = config_from_dict({
+        **changes,
+        "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1, "omega_list": [0.5]},
+        "methods": ["bloch_redfield", "secular", "phenomenological"],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_sweep(cfg)
+    for rec in records:
+        if rec.status == "ok":
+            assert all(math.isfinite(x) for x in _values(rec))
+        else:
+            assert rec.status.startswith("error: SteadyStateError: ")
+            assert all(math.isnan(x) for x in _values(rec))
+
+
 @pytest.mark.parametrize("e_man", [1e-306, 1e-310, 5e-324])
 def test_tiny_manifold_splitting_gives_finite_rates(e_man):
     # the phenomenological method's bare levels are split by e_man only: its
