@@ -12,9 +12,10 @@ from .bath import BathSpec
 from .generators import (
     DIM,
     FROM_REAL,
-    TO_REAL,
     TRACE_VECTOR,
     Liouvillian,
+    from_real,
+    to_real,
     total_liouvillian,
     unvectorize,
     vectorize,
@@ -32,7 +33,7 @@ _CHUNK = 128
 # relative margin of min_eigenvalue's Sylvester check, far above the
 # rounding of its minors (~1e-14) and of eigvalsh
 _SYLVESTER_MARGIN = 1e-12
-# the trace of a state from its real Hermitian coordinates (generators.TO_REAL)
+# the trace of a state from its real Hermitian coordinates (generators.to_real)
 _REAL_TRACE = (TRACE_VECTOR @ FROM_REAL).real
 # FROM_REAL with unit columns (the Re/Im ones scaled by 1/sqrt(2)): a unitary
 # map, in whose coordinates steady_state takes its SVD
@@ -64,15 +65,17 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     Liouvillian whose matrix has shape points + t.shape + (9, 9) (points:
     the leading axes of a stack, none for one point), or for one point a
     single (9, 9) matrix that holds at every time (lambda t: gen for a
-    constant generator).  Returns (times, states), states[..., k, :, :]
+    constant generator).  Returns (times, states), states[..., k, ...]
     being the state at times[k] of each point, all started from rho0;
     t_end is rounded to a whole number of steps of size dt.  A real matrix
-    is read in the real Hermitian coordinates of generators.TO_REAL
+    is read in the real Hermitian coordinates of generators.to_real
     (TclPropagator.matrix_generator): rho0 is mapped to them once (an
     anti-Hermitian part of it is dropped), the states are stepped and
-    stored as real 9-vectors with the real trace row, and they are mapped
-    back to complex 3x3 states once at the end.  A complex matrix (an
-    annotated generator, or lambda t: gen) steps complex vec(rho) states.
+    stored as real 9-vectors with the real trace row, and they are returned
+    as such, shape points + (len(times), 9), for generators.from_real to
+    map to 3x3 states.  A complex matrix (an annotated generator, or
+    lambda t: gen) steps complex vec(rho) states and returns complex 3x3
+    states, shape points + (len(times), 3, 3).
 
     The grid is walked in chunks of at most _CHUNK steps.  For each chunk
     generator_at is called once, on the grid times and the midpoints
@@ -112,7 +115,7 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     real = np.isrealobj(ends.matrix)
     trace_row = _REAL_TRACE if real else TRACE_VECTOR
     ys = np.empty(points + (len(times), DIM * DIM), dtype=float if real else complex)
-    y = ys[..., 0, :] = (TO_REAL @ vectorize(rho0)).real if real else vectorize(rho0)
+    y = ys[..., 0, :] = to_real(rho0) if real else vectorize(rho0)
     trace0 = y @ trace_row
     checked = ends.u == 0.0
     for start in range(0, len(times) - 1, _CHUNK):
@@ -142,7 +145,7 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
                         f"trace drifted by {drift[..., k].max():.3e} at t = {grid[k + 1]:.6g}; "
                         f"reduce dt (currently {dt})"
                     )
-    return times, unvectorize(ys @ FROM_REAL.T if real else ys)
+    return times, ys if real else unvectorize(ys)
 
 
 # Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the
@@ -185,48 +188,68 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _one_step(liouvillian: Liouvillian, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """propagate's time grid and the one-step propagator exp(dt L) of a constant generator.
+
+    A generator with an infinite entry raises PropagationError before the
+    exponential.
+    """
+    times = _time_grid(t_end, dt)
+    if np.isinf(liouvillian.matrix).any():
+        raise PropagationError("non-finite generator: it has an infinite entry, "
+                               "so exp(dt L) is undefined")
+    return times, _expm(dt * liouvillian.matrix)
+
+
 def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
            dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact evolution under a constant generator on propagate's time grid.
 
-    Returns (times, states) with times[k] = k dt and states[..., k, :, :] =
+    Returns (times, states) with times[k] = k dt and states[..., k, :] =
     exp(times[k] L) rho0, for the same whole number of steps as propagate.
-    The one-step propagator P = exp(dt L) is computed once; the states are
-    then filled by doubling: states n .. 2n-1 are P^n applied to states
-    0 .. n-1, and P^n is squared for the next block.  There is no step
-    size limit.  A generator with an infinite entry raises
-    PropagationError before the exponential.  For an unannotated (u = 0)
-    generator a trace drift above 1e-6 (or a non-finite trace) anywhere
-    along the trajectory raises PropagationError.  Broadcasts over a stack
-    of generators, states having shape points + (len(times), 3, 3); every
-    point equals its one-point call, and the first point that fails a
-    check names it.
+    As in propagate, a real matrix is read in the real Hermitian
+    coordinates of generators.to_real: rho0 is mapped to them (an
+    anti-Hermitian part of it is dropped) and the states are returned as
+    real 9-vectors, shape points + (len(times), 9), which
+    generators.from_real maps to 3x3 states; a complex matrix gives complex
+    states of shape points + (len(times), 3, 3).  The one-step propagator
+    P = exp(dt L) is computed once; the states are then filled by doubling:
+    states n .. 2n-1 are P^n applied to states 0 .. n-1, and P^n is
+    squared for the next block.  There is no step size limit.  A generator
+    with an infinite entry raises PropagationError before the exponential.
+    For an unannotated (u = 0) generator a trace drift above 1e-6 (or a
+    non-finite trace) anywhere along the trajectory raises
+    PropagationError, and no warning escapes: an exponential or a state
+    that overflows fails this check by name.  An annotated generator gets
+    no drift check, and an overflow there warns.  Broadcasts over a stack
+    of generators; every point equals its one-point call, and the first
+    point that fails a check names it.
     """
-    times = _time_grid(t_end, dt)
-    n = len(times)
-    if np.isinf(liouvillian.matrix).any():
-        raise PropagationError("non-finite generator: it has an infinite entry, "
-                               "so exp(dt L) is undefined")
-    power = _expm(dt * liouvillian.matrix)
-    ys = np.empty(power.shape[:-2] + (n, DIM * DIM), dtype=complex)
-    ys[..., 0, :] = vectorize(rho0)
-    filled = 1
-    while filled < n:
-        block = min(filled, n - filled)
-        ys[..., filled:filled + block, :] = ys[..., :block, :] @ power.swapaxes(-1, -2)
-        filled += block
-        if filled < n:
-            power = power @ power
-    if liouvillian.u == 0.0:
-        trace = (ys @ TRACE_VECTOR).reshape(-1, n)
-        drift = np.abs(trace - trace[:, :1])
-        failed = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL).all(axis=1))
-        if failed.size:
-            drift = drift[failed[0]]
-            k = int(drift.argmax())
-            raise PropagationError(f"trace drifted by {drift[k]:.3e} at t = {times[k]:.6g}; "
-                                   "the generator does not preserve it")
-    return times, unvectorize(ys)
+    real = np.isrealobj(liouvillian.matrix)
+    checked = liouvillian.u == 0.0
+    with (np.errstate(over="ignore", invalid="ignore") if checked
+          else contextlib.nullcontext()):
+        times, power = _one_step(liouvillian, t_end, dt)
+        n = len(times)
+        ys = np.empty(power.shape[:-2] + (n, DIM * DIM), dtype=power.dtype)
+        ys[..., 0, :] = to_real(rho0) if real else vectorize(rho0)
+        filled = 1
+        while filled < n:
+            block = min(filled, n - filled)
+            ys[..., filled:filled + block, :] = ys[..., :block, :] @ power.swapaxes(-1, -2)
+            filled += block
+            if filled < n:
+                power = power @ power
+        if checked:
+            trace = (ys @ (_REAL_TRACE if real else TRACE_VECTOR)).reshape(-1, n)
+            drift = np.abs(trace - trace[:, :1])
+            failed = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL).all(axis=1))
+            if failed.size:
+                drift = drift[failed[0]]
+                k = int(drift.argmax())
+                raise PropagationError(f"trace drifted by {drift[k]:.3e} at t = {times[k]:.6g}; "
+                                       "the generator does not preserve it")
+    return times, ys if real else unvectorize(ys)
 
 
 def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
@@ -338,15 +361,19 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     m_1 - u_step^2 m_3 / 24: both biases come from the third raw moment.
     One generator annotated at u = u_step (forward) or u_step / 2
     (central) is built (total_liouvillian, which reads include_shifts,
-    pairing_tol and shared) and evolved exactly (evolve) from the lower
-    ground state, always, so chi(0, t) = 1; as
-    chi(-u, t) = conj(chi(u, t)), the central fd_imag is zero.
-    chi(u, t) = Tr rho_u(t) at the last two grid times gives the mean heat
-    and the instantaneous current, the change of the estimate over the
-    final step dt, of which t_end must span at least one.  Broadcasts over
-    a stacked spec with one evolve call: mean_heat, current and fd_imag
-    then hold arrays of the stack's shape, each point equal to its
-    one-point call, which gives scalars.
+    pairing_tol and shared), always from the lower ground state, so
+    chi(0, t) = 1; as chi(-u, t) = conj(chi(u, t)), the central fd_imag is
+    zero.  chi(u, t) = Tr rho_u(t) at the last two grid times gives the
+    mean heat and the instantaneous current, the change of the estimate
+    over the final step dt, of which t_end must span at least one.  Only
+    those two states are computed, on evolve's time grid (n times), with
+    evolve's check for an infinite entry: P = exp(dt L_u) is formed once,
+    P^(n-2) is applied to the initial state by the binary squarings of P
+    that evolve's doubling uses, and one more P gives the last state.  A
+    non-finite chi (an exponential that overflows) raises PropagationError,
+    without a warning.  Broadcasts over a stacked spec: mean_heat, current
+    and fd_imag then hold arrays of the stack's shape, each point equal to
+    its one-point call, which gives scalars.
     """
     if not (np.isfinite(u_step) and u_step > 0):
         raise ValueError(f"u_step must be positive and finite, got {u_step}")
@@ -354,10 +381,28 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
         raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
     gen = total_liouvillian(method, spec, bath, u=u_step if scheme == "forward" else 0.5 * u_step,
                             include_shifts=include_shifts, pairing_tol=pairing_tol, shared=shared)
-    times, states = evolve(gen, lower_ground_state(), t_end, dt)
-    if len(times) < 2:
-        raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
-    chi = np.trace(states[..., -2:, :, :], axis1=-2, axis2=-1)
+    # a chi that overflows fails below by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, step = _one_step(gen, t_end, dt)
+        if len(times) < 2:
+            raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
+        state = np.broadcast_to(vectorize(lower_ground_state()), step.shape[:-2] + (1, DIM * DIM))
+        power, steps = step, len(times) - 2
+        while steps:
+            if steps & 1:
+                state = state @ power.swapaxes(-1, -2)
+            steps >>= 1
+            if steps:
+                power = power @ power
+        last_two = np.concatenate([state, state @ step.swapaxes(-1, -2)], axis=-2)
+        chi = np.trace(unvectorize(last_two), axis1=-2, axis2=-1)
+    finite = np.isfinite(chi).reshape(-1, 2)
+    failed = np.flatnonzero(~finite.all(axis=1))
+    if failed.size:
+        k = int(finite[failed[0]].argmin())
+        raise PropagationError(f"characteristic function chi(u, t) = "
+                               f"{chi.reshape(-1, 2)[failed[0], k]} at t = {times[k - 2]:.6g} "
+                               f"is not finite; exp(t L_u) overflowed")
     chi_other = 1.0 if scheme == "forward" else chi.conj()
     heat = -1j * (chi - chi_other) / u_step
     q_prev, q_last = heat[..., 0], heat[..., 1]
@@ -369,43 +414,51 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
 def min_eigenvalue(rho: np.ndarray):
     """Smallest eigenvalue of the hermitized state; a positivity monitor.
 
-    Accepts a single state or a trajectory of states, shape (T, 3, 3), for
-    which the minimum over the trajectory is returned, and broadcasts over
-    leading axes of stacked trajectories, shape (..., T, 3, 3).  The result
-    equals the minimum of eigvalsh over every state, but only the states
-    that can hold it are solved.  With m the smallest eigenvalue of state
-    0, a later state h with s = max |h_ij| is skipped when Sylvester's
-    criterion shows h - (m + c s) I positive definite, c = 1e-12: its
-    leading minors, formed from h / s, exceed c, c and c.  Every eigenvalue
-    of a skipped state then lies above m + c s, which is far beyond the
-    rounding of the minors and eigvalsh's own error (about eps |h|), so it
-    cannot hold the minimum.  NaN, zero and infinite states never pass and
-    are solved, as is every state of a trajectory of length 1.
+    Accepts a single state or a trajectory of states, for which the
+    minimum over the trajectory is returned, and broadcasts over leading
+    axes of stacked trajectories: 3x3 states, shape (..., T, 3, 3), or the
+    real Hermitian coordinates that evolve and propagate return for a real
+    generator (generators.to_real), shape (..., T, 9).  3x3 states are
+    first reduced to the coordinates of their Hermitian part (to_real,
+    which forms every entry that eigvalsh reads as 0.5 (a + a^H) does); the
+    kernel below reads coordinates only, and eigvalsh solves their states
+    (from_real).  The result equals the minimum of eigvalsh over every
+    hermitized state, but only the states that can hold it are solved.
+    With m the smallest eigenvalue of state 0, a later state h with s the
+    largest |coordinate| is skipped when Sylvester's criterion shows
+    h - (m + c s) I positive definite, c = 1e-12: its leading minors,
+    formed from h / s, exceed c, c and c.  Every eigenvalue of a skipped
+    state then lies above m + c s, and |h| <= 3 sqrt(2) s, so c s is far
+    beyond the rounding of the minors and eigvalsh's own error (about
+    eps |h|), and the state cannot hold the minimum.  NaN, zero and
+    infinite states never pass and are solved, as is every state of a
+    trajectory of length 1.
     """
-    def lowest_of(a):
-        return np.linalg.eigvalsh(0.5 * (a + np.conj(np.swapaxes(a, -1, -2))))[..., 0]
+    def lowest_of(c):
+        return np.linalg.eigvalsh(from_real(c))[..., 0]
 
-    a = np.asarray(rho)
-    points = a.shape[:-3]
-    a = a.reshape((-1, a.shape[-3] if a.ndim > 2 else 1, DIM, DIM))
-    lowest = lowest_of(a[:, 0])
-    if a.shape[1] > 1:
-        later = a[:, 1:]
-        # the hermitized entries that the check reads, formed as in lowest_of
-        h = [0.5 * (later[..., i, j] + np.conj(later[..., j, i]))
-             for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
-        scale = np.max(np.abs(h), axis=0)
+    coords = np.asarray(rho)
+    if coords.shape[-1] == DIM:
+        coords = to_real(coords)
+    points = coords.shape[:-2]
+    coords = coords.reshape((-1, coords.shape[-2] if coords.ndim > 1 else 1, DIM * DIM))
+    lowest = lowest_of(coords[:, 0])
+    if coords.shape[1] > 1:
+        # one contiguous row per coordinate, shape (9, points, T - 1)
+        later = np.ascontiguousarray(np.moveaxis(coords[:, 1:], -1, 0))
         # zero, infinite and NaN states give NaN minors, which fail; over-
         # and underflow only arise far from a tie, where either answer is exact
         with np.errstate(all="ignore"):
-            inv = 1.0 / scale
+            inv = 1.0 / np.abs(later).max(axis=0)
+            d0, d1, d2, xr, xi, yr, yi, zr, zi = later * inv
             shift = lowest[:, None] * inv + _SYLVESTER_MARGIN
-            d0, d1, d2 = (w.real * inv - shift for w in h[:3])
-            x, y, z = (w * inv for w in h[3:])
-            xx, yy, zz = (w.real**2 + w.imag**2 for w in (x, y, z))
+            d0, d1, d2 = d0 - shift, d1 - shift, d2 - shift
+            xx, yy, zz = xr * xr + xi * xi, yr * yr + yi * yi, zr * zr + zi * zi
             minor2 = d0 * d1 - xx
-            minor3 = d0 * (d1 * d2 - zz) - d1 * yy - d2 * xx + 2.0 * (x * z * y.conj()).real
+            # 2 Re(rho01 rho12 conj(rho02)) closes the 3x3 determinant
+            cycle = (xr * zr - xi * zi) * yr + (xr * zi + xi * zr) * yi
+            minor3 = d0 * (d1 * d2 - zz) - d1 * yy - d2 * xx + 2.0 * cycle
             solve = np.nonzero(~((d0 > _SYLVESTER_MARGIN) & (minor2 > _SYLVESTER_MARGIN)
                                  & (minor3 > _SYLVESTER_MARGIN)))
-        np.minimum.at(lowest, solve[0], lowest_of(later[solve]))
+        np.minimum.at(lowest, solve[0], lowest_of(coords[:, 1:][solve]))
     return lowest.reshape(points)[()]

@@ -3,14 +3,15 @@
 Vectorization is column-stacking (vec(rho) stacks columns), so the map
 rho -> A rho B has matrix kron(B.T, A); only sandwich_superoperator forms
 such matrices.  A Hermitian state also has nine real coordinates
-(TO_REAL, inverted exactly by FROM_REAL), in which a Hermiticity-preserving
-generator, any of them at u = 0, is a real 9x9 matrix; TCL propagation
-steps in them, and steady states are found in their orthonormal form
-(FROM_REAL's columns scaled to unit norm, a unitary map).  All generators
-can be annotated with a counting field u that tags phonon exchange with
-the bath; the u-derivative at zero is kept alongside as a heat kernel, so
-a single construction serves propagation, steady states, and both heat
-routes.  Every phonon generator is one Redfield dissipator (redfield),
+(TO_REAL, inverted exactly by FROM_REAL; to_real and from_real map states
+and generators), in which a Hermiticity-preserving generator, any of them
+at u = 0, is a real 9x9 matrix; every u = 0 trajectory, exact or TCL, is
+computed and checked in them, and steady states are found in their
+orthonormal form (FROM_REAL's columns scaled to unit norm, a unitary
+map).  All generators can be annotated with a counting field u that tags
+phonon exchange with the bath; the u-derivative at zero is kept alongside
+as a heat kernel, so a single construction serves propagation, steady
+states, and both heat routes.  Every phonon generator is one Redfield dissipator (redfield),
 written with two 3x3 operators: the coupling operator O and its
 bath-weighted counterpart Lambda, built from one complex coefficient
 Gamma per transition.  The Markovian methods read
@@ -54,12 +55,15 @@ def unvectorize(v: np.ndarray) -> np.ndarray:
 
 
 def sandwich_superoperator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> a rho b, broadcast over leading axes of a and b.
+    """Matrix of rho -> sum_t a[t] rho b[t], broadcast over leading axes of a and b.
 
-    With vec index a + 3 b, element [(a, b), (c, d)] is a[a, c] b[d, b]:
-    the entries of kron(b.T, a), each formed by a single product.
+    a and b stack the terms on axis -3, shape (..., T, 3, 3); a single
+    term is a stack of one.  With vec index a + 3 b, element
+    [(a, b), (c, d)] is sum_t a[t, a, c] b[t, d, b]: the entries of
+    sum_t kron(b[t].T, a[t]), each term a single product, summed in order
+    of t inside the one einsum.
     """
-    out = np.einsum("...ac,...db->...badc", a, b)
+    out = np.einsum("...tac,...tdb->...badc", a, b)
     return out.reshape(out.shape[:-4] + (DIM * DIM, DIM * DIM))
 
 
@@ -72,15 +76,57 @@ TRACE_VECTOR = vectorize(np.eye(DIM))
 # matrix TO_REAL @ M @ FROM_REAL in these coordinates
 TO_REAL = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
 FROM_REAL = np.zeros((DIM * DIM, DIM * DIM), dtype=complex)
+# rows a and columns b of the pairs a < b, in coordinate order
+_PAIRS = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 for _a in range(DIM):
     TO_REAL[_a, _a * (DIM + 1)] = FROM_REAL[_a * (DIM + 1), _a] = 1.0
-for _k, (_a, _b) in enumerate([(0, 1), (0, 2), (1, 2)]):
+for _k, (_a, _b) in enumerate(zip(*_PAIRS)):
     _re, _im, _ab, _ba = DIM + 2 * _k, DIM + 2 * _k + 1, _a + DIM * _b, _b + DIM * _a
     TO_REAL[_re, [_ab, _ba]] = 0.5
     TO_REAL[_im, [_ab, _ba]] = -0.5j, 0.5j
     FROM_REAL[[_ab, _ba], _re] = 1.0
     FROM_REAL[[_ab, _ba], _im] = 1j, -1j
 del _a, _b, _k, _re, _im, _ab, _ba
+
+
+def to_real(a: np.ndarray) -> np.ndarray:
+    """Real Hermitian coordinates of states (..., 3, 3) or of generator matrices (..., 9, 9).
+
+    A state goes to the nine coordinates, shape (..., 9), of its Hermitian
+    part h = (a + a^H) / 2, Re(TO_REAL @ vec(a)) to rounding: each entry
+    that eigvalsh reads, the diagonal and the lower triangle
+    h[b, a] = (a[b, a] + conj a[a, b]) / 2, is formed as 0.5 (a + a^H)
+    forms it, and from_real rebuilds them bitwise (Im rho[a, b] being
+    -Im h[b, a]).  A generator's matrix M goes to the real 9x9 matrix
+    Re(TO_REAL @ M @ FROM_REAL), which drops only roundoff when M preserves
+    Hermiticity.  Broadcasts over leading axes.
+    """
+    a = np.asarray(a)
+    if a.shape[-1] == DIM * DIM:
+        return (TO_REAL @ a @ FROM_REAL).real
+    rows, columns = _PAIRS
+    diagonal = np.arange(DIM)
+    h_diagonal = 0.5 * (a[..., diagonal, diagonal] + np.conj(a[..., diagonal, diagonal]))
+    h_lower = 0.5 * (a[..., columns, rows] + np.conj(a[..., rows, columns]))
+    pairs = np.stack([h_lower.real, -h_lower.imag], axis=-1)
+    return np.concatenate([h_diagonal.real, pairs.reshape(pairs.shape[:-2] + (-1,))], axis=-1)
+
+
+def from_real(coords: np.ndarray) -> np.ndarray:
+    """Hermitian 3x3 states of real coordinates (..., 9), inverting to_real.
+
+    Each entry is set from its own coordinates, so an infinite or NaN
+    coordinate spreads into no other entry.
+    """
+    coords = np.asarray(coords)
+    rows, columns = _PAIRS
+    diagonal = np.arange(DIM)
+    rho = np.zeros(coords.shape[:-1] + (DIM, DIM), dtype=complex)
+    rho.real[..., diagonal, diagonal] = coords[..., :DIM]
+    rho.real[..., rows, columns] = rho.real[..., columns, rows] = coords[..., DIM::2]
+    rho.imag[..., rows, columns] = coords[..., DIM + 1::2]
+    rho.imag[..., columns, rows] = -coords[..., DIM + 1::2]
+    return rho
 
 
 @dataclass(frozen=True)
@@ -133,9 +179,9 @@ def redfield(eig: EigenSystem, basis: np.ndarray, gamma: np.ndarray,
     eye = np.eye(DIM)
     left = (lam_u, o, -o @ lam_0, eye, lam_prime, -o)
     right = (o, _dag(lam_minus_u), eye, -_dag(lam_0) @ o, o, _dag(lam_prime))
-    terms = sandwich_superoperator(np.stack(np.broadcast_arrays(*left), axis=-3),
-                                   np.stack(np.broadcast_arrays(*right), axis=-3))
-    return terms[..., :4, :, :].sum(axis=-3), terms[..., 4:, :, :].sum(axis=-3)
+    left, right = (np.stack(np.broadcast_arrays(*side), axis=-3) for side in (left, right))
+    return (sandwich_superoperator(left[..., :4, :, :], right[..., :4, :, :]),
+            sandwich_superoperator(left[..., 4:, :, :], right[..., 4:, :, :]))
 
 
 def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
@@ -162,7 +208,8 @@ def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
     in_eig = keep[..., None, :, :] * np.stack(
         redfield(eig, np.eye(DIM), gamma.real, u), axis=-3)
     # columns of to_work are the vectorized eigenbasis operators |a><b|
-    to_work = sandwich_superoperator(eig.basis, _dag(eig.basis))[..., None, :, :]
+    to_work = sandwich_superoperator(eig.basis[..., None, :, :],
+                                     _dag(eig.basis)[..., None, :, :])[..., None, :, :]
     out = to_work @ in_eig @ _dag(to_work)
     return out[..., 0, :, :], out[..., 1, :, :]
 
@@ -189,7 +236,7 @@ def static_part(spec: SystemSpec) -> np.ndarray:
     eye = np.eye(DIM)
     left = np.stack(np.broadcast_arrays(a, eye, spec.gamma_rad * jump), axis=-3)
     right = np.stack(np.broadcast_arrays(eye, _dag(a), _dag(jump)), axis=-3)
-    return sandwich_superoperator(left, right).sum(axis=-3)
+    return sandwich_superoperator(left, right)
 
 
 def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 0.0,

@@ -34,7 +34,7 @@ from .dynamics import (
     steady_residual,
     steady_state,
 )
-from .generators import spectrum, total_liouvillian
+from .generators import Liouvillian, from_real, spectrum, to_real, total_liouvillian
 from .system import SystemSpec, lower_ground_state
 from .tcl import TclPropagator, tau_grid
 
@@ -102,28 +102,32 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     time, and in steady mode up to the last row of its coefficient table,
     its final generator being the one frozen there.  Markovian methods
     build their generators (total_liouvillian with options, which may hold
-    a shared eigensystem and rate table); in transient mode the lower
-    ground state is evolved exactly (evolve) on the time grid of step dt
-    up to t_end, so dt sets only which times are sampled.  Then, for every
-    method, in steady mode the final state is the stationary state of the
-    final generator (steady_state, one stacked real SVD, which also gives
-    the residual) and joins the smallest eigenvalue seen; in transient mode
-    the residual is that of the final generator and state.  This one head
-    serves every route of cfg.routes.  Results have the shape of spec's
-    points.
+    a shared eigensystem and rate table); in transient mode the generator
+    is mapped once to real Hermitian coordinates (generators.to_real) and
+    the lower ground state is evolved exactly (evolve) on the time grid of
+    step dt up to t_end, so dt sets only which times are sampled.  Either
+    trajectory stays in these coordinates through min_eigenvalue, and only
+    its final state is mapped back to 3x3 (generators.from_real).  Then,
+    for every method, in steady mode the final state is the stationary
+    state of the final generator (steady_state, one stacked real SVD,
+    which also gives the residual) and joins the smallest eigenvalue seen;
+    in transient mode the residual is that of the final generator and
+    state.  This one head serves every route of cfg.routes.  Results have
+    the shape of spec's points.
     """
     if method == "tcl_oracle":
         prop = TclPropagator(spec, bath, t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt)
         horizon = cfg.t_end if cfg.mode == "transient" else prop.taus[-1]
-        times, states = propagate(prop.matrix_generator, lower_ground_state(), horizon, prop.dt)
+        times, coords = propagate(prop.matrix_generator, lower_ground_state(), horizon, prop.dt)
         gen = prop.generator(times[-1] if cfg.mode == "transient" else horizon)
-        rho, seen = states[..., -1, :, :], min_eigenvalue(states)
+        rho, seen = from_real(coords[..., -1, :]), min_eigenvalue(coords)
     else:
         gen = total_liouvillian(method, spec, bath, **options)
         seen = np.inf
         if cfg.mode == "transient":
-            states = evolve(gen, lower_ground_state(), cfg.t_end, cfg.dt)[1]
-            rho, seen = states[..., -1, :, :], min_eigenvalue(states)
+            coords = evolve(Liouvillian(matrix=to_real(gen.matrix)), lower_ground_state(),
+                            cfg.t_end, cfg.dt)[1]
+            rho, seen = from_real(coords[..., -1, :]), min_eigenvalue(coords)
     if cfg.mode == "steady":
         rho, residual = steady_state(gen)
         seen = np.minimum(seen, min_eigenvalue(rho[..., None, :, :]))

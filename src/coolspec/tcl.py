@@ -24,12 +24,12 @@ from .bath import BathSpec
 from .dynamics import HeatRecord, propagate
 from .generators import (
     DIM,
-    FROM_REAL,
-    TO_REAL,
     TRACE_VECTOR,
     Liouvillian,
+    from_real,
     redfield,
     static_part,
+    to_real,
     vectorize,
 )
 from .system import SystemSpec, eigensystem
@@ -115,7 +115,7 @@ class TclPropagator:
     contracts both with the real rows (Re Gamma(t), Im Gamma(t)), one dgemm
     per point and half, and adds generators.static_part.  Every unit
     response preserves Hermiticity, so the matrix half and static_part are
-    also mapped once to real Hermitian coordinates (generators.TO_REAL),
+    also mapped once to real Hermitian coordinates (generators.to_real),
     where they are real; matrix_generator(t) contracts only that real
     table, which is all an RK4 step reads, and propagate integrates with it
     (dynamics.propagate, which then steps real states).  The heat current
@@ -183,9 +183,8 @@ class TclPropagator:
         # the matrix half and static_part in real Hermitian coordinates,
         # points + (18, 81) and points + (1, 9, 9); their imaginary parts are
         # roundoff, since every unit response preserves Hermiticity
-        self._real_response = (TO_REAL @ matrix @ FROM_REAL).real.reshape(
-            matrix.shape[:-2] + (-1,))
-        self._real_static = (TO_REAL @ self._static @ FROM_REAL).real
+        self._real_response = to_real(matrix).reshape(matrix.shape[:-2] + (-1,))
+        self._real_static = to_real(self._static)
 
     def coefficients(self, t: float | np.ndarray) -> np.ndarray:
         """Running coefficients Gamma[i, j] at time(s) t, shape points + t.shape + (3, 3).
@@ -218,8 +217,8 @@ class TclPropagator:
     def matrix_generator(self, t: float | np.ndarray) -> Liouvillian:
         """generator(t)'s matrix in real Hermitian coordinates, without a heat kernel.
 
-        The matrix is real, TO_REAL @ generator(t).matrix @ FROM_REAL to
-        rounding (generators.TO_REAL), of shape points + t.shape + (9, 9).
+        The matrix is real, generators.to_real(generator(t).matrix) to
+        rounding, of shape points + t.shape + (9, 9).
         It is all that an RK4 step reads, and dynamics.propagate steps real
         states with it.  Only the real matrix response is contracted, with
         half the columns of the complex one.
@@ -246,13 +245,15 @@ class TclPropagator:
 
         Returns (times, states, record), states of shape points + (len(times), 3, 3).
         dynamics.propagate calls matrix_generator once per chunk of steps, on
-        all of the chunk's RK4 node times and every point, and steps real
-        Hermitian coordinates.  The kernel-trace currents
+        all of the chunk's RK4 node times and every point, steps real
+        Hermitian coordinates and returns them; they are mapped to 3x3
+        states once (generators.from_real).  The kernel-trace currents
         (heat_current_trace of generator(t) and the state at every grid time)
         come from one contraction with the traced kernel response; the record
         integrates them with the trapezoid rule, per point.
         """
-        times, states = propagate(self.matrix_generator, rho0, t_end, self.dt)
+        times, coords = propagate(self.matrix_generator, rho0, t_end, self.dt)
+        states = from_real(coords)
         currents = (-1j * (self._rows(times) @ self._trace_kernel
                            * vectorize(states)).sum(-1)).real
         heat = (np.diff(times) * (currents[..., 1:] + currents[..., :-1]) / 2.0).sum(-1)

@@ -28,7 +28,9 @@ from coolspec.generators import (
     FROM_REAL,
     TO_REAL,
     Liouvillian,
+    from_real,
     static_part,
+    to_real,
     total_liouvillian,
     vectorize,
 )
@@ -99,8 +101,8 @@ def test_propagate_matches_stage_form_across_chunks(kind, steps):
     # the one-step matrices are built per chunk; across every chunk boundary
     # the states must be those of RK4's stage form, and generator_at is
     # called once for the end times and once per chunk, not per step.
-    # tcl_real steps real Hermitian coordinates (matrix_generator) against
-    # the stage form of the complex generator
+    # tcl_real steps real Hermitian coordinates (matrix_generator), returned
+    # as such, against the stage form of the complex generator
     spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
     if kind.startswith("tcl"):
         dt = 0.02
@@ -120,6 +122,9 @@ def test_propagate_matches_stage_form_across_chunks(kind, steps):
 
     times, states = propagate(counted, lower_ground_state(), steps * dt, dt)
     ref_times, ref = rk4_stages(reference_at, lower_ground_state(), steps * dt, dt)
+    if kind == "tcl_real":
+        assert states.dtype == float and states.shape == (steps + 1, 9)
+        states = from_real(states)
     assert states.dtype == complex
     assert len(calls) == 1 + math.ceil(steps / _CHUNK)
     assert times.tobytes() == ref_times.tobytes()
@@ -554,15 +559,17 @@ def test_min_eigenvalue_batched():
     assert min_eigenvalue(stack) == pytest.approx(min(singles), abs=1e-14)
 
 
-def _fig3a_chunk():
-    # the trajectories of the first 16 points of paper-fig3a, as the sweep
-    # evolves them
+def _fig3a_chunk(real=False):
+    # the trajectories of the first 16 points of paper-fig3a, as 3x3 states,
+    # or, real, in real Hermitian coordinates as the sweep evolves them
     cfg = profile_config("paper-fig3a")
     deltas = delta_grid(cfg)[:16]
     spec = SystemSpec(e_man=cfg.e_man, gamma_rad=cfg.gamma_rad, delta=deltas,
                       omega_rabi=np.full(deltas.shape, cfg.omega_list[0]))
     bath = BathSpec(alpha=cfg.alpha, omega_c=cfg.omega_c, temperature=cfg.temperature)
     gen = total_liouvillian("bloch_redfield", spec, bath)
+    if real:
+        gen = Liouvillian(matrix=to_real(gen.matrix))
     return evolve(gen, lower_ground_state(), cfg.t_end, cfg.dt)[1]
 
 
@@ -570,6 +577,13 @@ def _tcl_slip():
     spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
     prop = TclPropagator(spec, BATH, t_mem=10.0)
     return prop.propagate(lower_ground_state(), 2.0)[1]
+
+
+def _tcl_slip_coordinates():
+    # the slip above as the sweep steps it, in real Hermitian coordinates
+    spec = SystemSpec(e_man=2.0, delta=-0.5, omega_rabi=0.5, gamma_rad=0.5)
+    prop = TclPropagator(spec, BATH, t_mem=10.0)
+    return propagate(prop.matrix_generator, lower_ground_state(), 2.0, prop.dt)[1]
 
 
 def _planted_ties():
@@ -632,6 +646,20 @@ def test_min_eigenvalue_equals_every_state_eigvalsh(trajectories):
     assert _outcome(min_eigenvalue, rho) == _outcome(_every_state_minimum, rho)
 
 
+@pytest.mark.parametrize("coordinates", [
+    lambda: _fig3a_chunk(real=True), _tcl_slip_coordinates, lambda: to_real(_planted_ties())],
+    ids=["fig3a_chunk", "tcl_slip", "planted_ties"])
+def test_min_eigenvalue_of_coordinates_equals_mapped_states(coordinates):
+    # the real kernel reads coordinates directly; the 3x3 states they map
+    # to, reduced to their hermitized coordinates, give the same bits, and
+    # so does eigvalsh of every state
+    coords = coordinates()
+    assert coords.dtype == float and coords.shape[-1] == 9
+    states = from_real(coords)
+    assert (_outcome(min_eigenvalue, coords) == _outcome(min_eigenvalue, states)
+            == _outcome(_every_state_minimum, states))
+
+
 def test_min_eigenvalue_solves_few_fig3a_states(monkeypatch):
     # the shortcut is exercised: most states are shown not to hold the minimum
     states = _fig3a_chunk()
@@ -683,6 +711,79 @@ def test_stacked_expm_evolve_counting_fd_equal_one_point_calls():
                 assert stacked_value.tobytes() == np.float64(value).tobytes()
 
 
+@pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
+def test_real_evolve_matches_complex_evolve(method):
+    # a real generator is evolved in real Hermitian coordinates and its
+    # states come back as such: mapped to 3x3 they are the complex
+    # generator's states to rounding, and every point of a stack whose
+    # exponentials take different numbers of squarings is its own call
+    dt, rho0 = 0.5, lower_ground_state()
+    gen = total_liouvillian(method, _STACK, BATH)
+    scaled = np.array([1.0, 40.0, 0.3, 400.0])[:, None, None] * gen.matrix
+    for matrix in (gen.matrix, scaled):
+        real = Liouvillian(matrix=to_real(matrix))
+        times, coords = evolve(real, rho0, 30.0, dt)
+        assert coords.dtype == float and coords.shape == (4, len(times), 9)
+        ref = evolve(Liouvillian(matrix=matrix), rho0, 30.0, dt)[1]
+        assert np.abs(from_real(coords) - ref).max() <= 1e-13
+        for k in range(4):
+            one = evolve(Liouvillian(matrix=real.matrix[k]), rho0, 30.0, dt)[1]
+            assert coords[k].tobytes() == one.tobytes()
+
+
+_WIDE = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 6.0, 40.0]),
+                   omega_rabi=np.array([0.5, 1.0, 0.2, 0.5]), gamma_rad=0.5)
+
+
+def _fd_from_evolve(method, spec, t_end, dt, u_step, scheme):
+    """mean_heat_fd's (mean_heat, current, fd_imag) from evolve's last two states."""
+    gen = total_liouvillian(method, spec, BATH, u=u_step if scheme == "forward" else 0.5 * u_step)
+    states = evolve(gen, lower_ground_state(), t_end, dt)[1]
+    chi = np.trace(states[..., -2:, :, :], axis1=-2, axis2=-1)
+    heat = -1j * (chi - (1.0 if scheme == "forward" else chi.conj())) / u_step
+    return heat[..., 1].real, ((heat[..., 1] - heat[..., 0]) / dt).real, heat[..., 1].imag
+
+
+@pytest.mark.parametrize("scheme", ["forward", "central"])
+@pytest.mark.parametrize("spec,t_end,dt", [
+    (_STACK, 0.05, 0.05), (_STACK, 3.25, 0.05), (_WIDE, 18.0, 1.0)],
+    ids=["two_states", "power_of_two", "mixed_squarings"])
+def test_mean_heat_fd_matches_evolve_quotient(spec, t_end, dt, scheme):
+    # mean_heat_fd computes only the last two states, by binary squarings of
+    # exp(dt L_u): 2 grid times, 2 + 64, and 2 + 17 on a stack whose
+    # exponentials take 0, 1 and 3 squarings.  The quotient from evolve's
+    # full trajectory agrees to rounding, and each point is its own call
+    record = mean_heat_fd("bloch_redfield", spec, BATH, t_end, dt, 0.05, scheme)
+    assert record.time == pytest.approx(t_end)
+    for value, expected in zip((record.mean_heat, record.current, record.fd_imag),
+                               _fd_from_evolve("bloch_redfield", spec, t_end, dt, 0.05, scheme)):
+        assert value.shape == (4,)
+        assert np.abs(value - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
+    for k in range(4):
+        point = replace(spec, delta=spec.delta[k], omega_rabi=spec.omega_rabi[k])
+        one = mean_heat_fd("bloch_redfield", point, BATH, t_end, dt, 0.05, scheme)
+        for field in ("mean_heat", "current", "fd_imag"):
+            assert getattr(record, field)[k].tobytes() == np.float64(getattr(one, field)).tobytes()
+
+
+@pytest.mark.parametrize("method", ["secular", "phenomenological"])
+@pytest.mark.parametrize("scheme", ["forward", "central"])
+def test_overflowing_characteristic_function_fails_by_name(method, scheme):
+    # at alpha 1e300 exp(t L_u) overflows: chi is not finite, which is named
+    # without a warning, and the u = 0 trajectory fails its drift check on
+    # either path
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=0.5, gamma_rad=0.5)
+    bath = replace(BATH, alpha=1e300)
+    gen = total_liouvillian(method, spec, bath)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError, match=r"chi\(u, t\) = .* is not finite"):
+            mean_heat_fd(method, spec, bath, 1.0, 0.05, 0.05, scheme)
+        for checked in (gen, Liouvillian(matrix=to_real(gen.matrix))):
+            with pytest.raises(PropagationError, match="trace drifted"):
+                evolve(checked, lower_ground_state(), 1.0, 0.05)
+
+
 @pytest.mark.parametrize("rates", [(0.0, 0.01, 0.1), (0.0, 0.0, 0.1)])
 def test_stacked_evolve_names_first_trace_losing_point(rates):
     # every point is checked, and the first one that loses the trace gives
@@ -722,20 +823,21 @@ def test_stacked_propagate_equals_one_point_calls():
 
 def test_stacked_real_propagate_equals_one_point_calls():
     # real states of a TCL stack (matrix_generator) are bitwise those of
-    # each point's own propagator, and come back as Hermitian 3x3 states
-    # equal to the complex generator's to rounding
+    # each point's own propagator, and come back as real Hermitian
+    # coordinates, whose 3x3 states equal the complex generator's to rounding
     dt, t_end = 0.05, 15.0
     stack = TclPropagator(_STACK, BATH, t_mem=10.0, dt=dt)
     times, states = propagate(stack.matrix_generator, lower_ground_state(), t_end, dt)
-    assert states.shape == (4, len(times), 3, 3) and states.dtype == complex
-    assert (states == states.conj().swapaxes(-1, -2)).all()
+    assert states.shape == (4, len(times), 9) and states.dtype == float
+    mapped = from_real(states)
+    assert (mapped == mapped.conj().swapaxes(-1, -2)).all()
     for k in range(4):
         spec = replace(_STACK, delta=_STACK.delta[k], omega_rabi=_STACK.omega_rabi[k])
         one = TclPropagator(spec, BATH, t_mem=10.0, dt=dt)
         assert states[k].tobytes() == propagate(one.matrix_generator, lower_ground_state(),
                                                 t_end, dt)[1].tobytes()
     ref = propagate(stack.generator, lower_ground_state(), t_end, dt)[1]
-    assert np.abs(states - ref).max() <= 1e-13
+    assert np.abs(mapped - ref).max() <= 1e-13
 
 
 @pytest.mark.parametrize("u", [0.0, 0.1])

@@ -50,7 +50,7 @@ def test_vectorization_convention():
         a, b, rho = (_random_matrix(rng) for _ in range(3))
         assert_allclose(unvectorize(kron_sandwich(a, b) @ vectorize(rho)),
                         a @ rho @ b, atol=1e-13)
-        assert_allclose(sandwich_superoperator(a, b), kron_sandwich(a, b), atol=1e-15)
+        assert_allclose(sandwich_superoperator(a[None], b[None]), kron_sandwich(a, b), atol=1e-15)
         assert_allclose(TRACE_VECTOR @ vectorize(rho), np.trace(rho), atol=1e-13)
     # unvectorize broadcasts over leading axes
     states = np.stack([_random_matrix(rng) for _ in range(4)])

@@ -528,6 +528,27 @@ def test_huge_rates_fail_the_steady_state_by_name(changes):
             assert all(math.isnan(x) for x in _values(rec))
 
 
+def test_huge_rates_fail_the_transient_rows_by_name():
+    # at alpha 1e300 exp(dt L) overflows: every transient row, on either
+    # route, is a named PropagationError, and nothing warns on the way
+    cfg = config_from_dict({
+        "bath": {"alpha": 1e300},
+        "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1, "omega_list": [0.5]},
+        "methods": ["bloch_redfield", "secular", "phenomenological"],
+        "mode": {"kind": "transient", "t_end": 1.0, "dt": 0.05},
+        "heat_route": [{"kind": "trace_formula"},
+                       {"kind": "counting_fd", "u_step": 0.05, "scheme": "forward"}],
+    })
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_sweep(cfg)
+    assert [(r.method, r.route) for r in records] == [
+        (method, route) for method in cfg.methods for route in ("trace_formula", "counting_fd")]
+    for rec in records:
+        assert rec.status.startswith("error: PropagationError: ")
+        assert all(math.isnan(x) for x in _values(rec))
+
+
 @pytest.mark.parametrize("e_man", [1e-306, 1e-310, 5e-324])
 def test_tiny_manifold_splitting_gives_finite_rates(e_man):
     # the phenomenological method's bare levels are split by e_man only: its
