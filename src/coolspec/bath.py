@@ -7,10 +7,12 @@ the shift numerator combine them as j(s)/s and s (n(s) + 1), which stay
 finite as s -> 0.  Rates and shifts are evaluated per transition
 frequency of the system eigenbasis and combined into the half-Fourier
 coefficients Gamma = a - i b that every generator reads (rate_table).
-Shifts come from a fixed composite Gauss-Legendre rule whose panels are
-graded to the singularities of the integrand, so the module needs numpy
-only; one evaluation per distinct |nu| serves both signs (a rate table
-holds -nu with every nu), each sign with its own error estimate and budget.
+Shifts come from a fixed composite rule, QUADPACK's 21-point Gauss-Kronrod
+pair with its nodes and weights written out, on panels graded to the
+singularities of the integrand, so the module needs numpy only; one
+evaluation per distinct |nu| serves both signs (a rate table holds -nu
+with every nu), each sign with its own error estimate and budget.  Rates
+and shifts stay finite, and raise no warning, at every finite nu.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .system import EigenSystem
 
@@ -29,6 +30,7 @@ OMEGA_MAX_FACTOR = 40.0
 SHIFT_TOL = 1e-9
 # below the smallest normal double, shift_b takes its nu = 0 value
 _SMALLEST_NORMAL = np.finfo(float).tiny
+_LARGEST = np.finfo(float).max
 # transitions whose panels shift_b evaluates together, as _SHIFT_BLOCK // 2
 # magnitudes of both signs: the rule's temporaries grow with it (the 1,296
 # coupled transitions of paper-fig2's 324 points, 629 magnitudes, peaked
@@ -92,17 +94,30 @@ def rate_a(nu, spec: BathSpec):
     nu = 0: zero, since j(w)/w -> 0 for the cubic density.
 
     Evaluated as pi j(s)/s * s (n(s) + 1), s = |nu|, times exp(-beta s) for
-    nu < 0, so that nothing overflows as nu -> 0.  Accepts scalars or
-    arrays.  Rates at opposite frequencies obey detailed balance,
-    rate_a(nu) / rate_a(-nu) = exp(beta nu).
+    nu < 0, so that nothing overflows as nu -> 0, with j(s)/s from
+    _density, which is 0, not NaN, where s^2 would overflow.  Accepts
+    scalars or arrays.  Rates at opposite frequencies obey detailed
+    balance, rate_a(nu) / rate_a(-nu) = exp(beta nu).
     """
     nu = np.asarray(nu, dtype=float)
     s = np.abs(nu)
-    _, emitted = _thermal(s, spec.beta)
-    absorbed = np.where(nu > 0.0, 1.0, np.exp(-spec.beta * s))
-    out = (2.0 * math.pi * spec.alpha / spec.omega_c**2 * s**2 * np.exp(-s / spec.omega_c)
-           * emitted * absorbed)
+    # beta s and s / (2 omega_c) overflow only as exponents: exp gives 0,
+    # expm1 -1
+    with np.errstate(over="ignore"):
+        _, emitted = _thermal(s, spec.beta)
+        absorbed = np.where(nu > 0.0, 1.0, np.exp(-spec.beta * s))
+        out = math.pi * spec.alpha * _density(s, spec.omega_c) * emitted * absorbed
     return out.item() if out.ndim == 0 else out
+
+
+def _density(w, omega_c: float) -> np.ndarray:
+    """j(w) / (alpha w) = 2 (w / omega_c)^2 exp(-w / omega_c), elementwise for w >= 0.
+
+    Formed as 2 x x with x = w exp(-w / (2 omega_c)) / omega_c, which is at
+    most 2 / e: where w^2 would overflow, x is 0, not inf times 0.
+    """
+    x = w * np.exp(-0.5 / omega_c * w) / omega_c
+    return 2.0 * x * x
 
 
 def _thermal_parts(w, omega_c: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -114,7 +129,7 @@ def _thermal_parts(w, omega_c: float, beta: float) -> tuple[np.ndarray, np.ndarr
     em1 = expm1(-beta w), which stays finite as w -> 0.
     """
     em1, emitted = _thermal(w, beta)
-    return 2.0 * w**2 / omega_c**2 * np.exp(-w / omega_c), (2.0 + em1) * emitted
+    return _density(w, omega_c), (2.0 + em1) * emitted
 
 
 def _breakpoints(s: np.ndarray, omega_c: float, temperature: float,
@@ -146,20 +161,36 @@ def _breakpoints(s: np.ndarray, omega_c: float, temperature: float,
     return np.minimum(np.sort(edges, axis=1), omega_max[:, None])
 
 
-# Gauss-Legendre rules of 20 and 10 points on [-1, 1], evaluated on one
-# shared node array: row 0 of _PANEL_WEIGHTS gives the 20-point sum, row 1
-# the 10-point sum
-_X20, _W20 = leggauss(20)
-_X10, _W10 = leggauss(10)
-_PANEL_NODES = np.concatenate((_X20, _X10))
-_PANEL_WEIGHTS = np.zeros((2, _PANEL_NODES.size))
-_PANEL_WEIGHTS[0, :20] = _W20
-_PANEL_WEIGHTS[1, 20:] = _W10
+# QUADPACK's qk21 pair (Piessens et al., QUADPACK (1983)) on [-1, 1]: the
+# 21-point Kronrod rule and the 10-point Gauss-Legendre rule on its nodes of
+# odd index, given for x >= 0 and mirrored; row 0 of _PANEL_WEIGHTS gives the
+# Kronrod sum, row 1 the Gauss sum
+_XGK = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+                 0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+                 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+                 0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+                 0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+                 0.0])
+_WGK = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+                 0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+                 0.149445554002916905664936468389821])
+_WG = np.zeros(_XGK.size)
+_WG[1::2] = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+             0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+             0.295524224714752870173892994651338)
+_PANEL_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
+_PANEL_WEIGHTS = np.array([np.concatenate((v[:-1], v[::-1])) for v in (_WGK, _WG)])
 
 
 def _window(s, omega_c: float) -> np.ndarray:
-    """Shift integral's upper end at |nu| = s: 40 omega_c, widened to 2 s to hold the pole."""
-    return np.maximum(OMEGA_MAX_FACTOR * omega_c, 2.0 * s)
+    """Shift integral's upper end at |nu| = s: 40 omega_c, widened to 2 s to hold the pole.
+
+    Past half the largest double the window is the largest double.
+    """
+    return np.maximum(OMEGA_MAX_FACTOR * omega_c, 2.0 * np.minimum(s, 0.5 * _LARGEST))
 
 
 def _principal_value(s: np.ndarray, omega_c: float, beta: float, tol: float) -> np.ndarray:
@@ -173,28 +204,42 @@ def _principal_value(s: np.ndarray, omega_c: float, beta: float, tol: float) -> 
     summed in panel order, so the zero-width padding adds exact zeros.
     """
     omega_max = _window(s, omega_c)
-    p_s, q_s = _thermal_parts(s, omega_c, beta)
-    edges = _breakpoints(s, omega_c, 1.0 / beta, omega_max)
-    half = 0.5 * np.diff(edges, axis=1)
-    panel = half > 0.0
-    row = np.nonzero(panel)[0]
-    width = half[panel][:, None]
-    w = (edges[:, :-1] + half)[panel][:, None] + width * _PANEL_NODES
-    p, q = _thermal_parts(w, omega_c, beta)
+    # near the largest double, products overflow only to an inf whose
+    # limit is exact: an exponent (exp gives 0, expm1 -1), a coarse panel
+    # edge past omega_max (dropped), and w + s at nodes where p is 0
+    with np.errstate(over="ignore"):
+        p_s, q_s = _thermal_parts(s, omega_c, beta)
+        edges = _breakpoints(s, omega_c, 1.0 / beta, omega_max)
+        half = 0.5 * np.diff(edges, axis=1)
+        panel = half > 0.0
+        row = np.nonzero(panel)[0]
+        width = half[panel][:, None]
+        w = (edges[:, :-1] + half)[panel][:, None] + width * _PANEL_NODES
+        p, q = _thermal_parts(w, omega_c, beta)
+        above = w + s[row, None]
     # (numerator / (w + s) - c) / (w - s): the product (w - s)(w + s) would
-    # underflow for |nu| below ~1e-161
-    ww, above, below = w * w, w + s[row, None], w - s[row, None]
-    # analytic principal value of the subtracted pole over (0, omega_max)
-    log_ratio = np.log(omega_max - s) - np.log(s)
+    # underflow for |nu| below ~1e-161.  numerator / (w + s) is a + b at
+    # nu = s and a - b at nu = -s, both from one reciprocal of w + s and
+    # formed so that neither w w nor q nu overflows
+    below = w - s[row, None]
+    inv = 1.0 / above
+    a = p * w * w * inv
+    b = p * q * (s[row, None] * inv)
+    # the simple pole at w = s: near it the integrand behaves as c / (w - s)
+    # with c = numerator(s) / (2 s) = p_s (s +- q_s) / 2; the remainder g is
+    # analytic on the whole window
+    c_s, c_q = 0.5 * p_s * s, 0.5 * p_s * q_s
+    # analytic principal value of the subtracted pole over (0, omega_max);
+    # only at s = the largest double does the window end on the pole, and
+    # there c is 0
+    log_ratio = np.log(np.maximum(omega_max - s, _SMALLEST_NORMAL)) - np.log(s)
     out = np.empty((3, s.size, 2))
     panels = np.zeros(half.shape + (2,))
-    for k, nu in enumerate((s, -s)):
-        # subtract the simple pole at w = s: near the pole the integrand
-        # behaves as c / (w - s) with c = numerator(s) / (2 s); the
-        # remainder g is analytic on the whole window
-        c = p_s * (s * s + q_s * nu) / (2.0 * s)
-        g = (p * (ww + q * nu[row, None]) / above - c[row, None]) / below
-        panels[panel] = width * (g[:, None, :] * _PANEL_WEIGHTS).sum(axis=-1)
+    for k, (combine, c) in enumerate(((np.add, c_s + c_q), (np.subtract, c_s - c_q))):
+        g = combine(a, b)
+        g -= c[row, None]
+        g /= below
+        panels[panel] = width * np.einsum("pn,rn->pr", g, _PANEL_WEIGHTS)
         integral = panels[..., 0].cumsum(axis=1)[:, -1] + c * log_ratio
         out[:, :, k] = (integral,
                         np.abs(panels[..., 0] - panels[..., 1]).cumsum(axis=1)[:, -1],
@@ -211,19 +256,24 @@ def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
     c log((omega_max - s) / s) added back.  The remainder is analytic on the
     window; its nearest singularities are the pole at -s and the Bose poles
     at +-2 pi i T m, with exp(-w / omega_c) setting the scale beyond.  It is
-    integrated by 20-point Gauss-Legendre panels on edges 0, then doubling
+    integrated by 21-point Gauss-Kronrod panels on edges 0, then doubling
     from min(s, 2 pi T, omega_c) / 2 to 4 omega_c, every 4 omega_c to
     40 omega_c, doubling again to omega_max, plus s and omega_max, which
-    converges geometrically (Trefethen, SIAM Rev. 50, 67 (2008)).  A 10-point
-    rule on the same panels gives the error estimate, the sum of the panel
-    differences; above tol max(1, |integral|) (the integral at alpha = 1,
-    which grows like T), or NaN, QuadratureError carries it.  At nu = 0
+    converges geometrically (Trefethen, SIAM Rev. 50, 67 (2008)).  The
+    10-point Gauss-Legendre rule on 10 of the same nodes gives the error
+    estimate, the sum of the panel differences (Piessens et al.,
+    QUADPACK (1983)): it bounds the error of the 10-point rule, which the
+    Kronrod sum far exceeds in accuracy.  Above tol max(1, |integral|)
+    (the integral at alpha = 1, which grows like T), or NaN,
+    QuadratureError carries it.  At nu = 0
     there is no pole and the integral is taken in closed form.  Subnormal nu
     (|nu| < 2.2e-308), whose pole the panels cannot resolve, take that value
     too; the shift differs from it by O(alpha (1 + T / omega_c) |nu|).  The
     coupling alpha enters exactly linearly and is factored out.  The
     window omega_max is 40 omega_c, widened to 2 |nu| for transitions
-    beyond it, so it always holds the pole (_window).  Accepts scalars or
+    beyond it, so it always holds the pole (_window).  Far above the bath
+    the shift falls as -integral of j(w) (2 n(w) + 1) / nu, finite and
+    without warning up to the largest double.  Accepts scalars or
     arrays of nu.  The rule is evaluated once per distinct |nu|, its
     panels, nodes and thermal factors serving both signs, each sign with
     its own pole constant, panel sums, estimate and budget, in blocks of

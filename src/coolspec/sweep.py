@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import cache
+from operator import attrgetter
 
 import numpy as np
 
@@ -270,12 +271,12 @@ def format_number(x: float) -> str:
 
 
 def render_csv(records: list[SpectrumRecord]) -> str:
+    row = attrgetter(*CSV_COLUMNS)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for r in records:
-        values = (getattr(r, c) for c in CSV_COLUMNS)
-        writer.writerow([v if isinstance(v, str) else format_number(v) for v in values])
+    writer.writerows([v if isinstance(v, str) else format_number(v) for v in row(r)]
+                     for r in records)
     return buf.getvalue()
 
 
@@ -288,8 +289,9 @@ def _json_value(value) -> str:
 
 def render_json(records: list[SpectrumRecord]) -> str:
     """JSON array with numbers rendered exactly as in the csv output."""
-    rows = ["  {" + ", ".join(f"{json.dumps(c)}: {_json_value(getattr(r, c))}"
-                              for c in CSV_COLUMNS) + "}"
+    row = attrgetter(*CSV_COLUMNS)
+    keys = [f"{json.dumps(c)}: " for c in CSV_COLUMNS]
+    rows = ["  {" + ", ".join(k + _json_value(v) for k, v in zip(keys, row(r))) + "}"
             for r in records]
     return "[\n" + ",\n".join(rows) + "\n]\n"
 

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +178,7 @@ def test_shift_matches_symmetric_simpson_oracle(nu):
 @pytest.mark.parametrize("temperature", [0.01, 0.3, 3.0, 30.0])
 @pytest.mark.parametrize("omega_c", [0.02, 0.2, 1.0, 5.0])
 def test_shift_matches_adaptive_oracles(temperature, omega_c, quad_shift):
-    # the graded Gauss-Legendre rule against two adaptive quadratures, from
+    # the graded Gauss-Kronrod rule against two adaptive quadratures, from
     # far below every scale of the bath to windows widened past 40 omega_c
     # (2 |nu| at magnitudes 30 and 100)
     bath = BathSpec(alpha=1.0, omega_c=omega_c, temperature=temperature)
@@ -223,30 +224,69 @@ def test_quadrature_error_type():
     assert issubclass(QuadratureError, RuntimeError)
     err = QuadratureError("budget", 1e-3)
     assert err.estimate == 1e-3
-    # a budget below the 20- vs 10-point panel difference raises, estimate set
+    # a budget below the 21-point Kronrod vs 10-point Gauss panel difference
+    # raises, estimate set
     with pytest.raises(QuadratureError, match="exceeds budget") as info:
         shift_b(0.7, BATH, tol=1e-30)
     assert 1e-30 < info.value.estimate < 1e-12
 
 
-def test_import_loads_no_scipy():
-    # the package and its CLI need numpy only
+def _after_cli_import(expression: str) -> str:
+    """What a fresh interpreter prints for expression after importing coolspec.cli."""
     src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys, coolspec; from coolspec import cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    code = f"import sys; from coolspec import cli; print({expression})"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # the package and its CLI need numpy only
+    assert _after_cli_import(
+        "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))") == "[]"
+
+
+def test_import_loads_no_numpy_polynomial():
+    # the shift rule's nodes and weights are constants, not leggauss output
+    assert _after_cli_import(
+        "sorted(m for m in sys.modules if m.startswith('numpy.polynomial'))") == "[]"
 
 
 def test_import_loads_no_process_pool():
     # worker processes are started only by run_sweep with jobs > 1
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = ("import sys; from coolspec import cli; "
-            "print('concurrent.futures.process' in sys.modules)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _after_cli_import("'concurrent.futures.process' in sys.modules") == "False"
+
+
+def _monomial_errors(weights, nodes, degrees):
+    exact = np.where(degrees % 2 == 0, 2.0 / (degrees + 1), 0.0)
+    return np.abs(weights @ nodes[:, None] ** degrees - exact)
+
+
+def test_kronrod_rule_is_exact_to_degree_31():
+    # the 21-point Kronrod rule integrates x^k on [-1, 1] exactly for
+    # k <= 3 * 10 + 1, its embedded 10-point Gauss rule for k <= 19, and
+    # neither one degree further
+    import coolspec.bath as bath_module
+
+    nodes, (kronrod, gauss) = bath_module._PANEL_NODES, bath_module._PANEL_WEIGHTS
+    assert nodes.shape == kronrod.shape == gauss.shape == (21,)
+    assert _monomial_errors(kronrod, nodes, np.arange(32)).max() < 1e-15
+    assert _monomial_errors(kronrod, nodes, np.array([32]))[0] > 1e-13
+    assert _monomial_errors(gauss, nodes, np.arange(20)).max() < 1e-15
+    assert _monomial_errors(gauss, nodes, np.array([20]))[0] > 1e-7
+
+
+def test_embedded_rule_is_ten_point_gauss_legendre():
+    from numpy.polynomial.legendre import leggauss
+
+    import coolspec.bath as bath_module
+
+    gauss = bath_module._PANEL_WEIGHTS[1]
+    on = gauss != 0.0
+    x10, w10 = leggauss(10)
+    assert on.sum() == 10
+    assert_allclose(bath_module._PANEL_NODES[on], x10, rtol=0, atol=1e-15)
+    assert_allclose(gauss[on], w10, rtol=0, atol=1e-15)
 
 
 def test_rate_table_consistent_with_scalars():
@@ -375,3 +415,31 @@ def test_nan_error_estimate_raises(monkeypatch):
     with pytest.raises(QuadratureError, match="nan exceeds budget") as info:
         shift_b(0.7, BATH)
     assert math.isnan(info.value.estimate)
+
+
+@pytest.mark.parametrize("temperature, omega_c", [(3.0, 1.0), (0.01, 0.02), (1e6, 1.0)])
+def test_shift_at_huge_frequency_falls_as_one_over_nu(temperature, omega_c):
+    # far above the bath, nu b(nu) -> -integral of j(w) (2 n(w) + 1): w^2,
+    # q nu, the pole constant's s^2 and the window's 2 |nu| overflowed here
+    spec = BathSpec(alpha=0.01, omega_c=omega_c, temperature=temperature)
+    nus = np.array([1e100, -1e100, 1e200, -1e200, 1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scaled = nus * shift_b(nus, spec)
+    limit = -quad(lambda w: spectral_density(w, spec) / math.tanh(0.5 * spec.beta * w),
+                  0.0, 200.0 * omega_c, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    assert_allclose(scaled, scaled[0], rtol=1e-12)
+    assert_allclose(scaled[0], limit, rtol=1e-9)
+
+
+@pytest.mark.parametrize("temperature, omega_c", [(3.0, 1.0), (0.01, 0.02)])
+@pytest.mark.parametrize("nu", [1e155, 1e200, 1e300, 1.7e308, np.finfo(float).max])
+def test_rate_and_shift_finite_up_to_the_largest_double(nu, temperature, omega_c):
+    spec = BathSpec(alpha=0.01, omega_c=omega_c, temperature=temperature)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rates = rate_a(np.array([nu, -nu]), spec)
+        shifts = shift_b(np.array([nu, -nu]), spec)
+    assert rates.tolist() == [0.0, 0.0]
+    assert np.isfinite(shifts).all() and shifts[0] != 0.0
+    assert_allclose(shifts[1], -shifts[0], rtol=1e-12)

@@ -193,17 +193,18 @@ def test_stacked_drift_names_the_first_drifting_step_past_the_first_chunk():
     # for point 1 alone, and nothing warns as the leak overflows later on
     matrix = total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix
     assert _leak_messages(matrix) == [
-        "trace drifted by 4.890e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
+        "trace drifted by 2.442e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
 
 
 def test_real_states_drift_names_the_same_step():
     # the leak above stepped in real Hermitian coordinates names the same
     # first drifting step.  The drift there is rounding of a state of norm
-    # ~7e12 (6.6e-17 of it on the complex path, 2.6e-16 here), so its
-    # figure is this path's own
+    # ~7e12 (3.3e-17 of it on the complex path, 1.3e-16 here), whole ulps
+    # of it that the generator's last bits move, so its figure is this
+    # path's own
     matrix = _real(total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix)
     assert _leak_messages(matrix) == [
-        "trace drifted by 1.953e-03 at t = 6.55; reduce dt (currently 0.05)"] * 2
+        "trace drifted by 9.766e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
 
 
 def test_annotated_blowup_still_warns_on_overflow():
