@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,25 +56,35 @@ def _time_grid(t_end: float, dt: float) -> np.ndarray:
     return np.arange(int(round(t_end / dt)) + 1) * dt
 
 
+def _coordinates(liouvillian: Liouvillian, caller: str) -> np.ndarray:
+    """A u = 0 generator's matrix in real Hermitian coordinates; ValueError if annotated."""
+    if liouvillian.u != 0.0:
+        raise ValueError(f"{caller} requires an unannotated (u = 0) generator")
+    matrix = liouvillian.matrix
+    # a non-finite entry maps to NaNs, which the caller's checks reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        return to_real(matrix) if np.iscomplexobj(matrix) else matrix
+
+
 def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarray,
               t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Classical fixed-step fourth-order Runge-Kutta integration.
 
-    generator_at maps an array of times to the generators there: a
+    generator_at maps an array of times to the generators there, which must
+    be unannotated (u = 0; an annotated one raises ValueError): a
     Liouvillian whose matrix has shape points + t.shape + (9, 9) (points:
     the leading axes of a stack, none for one point), or for one point a
     single (9, 9) matrix that holds at every time (lambda t: gen for a
-    constant generator).  Returns (times, states), states[..., k, ...]
-    being the state at times[k] of each point, all started from rho0;
-    t_end is rounded to a whole number of steps of size dt.  A real matrix
-    is read in the real Hermitian coordinates of generators.to_real
-    (TclPropagator.matrix_generator): rho0 is mapped to them once (an
-    anti-Hermitian part of it is dropped), the states are stepped and
-    stored as real 9-vectors with the real trace row, and they are returned
-    as such, shape points + (len(times), 9), for generators.from_real to
-    map to 3x3 states.  A complex matrix (an annotated generator, or
-    lambda t: gen) steps complex vec(rho) states and returns complex 3x3
-    states, shape points + (len(times), 3, 3).
+    constant generator).  Returns (times, states), states[..., k, ...] being
+    the state at times[k] of each point, all started from rho0; t_end is
+    rounded to a whole number of steps of size dt.  The states are stepped
+    as real 9-vectors in the real Hermitian coordinates of
+    generators.to_real, rho0 mapped to them once (an anti-Hermitian part of
+    it dropped).  A real matrix is read in them
+    (TclPropagator.matrix_generator) and its states are returned as such,
+    shape points + (len(times), 9); a complex one is mapped to them by
+    to_real as generator_at returns it, and its states come back as 3x3
+    states (generators.from_real), shape points + (len(times), 3, 3).
 
     The grid is walked in chunks of at most _CHUNK steps.  For each chunk
     generator_at is called once, on the grid times and the midpoints
@@ -93,17 +102,16 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     the first and last grid times, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
     exceeds 1 + 1e-9 at the worst point or is not finite; and when the
     trace of any point drifts by more than 1e-6 (or is not finite) at any
-    step, checked when the generator is unannotated (u = 0) and so
-    preserves it exactly.  The drift is checked per chunk, for all of its
-    states at once; the first drifting step is named, with the largest
-    drift over the points there, and no warning escapes: a state that
-    overflows after that step is never returned.  An annotated generator
-    gets no drift check, and an overflow there warns.
+    step, which a u = 0 generator preserves exactly.  The drift is checked
+    per chunk, for all of its states at once; the first drifting step is
+    named, with the largest drift over the points there, and no warning
+    escapes: a state that overflows after that step is never returned.
     """
     times = _time_grid(t_end, dt)
     ends = generator_at(times[[0, -1]])
     points = ends.matrix.shape[:-3]
-    z = dt * np.linalg.eigvals(np.broadcast_to(ends.matrix, points + (2, DIM * DIM, DIM * DIM)))
+    z = dt * np.linalg.eigvals(np.broadcast_to(_coordinates(ends, "propagate"),
+                                               points + (2, DIM * DIM, DIM * DIM)))
     # a step so large that z^4 overflows gives an inf or NaN gain, which fails
     with np.errstate(over="ignore", invalid="ignore"):
         gains = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).max(axis=-1)
@@ -112,40 +120,35 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
             raise PropagationError(f"RK4 gain {gain:.6g} at t = {t:.6g} exceeds 1, the step "
                                    f"is unstable; reduce dt (currently {dt})")
     ident = np.eye(DIM * DIM)
-    real = np.isrealobj(ends.matrix)
-    trace_row = _REAL_TRACE if real else TRACE_VECTOR
-    ys = np.empty(points + (len(times), DIM * DIM), dtype=float if real else complex)
-    y = ys[..., 0, :] = to_real(rho0) if real else vectorize(rho0)
-    trace0 = y @ trace_row
-    checked = ends.u == 0.0
+    ys = np.empty(points + (len(times), DIM * DIM))
+    y = ys[..., 0, :] = to_real(rho0)
+    trace0 = y @ _REAL_TRACE
     for start in range(0, len(times) - 1, _CHUNK):
         grid = times[start:start + _CHUNK + 1]
         n = len(grid) - 1
         nodes = np.concatenate([grid, grid[:-1] + 0.5 * dt])
-        mats = np.broadcast_to(generator_at(nodes).matrix, points + nodes.shape + ident.shape)
+        mats = np.broadcast_to(_coordinates(generator_at(nodes), "propagate"),
+                               points + nodes.shape + ident.shape)
         k1, half, end = mats[..., :n, :, :], mats[..., n + 1:, :, :], mats[..., 1:n + 1, :, :]
         k2 = half @ (ident + 0.5 * dt * k1)
         k3 = half @ (ident + 0.5 * dt * k2)
         k4 = end @ (ident + dt * k3)
         increments = (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        # a checked chunk raises at its first drifting step, so the states
-        # past it, which may overflow, are never returned and do not warn
-        with (np.errstate(over="ignore", invalid="ignore") if checked
-              else contextlib.nullcontext()):
+        # the chunk raises at its first drifting step, so the states past
+        # it, which may overflow, are never returned and do not warn
+        with np.errstate(over="ignore", invalid="ignore"):
             for k in range(n):
                 y = ys[..., start + k + 1, :] = (
                     y + (increments[..., k, :, :] @ y[..., None])[..., 0])
-            if checked:
-                drift = np.abs(ys[..., start + 1:start + n + 1, :] @ trace_row
-                               - trace0[..., None])
-                failed = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL).reshape(-1, n).all(axis=0))
-                if failed.size:
-                    k = failed[0]
-                    raise PropagationError(
-                        f"trace drifted by {drift[..., k].max():.3e} at t = {grid[k + 1]:.6g}; "
-                        f"reduce dt (currently {dt})"
-                    )
-    return times, ys if real else unvectorize(ys)
+            drift = np.abs(ys[..., start + 1:start + n + 1, :] @ _REAL_TRACE - trace0[..., None])
+        failed = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL).reshape(-1, n).all(axis=0))
+        if failed.size:
+            k = failed[0]
+            raise PropagationError(
+                f"trace drifted by {drift[..., k].max():.3e} at t = {grid[k + 1]:.6g}; "
+                f"reduce dt (currently {dt})"
+            )
+    return times, from_real(ys) if np.iscomplexobj(ends.matrix) else ys
 
 
 # Pade-13 coefficients b_0 .. b_13 and the 1-norm up to which the
@@ -188,51 +191,40 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _one_step(liouvillian: Liouvillian, t_end: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """propagate's time grid and the one-step propagator exp(dt L) of a constant generator.
-
-    A generator with an infinite entry raises PropagationError before the
-    exponential.
-    """
-    times = _time_grid(t_end, dt)
+def _finite(liouvillian: Liouvillian) -> Liouvillian:
+    """liouvillian, or PropagationError when an infinite entry leaves exp(dt L) undefined."""
     if np.isinf(liouvillian.matrix).any():
         raise PropagationError("non-finite generator: it has an infinite entry, "
                                "so exp(dt L) is undefined")
-    return times, _expm(dt * liouvillian.matrix)
+    return liouvillian
 
 
 def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
            dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact evolution under a constant generator on propagate's time grid.
+    """Exact evolution under a constant unannotated (u = 0) generator on propagate's time grid.
 
-    Returns (times, states) with times[k] = k dt and states[..., k, :] =
-    exp(times[k] L) rho0, for the same whole number of steps as propagate.
-    As in propagate, a real matrix is read in the real Hermitian
-    coordinates of generators.to_real: rho0 is mapped to them (an
-    anti-Hermitian part of it is dropped) and the states are returned as
-    real 9-vectors, shape points + (len(times), 9), which
-    generators.from_real maps to 3x3 states; a complex matrix gives complex
-    states of shape points + (len(times), 3, 3).  The one-step propagator
-    P = exp(dt L) is computed once; the states are then filled by doubling:
-    states n .. 2n-1 are P^n applied to states 0 .. n-1, and P^n is
-    squared for the next block.  There is no step size limit.  A generator
-    with an infinite entry raises PropagationError before the exponential.
-    For an unannotated (u = 0) generator a trace drift above 1e-6 (or a
+    Returns (times, states) with times[k] = k dt and states[..., k, ...] =
+    exp(times[k] L) rho0, for the same whole number of steps as propagate,
+    computed and returned as there: real 9-vectors for a real matrix, 3x3
+    states for a complex one.  The one-step propagator P = exp(dt L) is
+    computed once; the states are then filled by doubling: states
+    n .. 2n-1 are P^n applied to states 0 .. n-1, and P^n is squared for
+    the next block.  There is no step size limit.  A generator with an
+    infinite entry raises PropagationError, and an annotated one
+    ValueError, before the exponential.  A trace drift above 1e-6 (or a
     non-finite trace) anywhere along the trajectory raises
     PropagationError, and no warning escapes: an exponential or a state
-    that overflows fails this check by name.  An annotated generator gets
-    no drift check, and an overflow there warns.  Broadcasts over a stack
-    of generators; every point equals its one-point call, and the first
-    point that fails a check names it.
+    that overflows fails this check by name.  Broadcasts over a stack of
+    generators; every point equals its one-point call, and the first point
+    that fails a check names it.
     """
-    real = np.isrealobj(liouvillian.matrix)
-    checked = liouvillian.u == 0.0
-    with (np.errstate(over="ignore", invalid="ignore") if checked
-          else contextlib.nullcontext()):
-        times, power = _one_step(liouvillian, t_end, dt)
-        n = len(times)
-        ys = np.empty(power.shape[:-2] + (n, DIM * DIM), dtype=power.dtype)
-        ys[..., 0, :] = to_real(rho0) if real else vectorize(rho0)
+    times = _time_grid(t_end, dt)
+    n = len(times)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # an infinite entry is named before to_real turns it into NaNs
+        power = _expm(dt * _coordinates(_finite(liouvillian), "evolve"))
+        ys = np.empty(power.shape[:-2] + (n, DIM * DIM))
+        ys[..., 0, :] = to_real(rho0)
         filled = 1
         while filled < n:
             block = min(filled, n - filled)
@@ -240,16 +232,15 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
             filled += block
             if filled < n:
                 power = power @ power
-        if checked:
-            trace = (ys @ (_REAL_TRACE if real else TRACE_VECTOR)).reshape(-1, n)
-            drift = np.abs(trace - trace[:, :1])
-            failed = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL).all(axis=1))
-            if failed.size:
-                drift = drift[failed[0]]
-                k = int(drift.argmax())
-                raise PropagationError(f"trace drifted by {drift[k]:.3e} at t = {times[k]:.6g}; "
-                                       "the generator does not preserve it")
-    return times, ys if real else unvectorize(ys)
+        trace = (ys @ _REAL_TRACE).reshape(-1, n)
+        drift = np.abs(trace - trace[:, :1])
+    failed = np.flatnonzero(~(drift <= TRACE_DRIFT_TOL).all(axis=1))
+    if failed.size:
+        drift = drift[failed[0]]
+        k = int(drift.argmax())
+        raise PropagationError(f"trace drifted by {drift[k]:.3e} at t = {times[k]:.6g}; "
+                               "the generator does not preserve it")
+    return times, from_real(ys) if np.iscomplexobj(liouvillian.matrix) else ys
 
 
 def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
@@ -370,8 +361,9 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     evolve's check for an infinite entry: P = exp(dt L_u) is formed once,
     P^(n-2) is applied to the initial state by the binary squarings of P
     that evolve's doubling uses, and one more P gives the last state.  A
-    non-finite chi (an exponential that overflows) raises PropagationError,
-    without a warning.  Broadcasts over a stacked spec: mean_heat, current
+    non-finite chi (an exponential that overflows) or a zero one (an
+    exponential that underflows) raises PropagationError, without a
+    warning.  Broadcasts over a stacked spec: mean_heat, current
     and fd_imag then hold arrays of the stack's shape, each point equal to
     its one-point call, which gives scalars.
     """
@@ -383,7 +375,8 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
                             include_shifts=include_shifts, pairing_tol=pairing_tol, shared=shared)
     # a chi that overflows fails below by name
     with np.errstate(over="ignore", invalid="ignore"):
-        times, step = _one_step(gen, t_end, dt)
+        times = _time_grid(t_end, dt)
+        step = _expm(dt * _finite(gen).matrix)
         if len(times) < 2:
             raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
         state = np.broadcast_to(vectorize(lower_ground_state()), step.shape[:-2] + (1, DIM * DIM))
@@ -396,13 +389,14 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
                 power = power @ power
         last_two = np.concatenate([state, state @ step.swapaxes(-1, -2)], axis=-2)
         chi = np.trace(unvectorize(last_two), axis1=-2, axis2=-1)
-    finite = np.isfinite(chi).reshape(-1, 2)
-    failed = np.flatnonzero(~finite.all(axis=1))
+    # |chi(u, t)| stays near 1 at a small u: a chi of 0 underflowed
+    usable = (np.isfinite(chi) & (chi != 0.0)).reshape(-1, 2)
+    failed = np.flatnonzero(~usable.all(axis=1))
     if failed.size:
-        k = int(finite[failed[0]].argmin())
+        k = int(usable[failed[0]].argmin())
         raise PropagationError(f"characteristic function chi(u, t) = "
                                f"{chi.reshape(-1, 2)[failed[0], k]} at t = {times[k - 2]:.6g} "
-                               f"is not finite; exp(t L_u) overflowed")
+                               f"is not finite and nonzero; exp(t L_u) over- or underflowed")
     chi_other = 1.0 if scheme == "forward" else chi.conj()
     heat = -1j * (chi - chi_other) / u_step
     q_prev, q_last = heat[..., 0], heat[..., 1]

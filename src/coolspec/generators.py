@@ -204,7 +204,9 @@ def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
     if pairing_tol is None:
         pairing_tol = 1e-10 * e_man
     nu_vec = vectorize(eig.nu).real
-    keep = np.abs(nu_vec[..., :, None] - nu_vec[..., None, :]) <= pairing_tol
+    # a difference that overflows is far from any tie: it rounds to inf and is dropped
+    with np.errstate(over="ignore"):
+        keep = np.abs(nu_vec[..., :, None] - nu_vec[..., None, :]) <= pairing_tol
     in_eig = keep[..., None, :, :] * np.stack(
         redfield(eig, np.eye(DIM), gamma.real, u), axis=-3)
     # columns of to_work are the vectorized eigenbasis operators |a><b|

@@ -47,14 +47,16 @@ from .tcl import TclPropagator, tau_grid
 # (fig2's 324 points as one stack: 0.69x the time of 16-point stacks)
 _CHUNK = 16
 _STEADY_CHUNK = 512
-# bytes of its points' longest time axis one stack may hold, a 3x3 complex
-# array per row: 16 points at the default tcl.t_mem 30 (3,001 tau rows), 4
-# at t_mem 400 and omega_c 0.02 (40,001 rows), where a 16-point steady
-# tcl_oracle sweep then peaked at 99.5-99.9 MB RSS in 4.2-4.7 s, against
-# 291.5 MB in 3.9-4.6 s as one stack and 66.6 MB in 5.2 s in stacks of 2;
-# 4 for a transient trajectory of t_end 2000 at dt 0.05 (40,001 states),
-# where a 16-point Bloch-Redfield sweep peaked at 97.0 MB in 0.28-0.33 s,
-# against 282.5 MB in 0.38-0.54 s as one stack (2 vCPUs, one BLAS thread)
+# bytes of its points' longest time axis one stack may hold, 144 a row: a
+# tau row (3x3 complex), or a stored trajectory row (a real 9-vector, 72 B)
+# with the temporaries of evolve and min_eigenvalue.  It admits 16 points at
+# the default tcl.t_mem 30 (3,001 tau rows), 4 at t_mem 400 and omega_c 0.02
+# (40,001 rows), where a 16-point steady tcl_oracle sweep then peaked at
+# 99.5-99.9 MB RSS in 4.2-4.7 s, against 291.5 MB in 3.9-4.6 s as one stack
+# and 66.6 MB in 5.2 s in stacks of 2; 4 for a transient trajectory of
+# t_end 2000 at dt 0.05 (40,001 states), where a 16-point Bloch-Redfield
+# sweep peaked at 81.3-81.5 MB in 0.16-0.18 s, against 128.9-129.0 MB at
+# 72 B a row and 223.6 MB as one stack (2 vCPUs, one BLAS thread)
 _TIME_AXIS_BYTES = 24 * 2**20
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coolspec import BathSpec, QuadratureError, SystemSpec, coupling_operator, propagate
+from coolspec import BathSpec, QuadratureError, SystemSpec, coupling_operator
 from coolspec.generators import unvectorize, vectorize
 from coolspec.system import IDX_E, IDX_GU
 
@@ -242,14 +242,14 @@ def dressed_coherence(dressed_states):
 
 @pytest.fixture
 def characteristic_function():
-    """chi(u, t_end) = Tr rho_u(t_end) of an annotated propagation.
+    """chi(u, t_end) = Tr rho_u(t_end) of an annotated propagation by rk4_stages.
 
     Returns apply(liouvillian, rho0, t_end, dt).  At u = 0 this is
     identically 1; the u dependence near zero encodes the moments of the
     exchanged phonon heat.
     """
     def apply(liouvillian, rho0, t_end, dt):
-        _, states = propagate(lambda t: liouvillian, rho0, t_end, dt)
+        _, states = rk4_stages(lambda t: liouvillian, rho0, t_end, dt)
         return complex(np.trace(states[-1]))
 
     return apply

@@ -32,6 +32,7 @@ from coolspec.generators import (
     static_part,
     to_real,
     total_liouvillian,
+    unvectorize,
     vectorize,
 )
 from coolspec.sweep import delta_grid
@@ -190,35 +191,14 @@ def _leak_messages(matrix):
 def test_stacked_drift_names_the_first_drifting_step_past_the_first_chunk():
     # only point 1 leaks trace, from step 129 on: the per-chunk check names
     # the same step and drift as a per-step check does, for the stack and
-    # for point 1 alone, and nothing warns as the leak overflows later on
+    # for point 1 alone, and nothing warns as the leak overflows later on.
+    # A complex generator is stepped in the real Hermitian coordinates of
+    # a real one, so both give the same figure: rounding of a state of
+    # norm ~7e12, whole ulps of it that the generator's last bits move
     matrix = total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix
-    assert _leak_messages(matrix) == [
-        "trace drifted by 2.442e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
-
-
-def test_real_states_drift_names_the_same_step():
-    # the leak above stepped in real Hermitian coordinates names the same
-    # first drifting step.  The drift there is rounding of a state of norm
-    # ~7e12 (3.3e-17 of it on the complex path, 1.3e-16 here), whole ulps
-    # of it that the generator's last bits move, so its figure is this
-    # path's own
-    matrix = _real(total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix)
-    assert _leak_messages(matrix) == [
-        "trace drifted by 9.766e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
-
-
-def test_annotated_blowup_still_warns_on_overflow():
-    # an annotated generator gets no trace check, so its overflow is not
-    # the check's to silence
-    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
-    matrix = total_liouvillian("bloch_redfield", spec, BATH, u=0.05).matrix
-    dt, steps = 0.05, 300
-    times = np.arange(steps + 1) * dt
-    with pytest.warns(RuntimeWarning) as record:
-        _, states = propagate(_leaking_after_first_chunk(matrix, True, times, u=0.05),
-                              lower_ground_state(), steps * dt, dt)
-    assert any("overflow" in str(warning.message) for warning in record)
-    assert not np.isfinite(states[-1]).all()
+    for leaking in (matrix, _real(matrix)):
+        assert _leak_messages(leaking) == [
+            "trace drifted by 9.766e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
 
 
 def _nan_between_the_ends(matrix):
@@ -233,22 +213,15 @@ def _nan_between_the_ends(matrix):
 
 def test_nan_state_between_the_end_times_is_stopped():
     # a NaN state has a NaN trace drift, which a `drift > tol` check let
-    # through: the run went on and returned NaN states
+    # through: the run went on and returned NaN states.  Complex and real
+    # generators are stopped at the same step, and nothing warns
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
-    gen = total_liouvillian("bloch_redfield", spec, BATH)
-    with pytest.raises(PropagationError, match="trace drifted by nan at t = 0.05"):
-        propagate(_nan_between_the_ends(gen.matrix), lower_ground_state(), 0.5, 0.05)
-
-
-def test_real_nan_state_is_stopped():
-    # the NaN generator above in real Hermitian coordinates: real states
-    # are stopped at the same step, and nothing warns
-    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
-    matrix = _real(total_liouvillian("bloch_redfield", spec, BATH).matrix)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(PropagationError, match="trace drifted by nan at t = 0.05"):
-            propagate(_nan_between_the_ends(matrix), lower_ground_state(), 0.5, 0.05)
+    matrix = total_liouvillian("bloch_redfield", spec, BATH).matrix
+    for nan_between in (matrix, _real(matrix)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(PropagationError, match="trace drifted by nan at t = 0.05"):
+                propagate(_nan_between_the_ends(nan_between), lower_ground_state(), 0.5, 0.05)
 
 
 @pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
@@ -265,11 +238,10 @@ def test_pade_exponential_matches_scipy(method, delta, omega, u, dt):
 
 
 @pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
-@pytest.mark.parametrize("u", [0.0, 0.05])
-def test_evolve_matches_fine_rk4(method, u):
+def test_evolve_matches_fine_rk4(method):
     # RK4 at dt/16 is converged to ~1e-13; evolve must agree on every grid state
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=0.5, gamma_rad=0.5)
-    gen = total_liouvillian(method, spec, BATH, u=u)
+    gen = total_liouvillian(method, spec, BATH)
     times, states = evolve(gen, lower_ground_state(), 10.0, 0.05)
     fine_times, fine = propagate(lambda t: gen, lower_ground_state(), 10.0, 0.05 / 16)
     assert states.shape == (201, 3, 3)
@@ -304,16 +276,15 @@ def test_evolve_grid_and_validation():
 
 
 def test_evolve_detects_trace_loss():
-    # uniform decay loses the trace; an unannotated generator must keep it
-    leaky = Liouvillian(matrix=-0.01 * np.eye(9, dtype=complex))
-    with pytest.raises(PropagationError, match="trace drifted"):
-        evolve(leaky, lower_ground_state(), 1.0, 0.05)
-    broken = Liouvillian(matrix=np.full((9, 9), np.nan, dtype=complex))
-    with pytest.raises(PropagationError, match="trace drifted by nan"):
-        evolve(broken, lower_ground_state(), 1.0, 0.05)
-    annotated = Liouvillian(matrix=leaky.matrix, u=0.1)
-    _, states = evolve(annotated, lower_ground_state(), 1.0, 0.05)
-    assert_allclose(np.trace(states[-1]), np.exp(-0.01), rtol=1e-14)
+    # uniform decay loses the trace, which an unannotated generator must
+    # keep, given as a complex matrix or in real coordinates
+    for dtype in (complex, float):
+        leaky = Liouvillian(matrix=-0.01 * np.eye(9, dtype=dtype))
+        with pytest.raises(PropagationError, match="trace drifted"):
+            evolve(leaky, lower_ground_state(), 1.0, 0.05)
+        broken = Liouvillian(matrix=np.full((9, 9), np.nan, dtype=dtype))
+        with pytest.raises(PropagationError, match="trace drifted by nan"):
+            evolve(broken, lower_ground_state(), 1.0, 0.05)
 
 
 def test_steady_state_unique_and_stationary():
@@ -343,11 +314,27 @@ def test_steady_state_requires_unique_null_space():
         steady_state(gen)
 
 
-def test_steady_state_rejects_annotated_generator():
+def _leaking_annotated(gen):
+    # an annotated generator that leaks trace and overflows past the first
+    # chunk; it is refused before any step
+    times = np.arange(301) * 0.05
+    return propagate(_leaking_after_first_chunk(gen.matrix, True, times, u=gen.u),
+                     lower_ground_state(), 15.0, 0.05)
+
+
+@pytest.mark.parametrize("entry", [
+    steady_state,
+    lambda gen: propagate(lambda t: gen, lower_ground_state(), 1.0, 0.05),
+    lambda gen: evolve(gen, lower_ground_state(), 1.0, 0.05),
+    _leaking_annotated,
+], ids=["steady_state", "propagate", "evolve", "propagate_leaking"])
+def test_unannotated_entry_points_reject_annotated_generator(entry):
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
-    gen = total_liouvillian("bloch_redfield", spec, BATH, u=0.1)
-    with pytest.raises(ValueError, match="u = 0"):
-        steady_state(gen)
+    gen = total_liouvillian("bloch_redfield", spec, BATH, u=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="requires an unannotated \\(u = 0\\) generator"):
+            entry(gen)
 
 
 GENERATORS = ("bloch_redfield", "secular", "phenomenological", "tcl_frozen")
@@ -712,12 +699,27 @@ def test_stacked_expm_evolve_counting_fd_equal_one_point_calls():
                 assert stacked_value.tobytes() == np.float64(value).tobytes()
 
 
+def _expm_powers(a, powers):
+    """exp(a) raised to each of powers by numpy's matrix_power, stacked on axis -3.
+
+    The oracle of evolve's doubling and mean_heat_fd's binary powers.  The
+    exponential is _expm's, which test_pade_exponential_matches_scipy holds
+    to scipy's within 1e-14: over 60 steps the two exponentials' own
+    rounding (3e-15 and 5e-15 from a 40-digit one at 400 times the
+    generator) grows past the 1e-13 these checks hold.
+    """
+    step = _expm(a)
+    return np.stack([np.linalg.matrix_power(step, k) for k in powers], axis=-3)
+
+
 @pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
 def test_real_evolve_matches_complex_evolve(method):
     # a real generator is evolved in real Hermitian coordinates and its
-    # states come back as such: mapped to 3x3 they are the complex
-    # generator's states to rounding, and every point of a stack whose
-    # exponentials take different numbers of squarings is its own call
+    # states come back as such; a complex one is mapped to them on entry
+    # and its states back to 3x3 on exit, bitwise the real call's.  They
+    # are the powers of exp(dt L) applied to rho0 to rounding, and every
+    # point of a stack whose exponentials take different numbers of
+    # squarings is its own call
     dt, rho0 = 0.5, lower_ground_state()
     gen = total_liouvillian(method, _STACK, BATH)
     scaled = np.array([1.0, 40.0, 0.3, 400.0])[:, None, None] * gen.matrix
@@ -725,8 +727,10 @@ def test_real_evolve_matches_complex_evolve(method):
         real = Liouvillian(matrix=to_real(matrix))
         times, coords = evolve(real, rho0, 30.0, dt)
         assert coords.dtype == float and coords.shape == (4, len(times), 9)
-        ref = evolve(Liouvillian(matrix=matrix), rho0, 30.0, dt)[1]
-        assert np.abs(from_real(coords) - ref).max() <= 1e-13
+        states = evolve(Liouvillian(matrix=matrix), rho0, 30.0, dt)[1]
+        assert np.array_equal(states, from_real(coords))
+        ref = unvectorize(_expm_powers(dt * matrix, range(len(times))) @ vectorize(rho0))
+        assert np.abs(states - ref).max() <= 1e-13
         for k in range(4):
             one = evolve(Liouvillian(matrix=real.matrix[k]), rho0, 30.0, dt)[1]
             assert coords[k].tobytes() == one.tobytes()
@@ -736,11 +740,13 @@ _WIDE = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 6.0, 40.0]),
                    omega_rabi=np.array([0.5, 1.0, 0.2, 0.5]), gamma_rad=0.5)
 
 
-def _fd_from_evolve(method, spec, t_end, dt, u_step, scheme):
-    """mean_heat_fd's (mean_heat, current, fd_imag) from evolve's last two states."""
+def _fd_from_powers(method, spec, t_end, dt, u_step, scheme):
+    """mean_heat_fd's (mean_heat, current, fd_imag) from the powers of exp(dt L_u)."""
     gen = total_liouvillian(method, spec, BATH, u=u_step if scheme == "forward" else 0.5 * u_step)
-    states = evolve(gen, lower_ground_state(), t_end, dt)[1]
-    chi = np.trace(states[..., -2:, :, :], axis1=-2, axis2=-1)
+    steps = int(round(t_end / dt))
+    states = unvectorize(_expm_powers(dt * gen.matrix, [steps - 1, steps])
+                         @ vectorize(lower_ground_state()))
+    chi = np.trace(states, axis1=-2, axis2=-1)
     heat = -1j * (chi - (1.0 if scheme == "forward" else chi.conj())) / u_step
     return heat[..., 1].real, ((heat[..., 1] - heat[..., 0]) / dt).real, heat[..., 1].imag
 
@@ -752,12 +758,13 @@ def _fd_from_evolve(method, spec, t_end, dt, u_step, scheme):
 def test_mean_heat_fd_matches_evolve_quotient(spec, t_end, dt, scheme):
     # mean_heat_fd computes only the last two states, by binary squarings of
     # exp(dt L_u): 2 grid times, 2 + 64, and 2 + 17 on a stack whose
-    # exponentials take 0, 1 and 3 squarings.  The quotient from evolve's
-    # full trajectory agrees to rounding, and each point is its own call
+    # exponentials take 0, 1 and 3 squarings.  The quotient from the
+    # powers of exp(dt L_u) agrees to rounding, and each point is its own
+    # call
     record = mean_heat_fd("bloch_redfield", spec, BATH, t_end, dt, 0.05, scheme)
     assert record.time == pytest.approx(t_end)
     for value, expected in zip((record.mean_heat, record.current, record.fd_imag),
-                               _fd_from_evolve("bloch_redfield", spec, t_end, dt, 0.05, scheme)):
+                               _fd_from_powers("bloch_redfield", spec, t_end, dt, 0.05, scheme)):
         assert value.shape == (4,)
         assert np.abs(value - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
     for k in range(4):
@@ -767,18 +774,20 @@ def test_mean_heat_fd_matches_evolve_quotient(spec, t_end, dt, scheme):
             assert getattr(record, field)[k].tobytes() == np.float64(getattr(one, field)).tobytes()
 
 
-@pytest.mark.parametrize("method", ["secular", "phenomenological"])
+@pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])
 @pytest.mark.parametrize("scheme", ["forward", "central"])
 def test_overflowing_characteristic_function_fails_by_name(method, scheme):
-    # at alpha 1e300 exp(t L_u) overflows: chi is not finite, which is named
-    # without a warning, and the u = 0 trajectory fails its drift check on
-    # either path
+    # at alpha 1e300 exp(t L_u) overflows (secular, phenomenological) or
+    # underflows to zero (bloch_redfield, which read mean_heat 0 and
+    # fd_imag 1 / u_step): chi is not usable, which is named without a
+    # warning, and the u = 0 trajectory fails its drift check, from a
+    # complex matrix or a real one
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=0.5, gamma_rad=0.5)
     bath = replace(BATH, alpha=1e300)
     gen = total_liouvillian(method, spec, bath)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(PropagationError, match=r"chi\(u, t\) = .* is not finite"):
+        with pytest.raises(PropagationError, match=r"chi\(u, t\) = .* is not finite and nonzero"):
             mean_heat_fd(method, spec, bath, 1.0, 0.05, 0.05, scheme)
         for checked in (gen, Liouvillian(matrix=to_real(gen.matrix))):
             with pytest.raises(PropagationError, match="trace drifted"):
@@ -843,11 +852,16 @@ def test_stacked_real_propagate_equals_one_point_calls():
 
 @pytest.mark.parametrize("u", [0.0, 0.1])
 def test_evolve_rejects_infinite_generator(u):
-    # an inf entry made _expm warn (invalid value in multiply), an error here
+    # an inf entry made _expm warn (invalid value in multiply), an error
+    # here.  It is named before the generator's annotation is read and
+    # before a complex matrix is mapped to real coordinates, where it
+    # would turn into NaNs and a NaN drift
     spec = SystemSpec(e_man=2.0, delta=np.array([0.0, 0.5]), omega_rabi=1.0, gamma_rad=0.5)
-    gen = total_liouvillian("bloch_redfield", spec, BATH, u=u)
-    matrix = gen.matrix.copy()
-    matrix[1, 4, 0] = np.inf
-    for broken in (Liouvillian(matrix=matrix, u=u), Liouvillian(matrix=matrix[1], u=u)):
-        with pytest.raises(PropagationError, match="non-finite generator"):
-            evolve(broken, lower_ground_state(), 1.0, 0.05)
+    gen = total_liouvillian("bloch_redfield", spec, BATH)
+    for matrix in (gen.matrix.copy(), to_real(gen.matrix)):
+        matrix[1, 4, 0] = np.inf
+        for broken in (Liouvillian(matrix=matrix, u=u), Liouvillian(matrix=matrix[1], u=u)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(PropagationError, match="non-finite generator"):
+                    evolve(broken, lower_ground_state(), 1.0, 0.05)

@@ -111,7 +111,8 @@ def test_generators_are_real_in_hermitian_coordinates():
 def test_annotated_generator_is_not_real_in_hermitian_coordinates():
     # a counting field breaks Hermiticity: its imaginary part in these
     # coordinates is about 1% of the largest entry at u = 0.05, so an
-    # annotated generator stays complex and propagate steps it as such
+    # annotated generator stays complex (mean_heat_fd exponentiates it as
+    # such, and propagate, evolve and steady_state refuse it)
     for method in METHODS:
         share = _imaginary_share(total_liouvillian(method, _STACK, BATH, u=0.05).matrix)
         assert share.min() > 1e-3

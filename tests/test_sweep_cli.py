@@ -549,6 +549,24 @@ def test_huge_rates_fail_the_transient_rows_by_name():
         assert all(math.isnan(x) for x in _values(rec))
 
 
+_HUGE_DRIVE = config_from_dict({
+    "sweep": {"delta_min": 0.0, "delta_max": 0.0, "delta_steps": 1, "omega_list": [1e308]},
+    "methods": ["secular"],
+})
+
+
+def test_huge_drive_secular_mask_does_not_warn():
+    # at omega 1e308 the secular mask's frequency differences overflow; the
+    # row read "error: RuntimeWarning: overflow encountered in subtract"
+    # under pytest's error::RuntimeWarning filter (pyproject.toml), and ok
+    # with warnings ignored
+    (rec,) = run_sweep(_HUGE_DRIVE)
+    assert rec.status == "ok"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run_sweep(_HUGE_DRIVE) == [rec]
+
+
 @pytest.mark.parametrize("e_man", [1e-306, 1e-310, 5e-324])
 def test_tiny_manifold_splitting_gives_finite_rates(e_man):
     # the phenomenological method's bare levels are split by e_man only: its
