@@ -8,7 +8,7 @@ total_liouvillian, with counting-field heat statistics; a finite-memory
 for cooling spectra over detuning and drive strength.
 """
 
-from .bath import BathSpec, QuadratureError, rate_a, rate_table, shift_b
+from .bath import BathSpec, rate_a, rate_table, shift_b
 from .config import ConfigError, HeatRoute, SweepConfig, parse_config, profile_config
 from .dynamics import (
     HeatRecord,
@@ -36,7 +36,6 @@ __all__ = [
     "HeatRoute",
     "Liouvillian",
     "PropagationError",
-    "QuadratureError",
     "SpectrumRecord",
     "SteadyStateError",
     "SweepConfig",

@@ -2,17 +2,15 @@
 
 The spectral density is j(w) = 2 alpha w^3 / omega_c^2 exp(-w / omega_c)
 for w > 0 and zero otherwise, with thermal occupation
-n(w) = 1 / (exp(beta w) - 1).  Neither is formed on its own: rate_a and
-the shift numerator combine them as j(s)/s and s (n(s) + 1), which stay
-finite as s -> 0.  Rates and shifts are evaluated per transition
-frequency of the system eigenbasis and combined into the half-Fourier
-coefficients Gamma = a - i b that every generator reads (rate_table).
-Shifts come from a fixed composite rule, QUADPACK's 21-point Gauss-Kronrod
-pair with its nodes and weights written out, on panels graded to the
-singularities of the integrand, so the module needs numpy only; one
-evaluation per distinct |nu| serves both signs (a rate table holds -nu
-with every nu), each sign with its own error estimate and budget.  Rates
-and shifts stay finite, and raise no warning, at every finite nu.
+n(w) = 1 / (exp(beta w) - 1).  Neither is formed on its own: rate_a
+combines them as j(s)/s and s (n(s) + 1), which stay finite as s -> 0.
+Rates and shifts are evaluated per transition frequency of the system
+eigenbasis and combined into the half-Fourier coefficients Gamma = a - i b
+that every generator reads (rate_table).  Shifts are the Matsubara series
+that tcl.correlation_grid also sums, in closed form through the real
+exponential integral, so the module needs numpy only; one evaluation per
+distinct |nu| serves both signs (a rate table holds -nu with every nu).
+Rates and shifts stay finite, and raise no warning, at every finite nu.
 """
 
 from __future__ import annotations
@@ -24,27 +22,22 @@ import numpy as np
 
 from .system import EigenSystem
 
-# integration window: the exponential cutoff leaves nothing measurable
-# beyond a few tens of omega_c
-OMEGA_MAX_FACTOR = 40.0
-SHIFT_TOL = 1e-9
-# below the smallest normal double, shift_b takes its nu = 0 value
+SHIFT_TOL = 1e-12
+# Matsubara terms summed exactly before an Euler-Maclaurin tail takes over,
+# at most: in shift_b and in tcl.correlation_grid
+_SERIES_TERMS = 32
 _SMALLEST_NORMAL = np.finfo(float).tiny
-_LARGEST = np.finfo(float).max
-# transitions whose panels shift_b evaluates together, as _SHIFT_BLOCK // 2
-# magnitudes of both signs: the rule's temporaries grow with it (the 1,296
-# coupled transitions of paper-fig2's 324 points, 629 magnitudes, peaked
-# at 31.3 MB under tracemalloc in one block of transitions, 3.2 MB in
-# blocks of 128 transitions and 2.3 MB in blocks of 64 magnitudes)
-_SHIFT_BLOCK = 128
-
-
-class QuadratureError(RuntimeError):
-    """The shift quadrature's error estimate exceeds the requested budget."""
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
+_EULER_GAMMA = 0.5772156649015329
+# _h_seed's branches: Ei's power series, coefficients 1 / (m m!) for
+# m = 1, 2, ..., from x = -2 up to 40; E1's continued fraction below -2;
+# from |x| = 40, where its smallest term is about the roundoff that the
+# recurrence from h_0 reaches, the asymptotic series of h_8 (the highest
+# order shift_b reads), coefficients (8 + m)! / 8! for m = 0 .. 60
+_FRACTION_BELOW = -2.0
+_ASYMPTOTIC = 40.0
+_TOP = 8
+_EI_COEFFICIENTS = np.array([1.0 / (m * math.factorial(m)) for m in range(1, 120)])
+_ASYMPTOTIC_COEFFICIENTS = np.cumprod([1.0] + list(range(_TOP + 1, _TOP + 61)))
 
 
 @dataclass(frozen=True)
@@ -75,15 +68,15 @@ class BathSpec:
         return 1.0 / self.temperature
 
 
-def _thermal(w, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """expm1(-beta w) and w (n(w) + 1) = w / (1 - exp(-beta w)), elementwise for w >= 0.
+def _emitted(w, beta: float) -> np.ndarray:
+    """w (n(w) + 1) = w / (1 - exp(-beta w)), elementwise for w >= 0.
 
-    The second tends to the temperature as w -> 0 where n(w) alone
-    overflows, and is that limit where beta w underflows to 0.
+    It tends to the temperature as w -> 0 where n(w) alone overflows, and
+    is that limit where beta w underflows to 0.
     """
     em1 = np.expm1(-beta * w)
     zero = em1 == 0.0
-    return em1, np.where(zero, 1.0 / beta, w / np.where(zero, -1.0, -em1))
+    return np.where(zero, 1.0 / beta, w / np.where(zero, -1.0, -em1))
 
 
 def rate_a(nu, spec: BathSpec):
@@ -104,7 +97,7 @@ def rate_a(nu, spec: BathSpec):
     # beta s and s / (2 omega_c) overflow only as exponents: exp gives 0,
     # expm1 -1
     with np.errstate(over="ignore"):
-        _, emitted = _thermal(s, spec.beta)
+        emitted = _emitted(s, spec.beta)
         absorbed = np.where(nu > 0.0, 1.0, np.exp(-spec.beta * s))
         out = math.pi * spec.alpha * _density(s, spec.omega_c) * emitted * absorbed
     return out.item() if out.ndim == 0 else out
@@ -120,191 +113,163 @@ def _density(w, omega_c: float) -> np.ndarray:
     return 2.0 * x * x
 
 
-def _thermal_parts(w, omega_c: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """j(w) / (alpha w) and w (2 n(w) + 1) at w > 0, elementwise.
+def _longest_first(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order putting the largest counts first, and how many counts are >= m, for m = 0 .. max.
 
-    The shift numerator j(w)/alpha * (w + (2 n(w) + 1) nu) is
-    p (w w + q nu) with (p, q) these two, which do not depend on nu.
-    w (2 n(w) + 1) = w coth(beta w / 2) is formed as (2 + em1) w / -em1,
-    em1 = expm1(-beta w), which stays finite as w -> 0.
+    A loop from the largest count down then works on a leading slice of the
+    ordered elements, which each element joins at its own count.
     """
-    em1, emitted = _thermal(w, beta)
-    return _density(w, omega_c), (2.0 + em1) * emitted
+    order = np.argsort(-counts, kind="stable")
+    ranked = -counts[order]
+    top = -ranked[0] if ranked.size else 0
+    return order, np.searchsorted(ranked, -np.arange(top + 1), side="right")
 
 
-def _breakpoints(s: np.ndarray, omega_c: float, temperature: float,
-                 omega_max: np.ndarray) -> np.ndarray:
-    """Panel edges on (0, omega_max), graded to the singularities of the integrand.
-
-    Row k holds the edges of s[k] and omega_max[k] in ascending order.
-    Edges double from h = min(s, 2 pi T, omega_c) / 2 up to 4 omega_c, so a
-    panel [a, 2a] keeps a distance of about a from the pole at -s and the Bose
-    poles at +-2 pi i T m; they step by 4 omega_c up to 40 omega_c across the
-    exponential cutoff and double again beyond it.  s and omega_max are edges
-    themselves; other edges within 1e-3 s of s are dropped.  Rows shorter
-    than the longest end in repeats of omega_max, i.e. in panels of zero
-    width.
-    """
-    h = 0.5 * np.minimum(s, min(2.0 * math.pi * temperature, omega_c))
-    near = 4.0 * omega_c
-    far = 20.0 * near
-    # doublings of each row up to near, from logarithms: near / h overflows
-    # for h below near * 5.6e-309
-    doublings = np.ceil(np.log2(near) - np.log2(h)).astype(int)
-    fine = np.ldexp(h[:, None], np.minimum(np.arange(doublings.max() + 1), doublings[:, None]))
-    coarse = far * 2.0 ** np.arange(math.ceil(math.log2(max(omega_max.max(), far) / far)) + 1)
-    grid = np.concatenate([np.broadcast_to(near * np.arange(1, 11), (len(s), 10)),
-                           np.where(fine < near, fine, np.inf),
-                           np.broadcast_to(coarse, (len(s), len(coarse)))], axis=1)
-    kept = (grid < omega_max[:, None]) & (np.abs(grid - s[:, None]) > 1e-3 * s[:, None])
-    edges = np.column_stack([np.zeros_like(s), s, omega_max, np.where(kept, grid, np.inf)])
-    return np.minimum(np.sort(edges, axis=1), omega_max[:, None])
-
-
-# QUADPACK's qk21 pair (Piessens et al., QUADPACK (1983)) on [-1, 1]: the
-# 21-point Kronrod rule and the 10-point Gauss-Legendre rule on its nodes of
-# odd index, given for x >= 0 and mirrored; row 0 of _PANEL_WEIGHTS gives the
-# Kronrod sum, row 1 the Gauss sum
-_XGK = np.array([0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-                 0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-                 0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-                 0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-                 0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-                 0.0])
-_WGK = np.array([0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-                 0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-                 0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-                 0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
-                 0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-                 0.149445554002916905664936468389821])
-_WG = np.zeros(_XGK.size)
-_WG[1::2] = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-             0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-             0.295524224714752870173892994651338)
-_PANEL_NODES = np.concatenate((-_XGK[:-1], _XGK[::-1]))
-_PANEL_WEIGHTS = np.array([np.concatenate((v[:-1], v[::-1])) for v in (_WGK, _WG)])
-
-
-def _window(s, omega_c: float) -> np.ndarray:
-    """Shift integral's upper end at |nu| = s: 40 omega_c, widened to 2 s to hold the pole.
-
-    Past half the largest double the window is the largest double.
-    """
-    return np.maximum(OMEGA_MAX_FACTOR * omega_c, 2.0 * np.minimum(s, 0.5 * _LARGEST))
-
-
-def _principal_value(s: np.ndarray, omega_c: float, beta: float, tol: float) -> np.ndarray:
-    """Principal-value shift integrals at unit coupling at nu = +s and -s, s > 0.
-
-    Returns the integral, its error estimate and its budget, shape
-    (3, len(s), 2), column 0 at +s and column 1 at -s.  One panel set per s
-    on (0, _window(s)) serves both signs: the nodes and the transcendental
-    parts of the numerator are evaluated once, and each sign is summed on
-    them.  Each result depends on its own nu only: each row's panels are
-    summed in panel order, so the zero-width padding adds exact zeros.
-    """
-    omega_max = _window(s, omega_c)
-    # near the largest double, products overflow only to an inf whose
-    # limit is exact: an exponent (exp gives 0, expm1 -1), a coarse panel
-    # edge past omega_max (dropped), and w + s at nodes where p is 0
-    with np.errstate(over="ignore"):
-        p_s, q_s = _thermal_parts(s, omega_c, beta)
-        edges = _breakpoints(s, omega_c, 1.0 / beta, omega_max)
-        half = 0.5 * np.diff(edges, axis=1)
-        panel = half > 0.0
-        row = np.nonzero(panel)[0]
-        width = half[panel][:, None]
-        w = (edges[:, :-1] + half)[panel][:, None] + width * _PANEL_NODES
-        p, q = _thermal_parts(w, omega_c, beta)
-        above = w + s[row, None]
-    # (numerator / (w + s) - c) / (w - s): the product (w - s)(w + s) would
-    # underflow for |nu| below ~1e-161.  numerator / (w + s) is a + b at
-    # nu = s and a - b at nu = -s, both from one reciprocal of w + s and
-    # formed so that neither w w nor q nu overflows
-    below = w - s[row, None]
-    inv = 1.0 / above
-    a = p * w * w * inv
-    b = p * q * (s[row, None] * inv)
-    # the simple pole at w = s: near it the integrand behaves as c / (w - s)
-    # with c = numerator(s) / (2 s) = p_s (s +- q_s) / 2; the remainder g is
-    # analytic on the whole window
-    c_s, c_q = 0.5 * p_s * s, 0.5 * p_s * q_s
-    # analytic principal value of the subtracted pole over (0, omega_max);
-    # only at s = the largest double does the window end on the pole, and
-    # there c is 0
-    log_ratio = np.log(np.maximum(omega_max - s, _SMALLEST_NORMAL)) - np.log(s)
-    out = np.empty((3, s.size, 2))
-    panels = np.zeros(half.shape + (2,))
-    for k, (combine, c) in enumerate(((np.add, c_s + c_q), (np.subtract, c_s - c_q))):
-        g = combine(a, b)
-        g -= c[row, None]
-        g /= below
-        panels[panel] = width * np.einsum("pn,rn->pr", g, _PANEL_WEIGHTS)
-        integral = panels[..., 0].cumsum(axis=1)[:, -1] + c * log_ratio
-        out[:, :, k] = (integral,
-                        np.abs(panels[..., 0] - panels[..., 1]).cumsum(axis=1)[:, -1],
-                        tol * np.maximum(1.0, np.abs(integral)))
+def _horner(x: np.ndarray, degrees: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """sum_{m = 0 .. degree} coefficients[m] x^m, by Horner's rule from each element's own degree."""
+    order, joined = _longest_first(degrees)
+    xs = x[order]
+    p = np.zeros_like(xs)
+    for m in range(joined.size - 1, -1, -1):
+        n = joined[m]
+        p[:n] *= xs[:n]
+        p[:n] += coefficients[m]
+    out = np.empty_like(x)
+    out[order] = p
     return out
+
+
+def _e1_fraction(y: np.ndarray) -> np.ndarray:
+    """e^y E1(y) = 1/(y + 1 - 1/(y + 3 - 4/(y + 5 - ...))) for y > 2, from each element's depth 100/y + 7."""
+    order, joined = _longest_first((100.0 / y).astype(np.int16) + 7)
+    ys = y[order]
+    t = np.zeros_like(ys)
+    for j in range(joined.size - 1, 0, -1):
+        tn = t[:joined[j]]
+        np.subtract(ys[:tn.size] + (2 * j + 1), tn, out=tn)
+        np.divide(j * j, tn, out=tn)
+    out = np.empty_like(y)
+    out[order] = 1.0 / (ys + 1.0 - t)
+    return out
+
+
+def _h_seed(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x h_0(x) = -x e^-x Ei(x) where |x| < 40, and h_8(x) where |x| >= 40 (_h).
+
+    u = 1/x is passed in as well: it stays finite where x overflows.  Each
+    series runs to its own element's degree: Ei's to 1.6|x| + 6 sqrt|x| + 12,
+    which leaves a remainder below eps/4, h_8's to its smallest term, at
+    most the 60th, which is below eps/4 from |x| = 69 on.  x h_0 is its
+    limit 0 at x = 0, and NaN stays NaN.
+    """
+    far = np.abs(u) <= 1.0 / _ASYMPTOTIC
+    out = np.where(x == 0.0, 0.0, np.nan)
+    uf = u[far]
+    degrees = (1.0 / np.maximum(np.abs(uf), 1.0 / 69.0)).astype(np.int16) - _TOP - 1
+    out[far] = -math.factorial(_TOP) * uf * _horner(uf, degrees, _ASYMPTOTIC_COEFFICIENTS)
+    series = ~far & (x >= _FRACTION_BELOW) & (x != 0.0)
+    xs = x[series]
+    a = np.abs(xs)
+    ei = xs * _horner(xs, (1.6 * a + 6.0 * np.sqrt(a)).astype(np.int16) + 11, _EI_COEFFICIENTS)
+    out[series] = -xs * np.exp(-xs) * (_EULER_GAMMA + np.log(a) + ei)
+    fraction = ~far & (x < _FRACTION_BELOW)
+    y = -x[fraction]
+    out[fraction] = -y * _e1_fraction(y)
+    return out
+
+
+def _h(x: np.ndarray, u: np.ndarray, seed: np.ndarray, order: int) -> np.ndarray:
+    """h_n(x) = PV integral over t > 0 of t^n e^-t / (t - x) for n = 1 .. order <= 8, row n - 1.
+
+    u = 1/x and seed = _h_seed(x, u).  With h_0(x) = -e^-x Ei(x),
+    h_n = x h_(n-1) + (n-1)!, so h_n(0) = (n-1)! exactly.  The recurrence
+    runs upwards from x h_0 where |x| < 40 and downwards from h_8 where
+    |x| >= 40, the direction in which it is stable.  Every loop stops per
+    element, so each result depends on its own x only.
+    """
+    out = np.empty((order,) + x.shape)
+    # upwards on every element: where |x| >= 40 this may overflow, and is
+    # overwritten below
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[0] = seed + 1.0
+        for n in range(2, order + 1):
+            np.multiply(x, out[n - 2], out=out[n - 1])
+            out[n - 1] += math.factorial(n - 1)
+    far = np.abs(u) <= 1.0 / _ASYMPTOTIC
+    u = u[far]
+    h = [seed[far]]
+    for n in range(_TOP - 1, 0, -1):
+        h.append((h[-1] - math.factorial(n)) * u)
+    out[:, far] = h[::-1][:order]
+    return out
+
+
+def _shift_pair(s: np.ndarray, spec: BathSpec, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """shift_b / alpha at nu = s and at nu = -s, s >= 0, from terms exact Matsubara terms."""
+    omega_c, temperature = spec.omega_c, spec.temperature
+    # b_k omega_c = 1 + k beta omega_c; past 1e300 the terms k >= 1 vanish anyway
+    beta = min(omega_c / temperature, 1e300)
+    scale = 1.0 + beta * np.arange(terms + 1)
+    with np.errstate(over="ignore", divide="ignore"):
+        x = np.multiply.outer(scale, s / omega_c)
+        u = np.multiply.outer(1.0 / scale, omega_c / s)
+    # b_k nu at nu = s and -s: columns k < K hold the exact terms, K the tail
+    x, u = np.stack([x, -x]), np.stack([u, -u])
+    seed = _h_seed(x, u)
+    exact = _h(x[:, :-1], u[:, :-1], seed[:, :-1], 3)[2]
+    edge = _h(x[:, -1], u[:, -1], seed[:, -1], _TOP)
+    # d[n - 1] = h_n(b_K s) - h_n(-b_K s), so D_n = omega_c^n d_n / (b_K omega_c)^n;
+    # d_2 = x (h_1(x) + h_1(-x)) at small x avoids the cancellation of h_2(+-x) ~ 1
+    d = edge[:, 0] - edge[:, 1]
+    small = np.abs(x[0, -1]) < 1.0
+    d[1, small] = x[0, -1, small] * (edge[0, 0, small] + edge[0, 1, small])
+    r = 1.0 / (temperature / omega_c + terms)  # beta / b_K
+    cube = (1.0 / scale) ** 3
+    tail = (d[2] / 2.0 + r * d[3] / 12.0 - r**3 * d[5] / 720.0 + r**5 * d[7] / 30240.0) * cube[-1]
+    # the terms k = K-1 .. 1 added to it one at a time, smallest first
+    odd = np.concatenate([tail[None], ((exact[0] - exact[1]) * cube[:-1, None])[:0:-1]])
+    odd = np.add.accumulate(odd)[-1]
+    # the tail's leading term D_2 / beta, formed as T d_2 / (b_K omega_c)^2
+    odd = 2.0 * omega_c * odd + temperature * (2.0 * d[1] * (1.0 / scale[-1]) ** 2)
+    return 2.0 * omega_c * exact[0, 0] + odd, 2.0 * omega_c * exact[1, 0] - odd
 
 
 def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
     """Principal-value frequency shift at transition frequency nu.
 
-    Evaluates PV of the integral over w in (0, omega_max) of
-    j(w) (w + (2 n(w) + 1) nu) / (w^2 - nu^2).  The pole at w = s = |nu| is
-    subtracted as c / (w - s) and its exact principal value
-    c log((omega_max - s) / s) added back.  The remainder is analytic on the
-    window; its nearest singularities are the pole at -s and the Bose poles
-    at +-2 pi i T m, with exp(-w / omega_c) setting the scale beyond.  It is
-    integrated by 21-point Gauss-Kronrod panels on edges 0, then doubling
-    from min(s, 2 pi T, omega_c) / 2 to 4 omega_c, every 4 omega_c to
-    40 omega_c, doubling again to omega_max, plus s and omega_max, which
-    converges geometrically (Trefethen, SIAM Rev. 50, 67 (2008)).  The
-    10-point Gauss-Legendre rule on 10 of the same nodes gives the error
-    estimate, the sum of the panel differences (Piessens et al.,
-    QUADPACK (1983)): it bounds the error of the 10-point rule, which the
-    Kronrod sum far exceeds in accuracy.  Above tol max(1, |integral|)
-    (the integral at alpha = 1, which grows like T), or NaN,
-    QuadratureError carries it.  At nu = 0
-    there is no pole and the integral is taken in closed form.  Subnormal nu
-    (|nu| < 2.2e-308), whose pole the panels cannot resolve, take that value
-    too; the shift differs from it by O(alpha (1 + T / omega_c) |nu|).  The
-    coupling alpha enters exactly linearly and is factored out.  The
-    window omega_max is 40 omega_c, widened to 2 |nu| for transitions
-    beyond it, so it always holds the pole (_window).  Far above the bath
-    the shift falls as -integral of j(w) (2 n(w) + 1) / nu, finite and
-    without warning up to the largest double.  Accepts scalars or
-    arrays of nu.  The rule is evaluated once per distinct |nu|, its
-    panels, nodes and thermal factors serving both signs, each sign with
-    its own pole constant, panel sums, estimate and budget, in blocks of
-    _SHIFT_BLOCK // 2 magnitudes so that memory does not grow with the
-    array.  Each result equals its scalar call, and a failure raises the
-    error of the first failing transition in input order.
+    The principal value of the integral over w > 0 of
+    j(w) (w + coth(beta w / 2) nu) / (w^2 - nu^2) in closed form.  The
+    expansion coth(beta w / 2) = 1 + 2 sum_{k>=1} exp(-k beta w) of
+    tcl.correlation_grid gives, with b_k = 1/omega_c + k beta,
+
+        b(nu) = 2 alpha / omega_c^2 [sum_{k>=0} G_3(b_k, nu) - sum_{k>=1} G_3(b_k, -nu)],
+        G_n(b, nu) = PV integral over w > 0 of w^n exp(-b w) / (w - nu) = h_n(b nu) / b^n
+
+    (_h).  The terms k < K are summed exactly, the rest as the
+    Euler-Maclaurin tail D_2/beta + D_3/2 + beta D_4/12 - beta^3 D_6/720
+    + beta^5 D_8/30240, D_n = G_n(b_K, nu) - G_n(b_K, -nu).  Where
+    b_K |nu| >> 10, D_n falls as -2 n! / (b_K^(n+1) nu) and the first
+    omitted term, beta^7 D_10 / 1209600, is 1.5 (beta / b_K)^8 of the
+    leading one: K is the least count, at most 32, that brings this bound
+    to tol or below.  h_n(0) = (n-1)! gives b(0) = 4 alpha omega_c
+    exactly; far above the bath the shift falls as -integral of
+    j(w) coth(beta w / 2) / nu, finite and without warning up to the
+    largest double.  The coupling alpha enters exactly linearly.  Accepts
+    scalars or arrays of nu; one evaluation per distinct |nu| serves both
+    signs, and each result equals its scalar call.  Raises ValueError when
+    tol is negative or NaN.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    terms = 1
+    hot = spec.temperature / spec.omega_c
+    while terms < _SERIES_TERMS and 1.5 * (1.0 / (hot + terms)) ** 8 > tol:
+        terms += 1
     nu = np.asarray(nu, dtype=float)
     flat = nu.ravel()
-    out = np.empty_like(flat)
-    pole = np.abs(flat) >= _SMALLEST_NORMAL
-    # nu = 0: the integrand reduces to j(w)/w = 2 w^2 / omega_c^2 exp(-w / omega_c),
-    # no pole and no temperature: the window integral is exact
-    x = _window(np.abs(flat[~pole]), spec.omega_c) / spec.omega_c
-    out[~pole] = 4.0 * spec.omega_c * (1.0 - np.exp(-x) * (1.0 + x + 0.5 * x * x))
-    # one rule evaluation per distinct |nu| serves both signs; column 1 holds -|nu|
-    s, which = np.unique(np.abs(flat[pole]), return_inverse=True)
-    step = _SHIFT_BLOCK // 2
-    rule = np.empty((3, s.size, 2))
-    for start in range(0, s.size, step):
-        block = slice(start, start + step)
-        rule[:, block] = _principal_value(s[block], spec.omega_c, spec.beta, tol)
-    integral, estimate, budget = rule[:, which, (flat[pole] < 0.0).astype(int)]
-    # a NaN estimate fails too
-    failed = np.flatnonzero(~(estimate <= budget))
-    if failed.size:
-        k = failed[0]
-        raise QuadratureError(f"shift integral error estimate {estimate[k]:.3e} exceeds "
-                              f"budget {budget[k]:.3e}", float(estimate[k]))
-    out[pole] = integral
-    out = spec.alpha * out.reshape(nu.shape)
+    s, which = np.unique(np.abs(flat), return_inverse=True)
+    plus, minus = _shift_pair(s, spec, terms)
+    out = spec.alpha * np.where(flat < 0.0, minus[which], plus[which]).reshape(nu.shape)
     return out.item() if out.ndim == 0 else out
 
 
@@ -318,8 +283,8 @@ def rate_table(eig: EigenSystem, spec: BathSpec) -> np.ndarray:
     (Breuer & Petruccione, The Theory of Open Quantum Systems (2002),
     sec. 3.3).  Broadcasts over leading axes of eig: the coupled transitions
     of every point are evaluated together.  Uncoupled pairs stay zero
-    unevaluated, so they cannot fail the table.  Shifts use shift_b's
-    default tolerance.
+    unevaluated, so they cannot fail the table.  Shifts are shift_b's at
+    its default tol.
     """
     coupled = eig.elements != 0
     nu = eig.nu[coupled]

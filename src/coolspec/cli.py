@@ -58,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg = profile_config(args.profile)
         records = run_sweep(cfg, jobs=args.jobs)
         write_output(records, args.output, args.format)
-    except (ConfigError, FileNotFoundError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"coolspec: error: {exc}", file=sys.stderr)
         return 1
     failures = sum(1 for r in records if r.status != "ok")

@@ -285,15 +285,18 @@ def validate_config(cfg: SweepConfig):
 def parse_config(path: str) -> SweepConfig:
     """Read and validate a JSON config file.
 
-    A missing file surfaces as FileNotFoundError; malformed JSON and
-    schema violations raise ConfigError.
+    A missing file surfaces as FileNotFoundError; text that is not UTF-8,
+    malformed or too deeply nested JSON, and schema violations raise
+    ConfigError.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    try:
-        data = json.loads(raw) if raw.strip() else {}
-    except ValueError as exc:  # JSONDecodeError, or an integer literal over 4300 digits
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
+        try:
+            raw = fh.read()
+            data = json.loads(raw) if raw.strip() else {}
+        except ValueError as exc:  # UnicodeDecodeError, JSONDecodeError, a 4300-digit integer
+            raise ConfigError(f"malformed JSON in {path}: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"malformed JSON in {path}: nested too deeply to read") from None
     return config_from_dict(data, raw_text=raw)
 
 

@@ -97,12 +97,14 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     increment, as in the stage form.  The chunk cap bounds the memory the
     stacks take.
 
-    An unstable step raises PropagationError: before any step, when the
-    RK4 gain max |R(dt lambda)| over the eigenvalues of the generator at
-    the first and last grid times, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24,
-    exceeds 1 + 1e-9 at the worst point or is not finite; and when the
-    trace of any point drifts by more than 1e-6 (or is not finite) at any
-    step, which a u = 0 generator preserves exactly.  The drift is checked
+    A generator with an infinite or NaN entry at the first or last grid
+    time raises PropagationError before any step.  So does an unstable
+    step: before any step, when the RK4 gain max |R(dt lambda)| over the
+    eigenvalues of the generator at the first and last grid times,
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, exceeds 1 + 1e-9 at the worst
+    point or is not finite; and when the trace of any point drifts by
+    more than 1e-6 (or is not finite) at any step, which a u = 0
+    generator preserves exactly.  The drift is checked
     per chunk, for all of its states at once; the first drifting step is
     named, with the largest drift over the points there, and no warning
     escapes: a state that overflows after that step is never returned.
@@ -110,8 +112,13 @@ def propagate(generator_at: Callable[[np.ndarray], Liouvillian], rho0: np.ndarra
     times = _time_grid(t_end, dt)
     ends = generator_at(times[[0, -1]])
     points = ends.matrix.shape[:-3]
-    z = dt * np.linalg.eigvals(np.broadcast_to(_coordinates(ends, "propagate"),
-                                               points + (2, DIM * DIM, DIM * DIM)))
+    end_matrices = np.broadcast_to(_coordinates(ends, "propagate"),
+                                   points + (2, DIM * DIM, DIM * DIM))
+    finite = np.isfinite(end_matrices).all(axis=(-2, -1)).reshape(-1, 2).all(axis=0)
+    if not finite.all():
+        t = times[[0, -1]][finite.argmin()]
+        raise PropagationError(f"non-finite generator at t = {t:.6g}: it has an infinite or NaN entry")
+    z = dt * np.linalg.eigvals(end_matrices)
     # a step so large that z^4 overflows gives an inf or NaN gain, which fails
     with np.errstate(over="ignore", invalid="ignore"):
         gains = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0).max(axis=-1)

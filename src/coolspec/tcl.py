@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .bath import BathSpec
+from .bath import _SERIES_TERMS, BathSpec
 from .dynamics import HeatRecord, propagate
 from .generators import (
     DIM,
@@ -33,10 +33,6 @@ from .generators import (
     vectorize,
 )
 from .system import SystemSpec, eigensystem
-
-# Matsubara terms of correlation_grid summed exactly before the
-# Euler-Maclaurin remainder takes over
-_SERIES_TERMS = 32
 
 # widest tau-grid spacing of the running coefficients up to omega_c 1; a
 # faster bath gets this / omega_c, since C(tau) varies on the scale

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coolspec import BathSpec, QuadratureError, SystemSpec, coupling_operator
+from coolspec import BathSpec, SystemSpec, coupling_operator
 from coolspec.generators import unvectorize, vectorize
 from coolspec.system import IDX_E, IDX_GU
 
 # Bath formulas written out on their own, independent of coolspec.bath, which
-# forms j(s)/s and s (n(s) + 1) inside rate_a and the shift numerator instead.
-# Import them with `from conftest import ...`.
+# forms j(s)/s and s (n(s) + 1) inside rate_a and sums the shift as a
+# Matsubara series instead.  Import them with `from conftest import ...`.
+
+
+class OracleError(RuntimeError):
+    """An adaptive-quadrature oracle's error estimate exceeds its budget."""
 
 
 def spectral_density(omega, spec):
@@ -170,8 +174,7 @@ def bath_correlation():
                               epsabs=tol, epsrel=1e-12, limit=400)
         err = re_err + im_err
         if err > 10.0 * tol:
-            raise QuadratureError(
-                f"correlation integral error estimate {err:.3e} exceeds budget", err)
+            raise OracleError(f"correlation integral error estimate {err:.3e} exceeds budget")
         return complex(re, -im)
 
     return c
@@ -181,8 +184,9 @@ def bath_correlation():
 def quad_shift():
     """Principal-value shift by adaptive quadrature; shift_b's oracle.
 
-    Returns b(nu, spec, omega_max=None).  The window defaults to shift_b's,
-    max(40 omega_c, 2 |nu|).  The simple pole of
+    Returns b(nu, spec, omega_max=None), the integral over (0, omega_max),
+    by default max(40 omega_c, 2 |nu|).  shift_b integrates to infinity; at
+    nu = 0 the part beyond 40 omega_c is 4e-15 of the whole.  The simple pole of
     j(w) (w + (2 n(w) + 1) nu) / (w^2 - nu^2) at w = s = |nu| is subtracted as
     c / (w - s), the remainder integrated by quad split at s and at 2 s 4^k
     (the pole at -s sets that scale), and c log((omega_max - s) / s) added
@@ -216,7 +220,7 @@ def quad_shift():
         tol = 1e-12 * 4.0 * spec.alpha * spec.omega_c
         val, err = quad(regular, 0.0, omega_max, points=points, epsabs=tol, epsrel=1e-12, limit=400)
         if err > 100.0 * max(tol, 1e-12 * abs(val)):
-            raise QuadratureError(f"shift integral error estimate {err:.3e} exceeds budget", err)
+            raise OracleError(f"shift integral error estimate {err:.3e} exceeds budget")
         return val + c * np.log((omega_max - s) / s)
 
     return b

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.special import expi, expn
 
-from coolspec.bath import BathSpec, QuadratureError, rate_a, rate_table, shift_b
+from coolspec.bath import SHIFT_TOL, BathSpec, _h, _h_seed, rate_a, rate_table, shift_b
 from coolspec.system import SystemSpec, eigensystem
 
 from conftest import bose_occupation, spectral_density
@@ -157,6 +158,11 @@ def test_shift_zero_frequency_closed_form():
     assert_allclose(shift_b(0.0, BATH), 0.04, atol=1e-9)
     other = BathSpec(alpha=0.02, omega_c=0.7, temperature=3.0)
     assert_allclose(shift_b(0.0, other), 4.0 * 0.02 * 0.7, atol=1e-9)
+    # h_n(0) = (n - 1)! exactly, so the series gives it bitwise, at any tol
+    for spec in (BATH, other, BathSpec(alpha=0.3, omega_c=0.02, temperature=1e6),
+                 BathSpec(alpha=1.0, omega_c=5.0, temperature=0.01)):
+        for tol in (SHIFT_TOL, 1e-9, 0.0):
+            assert shift_b(0.0, spec, tol=tol) == 4.0 * spec.alpha * spec.omega_c
 
 
 def test_shift_frozen_values():
@@ -214,21 +220,107 @@ def test_shift_refinement_stability():
         assert abs(coarse - fine) < 1e-9
 
 
+def test_tol_sets_the_number_of_exact_terms():
+    # tol 1e-9 and 5e-10 sum 12 and 13 exact terms at this bath: the
+    # results differ, by far less than either bound
+    for nu in (2.0, -2.0, 0.37, 30.0):
+        coarse, fine = shift_b(nu, BATH, tol=1e-9), shift_b(nu, BATH, tol=5e-10)
+        assert coarse != fine
+        assert abs(coarse - fine) < 1e-11 * max(abs(fine), 4.0 * BATH.alpha * BATH.omega_c)
+    for tol in (-1e-9, math.nan):
+        with pytest.raises(ValueError, match="tol must be non-negative"):
+            shift_b(1.0, BATH, tol=tol)
+
+
+def _h_reference(x: float, n: int) -> float:
+    """h_n(x) from scipy: n! e^-x E_(n+1)(-x) for x < 0, else a Cauchy-weight quadrature."""
+    if x < 0.0:
+        return math.factorial(n) * math.exp(-x) * expn(n + 1, -x)
+    top = x + 60.0 + 2.0 * n
+    pole = quad(lambda t: t**n * math.exp(-t), 0.0, top, weight="cauchy", wvar=x,
+                epsabs=0.0, epsrel=1e-13, limit=400)[0]
+    return pole + quad(lambda t: t**n * math.exp(-t) / (t - x), top, math.inf,
+                       epsabs=0.0, epsrel=1e-13, limit=400)[0]
+
+
+def _switches() -> np.ndarray:
+    """Both sides of every branch switch of _h (x = -2, +-40), by one ulp and by 1e-9."""
+    return np.array([point for c in (-2.0, 40.0, -40.0)
+                     for point in (np.nextafter(c, -np.inf), c, np.nextafter(c, np.inf),
+                                   c - 1e-9, c + 1e-9)])
+
+
+def _h_of(x: np.ndarray, order: int) -> np.ndarray:
+    """_h's rows h_1 .. h_order at x, RuntimeWarnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(divide="ignore", over="ignore"):
+            u = 1.0 / x
+        return _h(x, u, _h_seed(x, u), order)
+
+
+def test_exponential_integral_matches_scipy_at_branch_switches():
+    # h_1(x) = 1 - x e^-x Ei(x), so e^-x Ei(x) = (1 - h_1(x)) / x on every
+    # branch, -2.0000000000000013 (three ulps past the switch at -2) included
+    x = np.concatenate([_switches(), [-2.0000000000000013, -3.0, -0.5, 0.5, 3.0, 39.0, 100.0]])
+    assert_allclose((1.0 - _h_of(x, 1)[0]) / x, np.exp(-x) * expi(x), rtol=1e-13, atol=0)
+    # and -x h_0(x) / x from _h_seed below |x| = 40, down to tiny x
+    near = np.concatenate([x[np.abs(x) < 40.0], [1e-300, -1e-300, 1e-20, -1e-20]])
+    assert_allclose(-_h_seed(near, 1.0 / near) / near, np.exp(-near) * expi(near), rtol=1e-14, atol=0)
+
+
+def test_h_matches_scipy_on_both_sides_of_every_branch_switch():
+    # the recurrence h_n = x h_(n-1) + (n-1)! loses about |x|^n / n! ulps
+    # below |x| = 40, the asymptotic series as much above it
+    x = np.concatenate([_switches(), [-2.0000000000000013, -10.0, 1.0, 10.0, 39.0]])
+    h = _h_of(x, 8)
+    for n in (1, 2, 3, 4, 6, 8):
+        for point, got in zip(x, h[n - 1]):
+            ref = _h_reference(float(point), n)
+            assert abs(got - ref) <= (1e-13 + 2e-15 * abs(point) ** n / math.factorial(n)) * abs(ref)
+
+
+def test_h_at_zero_and_at_the_ends_of_the_doubles():
+    # h_n(0) = (n - 1)!, which the recurrence gives exactly up to subnormal
+    # |x|, as does scipy's 1 - x e^-x Ei(x) for h_1; at +-1e308 the
+    # asymptotic series is -n! / x
+    tiny = np.array([1e-300, -1e-300, 5e-324, -5e-324, 0.0, -0.0])
+    huge = np.array([1e308, -1e308])
+    h, far = _h_of(tiny, 8), _h_of(huge, 8)
+    for n in range(1, 9):
+        assert h[n - 1].tolist() == [math.factorial(n - 1)] * tiny.size
+        assert_allclose(far[n - 1], -math.factorial(n) / huge, rtol=1e-15, atol=0)
+    assert h[0, :4].tolist() == (1.0 - tiny[:4] * np.exp(-tiny[:4]) * expi(tiny[:4])).tolist()
+
+
+def test_shift_array_spanning_every_branch_equals_scalar_calls():
+    # magnitudes from subnormal to far above the bath put b_k |nu| in every
+    # branch of _h and every loop count; each entry must equal its scalar
+    # call exactly, whatever the others in the array
+    for spec in (BATH, BathSpec(alpha=0.01, omega_c=0.02, temperature=0.3)):
+        magnitudes = np.geomspace(1e-300, 1e3, 61)
+        nus = np.concatenate([magnitudes, -magnitudes[::-1], [0.0, 5e-324, 1e308]]).reshape(5, -1)
+        shifts = shift_b(nus, spec)
+        for nu, b in zip(nus.ravel(), shifts.ravel()):
+            assert b == shift_b(float(nu), spec)
+
+
+@pytest.mark.parametrize("temperature", [1e-320, 1e-310])
+def test_shift_at_a_vanishing_temperature_is_its_cold_limit(temperature):
+    # beta omega_c overflows to inf here; only the k = 0 term remains, as at
+    # T 1e-100, where the terms k >= 1 fall below 1e-300 of it
+    cold = BathSpec(alpha=0.01, omega_c=1.0, temperature=1e-100)
+    spec = BathSpec(alpha=0.01, omega_c=1.0, temperature=temperature)
+    nus = np.array([0.5, -0.5, 0.0, 5e-324, 3.0, -3.0, 1e3, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert_allclose(shift_b(nus, spec), shift_b(nus, cold), rtol=1e-15, atol=0)
+
+
 def test_shift_window_widens_to_hold_frequency(quad_shift):
     # the window widens to 2 |nu| past 40 omega_c, which loses nothing of the bath
     for nu in (50.0, -50.0):
         assert_allclose(shift_b(nu, BATH), quad_shift(nu, BATH, 400.0), rtol=1e-9)
-
-
-def test_quadrature_error_type():
-    assert issubclass(QuadratureError, RuntimeError)
-    err = QuadratureError("budget", 1e-3)
-    assert err.estimate == 1e-3
-    # a budget below the 21-point Kronrod vs 10-point Gauss panel difference
-    # raises, estimate set
-    with pytest.raises(QuadratureError, match="exceeds budget") as info:
-        shift_b(0.7, BATH, tol=1e-30)
-    assert 1e-30 < info.value.estimate < 1e-12
 
 
 def _after_cli_import(expression: str) -> str:
@@ -255,38 +347,6 @@ def test_import_loads_no_numpy_polynomial():
 def test_import_loads_no_process_pool():
     # worker processes are started only by run_sweep with jobs > 1
     assert _after_cli_import("'concurrent.futures.process' in sys.modules") == "False"
-
-
-def _monomial_errors(weights, nodes, degrees):
-    exact = np.where(degrees % 2 == 0, 2.0 / (degrees + 1), 0.0)
-    return np.abs(weights @ nodes[:, None] ** degrees - exact)
-
-
-def test_kronrod_rule_is_exact_to_degree_31():
-    # the 21-point Kronrod rule integrates x^k on [-1, 1] exactly for
-    # k <= 3 * 10 + 1, its embedded 10-point Gauss rule for k <= 19, and
-    # neither one degree further
-    import coolspec.bath as bath_module
-
-    nodes, (kronrod, gauss) = bath_module._PANEL_NODES, bath_module._PANEL_WEIGHTS
-    assert nodes.shape == kronrod.shape == gauss.shape == (21,)
-    assert _monomial_errors(kronrod, nodes, np.arange(32)).max() < 1e-15
-    assert _monomial_errors(kronrod, nodes, np.array([32]))[0] > 1e-13
-    assert _monomial_errors(gauss, nodes, np.arange(20)).max() < 1e-15
-    assert _monomial_errors(gauss, nodes, np.array([20]))[0] > 1e-7
-
-
-def test_embedded_rule_is_ten_point_gauss_legendre():
-    from numpy.polynomial.legendre import leggauss
-
-    import coolspec.bath as bath_module
-
-    gauss = bath_module._PANEL_WEIGHTS[1]
-    on = gauss != 0.0
-    x10, w10 = leggauss(10)
-    assert on.sum() == 10
-    assert_allclose(bath_module._PANEL_NODES[on], x10, rtol=0, atol=1e-15)
-    assert_allclose(gauss[on], w10, rtol=0, atol=1e-15)
 
 
 def test_rate_table_consistent_with_scalars():
@@ -343,50 +403,6 @@ def test_stacked_rate_table_matches_single_points():
         assert np.array_equal(gamma[k].imag, single.imag)
 
 
-def test_shift_blocks_equal_scalar_calls():
-    # shift_b evaluates at most _SHIFT_BLOCK transitions together; more
-    # than two blocks of mixed signs, tiny and zero frequencies must each
-    # equal their scalar call exactly
-    import coolspec.bath as bath_module
-
-    block = bath_module._SHIFT_BLOCK
-    magnitudes = np.geomspace(1e-300, 30.0, block + 3)
-    nus = np.concatenate([magnitudes, -magnitudes[::-1], [0.0, 5e-324]]).reshape(2, -1)
-    shifts = shift_b(nus, BATH)
-    assert shifts.shape == nus.shape
-    for nu, b in zip(nus.ravel(), shifts.ravel()):
-        assert b == shift_b(float(nu), BATH)
-
-
-def test_shift_failure_in_later_block_names_first_failing_transition():
-    # at tol 1e-15 nu 30 passes while nu 3 and -0.7 fail, with different
-    # estimates; the first failure in input order is the larger magnitude,
-    # and the error is its scalar error.  Each sign of a magnitude has its
-    # own estimate and budget: 0.7 and -3.0 pass, and sharing a rule
-    # evaluation with -0.7 and 3.0 must not fail them
-    import coolspec.bath as bath_module
-
-    block = bath_module._SHIFT_BLOCK
-    nus = np.full(3 * block, 30.0)
-    nus[block + 5] = 3.0
-    nus[2 * block + 5] = -0.7
-    with pytest.raises(QuadratureError) as first:
-        shift_b(3.0, BATH, tol=1e-15)
-    with pytest.raises(QuadratureError) as other:
-        shift_b(-0.7, BATH, tol=1e-15)
-    assert first.value.estimate != other.value.estimate
-    with pytest.raises(QuadratureError) as info:
-        shift_b(nus, BATH, tol=1e-15)
-    assert str(info.value) == str(first.value)
-    assert info.value.estimate == first.value.estimate
-    with pytest.raises(QuadratureError) as info:
-        shift_b([0.7, -3.0, 30.0, -0.7, 3.0], BATH, tol=1e-15)
-    assert str(info.value) == str(other.value)
-    assert info.value.estimate == other.value.estimate
-    passing = shift_b([0.7, -3.0], BATH, tol=1e-15)
-    assert passing.tolist() == [shift_b(0.7, BATH, tol=1e-15), shift_b(-3.0, BATH, tol=1e-15)]
-
-
 @pytest.mark.parametrize("nu", [1e-300, -1e-300, 1e-200, 1e-160])
 def test_shift_at_tiny_frequency_approaches_zero_frequency_limit(nu):
     # (w - s)(w + s) underflowed to 0 below |nu| ~ 1e-161, so the integrand
@@ -404,17 +420,6 @@ def test_rate_and_shift_at_tiny_frequency(nu, temperature):
     spec = BathSpec(alpha=0.01, omega_c=1.0, temperature=temperature)
     assert rate_a(nu, spec) == 0.0
     assert_allclose(shift_b(nu, spec), shift_b(0.0, spec), rtol=1e-15)
-
-
-def test_nan_error_estimate_raises(monkeypatch):
-    # a NaN estimate compares False against the budget; it must still fail
-    import coolspec.bath as bath_module
-
-    monkeypatch.setattr(bath_module, "_thermal_parts",
-                        lambda w, omega_c, beta: (np.full(np.shape(w), np.nan),) * 2)
-    with pytest.raises(QuadratureError, match="nan exceeds budget") as info:
-        shift_b(0.7, BATH)
-    assert math.isnan(info.value.estimate)
 
 
 @pytest.mark.parametrize("temperature, omega_c", [(3.0, 1.0), (0.01, 0.02), (1e6, 1.0)])

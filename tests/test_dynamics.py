@@ -193,11 +193,11 @@ def test_stacked_drift_names_the_first_drifting_step_past_the_first_chunk():
     # the same step and drift as a per-step check does, for the stack and
     # for point 1 alone, and nothing warns as the leak overflows later on.
     # A complex generator is stepped in real Hermitian coordinates, so the
-    # drift is rounding of a state of norm ~7e12 there, whole ulps of it
+    # drift is rounding of a state of norm ~3e18 there, whole ulps of it
     # that the generator's last bits move
     matrix = total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix
     assert _leak_messages(matrix) == [
-        "trace drifted by 9.766e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
+        "trace drifted by 2.550e+02 at t = 6.6; reduce dt (currently 0.05)"] * 2
 
 
 def test_real_states_drift_names_the_same_step():
@@ -205,7 +205,7 @@ def test_real_states_drift_names_the_same_step():
     # stepping path, so it names the same first drifting step and figure
     matrix = _real(total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix)
     assert _leak_messages(matrix) == [
-        "trace drifted by 9.766e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
+        "trace drifted by 2.550e+02 at t = 6.6; reduce dt (currently 0.05)"] * 2
 
 
 def _nan_between_the_ends(matrix):
@@ -238,6 +238,33 @@ def test_real_nan_state_is_stopped():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(PropagationError, match="trace drifted by nan at t = 0.05"):
             propagate(_nan_between_the_ends(matrix), lower_ground_state(), 0.5, 0.05)
+
+
+@pytest.mark.parametrize("entry", [math.inf, math.nan])
+@pytest.mark.parametrize("coordinates", ["complex", "real"])
+@pytest.mark.parametrize("end", [0, -1])
+def test_propagate_names_a_non_finite_generator_at_the_end_times(entry, coordinates, end):
+    # the RK4 gain check's eigvals raised numpy's bare LinAlgError "Array
+    # must not contain infs or NaNs" here; nothing warns either
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
+    matrix = total_liouvillian("bloch_redfield", spec, BATH).matrix
+    matrix = matrix if coordinates == "complex" else _real(matrix)
+    broken = matrix.copy()
+    broken[0, 0] = entry
+    bad_time = (np.arange(21) * 0.05)[end]
+
+    def generator_at(t):
+        return Liouvillian(matrix=np.where((t == bad_time)[..., None, None], broken, matrix))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(PropagationError, match=rf"^non-finite generator at t = {bad_time:g}: "
+                                                   r"it has an infinite or NaN entry$"):
+            propagate(generator_at, lower_ground_state(), 1.0, 0.05)
+        if end == 0:
+            # the constant generator of the reproduction, at both end times
+            with pytest.raises(PropagationError, match=r"^non-finite generator at t = 0: "):
+                propagate(lambda t: Liouvillian(matrix=broken), lower_ground_state(), 1.0, 0.05)
 
 
 @pytest.mark.parametrize("method", ["bloch_redfield", "secular", "phenomenological"])

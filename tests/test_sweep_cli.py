@@ -732,6 +732,20 @@ def test_cli_malformed_config_is_usage_error(tmp_path, capsys):
     assert "malformed JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 200000 + b"]" * 200000],
+                         ids=["utf16_byte_order_mark", "nested_200000_deep"])
+def test_cli_undecodable_config_is_usage_error(tmp_path, capsys, content):
+    # these escaped as tracebacks: UnicodeDecodeError from reading the
+    # file, RecursionError from json.loads
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = main(["sweep", "--config", str(bad), "--output", str(tmp_path / "o.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"coolspec: error: malformed JSON in {bad}: ")
+    assert "Traceback" not in err
+
+
 def test_cli_invalid_jobs_is_usage_error(tmp_path, capsys):
     cfg_path = _write_config(tmp_path, SMALL_DICT)
     code = main(["sweep", "--config", cfg_path, "--output",
