@@ -7,8 +7,9 @@ is evaluated in chunks of consecutive points, each passed through every
 method as one stack, once for all routes; the chunk size follows what a
 point holds (_stack_size): up to 512 points of a steady grid of Markovian
 methods, 16 points that carry a time axis, fewer when their longest time
-axis (trajectory or tau table) exceeds a byte budget.  Per-point and
-per-route failures are caught and recorded in the row's status field
+axis (trajectory or tau table) exceeds a byte budget.  Blocks of up to 512
+points, whole chunks, share one eigensystem and rate table.  Per-point
+and per-route failures are caught and recorded in the row's status field
 instead of aborting the sweep.
 """
 
@@ -19,7 +20,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, partial
 from operator import attrgetter
 
 import numpy as np
@@ -36,27 +37,12 @@ from .dynamics import (
     steady_state,
 )
 from .generators import Liouvillian, from_real, spectrum, to_real, total_liouvillian
-from .system import SystemSpec, lower_ground_state
+from .system import EigenSystem, SystemSpec, lower_ground_state
 from .tcl import TclPropagator, tau_grid
 
-# most grid points evaluated as one stack (_stack_size).  A point with a
-# time axis (transient mode or tcl_oracle) holds trajectories and RK4
-# stacks, and larger stacks ran no faster (fig3a: 48-point stacks 1.11x,
-# 81-point 1.02x the time of 16-point ones); a steady Markovian point holds
-# a few 9x9 matrices, and a stack pays each layer's per-call cost once
-# (fig2's 324 points as one stack: 0.69x the time of 16-point stacks)
+# stack and block sizes (_stack_size, run_sweep); README's "Stack and block sizes" has why
 _CHUNK = 16
 _STEADY_CHUNK = 512
-# bytes of its points' longest time axis one stack may hold, 144 a row: a
-# tau row (3x3 complex), or a stored trajectory row (a real 9-vector, 72 B)
-# with the temporaries of evolve and min_eigenvalue.  It admits 16 points at
-# the default tcl.t_mem 30 (3,001 tau rows), 4 at t_mem 400 and omega_c 0.02
-# (40,001 rows), where a 16-point steady tcl_oracle sweep then peaked at
-# 99.5-99.9 MB RSS in 4.2-4.7 s, against 291.5 MB in 3.9-4.6 s as one stack
-# and 66.6 MB in 5.2 s in stacks of 2; 4 for a transient trajectory of
-# t_end 2000 at dt 0.05 (40,001 states), where a 16-point Bloch-Redfield
-# sweep peaked at 81.3-81.5 MB in 0.16-0.18 s, against 128.9-129.0 MB at
-# 72 B a row and 223.6 MB as one stack (2 vCPUs, one BLAS thread)
 _TIME_AXIS_BYTES = 24 * 2**20
 
 
@@ -94,29 +80,24 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
               options: dict) -> tuple:
     """Final generator, final state, smallest eigenvalue seen and residual of spec's points.
 
-    Every method takes all points of a stacked spec at once and first gives
-    the final generator, the final state and the smallest eigenvalue seen.
-    tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt
-    from the lower ground state (propagate with
-    TclPropagator.matrix_generator, real matrices in real Hermitian
-    coordinates without the heat kernels; the heat record of
-    TclPropagator.propagate is skipped too): in transient
-    mode up to t_end, its final generator being the one at the last grid
-    time, and in steady mode up to the last row of its coefficient table,
-    its final generator being the one frozen there.  Markovian methods
-    build their generators (total_liouvillian with options, which may hold
-    a shared eigensystem and rate table); in transient mode the generator
-    is mapped once to real Hermitian coordinates (generators.to_real) and
-    the lower ground state is evolved exactly (evolve) on the time grid of
-    step dt up to t_end, so dt sets only which times are sampled.  Either
-    trajectory stays in these coordinates through min_eigenvalue, and only
-    its final state is mapped back to 3x3 (generators.from_real).  Then,
-    for every method, in steady mode the final state is the stationary
-    state of the final generator (steady_state, one stacked real SVD,
-    which also gives the residual) and joins the smallest eigenvalue seen;
-    in transient mode the residual is that of the final generator and
-    state.  This one head serves every route of cfg.routes.  Results have
-    the shape of spec's points.
+    All points of a stacked spec are evaluated at once, in one head for
+    every route of cfg.routes; results have the shape of spec's points.
+    tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt from
+    the lower ground state (propagate with TclPropagator.matrix_generator:
+    real matrices in real Hermitian coordinates, without heat kernels or
+    heat record) up to t_end in transient mode, its final generator the one
+    at the last grid time, or up to its coefficient table's last row,
+    frozen there, in steady mode.  Markovian methods build their generators
+    (total_liouvillian with options, which may hold a shared eigensystem
+    and rate table); in transient mode the lower ground state is evolved
+    exactly (evolve) under the generator in real Hermitian coordinates
+    (to_real) on the grid of step dt up to t_end, so dt sets only which
+    times are sampled.  A trajectory stays in these coordinates through
+    min_eigenvalue; only its final state is mapped to 3x3 (from_real).  In
+    steady mode the final state is the stationary state of the final
+    generator (steady_state, one stacked real SVD, which also gives the
+    residual) and joins the smallest eigenvalue seen; in transient mode the
+    residual is that of the final generator and state.
     """
     if method == "tcl_oracle":
         prop = TclPropagator(spec, bath, t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt)
@@ -152,17 +133,18 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
     """Records of the points (deltas[k], omegas[k]) for one method, per point.
 
     Entry k lists point k's record for each of cfg.routes, in order.  The
-    points are evaluated as one stack (shared holds their eigensystem and
-    rate table): one head (_evaluate), then each route's current, in
-    order: the trace-formula one of the final generator and state, or on
+    points are evaluated as one stack (shared returns their eigensystem and
+    rate table): one head (_evaluate), then each route's current, in order:
+    the trace-formula one of the final generator and state, or on
     counting_fd the heat increment over the last step (mean_heat_fd, one
-    stacked call from the lower ground state, sharing the eigensystem and
-    rate table).  When any of that raises, the stack is split into
-    halves, each evaluated as a stack the same way, down to single points;
-    a failure, a LinAlgError included, thus marks only the points that
-    cause it, in about 2 log2(len(deltas)) stacks per failing point.  A
-    single point's head exception becomes the status of all its routes, a
-    route's own exception that route's only.
+    stacked call from the lower ground state, also given shared).  When any of
+    that raises, the stack is split into halves, each evaluated the same
+    way with its own eigensystem and rate table, down to single points (a
+    single point given shared, which its block's other points may fail, is
+    evaluated once more alone), so a failure, a LinAlgError included, marks
+    only the points that cause it, in about 2 log2(len(deltas)) stacks per
+    failing point.  A single point's head exception becomes the status of
+    all its routes, a route's own exception that route's only.
     """
     options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
                    pairing_tol=cfg.pairing_tol, shared=shared)
@@ -180,10 +162,10 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
         except Exception as exc:
             outcomes.append(exc)
     failed = [isinstance(outcome, Exception) for outcome in outcomes]
-    if len(deltas) > 1 and any(failed):
-        half = len(deltas) // 2
-        return (_records(cfg, deltas[:half], omegas[:half], method)
-                + _records(cfg, deltas[half:], omegas[half:], method))
+    if any(failed) and (len(deltas) > 1 or shared is not None):
+        cuts = sorted({0, len(deltas) // 2, len(deltas)})
+        return [part for start, stop in zip(cuts, cuts[1:])
+                for part in _records(cfg, deltas[start:stop], omegas[start:stop], method)]
     sign = -1.0 if cfg.sign == "absorption_positive" else 1.0
     # (route, current / seen / residual, point)
     values = np.full((len(cfg.routes), 3, len(deltas)), math.nan)
@@ -207,7 +189,7 @@ def _stack_size(cfg: SweepConfig) -> int:
     points whose longest time axis fits in _TIME_AXIS_BYTES (at least one).
     That axis is the longer of tcl_oracle's tau table (tau_grid) and, in
     transient mode, the stored trajectory: round(t_end / dt) + 1 states,
-    at tcl_dt for tcl_oracle.
+    at tcl_dt for tcl_oracle; a row of either takes 144 bytes.
     """
     rows = []
     if "tcl_oracle" in cfg.methods:
@@ -221,29 +203,44 @@ def _stack_size(cfg: SweepConfig) -> int:
     return int(max(1.0, min(_CHUNK, _TIME_AXIS_BYTES // (max(rows) * row_bytes))))
 
 
-def _evaluate_chunk(cfg: SweepConfig, points: list[tuple[float, float]]) -> list[SpectrumRecord]:
+def _rows(shared, rows: slice) -> tuple[EigenSystem, np.ndarray]:
+    """Those rows of every EigenSystem field and of Gamma that shared returns."""
+    eig, gamma = shared()
+    return EigenSystem(*(getattr(eig, f.name)[rows] for f in fields(eig))), gamma[rows]
+
+
+def _evaluate_block(cfg: SweepConfig, points: list[tuple[float, float]],
+                    size: int) -> list[SpectrumRecord]:
     """Records of consecutive grid points, in (point, method, route) order.
 
-    The points share one eigensystem and rate table, computed on first use,
-    across all methods; each method evaluates them once for all routes.
+    Each method evaluates each chunk of size points as one stack, once for
+    all routes.  All points share one eigensystem and rate table (spectrum),
+    computed on first use, so never when no method reads them (tcl_oracle
+    and phenomenological do not); each chunk reads its rows, bitwise its
+    own spectrum, and the shift rule's fixed cost is paid once per block.
     """
     deltas, omegas = (list(axis) for axis in zip(*points))
-    shared = cache(lambda: spectrum(*_problem(cfg, deltas, omegas)))
-    columns = [_records(cfg, deltas, omegas, method, shared) for method in cfg.methods]
-    return [rec for row in zip(*columns) for part in row for rec in part]
+    block = cache(lambda: spectrum(*_problem(cfg, deltas, omegas)))
+    records = []
+    for start in range(0, len(points), size):
+        rows = slice(start, start + size)
+        columns = [_records(cfg, deltas[rows], omegas[rows], method, partial(_rows, block, rows))
+                   for method in cfg.methods]
+        records += [rec for row in zip(*columns) for part in row for rec in part]
+    return records
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     """Evaluate the full grid, optionally across worker processes.
 
     The (delta, omega) points are taken in output order in chunks of at
-    most _stack_size(cfg), each evaluated as one stack (_evaluate_chunk);
-    workers receive whole chunks, and at most one worker per chunk is
-    started, none when there is only one chunk.  Chunk boundaries do not
-    depend on jobs, and results are ordered (delta, omega, method, route)
-    regardless of jobs.
-    The config, even one built in code, and jobs >= 1 are checked here
-    first (ConfigError).
+    most _stack_size(cfg), and the chunks in as few blocks as hold at most
+    _STEADY_CHUNK points each and give every worker one, equal to within a
+    chunk (_evaluate_block).  Workers receive whole blocks; at most one per
+    chunk is started, none for one chunk.  Neither chunk boundaries nor the
+    output order (delta, omega, method, route) depend on jobs.  The
+    config, even one built in code, and jobs >= 1 are checked here first
+    (ConfigError).
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
@@ -251,17 +248,20 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     points = [(float(delta), float(omega))
               for delta in delta_grid(cfg) for omega in cfg.omega_list]
     size = _stack_size(cfg)
-    chunks = [points[start:start + size] for start in range(0, len(points), size)]
+    chunks = -(-len(points) // size)
     # a pool starts all of its workers at once, so start none that would idle
-    jobs = min(jobs, len(chunks))
+    jobs = min(jobs, chunks)
+    count = max(jobs, -(-chunks // (_STEADY_CHUNK // size)))
+    blocks = [points[k * chunks // count * size:(k + 1) * chunks // count * size]
+              for k in range(count)]
     if jobs == 1:
-        parts = [_evaluate_chunk(cfg, chunk) for chunk in chunks]
+        parts = [_evaluate_block(cfg, block, size) for block in blocks]
     else:
         # imported here so that importing the package does not load it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_evaluate_chunk, [cfg] * len(chunks), chunks))
+            parts = list(pool.map(_evaluate_block, [cfg] * count, blocks, [size] * count))
     return [rec for part in parts for rec in part]
 
 

@@ -2,12 +2,12 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from coolspec import sweep
+from coolspec import generators, sweep
 from coolspec.bath import BathSpec
 from coolspec.cli import main
 from coolspec.config import ConfigError, HeatRoute, config_from_dict, profile_config
@@ -28,7 +28,8 @@ from coolspec.sweep import (
     run_sweep,
     write_output,
 )
-from coolspec.system import SystemSpec, lower_ground_state
+from coolspec.generators import spectrum
+from coolspec.system import EigenSystem, SystemSpec, eigensystem, lower_ground_state
 from coolspec.tcl import TclPropagator
 
 SMALL = config_from_dict({
@@ -63,16 +64,20 @@ def test_worker_count_does_not_change_output(monkeypatch):
     assert render_json(serial) == render_json(parallel)
 
 
-def test_jobs_start_at_most_one_worker_per_chunk(monkeypatch):
-    # a pool starts all its workers at once; a recording stand-in that maps
-    # in-process shows how many run_sweep asks for, and starts none
+@pytest.fixture
+def pools(monkeypatch):
+    """max_workers of every pool run_sweep asks for.
+
+    A pool starts all its workers at once; a recording stand-in that maps
+    in-process shows how many run_sweep asks for, and starts none.
+    """
     import concurrent.futures
 
-    pools = []
+    asked = []
 
     class RecordingPool:
         def __init__(self, max_workers):
-            pools.append(max_workers)
+            asked.append(max_workers)
 
         def __enter__(self):
             return self
@@ -84,6 +89,10 @@ def test_jobs_start_at_most_one_worker_per_chunk(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return asked
+
+
+def test_jobs_start_at_most_one_worker_per_chunk(pools, monkeypatch):
     serial = render_csv(run_sweep(SMALL))
     # SMALL's six points are one chunk: no pool at all
     assert render_csv(run_sweep(SMALL, jobs=1000)) == serial
@@ -375,12 +384,15 @@ def _counting(monkeypatch, name):
 def test_stack_size_follows_what_a_point_holds(monkeypatch):
     # a steady Markovian grid is one stack: paper-fig2's 324 points share
     # one eigensystem and rate table; paper-fig3a's 81 transient points are
-    # six stacks of at most 16
+    # six stacks of at most 16, evolved one stack at a time, which serially
+    # form one block and so share one eigensystem and rate table too
     calls = _counting(monkeypatch, "spectrum")
-    for profile, stacks in (("paper-fig2", 1), ("paper-fig3a", 6)):
+    stacks = _counting(monkeypatch, "evolve")
+    for profile in ("paper-fig2", "paper-fig3a"):
         calls.clear()
         run_sweep(profile_config(profile))
-        assert len(calls) == stacks
+        assert len(calls) == 1
+    assert [args[0].matrix.shape[:-2] for args in stacks] == [(16,)] * 5 + [(1,)]
     assert sweep._stack_size(profile_config("paper-fig3a")) == sweep._CHUNK
     # stacks hold at most a fixed budget of their points' longest time axis.
     # tcl_oracle's tau tables: all 16 points at the default t_mem, 4 at
@@ -403,6 +415,77 @@ def test_stack_size_follows_what_a_point_holds(monkeypatch):
         "methods": ["tcl_oracle", "bloch_redfield"],
     }))
     assert [np.shape(args[0].delta) for args in props] == [(5,)]
+
+
+def test_block_rows_are_each_chunks_own_spectrum():
+    # a chunk reads its rows of its block's eigensystem and rate table;
+    # they are bitwise those that the chunk computes alone
+    cfg = profile_config("paper-fig3a")
+    deltas = delta_grid(cfg).tolist()
+    omegas = list(cfg.omega_list) * len(deltas)
+    block = spectrum(*sweep._problem(cfg, deltas, omegas))
+    for start, stop in ((0, 16), (64, 80), (80, 81)):
+        eig, gamma = sweep._rows(lambda: block, slice(start, stop))
+        own_eig, own_gamma = spectrum(*sweep._problem(cfg, deltas[start:stop],
+                                                      omegas[start:stop]))
+        for field in fields(EigenSystem):
+            assert np.array_equal(getattr(eig, field.name), getattr(own_eig, field.name))
+        assert np.array_equal(gamma, own_gamma)
+
+
+def test_blocks_hold_at_most_a_steady_stack_and_one_per_worker(pools, monkeypatch):
+    # 1,000 steady points are two chunks, each its own block; paper-fig3a's
+    # six chunks are one block serially, and two blocks of three for two
+    # workers
+    calls = _counting(monkeypatch, "spectrum")
+    run_sweep(config_from_dict({"sweep": {"delta_steps": 1000, "omega_list": [0.5]},
+                                "methods": ["bloch_redfield"]}))
+    assert [np.size(args[0].delta) for args in calls] == [512, 488]
+    assert sweep._STEADY_CHUNK == 512
+    calls.clear()
+    run_sweep(profile_config("paper-fig3a"), jobs=2)
+    assert [np.size(args[0].delta) for args in calls] == [48, 33]
+    assert pools == [2]
+
+
+def test_spectrum_is_computed_only_when_read(monkeypatch):
+    # tcl_oracle builds its own coefficients and phenomenological reads the
+    # undriven impurity's spectrum, so neither computes the block's
+    calls = _counting(monkeypatch, "spectrum")
+    run_sweep(replace(TRANSIENT_TCL, methods=("tcl_oracle",)))
+    run_sweep(replace(SMALL, methods=("phenomenological",)))
+    run_sweep(replace(TRANSIENT, methods=("phenomenological",)))
+    assert calls == []
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_rate_table_marks_only_its_point(jobs, pools, monkeypatch):
+    # rate_table raises for every stack that holds one chosen point, the
+    # block's included: the chunks halve, or a single point is evaluated
+    # alone, until only that point's row carries the error, and every
+    # other row is that of the unpatched sweep.  Two workers' blocks run
+    # in-process here, so the patch reaches them whatever the start method
+    cfg = profile_config("paper-fig3a")
+    reference = render_csv(run_sweep(cfg)).splitlines()
+    chosen = 37
+    point = sweep._problem(cfg, [delta_grid(cfg)[chosen]], list(cfg.omega_list))[0]
+    energies = eigensystem(point).energies
+    original = generators.rate_table
+
+    def failing(eig, bath):
+        if np.any(np.all(eig.energies == energies, axis=-1)):
+            raise RuntimeError("rate table failed")
+        return original(eig, bath)
+
+    monkeypatch.setattr(generators, "rate_table", failing)
+    for size in (sweep._stack_size(cfg), 1, 7):
+        monkeypatch.setattr(sweep, "_stack_size", lambda cfg: size)
+        lines = render_csv(run_sweep(cfg, jobs=jobs)).splitlines()
+        assert len(lines) == len(reference)
+        assert [k for k, (line, ok) in enumerate(zip(lines, reference)) if line != ok] == [
+            1 + chosen]
+        assert lines[1 + chosen].endswith(",error: RuntimeError: rate table failed")
+    assert pools == ([2] * 3 if jobs == 2 else [])
 
 
 def test_failing_point_is_found_by_halving(monkeypatch):
