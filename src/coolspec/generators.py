@@ -14,13 +14,14 @@ as a heat kernel, so a single construction serves propagation, steady
 states, and both heat routes.  Every phonon generator is one Redfield dissipator (redfield),
 written with two 3x3 operators: the coupling operator O and its
 bath-weighted counterpart Lambda, built from one complex coefficient
-Gamma per transition.  The Markovian methods read
+Gamma per transition.  Bloch-Redfield and secular read
 bath.rate_table's Gamma = a - i b and differ only in the part they take
-(all of it for Bloch-Redfield, the rates Re Gamma otherwise) and in the
-secular mask, which secular and phenomenological apply in the eigenbasis
-(dressed, or bare for phenomenological); total_liouvillian assembles all
-three, each on top of the same static_part (coherent evolution plus
-radiative decay, one effective non-Hermitian Hamiltonian and one jump).
+(all of it for Bloch-Redfield, the rates Re Gamma for secular) and in the
+secular mask, which secular applies in the dressed eigenbasis; the
+phenomenological method is two golden-rule jumps between the bare ground
+levels (_two_jumps).  total_liouvillian assembles all three, each on top
+of the same static_part (coherent evolution plus radiative decay, one
+effective non-Hermitian Hamiltonian and one jump).
 The tcl generator uses running coefficients Gamma(t), in the same
 convention, and the same static_part.  Every piece broadcasts over
 the leading axes of a stacked SystemSpec, so a chunk of sweep points is
@@ -34,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bath import BathSpec, rate_table
-from .system import IDX_E, IDX_GL, EigenSystem, SystemSpec, build_hamiltonian, eigensystem
+from .bath import BathSpec, rate_a, rate_table
+from .system import IDX_E, IDX_GL, IDX_GU, EigenSystem, SystemSpec, build_hamiltonian, eigensystem
 
 DIM = 3
 
@@ -60,11 +61,18 @@ def sandwich_superoperator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a and b stack the terms on axis -3, shape (..., T, 3, 3); a single
     term is a stack of one.  With vec index a + 3 b, element
     [(a, b), (c, d)] is sum_t a[t, a, c] b[t, d, b]: the entries of
-    sum_t kron(b[t].T, a[t]), each term a single product, summed in order
-    of t inside the one einsum.
+    sum_t kron(b[t].T, a[t]).  The sum over t is one broadcasting matmul
+    of a as (..., 9 = (a, c), T) with b as (..., T, 9 = (d, b)), whose
+    entries are then permuted into that order; each point of a stack is
+    computed as its one-point call is.
     """
-    out = np.einsum("...tac,...tdb->...badc", a, b)
-    return out.reshape(out.shape[:-4] + (DIM * DIM, DIM * DIM))
+    a, b = np.asarray(a), np.asarray(b)
+    # m[..., (a, c), (d, b)] = sum_t a[t, a, c] b[t, d, b]
+    m = (np.moveaxis(a, -3, -1).reshape(a.shape[:-3] + (DIM * DIM, -1))
+         @ b.reshape(b.shape[:-2] + (DIM * DIM,)))
+    lead = m.shape[:-2]
+    out = m.reshape(lead + (DIM,) * 4).transpose(*range(len(lead)), -1, -4, -2, -3)
+    return out.reshape(lead + (DIM * DIM, DIM * DIM))
 
 
 TRACE_VECTOR = vectorize(np.eye(DIM))
@@ -216,6 +224,32 @@ def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
     return out[..., 0, :, :], out[..., 1, :, :]
 
 
+def _two_jumps(e_man: float, bath: BathSpec, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Phenomenological dissipator and heat kernel (total_liouvillian), each 9x9.
+
+    The jumps J_k, |g_u><g_l| and |g_l><g_u|, run at gamma_k = 2 rate_a(g_k),
+    g_k = -e_man and e_man being what each gives the bath: the dissipator is
+    rho -> sum_k gamma_k exp(i u g_k) J_k rho J_k^dag + A rho + rho A^dag
+    with A = -(1/2) sum_k gamma_k J_k^dag J_k, the heat kernel
+    rho -> sum_k i g_k gamma_k J_k rho J_k^dag; one sandwich_superoperator
+    call builds both.
+    """
+    gains = np.array([-e_man, e_man])
+    rates = 2.0 * rate_a(gains, bath)
+    jumps = np.zeros((2, DIM, DIM))
+    jumps[0, IDX_GU, IDX_GL] = jumps[1, IDX_GL, IDX_GU] = 1.0
+    a = -0.5 * np.tensordot(rates, _dag(jumps) @ jumps, 1)
+    eye = np.eye(DIM)
+    # terms (gamma_k exp(i u g_k) J_k, A, 1) for the matrix, (i g_k gamma_k J_k, 0, 0)
+    # for the kernel, both against (J_k^dag, 1, A^dag)
+    weights = np.stack([rates * np.exp(1j * u * gains), 1j * gains * rates])
+    left = np.zeros((2, 4, DIM, DIM), dtype=complex)
+    left[:, :2] = weights[..., None, None] * jumps
+    left[0, 2:] = a, eye
+    matrix, kernel = sandwich_superoperator(left, np.concatenate([_dag(jumps), [eye, _dag(a)]]))
+    return matrix, kernel
+
+
 def spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, np.ndarray]:
     """Eigensystem and rate table (Gamma) of spec, broadcast over stacked points."""
     eig = eigensystem(spec)
@@ -254,20 +288,21 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     include_shifts is false; at u = 0 it preserves trace and hermiticity.
     secular: the shift-free dissipator masked to the rotating-wave pairs
     (_secular_dissipator, pairing_tol).
-    phenomenological: golden-rule jumps between the bare levels, blind to
-    the drive, i.e. the default secular dissipator of the undriven
-    impurity, one 9x9 pair for every point; absorption |g_l> -> |g_u>
-    at gamma_up = 2 rate_a(-e_man) tags a bath loss of e_man (phase
-    exp(-i u e_man)), emission at gamma_down = 2 rate_a(e_man) a gain.
+    phenomenological: two golden-rule jumps between the bare ground
+    levels, blind to the drive (_two_jumps), one 9x9 pair for every point;
+    absorption |g_l> -> |g_u> at gamma_up = 2 rate_a(-e_man) tags a bath
+    loss of e_man (phase exp(-i u e_man)), emission at
+    gamma_down = 2 rate_a(e_man) a gain.
     include_shifts is read by bloch_redfield only, pairing_tol by secular
     only.  Only the sandwich terms (state between coupling operators)
     exchange a bath quantum and carry the counting phase; the one-sided
     products and the radiative decay do not.
 
     Broadcasts over a stacked spec.  bloch_redfield and secular read the
-    eigensystem and rate table of spec (spectrum); shared, when given,
-    returns them instead, so that the generators of several methods and
-    counting fields of one spec compute them once.
+    eigensystem and rate table of spec (spectrum), phenomenological
+    neither; shared, when given, returns them instead, so that the
+    generators of several methods and counting fields of one spec compute
+    them once.
     """
     if method in ("bloch_redfield", "secular"):
         eig, gamma = spectrum(spec, bath) if shared is None else shared()
@@ -276,8 +311,7 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     elif method == "secular":
         matrix, kernel = _secular_dissipator(eig, gamma, spec.e_man, pairing_tol, u)
     elif method == "phenomenological":
-        matrix, kernel = _secular_dissipator(*spectrum(SystemSpec(e_man=spec.e_man), bath),
-                                             spec.e_man, None, u)
+        matrix, kernel = _two_jumps(spec.e_man, bath, u)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     return Liouvillian(matrix=static_part(spec) + matrix, u=u, heat_kernel=kernel)

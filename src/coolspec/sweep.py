@@ -20,7 +20,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cache, partial
+from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -209,6 +209,28 @@ def _rows(shared, rows: slice) -> tuple[EigenSystem, np.ndarray]:
     return EigenSystem(*(getattr(eig, f.name)[rows] for f in fields(eig))), gamma[rows]
 
 
+def _once(compute):
+    """A function that returns compute()'s first outcome on every call, or raises it.
+
+    The value or the exception of the first call is kept, so a failing
+    computation is not repeated by each caller that reads it.
+    """
+    outcome = []
+
+    def first():
+        if not outcome:
+            try:
+                outcome.append((compute(), None))
+            except Exception as exc:
+                outcome.append((None, exc))
+        value, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return value
+
+    return first
+
+
 def _evaluate_block(cfg: SweepConfig, points: list[tuple[float, float]],
                     size: int) -> list[SpectrumRecord]:
     """Records of consecutive grid points, in (point, method, route) order.
@@ -218,9 +240,11 @@ def _evaluate_block(cfg: SweepConfig, points: list[tuple[float, float]],
     computed on first use, so never when no method reads them (tcl_oracle
     and phenomenological do not); each chunk reads its rows, bitwise its
     own spectrum, and the shift rule's fixed cost is paid once per block.
+    A block spectrum that raises is computed once too: every chunk that
+    reads it gets the same exception (_once) and splits (_records).
     """
     deltas, omegas = (list(axis) for axis in zip(*points))
-    block = cache(lambda: spectrum(*_problem(cfg, deltas, omegas)))
+    block = _once(lambda: spectrum(*_problem(cfg, deltas, omegas)))
     records = []
     for start in range(0, len(points), size):
         rows = slice(start, start + size)

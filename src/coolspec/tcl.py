@@ -36,17 +36,13 @@ from .system import SystemSpec, eigensystem
 
 # widest tau-grid spacing of the running coefficients up to omega_c 1; a
 # faster bath gets this / omega_c, since C(tau) varies on the scale
-# 1/omega_c (at omega_c 5 spacing 0.01 put the plateau 3.2e-4 away from
-# Bloch-Redfield, 0.002 1.3e-5).  The grid divides the RK4 half step dt/2
-# into the fewest equal parts no wider than that
+# 1/omega_c.  The grid divides the RK4 half step dt/2 into the fewest equal
+# parts no wider than that (README, "Config schema", has its measurements)
 _TAU_STEP = 0.01
 
-# largest |C(t_mem)| / |C(0)| accepted.  The running integrals are frozen at
-# t_mem, so a correlation function still alive there truncates them.  Plateau
-# current against Bloch-Redfield at delta -0.5, omega 0.5, as (ratio:
-# relative error): default bath at t_mem 30 (3.3e-6: 6e-6) and 10
-# (2.6e-4: 1.4e-4); omega_c 0.2 at t_mem 60 (1.4e-4: 1.8e-3), 45
-# (4.4e-4: 7e-3) and 30 (2.1e-3: 2.1e-2); omega_c 0.1 at 30 (2.6e-2: 441x)
+# largest |C(t_mem)| / |C(0)| accepted: the running integrals are frozen at
+# t_mem, so a correlation function still alive there truncates them
+# (README, "Config schema", has the plateau errors this admits)
 MEMORY_TAIL_TOL = 1e-3
 
 

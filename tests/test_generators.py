@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from coolspec import generators
 from coolspec.bath import BathSpec, rate_a, rate_table, shift_b
 from coolspec.generators import (
     FROM_REAL,
@@ -57,6 +58,36 @@ def test_vectorization_convention():
     vectors = np.stack([vectorize(rho) for rho in states])
     assert np.array_equal(unvectorize(vectors), states)
     assert np.array_equal(unvectorize(vectors[None, 1:]), states[None, 1:])
+
+
+@pytest.mark.parametrize("complex_a, complex_b", [(True, True), (True, False), (False, True),
+                                                   (False, False)])
+def test_sandwich_superoperator_sums_kron_terms(complex_a, complex_b):
+    # T = 1 .. 6 terms, real or complex on either side: each point is the
+    # sum of kron_sandwich over its terms, whether a, b or both are stacked,
+    # with leading axes of different rank that broadcast; each point of a
+    # stack is bitwise its one-point call, which sweep chunks rely on
+    rng = np.random.default_rng(17)
+
+    def operands(shape, complex_):
+        x = rng.normal(size=shape + (3, 3))
+        return x + 1j * rng.normal(size=x.shape) if complex_ else x
+
+    for terms in range(1, 7):
+        a = operands((2, 4, terms), complex_a)
+        b = operands((4, terms), complex_b)
+        single = operands((terms,), complex_b)
+        for stacked, left, right in ((sandwich_superoperator(a, b), a, b[None]),
+                                     (sandwich_superoperator(a, single), a, single[None, None]),
+                                     (sandwich_superoperator(a[0, 0], b), a[0, :1], b)):
+            assert stacked.shape == np.broadcast_shapes(left.shape[:-3], right.shape[:-3]) + (9, 9)
+            for index in np.ndindex(stacked.shape[:-2]):
+                point_a = left[tuple(min(i, n - 1) for i, n in zip(index, left.shape))]
+                point_b = right[tuple(min(i, n - 1) for i, n in zip(index, right.shape))]
+                oracle = sum(kron_sandwich(x, y) for x, y in zip(point_a, point_b))
+                assert_allclose(stacked[index], oracle, rtol=0, atol=1e-14)
+                assert stacked[index].tobytes() == sandwich_superoperator(point_a,
+                                                                          point_b).tobytes()
 
 
 def _hermitian(rng):
@@ -293,6 +324,20 @@ def test_phenomenological_matches_two_jump_lindblad():
                 gen = total_liouvillian("phenomenological", spec, BATH, u=u)
                 assert_allclose(gen.matrix, matrix, rtol=0, atol=1e-14)
                 assert_allclose(gen.heat_kernel, kernel, rtol=0, atol=1e-14)
+
+
+def test_phenomenological_reads_no_spectrum(monkeypatch):
+    # two bare jumps at rate_a's golden-rule rates: no eigensystem and no
+    # rate table (so no shift) of any spec, stacked or not, counted or not
+    def refused(*args):
+        raise AssertionError("phenomenological read a spectrum")
+
+    for name in ("rate_table", "eigensystem"):
+        monkeypatch.setattr(generators, name, refused)
+    for spec in (_STACK, SystemSpec(e_man=2.0, delta=0.3, omega_rabi=1.0, gamma_rad=0.5)):
+        for u in (0.0, 0.05):
+            gen = total_liouvillian("phenomenological", spec, BATH, u=u)
+            assert gen.matrix.shape == np.shape(spec.delta) + (9, 9)
 
 
 def test_secular_pairing_tolerance_widens_retention():

@@ -449,8 +449,8 @@ def test_blocks_hold_at_most_a_steady_stack_and_one_per_worker(pools, monkeypatc
 
 
 def test_spectrum_is_computed_only_when_read(monkeypatch):
-    # tcl_oracle builds its own coefficients and phenomenological reads the
-    # undriven impurity's spectrum, so neither computes the block's
+    # tcl_oracle builds its own coefficients and phenomenological reads no
+    # spectrum (two bare jumps), so neither computes the block's
     calls = _counting(monkeypatch, "spectrum")
     run_sweep(replace(TRANSIENT_TCL, methods=("tcl_oracle",)))
     run_sweep(replace(SMALL, methods=("phenomenological",)))
@@ -464,15 +464,19 @@ def test_failing_rate_table_marks_only_its_point(jobs, pools, monkeypatch):
     # block's included: the chunks halve, or a single point is evaluated
     # alone, until only that point's row carries the error, and every
     # other row is that of the unpatched sweep.  Two workers' blocks run
-    # in-process here, so the patch reaches them whatever the start method
+    # in-process here, so the patch reaches them whatever the start method.
+    # Each block's spectrum, failing or not, is computed once, however many
+    # of its chunks read it
     cfg = profile_config("paper-fig3a")
     reference = render_csv(run_sweep(cfg)).splitlines()
     chosen = 37
     point = sweep._problem(cfg, [delta_grid(cfg)[chosen]], list(cfg.omega_list))[0]
     energies = eigensystem(point).energies
     original = generators.rate_table
+    stacks = []
 
     def failing(eig, bath):
+        stacks.append(eig.energies[..., 0].size)
         if np.any(np.all(eig.energies == energies, axis=-1)):
             raise RuntimeError("rate table failed")
         return original(eig, bath)
@@ -480,7 +484,11 @@ def test_failing_rate_table_marks_only_its_point(jobs, pools, monkeypatch):
     monkeypatch.setattr(generators, "rate_table", failing)
     for size in (sweep._stack_size(cfg), 1, 7):
         monkeypatch.setattr(sweep, "_stack_size", lambda cfg: size)
+        stacks.clear()
         lines = render_csv(run_sweep(cfg, jobs=jobs)).splitlines()
+        # the only stacks larger than a chunk are the blocks, one call each
+        blocks = [n for n in stacks if n > size]
+        assert len(blocks) == jobs and sum(blocks) == len(reference) - 1
         assert len(lines) == len(reference)
         assert [k for k, (line, ok) in enumerate(zip(lines, reference)) if line != ok] == [
             1 + chosen]
