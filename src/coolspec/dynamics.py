@@ -344,8 +344,7 @@ class HeatRecord:
 def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 30.0,
                  dt: float = 0.05, u_step: float = 0.05, scheme: str = "central",
                  include_shifts: bool = True, pairing_tol: float | None = None,
-                 shared: Callable[[], tuple[EigenSystem, np.ndarray]] | None = None
-                 ) -> HeatRecord:
+                 shared: tuple[EigenSystem, np.ndarray] | None = None) -> HeatRecord:
     """Counting-field finite-difference estimate of the mean heat.
 
     scheme="forward" uses -i (chi(u_step) - chi(0)) / u_step, the plain
@@ -359,7 +358,8 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     m_1 - u_step^2 m_3 / 24: both biases come from the third raw moment.
     One generator annotated at u = u_step (forward) or u_step / 2
     (central) is built (total_liouvillian, which reads include_shifts,
-    pairing_tol and shared), always from the lower ground state, so
+    pairing_tol and shared, the eigensystem and rate table of spec given
+    in place of its own), always from the lower ground state, so
     chi(0, t) = 1; as chi(-u, t) = conj(chi(u, t)), the central fd_imag is
     zero.  chi(u, t) = Tr rho_u(t) at the last two grid times gives the
     mean heat and the instantaneous current, the change of the estimate

@@ -31,7 +31,6 @@ assembled in one pass of array operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,6 +40,9 @@ from .system import IDX_E, IDX_GL, IDX_GU, EigenSystem, SystemSpec, build_hamilt
 DIM = 3
 
 METHODS = ("bloch_redfield", "secular", "phenomenological")
+
+# the methods whose generators read the eigensystem and rate table of their spec (spectrum)
+SPECTRAL_METHODS = frozenset({"bloch_redfield", "secular"})
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -277,8 +279,7 @@ def static_part(spec: SystemSpec) -> np.ndarray:
 
 def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 0.0,
                       include_shifts: bool = True, pairing_tol: float | None = None,
-                      shared: Callable[[], tuple[EigenSystem, np.ndarray]] | None = None
-                      ) -> Liouvillian:
+                      shared: tuple[EigenSystem, np.ndarray] | None = None) -> Liouvillian:
     """Markovian generator of one method: static_part plus a phonon dissipator.
 
     bloch_redfield: the full weak-coupling generator, no rotating-wave
@@ -300,12 +301,12 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
 
     Broadcasts over a stacked spec.  bloch_redfield and secular read the
     eigensystem and rate table of spec (spectrum), phenomenological
-    neither; shared, when given, returns them instead, so that the
+    neither; shared, when given, is read in their place, so that the
     generators of several methods and counting fields of one spec compute
     them once.
     """
-    if method in ("bloch_redfield", "secular"):
-        eig, gamma = spectrum(spec, bath) if shared is None else shared()
+    if method in SPECTRAL_METHODS:
+        eig, gamma = spectrum(spec, bath) if shared is None else shared
     if method == "bloch_redfield":
         matrix, kernel = redfield(eig, eig.basis, gamma if include_shifts else gamma.real, u)
     elif method == "secular":

@@ -8,9 +8,10 @@ method as one stack, once for all routes; the chunk size follows what a
 point holds (_stack_size): up to 512 points of a steady grid of Markovian
 methods, 16 points that carry a time axis, fewer when their longest time
 axis (trajectory or tau table) exceeds a byte budget.  Blocks of up to 512
-points, whole chunks, share one eigensystem and rate table.  Per-point
-and per-route failures are caught and recorded in the row's status field
-instead of aborting the sweep.
+points, whole chunks, share one eigensystem and rate table, computed up
+front when a method reads them.  Per-point and per-route failures are
+caught and recorded in the row's status field instead of aborting the
+sweep.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from operator import attrgetter
 
 import numpy as np
@@ -36,7 +36,8 @@ from .dynamics import (
     steady_residual,
     steady_state,
 )
-from .generators import Liouvillian, from_real, spectrum, to_real, total_liouvillian
+from .generators import (SPECTRAL_METHODS, Liouvillian, from_real, spectrum, to_real,
+                         total_liouvillian)
 from .system import EigenSystem, SystemSpec, lower_ground_state
 from .tcl import TclPropagator, tau_grid
 
@@ -88,11 +89,11 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     heat record) up to t_end in transient mode, its final generator the one
     at the last grid time, or up to its coefficient table's last row,
     frozen there, in steady mode.  Markovian methods build their generators
-    (total_liouvillian with options, which may hold a shared eigensystem
-    and rate table); in transient mode the lower ground state is evolved
-    exactly (evolve) under the generator in real Hermitian coordinates
-    (to_real) on the grid of step dt up to t_end, so dt sets only which
-    times are sampled.  A trajectory stays in these coordinates through
+    (total_liouvillian with options, which may hold the points' shared
+    eigensystem and rate table); in transient mode the lower ground state
+    is evolved exactly (evolve) under the generator in real Hermitian
+    coordinates (to_real) on the grid of step dt up to t_end, so dt sets
+    only which times are sampled.  A trajectory stays in these coordinates through
     min_eigenvalue; only its final state is mapped to 3x3 (from_real).  In
     steady mode the final state is the stationary state of the final
     generator (steady_state, one stacked real SVD, which also gives the
@@ -129,22 +130,22 @@ def _problem(cfg: SweepConfig, deltas: list[float],
 
 
 def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method: str,
-             shared=None) -> list[list[SpectrumRecord]]:
+             shared: tuple[EigenSystem, np.ndarray] | None = None
+             ) -> list[list[SpectrumRecord]]:
     """Records of the points (deltas[k], omegas[k]) for one method, per point.
 
     Entry k lists point k's record for each of cfg.routes, in order.  The
-    points are evaluated as one stack (shared returns their eigensystem and
-    rate table): one head (_evaluate), then each route's current, in order:
-    the trace-formula one of the final generator and state, or on
-    counting_fd the heat increment over the last step (mean_heat_fd, one
-    stacked call from the lower ground state, also given shared).  When any of
-    that raises, the stack is split into halves, each evaluated the same
-    way with its own eigensystem and rate table, down to single points (a
-    single point given shared, which its block's other points may fail, is
-    evaluated once more alone), so a failure, a LinAlgError included, marks
-    only the points that cause it, in about 2 log2(len(deltas)) stacks per
-    failing point.  A single point's head exception becomes the status of
-    all its routes, a route's own exception that route's only.
+    points are evaluated as one stack, given shared, their eigensystem and
+    rate table, or None to compute them: one head (_evaluate), then each
+    route's current, in order: the trace-formula one of the final generator
+    and state, or on counting_fd the heat increment over the last step
+    (mean_heat_fd, one stacked call from the lower ground state, also given
+    shared).  When any of that raises, the stack is split into halves, each
+    evaluated the same way with its rows of shared (_rows), down to single
+    points, so a failure, a LinAlgError included, marks only the points
+    that cause it, in about 2 log2(len(deltas)) stacks per failing point.
+    A single point's head exception becomes the status of all its routes,
+    a route's own exception that route's only.
     """
     options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
                    pairing_tol=cfg.pairing_tol, shared=shared)
@@ -162,10 +163,11 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
         except Exception as exc:
             outcomes.append(exc)
     failed = [isinstance(outcome, Exception) for outcome in outcomes]
-    if any(failed) and (len(deltas) > 1 or shared is not None):
+    if any(failed) and len(deltas) > 1:
         cuts = sorted({0, len(deltas) // 2, len(deltas)})
         return [part for start, stop in zip(cuts, cuts[1:])
-                for part in _records(cfg, deltas[start:stop], omegas[start:stop], method)]
+                for part in _records(cfg, deltas[start:stop], omegas[start:stop], method,
+                                     _rows(shared, slice(start, stop)))]
     sign = -1.0 if cfg.sign == "absorption_positive" else 1.0
     # (route, current / seen / residual, point)
     values = np.full((len(cfg.routes), 3, len(deltas)), math.nan)
@@ -203,32 +205,13 @@ def _stack_size(cfg: SweepConfig) -> int:
     return int(max(1.0, min(_CHUNK, _TIME_AXIS_BYTES // (max(rows) * row_bytes))))
 
 
-def _rows(shared, rows: slice) -> tuple[EigenSystem, np.ndarray]:
-    """Those rows of every EigenSystem field and of Gamma that shared returns."""
-    eig, gamma = shared()
+def _rows(shared: tuple[EigenSystem, np.ndarray] | None,
+          rows: slice) -> tuple[EigenSystem, np.ndarray] | None:
+    """Those rows of every EigenSystem field and of Gamma in shared, or None without shared."""
+    if shared is None:
+        return None
+    eig, gamma = shared
     return EigenSystem(*(getattr(eig, f.name)[rows] for f in fields(eig))), gamma[rows]
-
-
-def _once(compute):
-    """A function that returns compute()'s first outcome on every call, or raises it.
-
-    The value or the exception of the first call is kept, so a failing
-    computation is not repeated by each caller that reads it.
-    """
-    outcome = []
-
-    def first():
-        if not outcome:
-            try:
-                outcome.append((compute(), None))
-            except Exception as exc:
-                outcome.append((None, exc))
-        value, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return value
-
-    return first
 
 
 def _evaluate_block(cfg: SweepConfig, points: list[tuple[float, float]],
@@ -236,19 +219,25 @@ def _evaluate_block(cfg: SweepConfig, points: list[tuple[float, float]],
     """Records of consecutive grid points, in (point, method, route) order.
 
     Each method evaluates each chunk of size points as one stack, once for
-    all routes.  All points share one eigensystem and rate table (spectrum),
-    computed on first use, so never when no method reads them (tcl_oracle
-    and phenomenological do not); each chunk reads its rows, bitwise its
-    own spectrum, and the shift rule's fixed cost is paid once per block.
-    A block spectrum that raises is computed once too: every chunk that
-    reads it gets the same exception (_once) and splits (_records).
+    all routes.  When cfg.methods meets generators.SPECTRAL_METHODS (not
+    tcl_oracle and phenomenological alone), all points share one eigensystem
+    and rate table (spectrum), computed up front; each chunk reads its rows
+    (_rows), bitwise its own spectrum, and the shift rule's fixed cost is
+    paid once per block.  When the block spectrum raises, each chunk
+    computes its own, and only a chunk that holds the failing point splits
+    (_records).
     """
     deltas, omegas = (list(axis) for axis in zip(*points))
-    block = _once(lambda: spectrum(*_problem(cfg, deltas, omegas)))
+    try:
+        block = (spectrum(*_problem(cfg, deltas, omegas))
+                 if SPECTRAL_METHODS.intersection(cfg.methods) else None)
+    except Exception:
+        # each chunk computes its own, and the one that fails records why
+        block = None
     records = []
     for start in range(0, len(points), size):
         rows = slice(start, start + size)
-        columns = [_records(cfg, deltas[rows], omegas[rows], method, partial(_rows, block, rows))
+        columns = [_records(cfg, deltas[rows], omegas[rows], method, _rows(block, rows))
                    for method in cfg.methods]
         records += [rec for row in zip(*columns) for part in row for rec in part]
     return records

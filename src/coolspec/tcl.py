@@ -32,7 +32,7 @@ from .generators import (
     to_real,
     vectorize,
 )
-from .system import SystemSpec, eigensystem
+from .system import EigenSystem, SystemSpec, eigensystem
 
 # widest tau-grid spacing of the running coefficients up to omega_c 1; a
 # faster bath gets this / omega_c, since C(tau) varies on the scale
@@ -100,19 +100,19 @@ class TclPropagator:
     row, a coarse step does not coarsen the coefficients, and a fast bath
     gets a grid that follows its correlation time.  Past the last row,
     taus[-1] (t_mem rounded to the grid), the coefficients and so the
-    generator are frozen.  The Redfield dissipator (generators.redfield) is
-    real-linear in Gamma, so its response to each of the 18 real and
-    imaginary unit coefficients is tabulated once, as two real views of
-    complex tables: the matrix half and the heat-kernel half.  generator(t)
-    contracts both with the real rows (Re Gamma(t), Im Gamma(t)), one dgemm
-    per point and half, and adds generators.static_part.  Every unit
-    response preserves Hermiticity, so the matrix half and static_part are
-    also mapped once to real Hermitian coordinates (generators.to_real),
-    where they are real; matrix_generator(t) contracts only that real
-    table, which is all an RK4 step reads, and propagate integrates with it
+    generator are frozen.  generator(t) is static_part plus the Redfield
+    dissipator of Gamma(t) (generators.redfield), the Bloch-Redfield
+    generator with the running coefficients in place of rate_table's.
+    The dissipator is real-linear in Gamma, so its response to each of the
+    18 real and imaginary unit coefficients is tabulated once, and every
+    unit response preserves Hermiticity: the matrix responses and
+    static_part are mapped once to real Hermitian coordinates
+    (generators.to_real), where they are real.  matrix_generator(t)
+    contracts that real table with the real rows (Re Gamma(t), Im Gamma(t)),
+    which is all an RK4 step reads, and propagate integrates with it
     (dynamics.propagate, which then steps real states).  The heat current
     is linear in Gamma too, so propagate reads it from the traced kernel
-    response.
+    responses.
     Broadcasts over a stacked spec like dynamics.evolve: tables and results
     carry its leading axes (points) before any time axis, each point equal
     to its one-point call.  Raises ValueError when t_mem or dt is not
@@ -163,18 +163,13 @@ class TclPropagator:
         units = np.eye(DIM * DIM).reshape((-1,) + (1,) * (nu.ndim - 3) + (DIM, DIM))
         matrix, kernel = (np.moveaxis(part, 0, -3) for part in
                           redfield(self.eig, self.eig.basis, np.concatenate([units, 1j * units])))
-        # real views of the two halves, points + (18, 162), row k: response to
-        # Re Gamma.flat[k], 9 + k: to Im; each row's 81 complex entries are
-        # 162 floats, so the real coefficient rows contract with them by dgemm
-        self._matrix_response, self._kernel_response = (
-            np.ascontiguousarray(part).reshape(part.shape[:-2] + (-1,)).view(float)
-            for part in (matrix, kernel))
         # Tr(kernel response), points + (18, 9): the current is Re(-i rows @ this @ vec(rho))
         self._trace_kernel = TRACE_VECTOR @ kernel
         self._static = static_part(spec)[..., None, :, :]
-        # the matrix half and static_part in real Hermitian coordinates,
-        # points + (18, 81) and points + (1, 9, 9); their imaginary parts are
-        # roundoff, since every unit response preserves Hermiticity
+        # the matrix response and static_part in real Hermitian coordinates,
+        # points + (18, 81) and points + (1, 9, 9); row k of the response is
+        # the response to Re Gamma.flat[k], row 9 + k to Im; their imaginary
+        # parts are roundoff, since every unit response preserves Hermiticity
         self._real_response = to_real(matrix).reshape(matrix.shape[:-2] + (-1,))
         self._real_static = to_real(self._static)
 
@@ -195,40 +190,35 @@ class TclPropagator:
         gamma = self.coefficients(t)
         return np.stack([gamma.real, gamma.imag], axis=-3).reshape(gamma.shape[:-2] + (-1,))
 
-    def _contract(self, response: np.ndarray, t: float | np.ndarray) -> np.ndarray:
-        """A real response table contracted with the coefficient rows at time(s) t.
-
-        One dgemm per point, shape points + (t.size, 9, columns / 9): a real
-        9x9 matrix per time for the real table, and 9x18 floats, which
-        .view(complex) reads as a complex 9x9 matrix, for a complex half.
-        """
-        points = self._static.shape[:-3]
-        rows = self._rows(t).reshape(points + (-1, 2 * DIM * DIM))
-        return (rows @ response).reshape(rows.shape[:-1] + (DIM * DIM, -1))
-
     def matrix_generator(self, t: float | np.ndarray) -> Liouvillian:
         """generator(t)'s matrix in real Hermitian coordinates, without a heat kernel.
 
         The matrix is real, generators.to_real(generator(t).matrix) to
-        rounding, of shape points + t.shape + (9, 9).
+        rounding, of shape points + t.shape + (9, 9): the real response
+        table contracted with the coefficient rows, one dgemm per point.
         It is all that an RK4 step reads, and dynamics.propagate steps real
-        states with it.  Only the real matrix response is contracted, with
-        half the columns of the complex one.
+        states with it.
         """
-        shape = self._static.shape[:-3] + np.shape(t) + (DIM * DIM, DIM * DIM)
-        return Liouvillian(matrix=(self._real_static + self._contract(self._real_response, t))
-                           .reshape(shape), u=0.0)
+        points = self._static.shape[:-3]
+        rows = self._rows(t).reshape(points + (-1, 2 * DIM * DIM))
+        matrix = (rows @ self._real_response).reshape(rows.shape[:-1] + (DIM * DIM, DIM * DIM))
+        shape = points + np.shape(t) + (DIM * DIM, DIM * DIM)
+        return Liouvillian(matrix=(self._real_static + matrix).reshape(shape), u=0.0)
 
     def generator(self, t: float | np.ndarray) -> Liouvillian:
         """Instantaneous generator and heat kernel at time(s) t.
 
-        Broadcasts over an array of times with one matmul per point and
-        response half: matrix and heat_kernel have shape
+        static_part plus generators.redfield of the running coefficients
+        Gamma(t), on the eigensystem with one time axis inserted: the
+        Bloch-Redfield generator (generators.total_liouvillian) with Gamma(t)
+        for rate_table's Gamma.  matrix and heat_kernel have shape
         points + t.shape + (9, 9).
         """
+        eig = self.eig
+        timed = EigenSystem(eig.energies[..., None, :], *(
+            part[..., None, :, :] for part in (eig.basis, eig.nu, eig.elements)))
+        matrix, kernel = redfield(timed, timed.basis, self.coefficients(np.ravel(t)))
         shape = self._static.shape[:-3] + np.shape(t) + (DIM * DIM, DIM * DIM)
-        matrix, kernel = (self._contract(response, t).view(complex)
-                          for response in (self._matrix_response, self._kernel_response))
         return Liouvillian(matrix=(self._static + matrix).reshape(shape), u=0.0,
                            heat_kernel=kernel.reshape(shape))
 

@@ -425,7 +425,7 @@ def test_block_rows_are_each_chunks_own_spectrum():
     omegas = list(cfg.omega_list) * len(deltas)
     block = spectrum(*sweep._problem(cfg, deltas, omegas))
     for start, stop in ((0, 16), (64, 80), (80, 81)):
-        eig, gamma = sweep._rows(lambda: block, slice(start, stop))
+        eig, gamma = sweep._rows(block, slice(start, stop))
         own_eig, own_gamma = spectrum(*sweep._problem(cfg, deltas[start:stop],
                                                       omegas[start:stop]))
         for field in fields(EigenSystem):
@@ -461,12 +461,13 @@ def test_spectrum_is_computed_only_when_read(monkeypatch):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failing_rate_table_marks_only_its_point(jobs, pools, monkeypatch):
     # rate_table raises for every stack that holds one chosen point, the
-    # block's included: the chunks halve, or a single point is evaluated
-    # alone, until only that point's row carries the error, and every
-    # other row is that of the unpatched sweep.  Two workers' blocks run
-    # in-process here, so the patch reaches them whatever the start method.
-    # Each block's spectrum, failing or not, is computed once, however many
-    # of its chunks read it
+    # block's included: the chunk that holds it halves until only that
+    # point's row carries the error, and every other row is that of the
+    # unpatched sweep.  Two workers' blocks run in-process here, so the
+    # patch reaches them whatever the start method.  Each block's
+    # spectrum, failing or not, is computed once; a failing one leaves
+    # each chunk to compute its own, so at the default stack size every
+    # chunk without the chosen point is evaluated whole, once
     cfg = profile_config("paper-fig3a")
     reference = render_csv(run_sweep(cfg)).splitlines()
     chosen = 37
@@ -482,10 +483,20 @@ def test_failing_rate_table_marks_only_its_point(jobs, pools, monkeypatch):
         return original(eig, bath)
 
     monkeypatch.setattr(generators, "rate_table", failing)
+    heads = _counting(monkeypatch, "_evaluate")
     for size in (sweep._stack_size(cfg), 1, 7):
         monkeypatch.setattr(sweep, "_stack_size", lambda cfg: size)
         stacks.clear()
+        heads.clear()
         lines = render_csv(run_sweep(cfg, jobs=jobs)).splitlines()
+        if size == sweep._CHUNK:
+            deltas = delta_grid(cfg).tolist()
+            evaluated = [args[1].delta.tolist() for args in heads]
+            for start in range(0, len(deltas), size):
+                chunk = deltas[start:start + size]
+                if chosen not in range(start, start + size):
+                    assert [points for points in evaluated
+                            if set(points) & set(chunk)] == [chunk]
         # the only stacks larger than a chunk are the blocks, one call each
         blocks = [n for n in stacks if n > size]
         assert len(blocks) == jobs and sum(blocks) == len(reference) - 1
@@ -498,14 +509,24 @@ def test_failing_rate_table_marks_only_its_point(jobs, pools, monkeypatch):
 
 def test_failing_point_is_found_by_halving(monkeypatch):
     # one point of 16 has no unique steady state; the failing stack is
-    # halved down to that point, 1 + 2 * 4 head evaluations, not 1 + 16
+    # halved down to that point, 1 + 2 * 4 head evaluations, not 1 + 16,
+    # and each half reads its rows of the block's rate table, computed once
     cfg = replace(MARKOVIAN, methods=("bloch_redfield",),
                   omega_list=tuple(0.1 * k for k in range(1, 6)) + (0.0,)
                   + tuple(0.1 * k for k in range(6, 16)))
     reference = render_csv(run_sweep(cfg))
     calls = _counting(monkeypatch, "_evaluate")
+    original = generators.rate_table
+    tables = []
+
+    def counted(eig, bath):
+        tables.append(eig.energies[..., 0].size)
+        return original(eig, bath)
+
+    monkeypatch.setattr(generators, "rate_table", counted)
     records = run_sweep(cfg)
     assert len(calls) == 9
+    assert tables == [16]
     assert render_csv(records) == reference
     assert [r.omega for r in records if r.status != "ok"] == [0.0]
 

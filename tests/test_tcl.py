@@ -6,7 +6,15 @@ from numpy.testing import assert_allclose
 
 from coolspec.bath import BathSpec, rate_a, rate_table, shift_b
 from coolspec.dynamics import heat_current_trace, propagate
-from coolspec.generators import FROM_REAL, TO_REAL, total_liouvillian, unvectorize, vectorize
+from coolspec.generators import (
+    FROM_REAL,
+    TO_REAL,
+    redfield,
+    static_part,
+    total_liouvillian,
+    unvectorize,
+    vectorize,
+)
 from coolspec.system import SystemSpec, build_hamiltonian, lower_ground_state
 from coolspec.tcl import TclPropagator, correlation_grid
 
@@ -194,6 +202,26 @@ def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
         assert_allclose(unvectorize(gen.matrix @ vectorize(rho)), expected, atol=1e-13)
         assert_allclose(unvectorize(gen.heat_kernel @ vectorize(rho)), expected_kernel,
                         atol=1e-13)
+
+
+def test_generator_is_bloch_redfield_of_running_coefficients():
+    # generator(t) is the Bloch-Redfield generator with Gamma(t) for
+    # rate_table's Gamma: bitwise static_part plus the Redfield dissipator,
+    # and total_liouvillian given them as its shared spectrum, inside the
+    # memory window and past it
+    spec = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.7]),
+                      omega_rabi=np.array([0.5, 1.0, 0.2]), gamma_rad=0.5)
+    prop = TclPropagator(spec, BATH, t_mem=10.0, dt=0.05)
+    for t in (1.37, 10.0, 12.0):
+        gen = prop.generator(t)
+        gamma = prop.coefficients(t)
+        matrix, kernel = redfield(prop.eig, prop.eig.basis, gamma)
+        bloch = total_liouvillian("bloch_redfield", spec, BATH, shared=(prop.eig, gamma))
+        for got, expected in ((gen.matrix, static_part(spec) + matrix),
+                              (gen.heat_kernel, kernel), (gen.matrix, bloch.matrix),
+                              (gen.heat_kernel, bloch.heat_kernel)):
+            assert got.shape == expected.shape == (3, 9, 9)
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_early_generator_has_no_dissipation():
