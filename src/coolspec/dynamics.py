@@ -35,8 +35,14 @@ _SYLVESTER_MARGIN = 1e-12
 # the trace of a state from its real Hermitian coordinates (generators.to_real)
 _REAL_TRACE = (TRACE_VECTOR @ FROM_REAL).real
 # FROM_REAL with unit columns (the Re/Im ones scaled by 1/sqrt(2)): a unitary
-# map, in whose coordinates steady_state takes its SVD
+# map Q.  steady_state reads the real Q^H L Q: its singular values (L's) by a
+# values-only SVD, and its state by one solve with row 0 replaced by the
+# trace row _UNIT_TRACE, [1, 1, 1, 0, ..., 0]; the full SVD only decides
+# the points that fail a check
 _UNIT_FROM_REAL = FROM_REAL * np.where(np.arange(DIM * DIM) < DIM, 1.0, 0.5 ** 0.5)
+_UNIT_TRACE = (TRACE_VECTOR @ _UNIT_FROM_REAL).real
+# |trace| of a unit null vector below which it cannot be normalized
+_TRACELESS_TOL = 1e-12
 
 
 class PropagationError(RuntimeError):
@@ -250,46 +256,71 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
     return times, from_real(ys) if np.iscomplexobj(liouvillian.matrix) else ys
 
 
+def _name_traceless(real: np.ndarray, points: np.ndarray):
+    """SteadyStateError naming the first of points whose unit null vector (full SVD) is traceless.
+
+    real holds steady_state's matrices, one per point; returns when none
+    of points has a traceless null vector.
+    """
+    if points.size:
+        trace = np.linalg.svd(real[points])[2][:, -1, :] @ _UNIT_TRACE
+        traceless = np.flatnonzero(np.abs(trace) < _TRACELESS_TOL)
+        if traceless.size:
+            raise SteadyStateError(f"null vector is traceless (trace {trace[traceless[0]]:.3e}), "
+                                   "cannot normalize")
+
+
 def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     """Unique null state of an unannotated generator, and its residual.
 
     Found in orthonormal real Hermitian coordinates: with Q the unitary
     _UNIT_FROM_REAL, Q^H L Q is real for a Hermiticity-preserving L (its
-    imaginary part, roundoff, is dropped) and has L's singular values.  The
-    right singular vector of its smallest singular value, mapped back by Q,
-    is an exactly Hermitian state, which is trace normalized.  Returns
-    (rho, residual), the residual being steady_residual(liouvillian, rho)
-    of the complex L, which the check below reads, in the shape of the
-    stack.  Raises SteadyStateError when the second-smallest singular value
-    is within 1e-8 of the smallest (null space effectively degenerate, no
-    unique steady state), when the null vector is traceless, or when the
-    residual norm exceeds 1e-10 times the largest singular value (the
-    generator's 2-norm), or 1e-10 when that is below 1; a u = 0 matrix that
-    breaks Hermiticity fails this check, as does, without a warning, a
-    residual that overflows.  Broadcasts over a stack of generators with
-    one SVD call; the checks hold for every point, and the first point
-    that fails one names it.
+    imaginary part, roundoff, is dropped) and has L's singular values, from
+    one values-only SVD.  The state is one bordered solve: Q^H L Q x = e_0
+    with row 0 replaced by the trace row, which for a trace-preserving L
+    (row 0 minus the sum of rows 1 and 2) gives the null vector with trace
+    1, mapped back by Q to an exactly Hermitian state.  Returns (rho,
+    residual), the residual being steady_residual(liouvillian, rho) of the
+    complex L, in the shape of the stack.  Raises SteadyStateError when
+    the second-smallest singular value is within 1e-8 of the smallest (no
+    unique steady state), when the unit null vector's trace is below 1e-12
+    in magnitude, or when the residual exceeds 1e-10 max(1, sigma_max); a
+    u = 0 matrix that breaks Hermiticity fails this check, as does, without
+    a warning, a residual that overflows.  The full SVD of the points they
+    flag decides and names the first two: a tie of the values-only values,
+    which at a huge norm may be roundoff, and a traceless null vector,
+    flagged by a singular bordered matrix (LinAlgError, re-raised when the
+    SVD finds none) or a solution norm, 1 / |trace|, above 1e12.
+    Broadcasts over a stack of generators; the checks hold for every
+    point, and the first point that fails one names it.
     """
     if liouvillian.u != 0.0:
         raise ValueError("steady_state requires an unannotated (u = 0) generator")
     real = (_UNIT_FROM_REAL.conj().T @ liouvillian.matrix @ _UNIT_FROM_REAL).real
-    _, sigmas, vh = np.linalg.svd(real)
-    flat = sigmas.reshape(-1, DIM * DIM)
-    tied = np.flatnonzero(flat[:, -2] < flat[:, -1] + STEADY_GAP_TOL)
-    if tied.size:
-        lowest, second = flat[tied[0], -1], flat[tied[0], -2]
-        raise SteadyStateError(
-            f"steady state is not unique: smallest singular values "
-            f"{lowest:.3e} and {second:.3e}"
-        )
-    rho = unvectorize(vh[..., -1, :] @ _UNIT_FROM_REAL.T)
-    trace = np.trace(rho, axis1=-2, axis2=-1).real
-    traceless = np.flatnonzero(np.abs(trace) < 1e-12)
-    if traceless.size:
-        raise SteadyStateError(f"null vector is traceless (trace {trace.flat[traceless[0]]:.3e}), "
-                               "cannot normalize")
-    rho = rho / trace[..., None, None]
-    with np.errstate(over="ignore", invalid="ignore"):
+    square = real.reshape(-1, DIM * DIM, DIM * DIM)
+    flat = np.linalg.svd(real, compute_uv=False).reshape(-1, DIM * DIM)
+    flagged = np.flatnonzero(flat[:, -2] < flat[:, -1] + STEADY_GAP_TOL)
+    if flagged.size:
+        flat[flagged] = np.linalg.svd(square[flagged])[1]
+        tied = flagged[flat[flagged, -2] < flat[flagged, -1] + STEADY_GAP_TOL]
+        if tied.size:
+            lowest, second = flat[tied[0], -1], flat[tied[0], -2]
+            raise SteadyStateError(
+                f"steady state is not unique: smallest singular values "
+                f"{lowest:.3e} and {second:.3e}"
+            )
+    bordered = real.copy()
+    bordered[..., 0, :] = _UNIT_TRACE
+    # a huge generator's solution or residual that overflows fails below by name
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            x = np.linalg.solve(bordered, np.eye(DIM * DIM)[:, :1])[..., 0]
+        except np.linalg.LinAlgError:
+            _name_traceless(square, np.arange(len(square)))
+            raise
+        norm = np.linalg.norm(x, axis=-1).reshape(-1)
+        _name_traceless(square, np.flatnonzero(norm > 1.0 / _TRACELESS_TOL))
+        rho = unvectorize(x @ _UNIT_FROM_REAL.T)
         residual = steady_residual(liouvillian, rho)
     bound = STEADY_RESIDUAL_TOL * np.maximum(1.0, flat[:, 0])
     failed = np.flatnonzero(~(np.ravel(residual) <= bound))

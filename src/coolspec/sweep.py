@@ -16,12 +16,9 @@ sweep.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -96,9 +93,11 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     only which times are sampled.  A trajectory stays in these coordinates through
     min_eigenvalue; only its final state is mapped to 3x3 (from_real).  In
     steady mode the final state is the stationary state of the final
-    generator (steady_state, one stacked real SVD, which also gives the
-    residual) and joins the smallest eigenvalue seen; in transient mode the
-    residual is that of the final generator and state.
+    generator (steady_state: one stacked values-only SVD for its checks and
+    one bordered real solve for the state, a full SVD only for the points a
+    check flags; it also gives the residual) and joins the smallest
+    eigenvalue seen; in transient mode the residual is that of the final
+    generator and state.
     """
     if method == "tcl_oracle":
         prop = TclPropagator(spec, bath, t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt)
@@ -136,22 +135,25 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
 
     Entry k lists point k's record for each of cfg.routes, in order.  The
     points are evaluated as one stack, given shared, their eigensystem and
-    rate table, or None to compute them: one head (_evaluate), then each
-    route's current, in order: the trace-formula one of the final generator
-    and state, or on counting_fd the heat increment over the last step
-    (mean_heat_fd, one stacked call from the lower ground state, also given
-    shared).  When any of that raises, the stack is split into halves, each
-    evaluated the same way with its rows of shared (_rows), down to single
-    points, so a failure, a LinAlgError included, marks only the points
-    that cause it, in about 2 log2(len(deltas)) stacks per failing point.
+    rate table, or None to compute them once (spectrum) when the method
+    reads them: one head (_evaluate), then each route's current, in order:
+    the trace-formula one of the final generator and state, or on
+    counting_fd the heat increment over the last step (mean_heat_fd, one
+    stacked call from the lower ground state, also given shared).  When
+    any of that raises, the stack is split into halves, each evaluated the
+    same way with its rows of shared (_rows), down to single points, so a
+    failure, a LinAlgError included, marks only the points that cause it,
+    in about 2 log2(len(deltas)) stacks per failing point.
     A single point's head exception becomes the status of all its routes,
     a route's own exception that route's only.
     """
-    options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
-                   pairing_tol=cfg.pairing_tol, shared=shared)
     outcomes = []
     try:
         spec, bath = _problem(cfg, deltas, omegas)
+        if shared is None and method in SPECTRAL_METHODS:
+            shared = spectrum(spec, bath)
+        options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
+                       pairing_tol=cfg.pairing_tol, shared=shared)
         gen, rho, seen, residual = _evaluate(cfg, spec, bath, method, options)
     except Exception as exc:
         outcomes = [exc] * len(cfg.routes)
@@ -278,36 +280,50 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     return [rec for part in parts for rec in part]
 
 
-def format_number(x: float) -> str:
-    """Fixed 12-significant-digit decimal rendering shared by csv and json."""
-    if x is None or not math.isfinite(x):
-        return "nan"
-    return format(float(x), ".12g")
+def format_number(x: float, missing: str = "nan") -> str:
+    """Fixed 12-significant-digit rendering shared by csv and json; missing if not finite."""
+    return "%.12g" % x if x is not None and math.isfinite(x) else missing
+
+
+def _quoted(text: str) -> str:
+    """A csv text field, quoted where csv.writer(lineterminator="\\n") quotes it.
+
+    That is on a comma, a double quote or a newline, the quotes doubled;
+    not on a carriage return, which is not in the line terminator.
+    """
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(records: list[SpectrumRecord], missing: str, text):
+    """Each record's CSV_COLUMNS rendered, both formats' one formatter.
+
+    Numbers by format_number (missing where not finite), text by text.
+    """
+    for r in records:
+        yield (format_number(r.delta, missing), format_number(r.omega, missing), text(r.method),
+               text(r.route), format_number(r.heat_absorption_rate, missing),
+               format_number(r.min_eigenvalue_seen, missing),
+               format_number(r.steady_residual, missing), text(r.status))
 
 
 def render_csv(records: list[SpectrumRecord]) -> str:
-    row = attrgetter(*CSV_COLUMNS)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([v if isinstance(v, str) else format_number(v) for v in row(r)]
-                     for r in records)
-    return buf.getvalue()
+    """CSV with a header row, one line per record: nan for non-finite numbers.
 
-
-def _json_value(value) -> str:
-    if isinstance(value, str):
-        return json.dumps(value)
-    token = format_number(value)
-    return "null" if token == "nan" else token
+    Text is quoted as csv.writer quotes it (_quoted), lines end in "\\n".
+    """
+    return "".join([",".join(CSV_COLUMNS) + "\n"] + [
+        f"{d},{w},{m},{route},{rate},{low},{res},{status}\n"
+        for d, w, m, route, rate, low, res, status in _cells(records, "nan", _quoted)])
 
 
 def render_json(records: list[SpectrumRecord]) -> str:
-    """JSON array with numbers rendered exactly as in the csv output."""
-    row = attrgetter(*CSV_COLUMNS)
-    keys = [f"{json.dumps(c)}: " for c in CSV_COLUMNS]
-    rows = ["  {" + ", ".join(k + _json_value(v) for k, v in zip(keys, row(r))) + "}"
-            for r in records]
+    """JSON array, one object per record: numbers as in the csv, null for its nan."""
+    rows = [f'  {{"delta": {d}, "omega": {w}, "method": {m}, "route": {route}, '
+            f'"heat_absorption_rate": {rate}, "min_eigenvalue_seen": {low}, '
+            f'"steady_residual": {res}, "status": {status}}}'
+            for d, w, m, route, rate, low, res, status in _cells(records, "null", json.dumps)]
     return "[\n" + ",\n".join(rows) + "\n]\n"
 
 

@@ -13,6 +13,7 @@ from coolspec.config import profile_config
 from coolspec.dynamics import (
     _CHUNK,
     _THETA13,
+    STEADY_RESIDUAL_TOL,
     PropagationError,
     SteadyStateError,
     _expm,
@@ -27,6 +28,7 @@ from coolspec.dynamics import (
 from coolspec.generators import (
     FROM_REAL,
     TO_REAL,
+    TRACE_VECTOR,
     Liouvillian,
     from_real,
     static_part,
@@ -45,7 +47,7 @@ from coolspec.system import (
 )
 from coolspec.tcl import TclPropagator
 
-from conftest import rk4_stages
+from conftest import kron_commutator, kron_lindblad, rk4_stages
 
 BATH = BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0)
 
@@ -405,7 +407,8 @@ def test_steady_state_svd_is_real_with_the_generators_singular_values(name, monk
 
     def recorded(a, *args, **kwargs):
         out = svd(a, *args, **kwargs)
-        seen.append((a, out[1]))
+        # a values-only call returns the singular values themselves
+        seen.append((a, out if isinstance(out, np.ndarray) else out[1]))
         return out
 
     monkeypatch.setattr(np.linalg, "svd", recorded)
@@ -460,8 +463,36 @@ def test_traceless_null_vector_names_the_first_failing_trace():
     assert abs(trace) < 1e-12
 
 
-@pytest.mark.parametrize("method,alpha,gamma_rad", [("secular", 1e300, 0.5),
-                                                     ("phenomenological", 0.01, 1e300)])
+def _lindblad_stack(points, seed):
+    """points random Hermitian Hamiltonians, each with four jumps between the levels."""
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for _ in range(points):
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        matrix = kron_commutator(a + a.conj().T)
+        for i, j in ((0, 1), (1, 2), (2, 0), (1, 0)):
+            jump = np.zeros((3, 3))
+            jump[i, j] = 1.0
+            matrix = matrix + rng.uniform(0.1, 2.0) * kron_lindblad(jump)
+        matrices.append(matrix)
+    return np.stack(matrices)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_steady_state_is_the_full_svds_null_vector(seed):
+    # the bordered solve against the null vector of each point's full SVD,
+    # trace normalized, on a stack of kron-built Lindblad generators
+    matrices = _lindblad_stack(8, seed)
+    rho, residual = steady_state(Liouvillian(matrix=matrices))
+    for k, matrix in enumerate(matrices):
+        null = np.linalg.svd(matrix)[2][-1].conj()
+        assert np.abs(rho[k] - unvectorize(null / (TRACE_VECTOR @ null))).max() <= 1e-14
+        assert residual[k] == steady_residual(Liouvillian(matrix=matrix), rho[k])
+    assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+    assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() <= 1e-15
+
+
+@pytest.mark.parametrize("method,alpha,gamma_rad", [("secular", 1e300, 0.5)])
 def test_overflowing_steady_residual_fails_by_name_without_warning(method, alpha, gamma_rad):
     # rates of 1e300 make the residual norm overflow
     spec = SystemSpec(e_man=2.0, omega_rabi=0.5, gamma_rad=gamma_rad)
@@ -470,6 +501,23 @@ def test_overflowing_steady_residual_fails_by_name_without_warning(method, alpha
         warnings.simplefilter("error")
         with pytest.raises(SteadyStateError, match="steady-state residual inf exceeds"):
             steady_state(gen)
+
+
+def test_huge_radiative_rate_gives_a_solved_state_without_warning():
+    # at gamma_rad 1e300 an SVD null vector kept an ~eps excited population,
+    # whose residual, amplified 1e300-fold, overflowed ("residual inf"),
+    # though the true residual is ~1e283 against a bound of ~1e290; the
+    # bordered solve returns the state itself, its excited population ~0
+    spec = SystemSpec(e_man=2.0, omega_rabi=0.5, gamma_rad=1e300)
+    gen = total_liouvillian("phenomenological", spec, replace(BATH, alpha=0.01))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho, residual = steady_state(gen)
+        sigma0 = np.linalg.svd(gen.matrix, compute_uv=False)[0]
+    assert np.isfinite(rho).all()
+    assert np.array_equal(rho, rho.conj().T)
+    assert abs(np.trace(rho).real - 1.0) <= 1e-15
+    assert residual <= STEADY_RESIDUAL_TOL * max(1.0, sigma0)
 
 
 def test_heat_current_closed_form_without_drive():

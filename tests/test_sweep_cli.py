@@ -1,8 +1,9 @@
 import csv
+import io
 import json
 import math
 import warnings
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -500,6 +501,13 @@ def test_failing_rate_table_marks_only_its_point(jobs, pools, monkeypatch):
         # the only stacks larger than a chunk are the blocks, one call each
         blocks = [n for n in stacks if n > size]
         assert len(blocks) == jobs and sum(blocks) == len(reference) - 1
+        if size == sweep._CHUNK:
+            # the chosen point's block, the first, leaves its chunks to
+            # compute their own, each once for its head and its counting_fd
+            # route: one 16-point rate_table call per 16-point chunk, the
+            # failing one's whole try included
+            assert chosen < blocks[0]
+            assert stacks.count(size) == blocks[0] // size
         assert len(lines) == len(reference)
         assert [k for k, (line, ok) in enumerate(zip(lines, reference)) if line != ok] == [
             1 + chosen]
@@ -913,3 +921,52 @@ def test_render_csv_quotes_are_stable():
     assert render_csv([failed]).splitlines()[1].split(",")[4:6] == ["nan", "nan"]
     row = json.loads(render_json([failed]))[0]
     assert row["heat_absorption_rate"] is None and row["min_eigenvalue_seen"] is None
+
+
+_EDGE_STATUSES = ("ok", "", "error: ValueError: bad, value", 'error: KeyError: "key"',
+                  "error: RuntimeError: two\nlines", "error: RuntimeError: carriage\rreturn",
+                  'error: X: all, "of"\r\n them')
+_EDGE_VALUES = (0.25, -0.0, math.inf, -math.inf, math.nan, 1e-310, -1.5e300)
+
+
+def _edge_records():
+    """Records holding every edge status with ±inf, NaN, -0.0 and extreme numbers."""
+    values = _EDGE_VALUES
+    return [SpectrumRecord(delta=values[k % 7], omega=values[(k + 1) % 7], method="secular",
+                           route="counting_fd", heat_absorption_rate=values[(k + 2) % 7],
+                           min_eigenvalue_seen=values[(k + 3) % 7],
+                           steady_residual=values[(k + 4) % 7], status=status)
+            for k, status in enumerate(_EDGE_STATUSES * 3)]
+
+
+def test_render_csv_equals_csv_writer():
+    # the one-pass renderer against csv.writer's own quoting
+    records = _edge_records() + run_sweep(SMALL)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([v if isinstance(v, str) else format(v, ".12g") if math.isfinite(v) else "nan"
+                      for v in astuple(r)] for r in records)
+    assert render_csv(records) == buf.getvalue()
+    assert render_csv([]) == ",".join(CSV_COLUMNS) + "\n"
+
+
+def test_render_json_parses_back_with_null_where_the_csv_has_nan():
+    records = _edge_records()
+    objects = json.loads(render_json(records))
+    assert [list(obj) for obj in objects] == [list(CSV_COLUMNS)] * len(records)
+    for record, obj in zip(records, objects):
+        assert list(obj.values()) == [
+            value if isinstance(value, str) else
+            float(format(value, ".12g")) if math.isfinite(value) else None
+            for value in astuple(record)]
+    # csv.reader ends a row at a carriage return that csv.writer leaves unquoted
+    readable = [obj for record, obj in zip(records, objects) if "\r" not in record.status]
+    rows = list(csv.reader(io.StringIO(
+        render_csv([r for r in records if "\r" not in r.status]), newline="")))
+    assert len(rows) == 1 + len(readable)
+    for row, obj in zip(rows[1:], readable):
+        for cell, value in zip(row, obj.values()):
+            assert (cell == "nan" if value is None else
+                    cell == value if isinstance(value, str) else float(cell) == value)
+    assert json.loads(render_json([])) == []
