@@ -6,11 +6,13 @@ n(w) = 1 / (exp(beta w) - 1).  Neither is formed on its own: rate_a
 combines them as j(s)/s and s (n(s) + 1), which stay finite as s -> 0.
 Rates and shifts are evaluated per transition frequency of the system
 eigenbasis and combined into the half-Fourier coefficients Gamma = a - i b
-that every generator reads (rate_table).  Shifts are the Matsubara series
-that tcl.correlation_grid also sums, in closed form through the real
-exponential integral, so the module needs numpy only; one evaluation per
-distinct |nu| serves both signs (a rate table holds -nu with every nu).
-Rates and shifts stay finite, and raise no warning, at every finite nu.
+that every generator reads (rate_table; without shifts for callers that
+read none).  Shifts are the Matsubara series that
+tcl.correlation_grid also sums, in closed form through the real
+exponential integral: ten or so exact terms and an Euler-Maclaurin tail
+(shift_b), so the module needs numpy only; one evaluation per distinct
+|nu| serves both signs (a rate table holds -nu with every nu).  Rates
+and shifts stay finite, and raise no warning, at every finite nu.
 """
 
 from __future__ import annotations
@@ -23,19 +25,20 @@ import numpy as np
 from .system import EigenSystem
 
 SHIFT_TOL = 1e-12
-# Matsubara terms summed exactly before an Euler-Maclaurin tail takes over,
-# at most: in shift_b and in tcl.correlation_grid
+# Matsubara terms summed exactly in shift_b before its Euler-Maclaurin tail
+# takes over, at most (at tol 0, for one)
 _SERIES_TERMS = 32
 _SMALLEST_NORMAL = np.finfo(float).tiny
 _EULER_GAMMA = 0.5772156649015329
 # _h_seed's branches: Ei's power series, coefficients 1 / (m m!) for
 # m = 1, 2, ..., from x = -2 up to 40; E1's continued fraction below -2;
-# from |x| = 40, where its smallest term is about the roundoff that the
-# recurrence from h_0 reaches, the asymptotic series of h_8 (the highest
-# order shift_b reads), coefficients (8 + m)! / 8! for m = 0 .. 60
+# from |x| = 40, where h_3 and h_12 from it are as good as from the
+# recurrence from h_0 (7e-13 and 2.4e-6 relative, against 1.4e-12 and
+# 7.8e-6), the asymptotic series of h_12 (the highest order shift_b
+# reads), coefficients (12 + m)! / 12! for m = 0 .. 60
 _FRACTION_BELOW = -2.0
 _ASYMPTOTIC = 40.0
-_TOP = 8
+_TOP = 12
 _EI_COEFFICIENTS = np.array([1.0 / (m * math.factorial(m)) for m in range(1, 120)])
 _ASYMPTOTIC_COEFFICIENTS = np.cumprod([1.0] + list(range(_TOP + 1, _TOP + 61)))
 
@@ -154,18 +157,18 @@ def _e1_fraction(y: np.ndarray) -> np.ndarray:
 
 
 def _h_seed(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """x h_0(x) = -x e^-x Ei(x) where |x| < 40, and h_8(x) where |x| >= 40 (_h).
+    """x h_0(x) = -x e^-x Ei(x) where |x| < 40, and h_12(x) where |x| >= 40 (_h).
 
     u = 1/x is passed in as well: it stays finite where x overflows.  Each
     series runs to its own element's degree: Ei's to 1.6|x| + 6 sqrt|x| + 12,
-    which leaves a remainder below eps/4, h_8's to its smallest term, at
-    most the 60th, which is below eps/4 from |x| = 69 on.  x h_0 is its
+    which leaves a remainder below eps/4, h_12's to its smallest term, at
+    most the 60th, which is below eps/4 from |x| = 73 on.  x h_0 is its
     limit 0 at x = 0, and NaN stays NaN.
     """
     far = np.abs(u) <= 1.0 / _ASYMPTOTIC
     out = np.where(x == 0.0, 0.0, np.nan)
     uf = u[far]
-    degrees = (1.0 / np.maximum(np.abs(uf), 1.0 / 69.0)).astype(np.int16) - _TOP - 1
+    degrees = (1.0 / np.maximum(np.abs(uf), 1.0 / 73.0)).astype(np.int16) - _TOP - 1
     out[far] = -math.factorial(_TOP) * uf * _horner(uf, degrees, _ASYMPTOTIC_COEFFICIENTS)
     series = ~far & (x >= _FRACTION_BELOW) & (x != 0.0)
     xs = x[series]
@@ -179,11 +182,11 @@ def _h_seed(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _h(x: np.ndarray, u: np.ndarray, seed: np.ndarray, order: int) -> np.ndarray:
-    """h_n(x) = PV integral over t > 0 of t^n e^-t / (t - x) for n = 1 .. order <= 8, row n - 1.
+    """h_n(x) = PV integral over t > 0 of t^n e^-t / (t - x) for n = 1 .. order <= 12, row n - 1.
 
     u = 1/x and seed = _h_seed(x, u).  With h_0(x) = -e^-x Ei(x),
     h_n = x h_(n-1) + (n-1)!, so h_n(0) = (n-1)! exactly.  The recurrence
-    runs upwards from x h_0 where |x| < 40 and downwards from h_8 where
+    runs upwards from x h_0 where |x| < 40 and downwards from h_12 where
     |x| >= 40, the direction in which it is stable.  Every loop stops per
     element, so each result depends on its own x only.
     """
@@ -225,7 +228,8 @@ def _shift_pair(s: np.ndarray, spec: BathSpec, terms: int) -> tuple[np.ndarray, 
     d[1, small] = x[0, -1, small] * (edge[0, 0, small] + edge[0, 1, small])
     r = 1.0 / (temperature / omega_c + terms)  # beta / b_K
     cube = (1.0 / scale) ** 3
-    tail = (d[2] / 2.0 + r * d[3] / 12.0 - r**3 * d[5] / 720.0 + r**5 * d[7] / 30240.0) * cube[-1]
+    tail = (d[2] / 2.0 + r * d[3] / 12.0 - r**3 * d[5] / 720.0 + r**5 * d[7] / 30240.0
+            - r**7 * d[9] / 1209600.0 + r**9 * d[11] / 47900160.0) * cube[-1]
     # the terms k = K-1 .. 1 added to it one at a time, smallest first
     odd = np.concatenate([tail[None], ((exact[0] - exact[1]) * cube[:-1, None])[:0:-1]])
     odd = np.add.accumulate(odd)[-1]
@@ -246,24 +250,24 @@ def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
         G_n(b, nu) = PV integral over w > 0 of w^n exp(-b w) / (w - nu) = h_n(b nu) / b^n
 
     (_h).  The terms k < K are summed exactly, the rest as the
-    Euler-Maclaurin tail D_2/beta + D_3/2 + beta D_4/12 - beta^3 D_6/720
-    + beta^5 D_8/30240, D_n = G_n(b_K, nu) - G_n(b_K, -nu).  Where
-    b_K |nu| >> 10, D_n falls as -2 n! / (b_K^(n+1) nu) and the first
-    omitted term, beta^7 D_10 / 1209600, is 1.5 (beta / b_K)^8 of the
+    Euler-Maclaurin tail D_2/beta + D_3/2 + sum_{m=1..5} B_2m/(2m)! beta^(2m-1) D_(2m+2),
+    B_2m the Bernoulli numbers and D_n = G_n(b_K, nu) - G_n(b_K, -nu).
+    Where b_K |nu| >> 10, D_n falls as -2 n! / (b_K^(n+1) nu) and the first
+    omitted term, B_12/12! beta^11 D_14, is 23.04 (beta / b_K)^12 of the
     leading one: K is the least count, at most 32, that brings this bound
-    to tol or below.  h_n(0) = (n-1)! gives b(0) = 4 alpha omega_c
-    exactly; far above the bath the shift falls as -integral of
-    j(w) coth(beta w / 2) / nu, finite and without warning up to the
-    largest double.  The coupling alpha enters exactly linearly.  Accepts
-    scalars or arrays of nu; one evaluation per distinct |nu| serves both
-    signs, and each result equals its scalar call.  Raises ValueError when
-    tol is negative or NaN.
+    to tol or below, 10 at T = 3 omega_c and at most 13 at the default tol.
+    h_n(0) = (n-1)! gives b(0) = 4 alpha omega_c exactly; far above the
+    bath the shift falls as -integral of j(w) coth(beta w / 2) / nu, finite
+    and without warning up to the largest double.  The coupling alpha
+    enters exactly linearly.  Accepts scalars or arrays of nu; one
+    evaluation per distinct |nu| serves both signs, and each result equals
+    its scalar call.  Raises ValueError when tol is negative or NaN.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol}")
     terms = 1
     hot = spec.temperature / spec.omega_c
-    while terms < _SERIES_TERMS and 1.5 * (1.0 / (hot + terms)) ** 8 > tol:
+    while terms < _SERIES_TERMS and 23.04 * (1.0 / (hot + terms)) ** 12 > tol:
         terms += 1
     nu = np.asarray(nu, dtype=float)
     flat = nu.ravel()
@@ -273,7 +277,7 @@ def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
     return out.item() if out.ndim == 0 else out
 
 
-def rate_table(eig: EigenSystem, spec: BathSpec) -> np.ndarray:
+def rate_table(eig: EigenSystem, spec: BathSpec, shifts: bool = True) -> np.ndarray:
     """Half-Fourier coefficients Gamma of every coupled ordered eigenstate pair.
 
     With nu[i, j] the transition frequency between eigenstates i and j,
@@ -284,10 +288,10 @@ def rate_table(eig: EigenSystem, spec: BathSpec) -> np.ndarray:
     sec. 3.3).  Broadcasts over leading axes of eig: the coupled transitions
     of every point are evaluated together.  Uncoupled pairs stay zero
     unevaluated, so they cannot fail the table.  Shifts are shift_b's at
-    its default tol.
+    its default tol, or zero, not evaluated, where shifts is false.
     """
     coupled = eig.elements != 0
     nu = eig.nu[coupled]
     gamma = np.zeros(eig.nu.shape, dtype=complex)
-    gamma[coupled] = rate_a(nu, spec) - 1j * shift_b(nu, spec)
+    gamma[coupled] = rate_a(nu, spec) - 1j * shift_b(nu, spec) if shifts else rate_a(nu, spec)
     return gamma.swapaxes(-1, -2)

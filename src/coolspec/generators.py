@@ -252,10 +252,11 @@ def _two_jumps(e_man: float, bath: BathSpec, u: float) -> tuple[np.ndarray, np.n
     return matrix, kernel
 
 
-def spectrum(spec: SystemSpec, bath: BathSpec) -> tuple[EigenSystem, np.ndarray]:
-    """Eigensystem and rate table (Gamma) of spec, broadcast over stacked points."""
+def spectrum(spec: SystemSpec, bath: BathSpec,
+             shifts: bool = True) -> tuple[EigenSystem, np.ndarray]:
+    """Eigensystem and rate table (Gamma) of spec, broadcast over its points; shifts as rate_table."""
     eig = eigensystem(spec)
-    return eig, rate_table(eig, bath)
+    return eig, rate_table(eig, bath, shifts)
 
 
 def static_part(spec: SystemSpec) -> np.ndarray:

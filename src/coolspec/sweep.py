@@ -128,6 +128,11 @@ def _problem(cfg: SweepConfig, deltas: list[float],
     return spec, BathSpec(alpha=cfg.alpha, omega_c=cfg.omega_c, temperature=cfg.temperature)
 
 
+def _reads_shifts(cfg: SweepConfig) -> bool:
+    """Whether a method of cfg reads the shifts of its rate table: Bloch-Redfield with shifts."""
+    return "bloch_redfield" in cfg.methods and cfg.include_shifts_bloch_redfield
+
+
 def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method: str,
              shared: tuple[EigenSystem, np.ndarray] | None = None
              ) -> list[list[SpectrumRecord]]:
@@ -135,15 +140,16 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
 
     Entry k lists point k's record for each of cfg.routes, in order.  The
     points are evaluated as one stack, given shared, their eigensystem and
-    rate table, or None to compute them once (spectrum) when the method
-    reads them: one head (_evaluate), then each route's current, in order:
-    the trace-formula one of the final generator and state, or on
-    counting_fd the heat increment over the last step (mean_heat_fd, one
-    stacked call from the lower ground state, also given shared).  When
-    any of that raises, the stack is split into halves, each evaluated the
-    same way with its rows of shared (_rows), down to single points, so a
-    failure, a LinAlgError included, marks only the points that cause it,
-    in about 2 log2(len(deltas)) stacks per failing point.
+    rate table, or None to compute them once (spectrum, with shifts only
+    where _reads_shifts) when the method reads them: one head (_evaluate),
+    then each route's current, in order: the trace-formula one of the final
+    generator and state, or on counting_fd the heat increment over the last
+    step (mean_heat_fd, one stacked call from the lower ground state, also
+    given shared).  When any of that raises, the stack is split into halves,
+    each evaluated the same way with its rows of shared (_rows), down to
+    single points, so a failure, a LinAlgError included, marks only the
+    points that cause it, in about 2 log2(len(deltas)) stacks per failing
+    point.
     A single point's head exception becomes the status of all its routes,
     a route's own exception that route's only.
     """
@@ -151,7 +157,7 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
     try:
         spec, bath = _problem(cfg, deltas, omegas)
         if shared is None and method in SPECTRAL_METHODS:
-            shared = spectrum(spec, bath)
+            shared = spectrum(spec, bath, _reads_shifts(cfg))
         options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
                        pairing_tol=cfg.pairing_tol, shared=shared)
         gen, rho, seen, residual = _evaluate(cfg, spec, bath, method, options)
@@ -223,15 +229,15 @@ def _evaluate_block(cfg: SweepConfig, points: list[tuple[float, float]],
     Each method evaluates each chunk of size points as one stack, once for
     all routes.  When cfg.methods meets generators.SPECTRAL_METHODS (not
     tcl_oracle and phenomenological alone), all points share one eigensystem
-    and rate table (spectrum), computed up front; each chunk reads its rows
-    (_rows), bitwise its own spectrum, and the shift rule's fixed cost is
-    paid once per block.  When the block spectrum raises, each chunk
-    computes its own, and only a chunk that holds the failing point splits
-    (_records).
+    and rate table (spectrum, its shifts only where _reads_shifts), computed
+    up front; each chunk reads its rows (_rows), bitwise its own spectrum,
+    and the shift rule's fixed cost is paid once per block.  When the block
+    spectrum raises, each chunk computes its own, and only a chunk that
+    holds the failing point splits (_records).
     """
     deltas, omegas = (list(axis) for axis in zip(*points))
     try:
-        block = (spectrum(*_problem(cfg, deltas, omegas))
+        block = (spectrum(*_problem(cfg, deltas, omegas), _reads_shifts(cfg))
                  if SPECTRAL_METHODS.intersection(cfg.methods) else None)
     except Exception:
         # each chunk computes its own, and the one that fails records why
@@ -286,12 +292,12 @@ def format_number(x: float, missing: str = "nan") -> str:
 
 
 def _quoted(text: str) -> str:
-    """A csv text field, quoted where csv.writer(lineterminator="\\n") quotes it.
+    """A csv text field, quoted where csv.writer's default dialect quotes it.
 
-    That is on a comma, a double quote or a newline, the quotes doubled;
-    not on a carriage return, which is not in the line terminator.
+    That is on a comma, a double quote, a newline or a carriage return, the
+    quotes doubled, so that csv.reader reads every row back.
     """
-    if "," in text or '"' in text or "\n" in text:
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .bath import _SERIES_TERMS, BathSpec
+from .bath import BathSpec
 from .dynamics import HeatRecord, propagate
 from .generators import (
     DIM,
@@ -39,6 +39,9 @@ from .system import EigenSystem, SystemSpec, eigensystem
 # 1/omega_c.  The grid divides the RK4 half step dt/2 into the fewest equal
 # parts no wider than that (README, "Config schema", has its measurements)
 _TAU_STEP = 0.01
+
+# Matsubara terms correlation_grid sums exactly before its Euler-Maclaurin tail
+_MATSUBARA_TERMS = 11
 
 # largest |C(t_mem)| / |C(0)| accepted: the running integrals are frozen at
 # t_mem, so a correlation function still alive there truncates them
@@ -71,19 +74,23 @@ def correlation_grid(taus: np.ndarray, spec: BathSpec) -> np.ndarray:
         C(tau) = 12 alpha / omega_c^2 (2 Re S(x) - conj(x)^-4),
         S(x) = sum_{k>=0} (x + k beta)^-4.
 
-    The first 32 terms of S are summed exactly; the rest is the
+    The first 11 terms of S are summed exactly; the rest is the
     Euler-Maclaurin remainder 1/(3 beta z^3) + 1/(2 z^4) + beta/(3 z^5)
-    - beta^3/(6 z^7) with z = x + 32 beta; its first omitted term is a
-    fraction (2/3)(beta/|z|)^6 < 1e-9 of the leading one.  The loop over k
-    keeps memory at O(len(taus)).  Agrees with an adaptive quadrature of the
+    - beta^3/(6 z^7) + 2 beta^5/(9 z^9) - beta^7/(2 z^11) + 5 beta^9/(3 z^13)
+    with z = x + 11 beta.  Its first omitted term, 7.68 beta^11 / |z|^15, is
+    a fraction 23.04 (beta/|z|)^12 < 1e-11 of the leading one, and at every
+    bath and tau below (2/9) beta^5 / |x + 32 beta|^9, that of a remainder
+    to beta^3 after 32 terms.  The loop over k keeps memory at
+    O(len(taus)).  Agrees with an adaptive quadrature of the
     correlation integral to about 1e-10 absolute at any tau.
     """
     beta = spec.beta
     x = 1.0 / spec.omega_c + 1j * np.asarray(taus, dtype=float)
-    q = 1.0 / (x + _SERIES_TERMS * beta)
+    q = 1.0 / (x + _MATSUBARA_TERMS * beta)
     r = beta * q
-    s = q**3 / (3.0 * beta) + q**4 * (0.5 + r / 3.0 - r**3 / 6.0)
-    for k in range(_SERIES_TERMS - 1, -1, -1):
+    s = q**3 / (3.0 * beta) + q**4 * (0.5 + r / 3.0 - r**3 / 6.0 + 2.0 * r**5 / 9.0
+                                      - r**7 / 2.0 + 5.0 * r**9 / 3.0)
+    for k in range(_MATSUBARA_TERMS - 1, -1, -1):
         s += (1.0 / (x + k * beta)) ** 4
     return 12.0 * spec.alpha / spec.omega_c**2 * (2.0 * s.real - np.conj((1.0 / x) ** 4))
 

@@ -5,12 +5,14 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import expi, expn
 
+from coolspec import bath as bath_module
 from coolspec.bath import SHIFT_TOL, BathSpec, _h, _h_seed, rate_a, rate_table, shift_b
 from coolspec.system import SystemSpec, eigensystem
 
@@ -206,6 +208,61 @@ def test_shift_budget_is_relative_at_hot_baths(quad_shift):
         assert abs(got - quad_shift(nu, bath)) < 1e-11 * max(abs(got), 4.0)
 
 
+def _h_row_mp(x, top: int) -> list:
+    """h_0 .. h_top at x to 40 digits: the recurrence from -e^-x Ei(x), with the digits it cancels added."""
+    with mpmath.workdps(40 + int((top + 1) * math.log10(abs(float(x)) + 1.0)) + 5):
+        x = mpmath.mpf(x)
+        row = [-mpmath.exp(-x) * mpmath.ei(x)]
+        for n in range(1, top + 1):
+            row.append(x * row[-1] + math.factorial(n - 1))
+        return row
+
+
+def _shift_pair_mp(s: float, omega_c: float, temperature: float) -> tuple:
+    """shift_b / alpha at nu = s and -s: 60 exact Matsubara terms at 40 digits, then the tail to B_12."""
+    with mpmath.workdps(40):
+        beta = 1 / mpmath.mpf(temperature)
+        b = [1 / mpmath.mpf(omega_c) + k * beta for k in range(61)]
+        plus = [_h_row_mp(bk * s, 3)[3] / bk**3 for bk in b[:-1]]
+        minus = [_h_row_mp(-bk * s, 3)[3] / bk**3 for bk in b[:-1]]
+        up, down = _h_row_mp(b[-1] * s, 14), _h_row_mp(-b[-1] * s, 14)
+        d = [(up[n] - down[n]) / b[-1] ** n for n in range(15)]
+        odd = sum(plus[1:]) - sum(minus[1:]) + d[2] / beta + d[3] / 2 + sum(
+            mpmath.bernoulli(2 * m) / mpmath.factorial(2 * m) * beta ** (2 * m - 1) * d[2 * m + 2]
+            for m in range(1, 7))
+        return tuple(float(2 / mpmath.mpf(omega_c) ** 2 * v) for v in (plus[0] + odd, minus[0] - odd))
+
+
+@pytest.mark.parametrize("temperature, omega_c", [
+    (temperature, omega_c) for temperature in (0.01, 0.3, 3.0, 30.0)
+    for omega_c in (0.02, 0.2, 1.0, 5.0)] + [(1e6, 1.0)])
+def test_shift_matches_a_40_digit_matsubara_sum(temperature, omega_c):
+    # shift_b's term count brings its tail's first omitted term to SHIFT_TOL
+    # of the tail's leading term, at most 1.7 max(|b|, 4 omega_c) on this
+    # grid; the omitted terms measure below 1e-13 of it, and roundoff, up to
+    # 3e-13 of max(|b|, 4 omega_c), takes the rest of the bound
+    bath = BathSpec(alpha=1.0, omega_c=omega_c, temperature=temperature)
+    for magnitude in (1e-7, 1e-4, 0.01, 0.3, 1.0, 2.5, 7.0, 30.0, 100.0):
+        for nu, ref in zip((magnitude, -magnitude), _shift_pair_mp(magnitude, omega_c, temperature)):
+            assert abs(shift_b(nu, bath) - ref) <= SHIFT_TOL * max(abs(ref), 4.0 * omega_c)
+
+
+def test_shift_sums_at_most_13_exact_terms(monkeypatch):
+    # 10 at the default bath, 13 as the temperature vanishes, the cap at tol 0
+    counts = []
+    shift_pair = bath_module._shift_pair
+
+    def counted(s, spec, terms):
+        counts.append(terms)
+        return shift_pair(s, spec, terms)
+
+    monkeypatch.setattr(bath_module, "_shift_pair", counted)
+    for temperature in (3.0, 1e-3, 1e6):
+        shift_b(0.5, BathSpec(alpha=0.01, omega_c=1.0, temperature=temperature))
+    shift_b(0.5, BATH, tol=0.0)
+    assert counts == [10, 13, 1, 32]
+
+
 def test_shift_alpha_linearity_exact():
     doubled = BathSpec(alpha=0.02, omega_c=1.0, temperature=3.0)
     for nu in (0.0, 2.0, -2.0, 0.9):
@@ -221,10 +278,10 @@ def test_shift_refinement_stability():
 
 
 def test_tol_sets_the_number_of_exact_terms():
-    # tol 1e-9 and 5e-10 sum 12 and 13 exact terms at this bath: the
+    # tol 1e-10 and 5e-11 sum 6 and 7 exact terms at this bath: the
     # results differ, by far less than either bound
     for nu in (2.0, -2.0, 0.37, 30.0):
-        coarse, fine = shift_b(nu, BATH, tol=1e-9), shift_b(nu, BATH, tol=5e-10)
+        coarse, fine = shift_b(nu, BATH, tol=1e-10), shift_b(nu, BATH, tol=5e-11)
         assert coarse != fine
         assert abs(coarse - fine) < 1e-11 * max(abs(fine), 4.0 * BATH.alpha * BATH.omega_c)
     for tol in (-1e-9, math.nan):
@@ -237,8 +294,12 @@ def _h_reference(x: float, n: int) -> float:
     if x < 0.0:
         return math.factorial(n) * math.exp(-x) * expn(n + 1, -x)
     top = x + 60.0 + 2.0 * n
-    pole = quad(lambda t: t**n * math.exp(-t), 0.0, top, weight="cauchy", wvar=x,
-                epsabs=0.0, epsrel=1e-13, limit=400)[0]
+    # at x 10, n 10 quad warns that it cannot certify epsrel 1e-13; it is
+    # 8.5e-16 off a 40-digit value there
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        pole = quad(lambda t: t**n * math.exp(-t), 0.0, top, weight="cauchy", wvar=x,
+                    epsabs=0.0, epsrel=1e-13, limit=400)[0]
     return pole + quad(lambda t: t**n * math.exp(-t) / (t - x), top, math.inf,
                        epsabs=0.0, epsrel=1e-13, limit=400)[0]
 
@@ -271,10 +332,11 @@ def test_exponential_integral_matches_scipy_at_branch_switches():
 
 def test_h_matches_scipy_on_both_sides_of_every_branch_switch():
     # the recurrence h_n = x h_(n-1) + (n-1)! loses about |x|^n / n! ulps
-    # below |x| = 40, the asymptotic series as much above it
-    x = np.concatenate([_switches(), [-2.0000000000000013, -10.0, 1.0, 10.0, 39.0]])
-    h = _h_of(x, 8)
-    for n in (1, 2, 3, 4, 6, 8):
+    # below |x| = 40, the asymptotic series as much above it; from |x| 73 on
+    # that series stops at its 60th term
+    x = np.concatenate([_switches(), [-2.0000000000000013, -10.0, 1.0, 10.0, 39.0, 73.0, -73.0]])
+    h = _h_of(x, 12)
+    for n in (1, 2, 3, 4, 6, 8, 10, 12):
         for point, got in zip(x, h[n - 1]):
             ref = _h_reference(float(point), n)
             assert abs(got - ref) <= (1e-13 + 2e-15 * abs(point) ** n / math.factorial(n)) * abs(ref)
@@ -286,8 +348,8 @@ def test_h_at_zero_and_at_the_ends_of_the_doubles():
     # asymptotic series is -n! / x
     tiny = np.array([1e-300, -1e-300, 5e-324, -5e-324, 0.0, -0.0])
     huge = np.array([1e308, -1e308])
-    h, far = _h_of(tiny, 8), _h_of(huge, 8)
-    for n in range(1, 9):
+    h, far = _h_of(tiny, 12), _h_of(huge, 12)
+    for n in range(1, 13):
         assert h[n - 1].tolist() == [math.factorial(n - 1)] * tiny.size
         assert_allclose(far[n - 1], -math.factorial(n) / huge, rtol=1e-15, atol=0)
     assert h[0, :4].tolist() == (1.0 - tiny[:4] * np.exp(-tiny[:4]) * expi(tiny[:4])).tolist()

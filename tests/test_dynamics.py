@@ -195,11 +195,11 @@ def test_stacked_drift_names_the_first_drifting_step_past_the_first_chunk():
     # the same step and drift as a per-step check does, for the stack and
     # for point 1 alone, and nothing warns as the leak overflows later on.
     # A complex generator is stepped in real Hermitian coordinates, so the
-    # drift is rounding of a state of norm ~3e18 there, whole ulps of it
+    # drift is rounding of a state of norm ~7e12 there, whole ulps of it
     # that the generator's last bits move
     matrix = total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix
     assert _leak_messages(matrix) == [
-        "trace drifted by 2.550e+02 at t = 6.6; reduce dt (currently 0.05)"] * 2
+        "trace drifted by 9.766e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
 
 
 def test_real_states_drift_names_the_same_step():
@@ -207,7 +207,7 @@ def test_real_states_drift_names_the_same_step():
     # stepping path, so it names the same first drifting step and figure
     matrix = _real(total_liouvillian("bloch_redfield", _LEAK_SPEC, BATH).matrix)
     assert _leak_messages(matrix) == [
-        "trace drifted by 2.550e+02 at t = 6.6; reduce dt (currently 0.05)"] * 2
+        "trace drifted by 9.766e-04 at t = 6.55; reduce dt (currently 0.05)"] * 2
 
 
 def _nan_between_the_ends(matrix):

@@ -8,6 +8,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
+from coolspec import bath as bath_module
 from coolspec import generators, sweep
 from coolspec.bath import BathSpec
 from coolspec.cli import main
@@ -459,6 +460,32 @@ def test_spectrum_is_computed_only_when_read(monkeypatch):
     assert calls == []
 
 
+def test_shifts_are_computed_only_where_a_method_reads_them(monkeypatch):
+    # secular reads the rates Re Gamma alone and phenomenological no rate
+    # table, so a block of them, or of Bloch-Redfield without shifts, calls
+    # no shift_b; every row is that of the same sweep made to compute them
+    fig2 = profile_config("paper-fig2")
+    configs = (replace(fig2, methods=("secular",)),
+               replace(fig2, methods=("secular", "phenomenological")),
+               replace(fig2, include_shifts_bloch_redfield=False),
+               replace(TRANSIENT, methods=("secular",)))
+    monkeypatch.setattr(sweep, "_reads_shifts", lambda cfg: True)
+    forced = [render_csv(run_sweep(cfg)) for cfg in configs]
+    monkeypatch.undo()
+    calls = []
+    original = bath_module.shift_b
+
+    def counted(nu, spec, *args, **kwargs):
+        calls.append(np.size(nu))
+        return original(nu, spec, *args, **kwargs)
+
+    monkeypatch.setattr(bath_module, "shift_b", counted)
+    assert [render_csv(run_sweep(cfg)) for cfg in configs] == forced
+    assert calls == []
+    run_sweep(fig2)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_failing_rate_table_marks_only_its_point(jobs, pools, monkeypatch):
     # rate_table raises for every stack that holds one chosen point, the
@@ -477,11 +504,11 @@ def test_failing_rate_table_marks_only_its_point(jobs, pools, monkeypatch):
     original = generators.rate_table
     stacks = []
 
-    def failing(eig, bath):
+    def failing(eig, bath, shifts=True):
         stacks.append(eig.energies[..., 0].size)
         if np.any(np.all(eig.energies == energies, axis=-1)):
             raise RuntimeError("rate table failed")
-        return original(eig, bath)
+        return original(eig, bath, shifts)
 
     monkeypatch.setattr(generators, "rate_table", failing)
     heads = _counting(monkeypatch, "_evaluate")
@@ -527,9 +554,9 @@ def test_failing_point_is_found_by_halving(monkeypatch):
     original = generators.rate_table
     tables = []
 
-    def counted(eig, bath):
+    def counted(eig, bath, shifts=True):
         tables.append(eig.energies[..., 0].size)
-        return original(eig, bath)
+        return original(eig, bath, shifts)
 
     monkeypatch.setattr(generators, "rate_table", counted)
     records = run_sweep(cfg)
@@ -940,14 +967,18 @@ def _edge_records():
 
 
 def test_render_csv_equals_csv_writer():
-    # the one-pass renderer against csv.writer's own quoting
+    # the one-pass renderer against csv.writer's own quoting, that of its
+    # default dialect, which quotes a carriage return too, with rows ending
+    # in "\n"
     records = _edge_records() + run_sweep(SMALL)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    writer.writerows([v if isinstance(v, str) else format(v, ".12g") if math.isfinite(v) else "nan"
-                      for v in astuple(r)] for r in records)
-    assert render_csv(records) == buf.getvalue()
+    rows = [CSV_COLUMNS] + [[v if isinstance(v, str) else format(v, ".12g") if math.isfinite(v)
+                             else "nan" for v in astuple(r)] for r in records]
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+    assert render_csv(records) == "".join(lines)
     assert render_csv([]) == ",".join(CSV_COLUMNS) + "\n"
 
 
@@ -960,12 +991,9 @@ def test_render_json_parses_back_with_null_where_the_csv_has_nan():
             value if isinstance(value, str) else
             float(format(value, ".12g")) if math.isfinite(value) else None
             for value in astuple(record)]
-    # csv.reader ends a row at a carriage return that csv.writer leaves unquoted
-    readable = [obj for record, obj in zip(records, objects) if "\r" not in record.status]
-    rows = list(csv.reader(io.StringIO(
-        render_csv([r for r in records if "\r" not in r.status]), newline="")))
-    assert len(rows) == 1 + len(readable)
-    for row, obj in zip(rows[1:], readable):
+    rows = list(csv.reader(io.StringIO(render_csv(records), newline="")))
+    assert len(rows) == 1 + len(objects)
+    for row, obj in zip(rows[1:], objects):
         for cell, value in zip(row, obj.values()):
             assert (cell == "nan" if value is None else
                     cell == value if isinstance(value, str) else float(cell) == value)
