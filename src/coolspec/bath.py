@@ -82,7 +82,7 @@ def _emitted(w, beta: float) -> np.ndarray:
     return np.where(zero, 1.0 / beta, w / np.where(zero, -1.0, -em1))
 
 
-def rate_a(nu, spec: BathSpec):
+def rate_a(nu, bath: BathSpec):
     """Half-Fourier golden-rule rate at transition frequency nu.
 
     nu > 0 (system loses energy to the bath): pi (n(nu) + 1) j(nu).
@@ -100,9 +100,9 @@ def rate_a(nu, spec: BathSpec):
     # beta s and s / (2 omega_c) overflow only as exponents: exp gives 0,
     # expm1 -1
     with np.errstate(over="ignore"):
-        emitted = _emitted(s, spec.beta)
-        absorbed = np.where(nu > 0.0, 1.0, np.exp(-spec.beta * s))
-        out = math.pi * spec.alpha * _density(s, spec.omega_c) * emitted * absorbed
+        emitted = _emitted(s, bath.beta)
+        absorbed = np.where(nu > 0.0, 1.0, np.exp(-bath.beta * s))
+        out = math.pi * bath.alpha * _density(s, bath.omega_c) * emitted * absorbed
     return out.item() if out.ndim == 0 else out
 
 
@@ -207,9 +207,9 @@ def _h(x: np.ndarray, u: np.ndarray, seed: np.ndarray, order: int) -> np.ndarray
     return out
 
 
-def _shift_pair(s: np.ndarray, spec: BathSpec, terms: int) -> tuple[np.ndarray, np.ndarray]:
+def _shift_pair(s: np.ndarray, bath: BathSpec, terms: int) -> tuple[np.ndarray, np.ndarray]:
     """shift_b / alpha at nu = s and at nu = -s, s >= 0, from terms exact Matsubara terms."""
-    omega_c, temperature = spec.omega_c, spec.temperature
+    omega_c, temperature = bath.omega_c, bath.temperature
     # b_k omega_c = 1 + k beta omega_c; past 1e300 the terms k >= 1 vanish anyway
     beta = min(omega_c / temperature, 1e300)
     scale = 1.0 + beta * np.arange(terms + 1)
@@ -238,7 +238,7 @@ def _shift_pair(s: np.ndarray, spec: BathSpec, terms: int) -> tuple[np.ndarray, 
     return 2.0 * omega_c * exact[0, 0] + odd, 2.0 * omega_c * exact[1, 0] - odd
 
 
-def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
+def shift_b(nu, bath: BathSpec, tol: float = SHIFT_TOL):
     """Principal-value frequency shift at transition frequency nu.
 
     The principal value of the integral over w > 0 of
@@ -266,18 +266,18 @@ def shift_b(nu, spec: BathSpec, tol: float = SHIFT_TOL):
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative, got {tol}")
     terms = 1
-    hot = spec.temperature / spec.omega_c
+    hot = bath.temperature / bath.omega_c
     while terms < _SERIES_TERMS and 23.04 * (1.0 / (hot + terms)) ** 12 > tol:
         terms += 1
     nu = np.asarray(nu, dtype=float)
     flat = nu.ravel()
     s, which = np.unique(np.abs(flat), return_inverse=True)
-    plus, minus = _shift_pair(s, spec, terms)
-    out = spec.alpha * np.where(flat < 0.0, minus[which], plus[which]).reshape(nu.shape)
+    plus, minus = _shift_pair(s, bath, terms)
+    out = bath.alpha * np.where(flat < 0.0, minus[which], plus[which]).reshape(nu.shape)
     return out.item() if out.ndim == 0 else out
 
 
-def rate_table(eig: EigenSystem, spec: BathSpec, shifts: bool = True) -> np.ndarray:
+def rate_table(eig: EigenSystem, bath: BathSpec, shifts: bool = True) -> np.ndarray:
     """Half-Fourier coefficients Gamma of every coupled ordered eigenstate pair.
 
     With nu[i, j] the transition frequency between eigenstates i and j,
@@ -293,5 +293,5 @@ def rate_table(eig: EigenSystem, spec: BathSpec, shifts: bool = True) -> np.ndar
     coupled = eig.elements != 0
     nu = eig.nu[coupled]
     gamma = np.zeros(eig.nu.shape, dtype=complex)
-    gamma[coupled] = rate_a(nu, spec) - 1j * shift_b(nu, spec) if shifts else rate_a(nu, spec)
+    gamma[coupled] = rate_a(nu, bath) - 1j * shift_b(nu, bath) if shifts else rate_a(nu, bath)
     return gamma.swapaxes(-1, -2)

@@ -13,13 +13,14 @@ from .generators import (
     FROM_REAL,
     TRACE_VECTOR,
     Liouvillian,
+    Spectrum,
     from_real,
     to_real,
     total_liouvillian,
     unvectorize,
     vectorize,
 )
-from .system import EigenSystem, SystemSpec, lower_ground_state
+from .system import SystemSpec, lower_ground_state
 
 TRACE_DRIFT_TOL = 1e-6
 # roundoff headroom for the RK4 gain of eigenvalues with real part <= 0
@@ -374,8 +375,7 @@ class HeatRecord:
 
 def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 30.0,
                  dt: float = 0.05, u_step: float = 0.05, scheme: str = "central",
-                 include_shifts: bool = True, pairing_tol: float | None = None,
-                 shared: tuple[EigenSystem, np.ndarray] | None = None) -> HeatRecord:
+                 pairing_tol: float | None = None, shared: Spectrum | None = None) -> HeatRecord:
     """Counting-field finite-difference estimate of the mean heat.
 
     scheme="forward" uses -i (chi(u_step) - chi(0)) / u_step, the plain
@@ -388,11 +388,11 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     u_step m_2 / 2 in its imaginary part (fd_imag), and the central one is
     m_1 - u_step^2 m_3 / 24: both biases come from the third raw moment.
     One generator annotated at u = u_step (forward) or u_step / 2
-    (central) is built (total_liouvillian, which reads include_shifts,
-    pairing_tol and shared, the eigensystem and rate table of spec given
-    in place of its own), always from the lower ground state, so
-    chi(0, t) = 1; as chi(-u, t) = conj(chi(u, t)), the central fd_imag is
-    zero.  chi(u, t) = Tr rho_u(t) at the last two grid times gives the
+    (central) is built (total_liouvillian, which reads pairing_tol and
+    shared, spectrum's value for spec, and without it builds what method
+    reads), always from the lower ground state, so chi(0, t) = 1; as
+    chi(-u, t) = conj(chi(u, t)), the central fd_imag is zero.
+    chi(u, t) = Tr rho_u(t) at the last two grid times gives the
     mean heat and the instantaneous current, the change of the estimate
     over the final step dt, of which t_end must span at least one.  Only
     those two states are computed, on evolve's time grid (n times), with
@@ -410,7 +410,7 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     if scheme not in ("forward", "central"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
     gen = total_liouvillian(method, spec, bath, u=u_step if scheme == "forward" else 0.5 * u_step,
-                            include_shifts=include_shifts, pairing_tol=pairing_tol, shared=shared)
+                            pairing_tol=pairing_tol, shared=shared)
     # a chi that overflows fails below by name
     with np.errstate(over="ignore", invalid="ignore"):
         times = _time_grid(t_end, dt)

@@ -21,16 +21,16 @@ secular mask, which secular applies in the dressed eigenbasis; the
 phenomenological method is two golden-rule jumps between the bare ground
 levels (_two_jumps).  total_liouvillian assembles all three, each on top
 of the same static_part (coherent evolution plus radiative decay, one
-effective non-Hermitian Hamiltonian and one jump).
-The tcl generator uses running coefficients Gamma(t), in the same
-convention, and the same static_part.  Every piece broadcasts over
-the leading axes of a stacked SystemSpec, so a chunk of sweep points is
-assembled in one pass of array operations.
+effective non-Hermitian Hamiltonian and one jump), from one value of what
+they share of one spec (spectrum).  The tcl generator uses running
+coefficients Gamma(t), in the same convention, and the same static_part.
+Every piece broadcasts over the leading axes of a stacked SystemSpec, so
+a chunk of sweep points is assembled in one pass of array operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,9 +40,6 @@ from .system import IDX_E, IDX_GL, IDX_GU, EigenSystem, SystemSpec, build_hamilt
 DIM = 3
 
 METHODS = ("bloch_redfield", "secular", "phenomenological")
-
-# the methods whose generators read the eigensystem and rate table of their spec (spectrum)
-SPECTRAL_METHODS = frozenset({"bloch_redfield", "secular"})
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -252,11 +249,31 @@ def _two_jumps(e_man: float, bath: BathSpec, u: float) -> tuple[np.ndarray, np.n
     return matrix, kernel
 
 
-def spectrum(spec: SystemSpec, bath: BathSpec,
-             shifts: bool = True) -> tuple[EigenSystem, np.ndarray]:
-    """Eigensystem and rate table (Gamma) of spec, broadcast over its points; shifts as rate_table."""
-    eig = eigensystem(spec)
-    return eig, rate_table(eig, bath, shifts)
+@dataclass(frozen=True)
+class Spectrum:
+    """spectrum's value: static_part, and the eigensystem and Gamma, or None where unread."""
+
+    static: np.ndarray
+    eig: EigenSystem | None = None
+    gamma: np.ndarray | None = None
+
+    def rows(self, k) -> Spectrum:
+        """The value of the points k of the stack alone: those rows of every array."""
+        eig = self.eig and EigenSystem(*(getattr(self.eig, f.name)[k] for f in fields(EigenSystem)))
+        return Spectrum(self.static[k], eig, None if self.gamma is None else self.gamma[k])
+
+
+def spectrum(spec: SystemSpec, bath: BathSpec, methods: tuple[str, ...] = METHODS,
+             shifts: bool = True) -> Spectrum:
+    """What the generators of methods on spec share (Spectrum), broadcast over its points.
+
+    static_part always; the eigensystem and rate table Gamma only when
+    methods holds bloch_redfield or secular, Gamma with shifts only when
+    shifts is true and methods holds bloch_redfield (rate_table).
+    """
+    eig = eigensystem(spec) if {"bloch_redfield", "secular"}.intersection(methods) else None
+    gamma = eig and rate_table(eig, bath, shifts and "bloch_redfield" in methods)
+    return Spectrum(static_part(spec), eig, gamma)
 
 
 def static_part(spec: SystemSpec) -> np.ndarray:
@@ -279,41 +296,40 @@ def static_part(spec: SystemSpec) -> np.ndarray:
 
 
 def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 0.0,
-                      include_shifts: bool = True, pairing_tol: float | None = None,
-                      shared: tuple[EigenSystem, np.ndarray] | None = None) -> Liouvillian:
+                      pairing_tol: float | None = None,
+                      shared: Spectrum | None = None) -> Liouvillian:
     """Markovian generator of one method: static_part plus a phonon dissipator.
 
     bloch_redfield: the full weak-coupling generator, no rotating-wave
-    approximation.  Its Redfield dissipator reads rate_table's coefficients
-    Gamma[i, j] = a - i b (rate and principal-value shift of the transition
-    nu[j, i]) as they are, or their rates Re Gamma alone when
-    include_shifts is false; at u = 0 it preserves trace and hermiticity.
-    secular: the shift-free dissipator masked to the rotating-wave pairs
-    (_secular_dissipator, pairing_tol).
+    approximation.  Its Redfield dissipator reads shared's Gamma as given
+    (rate_table's Gamma[i, j] = a - i b, rate and principal-value shift of
+    the transition nu[j, i]); at u = 0 it preserves trace and hermiticity.
+    secular: the shift-free dissipator of the rates Re Gamma, masked to the
+    rotating-wave pairs (_secular_dissipator; pairing_tol is read by
+    secular only).
     phenomenological: two golden-rule jumps between the bare ground
     levels, blind to the drive (_two_jumps), one 9x9 pair for every point;
     absorption |g_l> -> |g_u> at gamma_up = 2 rate_a(-e_man) tags a bath
     loss of e_man (phase exp(-i u e_man)), emission at
     gamma_down = 2 rate_a(e_man) a gain.
-    include_shifts is read by bloch_redfield only, pairing_tol by secular
-    only.  Only the sandwich terms (state between coupling operators)
+    Only the sandwich terms (state between coupling operators)
     exchange a bath quantum and carry the counting phase; the one-sided
     products and the radiative decay do not.
 
-    Broadcasts over a stacked spec.  bloch_redfield and secular read the
-    eigensystem and rate table of spec (spectrum), phenomenological
-    neither; shared, when given, is read in their place, so that the
-    generators of several methods and counting fields of one spec compute
-    them once.
+    Broadcasts over a stacked spec.  shared is spectrum's value for spec,
+    so that the generators of several methods and counting fields of one
+    spec build it once; without it each call builds what its own method
+    reads, with shifts (spectrum(spec, bath, (method,))).  Bloch-Redfield
+    without shifts is given shared=spectrum(spec, bath, shifts=False).
     """
-    if method in SPECTRAL_METHODS:
-        eig, gamma = spectrum(spec, bath) if shared is None else shared
+    if shared is None:
+        shared = spectrum(spec, bath, (method,))
     if method == "bloch_redfield":
-        matrix, kernel = redfield(eig, eig.basis, gamma if include_shifts else gamma.real, u)
+        matrix, kernel = redfield(shared.eig, shared.eig.basis, shared.gamma, u)
     elif method == "secular":
-        matrix, kernel = _secular_dissipator(eig, gamma, spec.e_man, pairing_tol, u)
+        matrix, kernel = _secular_dissipator(shared.eig, shared.gamma, spec.e_man, pairing_tol, u)
     elif method == "phenomenological":
         matrix, kernel = _two_jumps(spec.e_man, bath, u)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return Liouvillian(matrix=static_part(spec) + matrix, u=u, heat_kernel=kernel)
+    return Liouvillian(matrix=shared.static + matrix, u=u, heat_kernel=kernel)

@@ -8,10 +8,10 @@ method as one stack, once for all routes; the chunk size follows what a
 point holds (_stack_size): up to 512 points of a steady grid of Markovian
 methods, 16 points that carry a time axis, fewer when their longest time
 axis (trajectory or tau table) exceeds a byte budget.  Blocks of up to 512
-points, whole chunks, share one eigensystem and rate table, computed up
-front when a method reads them.  Per-point and per-route failures are
-caught and recorded in the row's status field instead of aborting the
-sweep.
+points, whole chunks, share one value of what their generators share
+(generators.spectrum), computed up front.  Per-point and per-route
+failures are caught and recorded in the row's status field instead of
+aborting the sweep.
 """
 
 from __future__ import annotations
@@ -33,9 +33,8 @@ from .dynamics import (
     steady_residual,
     steady_state,
 )
-from .generators import (SPECTRAL_METHODS, Liouvillian, from_real, spectrum, to_real,
-                         total_liouvillian)
-from .system import EigenSystem, SystemSpec, lower_ground_state
+from .generators import Liouvillian, Spectrum, from_real, spectrum, to_real, total_liouvillian
+from .system import SystemSpec, lower_ground_state
 from .tcl import TclPropagator, tau_grid
 
 # stack and block sizes (_stack_size, run_sweep); README's "Stack and block sizes" has why
@@ -75,7 +74,7 @@ def delta_grid(cfg: SweepConfig) -> np.ndarray:
 
 
 def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
-              options: dict) -> tuple:
+              shared: Spectrum) -> tuple:
     """Final generator, final state, smallest eigenvalue seen and residual of spec's points.
 
     All points of a stacked spec are evaluated at once, in one head for
@@ -86,8 +85,8 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     heat record) up to t_end in transient mode, its final generator the one
     at the last grid time, or up to its coefficient table's last row,
     frozen there, in steady mode.  Markovian methods build their generators
-    (total_liouvillian with options, which may hold the points' shared
-    eigensystem and rate table); in transient mode the lower ground state
+    (total_liouvillian with cfg.pairing_tol and shared, the points' value
+    of generators.spectrum); in transient mode the lower ground state
     is evolved exactly (evolve) under the generator in real Hermitian
     coordinates (to_real) on the grid of step dt up to t_end, so dt sets
     only which times are sampled.  A trajectory stays in these coordinates through
@@ -106,7 +105,7 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
         gen = prop.generator(times[-1] if cfg.mode == "transient" else horizon)
         rho, seen = from_real(coords[..., -1, :]), min_eigenvalue(coords)
     else:
-        gen = total_liouvillian(method, spec, bath, **options)
+        gen = total_liouvillian(method, spec, bath, pairing_tol=cfg.pairing_tol, shared=shared)
         seen = np.inf
         if cfg.mode == "transient":
             coords = evolve(Liouvillian(matrix=to_real(gen.matrix)), lower_ground_state(),
@@ -128,25 +127,19 @@ def _problem(cfg: SweepConfig, deltas: list[float],
     return spec, BathSpec(alpha=cfg.alpha, omega_c=cfg.omega_c, temperature=cfg.temperature)
 
 
-def _reads_shifts(cfg: SweepConfig) -> bool:
-    """Whether a method of cfg reads the shifts of its rate table: Bloch-Redfield with shifts."""
-    return "bloch_redfield" in cfg.methods and cfg.include_shifts_bloch_redfield
-
-
 def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method: str,
-             shared: tuple[EigenSystem, np.ndarray] | None = None
-             ) -> list[list[SpectrumRecord]]:
+             shared: Spectrum | None = None) -> list[list[SpectrumRecord]]:
     """Records of the points (deltas[k], omegas[k]) for one method, per point.
 
     Entry k lists point k's record for each of cfg.routes, in order.  The
-    points are evaluated as one stack, given shared, their eigensystem and
-    rate table, or None to compute them once (spectrum, with shifts only
-    where _reads_shifts) when the method reads them: one head (_evaluate),
-    then each route's current, in order: the trace-formula one of the final
-    generator and state, or on counting_fd the heat increment over the last
-    step (mean_heat_fd, one stacked call from the lower ground state, also
-    given shared).  When any of that raises, the stack is split into halves,
-    each evaluated the same way with its rows of shared (_rows), down to
+    points are evaluated as one stack, given shared, their value of
+    generators.spectrum, or None to build the one method reads (shifts as
+    cfg.include_shifts_bloch_redfield): one head (_evaluate), then each
+    route's current, in order: the trace-formula one of the final generator
+    and state, or on counting_fd the heat increment over the last step
+    (mean_heat_fd, one stacked call from the lower ground state, also given
+    shared).  When any of that raises, the stack is split into halves, each
+    evaluated the same way with its rows of shared (Spectrum.rows), down to
     single points, so a failure, a LinAlgError included, marks only the
     points that cause it, in about 2 log2(len(deltas)) stacks per failing
     point.
@@ -156,17 +149,15 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
     outcomes = []
     try:
         spec, bath = _problem(cfg, deltas, omegas)
-        if shared is None and method in SPECTRAL_METHODS:
-            shared = spectrum(spec, bath, _reads_shifts(cfg))
-        options = dict(include_shifts=cfg.include_shifts_bloch_redfield,
-                       pairing_tol=cfg.pairing_tol, shared=shared)
-        gen, rho, seen, residual = _evaluate(cfg, spec, bath, method, options)
+        if shared is None:
+            shared = spectrum(spec, bath, (method,), cfg.include_shifts_bloch_redfield)
+        gen, rho, seen, residual = _evaluate(cfg, spec, bath, method, shared)
     except Exception as exc:
         outcomes = [exc] * len(cfg.routes)
     for route in cfg.routes[len(outcomes):]:
         try:
             outcomes.append(mean_heat_fd(method, spec, bath, cfg.t_end, cfg.dt, route.u_step,
-                                         route.scheme, **options).current
+                                         route.scheme, cfg.pairing_tol, shared).current
                             if route.kind == "counting_fd" else heat_current_trace(gen, rho))
         except Exception as exc:
             outcomes.append(exc)
@@ -175,7 +166,7 @@ def _records(cfg: SweepConfig, deltas: list[float], omegas: list[float], method:
         cuts = sorted({0, len(deltas) // 2, len(deltas)})
         return [part for start, stop in zip(cuts, cuts[1:])
                 for part in _records(cfg, deltas[start:stop], omegas[start:stop], method,
-                                     _rows(shared, slice(start, stop)))]
+                                     shared and shared.rows(slice(start, stop)))]
     sign = -1.0 if cfg.sign == "absorption_positive" else 1.0
     # (route, current / seen / residual, point)
     values = np.full((len(cfg.routes), 3, len(deltas)), math.nan)
@@ -213,39 +204,31 @@ def _stack_size(cfg: SweepConfig) -> int:
     return int(max(1.0, min(_CHUNK, _TIME_AXIS_BYTES // (max(rows) * row_bytes))))
 
 
-def _rows(shared: tuple[EigenSystem, np.ndarray] | None,
-          rows: slice) -> tuple[EigenSystem, np.ndarray] | None:
-    """Those rows of every EigenSystem field and of Gamma in shared, or None without shared."""
-    if shared is None:
-        return None
-    eig, gamma = shared
-    return EigenSystem(*(getattr(eig, f.name)[rows] for f in fields(eig))), gamma[rows]
-
-
 def _evaluate_block(cfg: SweepConfig, points: list[tuple[float, float]],
                     size: int) -> list[SpectrumRecord]:
     """Records of consecutive grid points, in (point, method, route) order.
 
     Each method evaluates each chunk of size points as one stack, once for
-    all routes.  When cfg.methods meets generators.SPECTRAL_METHODS (not
-    tcl_oracle and phenomenological alone), all points share one eigensystem
-    and rate table (spectrum, its shifts only where _reads_shifts), computed
-    up front; each chunk reads its rows (_rows), bitwise its own spectrum,
-    and the shift rule's fixed cost is paid once per block.  When the block
-    spectrum raises, each chunk computes its own, and only a chunk that
-    holds the failing point splits (_records).
+    all routes.  All points share one value of generators.spectrum (for
+    cfg.methods, shifts as cfg.include_shifts_bloch_redfield), computed up
+    front; each chunk hands its rows (Spectrum.rows), bitwise its own
+    value, to every method, so static_part and the shift rule's fixed cost
+    are paid once per block.  When the block value raises, each chunk
+    builds its own, and only a chunk that holds the failing point splits
+    (_records).
     """
     deltas, omegas = (list(axis) for axis in zip(*points))
     try:
-        block = (spectrum(*_problem(cfg, deltas, omegas), _reads_shifts(cfg))
-                 if SPECTRAL_METHODS.intersection(cfg.methods) else None)
+        block = spectrum(*_problem(cfg, deltas, omegas), cfg.methods,
+                         cfg.include_shifts_bloch_redfield)
     except Exception:
-        # each chunk computes its own, and the one that fails records why
+        # each chunk builds its own, and the one that fails records why
         block = None
     records = []
     for start in range(0, len(points), size):
         rows = slice(start, start + size)
-        columns = [_records(cfg, deltas[rows], omegas[rows], method, _rows(block, rows))
+        shared = block and block.rows(rows)
+        columns = [_records(cfg, deltas[rows], omegas[rows], method, shared)
                    for method in cfg.methods]
         records += [rec for row in zip(*columns) for part in row for rec in part]
     return records

@@ -65,7 +65,7 @@ def tau_grid(t_mem: float, dt: float, omega_c: float) -> tuple[float, float]:
     return step, 1.0 + max(1.0, np.rint(t_mem / step))
 
 
-def correlation_grid(taus: np.ndarray, spec: BathSpec) -> np.ndarray:
+def correlation_grid(taus: np.ndarray, bath: BathSpec) -> np.ndarray:
     """C(tau) on a grid, in closed form.
 
     Expanding coth(beta w / 2) = 1 + 2 sum_{k>=1} exp(-k beta w) turns every
@@ -84,15 +84,15 @@ def correlation_grid(taus: np.ndarray, spec: BathSpec) -> np.ndarray:
     O(len(taus)).  Agrees with an adaptive quadrature of the
     correlation integral to about 1e-10 absolute at any tau.
     """
-    beta = spec.beta
-    x = 1.0 / spec.omega_c + 1j * np.asarray(taus, dtype=float)
+    beta = bath.beta
+    x = 1.0 / bath.omega_c + 1j * np.asarray(taus, dtype=float)
     q = 1.0 / (x + _MATSUBARA_TERMS * beta)
     r = beta * q
     s = q**3 / (3.0 * beta) + q**4 * (0.5 + r / 3.0 - r**3 / 6.0 + 2.0 * r**5 / 9.0
                                       - r**7 / 2.0 + 5.0 * r**9 / 3.0)
     for k in range(_MATSUBARA_TERMS - 1, -1, -1):
         s += (1.0 / (x + k * beta)) ** 4
-    return 12.0 * spec.alpha / spec.omega_c**2 * (2.0 * s.real - np.conj((1.0 / x) ** 4))
+    return 12.0 * bath.alpha / bath.omega_c**2 * (2.0 * s.real - np.conj((1.0 / x) ** 4))
 
 
 class TclPropagator:

@@ -14,6 +14,7 @@ from coolspec.generators import (
     TRACE_VECTOR,
     redfield,
     sandwich_superoperator,
+    spectrum,
     static_part,
     total_liouvillian,
     unvectorize,
@@ -345,20 +346,23 @@ def test_secular_pairing_tolerance_widens_retention():
     # the secular generator, built in the eigenbasis, back to the shiftless
     # nonsecular one, built in the working basis: matrix and heat kernel
     spec = SystemSpec(e_man=2.0, delta=0.1, omega_rabi=0.4, gamma_rad=0.0)
+    shiftless = spectrum(spec, BATH, shifts=False)
     for u in (0.0, 0.05):
         wide = total_liouvillian("secular", spec, BATH, u=u, pairing_tol=1e3)
-        nonsecular = total_liouvillian("bloch_redfield", spec, BATH, u=u, include_shifts=False)
+        nonsecular = total_liouvillian("bloch_redfield", spec, BATH, u=u, shared=shiftless)
         assert_allclose(wide.matrix, nonsecular.matrix, atol=1e-13)
         assert_allclose(wide.heat_kernel, nonsecular.heat_kernel, atol=1e-13)
-    nonsecular = total_liouvillian("bloch_redfield", spec, BATH, include_shifts=False)
+    nonsecular = total_liouvillian("bloch_redfield", spec, BATH, shared=shiftless)
     tight = total_liouvillian("secular", spec, BATH)
     assert not np.allclose(tight.matrix, nonsecular.matrix, atol=1e-6)
 
 
 def test_principal_value_terms_change_generator():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
-    with_b = total_liouvillian("bloch_redfield", spec, BATH, include_shifts=True)
-    without_b = total_liouvillian("bloch_redfield", spec, BATH, include_shifts=False)
+    with_b = total_liouvillian("bloch_redfield", spec, BATH,
+                               shared=spectrum(spec, BATH, shifts=True))
+    without_b = total_liouvillian("bloch_redfield", spec, BATH,
+                                  shared=spectrum(spec, BATH, shifts=False))
     assert np.abs(with_b.matrix - without_b.matrix).max() > 1e-4
     # shifts are coherent-like: they must not affect trace preservation
     assert_allclose(TRACE_VECTOR @ with_b.matrix, 0.0, atol=1e-13)
@@ -388,11 +392,13 @@ def test_total_liouvillian_validation():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     with pytest.raises(ValueError, match="unknown method"):
         total_liouvillian("redfield", spec, BATH)
-    # include_shifts is read by bloch_redfield only
+    # the shift choice is read by bloch_redfield only
     for method in ("secular", "phenomenological"):
         for u in (0.0, 0.05):
-            with_b = total_liouvillian(method, spec, BATH, u=u, include_shifts=True)
-            without_b = total_liouvillian(method, spec, BATH, u=u, include_shifts=False)
+            with_b = total_liouvillian(method, spec, BATH, u=u,
+                                       shared=spectrum(spec, BATH, shifts=True))
+            without_b = total_liouvillian(method, spec, BATH, u=u,
+                                          shared=spectrum(spec, BATH, shifts=False))
             assert np.array_equal(with_b.matrix, without_b.matrix)
             assert np.array_equal(with_b.heat_kernel, without_b.heat_kernel)
 

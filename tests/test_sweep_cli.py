@@ -16,6 +16,7 @@ from coolspec.config import ConfigError, HeatRoute, config_from_dict, profile_co
 from coolspec.dynamics import (
     evolve,
     heat_current_trace,
+    mean_heat_fd,
     min_eigenvalue,
     steady_residual,
     steady_state,
@@ -30,7 +31,7 @@ from coolspec.sweep import (
     run_sweep,
     write_output,
 )
-from coolspec.generators import spectrum
+from coolspec.generators import spectrum, total_liouvillian
 from coolspec.system import EigenSystem, SystemSpec, eigensystem, lower_ground_state
 from coolspec.tcl import TclPropagator
 
@@ -420,19 +421,22 @@ def test_stack_size_follows_what_a_point_holds(monkeypatch):
 
 
 def test_block_rows_are_each_chunks_own_spectrum():
-    # a chunk reads its rows of its block's eigensystem and rate table;
-    # they are bitwise those that the chunk computes alone
+    # a chunk reads its rows of its block's value: static part, eigensystem
+    # and rate table are bitwise those that the chunk computes alone; a
+    # value without eigensystem and rate table has rows without them
     cfg = profile_config("paper-fig3a")
     deltas = delta_grid(cfg).tolist()
     omegas = list(cfg.omega_list) * len(deltas)
     block = spectrum(*sweep._problem(cfg, deltas, omegas))
     for start, stop in ((0, 16), (64, 80), (80, 81)):
-        eig, gamma = sweep._rows(block, slice(start, stop))
-        own_eig, own_gamma = spectrum(*sweep._problem(cfg, deltas[start:stop],
-                                                      omegas[start:stop]))
+        rows = block.rows(slice(start, stop))
+        own = spectrum(*sweep._problem(cfg, deltas[start:stop], omegas[start:stop]))
+        assert np.array_equal(rows.static, own.static)
         for field in fields(EigenSystem):
-            assert np.array_equal(getattr(eig, field.name), getattr(own_eig, field.name))
-        assert np.array_equal(gamma, own_gamma)
+            assert np.array_equal(getattr(rows.eig, field.name), getattr(own.eig, field.name))
+        assert np.array_equal(rows.gamma, own.gamma)
+    bare = spectrum(*sweep._problem(cfg, deltas, omegas), ("phenomenological",)).rows(slice(0, 16))
+    assert bare.static.shape == (16, 9, 9) and bare.eig is None and bare.gamma is None
 
 
 def test_blocks_hold_at_most_a_steady_stack_and_one_per_worker(pools, monkeypatch):
@@ -450,10 +454,25 @@ def test_blocks_hold_at_most_a_steady_stack_and_one_per_worker(pools, monkeypatc
     assert pools == [2]
 
 
+def _counting_in(monkeypatch, *targets):
+    """Names of the calls made to the (module, name) functions of targets, in order."""
+    calls = []
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, name=name, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_spectrum_is_computed_only_when_read(monkeypatch):
     # tcl_oracle builds its own coefficients and phenomenological reads no
-    # spectrum (two bare jumps), so neither computes the block's
-    calls = _counting(monkeypatch, "spectrum")
+    # spectrum (two bare jumps), so the block's value holds neither an
+    # eigensystem nor a rate table
+    calls = _counting_in(monkeypatch, (generators, "eigensystem"), (generators, "rate_table"))
     run_sweep(replace(TRANSIENT_TCL, methods=("tcl_oracle",)))
     run_sweep(replace(SMALL, methods=("phenomenological",)))
     run_sweep(replace(TRANSIENT, methods=("phenomenological",)))
@@ -463,13 +482,23 @@ def test_spectrum_is_computed_only_when_read(monkeypatch):
 def test_shifts_are_computed_only_where_a_method_reads_them(monkeypatch):
     # secular reads the rates Re Gamma alone and phenomenological no rate
     # table, so a block of them, or of Bloch-Redfield without shifts, calls
-    # no shift_b; every row is that of the same sweep made to compute them
+    # no shift_b; every row is that of the same sweep made to compute them.
+    # So do direct generator and counting-field calls of those methods
     fig2 = profile_config("paper-fig2")
     configs = (replace(fig2, methods=("secular",)),
                replace(fig2, methods=("secular", "phenomenological")),
                replace(fig2, include_shifts_bloch_redfield=False),
                replace(TRANSIENT, methods=("secular",)))
-    monkeypatch.setattr(sweep, "_reads_shifts", lambda cfg: True)
+    original_spectrum = sweep.spectrum
+
+    def with_shifts(spec, bath, methods, shifts):
+        # the shifts computed, then dropped from Gamma where no method reads them
+        value = original_spectrum(spec, bath, ("bloch_redfield",) + tuple(methods), True)
+        if shifts and "bloch_redfield" in methods:
+            return value
+        return replace(value, gamma=value.gamma.real + 0j)
+
+    monkeypatch.setattr(sweep, "spectrum", with_shifts)
     forced = [render_csv(run_sweep(cfg)) for cfg in configs]
     monkeypatch.undo()
     calls = []
@@ -481,9 +510,27 @@ def test_shifts_are_computed_only_where_a_method_reads_them(monkeypatch):
 
     monkeypatch.setattr(bath_module, "shift_b", counted)
     assert [render_csv(run_sweep(cfg)) for cfg in configs] == forced
+    spec, bath = sweep._problem(fig2, [0.0, 0.5], [0.5, 1.0])
+    for method in ("secular", "phenomenological"):
+        total_liouvillian(method, spec, bath, u=0.05)
+        mean_heat_fd(method, spec, bath, t_end=1.0)
     assert calls == []
     run_sweep(fig2)
     assert len(calls) == 1
+    total_liouvillian("bloch_redfield", spec, bath)
+    assert len(calls) == 2
+
+
+def test_one_call_per_layer_per_paper_sweep(monkeypatch):
+    # a serial paper-fig2 or paper-fig3a sweep is one block, whose value is
+    # built once for every chunk, method and counting route: one static
+    # part, one eigensystem and one rate table, with one shift_b call
+    calls = _counting_in(monkeypatch, (generators, "static_part"), (generators, "eigensystem"),
+                         (generators, "rate_table"), (bath_module, "shift_b"))
+    for profile in ("paper-fig2", "paper-fig3a"):
+        calls.clear()
+        run_sweep(profile_config(profile))
+        assert sorted(calls) == ["eigensystem", "rate_table", "shift_b", "static_part"]
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -9,7 +9,9 @@ from coolspec.dynamics import heat_current_trace, propagate
 from coolspec.generators import (
     FROM_REAL,
     TO_REAL,
+    Spectrum,
     redfield,
+    spectrum,
     static_part,
     total_liouvillian,
     unvectorize,
@@ -179,7 +181,8 @@ def test_coarse_step_keeps_sign_of_cold_bath_current():
 
 def test_generator_converges_to_bloch_redfield():
     late = TclPropagator(SPEC, BATH, t_mem=30.0, dt=0.02).generator(60.0)
-    markov = total_liouvillian("bloch_redfield", SPEC, BATH, include_shifts=True)
+    markov = total_liouvillian("bloch_redfield", SPEC, BATH,
+                               shared=spectrum(SPEC, BATH, shifts=True))
     assert np.abs(late.matrix - markov.matrix).max() < 1e-4
     assert np.abs(late.heat_kernel - markov.heat_kernel).max() < 1e-4
 
@@ -207,7 +210,8 @@ def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
 def test_generator_is_bloch_redfield_of_running_coefficients():
     # generator(t) is the Bloch-Redfield generator with Gamma(t) for
     # rate_table's Gamma: bitwise static_part plus the Redfield dissipator,
-    # and total_liouvillian given them as its shared spectrum, inside the
+    # and total_liouvillian given them with the eigensystem as its shared
+    # value (generators.Spectrum), inside the
     # memory window and past it
     spec = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.7]),
                       omega_rabi=np.array([0.5, 1.0, 0.2]), gamma_rad=0.5)
@@ -216,7 +220,8 @@ def test_generator_is_bloch_redfield_of_running_coefficients():
         gen = prop.generator(t)
         gamma = prop.coefficients(t)
         matrix, kernel = redfield(prop.eig, prop.eig.basis, gamma)
-        bloch = total_liouvillian("bloch_redfield", spec, BATH, shared=(prop.eig, gamma))
+        bloch = total_liouvillian("bloch_redfield", spec, BATH,
+                                  shared=Spectrum(static_part(spec), prop.eig, gamma))
         for got, expected in ((gen.matrix, static_part(spec) + matrix),
                               (gen.heat_kernel, kernel), (gen.matrix, bloch.matrix),
                               (gen.heat_kernel, bloch.heat_kernel)):
