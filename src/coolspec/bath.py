@@ -41,6 +41,9 @@ _ASYMPTOTIC = 40.0
 _TOP = 12
 _EI_COEFFICIENTS = np.array([1.0 / (m * math.factorial(m)) for m in range(1, 120)])
 _ASYMPTOTIC_COEFFICIENTS = np.cumprod([1.0] + list(range(_TOP + 1, _TOP + 61)))
+# the largest beta (beta omega_c in shift_b) the Matsubara sums form: past it
+# their terms k >= 1 vanish anyway, while an inf beta makes inf * 0 = NaN
+BETA_CAP = 1e300
 
 
 @dataclass(frozen=True)
@@ -210,8 +213,8 @@ def _h(x: np.ndarray, u: np.ndarray, seed: np.ndarray, order: int) -> np.ndarray
 def _shift_pair(s: np.ndarray, bath: BathSpec, terms: int) -> tuple[np.ndarray, np.ndarray]:
     """shift_b / alpha at nu = s and at nu = -s, s >= 0, from terms exact Matsubara terms."""
     omega_c, temperature = bath.omega_c, bath.temperature
-    # b_k omega_c = 1 + k beta omega_c; past 1e300 the terms k >= 1 vanish anyway
-    beta = min(omega_c / temperature, 1e300)
+    # b_k omega_c = 1 + k beta omega_c
+    beta = min(omega_c / temperature, BETA_CAP)
     scale = 1.0 + beta * np.arange(terms + 1)
     with np.errstate(over="ignore", divide="ignore"):
         x = np.multiply.outer(scale, s / omega_c)

@@ -11,21 +11,20 @@ orthonormal form (FROM_REAL's columns scaled to unit norm, a unitary
 map).  All generators can be annotated with a counting field u that tags
 phonon exchange with the bath; the u-derivative at zero is kept alongside
 as a heat kernel, so a single construction serves propagation, steady
-states, and both heat routes.  Every phonon generator is one Redfield dissipator (redfield),
-written with two 3x3 operators: the coupling operator O and its
-bath-weighted counterpart Lambda, built from one complex coefficient
-Gamma per transition.  Bloch-Redfield and secular read
-bath.rate_table's Gamma = a - i b and differ only in the part they take
-(all of it for Bloch-Redfield, the rates Re Gamma for secular) and in the
-secular mask, which secular applies in the dressed eigenbasis; the
-phenomenological method is two golden-rule jumps between the bare ground
-levels (_two_jumps).  total_liouvillian assembles all three, each on top
-of the same static_part (coherent evolution plus radiative decay, one
-effective non-Hermitian Hamiltonian and one jump), from one value of what
-they share of one spec (spectrum).  The tcl generator uses running
-coefficients Gamma(t), in the same convention, and the same static_part.
-Every piece broadcasts over the leading axes of a stacked SystemSpec, so
-a chunk of sweep points is assembled in one pass of array operations.
+states, and both heat routes.  Every phonon generator is one Redfield
+dissipator of the coupling operator O and its bath-weighted counterpart
+Lambda, 3x3 operators built from one complex coefficient Gamma per
+transition (bath.rate_table's Gamma = a - i b): redfield writes it in
+the working basis, for Bloch-Redfield, and _secular_dissipator, of the
+rates Re Gamma, in the dressed eigenbasis, where it applies the secular
+mask before one change of basis; the phenomenological method is two
+golden-rule jumps between the bare ground levels (_two_jumps).
+total_liouvillian assembles all three on top of static_part (coherent
+evolution plus radiative decay) from one value of what they share
+(spectrum); the tcl generator is redfield of running coefficients
+Gamma(t) plus static_part.  Every piece broadcasts over the leading axes
+of a stacked SystemSpec, so a chunk of sweep points is assembled in one
+pass of array operations.
 """
 
 from __future__ import annotations
@@ -157,32 +156,25 @@ def _dag(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def redfield(eig: EigenSystem, basis: np.ndarray, gamma: np.ndarray,
-             u: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Redfield dissipator and heat kernel for half-Fourier coefficients gamma.
+def _conjugated(v: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """v x_k v^dag for x_k = ops[..., :, k, :] side by side, in two matmuls per point whatever K."""
+    wide = v @ ops.reshape(ops.shape[:-3] + (ops.shape[-3], -1))
+    tall = wide.reshape(wide.shape[:-2] + (-1, ops.shape[-1])) @ _dag(v)
+    return tall.reshape(tall.shape[:-2] + ops.shape[-3:])
 
-    basis holds the eigenvectors as columns in the frame the result is
-    written in: eig.basis gives the working basis, the identity the
-    eigenbasis.  With V = basis and E = eig.elements, the coupling operator
-    is O = V E V^dag and Lambda_u = V (gamma * E * exp(i u nu.T)) V^dag,
-    i.e. sum_ij gamma[i, j] exp(i u nu[j, i]) <i|O|j> |i><j|.  The
-    dissipator is
-    rho -> Lambda_u rho O + O rho Lambda_{-u}^dag - O Lambda_0 rho - rho Lambda_0^dag O,
-    the sandwich terms carrying the counting phase of the bath quantum they
-    exchange.  The heat kernel is its u-derivative at u = 0,
-    rho -> Lambda' rho O - O rho Lambda'^dag with Lambda' = d Lambda_u / du
-    at 0.  Returns (matrix, heat_kernel), both 9x9, broadcast over leading
-    axes of gamma, eig and basis.
-    """
+
+def _redfield_terms(eig: EigenSystem, gamma: np.ndarray, u: float) -> np.ndarray:
+    """redfield's Lambda_u, Lambda_{-u}, Lambda_0, Lambda' and O in the eigenbasis, side by side."""
     weights = gamma * eig.elements
     nu_t = eig.nu.swapaxes(-1, -2)
-    phases = np.stack(np.broadcast_arrays(np.exp(1j * u * nu_t), np.exp(-1j * u * nu_t),
-                                          np.ones((DIM, DIM)), 1j * nu_t), axis=-3)
-    # Lambda_u, Lambda_{-u}, Lambda_0 and Lambda', stacked on axis -3
-    frame = basis[..., None, :, :]
-    lam = frame @ (weights[..., None, :, :] * phases) @ _dag(frame)
-    lam_u, lam_minus_u, lam_0, lam_prime = np.moveaxis(lam, -3, 0)
-    o = basis @ eig.elements @ _dag(basis)
+    return np.stack(np.broadcast_arrays(weights * np.exp(1j * u * nu_t),
+                                        weights * np.exp(-1j * u * nu_t), weights,
+                                        weights * (1j * nu_t), eig.elements), axis=-2)
+
+
+def _redfield_maps(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """redfield's dissipator and heat kernel from _redfield_terms written in any one basis."""
+    lam_u, lam_minus_u, lam_0, lam_prime, o = np.moveaxis(terms, -2, 0)
     eye = np.eye(DIM)
     left = (lam_u, o, -o @ lam_0, eye, lam_prime, -o)
     right = (o, _dag(lam_minus_u), eye, -_dag(lam_0) @ o, o, _dag(lam_prime))
@@ -191,14 +183,31 @@ def redfield(eig: EigenSystem, basis: np.ndarray, gamma: np.ndarray,
             sandwich_superoperator(left[..., 4:, :, :], right[..., 4:, :, :]))
 
 
+def redfield(eig: EigenSystem, gamma: np.ndarray, u: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Redfield dissipator and heat kernel in the working basis for half-Fourier coefficients gamma.
+
+    With V = eig.basis and E = eig.elements, the coupling operator is
+    O = V E V^dag and Lambda_u = V (gamma * E * exp(i u nu.T)) V^dag,
+    i.e. sum_ij gamma[i, j] exp(i u nu[j, i]) <i|O|j> |i><j|.  The
+    dissipator is
+    rho -> Lambda_u rho O + O rho Lambda_{-u}^dag - O Lambda_0 rho - rho Lambda_0^dag O,
+    the sandwich terms carrying the counting phase of the bath quantum they
+    exchange.  The heat kernel is its u-derivative at u = 0,
+    rho -> Lambda' rho O - O rho Lambda'^dag with Lambda' = d Lambda_u / du
+    at 0.  Returns (matrix, heat_kernel), both 9x9, broadcast over leading
+    axes of gamma and eig.
+    """
+    return _redfield_maps(_conjugated(eig.basis, _redfield_terms(eig, gamma, u)))
+
+
 def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
                         pairing_tol: float | None, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotating-wave dissipator and heat kernel: the masked Redfield one.
+    """Rotating-wave dissipator and heat kernel: the masked Redfield ones.
 
     The shift-free Redfield dissipator (coefficients Re gamma, the rates
-    of rate_table's gamma) is built in the eigenbasis, masked there and
-    brought to the working basis by one change of basis.  In the
-    eigenbasis, the element that feeds rho[c, d] into
+    of rate_table's gamma) is built in the eigenbasis from redfield's
+    terms, masked there and brought to the working basis by one change of
+    basis.  In the eigenbasis, the element that feeds rho[c, d] into
     rho[a, b] oscillates at nu[a, b] - nu[c, d] in the interaction picture;
     it is kept when that frequency is within pairing_tol (None means
     1e-10 * e_man, so only exact coincidences survive) and dropped
@@ -214,13 +223,13 @@ def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
     # a difference that overflows is far from any tie: it rounds to inf and is dropped
     with np.errstate(over="ignore"):
         keep = np.abs(nu_vec[..., :, None] - nu_vec[..., None, :]) <= pairing_tol
-    in_eig = keep[..., None, :, :] * np.stack(
-        redfield(eig, np.eye(DIM), gamma.real, u), axis=-3)
+    # rows of the matrix and the kernel side by side, (..., 9, 2, 9)
+    in_eig = keep[..., :, None, :] * np.stack(
+        _redfield_maps(_redfield_terms(eig, gamma.real, u)), axis=-2)
     # columns of to_work are the vectorized eigenbasis operators |a><b|
-    to_work = sandwich_superoperator(eig.basis[..., None, :, :],
-                                     _dag(eig.basis)[..., None, :, :])[..., None, :, :]
-    out = to_work @ in_eig @ _dag(to_work)
-    return out[..., 0, :, :], out[..., 1, :, :]
+    to_work = sandwich_superoperator(eig.basis[..., None, :, :], _dag(eig.basis)[..., None, :, :])
+    out = _conjugated(to_work, in_eig)
+    return out[..., 0, :], out[..., 1, :]
 
 
 def _two_jumps(e_man: float, bath: BathSpec, u: float) -> tuple[np.ndarray, np.ndarray]:
@@ -316,20 +325,22 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     exchange a bath quantum and carry the counting phase; the one-sided
     products and the radiative decay do not.
 
-    Broadcasts over a stacked spec.  shared is spectrum's value for spec,
-    so that the generators of several methods and counting fields of one
-    spec build it once; without it each call builds what its own method
-    reads, with shifts (spectrum(spec, bath, (method,))).  Bloch-Redfield
+    Broadcasts over a stacked spec.  shared is spectrum's value for spec, so
+    that the generators of several methods and counting fields of one spec
+    build it once (a ValueError if it lacks what method reads); without it
+    each call builds what its own method reads, with shifts.  Bloch-Redfield
     without shifts is given shared=spectrum(spec, bath, shifts=False).
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if shared is None:
         shared = spectrum(spec, bath, (method,))
+    if shared.eig is None and method != "phenomenological":
+        raise ValueError(f"shared has no eigensystem, which {method} reads; build it for {method!r}")
     if method == "bloch_redfield":
-        matrix, kernel = redfield(shared.eig, shared.eig.basis, shared.gamma, u)
+        matrix, kernel = redfield(shared.eig, shared.gamma, u)
     elif method == "secular":
         matrix, kernel = _secular_dissipator(shared.eig, shared.gamma, spec.e_man, pairing_tol, u)
-    elif method == "phenomenological":
-        matrix, kernel = _two_jumps(spec.e_man, bath, u)
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+        matrix, kernel = _two_jumps(spec.e_man, bath, u)
     return Liouvillian(matrix=shared.static + matrix, u=u, heat_kernel=kernel)

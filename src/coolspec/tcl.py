@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .bath import BathSpec
+from .bath import BETA_CAP, BathSpec
 from .dynamics import HeatRecord, propagate
 from .generators import (
     DIM,
@@ -84,7 +84,7 @@ def correlation_grid(taus: np.ndarray, bath: BathSpec) -> np.ndarray:
     O(len(taus)).  Agrees with an adaptive quadrature of the
     correlation integral to about 1e-10 absolute at any tau.
     """
-    beta = bath.beta
+    beta = min(bath.beta, BETA_CAP)
     x = 1.0 / bath.omega_c + 1j * np.asarray(taus, dtype=float)
     q = 1.0 / (x + _MATSUBARA_TERMS * beta)
     r = beta * q
@@ -169,7 +169,7 @@ class TclPropagator:
         np.cumsum(sums, axis=-3, out=sums)
         units = np.eye(DIM * DIM).reshape((-1,) + (1,) * (nu.ndim - 3) + (DIM, DIM))
         matrix, kernel = (np.moveaxis(part, 0, -3) for part in
-                          redfield(self.eig, self.eig.basis, np.concatenate([units, 1j * units])))
+                          redfield(self.eig, np.concatenate([units, 1j * units])))
         # Tr(kernel response), points + (18, 9): the current is Re(-i rows @ this @ vec(rho))
         self._trace_kernel = TRACE_VECTOR @ kernel
         self._static = static_part(spec)[..., None, :, :]
@@ -224,7 +224,7 @@ class TclPropagator:
         eig = self.eig
         timed = EigenSystem(eig.energies[..., None, :], *(
             part[..., None, :, :] for part in (eig.basis, eig.nu, eig.elements)))
-        matrix, kernel = redfield(timed, timed.basis, self.coefficients(np.ravel(t)))
+        matrix, kernel = redfield(timed, self.coefficients(np.ravel(t)))
         shape = self._static.shape[:-3] + np.shape(t) + (DIM * DIM, DIM * DIM)
         return Liouvillian(matrix=(self._static + matrix).reshape(shape), u=0.0,
                            heat_kernel=kernel.reshape(shape))

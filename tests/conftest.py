@@ -72,6 +72,28 @@ def kron_lindblad(jump, phase=1.0):
             - 0.5 * (kron_sandwich(proj, eye) + kron_sandwich(eye, proj)))
 
 
+def kron_masked_redfield(eig, gamma, pairing_tol, u):
+    """Redfield dissipator and heat kernel masked in the eigenbasis, in the working basis.
+
+    Written term by term in the eigenbasis, where O = eig.elements and
+    Lam_u = gamma * O * exp(i u nu.T), as redfield_oracle's maps; element
+    [(a, b), (c, d)] is kept when |nu[a, b] - nu[c, d]| <= pairing_tol and
+    zeroed otherwise, and kron(conj V, V), V = eig.basis, maps both to the
+    working basis.  Returns (matrix, kernel).
+    """
+    eye = np.eye(3)
+    o = eig.elements
+    lam_u, lam_minus_u, lam_0, lam_prime = (gamma * o * phase for phase in (
+        np.exp(1j * u * eig.nu.T), np.exp(-1j * u * eig.nu.T), 1.0, 1j * eig.nu.T))
+    matrix = (kron_sandwich(lam_u, o) + kron_sandwich(o, lam_minus_u.conj().T)
+              - kron_sandwich(o @ lam_0, eye) - kron_sandwich(eye, lam_0.conj().T @ o))
+    kernel = kron_sandwich(lam_prime, o) - kron_sandwich(o, lam_prime.conj().T)
+    nu = vectorize(eig.nu).real
+    keep = np.abs(nu[:, None] - nu[None, :]) <= pairing_tol
+    to_work = np.kron(eig.basis.conj(), eig.basis)
+    return tuple(to_work @ (keep * m) @ to_work.conj().T for m in (matrix, kernel))
+
+
 def rk4_stages(generator_at, rho0, t_end, dt):
     """Classical RK4 in stage form on propagate's grid; propagate's oracle.
 

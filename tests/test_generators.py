@@ -34,6 +34,7 @@ from conftest import (
     bose_occupation,
     kron_commutator,
     kron_lindblad,
+    kron_masked_redfield,
     kron_sandwich,
     spectral_density,
 )
@@ -135,7 +136,7 @@ def test_generators_are_real_in_hermitian_coordinates():
         assert _imaginary_share(total_liouvillian(method, _STACK, BATH).matrix).max() <= 1e-15
     eig = eigensystem(_STACK)
     units = np.eye(9).reshape(9, 1, 3, 3)
-    matrix, _ = redfield(eig, eig.basis, np.concatenate([units, 1j * units]))
+    matrix, _ = redfield(eig, np.concatenate([units, 1j * units]))
     responses = TO_REAL @ matrix @ FROM_REAL
     assert np.abs(responses.imag).max() <= 1e-15 * np.abs(responses).max()
 
@@ -299,6 +300,30 @@ def test_secular_generator_matches_naive_lindblad_sum():
         assert_allclose(gen.matrix, naive, atol=1e-14)
 
 
+def test_secular_matches_kron_masked_redfield():
+    # the masked eigenbasis contraction against the whole eigenbasis Redfield
+    # superoperator written with np.kron, masked and brought to the working
+    # basis: at a generic point, at one where pairing_tol 0.3 keeps some
+    # pairs of distinct frequencies and drops others (delta = omega = 0.1),
+    # and at exact degeneracies (omega 0); each point of a stack is bitwise
+    # its one-point call
+    deltas, omegas = np.array([0.4, 0.1, 0.0, 2.0]), np.array([0.9, 0.1, 0.0, 0.0])
+    stack = SystemSpec(e_man=2.0, delta=deltas, omega_rabi=omegas, gamma_rad=0.5)
+    for pairing_tol in (None, 0.3):
+        for u in (0.0, 0.05):
+            stacked = total_liouvillian("secular", stack, BATH, u=u, pairing_tol=pairing_tol)
+            for k, (delta, omega) in enumerate(zip(deltas, omegas)):
+                spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.5)
+                eig = eigensystem(spec)
+                tol = 2e-10 if pairing_tol is None else pairing_tol
+                matrix, kernel = kron_masked_redfield(eig, rate_table(eig, BATH).real, tol, u)
+                gen = total_liouvillian("secular", spec, BATH, u=u, pairing_tol=pairing_tol)
+                assert_allclose(gen.matrix, static_part(spec) + matrix, rtol=0, atol=1e-14)
+                assert_allclose(gen.heat_kernel, kernel, rtol=0, atol=1e-14)
+                assert stacked.matrix[k].tobytes() == gen.matrix.tobytes()
+                assert stacked.heat_kernel[k].tobytes() == gen.heat_kernel.tobytes()
+
+
 def test_phenomenological_matches_two_jump_lindblad():
     # the drive-blind model written out: one Lindblad dissipator per bare
     # jump, |g_l> -> |g_u> at gamma_up tagging a bath loss of e_man and the
@@ -392,6 +417,10 @@ def test_total_liouvillian_validation():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
     with pytest.raises(ValueError, match="unknown method"):
         total_liouvillian("redfield", spec, BATH)
+    # a shared value built for other methods names what it lacks
+    for method in ("bloch_redfield", "secular"):
+        with pytest.raises(ValueError, match=f"no eigensystem, which {method} reads"):
+            total_liouvillian(method, spec, BATH, shared=spectrum(spec, BATH, ("phenomenological",)))
     # the shift choice is read by bloch_redfield only
     for method in ("secular", "phenomenological"):
         for u in (0.0, 0.05):

@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from coolspec.bath import BathSpec, rate_a, rate_table, shift_b
+from coolspec.config import config_from_dict
 from coolspec.dynamics import heat_current_trace, propagate
 from coolspec.generators import (
     FROM_REAL,
@@ -18,6 +20,7 @@ from coolspec.generators import (
     vectorize,
 )
 from coolspec.system import SystemSpec, build_hamiltonian, lower_ground_state
+from coolspec.sweep import run_sweep
 from coolspec.tcl import TclPropagator, correlation_grid
 
 from conftest import kron_commutator, kron_lindblad
@@ -55,6 +58,27 @@ def test_correlation_grid_matches_adaptive_quadrature(temperature, omega_c, bath
     grid = correlation_grid(taus, bath)
     for k, tau in enumerate(taus):
         assert_allclose(grid[k], bath_correlation(tau, bath), atol=1e-9)
+
+
+@pytest.mark.parametrize("temperature", [1e-310, 1e-320])
+def test_correlation_grid_at_vanishing_temperature(temperature):
+    # beta = 1 / T overflows to inf; capped, the grid warns of nothing and
+    # keeps only the k = 0 Matsubara term, C(tau) = 12 alpha / omega_c^2 x^-4
+    # with x = 1/omega_c + i tau, and a steady tcl_oracle row runs, close to
+    # Bloch-Redfield
+    bath = BathSpec(alpha=0.01, omega_c=1.0, temperature=temperature)
+    taus = np.array([0.0, 0.5, 7.5])
+    x = 1.0 / bath.omega_c + 1j * taus
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_allclose(correlation_grid(taus, bath), 12.0 * bath.alpha / x**4, rtol=1e-14)
+        records = run_sweep(config_from_dict({
+            "sweep": {"delta_min": -0.5, "delta_max": -0.5, "delta_steps": 1, "omega_list": [0.5]},
+            "bath": {"temperature": temperature},
+            "methods": ["tcl_oracle", "bloch_redfield"], "mode": {"kind": "steady"}}))
+    assert [record.status for record in records] == ["ok", "ok"]
+    tcl, bloch = (record.heat_absorption_rate for record in records)
+    assert tcl == pytest.approx(bloch, rel=1e-3)
 
 
 def test_running_coefficients_saturate_to_markovian_rates():
@@ -219,7 +243,7 @@ def test_generator_is_bloch_redfield_of_running_coefficients():
     for t in (1.37, 10.0, 12.0):
         gen = prop.generator(t)
         gamma = prop.coefficients(t)
-        matrix, kernel = redfield(prop.eig, prop.eig.basis, gamma)
+        matrix, kernel = redfield(prop.eig, gamma)
         bloch = total_liouvillian("bloch_redfield", spec, BATH,
                                   shared=Spectrum(static_part(spec), prop.eig, gamma))
         for got, expected in ((gen.matrix, static_part(spec) + matrix),
