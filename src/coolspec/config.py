@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 
@@ -114,7 +115,7 @@ def _is_finite(value) -> bool:
 # (description for messages, test)
 _TYPES = {
     float: ("a finite number", _is_finite),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     bool: ("a boolean", lambda v: isinstance(v, bool)),
     type(None): ("a finite number or null", lambda v: v is None or _is_finite(v)),
     tuple: ("a non-empty list (at least one entry)",

@@ -342,16 +342,15 @@ def steady_residual(liouvillian: Liouvillian, rho: np.ndarray):
 
 
 def heat_current_trace(liouvillian: Liouvillian, rho: np.ndarray):
-    """Instantaneous phonon heat current from the generator's heat kernel.
+    """Instantaneous phonon heat current Re Tr(Y rho), Y the generator's heat operator.
 
     Positive values mean energy flowing from the system into the bath.
     Cooling spectra plot bath absorption, which is the negative of this.
     Broadcasts over stacked generators and states.
     """
-    if liouvillian.heat_kernel is None:
-        raise ValueError("generator carries no heat kernel")
-    flow = liouvillian.heat_kernel @ vectorize(rho)[..., None]
-    return (-1j * (TRACE_VECTOR @ flow)[..., 0]).real[()]
+    if liouvillian.heat_operator is None:
+        raise ValueError("generator carries no heat operator")
+    return (liouvillian.heat_operator * np.swapaxes(rho, -1, -2)).sum((-2, -1)).real[()]
 
 
 @dataclass(frozen=True)
@@ -409,14 +408,14 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
         raise ValueError(f"u_step must be positive and finite, got {u_step}")
     if scheme not in ("forward", "central"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
+    times = _time_grid(t_end, dt)
+    if len(times) < 2:
+        raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
     gen = total_liouvillian(method, spec, bath, u=u_step if scheme == "forward" else 0.5 * u_step,
                             pairing_tol=pairing_tol, shared=shared)
     # a chi that overflows fails below by name
     with np.errstate(over="ignore", invalid="ignore"):
-        times = _time_grid(t_end, dt)
         step = _expm(dt * _finite(gen).matrix)
-        if len(times) < 2:
-            raise ValueError(f"t_end {t_end} spans no full step of dt {dt}")
         state = np.broadcast_to(vectorize(lower_ground_state()), step.shape[:-2] + (1, DIM * DIM))
         power, steps = step, len(times) - 2
         while steps:

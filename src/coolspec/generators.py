@@ -9,15 +9,16 @@ at u = 0, is a real 9x9 matrix; every u = 0 trajectory, exact or TCL, is
 computed and checked in them, and steady states are found in their
 orthonormal form (FROM_REAL's columns scaled to unit norm, a unitary
 map).  All generators can be annotated with a counting field u that tags
-phonon exchange with the bath; the u-derivative at zero is kept alongside
-as a heat kernel, so a single construction serves propagation, steady
+phonon exchange with the bath; the trace of the u-derivative at zero is
+kept alongside as the 3x3 heat operator Y (the heat current is
+Re Tr(Y rho)), so a single construction serves propagation, steady
 states, and both heat routes.  Every phonon generator is one Redfield
 dissipator of the coupling operator O and its bath-weighted counterpart
 Lambda, 3x3 operators built from one complex coefficient Gamma per
 transition (bath.rate_table's Gamma = a - i b): redfield writes it in
 the working basis, for Bloch-Redfield, and _secular_dissipator, of the
-rates Re Gamma, in the dressed eigenbasis, where it applies the secular
-mask before one change of basis; the phenomenological method is two
+rates Re Gamma, in the dressed eigenbasis, where it masks the matrix and
+Y before one change of basis; the phenomenological method is two
 golden-rule jumps between the bare ground levels (_two_jumps).
 total_liouvillian assembles all three on top of static_part (coherent
 evolution plus radiative decay) from one value of what they share
@@ -139,17 +140,19 @@ def from_real(coords: np.ndarray) -> np.ndarray:
 class Liouvillian:
     """A generator in vectorized form, optionally counting-field annotated.
 
-    matrix drives d/dt vec(rho) = matrix @ vec(rho).  heat_kernel is
-    d(matrix)/du at u = 0 and is independent of the u the matrix itself was
-    built at; tracing it against a state gives the instantaneous phonon
-    heat current.  Radiative decay is never annotated, so photon emission
-    does not enter the counted heat.  For a stack of points both arrays
-    carry its leading axes.
+    matrix drives d/dt vec(rho) = matrix @ vec(rho).  heat_operator is the
+    Hermitian 3x3 heat-current observable Y, Tr K(rho) = i Tr(Y rho) for
+    K = d(matrix)/du at u = 0 and every rho, independent of the u the
+    matrix was built at; Re Tr(Y rho) is the phonon heat current
+    (dynamics.heat_current_trace).  Radiative decay is never annotated, so
+    photon emission does not enter the counted heat.  For a stack of
+    points the matrix carries its leading axes, and so does Y where it
+    depends on the point.
     """
 
     matrix: np.ndarray
     u: float = 0.0
-    heat_kernel: np.ndarray | None = None
+    heat_operator: np.ndarray | None = None
 
 
 def _dag(m: np.ndarray) -> np.ndarray:
@@ -173,18 +176,16 @@ def _redfield_terms(eig: EigenSystem, gamma: np.ndarray, u: float) -> np.ndarray
 
 
 def _redfield_maps(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """redfield's dissipator and heat kernel from _redfield_terms written in any one basis."""
+    """redfield's dissipator and heat operator from _redfield_terms written in any one basis."""
     lam_u, lam_minus_u, lam_0, lam_prime, o = np.moveaxis(terms, -2, 0)
     eye = np.eye(DIM)
-    left = (lam_u, o, -o @ lam_0, eye, lam_prime, -o)
-    right = (o, _dag(lam_minus_u), eye, -_dag(lam_0) @ o, o, _dag(lam_prime))
-    left, right = (np.stack(np.broadcast_arrays(*side), axis=-3) for side in (left, right))
-    return (sandwich_superoperator(left[..., :4, :, :], right[..., :4, :, :]),
-            sandwich_superoperator(left[..., 4:, :, :], right[..., 4:, :, :]))
+    left = np.stack(np.broadcast_arrays(lam_u, o, -o @ lam_0, eye), axis=-3)
+    right = np.stack(np.broadcast_arrays(o, _dag(lam_minus_u), eye, -_dag(lam_0) @ o), axis=-3)
+    return sandwich_superoperator(left, right), -1j * (o @ lam_prime - _dag(lam_prime) @ o)
 
 
 def redfield(eig: EigenSystem, gamma: np.ndarray, u: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Redfield dissipator and heat kernel in the working basis for half-Fourier coefficients gamma.
+    """Redfield dissipator and heat operator, in the working basis, of half-Fourier coefficients gamma.
 
     With V = eig.basis and E = eig.elements, the coupling operator is
     O = V E V^dag and Lambda_u = V (gamma * E * exp(i u nu.T)) V^dag,
@@ -192,28 +193,31 @@ def redfield(eig: EigenSystem, gamma: np.ndarray, u: float = 0.0) -> tuple[np.nd
     dissipator is
     rho -> Lambda_u rho O + O rho Lambda_{-u}^dag - O Lambda_0 rho - rho Lambda_0^dag O,
     the sandwich terms carrying the counting phase of the bath quantum they
-    exchange.  The heat kernel is its u-derivative at u = 0,
+    exchange.  Its u-derivative at u = 0,
     rho -> Lambda' rho O - O rho Lambda'^dag with Lambda' = d Lambda_u / du
-    at 0.  Returns (matrix, heat_kernel), both 9x9, broadcast over leading
-    axes of gamma and eig.
+    at 0, has the trace Tr(X rho), X = O Lambda' - Lambda'^dag O, and the
+    heat operator is Y = -i X, Hermitian.  Returns (matrix, Y), 9x9 and
+    3x3, broadcast over leading axes of gamma and eig.
     """
     return _redfield_maps(_conjugated(eig.basis, _redfield_terms(eig, gamma, u)))
 
 
 def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
                         pairing_tol: float | None, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rotating-wave dissipator and heat kernel: the masked Redfield ones.
+    """Rotating-wave dissipator and heat operator: the masked Redfield ones.
 
     The shift-free Redfield dissipator (coefficients Re gamma, the rates
-    of rate_table's gamma) is built in the eigenbasis from redfield's
-    terms, masked there and brought to the working basis by one change of
-    basis.  In the eigenbasis, the element that feeds rho[c, d] into
-    rho[a, b] oscillates at nu[a, b] - nu[c, d] in the interaction picture;
-    it is kept when that frequency is within pairing_tol (None means
-    1e-10 * e_man, so only exact coincidences survive) and dropped
-    otherwise, in the matrix and the heat kernel alike.  For a
-    nondegenerate spectrum this reduces to a sum of Lindblad dissipators
-    with jump operators <j|O|i> |j><i| and rates 2 Re gamma[j, i].  No
+    of rate_table's gamma) and its heat operator are built in the
+    eigenbasis from redfield's terms, masked there and brought to the
+    working basis.  In the eigenbasis, the element that feeds rho[c, d]
+    into rho[a, b] oscillates at nu[a, b] - nu[c, d] in the interaction
+    picture; it is kept when that frequency is within pairing_tol (None
+    means 1e-10 * e_man, so only exact coincidences survive) and dropped
+    otherwise.  The trace reads only the rows a = b, at frequencies
+    -nu[c, d], so Y keeps its eigenbasis entries [i, j] with |nu[i, j]|
+    within pairing_tol.  For a nondegenerate spectrum Y is diagonal in the
+    eigenbasis, and the dissipator a sum of Lindblad dissipators with jump
+    operators <j|O|i> |j><i| and rates 2 Re gamma[j, i].  No
     principal-value terms are included, matching the common presentation
     of this approximation.
     """
@@ -223,39 +227,33 @@ def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
     # a difference that overflows is far from any tie: it rounds to inf and is dropped
     with np.errstate(over="ignore"):
         keep = np.abs(nu_vec[..., :, None] - nu_vec[..., None, :]) <= pairing_tol
-    # rows of the matrix and the kernel side by side, (..., 9, 2, 9)
-    in_eig = keep[..., :, None, :] * np.stack(
-        _redfield_maps(_redfield_terms(eig, gamma.real, u)), axis=-2)
+    matrix, heat = _redfield_maps(_redfield_terms(eig, gamma.real, u))
     # columns of to_work are the vectorized eigenbasis operators |a><b|
     to_work = sandwich_superoperator(eig.basis[..., None, :, :], _dag(eig.basis)[..., None, :, :])
-    out = _conjugated(to_work, in_eig)
-    return out[..., 0, :], out[..., 1, :]
+    return (to_work @ (keep * matrix) @ _dag(to_work),
+            eig.basis @ ((np.abs(eig.nu) <= pairing_tol) * heat) @ _dag(eig.basis))
 
 
 def _two_jumps(e_man: float, bath: BathSpec, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Phenomenological dissipator and heat kernel (total_liouvillian), each 9x9.
+    """Phenomenological dissipator and heat operator (total_liouvillian), 9x9 and 3x3.
 
     The jumps J_k, |g_u><g_l| and |g_l><g_u|, run at gamma_k = 2 rate_a(g_k),
     g_k = -e_man and e_man being what each gives the bath: the dissipator is
     rho -> sum_k gamma_k exp(i u g_k) J_k rho J_k^dag + A rho + rho A^dag
-    with A = -(1/2) sum_k gamma_k J_k^dag J_k, the heat kernel
-    rho -> sum_k i g_k gamma_k J_k rho J_k^dag; one sandwich_superoperator
-    call builds both.
+    with A = -(1/2) sum_k gamma_k J_k^dag J_k, and the heat operator
+    Y = sum_k g_k gamma_k J_k^dag J_k.
     """
     gains = np.array([-e_man, e_man])
     rates = 2.0 * rate_a(gains, bath)
     jumps = np.zeros((2, DIM, DIM))
     jumps[0, IDX_GU, IDX_GL] = jumps[1, IDX_GL, IDX_GU] = 1.0
-    a = -0.5 * np.tensordot(rates, _dag(jumps) @ jumps, 1)
+    projections = _dag(jumps) @ jumps
+    a = -0.5 * np.tensordot(rates, projections, 1)
     eye = np.eye(DIM)
-    # terms (gamma_k exp(i u g_k) J_k, A, 1) for the matrix, (i g_k gamma_k J_k, 0, 0)
-    # for the kernel, both against (J_k^dag, 1, A^dag)
-    weights = np.stack([rates * np.exp(1j * u * gains), 1j * gains * rates])
-    left = np.zeros((2, 4, DIM, DIM), dtype=complex)
-    left[:, :2] = weights[..., None, None] * jumps
-    left[0, 2:] = a, eye
-    matrix, kernel = sandwich_superoperator(left, np.concatenate([_dag(jumps), [eye, _dag(a)]]))
-    return matrix, kernel
+    # terms (gamma_k exp(i u g_k) J_k, A, 1) against (J_k^dag, 1, A^dag)
+    left = np.concatenate([(rates * np.exp(1j * u * gains))[:, None, None] * jumps, [a, eye]])
+    matrix = sandwich_superoperator(left, np.concatenate([_dag(jumps), [eye, _dag(a)]]))
+    return matrix, np.tensordot(gains * rates, projections, 1)
 
 
 @dataclass(frozen=True)
@@ -317,7 +315,7 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     rotating-wave pairs (_secular_dissipator; pairing_tol is read by
     secular only).
     phenomenological: two golden-rule jumps between the bare ground
-    levels, blind to the drive (_two_jumps), one 9x9 pair for every point;
+    levels, blind to the drive (_two_jumps), one pair for every point;
     absorption |g_l> -> |g_u> at gamma_up = 2 rate_a(-e_man) tags a bath
     loss of e_man (phase exp(-i u e_man)), emission at
     gamma_down = 2 rate_a(e_man) a gain.
@@ -338,9 +336,9 @@ def total_liouvillian(method: str, spec: SystemSpec, bath: BathSpec, u: float = 
     if shared.eig is None and method != "phenomenological":
         raise ValueError(f"shared has no eigensystem, which {method} reads; build it for {method!r}")
     if method == "bloch_redfield":
-        matrix, kernel = redfield(shared.eig, shared.gamma, u)
+        matrix, heat = redfield(shared.eig, shared.gamma, u)
     elif method == "secular":
-        matrix, kernel = _secular_dissipator(shared.eig, shared.gamma, spec.e_man, pairing_tol, u)
+        matrix, heat = _secular_dissipator(shared.eig, shared.gamma, spec.e_man, pairing_tol, u)
     else:
-        matrix, kernel = _two_jumps(spec.e_man, bath, u)
-    return Liouvillian(matrix=shared.static + matrix, u=u, heat_kernel=kernel)
+        matrix, heat = _two_jumps(spec.e_man, bath, u)
+    return Liouvillian(matrix=shared.static + matrix, u=u, heat_operator=heat)

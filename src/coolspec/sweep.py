@@ -9,9 +9,11 @@ point holds (_stack_size): up to 512 points of a steady grid of Markovian
 methods, 16 points that carry a time axis, fewer when their longest time
 axis (trajectory or tau table) exceeds a byte budget.  Blocks of up to 512
 points, whole chunks, share one value of what their generators share
-(generators.spectrum), computed up front.  Per-point and per-route
-failures are caught and recorded in the row's status field instead of
-aborting the sweep.
+(generators.spectrum), computed up front.  The trace_formula route reads
+each point's final generator's heat operator in its final state
+(dynamics.heat_current_trace), the counting_fd route the heat increment
+of mean_heat_fd.  Per-point and per-route failures are caught and
+recorded in the row's status field instead of aborting the sweep.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     every route of cfg.routes; results have the shape of spec's points.
     tcl_oracle integrates its time-dependent generator by RK4 at tcl_dt from
     the lower ground state (propagate with TclPropagator.matrix_generator:
-    real matrices in real Hermitian coordinates, without heat kernels or
+    real matrices in real Hermitian coordinates, without heat operators or
     heat record) up to t_end in transient mode, its final generator the one
     at the last grid time, or up to its coefficient table's last row,
     frozen there, in steady mode.  Markovian methods build their generators

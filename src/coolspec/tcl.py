@@ -5,7 +5,9 @@ treatment: the dissipator coefficients are running half-Fourier integrals
 of the bath correlation function instead of their infinite-time limits.
 As the running integrals saturate, the instantaneous generator converges
 to the full (nonsecular) Markovian one with its principal-value shifts,
-so long-time observables from the two treatments must agree.
+so long-time observables from the two treatments must agree.  Its
+generators carry redfield's heat operator, so their heat currents are
+read as the Markovian ones are (dynamics.heat_current_trace).
 
 The correlation table is evaluated in closed form (a Matsubara series of
 the super-Ohmic spectral density, correlation_grid) and integrated with
@@ -24,7 +26,6 @@ from .bath import BETA_CAP, BathSpec
 from .dynamics import HeatRecord, propagate
 from .generators import (
     DIM,
-    TRACE_VECTOR,
     Liouvillian,
     from_real,
     redfield,
@@ -117,9 +118,9 @@ class TclPropagator:
     (generators.to_real), where they are real.  matrix_generator(t)
     contracts that real table with the real rows (Re Gamma(t), Im Gamma(t)),
     which is all an RK4 step reads, and propagate integrates with it
-    (dynamics.propagate, which then steps real states).  The heat current
-    is linear in Gamma too, so propagate reads it from the traced kernel
-    responses.
+    (dynamics.propagate, which then steps real states).  The heat operator
+    is real-linear in Gamma too, so propagate reads the current from its 18
+    unit responses.
     Broadcasts over a stacked spec like dynamics.evolve: tables and results
     carry its leading axes (points) before any time axis, each point equal
     to its one-point call.  Raises ValueError when t_mem or dt is not
@@ -168,10 +169,10 @@ class TclPropagator:
         np.multiply(np.diff(taus)[:, None, None], sums, out=sums)
         np.cumsum(sums, axis=-3, out=sums)
         units = np.eye(DIM * DIM).reshape((-1,) + (1,) * (nu.ndim - 3) + (DIM, DIM))
-        matrix, kernel = (np.moveaxis(part, 0, -3) for part in
-                          redfield(self.eig, np.concatenate([units, 1j * units])))
-        # Tr(kernel response), points + (18, 9): the current is Re(-i rows @ this @ vec(rho))
-        self._trace_kernel = TRACE_VECTOR @ kernel
+        matrix, heat = (np.moveaxis(part, 0, -3) for part in
+                        redfield(self.eig, np.concatenate([units, 1j * units])))
+        # vec(Y_k^T), points + (18, 9): the current Re Tr(Y rho) is Re(rows @ this @ vec(rho))
+        self._heat_units = vectorize(heat.swapaxes(-1, -2))
         self._static = static_part(spec)[..., None, :, :]
         # the matrix response and static_part in real Hermitian coordinates,
         # points + (18, 81) and points + (1, 9, 9); row k of the response is
@@ -198,7 +199,7 @@ class TclPropagator:
         return np.stack([gamma.real, gamma.imag], axis=-3).reshape(gamma.shape[:-2] + (-1,))
 
     def matrix_generator(self, t: float | np.ndarray) -> Liouvillian:
-        """generator(t)'s matrix in real Hermitian coordinates, without a heat kernel.
+        """generator(t)'s matrix in real Hermitian coordinates, without a heat operator.
 
         The matrix is real, generators.to_real(generator(t).matrix) to
         rounding, of shape points + t.shape + (9, 9): the real response
@@ -213,21 +214,21 @@ class TclPropagator:
         return Liouvillian(matrix=(self._real_static + matrix).reshape(shape), u=0.0)
 
     def generator(self, t: float | np.ndarray) -> Liouvillian:
-        """Instantaneous generator and heat kernel at time(s) t.
+        """Instantaneous generator and heat operator at time(s) t.
 
         static_part plus generators.redfield of the running coefficients
         Gamma(t), on the eigensystem with one time axis inserted: the
         Bloch-Redfield generator (generators.total_liouvillian) with Gamma(t)
-        for rate_table's Gamma.  matrix and heat_kernel have shape
-        points + t.shape + (9, 9).
+        for rate_table's Gamma.  matrix has shape points + t.shape + (9, 9),
+        heat_operator points + t.shape + (3, 3).
         """
         eig = self.eig
         timed = EigenSystem(eig.energies[..., None, :], *(
             part[..., None, :, :] for part in (eig.basis, eig.nu, eig.elements)))
-        matrix, kernel = redfield(timed, self.coefficients(np.ravel(t)))
-        shape = self._static.shape[:-3] + np.shape(t) + (DIM * DIM, DIM * DIM)
-        return Liouvillian(matrix=(self._static + matrix).reshape(shape), u=0.0,
-                           heat_kernel=kernel.reshape(shape))
+        matrix, heat = redfield(timed, self.coefficients(np.ravel(t)))
+        lead = self._static.shape[:-3] + np.shape(t)
+        return Liouvillian(matrix=(self._static + matrix).reshape(lead + (DIM * DIM,) * 2),
+                           u=0.0, heat_operator=heat.reshape(lead + (DIM, DIM)))
 
     def propagate(self, rho0: np.ndarray, t_end: float) -> tuple[np.ndarray, np.ndarray, HeatRecord]:
         """Fixed-step RK4 (dynamics.propagate) with the time-dependent generator.
@@ -236,15 +237,14 @@ class TclPropagator:
         dynamics.propagate calls matrix_generator once per chunk of steps, on
         all of the chunk's RK4 node times and every point, steps real
         Hermitian coordinates and returns them; they are mapped to 3x3
-        states once (generators.from_real).  The kernel-trace currents
+        states once (generators.from_real).  The trace-formula currents
         (heat_current_trace of generator(t) and the state at every grid time)
-        come from one contraction with the traced kernel response; the record
+        come from one contraction with the unit heat operators; the record
         integrates them with the trapezoid rule, per point.
         """
         times, coords = propagate(self.matrix_generator, rho0, t_end, self.dt)
         states = from_real(coords)
-        currents = (-1j * (self._rows(times) @ self._trace_kernel
-                           * vectorize(states)).sum(-1)).real
+        currents = (self._rows(times) @ self._heat_units * vectorize(states)).sum(-1).real
         heat = (np.diff(times) * (currents[..., 1:] + currents[..., :-1]) / 2.0).sum(-1)
         record = HeatRecord(time=float(times[-1]), mean_heat=heat[()],
                             current=currents[..., -1][()])

@@ -31,6 +31,7 @@ from coolspec.generators import (
     TRACE_VECTOR,
     Liouvillian,
     from_real,
+    spectrum,
     static_part,
     to_real,
     total_liouvillian,
@@ -538,12 +539,47 @@ def test_heat_current_closed_form_without_drive():
         assert_allclose(heat_current_trace(gen, rho), expected, rtol=1e-12)
 
 
-def test_heat_current_requires_kernel():
+def test_heat_current_requires_heat_operator():
     from coolspec.generators import Liouvillian
 
     bare = Liouvillian(matrix=np.zeros((9, 9), dtype=complex))
-    with pytest.raises(ValueError, match="kernel"):
+    with pytest.raises(ValueError, match="heat operator"):
         heat_current_trace(bare, lower_ground_state())
+
+
+# delta, omega: absorption-sign Bloch-Redfield J, J_pop, J_coh and secular J
+# of the default steady states, ROADMAP item 4's table
+_COHERENCE_TABLE = [
+    (0.0, 0.01, 9.34e-5, 9.489e-2, -9.479e-2, 6.907e-2),
+    (-0.5, 0.01, 3.273e-5, 4.949e-5, -1.676e-5, 4.615e-5),
+    (0.0, 0.5, 8.603e-2, 1.228e-1, -3.675e-2, 1.135e-1),
+]
+
+
+@pytest.mark.parametrize("delta,omega,j_br,j_pop,j_coh,j_secular", _COHERENCE_TABLE)
+def test_heat_operator_splits_into_populations_and_coherences(delta, omega, j_br, j_pop,
+                                                               j_coh, j_secular):
+    # the current is linear in rho, so with Y and rho in the dressed basis
+    # J = J_pop + J_coh, their diagonal and off-diagonal parts;
+    # Bloch-Redfield's near-total cancellation at resonance (criterion 4's
+    # 740x) is between the two, while the secular heat operator is diagonal
+    # there at a nondegenerate point, so its J_coh vanishes
+    spec = SystemSpec(e_man=2.0, delta=delta, omega_rabi=omega, gamma_rad=0.5)
+    shared = spectrum(spec, BATH)
+    assert np.diff(shared.eig.energies).min() > 1e-3
+    basis = shared.eig.basis
+    off = ~np.eye(3, dtype=bool)
+    for method, expected in (("bloch_redfield", (j_br, j_pop, j_coh)),
+                             ("secular", (j_secular, j_secular, 0.0))):
+        gen = total_liouvillian(method, spec, BATH, shared=shared)
+        rho, _ = steady_state(gen)
+        current = heat_current_trace(gen, rho)
+        y, r = (basis.conj().T @ m @ basis for m in (gen.heat_operator, rho))
+        pop, coh = (np.diag(y) * np.diag(r)).sum().real, (y[off] * r.T[off]).sum().real
+        assert abs(pop + coh - current) <= 1e-15
+        assert_allclose(-np.array([current, pop, coh]), expected, rtol=1e-3, atol=1e-15)
+        if method == "secular":
+            assert np.abs(y[off]).max() <= 1e-15 * np.abs(gen.heat_operator).max()
 
 
 def test_characteristic_function_properties(characteristic_function):
@@ -587,6 +623,22 @@ def test_mean_heat_fd_schemes_and_validation():
     # its imaginary part is O(u_step), nonzero but small
     assert 0.0 < abs(forward.fd_imag) < 0.1
     assert abs(central.fd_imag) < abs(forward.fd_imag)
+
+
+def test_mean_heat_fd_checks_its_grid_before_building(monkeypatch):
+    # a t_end under one dt is refused before any generator or exponential
+    # is built
+    from coolspec import dynamics
+
+    def refused(*args, **kwargs):
+        raise AssertionError("mean_heat_fd built a generator")
+
+    monkeypatch.setattr(dynamics, "total_liouvillian", refused)
+    spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
+    with pytest.raises(ValueError, match="no full step"):
+        mean_heat_fd("bloch_redfield", spec, BATH, t_end=0.02, dt=0.05)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        mean_heat_fd("bloch_redfield", spec, BATH, dt=0.0)
 
 
 def test_mean_heat_fd_bias_scales_quadratically():

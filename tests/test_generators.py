@@ -223,13 +223,15 @@ def test_bloch_redfield_matches_matrix_form(delta, omega, u, redfield_oracle):
         expected += spec.gamma_rad * (jump @ rho @ jump.T
                                       - 0.5 * (jump.T @ jump @ rho + rho @ jump.T @ jump))
         assert_allclose(unvectorize(gen.matrix @ vectorize(rho)), expected, atol=1e-13)
-        assert_allclose(unvectorize(gen.heat_kernel @ vectorize(rho)), expected_kernel,
+        # the heat operator is the kernel's trace row: Tr(Y rho) = -i Tr K(rho)
+        assert_allclose(np.trace(gen.heat_operator @ rho), -1j * np.trace(expected_kernel),
                         atol=1e-13)
 
 
-def test_heat_kernel_is_u_derivative():
-    # the stored kernel must equal the numerical derivative of the
-    # annotated generator at u = 0
+def test_heat_operator_is_traced_u_derivative():
+    # the heat operator must be the trace row of the numerical derivative
+    # of the annotated generator at u = 0, vec(Y^T) = -i Tr dL/du, and
+    # Hermitian
     spec = SystemSpec(e_man=2.0, delta=0.4, omega_rabi=0.8, gamma_rad=0.5)
     h = 1e-6
     for build in (
@@ -239,17 +241,19 @@ def test_heat_kernel_is_u_derivative():
     ):
         plus, minus, at_zero = build(h), build(-h), build(0.0)
         numeric = (plus.matrix - minus.matrix) / (2.0 * h)
-        assert_allclose(at_zero.heat_kernel, numeric, atol=1e-7)
-        # the kernel itself does not depend on the u the matrix was built at
-        assert_allclose(plus.heat_kernel, at_zero.heat_kernel, atol=1e-14)
+        heat = at_zero.heat_operator
+        assert_allclose(vectorize(heat.T), -1j * TRACE_VECTOR @ numeric, atol=1e-7)
+        assert_allclose(heat, heat.conj().T, atol=1e-15)
+        # the operator itself does not depend on the u the matrix was built at
+        assert_allclose(plus.heat_operator, heat, atol=1e-14)
 
 
 def test_radiative_dissipator_not_annotated():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.7)
-    bare = total_liouvillian("phenomenological", spec, BATH).heat_kernel
+    bare = total_liouvillian("phenomenological", spec, BATH).heat_operator
     no_decay = total_liouvillian(
         "phenomenological",
-        SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.0), BATH).heat_kernel
+        SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.0), BATH).heat_operator
     assert_allclose(bare, no_decay, atol=0)
 
 
@@ -305,8 +309,9 @@ def test_secular_matches_kron_masked_redfield():
     # superoperator written with np.kron, masked and brought to the working
     # basis: at a generic point, at one where pairing_tol 0.3 keeps some
     # pairs of distinct frequencies and drops others (delta = omega = 0.1),
-    # and at exact degeneracies (omega 0); each point of a stack is bitwise
-    # its one-point call
+    # and at exact degeneracies (omega 0); the heat operator against the
+    # trace row of the masked kernel; each point of a stack is bitwise its
+    # one-point call
     deltas, omegas = np.array([0.4, 0.1, 0.0, 2.0]), np.array([0.9, 0.1, 0.0, 0.0])
     stack = SystemSpec(e_man=2.0, delta=deltas, omega_rabi=omegas, gamma_rad=0.5)
     for pairing_tol in (None, 0.3):
@@ -319,9 +324,10 @@ def test_secular_matches_kron_masked_redfield():
                 matrix, kernel = kron_masked_redfield(eig, rate_table(eig, BATH).real, tol, u)
                 gen = total_liouvillian("secular", spec, BATH, u=u, pairing_tol=pairing_tol)
                 assert_allclose(gen.matrix, static_part(spec) + matrix, rtol=0, atol=1e-14)
-                assert_allclose(gen.heat_kernel, kernel, rtol=0, atol=1e-14)
+                assert_allclose(vectorize(gen.heat_operator.T), -1j * TRACE_VECTOR @ kernel,
+                                rtol=0, atol=1e-14)
                 assert stacked.matrix[k].tobytes() == gen.matrix.tobytes()
-                assert stacked.heat_kernel[k].tobytes() == gen.heat_kernel.tobytes()
+                assert stacked.heat_operator[k].tobytes() == gen.heat_operator.tobytes()
 
 
 def test_phenomenological_matches_two_jump_lindblad():
@@ -349,7 +355,8 @@ def test_phenomenological_matches_two_jump_lindblad():
                     kernel = kernel + 1j * bath_gain * rate * kron_sandwich(jump, jump.conj().T)
                 gen = total_liouvillian("phenomenological", spec, BATH, u=u)
                 assert_allclose(gen.matrix, matrix, rtol=0, atol=1e-14)
-                assert_allclose(gen.heat_kernel, kernel, rtol=0, atol=1e-14)
+                assert_allclose(vectorize(gen.heat_operator.T), -1j * TRACE_VECTOR @ kernel,
+                                rtol=0, atol=1e-14)
 
 
 def test_phenomenological_reads_no_spectrum(monkeypatch):
@@ -369,14 +376,14 @@ def test_phenomenological_reads_no_spectrum(monkeypatch):
 def test_secular_pairing_tolerance_widens_retention():
     # a pairing tolerance larger than all frequency differences must bring
     # the secular generator, built in the eigenbasis, back to the shiftless
-    # nonsecular one, built in the working basis: matrix and heat kernel
+    # nonsecular one, built in the working basis: matrix and heat operator
     spec = SystemSpec(e_man=2.0, delta=0.1, omega_rabi=0.4, gamma_rad=0.0)
     shiftless = spectrum(spec, BATH, shifts=False)
     for u in (0.0, 0.05):
         wide = total_liouvillian("secular", spec, BATH, u=u, pairing_tol=1e3)
         nonsecular = total_liouvillian("bloch_redfield", spec, BATH, u=u, shared=shiftless)
         assert_allclose(wide.matrix, nonsecular.matrix, atol=1e-13)
-        assert_allclose(wide.heat_kernel, nonsecular.heat_kernel, atol=1e-13)
+        assert_allclose(wide.heat_operator, nonsecular.heat_operator, atol=1e-13)
     nonsecular = total_liouvillian("bloch_redfield", spec, BATH, shared=shiftless)
     tight = total_liouvillian("secular", spec, BATH)
     assert not np.allclose(tight.matrix, nonsecular.matrix, atol=1e-6)
@@ -429,7 +436,7 @@ def test_total_liouvillian_validation():
             without_b = total_liouvillian(method, spec, BATH, u=u,
                                           shared=spectrum(spec, BATH, shifts=False))
             assert np.array_equal(with_b.matrix, without_b.matrix)
-            assert np.array_equal(with_b.heat_kernel, without_b.heat_kernel)
+            assert np.array_equal(with_b.heat_operator, without_b.heat_operator)
 
 
 def test_readme_library_example(capsys):

@@ -59,3 +59,17 @@ def test_library_use_signatures_match_the_code():
         assert parameters[:len(names)] == names, f"README `{span}`; the code has {parameters}"
         checked.add(call.group(1))
     assert {"total_liouvillian", "TclPropagator", "rate_table", "rate_a", "shift_b"} <= checked
+
+
+def test_no_module_calls_kron_or_einsum():
+    # superoperators come from sandwich_superoperator's one broadcasting
+    # matmul: only the test oracles (tests/conftest.py) call np.kron, and
+    # no module calls einsum
+    calls = []
+    for path in (ROOT / "src" / "coolspec").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in ("kron", "einsum"):
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert not calls, f"kron or einsum called in src/: {calls}"

@@ -120,11 +120,21 @@ def test_run_sweep_validates_jobs():
 def test_run_sweep_validates_programmatic_config(changes, fragment):
     # a config built in code never went through config_from_dict; before
     # validation, the first two ran with status ok (the sign silently meant
-    # bath_gain_positive, and tcl_oracle reported its kernel-trace current
+    # bath_gain_positive, and tcl_oracle reported its trace-formula current
     # under the counting_fd label) and a string e_man escaped as TypeError
     cfg = replace(SMALL, delta_steps=1, omega_list=(0.5,), **changes)
     with pytest.raises(ConfigError, match=fragment):
         run_sweep(cfg)
+
+
+def test_run_sweep_accepts_numpy_integer_steps():
+    # an integer field takes any integral number but a bool, as a numpy
+    # integer computed in code is; the grid and records are those of the
+    # Python int
+    records = run_sweep(replace(SMALL, delta_steps=np.int64(3)))
+    assert render_csv(records) == render_csv(run_sweep(SMALL))
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run_sweep(replace(SMALL, delta_steps=True))
 
 
 def test_bath_gain_sign_convention_negates_rate_column():

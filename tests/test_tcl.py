@@ -122,18 +122,21 @@ def test_coefficients_broadcast_over_times(dt):
 
 @pytest.mark.parametrize("dt", [0.02, 0.05])
 def test_generator_broadcasts_over_times(dt):
-    # one matmul gives the generators and heat kernels of a whole time
+    # one matmul gives the generators and heat operators of a whole time
     # array; they match the stacked single-time calls to rounding
     t_mem = 10.0
     prop = TclPropagator(SPEC, BATH, t_mem=t_mem, dt=dt)
     step = prop.taus[1]
     times = np.array([-1.0, 0.0, 7.5 * step, 7 * step, t_mem, 2.0 * t_mem])
     stacked = prop.generator(times)
-    assert stacked.matrix.shape == stacked.heat_kernel.shape == (len(times), 9, 9)
+    assert stacked.matrix.shape == (len(times), 9, 9)
+    assert stacked.heat_operator.shape == (len(times), 3, 3)
     single = [prop.generator(t) for t in times]
     assert_allclose(stacked.matrix, np.stack([g.matrix for g in single]), rtol=0, atol=1e-15)
-    assert_allclose(stacked.heat_kernel, np.stack([g.heat_kernel for g in single]),
+    assert_allclose(stacked.heat_operator, np.stack([g.heat_operator for g in single]),
                     rtol=0, atol=1e-15)
+    heat = stacked.heat_operator
+    assert_allclose(heat, heat.conj().swapaxes(-1, -2), rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["one_point", "stack"])
@@ -153,7 +156,7 @@ def test_matrix_generator_equals_generator_matrix(stacked):
     times = np.array([0.0, 0.5 * dt, dt, 7.5 * step, 7.3 * step, t_mem, 12.0])
     for t in (*times, times, nodes, nodes + 200 * dt):
         callback = prop.matrix_generator(t)
-        assert callback.u == 0.0 and callback.heat_kernel is None
+        assert callback.u == 0.0 and callback.heat_operator is None
         assert callback.matrix.dtype == float
         assert callback.matrix.shape == np.shape(delta) + np.shape(t) + (9, 9)
         matrix = prop.generator(t).matrix
@@ -208,7 +211,7 @@ def test_generator_converges_to_bloch_redfield():
     markov = total_liouvillian("bloch_redfield", SPEC, BATH,
                                shared=spectrum(SPEC, BATH, shifts=True))
     assert np.abs(late.matrix - markov.matrix).max() < 1e-4
-    assert np.abs(late.heat_kernel - markov.heat_kernel).max() < 1e-4
+    assert np.abs(late.heat_operator - markov.heat_operator).max() < 1e-4
 
 
 def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
@@ -227,7 +230,8 @@ def test_generator_matches_matrix_form_inside_memory_window(redfield_oracle):
         expected += SPEC.gamma_rad * (jump @ rho @ jump.T
                                       - 0.5 * (jump.T @ jump @ rho + rho @ jump.T @ jump))
         assert_allclose(unvectorize(gen.matrix @ vectorize(rho)), expected, atol=1e-13)
-        assert_allclose(unvectorize(gen.heat_kernel @ vectorize(rho)), expected_kernel,
+        # the heat operator is the kernel's trace row: Tr(Y rho) = -i Tr K(rho)
+        assert_allclose(np.trace(gen.heat_operator @ rho), -1j * np.trace(expected_kernel),
                         atol=1e-13)
 
 
@@ -243,13 +247,14 @@ def test_generator_is_bloch_redfield_of_running_coefficients():
     for t in (1.37, 10.0, 12.0):
         gen = prop.generator(t)
         gamma = prop.coefficients(t)
-        matrix, kernel = redfield(prop.eig, gamma)
+        matrix, heat = redfield(prop.eig, gamma)
         bloch = total_liouvillian("bloch_redfield", spec, BATH,
                                   shared=Spectrum(static_part(spec), prop.eig, gamma))
-        for got, expected in ((gen.matrix, static_part(spec) + matrix),
-                              (gen.heat_kernel, kernel), (gen.matrix, bloch.matrix),
-                              (gen.heat_kernel, bloch.heat_kernel)):
-            assert got.shape == expected.shape == (3, 9, 9)
+        for got, expected, shape in ((gen.matrix, static_part(spec) + matrix, (3, 9, 9)),
+                                     (gen.heat_operator, heat, (3, 3, 3)),
+                                     (gen.matrix, bloch.matrix, (3, 9, 9)),
+                                     (gen.heat_operator, bloch.heat_operator, (3, 3, 3))):
+            assert got.shape == expected.shape == shape
             assert got.tobytes() == expected.tobytes()
 
 
@@ -259,7 +264,7 @@ def test_early_generator_has_no_dissipation():
     decay[2, 0] = 1.0
     static = kron_commutator(build_hamiltonian(SPEC)) + SPEC.gamma_rad * kron_lindblad(decay)
     assert_allclose(prop.generator(0.0).matrix, static, atol=1e-14)
-    assert np.abs(prop.generator(0.0).heat_kernel).max() == 0.0
+    assert np.abs(prop.generator(0.0).heat_operator).max() == 0.0
 
 
 def test_trajectory_slips_then_tracks_markovian_observables():
@@ -328,7 +333,7 @@ def test_stacked_points_equal_their_one_point_calls():
         for t in (1.37, times):
             many, one = stacked.generator(t), single.generator(t)
             assert many.matrix[k].tobytes() == one.matrix.tobytes()
-            assert many.heat_kernel[k].tobytes() == one.heat_kernel.tobytes()
+            assert many.heat_operator[k].tobytes() == one.heat_operator.tobytes()
         _, one_states, one_record = single.propagate(lower_ground_state(), 3.0)
         assert states[k].tobytes() == one_states.tobytes()
         assert record.mean_heat[k].tobytes() == np.float64(one_record.mean_heat).tobytes()
