@@ -36,14 +36,16 @@ _SYLVESTER_MARGIN = 1e-12
 # the trace of a state from its real Hermitian coordinates (generators.to_real)
 _REAL_TRACE = (TRACE_VECTOR @ FROM_REAL).real
 # FROM_REAL with unit columns (the Re/Im ones scaled by 1/sqrt(2)): a unitary
-# map Q.  steady_state reads the real Q^H L Q: its singular values (L's) by a
-# values-only SVD, and its state by one solve with row 0 replaced by the
-# trace row _UNIT_TRACE, [1, 1, 1, 0, ..., 0]; the full SVD only decides
-# the points that fail a check
+# map Q.  steady_state reads the real Q^H L Q, with row 0 replaced by the
+# trace row _UNIT_TRACE, [1, 1, 1, 0, ..., 0]: its state by one solve, and
+# a certificate of its checks by one inverse; an SVD runs only on the
+# points that the certificate does not clear
 _UNIT_FROM_REAL = FROM_REAL * np.where(np.arange(DIM * DIM) < DIM, 1.0, 0.5 ** 0.5)
 _UNIT_TRACE = (TRACE_VECTOR @ _UNIT_FROM_REAL).real
 # |trace| of a unit null vector below which it cannot be normalized
 _TRACELESS_TOL = 1e-12
+# steady_state's certificate margin per unit of ||real||_F + sqrt(3)
+_CERTIFICATE_ROUNDING = 64 * np.finfo(float).eps
 
 
 class PropagationError(RuntimeError):
@@ -275,60 +277,88 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     """Unique null state of an unannotated generator, and its residual.
 
     Found in orthonormal real Hermitian coordinates: with Q the unitary
-    _UNIT_FROM_REAL, Q^H L Q is real for a Hermiticity-preserving L (its
-    imaginary part, roundoff, is dropped) and has L's singular values, from
-    one values-only SVD.  The state is one bordered solve: Q^H L Q x = e_0
-    with row 0 replaced by the trace row, which for a trace-preserving L
-    (row 0 minus the sum of rows 1 and 2) gives the null vector with trace
-    1, mapped back by Q to an exactly Hermitian state.  Returns (rho,
-    residual), the residual being steady_residual(liouvillian, rho) of the
-    complex L, in the shape of the stack.  Raises SteadyStateError when
-    the second-smallest singular value is within 1e-8 of the smallest (no
+    _UNIT_FROM_REAL, real = Q^H L Q is real for a Hermiticity-preserving L
+    (its imaginary part, roundoff, is dropped) and has L's singular values.
+    The state is one bordered solve, B x = e_0 with B real with row 0
+    replaced by the trace row, which for a trace-preserving L (row 0 minus
+    the sum of rows 1 and 2) gives the null vector with trace 1, mapped
+    back by Q to an exactly Hermitian state.  Returns (rho, residual), the
+    residual being steady_residual(liouvillian, rho) of the complex L, in
+    the shape of the stack.  Raises SteadyStateError when the
+    second-smallest singular value is within 1e-8 of the smallest (no
     unique steady state), when the unit null vector's trace is below 1e-12
     in magnitude, or when the residual exceeds 1e-10 max(1, sigma_max); a
     u = 0 matrix that breaks Hermiticity fails this check, as does, without
-    a warning, a residual that overflows.  The full SVD of the points they
-    flag decides and names the first two: a tie of the values-only values,
-    which at a huge norm may be roundoff, and a traceless null vector,
-    flagged by a singular bordered matrix (LinAlgError, re-raised when the
-    SVD finds none) or a solution norm, 1 / |trace|, above 1e12.
-    Broadcasts over a stack of generators; the checks hold for every
-    point, and the first point that fails one names it.
+    a warning, a residual that overflows.
+
+    A certificate clears a point of the tie and residual checks without an
+    SVD.  B is a rank-one change of real, so by Weyl's inequalities (Horn &
+    Johnson, Topics in Matrix Analysis, Thm 3.3.16) sigma_8(real) >=
+    sigma_min(B) >= lower = 1 / ||B^-1||_F (one stacked inverse); and
+    sigma_9(real) <= upper = ||real x|| / ||x||, sigma_max >= ||real||_F / 3.
+    A point is cleared when lower - upper > 1e-8 + margin and the residual
+    is at most 1e-10 max(1, ||real||_F / 3 - margin).  margin = 64 eps
+    (||real||_F + sqrt(3)) covers the rounding by first-order bounds, in
+    units of eps times a norm, n = 9: the values-only SVD's backward error,
+    n for each of sigma_8 and sigma_9 (18; at most 2.2 seen against
+    40-digit values on random and graded matrices); the LU inverse's, 3n
+    at unit growth, of ||B||_F <= ||real||_F + sqrt(3) (27; 0.07 seen);
+    real x (9; 0.4 seen); norms and sums (4).  A solution norm above 1e12
+    puts lower below 1e-12, and a LinAlgError clears no point.  Only the
+    points not cleared run the SVD: values-only, then full for those whose
+    values tie, which decides and names a tie (at a huge norm the values
+    may be roundoff) and a traceless null vector, flagged by a singular
+    bordered matrix (LinAlgError, re-raised when the SVD finds none) or a
+    solution norm, 1 / |trace|, above 1e12.  So every verdict and message
+    is the SVD's.  Broadcasts over a stack of generators; the checks hold
+    for every point, and the first point that fails one names it.
     """
     if liouvillian.u != 0.0:
         raise ValueError("steady_state requires an unannotated (u = 0) generator")
     real = (_UNIT_FROM_REAL.conj().T @ liouvillian.matrix @ _UNIT_FROM_REAL).real
     square = real.reshape(-1, DIM * DIM, DIM * DIM)
-    flat = np.linalg.svd(real, compute_uv=False).reshape(-1, DIM * DIM)
-    flagged = np.flatnonzero(flat[:, -2] < flat[:, -1] + STEADY_GAP_TOL)
-    if flagged.size:
-        flat[flagged] = np.linalg.svd(square[flagged])[1]
-        tied = flagged[flat[flagged, -2] < flat[flagged, -1] + STEADY_GAP_TOL]
-        if tied.size:
-            lowest, second = flat[tied[0], -1], flat[tied[0], -2]
-            raise SteadyStateError(
-                f"steady state is not unique: smallest singular values "
-                f"{lowest:.3e} and {second:.3e}"
-            )
     bordered = real.copy()
     bordered[..., 0, :] = _UNIT_TRACE
-    # a huge generator's solution or residual that overflows fails below by name
+    singular, checked = None, np.arange(len(square))
+    # an overflowing solution or residual fails below by name, and clears no point
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
+            lower = 1.0 / np.linalg.norm(np.linalg.inv(bordered), axis=(-2, -1))
             x = np.linalg.solve(bordered, np.eye(DIM * DIM)[:, :1])[..., 0]
-        except np.linalg.LinAlgError:
-            _name_traceless(square, np.arange(len(square)))
-            raise
-        norm = np.linalg.norm(x, axis=-1).reshape(-1)
-        _name_traceless(square, np.flatnonzero(norm > 1.0 / _TRACELESS_TOL))
-        rho = unvectorize(x @ _UNIT_FROM_REAL.T)
-        residual = steady_residual(liouvillian, rho)
+        except np.linalg.LinAlgError as exc:
+            singular = exc
+        else:
+            norm = np.linalg.norm(x, axis=-1)
+            upper = np.linalg.norm((real @ x[..., None])[..., 0], axis=-1) / norm
+            rho = unvectorize(x @ _UNIT_FROM_REAL.T)
+            residual = steady_residual(liouvillian, rho)
+            fro = np.linalg.norm(real, axis=(-2, -1))
+            margin = _CERTIFICATE_ROUNDING * (fro + 3.0 ** 0.5)
+            cleared = ((lower - upper > STEADY_GAP_TOL + margin)
+                       & (residual <= STEADY_RESIDUAL_TOL * np.maximum(1.0, fro / 3.0 - margin)))
+            checked = np.flatnonzero(~np.ravel(cleared))
+        flat = (np.linalg.svd(square[checked], compute_uv=False) if checked.size
+                else np.empty((0, DIM * DIM)))
+        flagged = np.flatnonzero(flat[:, -2] < flat[:, -1] + STEADY_GAP_TOL)
+        if flagged.size:
+            flat[flagged] = np.linalg.svd(square[checked[flagged]])[1]
+            tied = flagged[flat[flagged, -2] < flat[flagged, -1] + STEADY_GAP_TOL]
+            if tied.size:
+                lowest, second = flat[tied[0], -1], flat[tied[0], -2]
+                raise SteadyStateError(
+                    f"steady state is not unique: smallest singular values "
+                    f"{lowest:.3e} and {second:.3e}"
+                )
+        if singular is not None:
+            _name_traceless(square, checked)
+            raise singular
+        _name_traceless(square, np.flatnonzero(np.ravel(norm) > 1.0 / _TRACELESS_TOL))
     bound = STEADY_RESIDUAL_TOL * np.maximum(1.0, flat[:, 0])
-    failed = np.flatnonzero(~(np.ravel(residual) <= bound))
+    failed = np.flatnonzero(~(np.ravel(residual)[checked] <= bound))
     if failed.size:
         k = failed[0]
         raise SteadyStateError(
-            f"steady-state residual {residual.flat[k]:.3e} exceeds {bound[k]:.3g}")
+            f"steady-state residual {residual.flat[checked[k]]:.3e} exceeds {bound[k]:.3g}")
     return rho, residual
 
 

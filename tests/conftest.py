@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from coolspec import BathSpec, SystemSpec, coupling_operator
+from coolspec import BathSpec, SystemSpec, coupling_operator, dynamics
 from coolspec.generators import unvectorize, vectorize
 from coolspec.system import IDX_E, IDX_GU
 
@@ -114,6 +114,60 @@ def rk4_stages(generator_at, rho0, t_end, dt):
         y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         ys.append(y)
     return times, unvectorize(np.array(ys))
+
+
+def steady_state_svd_oracle(liouvillian):
+    """steady_state with every point's checks decided by a values-only SVD; its oracle.
+
+    The same real Q^H L Q and bordered solve as steady_state, but the tie
+    test runs on each point's values-only singular values (the full SVD
+    re-deciding the points it flags), the traceless test on the full SVD's
+    null vector, and the residual bound on sigma_max of every point.  So
+    it returns, or raises with the same type and message, what
+    steady_state's certificate must leave unchanged.
+    """
+    if liouvillian.u != 0.0:
+        raise ValueError("steady_state requires an unannotated (u = 0) generator")
+    unit = dynamics._UNIT_FROM_REAL
+    real = (unit.conj().T @ liouvillian.matrix @ unit).real
+    square = real.reshape(-1, 9, 9)
+
+    def name_traceless(points):
+        if points.size:
+            trace = np.linalg.svd(square[points])[2][:, -1, :] @ dynamics._UNIT_TRACE
+            traceless = np.flatnonzero(np.abs(trace) < 1e-12)
+            if traceless.size:
+                raise dynamics.SteadyStateError(f"null vector is traceless (trace "
+                                                f"{trace[traceless[0]]:.3e}), cannot normalize")
+
+    flat = np.linalg.svd(real, compute_uv=False).reshape(-1, 9)
+    flagged = np.flatnonzero(flat[:, -2] < flat[:, -1] + 1e-8)
+    if flagged.size:
+        flat[flagged] = np.linalg.svd(square[flagged])[1]
+        tied = flagged[flat[flagged, -2] < flat[flagged, -1] + 1e-8]
+        if tied.size:
+            raise dynamics.SteadyStateError(
+                f"steady state is not unique: smallest singular values "
+                f"{flat[tied[0], -1]:.3e} and {flat[tied[0], -2]:.3e}")
+    bordered = real.copy()
+    bordered[..., 0, :] = dynamics._UNIT_TRACE
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            x = np.linalg.solve(bordered, np.eye(9)[:, :1])[..., 0]
+        except np.linalg.LinAlgError:
+            name_traceless(np.arange(len(square)))
+            raise
+        name_traceless(np.flatnonzero(np.linalg.norm(x, axis=-1).reshape(-1) > 1e12))
+        rho = unvectorize(x @ unit.T)
+        flow = liouvillian.matrix @ vectorize(rho)[..., None]
+        residual = np.linalg.norm(flow[..., 0], axis=-1)[()]
+    bound = 1e-10 * np.maximum(1.0, flat[:, 0])
+    failed = np.flatnonzero(~(np.ravel(residual) <= bound))
+    if failed.size:
+        k = failed[0]
+        raise dynamics.SteadyStateError(
+            f"steady-state residual {residual.flat[k]:.3e} exceeds {bound[k]:.3g}")
+    return rho, residual
 
 
 @pytest.fixture

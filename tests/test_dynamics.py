@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
+from coolspec import dynamics
 from coolspec.bath import BathSpec
 from coolspec.config import profile_config
 from coolspec.dynamics import (
@@ -48,7 +49,7 @@ from coolspec.system import (
 )
 from coolspec.tcl import TclPropagator
 
-from conftest import kron_commutator, kron_lindblad, rk4_stages
+from conftest import kron_commutator, kron_lindblad, rk4_stages, steady_state_svd_oracle
 
 BATH = BathSpec(alpha=0.01, omega_c=1.0, temperature=3.0)
 
@@ -400,25 +401,34 @@ STACK = SystemSpec(e_man=2.0, delta=np.array([-1.0, -0.3, 0.0, 0.4, 1.2]),
 
 @pytest.mark.parametrize("name", GENERATORS)
 def test_steady_state_svd_is_real_with_the_generators_singular_values(name, monkeypatch):
-    # steady_state takes its SVD in orthonormal real Hermitian coordinates:
-    # a real matrix, unitarily similar to the generator, so with its
-    # singular values
+    # steady_state works in orthonormal real Hermitian coordinates: a real
+    # matrix, unitarily similar to the generator, so with its singular
+    # values.  Its certificate inverts that matrix with row 0 replaced by
+    # the trace row, B, and solves B x = e_0: 1 / ||B^-1||_F bounds sigma_8
+    # from below, ||real x|| / ||x|| bounds sigma_9 from above (up to the
+    # rounding its margin covers), and no SVD runs on these healthy points
     gen = _u0_generator(name, STACK)
-    svd, seen = np.linalg.svd, []
-
-    def recorded(a, *args, **kwargs):
-        out = svd(a, *args, **kwargs)
-        # a values-only call returns the singular values themselves
-        seen.append((a, out if isinstance(out, np.ndarray) else out[1]))
-        return out
-
-    monkeypatch.setattr(np.linalg, "svd", recorded)
+    inv, solve, seen = np.linalg.inv, np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "inv", lambda a: seen.append((a, inv(a))) or seen[-1][1])
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: seen.append((a, solve(a, b))) or seen[-1][1])
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: pytest.fail("an SVD ran"))
     rho, _ = steady_state(gen)
     monkeypatch.undo()
-    ((real, sigmas),) = seen
-    assert np.isrealobj(real) and real.shape == gen.matrix.shape
+    (bordered, inverse), (solved, x) = seen
+    unit = dynamics._UNIT_FROM_REAL
+    real = (unit.conj().T @ gen.matrix @ unit).real
+    assert np.isrealobj(bordered) and bordered.shape == gen.matrix.shape
+    assert np.array_equal(bordered[:, 1:], real[:, 1:]) and np.array_equal(solved, bordered)
+    assert np.array_equal(bordered[:, 0], np.broadcast_to(dynamics._UNIT_TRACE, (5, 9)))
     expected = np.linalg.svd(gen.matrix, compute_uv=False)
+    sigmas = np.linalg.svd(real, compute_uv=False)
     assert np.abs(sigmas - expected).max(axis=-1).max() <= 1e-14 * expected[:, 0].min()
+    lower = 1.0 / np.linalg.norm(inverse, axis=(-2, -1))
+    upper = np.linalg.norm(real @ x, axis=(-2, -1)) / np.linalg.norm(x, axis=(-2, -1))
+    margin = dynamics._CERTIFICATE_ROUNDING * (np.linalg.norm(real, axis=(-2, -1)) + 3.0 ** 0.5)
+    assert (lower <= expected[:, -2]).all() and (upper + margin >= expected[:, -1]).all()
+    assert (lower - upper > dynamics.STEADY_GAP_TOL + margin).all()
     assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
     assert_allclose(np.trace(rho, axis1=-2, axis2=-1), 1.0, atol=1e-14)
 
@@ -491,6 +501,138 @@ def test_steady_state_is_the_full_svds_null_vector(seed):
         assert residual[k] == steady_residual(Liouvillian(matrix=matrix), rho[k])
     assert np.array_equal(rho, rho.conj().swapaxes(-1, -2))
     assert np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0).max() <= 1e-15
+
+
+def _split_levels(s):
+    """Levels 0 and 1 exchanged at rates 1 and 0.7, level 2 joined at rate s.
+
+    At s = 0 the null space has rank 2 (|2><2| is stationary too); the
+    gap sigma_8 - sigma_9 grows as 1.583 s.
+    """
+    matrix = kron_commutator(np.diag([0.0, 1.0, 3.0]))
+    for i, j, rate in ((0, 1, 1.0), (1, 0, 0.7), (2, 0, s), (0, 2, s)):
+        jump = np.zeros((3, 3))
+        jump[i, j] = rate ** 0.5
+        matrix = matrix + kron_lindblad(jump)
+    return matrix
+
+
+def _gap(matrix):
+    sigmas = np.linalg.svd(matrix, compute_uv=False)
+    return sigmas[-2] - sigmas[-1]
+
+
+def _steady_outcome(solver, matrix):
+    """solver's (rho, residual) for the generator matrix, or its error's type and message."""
+    try:
+        return solver(Liouvillian(matrix=matrix))
+    except (SteadyStateError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _against_oracle(matrix, monkeypatch):
+    """steady_state's outcome on matrix, asserted bitwise equal to the oracle's, and its SVD calls.
+
+    The calls are the shapes of the stacks steady_state hands np.linalg.svd.
+    """
+    oracle = _steady_outcome(steady_state_svd_oracle, matrix)
+    svd, calls = np.linalg.svd, []
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                      calls.append(np.shape(a)) or svd(a, *args, **kwargs))
+        outcome = _steady_outcome(steady_state, matrix)
+    if isinstance(oracle[0], type):
+        assert outcome == oracle
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(outcome, oracle))
+    return outcome, calls
+
+
+@pytest.mark.parametrize("side", [1.0 + 1e-6, 1.0 - 1e-6], ids=["above", "below"])
+def test_gap_near_the_tie_tolerance_gets_the_svds_verdict(side, monkeypatch):
+    # a gap within 1e-6 of 1e-8 (relative) on either side: the certificate
+    # cannot clear it, and the SVD decides as it did for every point
+    slope = _gap(_split_levels(1e-8)) / 1e-8
+    matrix = _split_levels(side * 1e-8 / slope)
+    assert (_gap(matrix) > 1e-8) == (side > 1.0)
+    outcome, calls = _against_oracle(matrix, monkeypatch)
+    assert calls
+    if side > 1.0:
+        assert steady_residual(Liouvillian(matrix=matrix), outcome[0]) == outcome[1]
+    else:
+        assert outcome[0] is SteadyStateError
+        assert outcome[1].startswith("steady state is not unique: smallest singular values ")
+
+
+def test_tie_away_from_zero_is_left_to_the_svd(monkeypatch):
+    # sigma_8 = sigma_9 = 1e-5 at ||L||_F 2.6e6: the residual, 1e-5, is
+    # below 1e-10 ||L||_F / 3 and lower = 1 / ||B^-1||_F is 7e-6, but
+    # upper = 1e-5 keeps the tie from being cleared
+    unit = dynamics._UNIT_FROM_REAL
+    matrix = unit @ np.diag([1e-5, 1e-5] + [1e6] * 7) @ unit.conj().T
+    outcome, calls = _against_oracle(matrix, monkeypatch)
+    assert outcome[0] is SteadyStateError and calls
+    assert outcome[1].startswith("steady state is not unique: smallest singular values ")
+
+
+def test_residual_between_the_two_bounds_passes_through_the_svd(monkeypatch):
+    # i t [H, .] is dropped by the real coordinates, so the residual is
+    # t ||[H, rho]||; t puts it above 1e-10 ||L||_F / 3, which clears no
+    # point, and below 1e-10 sigma_max, which the SVD's check accepts
+    spec = SystemSpec(e_man=2.0, delta=0.2, omega_rabi=1.0, gamma_rad=0.5)
+    healthy = 100.0 * total_liouvillian("bloch_redfield", spec, BATH).matrix
+    commutator = kron_commutator(np.diag([0.0, 1.0, 3.0]))
+    rho, _ = steady_state(Liouvillian(matrix=healthy))
+    sigma_max, fro = np.linalg.svd(healthy, compute_uv=False)[0], np.linalg.norm(healthy)
+    target = 1e-10 * (sigma_max * fro / 3.0) ** 0.5
+    t = target / np.linalg.norm(commutator @ vectorize(rho))
+    matrix = np.stack([healthy, healthy + 1j * t * commutator])
+    (_, residual), calls = _against_oracle(matrix, monkeypatch)
+    assert 1e-10 * fro / 3.0 < residual[1] < 1e-10 * sigma_max and fro / 3.0 > 1.0
+    assert calls == [(1, 9, 9)]
+
+
+def test_steady_state_equals_the_svd_oracle_on_random_stacks(monkeypatch):
+    # seeded stacks of one to four points, each a random GKLS generator
+    # (some scaled towards 1e300), a near-tie or rank-2 null space of
+    # _split_levels, a traceless or nearly traceless null vector, or a
+    # generator that never changes rho_11, whose bordered matrix has a zero
+    # row: every verdict and message of the SVD path must recur
+    rng = np.random.default_rng(41)
+
+    def gkls():
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        matrix = kron_commutator(a + a.conj().T)
+        for _ in range(3):
+            matrix = matrix + kron_lindblad(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        return matrix
+
+    def null_projector():
+        u = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]
+        tilt = rng.choice([0.0, 1e-13, 1e-11])
+        null = vectorize(u @ np.diag([1.0, tilt - 1.0, 0.0]) @ u.conj().T)
+        return np.eye(9) - np.outer(null, null.conj()) / (null.conj() @ null)
+
+    def frozen_population():
+        matrix = gkls()
+        matrix[4] = 0.0
+        return matrix
+
+    draws = (
+        gkls,
+        lambda: 10.0 ** rng.choice([290, 298, 300, 305]) * gkls(),
+        lambda: _split_levels(rng.choice([0.0, 1e-9, 6.3e-9, 6.4e-9, 1e-7])),
+        null_projector,
+        frozen_population,
+    )
+    kinds = set()
+    for _ in range(60):
+        picks = rng.choice(len(draws), size=rng.integers(1, 5), p=[0.5, 0.15, 0.15, 0.1, 0.1])
+        outcome, calls = _against_oracle(np.stack([draws[k]() for k in picks]), monkeypatch)
+        kinds.add(" ".join(outcome[1].split()[:2]) if isinstance(outcome[0], type)
+                  else "ok after an SVD" if calls else "ok")
+    assert kinds == {"ok", "ok after an SVD", "steady state", "steady-state residual",
+                     "null vector", "Singular matrix"}
 
 
 @pytest.mark.parametrize("method,alpha,gamma_rad", [("secular", 1e300, 0.5)])

@@ -250,9 +250,9 @@ def test_tcl_oracle_method_in_sweep():
 
 def test_tcl_plateau_is_null_state_of_frozen_generator():
     # past the coefficient table's last row the TCL generator is frozen, so
-    # the steady record is that generator's null state, from the same SVD
-    # as the Markovian methods.  t_mem 30.008 rounds to the row 30.01, which
-    # lies past the last RK4 grid time 30.00
+    # the steady record is that generator's null state, from the same
+    # steady_state as the Markovian methods.  t_mem 30.008 rounds to the
+    # row 30.01, which lies past the last RK4 grid time 30.00
     cfg = config_from_dict({
         "sweep": {"delta_min": -0.5, "delta_max": -0.5, "delta_steps": 1,
                   "omega_list": [0.5]},
@@ -675,22 +675,44 @@ def test_chunk_failure_marks_only_its_point():
 
 
 def test_stacked_linalg_error_falls_back_to_points(monkeypatch):
+    # every stacked LAPACK call of steady_state fails: the certificate's
+    # inverse, then the SVD of the path that follows it
     reference = run_sweep(SMALL)
-    svd = np.linalg.svd
     stacked_calls = []
 
-    def failing(a, *args, **kwargs):
-        # a stack of more than one matrix; a single point is a stack of one
-        if math.prod(np.shape(a)[:-2]) > 1:
-            stacked_calls.append(np.shape(a))
-            raise np.linalg.LinAlgError("SVD did not converge")
-        return svd(a, *args, **kwargs)
+    def failing(name, call):
+        def wrapped(a, *args, **kwargs):
+            # a stack of more than one matrix; a single point is a stack of one
+            if math.prod(np.shape(a)[:-2]) > 1:
+                stacked_calls.append(name)
+                raise np.linalg.LinAlgError(f"{name} failed")
+            return call(a, *args, **kwargs)
+        return wrapped
 
-    monkeypatch.setattr(np.linalg, "svd", failing)
+    for name in ("inv", "solve", "svd"):
+        monkeypatch.setattr(np.linalg, name, failing(name, getattr(np.linalg, name)))
     records = run_sweep(SMALL)
-    assert stacked_calls
+    assert {"inv", "svd"} <= set(stacked_calls)
     assert [r.status for r in records] == ["ok"] * len(reference)
     assert [_values(r) for r in records] == [_values(r) for r in reference]
+
+
+def test_paper_fig2_and_tcl_stacks_are_cleared_without_an_svd(monkeypatch):
+    # steady_state's certificate clears every point of paper-fig2's three
+    # 324-point stacks and of the tcl_oracle benchmark's sweep (the TCL
+    # generator frozen at t_mem, then Bloch-Redfield), so none runs an SVD
+    svd, calls, stacks = np.linalg.svd, [], []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
+                        calls.append(np.shape(a)) or svd(a, *args, **kwargs))
+    monkeypatch.setattr(sweep, "steady_state",
+                        lambda gen: stacks.append(gen.matrix.shape) or steady_state(gen))
+    records = run_sweep(profile_config("paper-fig2")) + run_sweep(config_from_dict({
+        "sweep": {"delta_min": -1.0, "delta_max": 1.0, "delta_steps": 5, "omega_list": [0.5]},
+        "methods": ["tcl_oracle", "bloch_redfield"],
+    }))
+    assert calls == []
+    assert stacks == [(324, 9, 9)] * 3 + [(5, 9, 9)] * 2
+    assert {rec.status for rec in records} == {"ok"}
 
 
 @pytest.mark.parametrize("changes", [{"sweep": {"delta_min": 1e8, "delta_max": 1e8}},
