@@ -35,13 +35,12 @@ _CHUNK = 128
 _SYLVESTER_MARGIN = 1e-12
 # the trace of a state from its real Hermitian coordinates (generators.to_real)
 _REAL_TRACE = (TRACE_VECTOR @ FROM_REAL).real
-# FROM_REAL with unit columns (the Re/Im ones scaled by 1/sqrt(2)): a unitary
-# map Q.  steady_state reads the real Q^H L Q, with row 0 replaced by the
-# trace row _UNIT_TRACE, [1, 1, 1, 0, ..., 0]: its state by one solve, and
-# a certificate of its checks by one inverse; an SVD runs only on the
-# points that the certificate does not clear
-_UNIT_FROM_REAL = FROM_REAL * np.where(np.arange(DIM * DIM) < DIM, 1.0, 0.5 ** 0.5)
-_UNIT_TRACE = (TRACE_VECTOR @ _UNIT_FROM_REAL).real
+# FROM_REAL's column norms n, 1 on the diagonal coordinates, where alone
+# _REAL_TRACE is nonzero: Q = FROM_REAL / n is unitary, Q^H L Q is
+# to_real(L) with entry [i, j] scaled by _UNIT_RATIO[i, j] = n_i / n_j, and
+# the trace row in Q's coordinates is _REAL_TRACE / n = _REAL_TRACE
+_NORMS = np.linalg.norm(FROM_REAL, axis=0)
+_UNIT_RATIO = _NORMS[:, None] / _NORMS
 # |trace| of a unit null vector below which it cannot be normalized
 _TRACELESS_TOL = 1e-12
 # steady_state's certificate margin per unit of ||real||_F + sqrt(3)
@@ -266,7 +265,7 @@ def _name_traceless(real: np.ndarray, points: np.ndarray):
     of points has a traceless null vector.
     """
     if points.size:
-        trace = np.linalg.svd(real[points])[2][:, -1, :] @ _UNIT_TRACE
+        trace = np.linalg.svd(real[points])[2][:, -1, :] @ _REAL_TRACE
         traceless = np.flatnonzero(np.abs(trace) < _TRACELESS_TOL)
         if traceless.size:
             raise SteadyStateError(f"null vector is traceless (trace {trace[traceless[0]]:.3e}), "
@@ -277,19 +276,21 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     """Unique null state of an unannotated generator, and its residual.
 
     Found in orthonormal real Hermitian coordinates: with Q the unitary
-    _UNIT_FROM_REAL, real = Q^H L Q is real for a Hermiticity-preserving L
-    (its imaginary part, roundoff, is dropped) and has L's singular values.
+    FROM_REAL / n (n its column norms), real = Q^H L Q, read as to_real(L)
+    scaled by _UNIT_RATIO, is real for a Hermiticity-preserving L (its
+    imaginary part, roundoff, is dropped) and has L's singular values.
     The state is one bordered solve, B x = e_0 with B real with row 0
     replaced by the trace row, which for a trace-preserving L (row 0 minus
     the sum of rows 1 and 2) gives the null vector with trace 1, mapped
-    back by Q to an exactly Hermitian state.  Returns (rho, residual), the
-    residual being steady_residual(liouvillian, rho) of the complex L, in
-    the shape of the stack.  Raises SteadyStateError when the
-    second-smallest singular value is within 1e-8 of the smallest (no
-    unique steady state), when the unit null vector's trace is below 1e-12
-    in magnitude, or when the residual exceeds 1e-10 max(1, sigma_max); a
-    u = 0 matrix that breaks Hermiticity fails this check, as does, without
-    a warning, a residual that overflows.
+    back by Q, as from_real(x / n), to an exactly Hermitian state.
+    Returns (rho, residual), the residual being
+    steady_residual(liouvillian, rho) of the complex L, in the shape of the
+    stack.  Raises SteadyStateError when the second-smallest singular value
+    is within 1e-8 of the smallest (no unique steady state), when the unit
+    null vector's trace is below 1e-12 in magnitude, or when the residual
+    exceeds 1e-10 max(1, sigma_max); a u = 0 matrix that breaks
+    Hermiticity fails this check, as does, without a warning, a residual
+    that is itself infinite or NaN.
 
     A certificate clears a point of the tie and residual checks without an
     SVD.  B is a rank-one change of real, so by Weyl's inequalities (Horn &
@@ -315,10 +316,10 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     """
     if liouvillian.u != 0.0:
         raise ValueError("steady_state requires an unannotated (u = 0) generator")
-    real = (_UNIT_FROM_REAL.conj().T @ liouvillian.matrix @ _UNIT_FROM_REAL).real
+    real = to_real(liouvillian.matrix) * _UNIT_RATIO
     square = real.reshape(-1, DIM * DIM, DIM * DIM)
     bordered = real.copy()
-    bordered[..., 0, :] = _UNIT_TRACE
+    bordered[..., 0, :] = _REAL_TRACE
     singular, checked = None, np.arange(len(square))
     # an overflowing solution or residual fails below by name, and clears no point
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -330,7 +331,7 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
         else:
             norm = np.linalg.norm(x, axis=-1)
             upper = np.linalg.norm((real @ x[..., None])[..., 0], axis=-1) / norm
-            rho = unvectorize(x @ _UNIT_FROM_REAL.T)
+            rho = from_real(x / _NORMS)
             residual = steady_residual(liouvillian, rho)
             fro = np.linalg.norm(real, axis=(-2, -1))
             margin = _CERTIFICATE_ROUNDING * (fro + 3.0 ** 0.5)
@@ -365,10 +366,16 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
 def steady_residual(liouvillian: Liouvillian, rho: np.ndarray):
     """Norm of the generator applied to a state; zero for a steady state.
 
-    Broadcasts over stacked generators and states.
+    Broadcasts over stacked generators and states.  Where the plain norm
+    overflows to inf, as the squares of its entries do above ~1e154, it is
+    taken again by a hypot reduction of their moduli, which does not;
+    every other norm is the plain one.
     """
-    flow = liouvillian.matrix @ vectorize(rho)[..., None]
-    return np.linalg.norm(flow[..., 0], axis=-1)[()]
+    flow = (liouvillian.matrix @ vectorize(rho)[..., None])[..., 0]
+    with np.errstate(over="ignore"):
+        residual = np.asarray(np.linalg.norm(flow, axis=-1))
+    residual[np.isinf(residual)] = np.hypot.reduce(np.abs(flow[np.isinf(residual)]), axis=-1)
+    return residual[()]
 
 
 def heat_current_trace(liouvillian: Liouvillian, rho: np.ndarray):

@@ -5,10 +5,11 @@ rho -> A rho B has matrix kron(B.T, A); only sandwich_superoperator forms
 such matrices.  A Hermitian state also has nine real coordinates
 (TO_REAL, inverted exactly by FROM_REAL; to_real and from_real map states
 and generators), in which a Hermiticity-preserving generator, any of them
-at u = 0, is a real 9x9 matrix; every u = 0 trajectory, exact or TCL, is
-computed and checked in them, and steady states are found in their
-orthonormal form (FROM_REAL's columns scaled to unit norm, a unitary
-map).  All generators can be annotated with a counting field u that tags
+at u = 0, is a real 9x9 matrix; every u = 0 trajectory, exact or TCL, and
+every steady state is computed and checked in them, each generator
+entering them through to_real's one real map (steady states read it
+rescaled to their orthonormal form, FROM_REAL's columns scaled to unit
+norm).  All generators can be annotated with a counting field u that tags
 phonon exchange with the bath; the trace of the u-derivative at zero is
 kept alongside as the 3x3 heat operator Y (the heat current is
 Re Tr(Y rho)), so a single construction serves propagation, steady
@@ -94,6 +95,12 @@ for _k, (_a, _b) in enumerate(zip(*_PAIRS)):
     FROM_REAL[[_ab, _ba], _re] = 1.0
     FROM_REAL[[_ab, _ba], _im] = 1j, -1j
 del _a, _b, _k, _re, _im, _ab, _ba
+# to_real's map of a generator M, (162, 81): M's entries as interleaved
+# (Re, Im) pairs, a (..., 162) view, times it are Re(TO_REAL @ M @ FROM_REAL)
+# flattened; the rows of Re and Im M[k, l] hold Re and -Im of
+# TO_REAL[i, k] FROM_REAL[l, j] in column (i, j)
+_PRODUCTS = TO_REAL.T[:, None, :, None] * FROM_REAL[None, :, None, :]
+_REAL_MAP = np.stack([_PRODUCTS.real, -_PRODUCTS.imag], axis=2).reshape(162, 81)
 
 
 def to_real(a: np.ndarray) -> np.ndarray:
@@ -106,11 +113,15 @@ def to_real(a: np.ndarray) -> np.ndarray:
     forms it, and from_real rebuilds them bitwise (Im rho[a, b] being
     -Im h[b, a]).  A generator's matrix M goes to the real 9x9 matrix
     Re(TO_REAL @ M @ FROM_REAL), which drops only roundoff when M preserves
-    Hermiticity.  Broadcasts over leading axes.
+    Hermiticity: one real matmul of M's interleaved real and imaginary
+    parts by the constant _REAL_MAP, whose entries are 0, +-1/2 and +-1, so
+    each entry is a sum of at most four exact products, rounded.  Every
+    u = 0 generator enters real coordinates here, steady_state's included.
+    Broadcasts over leading axes.
     """
     a = np.asarray(a)
     if a.shape[-1] == DIM * DIM:
-        return (TO_REAL @ a @ FROM_REAL).real
+        return (np.ascontiguousarray(a, complex).view(float).reshape(-1, 162) @ _REAL_MAP).reshape(a.shape)
     rows, columns = _PAIRS
     diagonal = np.arange(DIM)
     h_diagonal = 0.5 * (a[..., diagonal, diagonal] + np.conj(a[..., diagonal, diagonal]))

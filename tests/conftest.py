@@ -3,7 +3,14 @@ import pytest
 from scipy.integrate import quad
 
 from coolspec import BathSpec, SystemSpec, coupling_operator, dynamics
-from coolspec.generators import unvectorize, vectorize
+from coolspec.generators import (
+    FROM_REAL,
+    TRACE_VECTOR,
+    from_real,
+    to_real,
+    unvectorize,
+    vectorize,
+)
 from coolspec.system import IDX_E, IDX_GU
 
 # Bath formulas written out on their own, independent of coolspec.bath, which
@@ -119,22 +126,25 @@ def rk4_stages(generator_at, rho0, t_end, dt):
 def steady_state_svd_oracle(liouvillian):
     """steady_state with every point's checks decided by a values-only SVD; its oracle.
 
-    The same real Q^H L Q and bordered solve as steady_state, but the tie
-    test runs on each point's values-only singular values (the full SVD
-    re-deciding the points it flags), the traceless test on the full SVD's
-    null vector, and the residual bound on sigma_max of every point.  So
-    it returns, or raises with the same type and message, what
+    The same real Q^H L Q, formed as steady_state forms it (to_real
+    scaled by n_i / n_j, n the column norms of FROM_REAL, so Q is FROM_REAL
+    / n), bordered solve and residual (steady_residual) as steady_state,
+    but the tie test runs on each point's values-only singular values (the
+    full SVD re-deciding the points it flags), the traceless test on the
+    full SVD's null vector, and the residual bound on sigma_max of every
+    point.  So it returns, or raises with the same type and message, what
     steady_state's certificate must leave unchanged.
     """
     if liouvillian.u != 0.0:
         raise ValueError("steady_state requires an unannotated (u = 0) generator")
-    unit = dynamics._UNIT_FROM_REAL
-    real = (unit.conj().T @ liouvillian.matrix @ unit).real
+    norms = np.linalg.norm(FROM_REAL, axis=0)
+    trace_row = (TRACE_VECTOR @ FROM_REAL).real
+    real = to_real(liouvillian.matrix) * (norms[:, None] / norms)
     square = real.reshape(-1, 9, 9)
 
     def name_traceless(points):
         if points.size:
-            trace = np.linalg.svd(square[points])[2][:, -1, :] @ dynamics._UNIT_TRACE
+            trace = np.linalg.svd(square[points])[2][:, -1, :] @ trace_row
             traceless = np.flatnonzero(np.abs(trace) < 1e-12)
             if traceless.size:
                 raise dynamics.SteadyStateError(f"null vector is traceless (trace "
@@ -150,7 +160,7 @@ def steady_state_svd_oracle(liouvillian):
                 f"steady state is not unique: smallest singular values "
                 f"{flat[tied[0], -1]:.3e} and {flat[tied[0], -2]:.3e}")
     bordered = real.copy()
-    bordered[..., 0, :] = dynamics._UNIT_TRACE
+    bordered[..., 0, :] = trace_row
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             x = np.linalg.solve(bordered, np.eye(9)[:, :1])[..., 0]
@@ -158,9 +168,8 @@ def steady_state_svd_oracle(liouvillian):
             name_traceless(np.arange(len(square)))
             raise
         name_traceless(np.flatnonzero(np.linalg.norm(x, axis=-1).reshape(-1) > 1e12))
-        rho = unvectorize(x @ unit.T)
-        flow = liouvillian.matrix @ vectorize(rho)[..., None]
-        residual = np.linalg.norm(flow[..., 0], axis=-1)[()]
+        rho = from_real(x / norms)
+        residual = dynamics.steady_residual(liouvillian, rho)
     bound = 1e-10 * np.maximum(1.0, flat[:, 0])
     failed = np.flatnonzero(~(np.ravel(residual) <= bound))
     if failed.size:

@@ -416,11 +416,24 @@ def test_steady_state_svd_is_real_with_the_generators_singular_values(name, monk
     rho, _ = steady_state(gen)
     monkeypatch.undo()
     (bordered, inverse), (solved, x) = seen
-    unit = dynamics._UNIT_FROM_REAL
-    real = (unit.conj().T @ gen.matrix @ unit).real
+    # Q = FROM_REAL with unit columns; steady_state reads Q^H L Q as
+    # to_real(L) with entry [i, j] scaled by n_i / n_j, n the column norms
+    norms = np.linalg.norm(FROM_REAL, axis=0)
+    unit = FROM_REAL / norms
+    real = to_real(gen.matrix) * (norms[:, None] / norms)
     assert np.isrealobj(bordered) and bordered.shape == gen.matrix.shape
     assert np.array_equal(bordered[:, 1:], real[:, 1:]) and np.array_equal(solved, bordered)
-    assert np.array_equal(bordered[:, 0], np.broadcast_to(dynamics._UNIT_TRACE, (5, 9)))
+    trace_row = TRACE_VECTOR @ unit
+    assert np.array_equal(bordered[:, 0], np.broadcast_to(trace_row.real, (5, 9)))
+    assert trace_row.tobytes() == (TRACE_VECTOR @ FROM_REAL).tobytes()
+    # to_real's entries are sums of at most four exact products of L's
+    # entries, weights summing to at most 2, rounded thrice (3 eps max|L|),
+    # scaled by at most sqrt(2) and rounded once more; the complex
+    # Q^H L Q rounds Q's 1/sqrt(2) and two matmuls of as many terms (about
+    # 4 eps max|L|): 8 eps max|L| covers both (about 1 eps seen)
+    complex_q = unit.conj().T @ gen.matrix @ unit
+    scale = np.abs(gen.matrix).max(axis=(-2, -1))[:, None, None]
+    assert (np.abs(real - complex_q.real) <= 8 * np.finfo(float).eps * scale).all()
     expected = np.linalg.svd(gen.matrix, compute_uv=False)
     sigmas = np.linalg.svd(real, compute_uv=False)
     assert np.abs(sigmas - expected).max(axis=-1).max() <= 1e-14 * expected[:, 0].min()
@@ -568,7 +581,7 @@ def test_tie_away_from_zero_is_left_to_the_svd(monkeypatch):
     # sigma_8 = sigma_9 = 1e-5 at ||L||_F 2.6e6: the residual, 1e-5, is
     # below 1e-10 ||L||_F / 3 and lower = 1 / ||B^-1||_F is 7e-6, but
     # upper = 1e-5 keeps the tie from being cleared
-    unit = dynamics._UNIT_FROM_REAL
+    unit = FROM_REAL / np.linalg.norm(FROM_REAL, axis=0)
     matrix = unit @ np.diag([1e-5, 1e-5] + [1e6] * 7) @ unit.conj().T
     outcome, calls = _against_oracle(matrix, monkeypatch)
     assert outcome[0] is SteadyStateError and calls
@@ -637,13 +650,44 @@ def test_steady_state_equals_the_svd_oracle_on_random_stacks(monkeypatch):
 
 @pytest.mark.parametrize("method,alpha,gamma_rad", [("secular", 1e300, 0.5)])
 def test_overflowing_steady_residual_fails_by_name_without_warning(method, alpha, gamma_rad):
-    # rates of 1e300 make the residual norm overflow
+    # rates of 1e300 put the residual near 1e285, whose square overflows:
+    # the plain norm read inf and failed a state that is fine; taken again
+    # by a hypot reduction it is finite and within the SVD's bound, and the
+    # state is that of rates 1e200, whose residual norm does not overflow
     spec = SystemSpec(e_man=2.0, omega_rabi=0.5, gamma_rad=gamma_rad)
     gen = total_liouvillian(method, spec, replace(BATH, alpha=alpha))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SteadyStateError, match="steady-state residual inf exceeds"):
-            steady_state(gen)
+        rho, residual = steady_state(gen)
+        reference, _ = steady_state(total_liouvillian(method, spec, replace(BATH, alpha=1e200)))
+        sigma0 = alpha * np.linalg.svd(gen.matrix / alpha, compute_uv=False)[0]
+    assert np.isfinite(residual) and residual <= STEADY_RESIDUAL_TOL * sigma0
+    assert residual > 1e154
+    assert np.abs(rho - reference).max() <= 1e-12
+
+
+def test_steady_residual_retakes_only_a_norm_whose_squares_overflow():
+    # the norm of L rho at scales 1, 1e150, 1e200 and 1e300 of a
+    # Bloch-Redfield L on a state that is not stationary: below ~1e154 the
+    # plain norm, bitwise; above it a hypot reduction of the moduli, within
+    # a few eps of the scaled plain norm (1 eps seen), and nothing warns;
+    # an infinite or NaN entry of L keeps the residual non-finite
+    spec = SystemSpec(e_man=2.0, delta=0.2, omega_rabi=1.0, gamma_rad=0.5)
+    matrix = total_liouvillian("bloch_redfield", spec, BATH).matrix
+    rho = lower_ground_state()
+    plain = np.linalg.norm(matrix @ vectorize(rho))
+    scales = np.array([1.0, 1e150, 1e200, 1e300])
+    stack = scales[:, None, None] * matrix
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residual = steady_residual(Liouvillian(matrix=stack), rho)
+        one = steady_residual(Liouvillian(matrix=stack[1]), rho)
+    assert residual[0] == plain and residual[1] == one == np.linalg.norm(stack[1] @ vectorize(rho))
+    assert_allclose(residual[2:] / scales[2:], plain, rtol=4 * np.finfo(float).eps)
+    broken = np.stack([stack[3], stack[3]])
+    broken[0, 0, 4 * IDX_GL], broken[1, 0, 4 * IDX_GL] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(steady_residual(Liouvillian(matrix=broken), rho)).any()
 
 
 def test_huge_radiative_rate_gives_a_solved_state_without_warning():

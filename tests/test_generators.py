@@ -7,15 +7,18 @@ from numpy.testing import assert_allclose
 
 from coolspec import generators
 from coolspec.bath import BathSpec, rate_a, rate_table, shift_b
+from coolspec.dynamics import PropagationError, evolve, propagate
 from coolspec.generators import (
     FROM_REAL,
     METHODS,
     TO_REAL,
     TRACE_VECTOR,
+    Liouvillian,
     redfield,
     sandwich_superoperator,
     spectrum,
     static_part,
+    to_real,
     total_liouvillian,
     unvectorize,
     vectorize,
@@ -27,6 +30,7 @@ from coolspec.system import (
     SystemSpec,
     build_hamiltonian,
     eigensystem,
+    lower_ground_state,
 )
 
 from conftest import (
@@ -114,6 +118,49 @@ def test_real_coordinates_invert_exactly():
         expected = [*np.diag(rho).real, *(part for z in pairs for part in (z.real, z.imag))]
         assert coords.real.tobytes() == np.array(expected).tobytes()
         assert unvectorize(FROM_REAL @ coords.real).tobytes() == rho.tobytes()
+
+
+def test_to_real_on_generators_is_the_real_part_of_the_similarity():
+    # to_real(M) is one real matmul of M's interleaved (Re, Im) entries by a
+    # constant map, and must equal Re(TO_REAL @ M @ FROM_REAL) for any
+    # complex 9x9 M, Hermiticity-preserving or not, whatever its layout or
+    # dtype.  Each entry on either side sums at most four exact products
+    # of Re or Im entries of M, weights summing to at most 2 in magnitude:
+    # to_real rounds it at most three times (3 eps max|M|), the two complex
+    # matmuls once each (2 eps max|M|), so they agree to 5 eps max|M| per
+    # point (1.06 eps max|M| seen)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(42)
+
+    def check(matrix):
+        real = to_real(matrix)
+        reference = (TO_REAL @ np.asarray(matrix, dtype=complex) @ FROM_REAL).real
+        assert real.dtype == float and real.shape == reference.shape
+        scale = np.abs(matrix).max(axis=(-2, -1))[..., None, None]
+        assert (np.abs(real - reference) <= 5 * eps * scale).all()
+        return real
+
+    stack = rng.normal(size=(4, 3, 9, 9)) + 1j * rng.normal(size=(4, 3, 9, 9))
+    graded = 10.0 ** rng.integers(-150, 150, size=(4, 3, 1, 1)) * stack
+    for matrix in (stack, graded, stack[1, 2], stack.real, total_liouvillian(
+            "bloch_redfield", _STACK, BATH).matrix):
+        check(matrix)
+    # non-contiguous inputs are read as their contiguous copies, bitwise
+    for view in (stack.swapaxes(-1, -2), np.moveaxis(stack, 0, 1), stack[:, ::2],
+                 stack.real.swapaxes(-1, -2)):
+        assert not view.flags.c_contiguous
+        assert check(view).tobytes() == to_real(np.ascontiguousarray(view)).tobytes()
+    broadcast = np.broadcast_to(stack[2, 0], (5, 9, 9))
+    assert check(broadcast).tobytes() == to_real(np.array(broadcast)).tobytes()
+    # an infinite entry leaves a non-finite result, which propagate names
+    broken = stack[0, 0].copy()
+    broken[4, 0] = np.inf
+    with np.errstate(invalid="ignore"):
+        assert not np.isfinite(to_real(broken)).all()
+    with pytest.raises(PropagationError, match="^non-finite generator at t = 0: "):
+        propagate(lambda t: Liouvillian(matrix=broken), lower_ground_state(), 1.0, 0.05)
+    with pytest.raises(PropagationError, match="^non-finite generator: it has an infinite entry"):
+        evolve(Liouvillian(matrix=broken), lower_ground_state(), 1.0, 0.05)
 
 
 _STACK = SystemSpec(e_man=2.0, delta=np.array([-0.5, 0.0, 0.7, 0.3]),
