@@ -258,20 +258,6 @@ def evolve(liouvillian: Liouvillian, rho0: np.ndarray, t_end: float,
     return times, from_real(ys) if np.iscomplexobj(liouvillian.matrix) else ys
 
 
-def _name_traceless(real: np.ndarray, points: np.ndarray):
-    """SteadyStateError naming the first of points whose unit null vector (full SVD) is traceless.
-
-    real holds steady_state's matrices, one per point; returns when none
-    of points has a traceless null vector.
-    """
-    if points.size:
-        trace = np.linalg.svd(real[points])[2][:, -1, :] @ _REAL_TRACE
-        traceless = np.flatnonzero(np.abs(trace) < _TRACELESS_TOL)
-        if traceless.size:
-            raise SteadyStateError(f"null vector is traceless (trace {trace[traceless[0]]:.3e}), "
-                                   "cannot normalize")
-
-
 def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     """Unique null state of an unannotated generator, and its residual.
 
@@ -300,19 +286,20 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
     A point is cleared when lower - upper > 1e-8 + margin and the residual
     is at most 1e-10 max(1, ||real||_F / 3 - margin).  margin = 64 eps
     (||real||_F + sqrt(3)) covers the rounding by first-order bounds, in
-    units of eps times a norm, n = 9: the values-only SVD's backward error,
-    n for each of sigma_8 and sigma_9 (18; at most 2.2 seen against
-    40-digit values on random and graded matrices); the LU inverse's, 3n
-    at unit growth, of ||B||_F <= ||real||_F + sqrt(3) (27; 0.07 seen);
-    real x (9; 0.4 seen); norms and sums (4).  A solution norm above 1e12
-    puts lower below 1e-12, and a LinAlgError clears no point.  Only the
-    points not cleared run the SVD: values-only, then full for those whose
-    values tie, which decides and names a tie (at a huge norm the values
-    may be roundoff) and a traceless null vector, flagged by a singular
-    bordered matrix (LinAlgError, re-raised when the SVD finds none) or a
-    solution norm, 1 / |trace|, above 1e12.  So every verdict and message
-    is the SVD's.  Broadcasts over a stack of generators; the checks hold
-    for every point, and the first point that fails one names it.
+    units of eps times a norm, n = 9: the SVD's backward error, n for each
+    of sigma_8 and sigma_9 (18; at most 2.2 seen against 40-digit values
+    on random and graded matrices); the LU inverse's, 3n at unit growth,
+    of ||B||_F <= ||real||_F + sqrt(3) (27; 0.07 seen); real x (9; 0.4
+    seen); norms and sums (4).  A solution norm above 1e12 puts lower
+    below 1e-12, and a LinAlgError clears no point.  The points not
+    cleared get one stacked full SVD, whose values decide and name a tie
+    and bound the residual by sigma_max, and whose null vector names a
+    traceless one where the bordered matrix flags it: at every point when
+    the matrix is singular (LinAlgError, re-raised when the SVD finds
+    none), else where the solution norm, 1 / |trace|, is above 1e12.  So
+    every verdict and message is the SVD's.  Broadcasts over a stack of
+    generators; the checks hold for every point, and the first point that
+    fails one names it.
     """
     if liouvillian.u != 0.0:
         raise ValueError("steady_state requires an unannotated (u = 0) generator")
@@ -338,22 +325,25 @@ def steady_state(liouvillian: Liouvillian) -> tuple[np.ndarray, np.ndarray]:
             cleared = ((lower - upper > STEADY_GAP_TOL + margin)
                        & (residual <= STEADY_RESIDUAL_TOL * np.maximum(1.0, fro / 3.0 - margin)))
             checked = np.flatnonzero(~np.ravel(cleared))
-        flat = (np.linalg.svd(square[checked], compute_uv=False) if checked.size
-                else np.empty((0, DIM * DIM)))
-        flagged = np.flatnonzero(flat[:, -2] < flat[:, -1] + STEADY_GAP_TOL)
-        if flagged.size:
-            flat[flagged] = np.linalg.svd(square[checked[flagged]])[1]
-            tied = flagged[flat[flagged, -2] < flat[flagged, -1] + STEADY_GAP_TOL]
-            if tied.size:
-                lowest, second = flat[tied[0], -1], flat[tied[0], -2]
-                raise SteadyStateError(
-                    f"steady state is not unique: smallest singular values "
-                    f"{lowest:.3e} and {second:.3e}"
-                )
+        if not checked.size:
+            return rho, residual
+        _, flat, vh = np.linalg.svd(square[checked])
+        tied = np.flatnonzero(flat[:, -2] < flat[:, -1] + STEADY_GAP_TOL)
+        if tied.size:
+            lowest, second = flat[tied[0], -1], flat[tied[0], -2]
+            raise SteadyStateError(
+                f"steady state is not unique: smallest singular values "
+                f"{lowest:.3e} and {second:.3e}"
+            )
+        suspect = (slice(None) if singular is not None
+                   else np.ravel(norm)[checked] > 1.0 / _TRACELESS_TOL)
+        trace = vh[suspect, -1, :] @ _REAL_TRACE
+        traceless = np.flatnonzero(np.abs(trace) < _TRACELESS_TOL)
+        if traceless.size:
+            raise SteadyStateError(f"null vector is traceless (trace {trace[traceless[0]]:.3e}), "
+                                   "cannot normalize")
         if singular is not None:
-            _name_traceless(square, checked)
             raise singular
-        _name_traceless(square, np.flatnonzero(np.ravel(norm) > 1.0 / _TRACELESS_TOL))
     bound = STEADY_RESIDUAL_TOL * np.maximum(1.0, flat[:, 0])
     failed = np.flatnonzero(~(np.ravel(residual)[checked] <= bound))
     if failed.size:

@@ -94,11 +94,9 @@ def _evaluate(cfg: SweepConfig, spec: SystemSpec, bath: BathSpec, method: str,
     only which times are sampled.  A trajectory stays in these coordinates through
     min_eigenvalue; only its final state is mapped to 3x3 (from_real).  In
     steady mode the final state is the stationary state of the final
-    generator (steady_state: one bordered real solve for the state, one
-    inverse whose certificate clears its checks, an SVD only for the points
-    it does not clear; it also gives the residual) and joins the smallest
-    eigenvalue seen; in transient mode the residual is that of the final
-    generator and state.
+    generator (steady_state, which also gives the residual) and joins the
+    smallest eigenvalue seen; in transient mode the residual is that of
+    the final generator and state.
     """
     if method == "tcl_oracle":
         prop = TclPropagator(spec, bath, t_mem=cfg.tcl_t_mem, dt=cfg.tcl_dt)

@@ -546,13 +546,18 @@ def _steady_outcome(solver, matrix):
 def _against_oracle(matrix, monkeypatch):
     """steady_state's outcome on matrix, asserted bitwise equal to the oracle's, and its SVD calls.
 
-    The calls are the shapes of the stacks steady_state hands np.linalg.svd.
+    The calls are (shape, compute_uv) of each stack steady_state hands
+    np.linalg.svd.
     """
     oracle = _steady_outcome(steady_state_svd_oracle, matrix)
     svd, calls = np.linalg.svd, []
+
+    def spy(a, full_matrices=True, compute_uv=True, hermitian=False):
+        calls.append((np.shape(a), compute_uv))
+        return svd(a, full_matrices, compute_uv, hermitian)
+
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "svd", lambda a, *args, **kwargs:
-                      calls.append(np.shape(a)) or svd(a, *args, **kwargs))
+        patch.setattr(np.linalg, "svd", spy)
         outcome = _steady_outcome(steady_state, matrix)
     if isinstance(oracle[0], type):
         assert outcome == oracle
@@ -569,7 +574,7 @@ def test_gap_near_the_tie_tolerance_gets_the_svds_verdict(side, monkeypatch):
     matrix = _split_levels(side * 1e-8 / slope)
     assert (_gap(matrix) > 1e-8) == (side > 1.0)
     outcome, calls = _against_oracle(matrix, monkeypatch)
-    assert calls
+    assert calls == [((1, 9, 9), True)]
     if side > 1.0:
         assert steady_residual(Liouvillian(matrix=matrix), outcome[0]) == outcome[1]
     else:
@@ -584,7 +589,7 @@ def test_tie_away_from_zero_is_left_to_the_svd(monkeypatch):
     unit = FROM_REAL / np.linalg.norm(FROM_REAL, axis=0)
     matrix = unit @ np.diag([1e-5, 1e-5] + [1e6] * 7) @ unit.conj().T
     outcome, calls = _against_oracle(matrix, monkeypatch)
-    assert outcome[0] is SteadyStateError and calls
+    assert outcome[0] is SteadyStateError and calls == [((1, 9, 9), True)]
     assert outcome[1].startswith("steady state is not unique: smallest singular values ")
 
 
@@ -602,7 +607,7 @@ def test_residual_between_the_two_bounds_passes_through_the_svd(monkeypatch):
     matrix = np.stack([healthy, healthy + 1j * t * commutator])
     (_, residual), calls = _against_oracle(matrix, monkeypatch)
     assert 1e-10 * fro / 3.0 < residual[1] < 1e-10 * sigma_max and fro / 3.0 > 1.0
-    assert calls == [(1, 9, 9)]
+    assert calls == [((1, 9, 9), True)]
 
 
 def test_steady_state_equals_the_svd_oracle_on_random_stacks(monkeypatch):
@@ -642,6 +647,7 @@ def test_steady_state_equals_the_svd_oracle_on_random_stacks(monkeypatch):
     for _ in range(60):
         picks = rng.choice(len(draws), size=rng.integers(1, 5), p=[0.5, 0.15, 0.15, 0.1, 0.1])
         outcome, calls = _against_oracle(np.stack([draws[k]() for k in picks]), monkeypatch)
+        assert len(calls) <= 1 and all(uv for _, uv in calls)
         kinds.add(" ".join(outcome[1].split()[:2]) if isinstance(outcome[0], type)
                   else "ok after an SVD" if calls else "ok")
     assert kinds == {"ok", "ok after an SVD", "steady state", "steady-state residual",
