@@ -9,10 +9,15 @@ error status, 1 for configuration or usage problems.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 
 from .config import PROFILES, ConfigError, SweepConfig, parse_config, profile_config
 from .sweep import run_sweep, write_output
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -42,7 +47,31 @@ def _add_output_args(sub: argparse.ArgumentParser):
                      help="worker processes (default: 1); results do not depend on this")
 
 
+def _keep_freed_memory() -> None:
+    """Let glibc reuse freed numpy temporaries instead of unmapping them.
+
+    glibc serves each block of 128 KiB or more with its own mmap and trims
+    the heap's top on free, so every transient chunk faults its arrays in
+    again.  32 MiB is the ceiling of glibc's own dynamic mmap threshold on
+    64-bit, and 64 MiB twice that, as its dynamic rule sets the trim
+    threshold.  Setting either switches that rule off, so the trim
+    threshold is set only once the mmap threshold has been accepted: alone
+    it would pin the mmap threshold at 128 KiB.  This touches the whole
+    process, so only the CLI calls it; without glibc's mallopt it does
+    nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_memory()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

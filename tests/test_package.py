@@ -73,3 +73,21 @@ def test_no_module_calls_kron_or_einsum():
                 if name in ("kron", "einsum"):
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert not calls, f"kron or einsum called in src/: {calls}"
+
+
+def test_only_the_cli_touches_the_allocator():
+    # mallopt sets the allocator of the whole process: the CLI pins it once
+    # at startup, and importing or calling the library leaves a host
+    # process's allocator alone
+    naming = set()
+    for path in (ROOT / "src" / "coolspec").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.alias):
+                names = node.name.split(".")
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".")
+            else:
+                names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if {"mallopt", "ctypes"} & set(names):
+                naming.add(path.name)
+    assert naming == {"cli.py"}

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from coolspec import bath as bath_module
-from coolspec import generators, sweep
+from coolspec import cli, generators, sweep
 from coolspec.bath import BathSpec
 from coolspec.cli import main
 from coolspec.config import ConfigError, HeatRoute, config_from_dict, profile_config
@@ -999,6 +1000,47 @@ def test_cli_unknown_profile(tmp_path, capsys):
     code = main(["reproduce", "--profile", "fig9", "--output",
                  str(tmp_path / "o.csv")])
     assert code == 1
+
+
+class _FakeLibc:
+    """`ctypes.CDLL(None)` with a `mallopt` that records its calls and returns `accepted`."""
+
+    def __init__(self, events, accepted=1):
+        def mallopt(param, value):
+            events.append(("mallopt", param, value))
+            return accepted
+
+        self.mallopt = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_int)(mallopt)
+
+
+@pytest.mark.parametrize("accepted, pinned", [
+    (1, [(-3, 33554432), (-1, 67108864)]),
+    # a glibc that refuses the mmap threshold (32-bit: above its ceiling)
+    # keeps its dynamic rule, which a trim threshold alone would switch off
+    (0, [(-3, 33554432)]),
+], ids=["accepted", "refused"])
+def test_cli_pins_malloc_thresholds_before_the_sweep(tmp_path, monkeypatch, accepted, pinned):
+    events = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: _FakeLibc(events, accepted))
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda *args, **kwargs: events.append("run_sweep") or run_sweep(*args, **kwargs))
+    cfg_path = _write_config(tmp_path, SMALL_DICT)
+    assert main(["sweep", "--config", cfg_path, "--output", str(tmp_path / "o.csv")]) == 0
+    assert events == [("mallopt", *call) for call in pinned] + ["run_sweep"]
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("libc", [lambda name: object(), _no_libc],
+                         ids=["without_mallopt", "cdll_raises"])
+def test_cli_without_mallopt_writes_the_same_output(tmp_path, monkeypatch, libc):
+    cfg_path = _write_config(tmp_path, SMALL_DICT)
+    assert main(["sweep", "--config", cfg_path, "--output", str(tmp_path / "pinned.csv")]) == 0
+    monkeypatch.setattr(ctypes, "CDLL", libc)
+    assert main(["sweep", "--config", cfg_path, "--output", str(tmp_path / "o.csv")]) == 0
+    assert (tmp_path / "o.csv").read_bytes() == (tmp_path / "pinned.csv").read_bytes()
 
 
 def test_cli_sweep_without_config_uses_defaults_grid(tmp_path):
