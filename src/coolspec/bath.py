@@ -22,13 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .system import EigenSystem
+from .system import EigenSystem, check_finite
 
 SHIFT_TOL = 1e-12
 # Matsubara terms summed exactly in shift_b before its Euler-Maclaurin tail
 # takes over, at most (at tol 0, for one)
 _SERIES_TERMS = 32
-_SMALLEST_NORMAL = np.finfo(float).tiny
+_SMALLEST_CUTOFF = math.sqrt(np.finfo(float).tiny)  # 2**-511: omega_c**2 is normal from it on
 _EULER_GAMMA = 0.5772156649015329
 # _h_seed's branches: Ei's power series, coefficients 1 / (m m!) for
 # m = 1, 2, ..., from x = -2 up to 40; E1's continued fraction below -2;
@@ -48,26 +48,20 @@ BETA_CAP = 1e300
 
 @dataclass(frozen=True)
 class BathSpec:
-    """Phonon bath parameters: dimensionless coupling, cutoff, temperature, all real and finite."""
+    """Phonon bath parameters: coupling >= 0, cutoff and temperature > 0, finite (check_finite)."""
 
     alpha: float
     omega_c: float = 1.0
     temperature: float = 1.0
 
     def __post_init__(self):
-        # a complex field fails by name, not by a TypeError from the comparison
-        if np.iscomplexobj(self.alpha) or not 0 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be real, non-negative and finite, got {self.alpha}")
-        if np.iscomplexobj(self.omega_c) or not 0 < self.omega_c < math.inf:
-            raise ValueError(f"omega_c must be real, positive and finite, got {self.omega_c}")
-        # j(w) scales as alpha / omega_c**2, which a subnormal square turns
-        # into a division by zero or an inf
-        if not self.omega_c**2 >= _SMALLEST_NORMAL:
-            raise ValueError(f"omega_c must be at least {math.sqrt(_SMALLEST_NORMAL):.3g}, "
+        check_finite("alpha", self.alpha, "non-negative")
+        check_finite("omega_c", self.omega_c, "positive")
+        # j(w) scales as alpha / omega_c**2, which a subnormal square makes 1/0 or inf
+        if not self.omega_c >= _SMALLEST_CUTOFF:
+            raise ValueError(f"omega_c must be at least {_SMALLEST_CUTOFF:.3g}, "
                              f"so that omega_c**2 is a normal double, got {self.omega_c}")
-        if np.iscomplexobj(self.temperature) or not 0 < self.temperature < math.inf:
-            raise ValueError(f"temperature must be real, positive and finite, "
-                             f"got {self.temperature}")
+        check_finite("temperature", self.temperature, "positive")
 
     @property
     def beta(self) -> float:
@@ -264,10 +258,9 @@ def shift_b(nu, bath: BathSpec, tol: float = SHIFT_TOL):
     and without warning up to the largest double.  The coupling alpha
     enters exactly linearly.  Accepts scalars or arrays of nu; one
     evaluation per distinct |nu| serves both signs, and each result equals
-    its scalar call.  Raises ValueError when tol is negative or NaN.
+    its scalar call.  tol must be non-negative and finite (check_finite).
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
+    check_finite("tol", tol, "non-negative")
     terms = 1
     hot = bath.temperature / bath.omega_c
     while terms < _SERIES_TERMS and 23.04 * (1.0 / (hot + terms)) ** 12 > tol:

@@ -18,6 +18,9 @@ import numbers
 import sys
 from dataclasses import dataclass, fields
 
+from .bath import BathSpec
+from .system import SystemSpec, check_finite, is_finite_real
+
 MODES = ("steady", "transient")
 ROUTE_KINDS = ("trace_formula", "counting_fd")
 FD_SCHEMES = ("forward", "central")
@@ -94,30 +97,17 @@ CONFIG_KEYS: dict[str, tuple[str | None, str]] = {
     "tcl_dt": ("tcl", "dt"),
 }
 
-# fields validate_config requires to be positive (when set) or non-negative;
-# mode.t_end and mode.dt join the positive ones in transient mode
-_POSITIVE = ("e_man", "omega_c", "temperature", "pairing_tol", "tcl_t_mem", "tcl_dt")
-_NON_NEGATIVE = ("gamma_rad", "alpha")
+# settings that must be positive (when set); transient mode adds mode.t_end and mode.dt
+_POSITIVE = ("pairing_tol", "tcl_t_mem", "tcl_dt")
 
 
-def _is_finite(value) -> bool:
-    # Python's json reads NaN, Infinity and integers beyond the float range;
-    # no field accepts them
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-# JSON values accepted for a field, by the type of its default:
-# (description for messages, test)
+# JSON values accepted for a field, by the type of its default: (description
+# for messages, test).  No field takes json's NaN, Infinity or huge integers
 _TYPES = {
-    float: ("a finite number", _is_finite),
+    float: ("a finite number", is_finite_real),
     int: ("an integer", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)),
     bool: ("a boolean", lambda v: isinstance(v, bool)),
-    type(None): ("a finite number or null", lambda v: v is None or _is_finite(v)),
+    type(None): ("a finite number or null", lambda v: v is None or is_finite_real(v)),
     tuple: ("a non-empty list (at least one entry)",
             lambda v: isinstance(v, (list, tuple)) and len(v) > 0),
 }
@@ -139,9 +129,10 @@ def _check_field_type(where: str, value, default):
             _check_field_type(f"{where}[{i}]", v, default[0])
 
 
-# dotted JSON path of every field, as used in messages
+# dotted JSON path of every field (and of SystemSpec's omega_rabi), as used in messages
 _PATHS = {name: key if section is None else f"{section}.{key}"
           for name, (section, key) in CONFIG_KEYS.items()}
+_PATHS["omega_rabi"] = _PATHS["omega_list"]
 
 
 def _key_line(raw_text: str | None, key: str, section: str | None) -> str:
@@ -177,7 +168,7 @@ def _value(where: str, value, default, raw_text: str | None):
     if isinstance(default, tuple) and isinstance(value, (list, tuple)):
         return tuple(_value(f"{where}[{i}]", v, default[0], raw_text)
                      for i, v in enumerate(value))
-    if (isinstance(default, float) or default is None) and _is_finite(value):
+    if (isinstance(default, float) or default is None) and is_finite_real(value):
         return float(value)
     return value
 
@@ -229,7 +220,11 @@ def config_from_dict(data: dict, raw_text: str | None = None) -> SweepConfig:
 
 
 def validate_config(cfg: SweepConfig):
-    """Type, value and cross-field checks shared by file parsing and programmatic configs."""
+    """Type, value and cross-field checks shared by file parsing and programmatic configs.
+
+    Ranges are SystemSpec's, BathSpec's and check_finite's: a ValueError
+    from them is raised as a ConfigError at the field's JSON path.
+    """
     for name, default in vars(SweepConfig()).items():
         _check_field_type(_PATHS[name], getattr(cfg, name), default)
     routes = [(f"{_PATHS['routes']}[{i}]", route) for i, route in enumerate(cfg.routes)]
@@ -242,21 +237,19 @@ def validate_config(cfg: SweepConfig):
         if value not in allowed:
             raise ConfigError(f"unknown {where} {value!r}; expected one of {allowed}")
     transient = ("t_end", "dt") if cfg.mode == "transient" else ()
-    for name in _POSITIVE + transient:
-        value = getattr(cfg, name)
-        if value is not None and value <= 0:
-            raise ConfigError(f"{_PATHS[name]} must be positive, got {value}")
-    # the spectral density divides by omega_c**2, which must not be subnormal
-    if not cfg.omega_c**2 >= sys.float_info.min:
-        raise ConfigError(f"{_PATHS['omega_c']} must be at least "
-                          f"{math.sqrt(sys.float_info.min):.3g}, so that its square is a "
-                          f"normal double, got {cfg.omega_c}")
+    try:
+        SystemSpec(cfg.e_man, gamma_rad=cfg.gamma_rad, omega_rabi=list(cfg.omega_list))
+        BathSpec(cfg.alpha, cfg.omega_c, cfg.temperature)
+        for name in _POSITIVE + transient:
+            if getattr(cfg, name) is not None:
+                check_finite(name, getattr(cfg, name), "positive")
+    except ValueError as exc:
+        # each message starts with the field's name
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{_PATHS[name]} {rest}") from None
     if transient and not cfg.t_end / cfg.dt < sys.maxsize:
         raise ConfigError(f"{_PATHS['t_end']} / {_PATHS['dt']} = {cfg.t_end} / {cfg.dt} "
                           f"overflows; the number of steps must be below {sys.maxsize}")
-    for name in _NON_NEGATIVE:
-        if getattr(cfg, name) < 0:
-            raise ConfigError(f"{_PATHS[name]} must be non-negative, got {getattr(cfg, name)}")
     if cfg.delta_steps < 1:
         raise ConfigError(f"{_PATHS['delta_steps']} must be at least 1, got {cfg.delta_steps}")
     if cfg.delta_steps > 1 and cfg.delta_max < cfg.delta_min:
@@ -265,8 +258,6 @@ def validate_config(cfg: SweepConfig):
     if not math.isfinite(float(cfg.delta_max) - float(cfg.delta_min)):
         raise ConfigError(f"{_PATHS['delta_max']} - {_PATHS['delta_min']} = "
                           f"{cfg.delta_max:g} - {cfg.delta_min:g} overflows")
-    if any(w < 0 for w in cfg.omega_list):
-        raise ConfigError(f"{_PATHS['omega_list']} entries must be non-negative")
     for where, route in routes:
         if route.kind != "counting_fd":
             continue

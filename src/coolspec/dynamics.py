@@ -20,7 +20,7 @@ from .generators import (
     unvectorize,
     vectorize,
 )
-from .system import SystemSpec, lower_ground_state
+from .system import SystemSpec, check_finite, lower_ground_state
 
 TRACE_DRIFT_TOL = 1e-6
 # roundoff headroom for the RK4 gain of eigenvalues with real part <= 0
@@ -57,11 +57,9 @@ class SteadyStateError(RuntimeError):
 
 def _time_grid(t_end: float, dt: float) -> np.ndarray:
     """Grid k dt, k = 0 .. round(t_end / dt), shared by propagate and evolve."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not (np.isfinite(t_end) and t_end >= 0):
-        raise ValueError(f"t_end must be non-negative and finite, got {t_end}")
-    return np.arange(int(round(t_end / dt)) + 1) * dt
+    check_finite("dt", dt, "positive")
+    check_finite("t_end", t_end, "non-negative")
+    return np.arange(int(round(t_end / dt)) + 1) * float(dt)
 
 
 def _coordinates(liouvillian: Liouvillian, caller: str) -> np.ndarray:
@@ -431,8 +429,7 @@ def mean_heat_fd(method: str, spec: SystemSpec, bath: BathSpec, t_end: float = 3
     and fd_imag then hold arrays of the stack's shape, each point equal to
     its one-point call, which gives scalars.
     """
-    if not (np.isfinite(u_step) and u_step > 0):
-        raise ValueError(f"u_step must be positive and finite, got {u_step}")
+    check_finite("u_step", u_step, "positive")
     if scheme not in ("forward", "central"):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'forward' or 'central'")
     times = _time_grid(t_end, dt)

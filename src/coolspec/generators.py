@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bath import BathSpec, rate_a, rate_table
-from .system import IDX_E, IDX_GL, IDX_GU, EigenSystem, SystemSpec, build_hamiltonian, eigensystem
+from .system import IDX_E, IDX_GL, IDX_GU, EigenSystem, SystemSpec, build_hamiltonian, check_finite, eigensystem
 
 DIM = 3
 
@@ -233,7 +233,9 @@ def _secular_dissipator(eig: EigenSystem, gamma: np.ndarray, e_man: float,
     of this approximation.
     """
     if pairing_tol is None:
-        pairing_tol = 1e-10 * e_man
+        pairing_tol = 1e-10 * e_man  # not checked: 0 at e_man 5e-324
+    else:
+        check_finite("pairing_tol", pairing_tol, "positive")
     nu_vec = vectorize(eig.nu).real
     # a difference that overflows is far from any tie: it rounds to inf and is dropped
     with np.errstate(over="ignore"):

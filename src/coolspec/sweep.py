@@ -25,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bath import BathSpec
-from .config import ConfigError, SweepConfig, validate_config
+from .config import ConfigError, SweepConfig, _check_field_type, validate_config
 from .dynamics import (
     evolve,
     heat_current_trace,
@@ -243,9 +243,10 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[SpectrumRecord]:
     chunk (_evaluate_block).  Workers receive whole blocks; at most one per
     chunk is started, none for one chunk.  Neither chunk boundaries nor the
     output order (delta, omega, method, route) depend on jobs.  The
-    config, even one built in code, and jobs >= 1 are checked here first
-    (ConfigError).
+    config, even one built in code, and jobs, an integer >= 1 (not a bool),
+    are checked here first (ConfigError).
     """
+    _check_field_type("jobs", jobs, 1)
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     validate_config(cfg)

@@ -10,11 +10,36 @@ throughout the package.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 IDX_E, IDX_GU, IDX_GL = 0, 1, 2
+# check_finite's lower bound, by the word its message prints
+_BOUNDS = {"real": lambda a: True, "non-negative": lambda a: a >= 0, "positive": lambda a: a > 0}
+
+
+def is_finite_real(value) -> bool:
+    """Whether value is a real, finite number: not a bool, a string, complex, or an int beyond floats."""
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def check_finite(name: str, value, bound: str = "real"):
+    """Raise ValueError "<name> must be <bound> and finite, got <value>" unless value is in range.
+
+    Every entry of value, a number or an array, must be is_finite_real, and
+    >= 0 for bound "non-negative" or > 0 for "positive".
+    """
+    array = np.asarray(value)
+    # numpy holds an int beyond int64, or what is not a number, as an object
+    valid = (all(map(is_finite_real, array.flat)) if array.dtype == object
+             else array.dtype.kind in "iuf" and np.isfinite(array).all())
+    if not (valid and np.all(_BOUNDS[bound](array))):
+        raise ValueError(f"{name} must be {bound} and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -34,10 +59,10 @@ class SystemSpec:
     gamma_rad:
         Radiative decay rate for |e> -> |g_l>, must be >= 0.
 
-    Every field must be real and finite (ValueError naming the field), so
-    the Hamiltonian is hermitian.  delta and omega_rabi may also be arrays
-    of one shape: the spec then stands for that stack of points, and
-    build_hamiltonian and the generators broadcast over it.
+    Every field must be real and finite (check_finite, a ValueError naming
+    the field), so the Hamiltonian is hermitian.  delta and omega_rabi may
+    also be arrays of one shape: the spec then stands for that stack of
+    points, and build_hamiltonian and the generators broadcast over it.
     """
 
     e_man: float
@@ -46,17 +71,10 @@ class SystemSpec:
     gamma_rad: float = 0.0
 
     def __post_init__(self):
-        if np.iscomplexobj(self.e_man) or not 0 < self.e_man < math.inf:
-            raise ValueError(f"e_man must be real, positive and finite, got {self.e_man}")
-        if np.iscomplexobj(self.delta) or not np.all(np.isfinite(self.delta)):
-            raise ValueError(f"delta must be real and finite, got {self.delta}")
-        omega = np.asarray(self.omega_rabi)
-        if np.iscomplexobj(omega) or not np.all((omega >= 0) & (omega < math.inf)):
-            raise ValueError(f"omega_rabi must be real, non-negative and finite, "
-                             f"got {self.omega_rabi}")
-        if np.iscomplexobj(self.gamma_rad) or not 0 <= self.gamma_rad < math.inf:
-            raise ValueError(f"gamma_rad must be real, non-negative and finite, "
-                             f"got {self.gamma_rad}")
+        check_finite("e_man", self.e_man, "positive")
+        check_finite("delta", self.delta)
+        check_finite("omega_rabi", self.omega_rabi, "non-negative")
+        check_finite("gamma_rad", self.gamma_rad, "non-negative")
 
 
 def build_hamiltonian(spec: SystemSpec) -> np.ndarray:

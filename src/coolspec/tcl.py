@@ -33,7 +33,7 @@ from .generators import (
     to_real,
     vectorize,
 )
-from .system import EigenSystem, SystemSpec, eigensystem
+from .system import EigenSystem, SystemSpec, check_finite, eigensystem
 
 # widest tau-grid spacing of the running coefficients up to omega_c 1; a
 # faster bath gets this / omega_c, since C(tau) varies on the scale
@@ -130,10 +130,8 @@ class TclPropagator:
     """
 
     def __init__(self, spec: SystemSpec, bath: BathSpec, t_mem: float = 30.0, dt: float = 0.02):
-        if not 0 < t_mem < math.inf:
-            raise ValueError(f"t_mem must be positive and finite, got {t_mem}")
-        if not 0 < dt < math.inf:
-            raise ValueError(f"dt must be positive and finite, got {dt}")
+        check_finite("t_mem", t_mem, "positive")
+        check_finite("dt", dt, "positive")
         self.dt = dt
         self.eig = eigensystem(spec)
 

@@ -30,6 +30,12 @@ def test_bath_spec_validation():
         BathSpec(alpha=0.01, temperature=0.0)
     with pytest.raises(ValueError):
         BathSpec(alpha=0.01, temperature=-3.0)
+    # omega_c**2 is normal from 2**-511 on, exactly, and a cutoff whose
+    # square overflows (1e200 raised OverflowError) is in range
+    with pytest.raises(ValueError, match="^omega_c must be at least"):
+        BathSpec(alpha=0.01, omega_c=np.nextafter(2.0**-511, 0.0))
+    for omega_c in (2.0**-511, 1e200, 10**308):
+        BathSpec(alpha=0.01, omega_c=omega_c)
 
 
 @pytest.mark.parametrize("omega_c", [1e-300, 1e-160])
@@ -284,9 +290,11 @@ def test_tol_sets_the_number_of_exact_terms():
         coarse, fine = shift_b(nu, BATH, tol=1e-10), shift_b(nu, BATH, tol=5e-11)
         assert coarse != fine
         assert abs(coarse - fine) < 1e-11 * max(abs(fine), 4.0 * BATH.alpha * BATH.omega_c)
-    for tol in (-1e-9, math.nan):
+    for tol in (-1e-9, math.nan, math.inf, 10**400, "1e-12", 1e-12j):
         with pytest.raises(ValueError, match="tol must be non-negative"):
             shift_b(1.0, BATH, tol=tol)
+    # an integer a float can hold is in range
+    assert shift_b(1.0, BATH, tol=10**308) == shift_b(1.0, BATH, tol=1e308)
 
 
 def _h_reference(x: float, n: int) -> float:

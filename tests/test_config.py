@@ -1,7 +1,8 @@
+import contextlib
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from coolspec.config import (
     config_from_dict,
     parse_config,
     profile_config,
+    validate_config,
 )
 from coolspec.system import SystemSpec
 from coolspec.tcl import TclPropagator
@@ -210,6 +212,8 @@ def test_shorthand_forms_normalize():
     # alpha / omega_c**2 divided by zero (1e-300) or overflowed (1e-160)
     ({"bath": {"omega_c": 1e-300}}, "bath.omega_c must be at least 1.49e-154"),
     ({"bath": {"omega_c": 1e-160}}, "bath.omega_c must be at least 1.49e-154"),
+    # a bool is not a number
+    ({"bath": {"alpha": True}}, "bath.alpha must be a finite number"),
 ])
 def test_validation_rejections(data, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -286,14 +290,52 @@ NAN_CASES = [
     (BathSpec, {"alpha": 0.01}, "omega_c", 1j),
     (BathSpec, {"alpha": 0.01}, "temperature", 3j),
 ]
+# an integer beyond the float range and a string fail by name too, not as an
+# OverflowError or a TypeError from a comparison
+NAN_CASES += [(cls, valid, field, bad) for cls, valid, fields_ in [
+    (SystemSpec, {"e_man": 2.0}, ("e_man", "delta", "omega_rabi", "gamma_rad")),
+    (BathSpec, {"alpha": 0.01}, ("alpha", "omega_c", "temperature")),
+    (TclPropagator, _TCL_POINT, ("t_mem", "dt")),
+] for field in fields_ for bad in (10**400, "2")]
 
 
 @pytest.mark.parametrize("cls,valid,field,value", NAN_CASES,
                          ids=[f"{c.__name__}.{f}{'[]' if np.ndim(v) else ''}"
-                              + ("-complex" if np.iscomplexobj(v) else
+                              + ("-str" if isinstance(v, str) else
+                                 "-huge" if isinstance(v, int) else
+                                 "-complex" if np.iscomplexobj(v) else
                                  "-inf" if np.any(np.isinf(v)) else "")
                               for c, _, f, v in NAN_CASES])
 def test_spec_constructors_reject_nan(cls, valid, field, value):
     cls(**valid)
     with pytest.raises(ValueError, match=f"^{field} must be"):
         cls(**{**valid, field: value})
+    if isinstance(value, int):
+        # an integer a float can hold is in range; only TclPropagator's
+        # tau grid refuses it, by its own message
+        refused = pytest.raises(ValueError, match=f"^{field} = ")
+        with refused if cls is TclPropagator else contextlib.nullcontext():
+            cls(**{**valid, field: 10**308})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("e_man", -2.0), ("gamma_rad", -0.5), ("omega_list", [0.5, -0.1]), ("alpha", -0.01),
+    ("omega_c", 0.0), ("omega_c", 1e-300), ("temperature", 0.0),
+])
+def test_physical_ranges_are_the_specs(field, value):
+    # config decides no physical range of its own: its message is the
+    # spec's, with the JSON path in place of the spec's field name
+    section, key = CONFIG_KEYS[field]
+    with pytest.raises(ConfigError) as from_config:
+        validate_config(replace(SweepConfig(), **{field: value}))
+    spec_field = "omega_rabi" if field == "omega_list" else field
+    cls, valid = (BathSpec, {"alpha": 0.01}) if section == "bath" else (SystemSpec, {"e_man": 2.0})
+    with pytest.raises(ValueError) as from_spec:
+        cls(**{**valid, spec_field: value})
+    message = str(from_spec.value)
+    assert message.startswith(f"{spec_field} must be")
+    assert str(from_config.value) == f"{section}.{key}" + message[len(spec_field):]
+    # an integer a float can hold is in range, read from JSON or set in code
+    huge = [10**308] if field == "omega_list" else 10**308
+    config_from_dict({section: {key: huge}})
+    validate_config(replace(SweepConfig(), **{field: tuple(huge) if field == "omega_list" else huge}))

@@ -61,6 +61,12 @@ def test_propagate_validates_steps():
         propagate(lambda t: gen, lower_ground_state(), 1.0, 0.0)
     with pytest.raises(ValueError):
         propagate(lambda t: gen, lower_ground_state(), -1.0, 0.1)
+    # named, not an OverflowError or a TypeError from a comparison
+    for bad in (math.nan, math.inf, 10**400, "0.1", 0.1j, True):
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            propagate(lambda t: gen, lower_ground_state(), 1.0, bad)
+        with pytest.raises(ValueError, match="^t_end must be non-negative and finite"):
+            propagate(lambda t: gen, lower_ground_state(), bad, 0.1)
 
 
 def test_radiative_decay_exponential():
@@ -314,12 +320,15 @@ def test_evolve_grid_and_validation():
     with pytest.raises(ValueError, match="t_end"):
         evolve(gen, rho0, -1.0, 0.1)
     # non-finite grids are named, not left to a NaN grid or an OverflowError
-    for dt in (math.inf, math.nan):
+    for dt in (math.inf, math.nan, 10**400, "0.1"):
         with pytest.raises(ValueError, match="dt must be positive and finite"):
             evolve(gen, rho0, 1.0, dt)
-    for t_end in (math.inf, math.nan):
+    for t_end in (math.inf, math.nan, 10**400, "1"):
         with pytest.raises(ValueError, match="t_end must be non-negative and finite"):
             evolve(gen, rho0, t_end, 0.1)
+    # an integer a float can hold is in range, though numpy holds it as an object
+    times, _ = evolve(Liouvillian(matrix=np.zeros((9, 9), dtype=complex)), rho0, 10**308, 10**308)
+    assert_allclose(times, [0.0, 1e308], rtol=0)
 
 
 def test_evolve_detects_trace_loss():
@@ -791,9 +800,15 @@ def test_characteristic_function_properties(characteristic_function):
 
 def test_mean_heat_fd_schemes_and_validation():
     spec = SystemSpec(e_man=2.0, delta=0.0, omega_rabi=1.0, gamma_rad=0.5)
-    for u_step in (0.0, math.nan, math.inf):
+    for u_step in (0.0, math.nan, math.inf, 10**400, "0.05"):
         with pytest.raises(ValueError, match="u_step must be positive and finite"):
             mean_heat_fd("bloch_redfield", spec, BATH, u_step=u_step)
+    # a caller's pairing tolerance is checked where secular reads it: a
+    # negative or NaN one emptied the dissipator, and the current read 0
+    for pairing_tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^pairing_tol must be positive and finite"):
+            mean_heat_fd("secular", spec, BATH, t_end=1.0, pairing_tol=pairing_tol)
+    mean_heat_fd("secular", spec, BATH, t_end=1.0, u_step=10**308, pairing_tol=10**308)
     with pytest.raises(ValueError, match="scheme"):
         mean_heat_fd("bloch_redfield", spec, BATH, scheme="midpoint")
     with pytest.raises(ValueError, match="no full step"):
@@ -831,6 +846,11 @@ def test_mean_heat_fd_checks_its_grid_before_building(monkeypatch):
         mean_heat_fd("bloch_redfield", spec, BATH, t_end=0.02, dt=0.05)
     with pytest.raises(ValueError, match="dt must be positive"):
         mean_heat_fd("bloch_redfield", spec, BATH, dt=0.0)
+    for bad in (math.nan, -math.inf, 10**400, "0.05"):
+        with pytest.raises(ValueError, match="^dt must be positive and finite"):
+            mean_heat_fd("bloch_redfield", spec, BATH, dt=bad)
+        with pytest.raises(ValueError, match="^t_end must be non-negative and finite"):
+            mean_heat_fd("bloch_redfield", spec, BATH, t_end=bad)
 
 
 def test_mean_heat_fd_bias_scales_quadratically():

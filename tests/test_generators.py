@@ -434,6 +434,11 @@ def test_secular_pairing_tolerance_widens_retention():
     nonsecular = total_liouvillian("bloch_redfield", spec, BATH, shared=shiftless)
     tight = total_liouvillian("secular", spec, BATH)
     assert not np.allclose(tight.matrix, nonsecular.matrix, atol=1e-6)
+    # a caller's tolerance must be positive and finite: a negative or NaN
+    # one kept no pair at all, and the steady current read 0
+    for pairing_tol in (-1.0, math.nan, math.inf, 0.0, "1e-9"):
+        with pytest.raises(ValueError, match="^pairing_tol must be positive and finite"):
+            total_liouvillian("secular", spec, BATH, pairing_tol=pairing_tol)
 
 
 def test_principal_value_terms_change_generator():

@@ -107,8 +107,11 @@ def test_jobs_start_at_most_one_worker_per_chunk(pools, monkeypatch):
 
 
 def test_run_sweep_validates_jobs():
-    with pytest.raises(ValueError):
-        run_sweep(SMALL, jobs=0)
+    # jobs follows config's integer rule: 2.5 and "2" failed as TypeError
+    # and True ran as 1
+    for jobs in (0, 2.5, "2", True):
+        with pytest.raises(ConfigError, match="^jobs must be"):
+            run_sweep(SMALL, jobs=jobs)
 
 
 @pytest.mark.parametrize("changes,fragment", [
